@@ -78,8 +78,16 @@ class Excitation:
 
     def table(self, ts):
         ts = np.asarray(ts, dtype=float)
-        arg = self.frequencies[None, :, :] * ts[:, None, None] + self.phases
-        return np.sum(self.amplitudes[None] * np.sin(arg), axis=2)
+        out = np.zeros((len(ts), self.n_channels))
+        term = np.empty_like(out)
+        for amp, freq, phase in zip(self.amplitudes.T, self.frequencies.T,
+                                    self.phases.T):
+            np.multiply.outer(ts, freq, out=term)
+            term += phase
+            np.sin(term, out=term)
+            term *= amp
+            out += term
+        return out
 
 
 def _sym_indices(n):
@@ -164,20 +172,16 @@ def _regressor(data, k, qk):
 
 
 def _equilibrated_lstsq(a_mat, rhs):
-    """Column-equilibrated least squares: (theta, rank, cond).
+    """Column-equilibrated least squares: (theta, rank).
 
     Scaling each column to unit norm before the solve removes the artificial
     ill-conditioning caused by mixed magnitudes of the quadratic-state and
-    bilinear features; the returned cond is that of the scaled system (the
-    one actually solved).
+    bilinear features.  The conditioning guard is computed once, in collect.
     """
     scale = np.linalg.norm(a_mat, axis=0)
     scale[scale == 0.0] = 1.0
-    a_scaled = a_mat / scale
-    sv = np.linalg.svd(a_scaled, compute_uv=False)
-    cond = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
-    theta, _, rank, _ = np.linalg.lstsq(a_scaled, rhs, rcond=None)
-    return theta / scale, rank, cond
+    theta, _, rank, _ = np.linalg.lstsq(a_mat / scale, rhs, rcond=None)
+    return theta / scale, rank
 
 
 def collect(plant, k0, exc, horizon, dt, window, x0=None, guard=1e6):
@@ -270,7 +274,7 @@ def policy_iteration(data, qhat, rhat, k0, tol_pi=1e-8, max_iter=30):
     p_prev = None
     for it in range(1, max_iter + 1):
         a_mat, rhs = _regressor(data, k, qhat + k.T @ rhat @ k)
-        theta, rank, _ = _equilibrated_lstsq(a_mat, rhs)
+        theta, rank = _equilibrated_lstsq(a_mat, rhs)
         if rank < a_mat.shape[1]:
             raise RankDeficient(
                 f"joint regressor rank {rank} < {a_mat.shape[1]} unknowns"

@@ -10,8 +10,7 @@ Subcommands:
 
 All randomness flows from --seed; identical config and seed give byte-identical
 CSV output (wall-clock columns vary by machine and are documented as such).
-The HLQR_WORKERS environment variable sizes the per-cluster worker pool and
-HLQR_PURE_NUMPY=1 selects the plain numpy kernels.
+The HLQR_WORKERS environment variable sizes the per-cluster worker pool.
 """
 
 import argparse
@@ -229,17 +228,29 @@ def _quad_mean(x0s, mat):
     return float(np.einsum("bi,ij,bj->b", x0s, mat, x0s).mean())
 
 
-def make_report_row(cfg, scenario, dec, gain, learn_time=float("nan")):
-    """Evaluate a gain into a ReportRow (and the underlying GapReport)."""
+def _scenario_trajectory(cfg, scenario, gain):
+    """Closed-loop trajectory from the scenario's own initial state."""
+    if scenario.x0 is None:
+        raise InvalidConfig("scenario x0 scheme needs a scenario initial state")
+    return integrate(scenario.mas, gain.k_h, scenario.x0, cfg.t_final, cfg.dt,
+                     cost=scenario.spec)
+
+
+def make_report_row(cfg, scenario, dec, gain, learn_time=float("nan"),
+                    traj=None):
+    """Evaluate a gain into a ReportRow (and the underlying GapReport).
+
+    Under the scenario x0 scheme the costs are those of traj, the
+    closed-loop trajectory from the scenario's initial state; it is
+    integrated here when not given.
+    """
     mas, spec = scenario.mas, scenario.spec
     report = gap_report(mas, spec, dec, gain, sigma=cfg.sigma)
     _, n_c = comm_links(gain.k_h, spec.n, spec.m)
 
     if cfg.x0_scheme == "scenario":
-        if scenario.x0 is None:
-            raise InvalidConfig("scenario x0 scheme needs a scenario initial state")
-        traj = integrate(mas, gain.k_h, scenario.x0, cfg.t_final, cfg.dt,
-                         cost=spec)
+        if traj is None:
+            traj = _scenario_trajectory(cfg, scenario, gain)
         j_mean, j_u = traj.cost, traj.ju
         sop = report.sop
     else:
@@ -289,7 +300,10 @@ def run_experiment(cfg):
     else:
         gain = hierarchical_gain(mas, spec, dec)
 
-    row, report = make_report_row(cfg, scenario, dec, gain, learn_time)
+    traj = None
+    if cfg.x0_scheme == "scenario":
+        traj = _scenario_trajectory(cfg, scenario, gain)
+    row, report = make_report_row(cfg, scenario, dec, gain, learn_time, traj)
 
     out = cfg.out_dir
     paths = {
@@ -309,9 +323,7 @@ def run_experiment(cfg):
                 for j, r in enumerate(results)
             ],
         )
-    if cfg.x0_scheme == "scenario":
-        traj = integrate(mas, gain.k_h, scenario.x0, cfg.t_final, cfg.dt,
-                         cost=spec)
+    if traj is not None:
         paths["trajectory"] = fileio.write_trajectory_csv(
             f"{out}/trajectory.csv", traj, stride=10,
         )
@@ -519,8 +531,7 @@ def build_parser():
         prog="hlqr",
         description="Hierarchical LQR for multi-agent systems: decompose, "
                     "learn cluster controllers model-free, assemble, evaluate.",
-        epilog="Environment: HLQR_WORKERS sizes the per-cluster worker pool; "
-               "HLQR_PURE_NUMPY=1 forces the plain numpy kernels.",
+        epilog="Environment: HLQR_WORKERS sizes the per-cluster worker pool.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

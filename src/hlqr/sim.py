@@ -268,7 +268,12 @@ def integrate(sys, controller, x0, t_final, dt, cost=None, stop_rtol=0.0,
 
 
 def _integrate_callable(sys, controller, x0, dt, n_steps, q, r, stop_rtol, guard):
-    """RK4 with an arbitrary state-feedback callable (mirrors the kernel)."""
+    """RK4 step loop with an arbitrary state-feedback callable.
+
+    The controller is evaluated at every stage, so this path does not assume
+    an LTI closed loop; it also serves as the independent reference for the
+    gain path's rollout kernel.
+    """
     plant = sys.black_box() if isinstance(sys, MasSystem) else sys
     a, b, dist = plant._a, plant._b, plant._dist
     n, m = b.shape

@@ -1,10 +1,11 @@
-"""Compiled and pure-numpy integration kernels: parity, order, guards."""
+"""Integration kernels: parity with step-loop oracles, order, guards."""
 
 import numpy as np
-import pytest
 
-from hlqr import _kernels
-from hlqr.sim import tabulate_signal
+from hlqr import _kernels, sim
+from hlqr.adp import Excitation
+from hlqr.graphcost import assemble_q
+from hlqr.sim import BlackBoxPlant, tabulate_signal
 
 
 def damped_rotation():
@@ -18,8 +19,104 @@ def zero_tables(n_steps, m):
     return z, z.copy()
 
 
+def assert_rel(actual, expected, tol=1e-12):
+    """max |actual - expected| <= tol * max |expected| over the array."""
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= tol * scale
+
+
+def collect_step_loop(a, b, k0, exo_cmd, exo_dist, x0, dt, steps_per_window,
+                      n_windows, guard):
+    """Per-step RK4 reference for collect_kernel: same arguments, same
+    return tuple, one stage evaluation at a time."""
+    n = a.shape[0]
+    m = b.shape[1]
+    total = steps_per_window * n_windows
+    xb = np.zeros((n_windows + 1, n))
+    ixx = np.zeros((n_windows, n, n))
+    ixv = np.zeros((n_windows, n, m))
+    raw_x = np.zeros((total + 1, n))
+    raw_v = np.zeros((total + 1, m))
+
+    x = x0.copy()
+    xb[0] = x
+    raw_x[0] = x
+    raw_v[0] = -k0 @ x + exo_cmd[0] + exo_dist[0]
+    status = _kernels.OK
+    done = 0
+    h6 = dt / 6.0
+
+    def v_at(xst, i):
+        return -k0 @ xst + exo_cmd[i] + exo_dist[i]
+
+    for w in range(n_windows):
+        acc_xx = np.zeros((n, n))
+        acc_xv = np.zeros((n, m))
+        for inner in range(steps_per_window):
+            step = w * steps_per_window + inner
+            v1 = v_at(x, 2 * step)
+            f1 = a @ x + b @ v1
+            x2 = x + 0.5 * dt * f1
+            v2 = v_at(x2, 2 * step + 1)
+            f2 = a @ x2 + b @ v2
+            x3 = x + 0.5 * dt * f2
+            v3 = v_at(x3, 2 * step + 1)
+            f3 = a @ x3 + b @ v3
+            x4 = x + dt * f3
+            v4 = v_at(x4, 2 * step + 2)
+            f4 = a @ x4 + b @ v4
+            acc_xx += h6 * (np.outer(x, x) + 2.0 * np.outer(x2, x2)
+                            + 2.0 * np.outer(x3, x3) + np.outer(x4, x4))
+            acc_xv += h6 * (np.outer(x, v1) + 2.0 * np.outer(x2, v2)
+                            + 2.0 * np.outer(x3, v3) + np.outer(x4, v4))
+            x = x + h6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+            raw_x[step + 1] = x
+            raw_v[step + 1] = v_at(x, 2 * step + 2)
+            if not np.all(np.isfinite(x)) or np.abs(x).max() > guard:
+                status = _kernels.BLOWUP
+                break
+        if status == _kernels.BLOWUP:
+            break
+        xb[w + 1] = x
+        ixx[w] = acc_xx
+        ixv[w] = acc_xv
+        done = w + 1
+
+    return xb, ixx, ixv, raw_x, raw_v, status, done
+
+
+def rollout_oracle(a, b, k, cmd, disturbance, x0, dt, n_steps, q, r):
+    """sim's callable-controller RK4 loop with u = -K x + e from the table."""
+    plant = BlackBoxPlant(a, b, disturbance)
+
+    def controller(t, x):
+        return -k @ x + cmd[int(round(2.0 * t / dt))]
+
+    return sim._integrate_callable(plant, controller, x0, dt, n_steps, q, r,
+                                   0.0, np.inf)
+
+
+def assert_rollout_matches(out, traj, last):
+    xs, us, cost, ju, _, _ = out
+    end = last + 1
+    assert_rel(xs[:end], traj.states[:end])
+    assert_rel(us[:end], traj.inputs[:end])
+    assert_rel(cost[:end], traj.running_cost[:end])
+    assert_rel(ju[:end], traj.running_ju[:end])
+    for arr in (xs, us, cost, ju):
+        assert not np.any(arr[end:])
+
+
+def assert_collect_matches(out, ref):
+    for got, want in zip(out[:5], ref[:5]):
+        assert_rel(got, want)
+    assert out[5] == ref[5] and out[6] == ref[6]
+
+
 class TestBackendParity:
-    def test_rollout_matches_fallback(self):
+    """The chunked linear-map kernels against per-step RK4 loops."""
+
+    def test_rollout_matches_step_loop(self):
         a, b = damped_rotation()
         k = np.array([[0.3, 0.4]])
         n_steps = 400
@@ -27,18 +124,66 @@ class TestBackendParity:
                               1e-2, n_steps, 1)
         dist = np.zeros_like(cmd)
         x0 = np.array([1.0, -1.0])
-        args = (a, b, k, cmd, dist, x0, 1e-2, n_steps, np.eye(2), np.eye(1),
-                1e6, 0.0, 50)
-        active, fallback = _kernels.kernel_backends()["rollout"]
-        xs1, us1, c1, j1, s1, l1 = active(*args)
-        xs2, us2, c2, j2, s2, l2 = fallback(*args)
-        assert s1 == s2 and l1 == l2
-        assert np.allclose(xs1, xs2, rtol=0.0, atol=1e-12)
-        assert np.allclose(us1, us2, rtol=0.0, atol=1e-12)
-        assert np.allclose(c1, c2, rtol=0.0, atol=1e-12)
-        assert np.allclose(j1, j2, rtol=0.0, atol=1e-12)
+        out = _kernels.rollout_kernel(a, b, k, cmd, dist, x0, 1e-2, n_steps,
+                                      np.eye(2), np.eye(1), 1e6, 0.0, 50)
+        assert out[4] == _kernels.OK and out[5] == n_steps
+        traj = rollout_oracle(a, b, k, cmd, None, x0, 1e-2, n_steps,
+                              np.eye(2), np.eye(1))
+        assert_rollout_matches(out, traj, n_steps)
 
-    def test_collect_matches_fallback(self):
+    def test_formation_rollout_with_disturbance(self):
+        mas, spec, baseline_k, x0 = sim.build_formation(sim.default_formation())
+        plant = mas.black_box()
+        dt, n_steps = 1e-3, 2 * _kernels.CHUNK + 300
+        m = plant.n_inputs
+        cmd = np.zeros((2 * n_steps + 1, m))
+        dist = tabulate_signal(mas.disturbance, dt, n_steps, m)
+        assert plant.n_states == 48 and np.any(dist)
+        q, r = assemble_q(spec), spec.r
+        out = _kernels.rollout_kernel(plant._a, plant._b, baseline_k, cmd, dist,
+                                      x0, dt, n_steps, q, r, 1e6, 0.0, 1000)
+        assert out[4] == _kernels.OK
+        traj = rollout_oracle(plant._a, plant._b, baseline_k, cmd,
+                              mas.disturbance, x0, dt, n_steps, q, r)
+        assert_rollout_matches(out, traj, n_steps)
+
+    def test_rollout_blowup_mid_chunk(self):
+        a, b = damped_rotation()
+        k = np.array([[0.0, -1.5]])  # destabilizing: closed-loop poles at +0.25
+        dt, n_steps = 1e-2, 3000
+        cmd = tabulate_signal(lambda t: np.array([0.1 * np.cos(2.0 * t)]),
+                              dt, n_steps, 1)
+        dist = np.zeros_like(cmd)
+        x0 = np.array([1.0, 0.0])
+        traj = rollout_oracle(a, b, k, cmd, None, x0, dt, n_steps,
+                              np.eye(2), np.eye(1))
+        guard = 50.0
+        last = int(np.flatnonzero(np.abs(traj.states).max(axis=1) > guard)[0])
+        assert _kernels.CHUNK < last < n_steps and last % _kernels.CHUNK
+        out = _kernels.rollout_kernel(a, b, k, cmd, dist, x0, dt, n_steps,
+                                      np.eye(2), np.eye(1), guard, 0.0, 50)
+        assert out[4] == _kernels.BLOWUP and out[5] == last
+        assert_rollout_matches(out, traj, last)
+
+    def test_early_stop_unaligned_to_chunk(self):
+        a, b = damped_rotation()
+        k = np.array([[0.2, 0.6]])
+        dt, n_steps, every, rtol = 1e-3, 20000, 700, 1e-4
+        assert _kernels.CHUNK % every and every % _kernels.CHUNK
+        cmd, dist = zero_tables(n_steps, 1)
+        x0 = np.array([1.0, -0.5])
+        traj = rollout_oracle(a, b, k, cmd, None, x0, dt, n_steps,
+                              np.eye(2), np.eye(1))
+        cost = traj.running_cost
+        last = next(j for j in range(2 * every, n_steps + 1, every)
+                    if cost[j] - cost[j - every] < rtol * cost[j])
+        assert last > _kernels.CHUNK and last % _kernels.CHUNK
+        out = _kernels.rollout_kernel(a, b, k, cmd, dist, x0, dt, n_steps,
+                                      np.eye(2), np.eye(1), 1e6, rtol, every)
+        assert out[4] == _kernels.EARLY_STOP and out[5] == last
+        assert_rollout_matches(out, traj, last)
+
+    def test_collect_matches_step_loop(self):
         a, b = damped_rotation()
         k0 = np.array([[0.1, 0.2]])
         steps, windows = 20, 15
@@ -48,12 +193,50 @@ class TestBackendParity:
         dist = np.zeros_like(cmd)
         x0 = np.array([0.5, 0.5])
         args = (a, b, k0, cmd, dist, x0, 1e-2, steps, windows, 1e6)
-        active, fallback = _kernels.kernel_backends()["collect"]
-        out1 = active(*args)
-        out2 = fallback(*args)
-        for lhs, rhs in zip(out1[:5], out2[:5]):
-            assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-12)
-        assert out1[5] == out2[5] and out1[6] == out2[6]
+        out = _kernels.collect_kernel(*args)
+        assert out[5] == _kernels.OK and out[6] == windows
+        assert_collect_matches(out, collect_step_loop(*args))
+
+    def test_collect_with_excitation_and_disturbance(self):
+        mas, _ = sim.clique_path_scenario(3, 3)
+        a, b = mas.cluster(sim.clique_decomposition(3, 3), 0)
+        n, m = b.shape
+        dt, steps, windows = 1e-3, 100, 25
+        n_steps = steps * windows
+        assert n_steps > 2 * _kernels.CHUNK
+        cmd = tabulate_signal(Excitation.make(5, m), dt, n_steps, m)
+        amps = 0.2 * np.arange(1, m + 1)
+        dist = tabulate_signal(lambda t: amps * np.cos(3.0 * t) / (t + 1.0),
+                               dt, n_steps, m)
+        k0 = 0.05 * np.ones((m, n))
+        x0 = np.random.default_rng(1).standard_normal(n)
+        args = (a, b, k0, cmd, dist, x0, dt, steps, windows, 1e6)
+        out = _kernels.collect_kernel(*args)
+        assert out[5] == _kernels.OK and out[6] == windows
+        assert_collect_matches(out, collect_step_loop(*args))
+
+    def test_collect_blowup_mid_chunk(self):
+        a = np.array([[0.3, 1.0], [0.0, 0.2]])
+        b = np.array([[0.0], [1.0]])
+        k0 = np.array([[0.0, 0.0]])  # open loop unstable
+        dt, steps, windows = 1e-2, 30, 200
+        cmd = tabulate_signal(lambda t: np.array([0.2 * np.sin(t)]), dt,
+                              steps * windows, 1)
+        dist = 0.5 * cmd
+        guard = 1e3
+        args = (a, b, k0, cmd, dist, np.array([1.0, 1.0]), dt, steps,
+                windows, guard)
+        ref = collect_step_loop(*args)
+        assert ref[5] == _kernels.BLOWUP
+        per_chunk = _kernels.CHUNK // steps
+        assert ref[6] > per_chunk and ref[6] % per_chunk
+        out = _kernels.collect_kernel(*args)
+        assert_collect_matches(out, ref)
+        bad = int(np.flatnonzero(np.abs(ref[3]).max(axis=1) > guard)[0])
+        assert (bad - 1) // steps == ref[6]
+        for arr in (out[3][bad + 1:], out[4][bad + 1:], out[0][ref[6] + 1:],
+                    out[1][ref[6]:], out[2][ref[6]:]):
+            assert not np.any(arr)
 
 
 class TestIntegrationAccuracy:
@@ -141,6 +324,42 @@ class TestGuards:
             a, b, k0, cmd, dist, np.array([1.0]), 1e-2, steps, windows, 1e4)
         assert status == _kernels.BLOWUP
         assert done < windows
+
+
+    def test_blowup_wins_over_early_stop_at_same_step(self):
+        # zero cost weights make every early-stop check pass, so the first
+        # check at step 2 * every (the end of the first chunk) meets a guard
+        # crossing at the same step
+        a, b, k = np.array([[0.5]]), np.zeros((1, 1)), np.zeros((1, 1))
+        dt, every = 1e-2, _kernels.CHUNK // 2
+        n_steps = 4 * every
+        cmd, dist = zero_tables(n_steps, 1)
+        free = _kernels.rollout_kernel(a, b, k, cmd, dist, np.array([1.0]), dt,
+                                       n_steps, np.zeros((1, 1)), np.zeros((1, 1)),
+                                       np.inf, 0.0, every)[0][:, 0]
+        guard = np.sqrt(free[2 * every - 1] * free[2 * every])
+        out = _kernels.rollout_kernel(a, b, k, cmd, dist, np.array([1.0]), dt,
+                                      n_steps, np.zeros((1, 1)), np.zeros((1, 1)),
+                                      guard, 1e-3, every)
+        assert out[4] == _kernels.BLOWUP and out[5] == 2 * every
+        out = _kernels.rollout_kernel(a, b, k, cmd, dist, np.array([1.0]), dt,
+                                      n_steps, np.zeros((1, 1)), np.zeros((1, 1)),
+                                      1e6, 1e-3, every)
+        assert out[4] == _kernels.EARLY_STOP and out[5] == 2 * every
+
+    def test_collect_blowup_on_window_end(self):
+        # the guard trips exactly at a window's last step: that window is
+        # dropped like any other incomplete window
+        a, b, k0 = np.array([[0.5]]), np.array([[1.0]]), np.zeros((1, 1))
+        dt, steps, windows = 1e-2, 40, 100
+        cmd, dist = zero_tables(steps * windows, 1)
+        args = [a, b, k0, cmd, dist, np.array([1.0]), dt, steps, windows, np.inf]
+        free = _kernels.collect_kernel(*args)[3][:, 0]
+        end = 7 * steps
+        args[-1] = np.sqrt(free[end - 1] * free[end])
+        out = _kernels.collect_kernel(*args)
+        assert_collect_matches(out, collect_step_loop(*args))
+        assert out[5] == _kernels.BLOWUP and out[6] == 6
 
 
 class TestCollectIntegrals:
