@@ -23,16 +23,10 @@ import numpy as np
 
 from . import fileio
 from .adp import LearnConfig, learn_hierarchical
-from .errors import HlqrError, InvalidConfig, UnstableClosedLoop
-from .graphcost import (
-    Decomposition,
-    assemble_q,
-    comm_links,
-    kappa,
-    split_graph,
-)
-from .hierctrl import gap_report, hierarchical_gain
-from .matops import abscissa, solve_care, solve_lyapunov, spectral, symmetrize
+from .errors import HlqrError, InvalidConfig
+from .graphcost import Decomposition, comm_links, kappa, split_graph
+from .hierctrl import _evaluate, hierarchical_gain
+from .matops import solve_lyapunov, spectral, symmetrize
 from .partition import ConstraintSet, PartitionProblem, max_kappa, min_scut
 from .sim import (
     build_formation,
@@ -206,16 +200,6 @@ def choose_decomposition(cfg, scenario):
     return result.dec, result
 
 
-def _closed_loop_mats(mas, spec, k):
-    a_cl = mas.a_full - mas.b_full @ np.asarray(k, dtype=float)
-    if abscissa(a_cl) >= 0.0:
-        raise UnstableClosedLoop("closed loop is not Hurwitz")
-    q = assemble_q(spec)
-    u = solve_lyapunov(a_cl, symmetrize(q + k.T @ spec.r @ k))
-    xu = solve_lyapunov(a_cl, symmetrize(k.T @ k))
-    return u, xu
-
-
 def draw_x0(scheme, rng, dim, n_draws):
     if scheme == "uniform_pm1":
         return rng.choice(np.array([1.0, -1.0, 0.0]), size=(n_draws, dim))
@@ -224,8 +208,13 @@ def draw_x0(scheme, rng, dim, n_draws):
     raise InvalidConfig(f"x0 scheme {scheme!r} needs explicit draws")
 
 
+def _quad_forms(x0s, mat):
+    """x0' mat x0 for each row x0 of x0s."""
+    return ((x0s @ mat) * x0s).sum(axis=1)
+
+
 def _quad_mean(x0s, mat):
-    return float(np.einsum("bi,ij,bj->b", x0s, mat, x0s).mean())
+    return float(_quad_forms(x0s, mat).mean())
 
 
 def _scenario_trajectory(cfg, scenario, gain):
@@ -244,8 +233,13 @@ def make_report_row(cfg, scenario, dec, gain, learn_time=float("nan"),
     closed-loop trajectory from the scenario's initial state; it is
     integrated here when not given.
     """
+    return _report_row(cfg, scenario, dec, gain, learn_time, traj)[:2]
+
+
+def _report_row(cfg, scenario, dec, gain, learn_time, traj):
+    """make_report_row's body; also returns the centralized Riccati solution."""
     mas, spec = scenario.mas, scenario.spec
-    report = gap_report(mas, spec, dec, gain, sigma=cfg.sigma)
+    report, p_opt, u, a_s = _evaluate(mas, spec, dec, gain, sigma=cfg.sigma)
     _, n_c = comm_links(gain.k_h, spec.n, spec.m)
 
     if cfg.x0_scheme == "scenario":
@@ -256,10 +250,9 @@ def make_report_row(cfg, scenario, dec, gain, learn_time=float("nan"),
     else:
         rng = np.random.default_rng(cfg.seed + 1)
         x0s = draw_x0(cfg.x0_scheme, rng, spec.n * mas.n_agents, cfg.n_draws)
-        u_mat, xu_mat = _closed_loop_mats(mas, spec, gain.k_h)
-        p_opt = solve_care(mas.a_full, mas.b_full, assemble_q(spec), spec.r)
-        j_mean = _quad_mean(x0s, u_mat)
-        j_u = _quad_mean(x0s, xu_mat)
+        x_u = solve_lyapunov(a_s, symmetrize(gain.k_h.T @ gain.k_h))
+        j_mean = _quad_mean(x0s, u)
+        j_u = _quad_mean(x0s, x_u)
         j_opt_mean = _quad_mean(x0s, p_opt)
         sop = (j_mean - j_opt_mean) / j_opt_mean if j_opt_mean > 0 else 0.0
 
@@ -274,7 +267,7 @@ def make_report_row(cfg, scenario, dec, gain, learn_time=float("nan"),
         learn_time=learn_time,
         sop=sop,
     )
-    return row, report
+    return row, report, p_opt
 
 
 def run_experiment(cfg):
@@ -375,10 +368,9 @@ def _bench_rl_compare(out_dir, seed):
 
         rng = np.random.default_rng(seed + 1)
         x0s = draw_x0("uniform_pm1", rng, n_states, 200)
-        u_mat, _ = _closed_loop_mats(mas, spec, gain.k_h)
-        p_opt = solve_care(mas.a_full, mas.b_full, assemble_q(spec), spec.r)
-        js = np.einsum("bi,ij,bj->b", x0s, u_mat, x0s)
-        jo = np.einsum("bi,ij,bj->b", x0s, p_opt, x0s)
+        _, p_opt, u, _ = _evaluate(mas, spec, dec, gain)
+        js = _quad_forms(x0s, u)
+        jo = _quad_forms(x0s, p_opt)
         keep = jo > 0
         sop_mean = float(((js[keep] - jo[keep]) / jo[keep]).mean())
 
@@ -410,17 +402,19 @@ def _bench_decomposition_compare(out_dir, seed):
     for label, assignment in named:
         dec = Decomposition.from_assignment(assignment)
         gain = hierarchical_gain(mas, spec, dec)
-        row, _ = make_report_row(cfg, scenario, dec, gain)
+        row, _, p_opt = _report_row(cfg, scenario, dec, gain, float("nan"),
+                                    None)
         rows.append([label, *row.cells()[1:]])
 
+    # every row shares mas and spec, so p_opt is the undecomposed optimum
     rng = np.random.default_rng(seed + 1)
     x0s = draw_x0("normal05", rng, n_states, 1000)
-    p_opt = solve_care(mas.a_full, mas.b_full, assemble_q(spec), spec.r)
-    k_opt = np.linalg.solve(spec.r, mas.b_full.T @ p_opt)
-    _, xu_mat = _closed_loop_mats(mas, spec, k_opt)
+    a, b = mas.a_full, mas.b_full
+    k_opt = np.linalg.solve(spec.r, b.T @ p_opt)
+    x_u = solve_lyapunov(a - b @ k_opt, symmetrize(k_opt.T @ k_opt))
     rows.append([
         "undecomposed", "n/a", "n/a", spectral(p_opt).cond,
-        _quad_mean(x0s, p_opt), _quad_mean(x0s, xu_mat),
+        _quad_mean(x0s, p_opt), _quad_mean(x0s, x_u),
         mas.n_agents * (mas.n_agents - 1) // 2, float("nan"), 0.0,
     ])
     path = fileio.write_csv(

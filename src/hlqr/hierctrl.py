@@ -184,6 +184,17 @@ def gap_report(mas, spec, dec, gain, x0=None, sigma=1.0,
     traces instead (the expectation over x0 with covariance I).  Raises
     UnstableClosedLoop when either closed loop is not Hurwitz.
     """
+    return _evaluate(mas, spec, dec, gain, x0, sigma, tol_residual)[0]
+
+
+def _evaluate(mas, spec, dec, gain, x0=None, sigma=1.0,
+              tol_residual=TOL_RESIDUAL):
+    """gap_report's body; returns (report, p_opt, u, a_s).
+
+    p_opt is the centralized Riccati solution, a_s = A - B k_h the
+    hierarchical closed loop and u its cost matrix, so callers that need
+    further closed-loop costs solve neither equation again.
+    """
     a, b = mas.a_full, mas.b_full
     q = assemble_q(spec)
     r = spec.r
@@ -234,7 +245,7 @@ def gap_report(mas, spec, dec, gain, x0=None, sigma=1.0,
         trace_v_bound = sp.lambda_max * sp.cond * (f1 + f2) / lam_min_qbar
 
     delta_j = j_h - j_opt
-    return GapReport(
+    report = GapReport(
         j_opt=j_opt,
         j_h=j_h,
         j_approx=j_approx,
@@ -250,3 +261,4 @@ def gap_report(mas, spec, dec, gain, x0=None, sigma=1.0,
         trace_v_bound=float("nan") if vacuous else float(trace_v_bound),
         vacuous=vacuous,
     )
+    return report, p_opt, u, a_s

@@ -20,7 +20,6 @@ Search is exact at desk scale (N up to ~20); a node budget turns the solvers
 into anytime methods that return the incumbent flagged non-optimal.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +63,6 @@ class PartitionProblem:
     graph: object
     s: int
     constraints: ConstraintSet = field(default_factory=ConstraintSet)
-    t_norm: int | None = None
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
@@ -73,9 +71,6 @@ class PartitionProblem:
             raise Infeasible(f"need 1 <= s <= {n}, got s={self.s}")
         if self.constraints is None:
             object.__setattr__(self, "constraints", ConstraintSet())
-        if self.t_norm is None:
-            total = float(np.abs(self.graph.laplacian).sum())
-            object.__setattr__(self, "t_norm", int(math.floor(total)) + 1)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .errors import (
     StateBlowup,
     UnstableClosedLoop,
 )
-from .graphcost import CostGraph, CostSpec, Decomposition, assemble_q, cluster_costs
+from .graphcost import CostGraph, CostSpec, Decomposition, assemble_q
 from .matops import abscissa, solve_care, solve_lyapunov, symmetrize
 
 __all__ = [
@@ -81,26 +81,29 @@ class MasSystem:
     def m(self):
         return self.agents[0][1].shape[1]
 
-    def _matrices(self):
+    def _a_blocks(self):
+        return block_diag(*[a for a, _ in self.agents])
+
+    def _b_blocks(self):
+        return block_diag(*[b for _, b in self.agents])
+
+    def _check_white_box(self):
         if self.access_mode != "white-box":
             raise InvalidConfig("black-box system does not expose matrices")
-        return (
-            block_diag(*[a for a, _ in self.agents]),
-            block_diag(*[b for _, b in self.agents]),
-        )
 
     @property
     def a_full(self):
-        return self._matrices()[0]
+        self._check_white_box()
+        return self._a_blocks()
 
     @property
     def b_full(self):
-        return self._matrices()[1]
+        self._check_white_box()
+        return self._b_blocks()
 
     def cluster(self, dec, j):
         """(A_j, B_j) of the cluster's agents (white-box only)."""
-        if self.access_mode != "white-box":
-            raise InvalidConfig("black-box system does not expose matrices")
+        self._check_white_box()
         members = dec.clusters()[j]
         return (
             block_diag(*[self.agents[u][0] for u in members]),
@@ -109,9 +112,8 @@ class MasSystem:
 
     def black_box(self):
         """Data-only handle to the full system (hides matrices)."""
-        a = block_diag(*[ai for ai, _ in self.agents])
-        b = block_diag(*[bi for _, bi in self.agents])
-        return BlackBoxPlant(a, b, self.disturbance)
+        return BlackBoxPlant(self._a_blocks(), self._b_blocks(),
+                             self.disturbance)
 
 
 class BlackBoxPlant:
@@ -656,13 +658,3 @@ class _SliceSignal:
         if hasattr(self.f, "table"):
             return np.asarray(self.f.table(ts), dtype=float)[:, self.indices]
         return np.asarray([np.asarray(self.f(float(t)), dtype=float)[self.indices] for t in ts])
-
-
-def cost_matrices(spec):
-    """(Q, R) dense pair for a CostSpec."""
-    return assemble_q(spec), spec.r
-
-
-def cluster_cost_matrices(spec, dec):
-    """Per-cluster (Qhat_j, Rhat_j) list (delegates to graphcost)."""
-    return cluster_costs(spec, dec)

@@ -5,9 +5,10 @@ import csv
 import numpy as np
 import pytest
 
-from hlqr import cli, fileio
+from hlqr import adp, cli, fileio, hierctrl, matops, sim
 from hlqr.cli import ExperimentConfig, ReportRow, REPORT_COLUMNS, main
 from hlqr.errors import InvalidConfig
+from hlqr.graphcost import assemble_q
 
 
 def read_text(path):
@@ -128,6 +129,47 @@ class TestSolve:
         ga = fileio.load_gain(tmp_path / "a" / "gain.npz")
         gb = fileio.load_gain(tmp_path / "b" / "gain.npz")
         assert np.array_equal(ga["k_h"], gb["k_h"])
+
+
+class TestReportRow:
+    @pytest.mark.parametrize("scheme", ["uniform_pm1", "normal05"])
+    def test_monte_carlo_costs_match_per_draw_costs(self, scheme):
+        cfg = ExperimentConfig(scenario="five_node", assignment=(0, 0, 1, 2, 2),
+                               objective="assignment", x0_scheme=scheme,
+                               seed=5, n_draws=100)
+        scenario = cli.build_scenario(cfg)
+        mas, spec = scenario.mas, scenario.spec
+        dec, _ = cli.choose_decomposition(cfg, scenario)
+        gain = hierctrl.hierarchical_gain(mas, spec, dec)
+        row, _ = cli.make_report_row(cfg, scenario, dec, gain)
+
+        x0s = cli.draw_x0(scheme, np.random.default_rng(cfg.seed + 1),
+                          mas.a_full.shape[0], cfg.n_draws)
+        costs = np.array([sim.evaluate_cost(mas, spec, gain.k_h, x0)
+                          for x0 in x0s])
+        p_opt = matops.solve_care(mas.a_full, mas.b_full, assemble_q(spec),
+                                  spec.r)
+        j_opt = np.mean([x0 @ p_opt @ x0 for x0 in x0s])
+        j_mean, j_u = costs.mean(axis=0)
+        assert row.j_mean == pytest.approx(j_mean, rel=1e-12)
+        assert row.j_u == pytest.approx(j_u, rel=1e-12)
+        assert row.sop == pytest.approx((j_mean - j_opt) / j_opt, rel=1e-12)
+
+    def test_solve_runs_centralized_care_once(self, tmp_path, monkeypatch):
+        original = matops.solve_care
+        sizes = []
+
+        def counting(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return original(a, *args, **kwargs)
+
+        for mod in (adp, cli, hierctrl, matops, sim):
+            if getattr(mod, "solve_care", None) is original:
+                monkeypatch.setattr(mod, "solve_care", counting)
+        rc = main(["solve", "five_node", "--assignment", "0,0,1,2,2",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert sizes.count(20) == 1
 
 
 class TestRun:
