@@ -21,6 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
+import scipy.linalg.lapack
 
 from . import _kernels
 from .errors import InvalidConfig, NoConvergence, RankDeficient, StateBlowup
@@ -172,16 +174,36 @@ def _regressor(data, k, qk):
 
 
 def _equilibrated_lstsq(a_mat, rhs):
-    """Column-equilibrated least squares: (theta, rank).
+    """Column-equilibrated least squares by one Householder QR: theta.
 
     Scaling each column to unit norm before the solve removes the artificial
     ill-conditioning caused by mixed magnitudes of the quadratic-state and
-    bilinear features.  The conditioning guard is computed once, in collect.
+    bilinear features.  Only R of the augmented system [A/s | b] is formed;
+    its last column is Q'b, so no Q is needed.  Without pivoting, diag(R)
+    does not reveal the rank, so identifiability is judged by the LAPACK
+    condition estimate of R (dtrcon) against gelsd's default cutoff
+    eps * max(M, N); below it RankDeficient is raised.  The exact guard
+    condition number is computed once, in collect.
     """
+    n_rows, n_cols = a_mat.shape
     scale = np.linalg.norm(a_mat, axis=0)
     scale[scale == 0.0] = 1.0
-    theta, _, rank, _ = np.linalg.lstsq(a_mat / scale, rhs, rcond=None)
-    return theta / scale, rank
+    aug = np.empty((n_rows, n_cols + 1), order="F")
+    np.divide(a_mat, scale, out=aug[:, :n_cols])
+    aug[:, n_cols] = rhs
+    (r_aug,) = scipy.linalg.qr(aug, mode="r", overwrite_a=True,
+                               check_finite=False)
+    r_mat = r_aug[:n_cols, :n_cols]
+    rcond, _ = scipy.linalg.lapack.dtrcon(r_mat)
+    cutoff = np.finfo(float).eps * max(n_rows, n_cols)
+    if not rcond > cutoff:
+        raise RankDeficient(
+            f"joint regressor of {n_cols} unknowns is rank deficient: "
+            f"reciprocal condition estimate {rcond:.3g} <= {cutoff:.3g}"
+        )
+    theta = scipy.linalg.solve_triangular(r_mat, r_aug[:n_cols, n_cols],
+                                          check_finite=False)
+    return theta / scale
 
 
 def collect(plant, k0, exc, horizon, dt, window, x0=None, guard=1e6):
@@ -274,11 +296,7 @@ def policy_iteration(data, qhat, rhat, k0, tol_pi=1e-8, max_iter=30):
     p_prev = None
     for it in range(1, max_iter + 1):
         a_mat, rhs = _regressor(data, k, qhat + k.T @ rhat @ k)
-        theta, rank = _equilibrated_lstsq(a_mat, rhs)
-        if rank < a_mat.shape[1]:
-            raise RankDeficient(
-                f"joint regressor rank {rank} < {a_mat.shape[1]} unknowns"
-            )
+        theta = _equilibrated_lstsq(a_mat, rhs)
         n_sym = n * (n + 1) // 2
         p_hat = unsvec(theta[:n_sym], n)
         btp = theta[n_sym:].reshape(m, n)

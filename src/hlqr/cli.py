@@ -625,7 +625,6 @@ def cmd_decompose(args):
         "objective": cfg.objective,
         "optimal": None if result is None else result.optimal,
         "nodes_explored": None if result is None else result.nodes,
-        "miqp_objective": None if result is None else result.miqp_objective,
     }
     fileio.save_json(f"{cfg.out_dir}/decomposition.json", info)
     print(f"decomposition {info['label']}")

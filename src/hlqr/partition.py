@@ -77,17 +77,14 @@ class PartitionProblem:
 class PartitionResult:
     """Solver outcome: the decomposition, its objective value, and search stats.
 
-    For max_kappa, value is kappa and miqp_objective the internal ordered-pair
-    count (always 2*kappa); for min_scut, value is the cut weight (tr(G2)/2)
-    and miqp_objective is None.  optimal is False only when the node budget
-    was exhausted.
+    For max_kappa, value is kappa; for min_scut, value is the cut weight
+    (tr(G2)/2).  optimal is False only when the node budget was exhausted.
     """
 
     dec: Decomposition
     value: float
     optimal: bool
     nodes: int
-    miqp_objective: float | None = None
 
 
 def _weight_matrix(graph):
@@ -287,7 +284,7 @@ class _Search:
                 return
 
 
-def _finish(problem, search, maximize_kappa):
+def _finish(search):
     if search.best_assign is None:
         if search.exhausted:
             raise Infeasible(
@@ -295,13 +292,11 @@ def _finish(problem, search, maximize_kappa):
             )
         raise Infeasible("no decomposition satisfies the constraints")
     dec = Decomposition.from_assignment(search.best_assign.tolist())
-    miqp = 2.0 * search.best_value if maximize_kappa else None
     return PartitionResult(
         dec=dec,
         value=float(search.best_value),
         optimal=not search.exhausted,
         nodes=search.nodes,
-        miqp_objective=miqp,
     )
 
 
@@ -309,14 +304,14 @@ def max_kappa(problem):
     """Decomposition maximizing kappa among all feasible s-part partitions."""
     _precheck(problem)
     search = _Search(problem, maximize_kappa=True).run()
-    return _finish(problem, search, True)
+    return _finish(search)
 
 
 def min_scut(problem):
     """Decomposition minimizing total inter-cluster edge weight (tr(G2)/2)."""
     _precheck(problem)
     search = _Search(problem, maximize_kappa=False).run()
-    return _finish(problem, search, False)
+    return _finish(search)
 
 
 def enumerate_partitions(n_agents, s, constraints=None, graph=None):

@@ -1,8 +1,12 @@
 """Model-free cluster learning: data collection, policy iteration, assembly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlqr import adp, graphcost, hierctrl, matops, sim
 from hlqr.adp import (
@@ -242,6 +246,101 @@ class TestPolicyIteration:
         rel_self = np.linalg.norm(result.btp_hat - b_j.T @ result.p_hat
                                   ) / np.linalg.norm(result.btp_hat)
         assert rel_self <= 1e-3
+
+
+def lstsq_svd_oracle(a_mat, rhs):
+    """Column-equilibrated least squares by SVD (LAPACK gelsd): theta.
+
+    The reference for adp._equilibrated_lstsq; it raises RankDeficient when
+    gelsd's default cutoff finds fewer than N singular values.
+    """
+    scale = np.linalg.norm(a_mat, axis=0)
+    scale[scale == 0.0] = 1.0
+    theta, _, rank, _ = np.linalg.lstsq(a_mat / scale, rhs, rcond=None)
+    if rank < a_mat.shape[1]:
+        raise RankDeficient(
+            f"joint regressor rank {rank} < {a_mat.shape[1]} unknowns")
+    return theta / scale
+
+
+def two_agent_clique_dataset():
+    """The 8-state, 4-input dataset of test_window_count_dominates_unknowns."""
+    mas, spec = sim.clique_path_scenario(1, 2)
+    dec = Decomposition.from_assignment([0, 0])
+    plant = sim.cluster_plants(mas, dec)[0]
+    data = collect(plant, None, Excitation.make(11, 4), 10.0, 1e-3, 0.1)
+    qhat, rhat = graphcost.cluster_costs(spec, dec)[0]
+    return data, qhat, rhat
+
+
+def example1_clique_dataset():
+    """Data of the first 12-state clique cluster of example1 (3 x 3)."""
+    mas, spec = sim.clique_path_scenario(3, 3)
+    dec = sim.clique_decomposition(3, 3)
+    plant = sim.cluster_plants(mas, dec)[0]
+    cfg = LearnConfig(seed=1)
+    n, m = plant.n_states, plant.n_inputs
+    data = collect(plant, None, Excitation.make(cfg.seed, m),
+                   adp._auto_horizon(cfg, n, m), cfg.dt, cfg.window)
+    qhat, rhat = graphcost.cluster_costs(spec, dec)[0]
+    return data, qhat, rhat
+
+
+class TestLeastSquaresSolve:
+    @pytest.mark.parametrize("make_data", [two_agent_clique_dataset,
+                                           example1_clique_dataset])
+    def test_policy_iteration_matches_svd_oracle(self, make_data,
+                                                 monkeypatch):
+        data, qhat, rhat = make_data()
+        assert data.rank_ok
+        k0 = np.zeros((data.m, data.n))
+        result = policy_iteration(data, qhat, rhat, k0)
+        monkeypatch.setattr(adp, "_equilibrated_lstsq", lstsq_svd_oracle)
+        oracle = policy_iteration(data, qhat, rhat, k0)
+        assert result.converged and oracle.converged
+        assert result.iterations == oracle.iterations
+        for got, want in [(result.p_hat, oracle.p_hat),
+                          (result.k_hat, oracle.k_hat)]:
+            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_cols=st.integers(1, 40),
+           extra_rows=st.integers(0, 60), log_cond=st.floats(0.0, 7.0),
+           log_spread=st.floats(0.0, 8.0))
+    def test_solve_matches_svd_oracle(self, seed, n_cols, extra_rows,
+                                      log_cond, log_spread):
+        # tall, full-rank matrix with prescribed singular values, then
+        # columns scaled over log_spread decades
+        rng = np.random.default_rng(seed)
+        n_rows = n_cols + extra_rows
+        u_mat, _ = np.linalg.qr(rng.standard_normal((n_rows, n_cols)))
+        v_mat, _ = np.linalg.qr(rng.standard_normal((n_cols, n_cols)))
+        sv = np.logspace(0.0, -log_cond, n_cols)
+        col_scale = 10.0 ** rng.uniform(-log_spread / 2, log_spread / 2,
+                                        n_cols)
+        a_mat = (u_mat * sv) @ v_mat.T * col_scale
+        rhs = rng.standard_normal(n_rows)
+        scale = np.linalg.norm(a_mat, axis=0)
+        cond = np.linalg.cond(a_mat / scale)
+        got = adp._equilibrated_lstsq(a_mat, rhs)
+        want = lstsq_svd_oracle(a_mat, rhs)
+        # compared in the equilibrated unknowns, which both solvers factor
+        err = np.linalg.norm((got - want) * scale)
+        assert err <= 1e3 * np.finfo(float).eps * cond * np.linalg.norm(
+            want * scale)
+
+    def test_zero_regressor_column_raises_in_loop(self):
+        # input channel 1 never moves and k0 has a zero row for it, so the
+        # B'P unknowns of that channel multiply an all-zero column
+        data, qhat, rhat = two_agent_clique_dataset()
+        i_xu = data.i_xu.copy()
+        i_xu[:, :, 1] = 0.0
+        data = replace(data, i_xu=i_xu)
+        assert data.rank_ok
+        k0 = np.random.default_rng(3).standard_normal((data.m, data.n))
+        k0[1] = 0.0
+        with pytest.raises(RankDeficient):
+            policy_iteration(data, qhat, rhat, k0)
 
 
 class TestEstimateB:
