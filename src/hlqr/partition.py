@@ -7,12 +7,23 @@ once and the first optimum found is the lexicographically smallest one.
 
 Bounds:
 
-* max-kappa: at a node with agents 0..idx-1 assigned, an admissible upper
-  bound is (pairs of already-assigned agents in distinct, not-yet-adjacent
-  clusters) + (pairs with at least one unassigned endpoint and zero coupling
-  weight).  The first term only shrinks as clusters gain edges; a pair with
-  nonzero weight can never count (co-clustered pairs never count, split pairs
-  make their clusters adjacent), so the second term only over-counts.
+* max-kappa: at a node with agents 0..idx-1 assigned, kappa of any
+  completion splits into pairs of assigned agents, pairs of unassigned
+  agents, and mixed pairs.  The first term is at most its current value
+  (pairs in distinct, not-yet-adjacent clusters), since clusters only gain
+  edges.  The second is at most the number of zero-weight pairs with both
+  endpoints unassigned: a pair with nonzero weight never counts, as it is
+  either co-clustered or makes its two clusters adjacent.  For the third,
+  take each unassigned agent v and the cluster b it joins.  An assigned
+  agent in cluster a counts only if a != b, a is not yet adjacent to b, and no
+  member of a is coupled to v, since otherwise v's coupling makes a and b
+  adjacent.  So v adds at most the sizes of such open clusters a,
+  maximized over the b that v may join (the open clusters and, while one
+  remains, an unopened cluster, which is adjacent to nothing).  This bound
+  never exceeds the count of all zero-weight pairs with an unassigned
+  endpoint.  Pruning only when the bound does not beat the incumbent keeps
+  every node on the path to the first optimum, so the lexicographically
+  smallest optimum is still the one returned.
 * min s-cut: the cut weight already paid by assigned agents is monotonically
   nondecreasing along any branch, so it is a valid lower bound.
 
@@ -136,37 +147,67 @@ def _min_eps(graph, constraints):
     return float(nz.min()) if nz.size else np.inf
 
 
+def _mass(mask, sizes):
+    """Total size of the clusters whose bits are set in mask."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += sizes[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
 class _Search:
-    """Shared DFS state for both objectives."""
+    """Shared DFS state for both objectives.
+
+    Per-node state is plain Python: lists, and one int bitmask of adjacent
+    clusters per cluster.  The number of assigned pairs in distinct,
+    non-adjacent clusters (kappa of the partial assignment) is kept as a
+    running count that _place updates and _unplace restores.
+    """
 
     def __init__(self, problem, maximize_kappa):
         self.graph = problem.graph
-        self.n = problem.graph.n_agents
-        self.s = problem.s
+        n = self.n = problem.graph.n_agents
+        s = self.s = problem.s
         self.cons = problem.constraints
         self.budget = problem.node_budget
         self.maximize_kappa = maximize_kappa
         self.w = _weight_matrix(problem.graph)
-        self.zero = self.w == 0.0
         self.eps = _min_eps(problem.graph, problem.constraints)
 
-        # zs[idx] = number of pairs u < v with v >= idx and zero coupling
-        col = np.array(
-            [self.zero[:v, v].sum() for v in range(self.n)], dtype=np.int64
-        )
-        self.zs = np.concatenate([np.cumsum(col[::-1])[::-1], [0]])
+        w = self.w.tolist()
+        # coupled agents of u: earlier ones with their weights, later ones
+        self.earlier = [[(v, w[u][v]) for v in range(u) if w[u][v] > 0.0]
+                        for u in range(n)]
+        self.later = [[v for v in range(u + 1, n) if w[u][v] > 0.0]
+                      for u in range(n)]
+        # zz[idx] = number of zero-weight pairs u < v with u >= idx
+        self.zz = [0] * (n + 1)
+        for u in range(n - 1, -1, -1):
+            self.zz[u] = self.zz[u + 1] + sum(
+                1 for v in range(u + 1, n) if w[u][v] == 0.0
+            )
 
         leaders = self.cons.leader_indicator
+        self.require_leader = self.cons.require_leader and leaders is not None
         self.is_leader = (
-            np.asarray(leaders, dtype=bool)
-            if (self.cons.require_leader and leaders is not None)
-            else np.zeros(self.n, dtype=bool)
+            [bool(x) for x in leaders] if self.require_leader else [False] * n
         )
+        # leaders_from[idx] = number of leaders among agents idx..n-1
+        self.leaders_from = [0] * (n + 1)
+        for u in range(n - 1, -1, -1):
+            self.leaders_from[u] = self.leaders_from[u + 1] + self.is_leader[u]
 
-        self.assign = np.full(self.n, -1, dtype=np.int64)
-        self.sizes = np.zeros(self.s, dtype=np.int64)
-        self.adj = np.zeros((self.s, self.s), dtype=bool)
-        self.has_leader = np.zeros(self.s, dtype=bool)
+        self.assign = [-1] * n
+        self.sizes = [0] * s
+        self.adj = [0] * s
+        self.has_leader = [False] * s
+        self.n_led = 0
+        # touch[v] has bit b set when cluster b holds an agent coupled to v
+        self.touch = [0] * n
+        self.touch_count = [[0] * s for _ in range(n)]
+        self.nonadj = 0
         self.nodes = 0
         self.best_value = None
         self.best_assign = None
@@ -174,61 +215,96 @@ class _Search:
 
     # -- incremental bookkeeping -------------------------------------------
 
-    def _place(self, u, c):
+    def _place(self, u, c, n_open):
         """Assign agent u to cluster c; return undo record."""
+        assign, adj, sizes = self.assign, self.adj, self.sizes
+        bit = 1 << c
         new_adj = []
         cut_delta = 0.0
-        for v in range(u):
-            b = self.assign[v]
-            if b == c:
-                continue
-            wuv = self.w[u, v]
-            if wuv > 0.0:
+        for v, wuv in self.earlier[u]:
+            b = assign[v]
+            if b != c:
                 cut_delta += wuv
-                if not self.adj[c, b]:
-                    self.adj[c, b] = self.adj[b, c] = True
+                if not adj[c] >> b & 1:
+                    adj[c] |= 1 << b
+                    adj[b] |= bit
                     new_adj.append(b)
-        self.assign[u] = c
-        self.sizes[c] += 1
+
+        old_nonadj = self.nonadj
+        nonadj = old_nonadj
+        for b in new_adj:
+            nonadj -= sizes[c] * sizes[b]
+        apart = adj[c] | bit
+        for b in range(n_open):
+            if not apart >> b & 1:
+                nonadj += sizes[b]
+        self.nonadj = nonadj
+
+        for v in self.later[u]:
+            count = self.touch_count[v]
+            count[c] += 1
+            if count[c] == 1:
+                self.touch[v] |= bit
+
+        assign[u] = c
+        sizes[c] += 1
         leader_added = self.is_leader[u] and not self.has_leader[c]
         if leader_added:
             self.has_leader[c] = True
-        return new_adj, cut_delta, leader_added
+            self.n_led += 1
+        return new_adj, cut_delta, leader_added, old_nonadj
 
     def _unplace(self, u, c, record):
-        new_adj, _, leader_added = record
+        new_adj, _, leader_added, old_nonadj = record
+        adj = self.adj
         for b in new_adj:
-            self.adj[c, b] = self.adj[b, c] = False
+            adj[c] ^= 1 << b
+            adj[b] ^= 1 << c
+        for v in self.later[u]:
+            count = self.touch_count[v]
+            count[c] -= 1
+            if count[c] == 0:
+                self.touch[v] ^= 1 << c
         if leader_added:
             self.has_leader[c] = False
+            self.n_led -= 1
+        self.nonadj = old_nonadj
         self.sizes[c] -= 1
         self.assign[u] = -1
 
-    def _nonadj_pairs(self, n_open):
-        total = 0
-        for a in range(n_open):
-            for b in range(a + 1, n_open):
-                if not self.adj[a, b]:
-                    total += int(self.sizes[a] * self.sizes[b])
+    def _kappa_bound(self, idx, n_open, slack):
+        """The module docstring's bound on the kappa still to come below this
+        node: zero-weight pairs of unassigned agents, plus, per unassigned
+        agent, the most assigned agents it can still end up apart from.
+        Returns early once the sum exceeds slack.
+        """
+        sizes = self.sizes
+        open_mask = (1 << n_open) - 1
+        if n_open < self.s:
+            apart = None
+        else:
+            apart = [open_mask & ~(self.adj[b] | 1 << b) for b in range(n_open)]
+        total = self.zz[idx]
+        seen = {}
+        for v in range(idx, self.n):
+            if total > slack:
+                break
+            free = open_mask & ~self.touch[v]
+            gain = seen.get(free)
+            if gain is None:
+                if apart is None:
+                    gain = _mass(free, sizes)
+                else:
+                    gain = max(_mass(free & a, sizes) for a in apart)
+                seen[free] = gain
+            total += gain
         return total
-
-    def _leader_prune(self, idx, n_open):
-        if not self.cons.require_leader:
-            return False
-        remaining = int(self.is_leader[idx:].sum())
-        needed = int((~self.has_leader[:n_open]).sum()) + (self.s - n_open)
-        return remaining < needed
 
     # -- main recursion ------------------------------------------------------
 
     def run(self):
         self._dfs(0, 0, 0.0)
         return self
-
-    def _leaf_value(self, n_open, cut):
-        if self.maximize_kappa:
-            return self._nonadj_pairs(n_open)
-        return cut
 
     def _improves(self, value):
         if self.best_value is None:
@@ -253,23 +329,24 @@ class _Search:
                 clusters[c].append(u)
             if not _constraints_ok(self.graph, self.cons, clusters, self.w, self.eps):
                 return
-            value = self._leaf_value(n_open, cut)
+            value = self.nonadj if self.maximize_kappa else cut
             if self._improves(value):
                 self.best_value = value
-                self.best_assign = self.assign.copy()
+                self.best_assign = list(self.assign)
             return
 
         # enough agents must remain to open every missing cluster
         remaining = self.n - idx
         if n_open + remaining < self.s:
             return
-        if self._leader_prune(idx, n_open):
+        # and enough leaders to lead every cluster that has none yet
+        if self.require_leader and self.leaders_from[idx] < self.s - self.n_led:
             return
 
         if self.best_value is not None:
             if self.maximize_kappa:
-                ub = self._nonadj_pairs(n_open) + int(self.zs[idx])
-                if ub <= self.best_value:
+                slack = self.best_value - self.nonadj
+                if self._kappa_bound(idx, n_open, slack) <= slack:
                     return
             else:
                 if cut >= self.best_value:
@@ -277,7 +354,7 @@ class _Search:
 
         limit = min(n_open + 1, self.s)
         for c in range(limit):
-            record = self._place(idx, c)
+            record = self._place(idx, c, n_open)
             self._dfs(idx + 1, max(n_open, c + 1), cut + record[1])
             self._unplace(idx, c, record)
             if self.exhausted:
@@ -291,7 +368,7 @@ def _finish(search):
                 "node budget exhausted before any feasible decomposition was found"
             )
         raise Infeasible("no decomposition satisfies the constraints")
-    dec = Decomposition.from_assignment(search.best_assign.tolist())
+    dec = Decomposition.from_assignment(search.best_assign)
     return PartitionResult(
         dec=dec,
         value=float(search.best_value),

@@ -121,6 +121,30 @@ class TestTrajectoryCsv:
         assert float(rows[1 + k][2]) == traj.inputs[k, 0]
         assert float(rows[1 + k][4]) == traj.running_ju[k]
 
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_bytes_match_write_csv(self, tmp_path, stride):
+        rng = np.random.default_rng(7)
+        steps = 11
+        traj = sim.Trajectory(
+            times=np.arange(steps) * 0.1,
+            states=rng.normal(size=(steps, 3)),
+            inputs=rng.normal(size=(steps, 2)),
+            running_cost=np.cumsum(rng.random(steps)),
+            running_ju=np.cumsum(rng.random(steps)),
+        )
+        traj.states[2] = [np.nan, np.inf, -np.inf]
+        traj.inputs[3] = [-0.0, 5e-324]
+        traj.running_cost[4] = 1e300
+        header = ["t", "x_0", "x_1", "x_2", "u_0", "u_1",
+                  "running_cost", "running_ju"]
+        rows = [[traj.times[k], *traj.states[k], *traj.inputs[k],
+                 traj.running_cost[k], traj.running_ju[k]]
+                for k in range(0, steps, stride)]
+        fast = fileio.write_trajectory_csv(tmp_path / "fast.csv", traj, stride)
+        ref = fileio.write_csv(tmp_path / "ref.csv", header, rows)
+        with open(fast, "rb") as fh_fast, open(ref, "rb") as fh_ref:
+            assert fh_fast.read() == fh_ref.read()
+
     def test_stride_subsampling(self, tmp_path):
         traj = self.make_traj()
         path = fileio.write_trajectory_csv(tmp_path / "t.csv", traj, stride=10)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlqr import graphcost, partition, sim
 from hlqr.errors import Infeasible, TooLarge
@@ -114,9 +116,64 @@ class TestMaxKappa:
         graph = sim.clique_path_graph(3, 3)
         with pytest.raises(Infeasible):
             max_kappa(PartitionProblem(graph, 3, node_budget=5))
-        res = max_kappa(PartitionProblem(graph, 3, node_budget=200))
+        # the search certifies this instance at its 136th node
+        res = max_kappa(PartitionProblem(graph, 3, node_budget=100))
         assert not res.optimal
         assert res.value == 15.0
+
+    def test_node_savings(self):
+        # the two-part kappa bound certifies this N=16 instance in 16,669
+        # nodes; counting every zero-weight pair with an unassigned endpoint
+        # took 257,039
+        graph = sim.clique_path_graph(4, 4)
+        res = max_kappa(PartitionProblem(graph, 4))
+        assert res.value == 64.0
+        assert res.optimal
+        assert res.nodes <= 50_000
+
+    @pytest.mark.parametrize("s, c, best", [(4, 5, 105), (5, 4, 120)])
+    def test_twenty_agents_certified(self, s, c, best):
+        graph = sim.clique_path_graph(s, c)
+        res = max_kappa(PartitionProblem(graph, s))
+        assert res.optimal
+        assert res.value == kappa(graph, res.dec) == best
+
+
+class TestMaxKappaProperty:
+    """max_kappa is the first maximizer of kappa in enumeration order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9),
+           s=st.integers(1, 4), p=st.floats(0.0, 0.7), path=st.booleans(),
+           kind=st.sampled_from(["none", "neighbor", "connected", "leaders"]))
+    def test_first_brute_force_maximizer(self, seed, n, s, p, path, kind):
+        rng = np.random.default_rng(seed)
+        s = min(s, n)
+        edges = [(i, j, float(rng.integers(1, 4)))
+                 for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p or (path and j == i + 1)]
+        graph = CostGraph.from_edges(n, edges)
+        cons = {
+            "none": ConstraintSet(),
+            "neighbor": ConstraintSet(require_neighbor=True),
+            "connected": ConstraintSet(require_connected=True),
+            "leaders": ConstraintSet(
+                leader_indicator=tuple(int(x) for x in rng.random(n) < 0.6),
+                require_leader=True, require_connected=True),
+        }[kind]
+        problem = PartitionProblem(graph, s, constraints=cons)
+        decs = list(enumerate_partitions(n, s, constraints=cons, graph=graph))
+        if not decs:
+            with pytest.raises(Infeasible):
+                max_kappa(problem)
+            return
+        values = [kappa(graph, dec) for dec in decs]
+        best = max(values)
+        res = max_kappa(problem)
+        assert res.optimal
+        assert res.value == best
+        # restricted-growth order is lexicographic order of assignments
+        assert res.dec == decs[values.index(best)]
 
 
 class TestMinScut:
@@ -128,6 +185,11 @@ class TestMinScut:
         assert res.dec == sim.clique_decomposition(3, 3)
         parts = split_graph(graph, res.dec)
         assert np.trace(parts.g2) == pytest.approx(4.0)
+
+    def test_node_count(self):
+        # the cut bound is unchanged, and so is the search it prunes
+        graph = sim.clique_path_graph(3, 3)
+        assert min_scut(PartitionProblem(graph, 3)).nodes == 100
 
     def test_triangle_forced_singletons(self):
         graph = CostGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
