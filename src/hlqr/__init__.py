@@ -6,7 +6,7 @@ hierarchical gain with its inter-cluster correction, and quantifies the
 communication/suboptimality trade-off.
 """
 
-from . import adp, cli, fileio, graphcost, hierctrl, matops, partition, sim
+from . import adp, fileio, graphcost, hierctrl, matops, partition, sim
 from .errors import HlqrError
 
 __version__ = "0.1.0"

@@ -1,26 +1,22 @@
 """Dense symmetric linear-algebra kernels.
 
-Continuous-time Riccati and Lyapunov solvers, an SVD pseudoinverse with an
-explicit rank cutoff, and spectral diagnostics.  Controller synthesis, the
-suboptimality bounds, and the learning-oracle checks are all built on these
-four operations.
+Continuous-time Riccati and Lyapunov solvers and an SVD pseudoinverse with
+an explicit rank cutoff.  Controller synthesis, the suboptimality bounds, and
+the learning-oracle checks are all built on these three operations.
 
 Conventions: symmetric matrices are plain float64 ndarrays, symmetrized as
 (M + M.T)/2 at every operation boundary.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import schur, solve_continuous_lyapunov
+from scipy.linalg.lapack import dtrsyl
 
 from .errors import IterationDiverged, NonStabilizable, UnstableMatrix
 
 __all__ = [
-    "SpectralReport",
     "symmetrize",
     "is_psd",
-    "spectral",
     "pinv",
     "solve_lyapunov",
     "solve_care",
@@ -48,57 +44,6 @@ def is_psd(m, tol=PSD_TOL):
     return bool(w[0] >= tol)
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    """Eigenvalue/singular-value summary of a matrix.
-
-    lambda_min / lambda_max are the extreme eigenvalues for symmetric input
-    (extreme real parts otherwise, NaN for rectangular input).  cond is
-    sigma_max/sigma_min, +inf for singular input.  sigma_l is the smallest
-    nonzero singular value (0.0 only for the zero matrix).  spectral_abscissa
-    is the largest eigenvalue real part (NaN for rectangular input).
-    """
-
-    lambda_min: float
-    lambda_max: float
-    cond: float
-    sigma_l: float
-    spectral_abscissa: float
-
-
-def spectral(m, tol=None):
-    """Compute a SpectralReport for a matrix.
-
-    tol is the singular-value cutoff deciding rank; defaults to
-    max(shape) * machine_eps * sigma_max.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"expected a nonempty 2-d matrix, got shape {m.shape}")
-    sv = np.linalg.svd(m, compute_uv=False)
-    sigma_max = float(sv[0]) if sv.size else 0.0
-    if tol is None:
-        tol = max(m.shape) * np.finfo(float).eps * sigma_max
-    nonzero = sv[sv > tol]
-    sigma_l = float(nonzero[-1]) if nonzero.size else 0.0
-    sigma_min = float(sv[-1])
-    cond = sigma_max / sigma_min if sigma_min > tol else np.inf
-
-    if m.shape[0] == m.shape[1]:
-        if np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, sigma_max)):
-            w = np.linalg.eigvalsh(symmetrize(m))
-            lam_min, lam_max = float(w[0]), float(w[-1])
-            abscissa = lam_max
-        else:
-            w = np.linalg.eigvals(m)
-            lam_min, lam_max = float(w.real.min()), float(w.real.max())
-            abscissa = lam_max
-    else:
-        lam_min = lam_max = abscissa = float("nan")
-
-    return SpectralReport(lam_min, lam_max, float(cond), sigma_l, abscissa)
-
-
 def abscissa(m):
     """Largest real part of the eigenvalues of a square matrix."""
     return float(np.linalg.eigvals(np.asarray(m, dtype=float)).real.max())
@@ -122,16 +67,29 @@ def pinv(m, tol=None):
 def solve_lyapunov(a_s, w, tol_residual=TOL_RESIDUAL):
     """Solve a_s' V + V a_s + W = 0 for stable a_s and PSD W.
 
+    Bartels-Stewart on one real Schur form a_s' = Z T Z': the abscissa is the
+    largest diagonal entry of T (LAPACK's standardized form puts the common
+    real part of a complex pair on both diagonal entries of its 2x2 block),
+    and one dtrsyl solves T Y + Y T' = Z'(-W)Z, in scipy's
+    solve_continuous_lyapunov order, so V is bit-identical to it.
+
     Raises UnstableMatrix when a_s is not Hurwitz, IterationDiverged when the
-    Bartels-Stewart solve fails its residual contract.
+    solve fails its residual contract.
     """
     a_s = np.asarray(a_s, dtype=float)
     w = symmetrize(w)
     if a_s.shape != w.shape:
         raise ValueError(f"shape mismatch: a_s {a_s.shape} vs w {w.shape}")
-    if abscissa(a_s) >= 0.0:
-        raise UnstableMatrix(f"spectral abscissa {abscissa(a_s):.3e} >= 0")
-    v = symmetrize(solve_continuous_lyapunov(a_s.T, -w))
+    t, z = schur(a_s.T, output="real")
+    alpha = float(np.diag(t).max())
+    if alpha >= 0.0:
+        raise UnstableMatrix(f"spectral abscissa {alpha:.3e} >= 0")
+    f = z.T.dot((-w).dot(z))
+    y, scale, info = dtrsyl(t, t, f, tranb="T")
+    if info < 0:
+        raise ValueError(f"dtrsyl: illegal value in argument {-info}")
+    y *= scale
+    v = symmetrize(z.dot(y).dot(z.T))
     res = np.linalg.norm(a_s.T @ v + v @ a_s + w, "fro")
     if res > tol_residual * (1.0 + np.linalg.norm(v, "fro")) * 100.0:
         raise IterationDiverged(f"Lyapunov residual {res:.3e} out of contract")

@@ -1,6 +1,10 @@
 """Command-line pipeline: configs, subcommands, report files, determinism."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +77,18 @@ class TestParser:
     def test_bench_requires_table_name(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["bench"])
+
+    def test_module_entry_point_without_warning(self):
+        # runpy warns when the package has already imported hlqr.cli
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, *filter(None, [env.get("PYTHONPATH")])])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "hlqr.cli",
+             "--help"],
+            env=env, capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestDecompose:

@@ -1,10 +1,10 @@
-"""Riccati/Lyapunov solvers, pseudoinverse, and spectral diagnostics."""
+"""Riccati/Lyapunov solvers and pseudoinverse."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from hlqr import matops
+from hlqr import matops, sim
 from hlqr.errors import IterationDiverged, NonStabilizable, UnstableMatrix
 
 SQRT2_M1 = 0.41421356237309515
@@ -113,6 +113,35 @@ class TestSolveLyapunov:
         with pytest.raises(UnstableMatrix):
             matops.solve_lyapunov(np.array([[1e-3]]), np.array([[1.0]]))
 
+    def test_unstable_complex_pair_rejected(self):
+        # eigenvalues 0.1 +/- 5i and -3: only the 2x2 Schur block is unstable
+        rng = np.random.default_rng(43)
+        d = np.array([[0.1, 5.0, 0.0], [-5.0, 0.1, 0.0], [0.0, 0.0, -3.0]])
+        s = rng.standard_normal((3, 3))
+        with pytest.raises(UnstableMatrix):
+            matops.solve_lyapunov(s @ d @ np.linalg.inv(s), np.eye(3))
+
+    def test_marginal_formation_rejected(self):
+        # double-integrator agents: abscissa exactly 0
+        mas = sim.formation_scenario()[0]
+        a = mas.a_full
+        with pytest.raises(UnstableMatrix):
+            matops.solve_lyapunov(a, np.eye(a.shape[0]))
+
+    def test_bit_identical_to_scipy(self):
+        rng = np.random.default_rng(47)
+        for n in (1, 2, 3, 5, 8, 13, 21, 40):
+            for _ in range(3):
+                a_s = rng.standard_normal((n, n))
+                a_s -= (matops.abscissa(a_s) + 0.5) * np.eye(n)
+                w_half = rng.standard_normal((n, n))
+                w = w_half @ w_half.T
+                want = matops.symmetrize(
+                    scipy.linalg.solve_continuous_lyapunov(a_s.T, -w))
+                assert np.array_equal(matops.solve_lyapunov(a_s, w), want)
+        # the random draws above have complex pairs; check one explicitly
+        assert np.iscomplex(np.linalg.eigvals(a_s)).any()
+
     def test_trace_matches_quadrature(self):
         # tr(V) = integral of tr(exp(As' t) W exp(As t)) dt on [0, inf)
         rng = np.random.default_rng(19)
@@ -169,43 +198,6 @@ class TestPinv:
         mp = matops.pinv(m)
         assert np.allclose(m @ mp @ m, m, atol=1e-12)
         assert np.linalg.matrix_rank(mp) == 1
-
-
-class TestSpectral:
-    def test_diagonal(self):
-        rep = matops.spectral(np.diag([1.0, 4.0]))
-        assert rep.lambda_min == pytest.approx(1.0)
-        assert rep.lambda_max == pytest.approx(4.0)
-        assert rep.cond == pytest.approx(4.0)
-        assert rep.sigma_l == pytest.approx(1.0)
-
-    def test_singular(self):
-        rep = matops.spectral(np.diag([3.0, 0.0]))
-        assert rep.sigma_l == pytest.approx(3.0)
-        assert rep.cond == np.inf
-
-    def test_damped_rotation_abscissa(self):
-        # eigenvalues -1 +/- 2i
-        rep = matops.spectral(np.array([[-1.0, 2.0], [-2.0, -1.0]]))
-        assert rep.spectral_abscissa == pytest.approx(-1.0, abs=1e-12)
-
-    def test_rectangular(self):
-        rep = matops.spectral(np.ones((2, 3)))
-        assert np.isnan(rep.spectral_abscissa)
-        assert rep.sigma_l > 0.0
-
-    def test_ordering_invariant(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            m = rng.standard_normal((4, 4))
-            rep = matops.spectral(m + m.T)
-            assert rep.lambda_min <= rep.lambda_max
-            assert rep.sigma_l > 0.0
-
-    def test_zero_matrix(self):
-        rep = matops.spectral(np.zeros((2, 2)))
-        assert rep.sigma_l == 0.0
-        assert rep.cond == np.inf
 
 
 class TestResidualGuards:
