@@ -108,17 +108,20 @@ def _initial_stabilizing_gain(a, b):
     Shift A by beta > spectral radius so A + beta*I is anti-stable, solve
     (A + beta I) Z + Z (A + beta I)' = 2 B B' (Z is PD for controllable (A,B)),
     and take K = B' Z^{-1}.  Returns the zero gain when A is already Hurwitz.
+    Z may be nearly singular for poorly controllable pairs; only the
+    abscissa of A - B K decides, and NonStabilizable is raised when Z cannot
+    be solved, K is not finite, or A - B K is not Hurwitz.
     """
     n, m = b.shape
     if abscissa(a) < 0.0:
         return np.zeros((m, n))
     beta = np.linalg.norm(a, "fro") + 0.5
     z = symmetrize(solve_continuous_lyapunov(a + beta * np.eye(n), 2.0 * b @ b.T))
-    w = np.linalg.eigvalsh(z)
-    if w[0] <= 1e-12 * max(1.0, w[-1]):
-        raise NonStabilizable("shifted Lyapunov solution is singular; (A,B) not stabilizable")
-    k0 = np.linalg.solve(z, b).T
-    if abscissa(a - b @ k0) >= 0.0:
+    try:
+        k0 = np.linalg.solve(z, b).T
+    except np.linalg.LinAlgError:
+        raise NonStabilizable("shifted Lyapunov solution is singular; (A,B) not stabilizable") from None
+    if not np.all(np.isfinite(k0)) or abscissa(a - b @ k0) >= 0.0:
         raise NonStabilizable("eigenvalue-shift initialization failed to stabilize")
     return k0
 

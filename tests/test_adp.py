@@ -115,6 +115,61 @@ class TestFeatureMaps:
         assert np.allclose(out[1], [4.0, 9.0, 12.0])
 
 
+def uniform_grids():
+    """(t0, h, n): a nonzero start, lengths 1, below TABLE_BLOCK and past it
+    (never a multiple of it), and horizons (n - 1) h up to 160 s."""
+    block = adp.TABLE_BLOCK
+    lengths = st.one_of(
+        st.just(1),
+        st.integers(2, block - 1),
+        st.integers(block + 1, 4 * block).filter(lambda n: n % block),
+    )
+
+    def grid(n, t0, frac):
+        horizon = frac * 160.0 if n > 1 else 0.0
+        return t0, horizon / max(n - 1, 1), n
+
+    t0s = st.floats(-50.0, 50.0).filter(lambda t: abs(t) > 1e-3)
+    return st.builds(grid, lengths, t0s, st.floats(1e-4, 1.0))
+
+
+class TestExcitationTable:
+    """The blocked angle-addition table against pointwise evaluation."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3),
+           n_sin=st.integers(1, 12), grid=uniform_grids())
+    def test_matches_pointwise(self, seed, m, n_sin, grid):
+        # |table - pointwise| <= 8 eps a (f_max max|t| + 2 pi), the rounding
+        # of the sine arguments; 3,000 random grids gave at most 1.4 times
+        # eps a (f_max max|t| + 2 pi), 4.9e-13 absolute at a = 0.5
+        t0, h, n = grid
+        exc = Excitation.make(seed, m, n_sin=n_sin)
+        ts = t0 + h * np.arange(n)
+        table = exc.table(ts)
+        assert table.shape == (n, m)
+        want = np.array([exc(t) for t in ts])
+        amp = exc.amplitudes.sum(axis=1).max()
+        scale = amp * (exc.frequencies.max() * np.abs(ts).max() + 2.0 * np.pi)
+        assert np.max(np.abs(table - want)) <= 8.0 * np.finfo(float).eps * scale
+
+    def test_half_grid_matches_pointwise(self):
+        exc = Excitation.make(3, 2)
+        dt, n_steps = 1e-3, 3 * adp.TABLE_BLOCK + 7
+        table = sim.tabulate_signal(exc, dt, n_steps, 2)
+        for i in (0, 1, adp.TABLE_BLOCK - 1, adp.TABLE_BLOCK, 2 * n_steps):
+            assert np.allclose(table[i], exc(i * dt / 2.0), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("ts", [
+        [0.0, 1.0, 3.0],
+        np.r_[np.arange(600) * 0.01, 7.0],
+        np.arange(600) * 0.01 + np.r_[np.zeros(300), 1e-9, np.zeros(299)],
+    ])
+    def test_non_uniform_grid_raises(self, ts):
+        with pytest.raises(ValueError):
+            Excitation.make(1, 2).table(np.asarray(ts, dtype=float))
+
+
 class TestCollect:
     def test_scalar_dataset_full_rank(self):
         mas, spec, dec = scalar_system()

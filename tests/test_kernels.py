@@ -1,6 +1,9 @@
 """Integration kernels: parity with step-loop oracles, order, guards."""
 
+import inspect
+
 import numpy as np
+import pytest
 
 from hlqr import _kernels, sim
 from hlqr.adp import Excitation
@@ -237,6 +240,165 @@ class TestBackendParity:
         for arr in (out[3][bad + 1:], out[4][bad + 1:], out[0][ref[6] + 1:],
                     out[1][ref[6]:], out[2][ref[6]:]):
             assert not np.any(arr)
+
+
+def growing_pair():
+    """Open-loop unstable pair whose states grow monotonically from x0 > 0,
+    so a guard between two consecutive peaks trips at a chosen step."""
+    a = np.array([[0.5, 1.0], [0.0, 0.3]])
+    b = np.array([[0.0], [1.0]])
+    return a, b, np.zeros((1, 2)), np.array([1.0, 0.5])
+
+
+def guard_before(states, step):
+    """A guard that the peak |x| first exceeds at `step`."""
+    peak = np.abs(states).max(axis=1)
+    assert np.all(np.diff(peak[:step + 1]) > 0.0)
+    return float(np.sqrt(peak[step - 1] * peak[step]))
+
+
+class TestBlockedRecurrence:
+    """Chunk lengths and blowup rows against the blocks of BLOCK steps."""
+
+    B = _kernels.BLOCK
+
+    @pytest.mark.parametrize("n_steps", [1, _kernels.BLOCK - 3, _kernels.CHUNK + 1,
+                                         _kernels.CHUNK + 2 * _kernels.BLOCK + 5])
+    def test_rollout_chunk_lengths(self, n_steps):
+        assert n_steps % self.B
+        a, b = damped_rotation()
+        k = np.array([[0.3, 0.4]])
+        dt = 1e-2
+        cmd = tabulate_signal(lambda t: np.array([0.2 * np.sin(3.0 * t)]),
+                              dt, n_steps, 1)
+        dist = np.zeros_like(cmd)
+        x0 = np.array([1.0, -1.0])
+        out = _kernels.rollout_kernel(a, b, k, cmd, dist, x0, dt, n_steps,
+                                      np.eye(2), np.eye(1), 1e6, 0.0, 50)
+        assert out[4] == _kernels.OK and out[5] == n_steps
+        traj = rollout_oracle(a, b, k, cmd, None, x0, dt, n_steps,
+                              np.eye(2), np.eye(1))
+        assert_rollout_matches(out, traj, n_steps)
+
+    @pytest.mark.parametrize("steps, windows", [
+        (1, 1),                           # a single one-step chunk
+        (1, _kernels.CHUNK + 1),          # the last chunk is one step
+        (7, 40),                          # chunks of 252 and 28 steps
+    ])
+    def test_collect_chunk_lengths(self, steps, windows):
+        per_chunk = max(1, _kernels.CHUNK // steps)
+        tail = (windows % per_chunk or per_chunk) * steps
+        assert tail == 1 or tail % self.B
+        a, b = damped_rotation()
+        k0 = np.array([[0.1, 0.2]])
+        dt = 1e-2
+        cmd = tabulate_signal(lambda t: np.array([0.3 * np.cos(2.0 * t)]),
+                              dt, steps * windows, 1)
+        dist = 0.05 * np.sin(np.arange(len(cmd)))[:, None]
+        args = (a, b, k0, cmd, dist, np.array([0.5, 0.5]), dt, steps, windows, 1e6)
+        out = _kernels.collect_kernel(*args)
+        assert out[5] == _kernels.OK and out[6] == windows
+        assert_collect_matches(out, collect_step_loop(*args))
+
+    @pytest.mark.parametrize("row", [0, _kernels.BLOCK - 1])
+    def test_rollout_blowup_on_block_edge(self, row):
+        # second chunk, block 3: its first row, or its last
+        a, b, k, x0 = growing_pair()
+        dt, n_steps = 1e-2, 2 * _kernels.CHUNK
+        step = _kernels.CHUNK + 3 * self.B + row + 1
+        cmd, dist = zero_tables(n_steps, 1)
+        traj = rollout_oracle(a, b, k, cmd, None, x0, dt, n_steps,
+                              np.eye(2), np.eye(1))
+        guard = guard_before(traj.states, step)
+        out = _kernels.rollout_kernel(a, b, k, cmd, dist, x0, dt, n_steps,
+                                      np.eye(2), np.eye(1), guard, 0.0, 50)
+        assert out[4] == _kernels.BLOWUP and out[5] == step
+        assert_rollout_matches(out, traj, step)
+
+    @pytest.mark.parametrize("row", [0, _kernels.BLOCK - 1])
+    def test_collect_blowup_on_block_edge(self, row):
+        # chunks of 250 steps; second chunk, block 3: its first row, or its last
+        a, b, k0, x0 = growing_pair()
+        dt, steps, windows = 1e-2, 10, 60
+        s0 = (_kernels.CHUNK // steps) * steps
+        step = s0 + 3 * self.B + row + 1
+        cmd, dist = zero_tables(steps * windows, 1)
+        args = [a, b, k0, cmd, dist, x0, dt, steps, windows, np.inf]
+        free = collect_step_loop(*args)
+        args[-1] = guard_before(free[3], step)
+        ref = collect_step_loop(*args)
+        assert ref[5] == _kernels.BLOWUP and ref[6] == (step - 1) // steps
+        out = _kernels.collect_kernel(*args)
+        assert_collect_matches(out, ref)
+        assert not np.any(out[3][step + 1:])
+
+    def test_overflow_without_guard(self):
+        # with an infinite guard the first non-finite row is the blowup
+        a, b, k = np.array([[50.0]]), np.zeros((1, 1)), np.zeros((1, 1))
+        n_steps, steps = 300, 10
+        cmd, dist = zero_tables(n_steps, 1)
+        xs, *_, status, last = _kernels.rollout_kernel(
+            a, b, k, cmd, dist, np.array([1.0]), 1.0, n_steps,
+            np.eye(1), np.eye(1), np.inf, 0.0, 50)
+        assert status == _kernels.BLOWUP and 0 < last < n_steps
+        assert np.all(np.isfinite(xs[:last])) and not np.isfinite(xs[last, 0])
+        assert not np.any(xs[last + 1:])
+        out = _kernels.collect_kernel(a, b, k, cmd, dist, np.array([1.0]), 1.0,
+                                      steps, n_steps // steps, np.inf)
+        assert out[5] == _kernels.BLOWUP and out[6] == (last - 1) // steps
+        assert np.array_equal(out[3][:last], xs[:last])
+
+
+class TestKernelInterface:
+    """perfbench reads out[5] of rollouts and out[6] of collects, and the
+    steps_per_window argument by position; these fix that interface."""
+
+    def test_rollout_tuple(self):
+        a, b, k, x0 = growing_pair()
+        n_steps = 300
+        cmd, dist = zero_tables(n_steps, 1)
+        for out in (
+            _kernels.rollout_kernel(a, b, k, cmd, dist, x0, 1e-2, n_steps,
+                                    np.eye(2), np.eye(1), 5.0, 0.0, 50),
+            BlackBoxPlant(a, b).rollout(k, cmd, x0, 1e-2, n_steps,
+                                        np.eye(2), np.eye(1), guard=5.0),
+        ):
+            assert len(out) == 6
+            xs, us, cost, ju, status, last = out
+            assert xs.shape == (n_steps + 1, 2) and us.shape == (n_steps + 1, 1)
+            assert cost.shape == ju.shape == (n_steps + 1,)
+            assert status == _kernels.BLOWUP
+            assert isinstance(last, int) and 0 < last < n_steps
+            assert np.abs(xs[last]).max() > 5.0 and not np.any(xs[last + 1:])
+
+    def test_collect_tuple(self):
+        a, b, k0, x0 = growing_pair()
+        steps, windows = 10, 40
+        cmd, dist = zero_tables(steps * windows, 1)
+        for out in (
+            _kernels.collect_kernel(a, b, k0, cmd, dist, x0, 1e-2, steps,
+                                    windows, 5.0),
+            BlackBoxPlant(a, b).collect(k0, cmd, x0, 1e-2, steps, windows,
+                                        guard=5.0),
+        ):
+            assert len(out) == 7
+            xb, ixx, ixv, raw_x, raw_v, status, done = out
+            assert xb.shape == (windows + 1, 2)
+            assert ixx.shape == (windows, 2, 2) and ixv.shape == (windows, 2, 1)
+            assert raw_x.shape == (steps * windows + 1, 2)
+            assert raw_v.shape == (steps * windows + 1, 1)
+            assert status == _kernels.BLOWUP
+            assert isinstance(done, int) and 0 < done < windows
+            assert np.array_equal(xb[1:done + 1], raw_x[steps:done * steps + 1:steps])
+
+    def test_positional_arguments(self):
+        # perfbench reads steps_per_window as args[7] of collect_kernel and
+        # args[5] of the bound BlackBoxPlant.collect (args[0] is the plant)
+        kernel = list(inspect.signature(_kernels.collect_kernel).parameters)
+        plant = list(inspect.signature(BlackBoxPlant.collect).parameters)
+        assert kernel[7] == "steps_per_window" and plant[5] == "steps_per_window"
+        rollout = list(inspect.signature(_kernels.rollout_kernel).parameters)
+        assert rollout[:2] == ["a", "b"]
 
 
 class TestIntegrationAccuracy:
