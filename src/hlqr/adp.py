@@ -171,10 +171,8 @@ class Dataset:
 
     delta_xx[w] = phi(x(t_{w+1})) - phi(x(t_w)); i_xx[w] = int x x' dtau and
     i_xu[w] = int x v' dtau over window w with v the applied input.  The raw
-    per-step samples are retained for diagnostic model fitting.  cond is the
-    condition number of the column-equilibrated joint regressor at the
-    behavior gain (the system the solver actually factors); rank_ok reflects
-    the conditioning guard.
+    per-step samples are retained for diagnostic model fitting.  Whether the
+    data identify the unknowns is judged by policy_iteration's first pass.
     """
 
     delta_xx: np.ndarray
@@ -183,9 +181,6 @@ class Dataset:
     raw_x: np.ndarray
     raw_v: np.ndarray
     dt: float
-    k0: np.ndarray
-    cond: float
-    rank_ok: bool
 
     @property
     def M(self):
@@ -212,16 +207,16 @@ def _regressor(data, k, qk):
 
 
 def _equilibrated_lstsq(a_mat, rhs):
-    """Column-equilibrated least squares by one Householder QR: theta.
+    """Column-equilibrated least squares by one Householder QR: (theta, rcond).
 
     Scaling each column to unit norm before the solve removes the artificial
     ill-conditioning caused by mixed magnitudes of the quadratic-state and
     bilinear features.  Only R of the augmented system [A/s | b] is formed;
     its last column is Q'b, so no Q is needed.  Without pivoting, diag(R)
     does not reveal the rank, so identifiability is judged by the LAPACK
-    condition estimate of R (dtrcon) against gelsd's default cutoff
-    eps * max(M, N); below it RankDeficient is raised.  The exact guard
-    condition number is computed once, in collect.
+    1-norm reciprocal condition estimate of R (dtrcon) against gelsd's
+    default cutoff eps * max(M, N); below it RankDeficient is raised.  The
+    estimate is returned too, for policy_iteration's conditioning guard.
     """
     n_rows, n_cols = a_mat.shape
     scale = np.linalg.norm(a_mat, axis=0)
@@ -241,19 +236,21 @@ def _equilibrated_lstsq(a_mat, rhs):
         )
     theta = scipy.linalg.solve_triangular(r_mat, r_aug[:n_cols, n_cols],
                                           check_finite=False)
-    return theta / scale
+    return theta / scale, rcond
 
 
 def collect(plant, k0, exc, horizon, dt, window, x0=None, guard=1e6):
     """Run the behavior policy u = -k0 x + e(t) and record window integrals.
 
-    horizon and window are in seconds; dt must divide window.  When a
-    measurable disturbance is attached to the plant, the recorded applied
-    input is u + d.  x0 defaults to a standard normal draw from the
-    excitation seed.
+    horizon and window are in seconds; dt and window must be positive and
+    dt must divide window.  When a measurable disturbance is attached to
+    the plant, the recorded applied input is u + d.  x0 defaults to a
+    standard normal draw from the excitation seed.
     """
     n, m = plant.n_states, plant.n_inputs
     k0 = np.zeros((m, n)) if k0 is None else np.asarray(k0, dtype=float)
+    if not (dt > 0 and window > 0):
+        raise InvalidConfig(f"dt={dt} and window={window} must be positive")
     steps_per_window = int(round(window / dt))
     if abs(steps_per_window * dt - window) > 1e-9 * max(1.0, window):
         raise InvalidConfig(f"dt={dt} does not divide window={window}")
@@ -275,24 +272,14 @@ def collect(plant, k0, exc, horizon, dt, window, x0=None, guard=1e6):
         )
 
     phis = phi(xb)
-    data = Dataset(
+    return Dataset(
         delta_xx=phis[1:] - phis[:-1],
         i_xx=i_xx,
         i_xu=i_xv,
         raw_x=raw_x,
         raw_v=raw_v,
         dt=float(dt),
-        k0=k0,
-        cond=float("nan"),
-        rank_ok=False,
     )
-    a_mat, _ = _regressor(data, k0, np.eye(n))
-    scale = np.linalg.norm(a_mat, axis=0)
-    scale[scale == 0.0] = 1.0
-    sv = np.linalg.svd(a_mat / scale, compute_uv=False)
-    cond = float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
-    rank_ok = a_mat.shape[0] >= a_mat.shape[1] and cond < COND_GUARD
-    return replace(data, cond=cond, rank_ok=rank_ok)
 
 
 @dataclass(frozen=True)
@@ -305,7 +292,6 @@ class LearnResult:
     iterations: int
     converged: bool
     wall_time: float = 0.0
-    cond: float = float("nan")
 
 
 def policy_iteration(data, qhat, rhat, k0, tol_pi=1e-8, max_iter=30):
@@ -315,8 +301,10 @@ def policy_iteration(data, qhat, rhat, k0, tol_pi=1e-8, max_iter=30):
     then updates K = Rhat^{-1} (B'P).  Stops when |P_k - P_{k-1}|_F <
     tol_pi * max(1, |P_k|_F); the scale factor keeps the tolerance meaningful
     for large value matrices whose data-driven iterates plateau at a relative
-    accuracy floor.  Raises RankDeficient for an unidentifiable regressor and
-    NoConvergence when max_iter passes without meeting tol_pi.
+    accuracy floor.  Raises RankDeficient for too few windows, for a first
+    pass (at the behavior gain k0) whose condition estimate is not below
+    COND_GUARD, or for an unidentifiable regressor in any pass, and
+    NoConvergence when max_iter passes go by without meeting tol_pi.
     """
     n, m = data.n, data.m
     n_unknowns = n * (n + 1) // 2 + m * n
@@ -324,17 +312,16 @@ def policy_iteration(data, qhat, rhat, k0, tol_pi=1e-8, max_iter=30):
         raise RankDeficient(
             f"{data.M} windows < {n_unknowns} unknowns; collect more data"
         )
-    if not data.rank_ok:
-        raise RankDeficient(
-            f"regressor condition {data.cond:.3g} exceeds guard {COND_GUARD:g}"
-        )
     qhat = np.asarray(qhat, dtype=float)
     rhat = np.asarray(rhat, dtype=float)
     k = np.asarray(k0, dtype=float)
     p_prev = None
     for it in range(1, max_iter + 1):
         a_mat, rhs = _regressor(data, k, qhat + k.T @ rhat @ k)
-        theta = _equilibrated_lstsq(a_mat, rhs)
+        theta, rcond = _equilibrated_lstsq(a_mat, rhs)
+        if it == 1 and not 1.0 / rcond < COND_GUARD:
+            raise RankDeficient(f"regressor condition estimate {1.0 / rcond:.3g}"
+                                f" at k0 exceeds guard {COND_GUARD:g}")
         n_sym = n * (n + 1) // 2
         p_hat = unsvec(theta[:n_sym], n)
         btp = theta[n_sym:].reshape(m, n)
@@ -343,7 +330,7 @@ def policy_iteration(data, qhat, rhat, k0, tol_pi=1e-8, max_iter=30):
                 1.0, np.linalg.norm(p_hat)):
             return LearnResult(
                 p_hat=p_hat, k_hat=k, btp_hat=rhat @ k,
-                iterations=it, converged=True, cond=data.cond,
+                iterations=it, converged=True,
             )
         p_prev = p_hat
     raise NoConvergence(f"policy iteration did not converge in {max_iter} passes")
@@ -375,25 +362,26 @@ def _auto_horizon(cfg, n, m):
 def learn_cluster(plant, qhat, rhat, cfg, k0=None, tag=0):
     """Collect data and run policy iteration for one black-box cluster.
 
-    If the regressor conditioning guard trips, the horizon is grown by
-    50% (up to three times) and collection repeats before giving up.
+    On RankDeficient from any pass of policy iteration, the horizon is grown
+    by 50% and both repeat, up to three times, before giving up.
     """
     t0 = time.perf_counter()
     n, m = plant.n_states, plant.n_inputs
     horizon = cfg.horizon if cfg.horizon is not None else _auto_horizon(cfg, n, m)
     exc = Excitation.make(cfg.seed + 7919 * tag, m, n_sin=cfg.n_sin,
                           amplitude=cfg.amplitude)
-    data = collect(plant, k0, exc, horizon, cfg.dt, cfg.window,
-                   guard=cfg.guard)
-    for _ in range(3):
-        if data.rank_ok:
-            break
-        horizon *= 1.5
+    k0_arr = np.zeros((m, n)) if k0 is None else np.asarray(k0, dtype=float)
+    for attempt in range(4):
         data = collect(plant, k0, exc, horizon, cfg.dt, cfg.window,
                        guard=cfg.guard)
-    k0_arr = np.zeros((m, n)) if k0 is None else np.asarray(k0, dtype=float)
-    result = policy_iteration(data, qhat, rhat, k0_arr,
-                              tol_pi=cfg.tol_pi, max_iter=cfg.max_iter)
+        try:
+            result = policy_iteration(data, qhat, rhat, k0_arr,
+                                      tol_pi=cfg.tol_pi, max_iter=cfg.max_iter)
+            break
+        except RankDeficient:
+            if attempt == 3:
+                raise
+            horizon *= 1.5
     return replace(result, wall_time=time.perf_counter() - t0)
 
 
@@ -417,7 +405,11 @@ def learn_hierarchical(plants, spec, dec, cfg=None, k0_list=None):
         return learn_cluster(plants[j], qhat_j, rhat_j, cfg,
                              k0=k0_list[j], tag=j)
 
-    workers = int(os.environ.get("HLQR_WORKERS", "1") or "1")
+    raw = os.environ.get("HLQR_WORKERS", "1") or "1"
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise InvalidConfig(f"HLQR_WORKERS={raw!r} is not an integer") from None
     if workers > 1 and dec.s > 1:
         with ThreadPoolExecutor(max_workers=min(workers, dec.s)) as pool:
             results = list(pool.map(task, range(dec.s)))

@@ -310,9 +310,9 @@ def run_experiment(cfg):
     if results is not None:
         paths["learn"] = fileio.write_csv(
             f"{out}/learn_summary.csv",
-            ["cluster", "iterations", "converged", "wall_time", "cond"],
+            ["cluster", "iterations", "converged", "wall_time"],
             [
-                [j, r.iterations, int(r.converged), r.wall_time, r.cond]
+                [j, r.iterations, int(r.converged), r.wall_time]
                 for j, r in enumerate(results)
             ],
         )

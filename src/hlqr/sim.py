@@ -232,6 +232,8 @@ def integrate(sys, controller, x0, t_final, dt, cost=None, stop_rtol=0.0,
     Raises StateBlowup when the state norm exceeds guard.
     """
     x0 = np.asarray(x0, dtype=float)
+    if not dt > 0:
+        raise InvalidConfig(f"dt={dt} must be positive")
     n_steps = int(round(t_final / dt))
     if n_steps < 1:
         raise InvalidConfig(f"t_final={t_final} shorter than one step dt={dt}")

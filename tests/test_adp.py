@@ -92,9 +92,6 @@ def exact_dataset(a, b, k0, freqs, amps, x0, n_windows, window):
         raw_x=xb,
         raw_v=(np.hstack([xb, np.tile(w0, (xb.shape[0], 1))]) @ p_v.T),
         dt=window,
-        k0=k0,
-        cond=1.0,
-        rank_ok=True,
     )
 
 
@@ -178,8 +175,6 @@ class TestCollect:
         data = collect(plant, None, exc, 10.0, 1e-3, 0.1)
         assert data.M == 100
         assert data.M >= 1 * 2 // 2 + 1
-        assert data.rank_ok
-        assert np.isfinite(data.cond) and data.cond < 1e8
         assert data.n == 1 and data.m == 1
 
     def test_zero_excitation_flagged(self):
@@ -188,7 +183,6 @@ class TestCollect:
         exc = Excitation.make(5, 1, amplitude=0.0)
         k_opt = np.array([[SQRT2_M1]])
         data = collect(plant, k_opt, exc, 2.0, 1e-3, 0.1, x0=np.zeros(1))
-        assert not data.rank_ok
         with pytest.raises(RankDeficient):
             policy_iteration(data, np.eye(1), np.eye(1), k_opt)
 
@@ -201,7 +195,6 @@ class TestCollect:
         assert (data.n, data.m) == (8, 4)
         assert data.M == 100
         assert data.M >= 8 * 9 // 2 + 4 * 8
-        assert data.rank_ok
 
     def test_too_few_windows_rejected(self):
         mas, spec, dec = scalar_system()
@@ -227,6 +220,10 @@ class TestCollect:
             collect(plant, None, exc, 1.0, 0.3, 0.1)
         with pytest.raises(InvalidConfig):
             collect(plant, None, exc, 0.04, 1e-3, 0.1)
+        for dt, window in [(0.0, 0.1), (-1e-3, 0.1), (np.nan, 0.1),
+                           (1e-3, 0.0), (1e-3, -0.1), (1e-3, np.nan)]:
+            with pytest.raises(InvalidConfig, match="must be positive"):
+                collect(plant, None, exc, 1.0, dt, window)
 
 
 class TestPolicyIteration:
@@ -303,28 +300,78 @@ class TestPolicyIteration:
         assert rel_self <= 1e-3
 
 
-def lstsq_svd_oracle(a_mat, rhs):
-    """Column-equilibrated least squares by SVD (LAPACK gelsd): theta.
+def two_agent_clique_problem():
+    """(plant, qhat, rhat) of the 8-state, 4-input two-agent clique."""
+    mas, spec = sim.clique_path_scenario(1, 2)
+    dec = Decomposition.from_assignment([0, 0])
+    qhat, rhat = graphcost.cluster_costs(spec, dec)[0]
+    return sim.cluster_plants(mas, dec)[0], qhat, rhat
 
-    The reference for adp._equilibrated_lstsq; it raises RankDeficient when
-    gelsd's default cutoff finds fewer than N singular values.
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends its arguments to a list."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestConditioningGuard:
+    """The guard is the first policy-iteration pass's condition estimate."""
+
+    def test_one_factorization_per_pass(self, monkeypatch):
+        plant, qhat, rhat = two_agent_clique_problem()
+        svds = count_calls(monkeypatch, np.linalg, "svd")
+        qrs = count_calls(monkeypatch, scipy.linalg, "qr")
+        result = learn_cluster(plant, qhat, rhat, LearnConfig(seed=13))
+        assert result.converged
+        assert len(svds) == 0
+        assert len(qrs) == result.iterations
+
+    def test_too_few_windows_regrow(self, monkeypatch):
+        # 60 windows for 36 + 32 = 68 unknowns; one regrowth gives 90
+        plant, qhat, rhat = two_agent_clique_problem()
+        collects = count_calls(monkeypatch, adp, "collect")
+        result = learn_cluster(plant, qhat, rhat,
+                               LearnConfig(seed=13, horizon=6.0))
+        assert [args[3] for args, _ in collects] == [6.0, 9.0]
+        assert result.converged
+
+    def test_tripped_guard_regrows_three_times(self, monkeypatch):
+        plant, qhat, rhat = two_agent_clique_problem()
+        monkeypatch.setattr(adp, "COND_GUARD", 0.0)
+        collects = count_calls(monkeypatch, adp, "collect")
+        with pytest.raises(RankDeficient, match="exceeds guard"):
+            learn_cluster(plant, qhat, rhat, LearnConfig(seed=13))
+        assert [args[3] for args, _ in collects] == pytest.approx(
+            [9.2, 13.8, 20.7, 31.05])
+
+
+def lstsq_svd_oracle(a_mat, rhs):
+    """Column-equilibrated least squares by SVD (LAPACK gelsd): (theta, rcond).
+
+    The reference for adp._equilibrated_lstsq, whose return it mirrors with
+    the exact reciprocal 2-norm condition number; it raises RankDeficient
+    when gelsd's default cutoff finds fewer than N singular values.
     """
     scale = np.linalg.norm(a_mat, axis=0)
     scale[scale == 0.0] = 1.0
-    theta, _, rank, _ = np.linalg.lstsq(a_mat / scale, rhs, rcond=None)
+    theta, _, rank, sv = np.linalg.lstsq(a_mat / scale, rhs, rcond=None)
     if rank < a_mat.shape[1]:
         raise RankDeficient(
             f"joint regressor rank {rank} < {a_mat.shape[1]} unknowns")
-    return theta / scale
+    return theta / scale, sv[-1] / sv[0]
 
 
 def two_agent_clique_dataset():
     """The 8-state, 4-input dataset of test_window_count_dominates_unknowns."""
-    mas, spec = sim.clique_path_scenario(1, 2)
-    dec = Decomposition.from_assignment([0, 0])
-    plant = sim.cluster_plants(mas, dec)[0]
+    plant, qhat, rhat = two_agent_clique_problem()
     data = collect(plant, None, Excitation.make(11, 4), 10.0, 1e-3, 0.1)
-    qhat, rhat = graphcost.cluster_costs(spec, dec)[0]
     return data, qhat, rhat
 
 
@@ -347,7 +394,6 @@ class TestLeastSquaresSolve:
     def test_policy_iteration_matches_svd_oracle(self, make_data,
                                                  monkeypatch):
         data, qhat, rhat = make_data()
-        assert data.rank_ok
         k0 = np.zeros((data.m, data.n))
         result = policy_iteration(data, qhat, rhat, k0)
         monkeypatch.setattr(adp, "_equilibrated_lstsq", lstsq_svd_oracle)
@@ -377,12 +423,15 @@ class TestLeastSquaresSolve:
         rhs = rng.standard_normal(n_rows)
         scale = np.linalg.norm(a_mat, axis=0)
         cond = np.linalg.cond(a_mat / scale)
-        got = adp._equilibrated_lstsq(a_mat, rhs)
-        want = lstsq_svd_oracle(a_mat, rhs)
+        got, rcond = adp._equilibrated_lstsq(a_mat, rhs)
+        want, _ = lstsq_svd_oracle(a_mat, rhs)
         # compared in the equilibrated unknowns, which both solvers factor
         err = np.linalg.norm((got - want) * scale)
         assert err <= 1e3 * np.finfo(float).eps * cond * np.linalg.norm(
             want * scale)
+        # dtrcon's estimate bounds |R^-1|_1 from below, and the 1-norm
+        # condition number of R is at most n_cols times the 2-norm one
+        assert 1.0 / rcond <= 1.01 * n_cols * cond
 
     def test_zero_regressor_column_raises_in_loop(self):
         # input channel 1 never moves and k0 has a zero row for it, so the
@@ -391,7 +440,6 @@ class TestLeastSquaresSolve:
         i_xu = data.i_xu.copy()
         i_xu[:, :, 1] = 0.0
         data = replace(data, i_xu=i_xu)
-        assert data.rank_ok
         k0 = np.random.default_rng(3).standard_normal((data.m, data.n))
         k0[1] = 0.0
         with pytest.raises(RankDeficient):
@@ -490,6 +538,14 @@ class TestLearnHierarchical:
         pooled = run()
         assert np.array_equal(serial.k_h, pooled.k_h)
         assert np.array_equal(serial.r_tilde, pooled.r_tilde)
+
+    def test_worker_count_must_be_an_integer(self, monkeypatch):
+        mas, spec = chain_system([(0, 1), (2, 3)], 4)
+        dec = Decomposition.from_assignment([0, 0, 1, 1])
+        plants = sim.cluster_plants(mas, dec)
+        monkeypatch.setenv("HLQR_WORKERS", "two")
+        with pytest.raises(InvalidConfig, match="HLQR_WORKERS='two'"):
+            learn_hierarchical(plants, spec, dec)
 
     def test_plant_count_guard(self):
         mas, spec = chain_system([(0, 1), (2, 3)], 4)

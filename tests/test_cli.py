@@ -259,6 +259,21 @@ class TestLearnCommand:
         assert "learned gain" in capsys.readouterr().out
 
 
+class TestNonPositiveStep:
+    @pytest.mark.parametrize("args", [
+        ["learn", "example1", "--s", "1", "--c", "2", "--dt", "0"],
+        ["learn", "example1", "--s", "1", "--c", "2", "--dt", "-0.001"],
+        ["learn", "example1", "--s", "1", "--c", "2", "--window", "0"],
+        ["simulate", "five_node", "--assignment", "0,0,1,2,2", "--dt", "0"],
+        ["simulate", "five_node", "--assignment", "0,0,1,2,2",
+         "--dt", "-0.001"],
+    ])
+    def test_fails_cleanly(self, args, tmp_path, capsys):
+        rc = main(args + ["--out", str(tmp_path)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_model_based_default(self, tmp_path, capsys):
         rc = main(["simulate", "five_node", "--assignment", "0,0,1,2,2",
