@@ -251,6 +251,8 @@ def collect(plant, k0, exc, horizon, dt, window, x0=None, guard=1e6):
     k0 = np.zeros((m, n)) if k0 is None else np.asarray(k0, dtype=float)
     if not (dt > 0 and window > 0):
         raise InvalidConfig(f"dt={dt} and window={window} must be positive")
+    if not horizon > 0:
+        raise InvalidConfig(f"horizon={horizon} must be positive")
     steps_per_window = int(round(window / dt))
     if abs(steps_per_window * dt - window) > 1e-9 * max(1.0, window):
         raise InvalidConfig(f"dt={dt} does not divide window={window}")
@@ -350,6 +352,12 @@ class LearnConfig:
     n_sin: int = 10
     guard: float = 1e6
     oversample: float = 1.2
+
+    def __post_init__(self):
+        if not (self.tol_pi > 0 and math.isfinite(self.tol_pi)):
+            raise InvalidConfig(f"tol_pi={self.tol_pi} must be positive and finite")
+        if self.max_iter < 1:
+            raise InvalidConfig(f"max_iter={self.max_iter} must be at least 1")
 
 
 def _auto_horizon(cfg, n, m):

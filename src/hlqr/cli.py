@@ -77,14 +77,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in ("example1", "five_node", "formation"):
             raise InvalidConfig(f"unknown scenario {self.scenario!r}")
-        if self.sigma <= 0:
-            raise InvalidConfig("sigma must be positive")
+        if not self.sigma > 0:
+            raise InvalidConfig(f"sigma={self.sigma} must be positive")
         if self.n_draws < 1:
             raise InvalidConfig("n_draws must be at least 1")
         if self.x0_scheme not in ("uniform_pm1", "normal05", "scenario"):
             raise InvalidConfig(f"unknown x0 scheme {self.x0_scheme!r}")
         if self.objective not in ("cliques", "kappa", "scut", "assignment"):
             raise InvalidConfig(f"unknown objective {self.objective!r}")
+        self.learn_config()  # LearnConfig rejects meaningless learning knobs
 
     @classmethod
     def from_dict(cls, d):
@@ -239,7 +240,7 @@ def make_report_row(cfg, scenario, dec, gain, learn_time=float("nan"),
 def _report_row(cfg, scenario, dec, gain, learn_time, traj):
     """make_report_row's body; also returns the centralized Riccati solution."""
     mas, spec = scenario.mas, scenario.spec
-    report, p_opt, u, a_s = _evaluate(mas, spec, dec, gain, sigma=cfg.sigma)
+    report, p_opt, u, cl = _evaluate(mas, spec, dec, gain, sigma=cfg.sigma)
     _, n_c = comm_links(gain.k_h, spec.n, spec.m)
 
     if cfg.x0_scheme == "scenario":
@@ -250,7 +251,7 @@ def _report_row(cfg, scenario, dec, gain, learn_time, traj):
     else:
         rng = np.random.default_rng(cfg.seed + 1)
         x0s = draw_x0(cfg.x0_scheme, rng, spec.n * mas.n_agents, cfg.n_draws)
-        x_u = solve_lyapunov(a_s, symmetrize(gain.k_h.T @ gain.k_h))
+        x_u = solve_lyapunov(cl, symmetrize(gain.k_h.T @ gain.k_h))
         j_mean = _quad_mean(x0s, u)
         j_u = _quad_mean(x0s, x_u)
         j_opt_mean = _quad_mean(x0s, p_opt)

@@ -15,7 +15,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, UnstableClosedLoop, UnstableMatrix
 from .graphcost import assemble_q, cluster_costs, split_graph
-from .matops import TOL_RESIDUAL, pinv, solve_care, solve_lyapunov, symmetrize
+from .matops import (
+    TOL_RESIDUAL,
+    pinv,
+    schur_factor,
+    solve_care,
+    solve_lyapunov,
+    symmetrize,
+)
 
 __all__ = [
     "HierarchicalGain",
@@ -145,12 +152,17 @@ def hierarchical_gain(mas, spec, dec, tol_residual=TOL_RESIDUAL):
 class GapReport:
     """Optimal-vs-hierarchical cost comparison for one instance.
 
-    j_approx <= j_opt <= j_h always; expected_gap = sigma^2 tr(V) is the mean
-    excess cost over random initial states with covariance sigma^2 I; f1 + f2
-    upper-bound tr(W) with W = (k_h - k_opt)' R (k_h - k_opt) (vacuous=True
-    when B has no nonzero singular value, or Qbar or scriptP is not PD, in
-    which case the bound divides by zero and is skipped).  cond_p is
-    lambda_max/lambda_min of scriptP, +inf when lambda_min <= n eps lambda_max.
+    j_approx <= j_opt <= j_h holds up to the Riccati residual tolerance.
+    When the decomposition leaves no gap (one cluster) the three costs
+    coincide to rounding: P_opt starts from U, which then already meets the
+    tolerance, so j_opt == j_h, and j_approx, from the cluster solve of the
+    same equation, may sit an ulp above them.  expected_gap = sigma^2 tr(V)
+    is the mean excess cost over random initial states with covariance
+    sigma^2 I; f1 + f2 upper-bound tr(W) with W = (k_h - k_opt)' R
+    (k_h - k_opt) (vacuous=True when B has no nonzero singular value, or
+    Qbar or scriptP is not PD, in which case the bound divides by zero and is
+    skipped).  cond_p is lambda_max/lambda_min of scriptP, +inf when
+    lambda_min <= n eps lambda_max.
 
     V = U - P_opt exactly, with U the cost matrix of k_h: B' P_opt = R k_opt
     turns the Riccati equation into a_s' P_opt + P_opt a_s + Q + k_h' R k_h
@@ -192,26 +204,28 @@ def gap_report(mas, spec, dec, gain, x0=None, sigma=1.0,
 
 def _evaluate(mas, spec, dec, gain, x0=None, sigma=1.0,
               tol_residual=TOL_RESIDUAL):
-    """gap_report's body; returns (report, p_opt, u, a_s).
+    """gap_report's body; returns (report, p_opt, u, cl).
 
-    p_opt is the centralized Riccati solution, a_s = A - B k_h the
-    hierarchical closed loop and u its cost matrix, so callers that need
-    further closed-loop costs solve neither equation again.
+    u is the cost matrix of k_h and cl the schur_factor of the hierarchical
+    closed loop a_s = A - B k_h, so callers that need further closed-loop costs
+    solve with one dtrsyl.  u is also the first Newton-Kleinman iterate from
+    the stabilizing gain k_h, so the centralized Riccati solution p_opt
+    starts there.
     """
     a, b = mas.a_full, mas.b_full
     q = assemble_q(spec)
     r = spec.r
 
-    p_opt = solve_care(a, b, q, r, tol_residual=tol_residual)
-    k_opt = np.linalg.solve(r, b.T @ p_opt)
-
     k_h = gain.k_h
-    a_s = a - b @ k_h
     try:
-        u = solve_lyapunov(a_s, symmetrize(q + k_h.T @ r @ k_h))
+        cl = schur_factor(a - b @ k_h)
     except UnstableMatrix as exc:
         raise UnstableClosedLoop(
             "hierarchical closed loop is not Hurwitz") from exc
+    u = solve_lyapunov(cl, symmetrize(q + k_h.T @ r @ k_h))
+    p_opt = solve_care(a, b, q, r, tol_residual=tol_residual, p0=u)
+    k_opt = np.linalg.solve(r, b.T @ p_opt)
+
     dk = k_h - k_opt
     trace_w = float(np.sum(dk * (r @ dk)))
     trace_v = float(np.trace(u - p_opt))
@@ -272,4 +286,4 @@ def _evaluate(mas, spec, dec, gain, x0=None, sigma=1.0,
         trace_v_bound=trace_v_bound,
         vacuous=vacuous,
     )
-    return report, p_opt, u, a_s
+    return report, p_opt, u, cl

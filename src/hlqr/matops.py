@@ -4,9 +4,16 @@ Continuous-time Riccati and Lyapunov solvers and an SVD pseudoinverse with
 an explicit rank cutoff.  Controller synthesis, the suboptimality bounds, and
 the learning-oracle checks are all built on these three operations.
 
+A Lyapunov solve is Bartels-Stewart on one real Schur form (schur_factor),
+which callers keep when several right-hand sides share a closed loop.  The
+Riccati solver is Newton-Kleinman; it starts either from an eigenvalue-shift
+gain or from a given first iterate, the cost matrix of a stabilizing gain.
+
 Conventions: symmetric matrices are plain float64 ndarrays, symmetrized as
 (M + M.T)/2 at every operation boundary.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur, solve_continuous_lyapunov
@@ -18,6 +25,8 @@ __all__ = [
     "symmetrize",
     "is_psd",
     "pinv",
+    "SchurFactor",
+    "schur_factor",
     "solve_lyapunov",
     "solve_care",
     "care_residual",
@@ -64,33 +73,52 @@ def pinv(m, tol=None):
     return (vt.T * s_inv) @ u.T
 
 
-def solve_lyapunov(a_s, w, tol_residual=TOL_RESIDUAL):
-    """Solve a_s' V + V a_s + W = 0 for stable a_s and PSD W.
+@dataclass(frozen=True)
+class SchurFactor:
+    """Real Schur form a_s' = Z T Z' of a Hurwitz matrix a_s."""
 
-    Bartels-Stewart on one real Schur form a_s' = Z T Z': the abscissa is the
-    largest diagonal entry of T (LAPACK's standardized form puts the common
-    real part of a complex pair on both diagonal entries of its 2x2 block),
-    and one dtrsyl solves T Y + Y T' = Z'(-W)Z, in scipy's
-    solve_continuous_lyapunov order, so V is bit-identical to it.
+    a_s: np.ndarray
+    t: np.ndarray
+    z: np.ndarray
 
-    Raises UnstableMatrix when a_s is not Hurwitz, IterationDiverged when the
-    solve fails its residual contract.
+
+def schur_factor(a_s):
+    """Factor a Hurwitz a_s for solve_lyapunov, once for any number of W.
+
+    The abscissa is the largest diagonal entry of T (LAPACK's standardized
+    form puts the common real part of a complex pair on both diagonal
+    entries of its 2x2 block).  Raises UnstableMatrix when a_s is not
+    Hurwitz.
     """
     a_s = np.asarray(a_s, dtype=float)
-    w = symmetrize(w)
-    if a_s.shape != w.shape:
-        raise ValueError(f"shape mismatch: a_s {a_s.shape} vs w {w.shape}")
     t, z = schur(a_s.T, output="real")
     alpha = float(np.diag(t).max())
     if alpha >= 0.0:
         raise UnstableMatrix(f"spectral abscissa {alpha:.3e} >= 0")
-    f = z.T.dot((-w).dot(z))
-    y, scale, info = dtrsyl(t, t, f, tranb="T")
+    return SchurFactor(a_s, t, z)
+
+
+def solve_lyapunov(a_s, w, tol_residual=TOL_RESIDUAL):
+    """Solve a_s' V + V a_s + W = 0 for stable a_s and PSD W.
+
+    a_s is the matrix or its schur_factor.  Bartels-Stewart: one dtrsyl
+    solves T Y + Y T' = Z'(-W)Z, in scipy's solve_continuous_lyapunov order,
+    so V is bit-identical to it.
+
+    Raises UnstableMatrix when a_s is not Hurwitz, IterationDiverged when the
+    solve fails its residual contract.
+    """
+    f = a_s if isinstance(a_s, SchurFactor) else schur_factor(a_s)
+    w = symmetrize(w)
+    if f.a_s.shape != w.shape:
+        raise ValueError(f"shape mismatch: a_s {f.a_s.shape} vs w {w.shape}")
+    z = f.z
+    y, scale, info = dtrsyl(f.t, f.t, z.T.dot((-w).dot(z)), tranb="T")
     if info < 0:
         raise ValueError(f"dtrsyl: illegal value in argument {-info}")
     y *= scale
     v = symmetrize(z.dot(y).dot(z.T))
-    res = np.linalg.norm(a_s.T @ v + v @ a_s + w, "fro")
+    res = np.linalg.norm(f.a_s.T @ v + v @ f.a_s + w, "fro")
     if res > tol_residual * (1.0 + np.linalg.norm(v, "fro")) * 100.0:
         raise IterationDiverged(f"Lyapunov residual {res:.3e} out of contract")
     return v
@@ -98,8 +126,12 @@ def solve_lyapunov(a_s, w, tol_residual=TOL_RESIDUAL):
 
 def care_residual(a, b, q, r, p):
     """Frobenius norm of P A + A' P + Q - P B R^{-1} B' P."""
-    kb = np.linalg.solve(r, b.T @ p)
-    return float(np.linalg.norm(p @ a + a.T @ p + q - (p @ b) @ kb, "fro"))
+    return _residual(a, b, q, p, np.linalg.solve(r, b.T @ p))
+
+
+def _residual(a, b, q, p, k):
+    """care_residual with K = R^{-1} B' P already formed."""
+    return float(np.linalg.norm(p @ a + a.T @ p + q - (p @ b) @ k, "fro"))
 
 
 def _initial_stabilizing_gain(a, b):
@@ -126,13 +158,25 @@ def _initial_stabilizing_gain(a, b):
     return k0
 
 
-def solve_care(a, b, q, r, tol_residual=TOL_RESIDUAL, max_iter=60):
+def _kleinman_step(a, b, q, r, k):
+    """Cost matrix P of the stabilizing gain K: one Newton-Kleinman iterate.
+
+    (A - B K)' P + P (A - B K) + Q + K' R K = 0, by scipy's Bartels-Stewart
+    solver: each iterate has a new closed loop, so no Schur factor is kept.
+    """
+    return symmetrize(solve_continuous_lyapunov((a - b @ k).T, -(q + k.T @ r @ k)))
+
+
+def solve_care(a, b, q, r, tol_residual=TOL_RESIDUAL, max_iter=60, p0=None):
     """Stabilizing solution of A'P + PA + Q - P B R^{-1} B' P = 0.
 
-    Newton-Kleinman iteration: starting from a stabilizing gain, repeatedly
-    solve the closed-loop Lyapunov equation
-    (A - B K)' P + P (A - B K) + Q + K' R K = 0 and update K = R^{-1} B' P.
-    Quadratically convergent with monotonically decreasing iterates.
+    Newton-Kleinman iteration (Kleinman 1968): check the iterate P's
+    residual, set K = R^{-1} B' P, and take the cost matrix of K as the next
+    iterate.  Quadratically convergent with monotonically decreasing iterates.
+    The first iterate is p0 when given, which must be the cost matrix of a
+    stabilizing gain K0 (so (A - B K0)' p0 + p0 (A - B K0) + Q + K0' R K0
+    = 0), and otherwise that of the eigenvalue-shift gain.  max_iter bounds
+    the iterates checked.
 
     Raises NonStabilizable when no stabilizing initial gain exists and
     IterationDiverged when the residual fails to contract within max_iter.
@@ -146,20 +190,24 @@ def solve_care(a, b, q, r, tol_residual=TOL_RESIDUAL, max_iter=60):
         raise ValueError(
             f"inconsistent shapes: a {a.shape}, b {b.shape}, q {q.shape}, r {r.shape}"
         )
+    if p0 is None:
+        p = _kleinman_step(a, b, q, r, _initial_stabilizing_gain(a, b))
+    else:
+        p = symmetrize(p0)
+        if p.shape != (n, n):
+            raise ValueError(f"inconsistent shapes: p0 {p.shape}, a {a.shape}")
 
-    k = _initial_stabilizing_gain(a, b)
     best_res = np.inf
     for _ in range(max_iter):
-        a_k = a - b @ k
-        p = symmetrize(solve_continuous_lyapunov(a_k.T, -(q + k.T @ r @ k)))
         k = np.linalg.solve(r, b.T @ p)
-        res = care_residual(a, b, q, r, p)
+        res = _residual(a, b, q, p, k)
         if res <= tol_residual * (1.0 + np.linalg.norm(p, "fro")):
             return p
         if res < best_res:
             best_res = res
         elif res > 100.0 * best_res:
             raise IterationDiverged(f"Riccati residual diverging: {res:.3e}")
+        p = _kleinman_step(a, b, q, r, k)
     raise IterationDiverged(
         f"Riccati residual {best_res:.3e} above tolerance after {max_iter} iterations"
     )

@@ -20,9 +20,10 @@ from .errors import (
     InvalidConfig,
     StateBlowup,
     UnstableClosedLoop,
+    UnstableMatrix,
 )
 from .graphcost import CostGraph, CostSpec, Decomposition, assemble_q
-from .matops import abscissa, solve_care, solve_lyapunov, symmetrize
+from .matops import abscissa, schur_factor, solve_care, solve_lyapunov, symmetrize
 
 __all__ = [
     "MasSystem",
@@ -234,6 +235,8 @@ def integrate(sys, controller, x0, t_final, dt, cost=None, stop_rtol=0.0,
     x0 = np.asarray(x0, dtype=float)
     if not dt > 0:
         raise InvalidConfig(f"dt={dt} must be positive")
+    if not t_final > 0:
+        raise InvalidConfig(f"t_final={t_final} must be positive")
     n_steps = int(round(t_final / dt))
     if n_steps < 1:
         raise InvalidConfig(f"t_final={t_final} shorter than one step dt={dt}")
@@ -345,13 +348,14 @@ def evaluate_cost(sys, spec, k, x0):
     """
     a, b = sys.a_full, sys.b_full
     k = np.asarray(k, dtype=float)
-    a_cl = a - b @ k
-    if abscissa(a_cl) >= 0.0:
-        raise UnstableClosedLoop("A - BK is not Hurwitz")
+    try:
+        cl = schur_factor(a - b @ k)
+    except UnstableMatrix as exc:
+        raise UnstableClosedLoop("A - BK is not Hurwitz") from exc
     q = assemble_q(spec)
     r = spec.r
-    x = solve_lyapunov(a_cl, symmetrize(q + k.T @ r @ k))
-    x_u = solve_lyapunov(a_cl, symmetrize(k.T @ k))
+    x = solve_lyapunov(cl, symmetrize(q + k.T @ r @ k))
+    x_u = solve_lyapunov(cl, symmetrize(k.T @ k))
     x0 = np.asarray(x0, dtype=float)
     return float(x0 @ x @ x0), float(x0 @ x_u @ x0)
 

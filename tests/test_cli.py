@@ -35,8 +35,11 @@ class TestExperimentConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(InvalidConfig):
             ExperimentConfig(scenario="nope")
-        with pytest.raises(InvalidConfig):
-            ExperimentConfig(sigma=0.0)
+        for bad in ({"sigma": 0.0}, {"sigma": float("nan")},
+                    {"tol_pi": -1.0}, {"tol_pi": float("nan")},
+                    {"tol_pi": float("inf")}, {"max_iter": 0}):
+            with pytest.raises(InvalidConfig):
+                ExperimentConfig(**bad)
         with pytest.raises(InvalidConfig):
             ExperimentConfig(n_draws=0)
         with pytest.raises(InvalidConfig):
@@ -187,6 +190,45 @@ class TestReportRow:
         assert rc == 0
         assert sizes.count(20) == 1
 
+    def test_reference_care_starts_from_k_h(self, tmp_path, monkeypatch):
+        # the centralized CARE continues from U, the cost matrix of k_h:
+        # no eigenvalue-shift start, and U itself is no Bartels-Stewart call
+        lyap = matops.solve_continuous_lyapunov
+        shift = matops._initial_stabilizing_gain
+        lyap_sizes, shift_sizes = [], []
+
+        def counting_lyap(a, q):
+            lyap_sizes.append(a.shape[0])
+            return lyap(a, q)
+
+        def counting_shift(a, b):
+            shift_sizes.append(a.shape[0])
+            return shift(a, b)
+
+        monkeypatch.setattr(matops, "solve_continuous_lyapunov", counting_lyap)
+        monkeypatch.setattr(matops, "_initial_stabilizing_gain", counting_shift)
+        rc = main(["solve", "example1", "--clusters", "cliques", "--s", "5",
+                   "--c", "5", "--out", str(tmp_path)])
+        assert rc == 0
+        assert 100 not in shift_sizes
+        assert 1 <= lyap_sizes.count(100) <= 5
+
+    def test_x_u_from_shared_factor(self):
+        cfg = ExperimentConfig(scenario="example1", s=3, c=3,
+                               objective="cliques", seed=3, n_draws=50)
+        scenario = cli.build_scenario(cfg)
+        mas, spec = scenario.mas, scenario.spec
+        dec, _ = cli.choose_decomposition(cfg, scenario)
+        gain = hierctrl.hierarchical_gain(mas, spec, dec)
+        _, _, _, cl = hierctrl._evaluate(mas, spec, dec, gain)
+        w = matops.symmetrize(gain.k_h.T @ gain.k_h)
+        x_u = matops.solve_lyapunov(mas.a_full - mas.b_full @ gain.k_h, w)
+        assert np.array_equal(matops.solve_lyapunov(cl, w), x_u)
+        row, _ = cli.make_report_row(cfg, scenario, dec, gain)
+        x0s = cli.draw_x0(cfg.x0_scheme, np.random.default_rng(cfg.seed + 1),
+                          mas.a_full.shape[0], cfg.n_draws)
+        assert row.j_u == cli._quad_mean(x0s, x_u)
+
 
 class TestRun:
     def test_clique_cluster_row(self, tmp_path, capsys):
@@ -267,8 +309,30 @@ class TestNonPositiveStep:
         ["simulate", "five_node", "--assignment", "0,0,1,2,2", "--dt", "0"],
         ["simulate", "five_node", "--assignment", "0,0,1,2,2",
          "--dt", "-0.001"],
+        ["simulate", "five_node", "--assignment", "0,0,1,2,2",
+         "--t-final", "nan"],
+        ["learn", "example1", "--s", "1", "--c", "2", "--horizon", "nan"],
     ])
     def test_fails_cleanly(self, args, tmp_path, capsys):
+        rc = main(args + ["--out", str(tmp_path)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+
+class TestMeaninglessSettings:
+    @pytest.mark.parametrize("args", [
+        ["learn", "example1", "--s", "1", "--c", "2", "--tol-pi", "-1"],
+        ["learn", "example1", "--s", "1", "--c", "2", "--tol-pi", "0"],
+        ["learn", "example1", "--s", "1", "--c", "2", "--tol-pi", "nan"],
+        ["learn", "example1", "--s", "1", "--c", "2", "--tol-pi", "inf"],
+        ["learn", "example1", "--s", "1", "--c", "2", "--max-iter", "0"],
+        ["solve", "five_node", "--assignment", "0,0,1,2,2", "--sigma", "nan"],
+        ["run", "five_node", "--assignment", "0,0,1,2,2", "--sigma", "-1"],
+    ])
+    def test_rejected_before_any_data(self, args, tmp_path, capsys,
+                                      monkeypatch):
+        monkeypatch.setattr(adp, "collect", None)
+        monkeypatch.setattr(cli, "hierarchical_gain", None)
         rc = main(args + ["--out", str(tmp_path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err

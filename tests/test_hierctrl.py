@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hlqr import fileio, graphcost, hierctrl, matops, sim
+from hlqr import cli, fileio, graphcost, hierctrl, matops, sim
 from hlqr.errors import DimensionMismatch, UnstableClosedLoop
 from hlqr.graphcost import CostGraph, CostSpec, Decomposition
 from hlqr.hierctrl import (
@@ -296,23 +296,50 @@ class TestGapReport:
         with pytest.raises(UnstableClosedLoop):
             gap_report(mas, spec, dec, doctored)
 
+    def test_unstable_gain_rejected_before_newton(self, monkeypatch):
+        mas, spec, _, _ = sim.formation_scenario()
+        dec = Decomposition.from_assignment([0] * 6 + [1] * 3 + [2] * 3)
+        gain = dataclasses.replace(
+            hierarchical_gain(mas, spec, dec),
+            k_h=np.zeros((mas.b_full.shape[1], mas.a_full.shape[0])))
+        monkeypatch.setattr(hierctrl, "solve_care", None)
+        monkeypatch.setattr(matops, "solve_continuous_lyapunov", None)
+        with pytest.raises(UnstableClosedLoop):
+            gap_report(mas, spec, dec, gain)
+
+    @pytest.mark.parametrize("scenario, assignment", [
+        ("example1", "0,0,0,0,0,0,0,0,0"),
+        ("five_node", "0,0,0,0,0"),
+    ])
+    def test_one_cluster_costs_coincide(self, scenario, assignment, tmp_path):
+        # no gap: j_approx <= j_opt <= j_h holds up to the Riccati
+        # tolerance, and the three costs agree to rounding
+        argv = ["solve", scenario, "--assignment", assignment,
+                "--out", str(tmp_path)]
+        if scenario == "example1":
+            argv += ["--s", "3", "--c", "3"]
+        assert cli.main(argv) == 0
+        gap = fileio.load_json(tmp_path / "gap_report.json")
+        costs = [gap["j_approx"], gap["j_opt"], gap["j_h"]]
+        assert max(costs) - min(costs) <= 1e-12 * gap["j_opt"]
+
 
 def direct_v_check(mas, spec, dec):
     """(trace_v, tr V, bound) with V from a_s' V + V a_s + W = 0 itself.
 
     trace_v = tr(U - P_opt) and tr V differ by tr E, where
-    a_s' E + E a_s = -Res and Res is P_opt's Riccati residual, so
-    |tr E| <= ||Res||_F ||Y||_F with a_s Y + Y a_s' + I = 0; bound is that
-    plus 1e-12 j_h for rounding.  Also checks trace_v against delta_j.
+    a_s' E + E a_s = -Res and Res is the Riccati residual of the report's
+    P_opt, so |tr E| <= ||Res||_F ||Y||_F with a_s Y + Y a_s' + I = 0; bound
+    is that plus 1e-12 j_h for rounding.  Also checks trace_v against
+    delta_j.
     """
     a, b, r = mas.a_full, mas.b_full, spec.r
     q = graphcost.assemble_q(spec)
     gain = hierarchical_gain(mas, spec, dec)
-    report = gap_report(mas, spec, dec, gain)
+    report, p_opt, _, _ = hierctrl._evaluate(mas, spec, dec, gain)
     assert abs(report.trace_v - report.delta_j) <= 1e-12 * report.j_h
     assert report.expected_gap == report.trace_v
 
-    p_opt = matops.solve_care(a, b, q, r)
     dk = gain.k_h - np.linalg.solve(r, b.T @ p_opt)
     a_s = a - b @ gain.k_h
     v = matops.solve_lyapunov(a_s, matops.symmetrize(dk.T @ r @ dk))
@@ -365,6 +392,31 @@ class TestGapIdentity:
         assume(graphcost.check_assumptions(mas, spec, dec).ok)
         got, want, bound = direct_v_check(mas, spec, dec)
         assert abs(got - want) <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_warm_started_reference(self, seed):
+        # P_opt starts from U, the cost matrix of k_h.  A Newton iterate P
+        # lies above the solution P*, and tr(P - P*) <= ||Res(P)||_F ||Y||_F
+        # with a_opt Y + Y a_opt' + I = 0, so warm and cold starts agree in
+        # trace to the sum of their residual bounds
+        mas, spec, dec = random_instance(seed)
+        assume(graphcost.check_assumptions(mas, spec, dec).ok)
+        a, b, r = mas.a_full, mas.b_full, spec.r
+        q = graphcost.assemble_q(spec)
+        gain = hierarchical_gain(mas, spec, dec)
+        report, p_warm, u, _ = hierctrl._evaluate(mas, spec, dec, gain)
+        p_cold = matops.solve_care(a, b, q, r)
+        k_opt = np.linalg.solve(r, b.T @ p_cold)
+        y = matops.solve_lyapunov((a - b @ k_opt).T, np.eye(a.shape[0]))
+        res = (matops.care_residual(a, b, q, r, p_warm)
+               + matops.care_residual(a, b, q, r, p_cold))
+        assert abs(np.trace(p_warm) - np.trace(p_cold)) <= (
+            res * np.linalg.norm(y) + 1e-12 * np.trace(p_cold))
+        assert matops.is_psd(u - p_warm)
+        slack = 1e-9
+        assert report.j_approx <= report.j_opt + slack * abs(report.j_opt)
+        assert report.j_opt <= report.j_h + slack * abs(report.j_h)
 
     @pytest.mark.parametrize("seed", [28, 122, 178, 179, 315])
     def test_poorly_controllable_instances(self, seed):

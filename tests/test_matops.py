@@ -95,6 +95,41 @@ class TestSolveCare:
         with pytest.raises(ValueError):
             matops.solve_care(np.eye(3), np.ones((2, 1)), np.eye(3), np.eye(1))
 
+    def test_warm_start_from_stabilizing_cost(self, monkeypatch):
+        # p0 = cost matrix of a stabilizing K0 is Newton-Kleinman's first
+        # iterate from K0: no eigenvalue-shift start, and the same solution
+        # to within the residual tolerance
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            n, m = 6, 2
+            a, b = random_controllable(rng, n, m)
+            q, r = np.eye(n), np.eye(m)
+            p_cold = matops.solve_care(a, b, q, r)
+            k0 = np.linalg.solve(r, b.T @ p_cold) + 0.3 * rng.standard_normal((m, n))
+            assert matops.abscissa(a - b @ k0) < 0.0
+            p0 = matops.solve_lyapunov(a - b @ k0, q + k0.T @ r @ k0)
+            with monkeypatch.context() as mp:
+                mp.setattr(matops, "_initial_stabilizing_gain", None)
+                p_warm = matops.solve_care(a, b, q, r, p0=p0)
+            assert matops.care_residual(a, b, q, r, p_warm) <= (
+                1e-9 * (1.0 + np.linalg.norm(p_warm, "fro")))
+            assert np.linalg.norm(p_warm - p_cold, "fro") <= 1e-7 * (
+                1.0 + np.linalg.norm(p_cold, "fro"))
+            assert matops.is_psd(p0 - p_warm)
+
+    def test_warm_start_at_solution_makes_no_solve(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        a, b = random_controllable(rng, 5, 2)
+        q, r = np.eye(5), np.eye(2)
+        p = matops.solve_care(a, b, q, r)
+        monkeypatch.setattr(matops, "solve_continuous_lyapunov", None)
+        assert np.array_equal(matops.solve_care(a, b, q, r, p0=p), p)
+
+    def test_warm_start_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            matops.solve_care(-np.eye(3), np.ones((3, 1)), np.eye(3),
+                              np.eye(1), p0=np.eye(2))
+
 
 class TestSolveLyapunov:
     def test_scalar(self):
@@ -141,6 +176,29 @@ class TestSolveLyapunov:
                 assert np.array_equal(matops.solve_lyapunov(a_s, w), want)
         # the random draws above have complex pairs; check one explicitly
         assert np.iscomplex(np.linalg.eigvals(a_s)).any()
+
+    def test_shared_factor_bit_identical(self):
+        # one schur_factor serves every right-hand side, and each solve is
+        # the same bits as factoring a_s afresh and as scipy's solver
+        rng = np.random.default_rng(61)
+        for n in (1, 3, 8, 21):
+            a_s = rng.standard_normal((n, n))
+            a_s -= (matops.abscissa(a_s) + 0.5) * np.eye(n)
+            f = matops.schur_factor(a_s)
+            for _ in range(3):
+                w_half = rng.standard_normal((n, n))
+                w = w_half @ w_half.T
+                got = matops.solve_lyapunov(f, w)
+                assert np.array_equal(got, matops.solve_lyapunov(a_s, w))
+                assert np.array_equal(got, matops.symmetrize(
+                    scipy.linalg.solve_continuous_lyapunov(a_s.T, -w)))
+
+    def test_factor_rejects_unstable_and_wrong_shape(self):
+        with pytest.raises(UnstableMatrix):
+            matops.schur_factor(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        f = matops.schur_factor(-np.eye(3))
+        with pytest.raises(ValueError):
+            matops.solve_lyapunov(f, np.eye(2))
 
     def test_trace_matches_quadrature(self):
         # tr(V) = integral of tr(exp(As' t) W exp(As t)) dt on [0, inf)
