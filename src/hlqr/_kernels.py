@@ -25,12 +25,11 @@ the outputs.
 Exogenous signals (excitation, disturbance) are tabulated on the half-step
 grid (2*n_steps + 1 samples) so RK4 stage evaluations see exact signal values.
 
-The state guard and the early stop are checked per chunk and the outputs are
-cut at the first offending step, so status, last step and the zero tail of
-every output array are those of a per-step loop.
+The state guard is checked per chunk and the outputs are cut at the first
+offending step, so status, last step and the zero tail of every output array
+are those of a per-step loop.
 
-Status codes: 0 = ran to completion, 1 = state guard exceeded (blowup),
-2 = stopped early because the running cost converged.
+Status codes: 0 = ran to completion, 1 = state guard exceeded (blowup).
 """
 
 import numpy as np
@@ -39,7 +38,6 @@ __all__ = [
     "USING_NUMBA",
     "OK",
     "BLOWUP",
-    "EARLY_STOP",
     "rollout_kernel",
     "collect_kernel",
 ]
@@ -49,7 +47,6 @@ USING_NUMBA = False
 
 OK = 0
 BLOWUP = 1
-EARLY_STOP = 2
 
 #: Steps per chunk.  The collect kernel rounds it to whole windows (at least
 #: one window per chunk).  256 keeps the temporaries near 1 MB at 48 states.
@@ -150,8 +147,7 @@ def _stages(s_map, x_rows, wz):
     return (z @ s_map.T).reshape(-1, x_rows.shape[1])
 
 
-def rollout_kernel(a, b, k, exo_cmd, exo_dist, x0, dt, n_steps, q, r,
-                   guard, stop_rtol, check_every):
+def rollout_kernel(a, b, k, exo_cmd, exo_dist, x0, dt, n_steps, q, r, guard):
     """Closed-loop RK4 rollout of xdot = A x + B(u + d), u = -K x + e.
 
     exo_cmd/exo_dist are (2*n_steps+1, m) half-grid tables for e and d.
@@ -194,18 +190,7 @@ def rollout_kernel(a, b, k, exo_cmd, exo_dist, x0, dt, n_steps, q, r,
                 run[1:] = stage_vals.reshape(keep, 4) @ weights
                 np.cumsum(run, out=run)
             us[s0 + 1:s0 + keep + 1] = e[2:2 * keep + 1:2] - xs[s0 + 1:s0 + keep + 1] @ k.T
-
-            if stop_rtol > 0.0:
-                # candidate ends j = step + 1; a blowup at the same step wins
-                hi = s0 + keep - (status == BLOWUP)
-                first = max(2 * check_every, -(-(s0 + 1) // check_every) * check_every)
-                js = np.arange(first, hi + 1, check_every)
-                tail = cost[js] - cost[js - check_every]
-                hit = np.flatnonzero(tail < stop_rtol * np.maximum(cost[js], 1e-300))
-                if hit.size:
-                    status = EARLY_STOP
-                    last = int(js[hit[0]])
-            if status != OK:
+            if status == BLOWUP:
                 for arr in (xs, us, cost, ju):
                     arr[last + 1:] = 0.0
                 break
@@ -217,9 +202,10 @@ def collect_kernel(a, b, k0, exo_cmd, exo_dist, x0, dt, steps_per_window,
                    n_windows, guard):
     """Learning-data rollout under u = -K0 x + e with applied input v = u + d.
 
-    Accumulates per-window RK4 quadratures of x x' and x v', records window
-    boundary states and the raw per-step (x, v) samples.  Returns
-    (boundaries, i_xx, i_xv, raw_x, raw_v, status, windows_done).
+    Accumulates per-window RK4 quadratures of x x' and x v' and records window
+    boundary states.  Returns (boundaries, i_xx, i_xv, raw_x, raw_v, status,
+    windows_done); raw_x is the per-step state record the recurrence runs
+    in, raw_v the applied input at each step.  adp.collect uses neither.
     """
     n = a.shape[0]
     m = b.shape[1]

@@ -39,10 +39,18 @@ __all__ = [
     "policy_iteration",
     "learn_cluster",
     "learn_hierarchical",
-    "estimate_b",
 ]
 
 COND_GUARD = 1e8
+
+#: Sinusoids per excitation channel, and the range their frequencies are
+#: drawn from (rad/s).
+N_SIN = 10
+FREQ_RANGE = (0.5, 20.0)
+
+#: Collected windows per unknown of a cluster's least-squares problem, before
+#: the margin of 10 windows (see _auto_horizon).
+OVERSAMPLE = 1.2
 
 #: Samples per block of Excitation.table.  Each block is anchored at a time
 #: read exactly from the grid, so the angle-addition offsets never exceed
@@ -73,9 +81,9 @@ class Excitation:
     phases: np.ndarray
 
     @classmethod
-    def make(cls, seed, m, n_sin=10, amplitude=0.5, freq_range=(0.5, 20.0)):
+    def make(cls, seed, m, n_sin=N_SIN, amplitude=0.5):
         rng = np.random.default_rng(seed)
-        freqs = rng.uniform(freq_range[0], freq_range[1], size=(m, n_sin))
+        freqs = rng.uniform(FREQ_RANGE[0], FREQ_RANGE[1], size=(m, n_sin))
         phases = rng.uniform(0.0, 2.0 * math.pi, size=(m, n_sin))
         amps = np.full((m, n_sin), amplitude / n_sin)
         return cls(seed=int(seed), amplitudes=amps, frequencies=freqs,
@@ -170,17 +178,13 @@ class Dataset:
     """Window integrals recorded during the data collection phase.
 
     delta_xx[w] = phi(x(t_{w+1})) - phi(x(t_w)); i_xx[w] = int x x' dtau and
-    i_xu[w] = int x v' dtau over window w with v the applied input.  The raw
-    per-step samples are retained for diagnostic model fitting.  Whether the
-    data identify the unknowns is judged by policy_iteration's first pass.
+    i_xu[w] = int x v' dtau over window w with v the applied input.  Whether
+    the data identify the unknowns is judged by policy_iteration's first pass.
     """
 
     delta_xx: np.ndarray
     i_xx: np.ndarray
     i_xu: np.ndarray
-    raw_x: np.ndarray
-    raw_v: np.ndarray
-    dt: float
 
     @property
     def M(self):
@@ -239,13 +243,15 @@ def _equilibrated_lstsq(a_mat, rhs):
     return theta / scale, rcond
 
 
-def collect(plant, k0, exc, horizon, dt, window, x0=None, guard=1e6):
+def collect(plant, k0, exc, horizon, dt, window, x0=None):
     """Run the behavior policy u = -k0 x + e(t) and record window integrals.
 
     horizon and window are in seconds; dt and window must be positive and
     dt must divide window.  When a measurable disturbance is attached to
     the plant, the recorded applied input is u + d.  x0 defaults to a
-    standard normal draw from the excitation seed.
+    standard normal draw from the excitation seed.  Only the window
+    integrals and boundary states are kept, not the per-step samples.
+    Raises StateBlowup when a state entry exceeds sim.DEFAULT_GUARD.
     """
     n, m = plant.n_states, plant.n_inputs
     k0 = np.zeros((m, n)) if k0 is None else np.asarray(k0, dtype=float)
@@ -264,8 +270,8 @@ def collect(plant, k0, exc, horizon, dt, window, x0=None, guard=1e6):
 
     n_steps = steps_per_window * n_windows
     exo_cmd = tabulate_signal(exc, dt, n_steps, m)
-    xb, i_xx, i_xv, raw_x, raw_v, status, done = plant.collect(
-        k0, exo_cmd, x0, dt, steps_per_window, n_windows, guard=guard,
+    xb, i_xx, i_xv, _, _, status, done = plant.collect(
+        k0, exo_cmd, x0, dt, steps_per_window, n_windows,
     )
     if status == _kernels.BLOWUP:
         raise StateBlowup(
@@ -274,14 +280,7 @@ def collect(plant, k0, exc, horizon, dt, window, x0=None, guard=1e6):
         )
 
     phis = phi(xb)
-    return Dataset(
-        delta_xx=phis[1:] - phis[:-1],
-        i_xx=i_xx,
-        i_xu=i_xv,
-        raw_x=raw_x,
-        raw_v=raw_v,
-        dt=float(dt),
-    )
+    return Dataset(delta_xx=phis[1:] - phis[:-1], i_xx=i_xx, i_xu=i_xv)
 
 
 @dataclass(frozen=True)
@@ -349,9 +348,6 @@ class LearnConfig:
     tol_pi: float = 1e-8
     max_iter: int = 30
     amplitude: float = 0.5
-    n_sin: int = 10
-    guard: float = 1e6
-    oversample: float = 1.2
 
     def __post_init__(self):
         if not (self.tol_pi > 0 and math.isfinite(self.tol_pi)):
@@ -363,7 +359,7 @@ class LearnConfig:
 def _auto_horizon(cfg, n, m):
     """Windows needed: a 20% oversample of the unknown count plus margin."""
     n_unknowns = n * (n + 1) // 2 + m * n
-    windows = math.ceil(cfg.oversample * n_unknowns) + 10
+    windows = math.ceil(OVERSAMPLE * n_unknowns) + 10
     return windows * cfg.window
 
 
@@ -376,12 +372,10 @@ def learn_cluster(plant, qhat, rhat, cfg, k0=None, tag=0):
     t0 = time.perf_counter()
     n, m = plant.n_states, plant.n_inputs
     horizon = cfg.horizon if cfg.horizon is not None else _auto_horizon(cfg, n, m)
-    exc = Excitation.make(cfg.seed + 7919 * tag, m, n_sin=cfg.n_sin,
-                          amplitude=cfg.amplitude)
+    exc = Excitation.make(cfg.seed + 7919 * tag, m, amplitude=cfg.amplitude)
     k0_arr = np.zeros((m, n)) if k0 is None else np.asarray(k0, dtype=float)
     for attempt in range(4):
-        data = collect(plant, k0, exc, horizon, cfg.dt, cfg.window,
-                       guard=cfg.guard)
+        data = collect(plant, k0, exc, horizon, cfg.dt, cfg.window)
         try:
             result = policy_iteration(data, qhat, rhat, k0_arr,
                                       tol_pi=cfg.tol_pi, max_iter=cfg.max_iter)
@@ -432,26 +426,3 @@ def learn_hierarchical(plants, spec, dec, cfg=None, k0_list=None):
     gain = assemble_gain(p_blocks, pb_blocks, r_tilde, spec, dec)
     return gain, results
 
-
-def estimate_b(data, dt=None):
-    """Diagnostic least-squares fit of (A, B) from raw samples.
-
-    Central differences approximate xdot at interior samples; the regressor
-    [x; v] then yields [A B] row-wise.  Returns (a_hat, b_hat).  Raises
-    RankDeficient when the samples do not excite all input directions.  The
-    learning pipeline itself never calls this: B'P comes from Rhat k_hat.
-    """
-    raw_x, raw_v = data.raw_x, data.raw_v
-    dt = float(data.dt if dt is None else dt)
-    if raw_x.shape[0] < 3:
-        raise RankDeficient("need at least 3 samples for central differences")
-    xdot = (raw_x[2:] - raw_x[:-2]) / (2.0 * dt)
-    reg = np.hstack([raw_x[1:-1], raw_v[1:-1]])
-    sv = np.linalg.svd(reg, compute_uv=False)
-    if reg.shape[0] < reg.shape[1] or sv[-1] <= 1e-10 * sv[0]:
-        raise RankDeficient("trajectory does not excite all state/input directions")
-    theta, _, _, _ = np.linalg.lstsq(reg, xdot, rcond=None)
-    n = raw_x.shape[1]
-    a_hat = theta[:n].T
-    b_hat = theta[n:].T
-    return a_hat, b_hat

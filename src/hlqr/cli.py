@@ -157,6 +157,8 @@ def build_scenario(cfg):
 
 
 def _sizes_to_assignment(sizes, n_agents):
+    if any(size < 1 for size in sizes):
+        raise InvalidConfig(f"cluster sizes {sizes} must all be at least 1")
     if sum(sizes) != n_agents:
         raise InvalidConfig(f"cluster sizes {sizes} do not sum to {n_agents}")
     assignment = []
@@ -172,6 +174,9 @@ def choose_decomposition(cfg, scenario):
     spec = scenario.spec
     n_agents = spec.graph.n_agents
     if cfg.assignment is not None:
+        if len(cfg.assignment) != n_agents:
+            raise InvalidConfig(f"assignment of {len(cfg.assignment)} agents "
+                                f"for a scenario of {n_agents}")
         return Decomposition.from_assignment(cfg.assignment), None
     if cfg.dec_sizes is not None:
         return (
@@ -285,7 +290,7 @@ def run_experiment(cfg):
     results = None
     if cfg.learn:
         plants = cluster_plants(mas, dec)
-        k0_list = initial_gains(mas, spec, dec)
+        k0_list = initial_gains(mas, dec)
         t0 = time.perf_counter()
         gain, results = learn_hierarchical(
             plants, spec, dec, cfg.learn_config(), k0_list=k0_list,
@@ -454,7 +459,7 @@ def _bench_formation(out_dir, seed):
         learn_time = float("nan")
         try:
             plants = cluster_plants(mas, dec)
-            k0_list = initial_gains(mas, spec, dec)
+            k0_list = initial_gains(mas, dec)
             t0 = time.perf_counter()
             gain, _ = learn_hierarchical(plants, spec, dec,
                                          cfg.learn_config(), k0_list=k0_list)
@@ -566,7 +571,11 @@ def build_parser():
     p.add_argument("--sigma", type=float)
     p.add_argument("--n-draws", type=int, dest="n_draws")
     p.add_argument("--x0-scheme", dest="x0_scheme",
-                   choices=["uniform_pm1", "normal05", "scenario"])
+                   choices=["uniform_pm1", "normal05", "scenario"],
+                   help="initial states of the cost means: uniform_pm1 draws "
+                        "each coordinate from {-1, 0, 1}, normal05 from a "
+                        "normal with variance 0.5; scenario runs one "
+                        "trajectory from the formation's own initial state")
     p.add_argument("--t-final", type=float, dest="t_final")
 
     p = sub.add_parser("bench", help="regenerate comparison tables")
@@ -600,14 +609,20 @@ def _config_from_args(args):
     if getattr(args, "clusters", None):
         updates["objective"] = "cliques"
     if getattr(args, "assignment", None):
-        updates["assignment"] = tuple(
-            int(v) for v in args.assignment.split(",")
-        )
+        updates["assignment"] = _int_list("--assignment", args.assignment)
         updates["objective"] = "assignment"
     if getattr(args, "dec", None):
-        updates["dec_sizes"] = tuple(int(v) for v in args.dec.split(","))
+        updates["dec_sizes"] = _int_list("--dec", args.dec)
         updates["objective"] = "assignment"
     return replace(cfg, **updates)
+
+
+def _int_list(flag, text):
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise InvalidConfig(f"{flag} {text!r} is not a comma-separated list "
+                            f"of integers") from None
 
 
 def cmd_decompose(args):
@@ -734,7 +749,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except HlqrError as exc:
+    except (HlqrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

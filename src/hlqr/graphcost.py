@@ -43,13 +43,11 @@ class CostGraph:
     """Laplacian coupling graph on n_agents nodes.
 
     laplacian has nonpositive off-diagonal entries and diagonal equal to the
-    row sums of the off-diagonal magnitudes; node_weights is an optional
-    diagonal payload (e.g. leader weights) carried alongside.
+    row sums of the off-diagonal magnitudes.
     """
 
     n_agents: int
     laplacian: np.ndarray
-    node_weights: np.ndarray | None = None
 
     def __post_init__(self):
         g = np.asarray(self.laplacian, dtype=float)
@@ -69,7 +67,7 @@ class CostGraph:
         object.__setattr__(self, "laplacian", symmetrize(g))
 
     @classmethod
-    def from_edges(cls, n_agents, edges, node_weights=None):
+    def from_edges(cls, n_agents, edges):
         """Build from undirected edges (i, j) or (i, j, weight), 0-based ids."""
         g = np.zeros((n_agents, n_agents))
         for edge in edges:
@@ -82,7 +80,7 @@ class CostGraph:
             g[i, j] -= w
             g[j, i] -= w
         np.fill_diagonal(g, np.abs(g - np.diag(np.diag(g))).sum(axis=1))
-        return cls(n_agents, g, node_weights)
+        return cls(n_agents, g)
 
     def adjacency(self):
         """Boolean matrix: True where agents are coupled (off-diagonal)."""
@@ -312,13 +310,12 @@ def kappa(graph, dec):
     return total
 
 
-def comm_links(k, n, m, tol=None):
+def comm_links(k, n, m):
     """Communication edges implied by a gain matrix.
 
     The gain is partitioned into m x n agent blocks; the unordered pair
-    (i, j) is a link when either cross block has a max-abs entry above tol
-    (default 1e-8 times the gain's own max-abs entry).  Returns
-    (sorted edge list, n_c).
+    (i, j) is a link when either cross block has a max-abs entry above 1e-8
+    times the gain's own max-abs entry.  Returns (sorted edge list, n_c).
     """
     k = np.asarray(k, dtype=float)
     if k.shape[0] % m or k.shape[1] % n:
@@ -326,8 +323,7 @@ def comm_links(k, n, m, tol=None):
     n_in, n_st = k.shape[0] // m, k.shape[1] // n
     if n_in != n_st:
         raise DimensionMismatch(f"{n_in} input blocks vs {n_st} state blocks")
-    if tol is None:
-        tol = 1e-8 * np.abs(k).max()
+    tol = 1e-8 * np.abs(k).max()
     edges = []
     for i in range(n_in):
         for j in range(i + 1, n_in):

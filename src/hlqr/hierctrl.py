@@ -15,14 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, UnstableClosedLoop, UnstableMatrix
 from .graphcost import assemble_q, cluster_costs, split_graph
-from .matops import (
-    TOL_RESIDUAL,
-    pinv,
-    schur_factor,
-    solve_care,
-    solve_lyapunov,
-    symmetrize,
-)
+from .matops import pinv, schur_factor, solve_care, solve_lyapunov, symmetrize
 
 __all__ = [
     "HierarchicalGain",
@@ -72,7 +65,7 @@ class HierarchicalGain:
         return p
 
 
-def solve_clusters(mas, spec, dec, tol_residual=TOL_RESIDUAL):
+def solve_clusters(mas, spec, dec):
     """Per-cluster Riccati solutions.
 
     Returns (p_blocks, pb_blocks) where p_blocks[j] solves the cluster
@@ -84,7 +77,7 @@ def solve_clusters(mas, spec, dec, tol_residual=TOL_RESIDUAL):
     for j in range(dec.s):
         a_j, b_j = mas.cluster(dec, j)
         qhat_j, rhat_j = costs[j]
-        p_j = solve_care(a_j, b_j, qhat_j, rhat_j, tol_residual=tol_residual)
+        p_j = solve_care(a_j, b_j, qhat_j, rhat_j)
         p_blocks.append(p_j)
         pb_blocks.append(p_j @ b_j)
     return p_blocks, pb_blocks
@@ -139,9 +132,9 @@ def assemble_gain(p_blocks, pb_blocks, r_tilde, spec, dec):
     )
 
 
-def hierarchical_gain(mas, spec, dec, tol_residual=TOL_RESIDUAL):
+def hierarchical_gain(mas, spec, dec):
     """One-call synthesis: cluster solves, coupling weight, assembly."""
-    p_blocks, pb_blocks = solve_clusters(mas, spec, dec, tol_residual)
+    p_blocks, pb_blocks = solve_clusters(mas, spec, dec)
     split = split_graph(spec.graph, dec)
     g2q = np.kron(split.g2, spec.qtilde)
     r_tilde = compute_rtilde(pb_blocks, g2q, dec, spec.n, spec.m)
@@ -190,8 +183,7 @@ class GapReport:
     vacuous: bool
 
 
-def gap_report(mas, spec, dec, gain, x0=None, sigma=1.0,
-               tol_residual=TOL_RESIDUAL):
+def gap_report(mas, spec, dec, gain, x0=None, sigma=1.0):
     """Quantify the suboptimality of a hierarchical gain.
 
     Costs are evaluated analytically: J(x0, K) = x0' X x0 with X solving the
@@ -199,11 +191,10 @@ def gap_report(mas, spec, dec, gain, x0=None, sigma=1.0,
     traces instead (the expectation over x0 with covariance I).  Raises
     UnstableClosedLoop when either closed loop is not Hurwitz.
     """
-    return _evaluate(mas, spec, dec, gain, x0, sigma, tol_residual)[0]
+    return _evaluate(mas, spec, dec, gain, x0, sigma)[0]
 
 
-def _evaluate(mas, spec, dec, gain, x0=None, sigma=1.0,
-              tol_residual=TOL_RESIDUAL):
+def _evaluate(mas, spec, dec, gain, x0=None, sigma=1.0):
     """gap_report's body; returns (report, p_opt, u, cl).
 
     u is the cost matrix of k_h and cl the schur_factor of the hierarchical
@@ -223,7 +214,7 @@ def _evaluate(mas, spec, dec, gain, x0=None, sigma=1.0,
         raise UnstableClosedLoop(
             "hierarchical closed loop is not Hurwitz") from exc
     u = solve_lyapunov(cl, symmetrize(q + k_h.T @ r @ k_h))
-    p_opt = solve_care(a, b, q, r, tol_residual=tol_residual, p0=u)
+    p_opt = solve_care(a, b, q, r, p0=u)
     k_opt = np.linalg.solve(r, b.T @ p_opt)
 
     dk = k_h - k_opt

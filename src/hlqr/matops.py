@@ -32,8 +32,11 @@ __all__ = [
     "care_residual",
 ]
 
-#: default mixed absolute-relative residual tolerance for the matrix solvers
+#: mixed absolute-relative residual tolerance of the matrix solvers
 TOL_RESIDUAL = 1e-9
+
+#: Newton-Kleinman iterates solve_care checks before giving up
+CARE_MAX_ITER = 60
 
 #: eigenvalues down to this value are accepted as numerically PSD
 PSD_TOL = -1e-10
@@ -58,17 +61,15 @@ def abscissa(m):
     return float(np.linalg.eigvals(np.asarray(m, dtype=float)).real.max())
 
 
-def pinv(m, tol=None):
+def pinv(m):
     """Moore-Penrose pseudoinverse by SVD with an explicit rank cutoff.
 
-    Singular values at or below tol are treated as zero; default tol is
-    max(shape) * machine_eps * sigma_max.  The zero matrix maps to the zero
-    matrix.
+    Singular values at or below max(shape) * machine_eps * sigma_max are
+    treated as zero.  The zero matrix maps to the zero matrix.
     """
     m = np.asarray(m, dtype=float)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if tol is None:
-        tol = max(m.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    tol = max(m.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     s_inv = np.where(s > tol, np.divide(1.0, s, out=np.zeros_like(s), where=s > tol), 0.0)
     return (vt.T * s_inv) @ u.T
 
@@ -98,7 +99,7 @@ def schur_factor(a_s):
     return SchurFactor(a_s, t, z)
 
 
-def solve_lyapunov(a_s, w, tol_residual=TOL_RESIDUAL):
+def solve_lyapunov(a_s, w):
     """Solve a_s' V + V a_s + W = 0 for stable a_s and PSD W.
 
     a_s is the matrix or its schur_factor.  Bartels-Stewart: one dtrsyl
@@ -119,7 +120,7 @@ def solve_lyapunov(a_s, w, tol_residual=TOL_RESIDUAL):
     y *= scale
     v = symmetrize(z.dot(y).dot(z.T))
     res = np.linalg.norm(f.a_s.T @ v + v @ f.a_s + w, "fro")
-    if res > tol_residual * (1.0 + np.linalg.norm(v, "fro")) * 100.0:
+    if res > TOL_RESIDUAL * (1.0 + np.linalg.norm(v, "fro")) * 100.0:
         raise IterationDiverged(f"Lyapunov residual {res:.3e} out of contract")
     return v
 
@@ -167,7 +168,7 @@ def _kleinman_step(a, b, q, r, k):
     return symmetrize(solve_continuous_lyapunov((a - b @ k).T, -(q + k.T @ r @ k)))
 
 
-def solve_care(a, b, q, r, tol_residual=TOL_RESIDUAL, max_iter=60, p0=None):
+def solve_care(a, b, q, r, p0=None):
     """Stabilizing solution of A'P + PA + Q - P B R^{-1} B' P = 0.
 
     Newton-Kleinman iteration (Kleinman 1968): check the iterate P's
@@ -175,11 +176,12 @@ def solve_care(a, b, q, r, tol_residual=TOL_RESIDUAL, max_iter=60, p0=None):
     iterate.  Quadratically convergent with monotonically decreasing iterates.
     The first iterate is p0 when given, which must be the cost matrix of a
     stabilizing gain K0 (so (A - B K0)' p0 + p0 (A - B K0) + Q + K0' R K0
-    = 0), and otherwise that of the eigenvalue-shift gain.  max_iter bounds
-    the iterates checked.
+    = 0), and otherwise that of the eigenvalue-shift gain.  An iterate is
+    accepted at residual TOL_RESIDUAL * (1 + |P|_F).
 
     Raises NonStabilizable when no stabilizing initial gain exists and
-    IterationDiverged when the residual fails to contract within max_iter.
+    IterationDiverged when the residual fails to contract within
+    CARE_MAX_ITER iterates.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -198,10 +200,10 @@ def solve_care(a, b, q, r, tol_residual=TOL_RESIDUAL, max_iter=60, p0=None):
             raise ValueError(f"inconsistent shapes: p0 {p.shape}, a {a.shape}")
 
     best_res = np.inf
-    for _ in range(max_iter):
+    for _ in range(CARE_MAX_ITER):
         k = np.linalg.solve(r, b.T @ p)
         res = _residual(a, b, q, p, k)
-        if res <= tol_residual * (1.0 + np.linalg.norm(p, "fro")):
+        if res <= TOL_RESIDUAL * (1.0 + np.linalg.norm(p, "fro")):
             return p
         if res < best_res:
             best_res = res
@@ -209,5 +211,5 @@ def solve_care(a, b, q, r, tol_residual=TOL_RESIDUAL, max_iter=60, p0=None):
             raise IterationDiverged(f"Riccati residual diverging: {res:.3e}")
         p = _kleinman_step(a, b, q, r, k)
     raise IterationDiverged(
-        f"Riccati residual {best_res:.3e} above tolerance after {max_iter} iterations"
+        f"Riccati residual {best_res:.3e} above tolerance after {CARE_MAX_ITER} iterations"
     )

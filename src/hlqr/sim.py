@@ -9,7 +9,7 @@ maneuver with its baseline stabilization law.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -39,12 +39,12 @@ __all__ = [
     "five_node_scenario",
     "default_formation",
     "build_formation",
-    "formation_scenario",
     "anchoring_check",
     "initial_gains",
     "cluster_plants",
 ]
 
+#: State entry magnitude past which integrate and adp.collect raise StateBlowup.
 DEFAULT_GUARD = 1e6
 
 
@@ -54,13 +54,12 @@ class MasSystem:
 
     agents is a list of (A_i, B_i) pairs with uniform per-agent dimensions;
     disturbance, when present, maps time to the stacked (m*N,) input-channel
-    disturbance.  In black-box access mode the composed matrices are not
-    exposed; use black_box()/cluster_plants() handles instead.
+    disturbance.  The learner sees the system only through black_box() and
+    cluster_plants() handles.
     """
 
     agents: list
     disturbance: object = None
-    access_mode: str = "white-box"
 
     def __post_init__(self):
         if not self.agents:
@@ -82,29 +81,16 @@ class MasSystem:
     def m(self):
         return self.agents[0][1].shape[1]
 
-    def _a_blocks(self):
-        return block_diag(*[a for a, _ in self.agents])
-
-    def _b_blocks(self):
-        return block_diag(*[b for _, b in self.agents])
-
-    def _check_white_box(self):
-        if self.access_mode != "white-box":
-            raise InvalidConfig("black-box system does not expose matrices")
-
     @property
     def a_full(self):
-        self._check_white_box()
-        return self._a_blocks()
+        return block_diag(*[a for a, _ in self.agents])
 
     @property
     def b_full(self):
-        self._check_white_box()
-        return self._b_blocks()
+        return block_diag(*[b for _, b in self.agents])
 
     def cluster(self, dec, j):
-        """(A_j, B_j) of the cluster's agents (white-box only)."""
-        self._check_white_box()
+        """(A_j, B_j) of the cluster's agents."""
         members = dec.clusters()[j]
         return (
             block_diag(*[self.agents[u][0] for u in members]),
@@ -113,8 +99,7 @@ class MasSystem:
 
     def black_box(self):
         """Data-only handle to the full system (hides matrices)."""
-        return BlackBoxPlant(self._a_blocks(), self._b_blocks(),
-                             self.disturbance)
+        return BlackBoxPlant(self.a_full, self.b_full, self.disturbance)
 
 
 class BlackBoxPlant:
@@ -142,7 +127,7 @@ class BlackBoxPlant:
         return tabulate_signal(self._dist, dt, n_steps, self.n_inputs)
 
     def rollout(self, k, exo_cmd, x0, dt, n_steps, q=None, r=None,
-                guard=DEFAULT_GUARD, stop_rtol=0.0, check_every=1000):
+                guard=DEFAULT_GUARD):
         """Closed-loop run under u = -K x + e; returns the raw kernel tuple."""
         n, m = self.n_states, self.n_inputs
         if q is None:
@@ -156,7 +141,7 @@ class BlackBoxPlant:
             np.ascontiguousarray(x0, dtype=float), float(dt), int(n_steps),
             np.ascontiguousarray(q, dtype=float),
             np.ascontiguousarray(r, dtype=float),
-            float(guard), float(stop_rtol), int(check_every),
+            float(guard),
         )
 
     def collect(self, k0, exo_cmd, x0, dt, steps_per_window, n_windows,
@@ -212,7 +197,6 @@ class Trajectory:
     inputs: np.ndarray
     running_cost: np.ndarray
     running_ju: np.ndarray
-    stopped_early: bool = False
 
     @property
     def cost(self):
@@ -223,14 +207,14 @@ class Trajectory:
         return float(self.running_ju[-1])
 
 
-def integrate(sys, controller, x0, t_final, dt, cost=None, stop_rtol=0.0,
-              guard=DEFAULT_GUARD):
+def integrate(sys, controller, x0, t_final, dt, cost=None):
     """Simulate the closed loop and return a Trajectory.
 
     controller is either a gain matrix K (meaning u = -K x, fast kernel path)
     or a callable u(t, x) evaluated at every RK4 stage (python path).  cost
     may be a CostSpec or a (Q, R) pair; running_ju accumulates u'u always.
-    Raises StateBlowup when the state norm exceeds guard.
+    The trajectory has n_steps + 1 = round(t_final / dt) + 1 rows; raises
+    StateBlowup when a state entry exceeds DEFAULT_GUARD in magnitude.
     """
     x0 = np.asarray(x0, dtype=float)
     if not dt > 0:
@@ -250,31 +234,21 @@ def integrate(sys, controller, x0, t_final, dt, cost=None, stop_rtol=0.0,
 
     if callable(controller):
         return _integrate_callable(sys, controller, x0, dt, n_steps, q, r,
-                                   stop_rtol, guard)
+                                   DEFAULT_GUARD)
 
     k = np.asarray(controller, dtype=float)
     plant = sys.black_box() if isinstance(sys, MasSystem) else sys
     if q is None:
         q = np.zeros((plant.n_states, plant.n_states))
         r = np.zeros((plant.n_inputs, plant.n_inputs))
-    xs, us, c, ju, status, last = plant.rollout(
-        k, None, x0, dt, n_steps, q=q, r=r, guard=guard,
-        stop_rtol=stop_rtol, check_every=1000,
-    )
+    xs, us, c, ju, status, last = plant.rollout(k, None, x0, dt, n_steps,
+                                                q=q, r=r)
     if status == _kernels.BLOWUP:
-        raise StateBlowup(f"state exceeded guard {guard:g} at step {last}")
-    end = last + 1
-    return Trajectory(
-        times=np.arange(end) * dt,
-        states=xs[:end],
-        inputs=us[:end],
-        running_cost=c[:end],
-        running_ju=ju[:end],
-        stopped_early=status == _kernels.EARLY_STOP,
-    )
+        raise StateBlowup(f"state exceeded guard {DEFAULT_GUARD:g} at step {last}")
+    return Trajectory(np.arange(n_steps + 1) * dt, xs, us, c, ju)
 
 
-def _integrate_callable(sys, controller, x0, dt, n_steps, q, r, stop_rtol, guard):
+def _integrate_callable(sys, controller, x0, dt, n_steps, q, r, guard):
     """RK4 step loop with an arbitrary state-feedback callable.
 
     The controller is evaluated at every stage, so this path does not assume
@@ -296,8 +270,6 @@ def _integrate_callable(sys, controller, x0, dt, n_steps, q, r, stop_rtol, guard
     x = x0.copy()
     xs[0] = x
     us[0] = controller(0.0, x)
-    stopped_early = False
-    end = n_steps + 1
 
     def stage(xst, tst, tix):
         u = np.asarray(controller(tst, xst), dtype=float)
@@ -323,21 +295,8 @@ def _integrate_callable(sys, controller, x0, dt, n_steps, q, r, stop_rtol, guard
 
         if not np.all(np.isfinite(x)) or np.abs(x).max() > guard:
             raise StateBlowup(f"state exceeded guard {guard:g} at step {step + 1}")
-        if stop_rtol > 0.0 and (step + 1) % 1000 == 0 and step + 1 >= 2000:
-            tail = cost[step + 1] - cost[step + 1 - 1000]
-            if tail < stop_rtol * max(cost[step + 1], 1e-300):
-                stopped_early = True
-                end = step + 2
-                break
 
-    return Trajectory(
-        times=np.arange(end) * dt,
-        states=xs[:end],
-        inputs=us[:end],
-        running_cost=cost[:end],
-        running_ju=ju[:end],
-        stopped_early=stopped_early,
-    )
+    return Trajectory(np.arange(n_steps + 1) * dt, xs, us, cost, ju)
 
 
 def evaluate_cost(sys, spec, k, x0):
@@ -592,13 +551,6 @@ def build_formation(scn):
     return mas, spec, baseline_k, x0
 
 
-def formation_scenario(cfg=None):
-    """(MasSystem, CostSpec, baseline gain, x0) for a FormationScenario
-    (default: the documented 12-agent mesh)."""
-    scn = cfg if cfg is not None else default_formation()
-    return build_formation(scn)
-
-
 def anchoring_check(scn, dec):
     """True iff every cluster holds a leader and its formation subgraph is
     connected, the combinatorial feasibility test for cluster-level
@@ -612,7 +564,7 @@ def anchoring_check(scn, dec):
     return True
 
 
-def initial_gains(mas, spec, dec):
+def initial_gains(mas, dec):
     """White-box stabilizing initial gains per cluster (zero when the cluster
     is already open-loop stable).  Used to seed the model-free learner.
 
@@ -620,7 +572,6 @@ def initial_gains(mas, spec, dec):
     moderate norm; aggressive pre-stabilizers flatten the state response and
     degrade the learner's regressor conditioning.
     """
-    del spec
     out = []
     for j in range(dec.s):
         a_j, b_j = mas.cluster(dec, j)

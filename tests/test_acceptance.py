@@ -413,7 +413,7 @@ def test_criterion_11_feasibility_observability():
 
 
 def test_criterion_12_formation_dominance():
-    mas, spec, baseline_k, x0 = sim.formation_scenario()
+    mas, spec, baseline_k, x0 = sim.build_formation(sim.default_formation())
     p = matops.solve_care(mas.a_full, mas.b_full, assemble_q(spec), spec.r)
     k_star = np.linalg.solve(spec.r, mas.b_full.T @ p)
 

@@ -14,7 +14,6 @@ from hlqr.adp import (
     Excitation,
     LearnConfig,
     collect,
-    estimate_b,
     learn_cluster,
     learn_hierarchical,
     phi,
@@ -85,14 +84,7 @@ def exact_dataset(a, b, k0, freqs, amps, x0, n_windows, window):
 
     xb = np.asarray(xs)
     phis = phi(xb)
-    return Dataset(
-        delta_xx=phis[1:] - phis[:-1],
-        i_xx=i_xx,
-        i_xu=i_xu,
-        raw_x=xb,
-        raw_v=(np.hstack([xb, np.tile(w0, (xb.shape[0], 1))]) @ p_v.T),
-        dt=window,
-    )
+    return Dataset(delta_xx=phis[1:] - phis[:-1], i_xx=i_xx, i_xu=i_xu)
 
 
 class TestFeatureMaps:
@@ -446,41 +438,12 @@ class TestLeastSquaresSolve:
             policy_iteration(data, qhat, rhat, k0)
 
 
-class TestEstimateB:
-    def test_scalar_known_model(self):
-        mas, spec, dec = scalar_system(a=-1.0, b=2.0)
-        plant = sim.cluster_plants(mas, dec)[0]
-        exc = Excitation.make(17, 1)
-        data = collect(plant, None, exc, 10.0, 1e-3, 0.1)
-        a_hat, b_hat = estimate_b(data)
-        assert b_hat[0, 0] == pytest.approx(2.0, abs=1e-3)
-        assert a_hat[0, 0] == pytest.approx(-1.0, abs=5e-3)
-
-    def test_equilibrium_start_rejected(self):
-        mas, spec, dec = scalar_system()
-        plant = sim.cluster_plants(mas, dec)[0]
-        exc = Excitation.make(17, 1, amplitude=0.0)
-        data = collect(plant, None, exc, 2.0, 1e-3, 0.1, x0=np.zeros(1))
-        with pytest.raises(RankDeficient):
-            estimate_b(data)
-
-    def test_cluster_input_map(self):
-        mas, spec = sim.clique_path_scenario(1, 2)
-        dec = Decomposition.from_assignment([0, 0])
-        plant = sim.cluster_plants(mas, dec)[0]
-        exc = Excitation.make(19, 4)
-        data = collect(plant, None, exc, 10.0, 1e-3, 0.1)
-        _, b_hat = estimate_b(data)
-        _, b_j = mas.cluster(dec, 0)
-        assert np.linalg.norm(b_hat - b_j) / np.linalg.norm(b_j) <= 1e-2
-
-
 class TestLearnHierarchical:
     def test_decoupled_matches_local_lqr(self):
         mas, spec = chain_system([(0, 1), (2, 3)], 4)
         dec = Decomposition.from_assignment([0, 0, 1, 1])
         plants = sim.cluster_plants(mas, dec)
-        k0_list = sim.initial_gains(mas, spec, dec)
+        k0_list = sim.initial_gains(mas, dec)
         gain, results = learn_hierarchical(plants, spec, dec,
                                            LearnConfig(seed=23),
                                            k0_list=k0_list)
@@ -495,7 +458,7 @@ class TestLearnHierarchical:
         mas, spec = chain_system([(0, 1), (1, 2), (2, 3)], 4)
         dec = Decomposition.from_assignment([0, 0, 1, 1])
         plants = sim.cluster_plants(mas, dec)
-        k0_list = sim.initial_gains(mas, spec, dec)
+        k0_list = sim.initial_gains(mas, dec)
         gain, results = learn_hierarchical(plants, spec, dec,
                                            LearnConfig(seed=29),
                                            k0_list=k0_list)
@@ -507,10 +470,10 @@ class TestLearnHierarchical:
         assert matops.abscissa(mas.a_full - mas.b_full @ gain.k_h) < 0.0
 
     def test_formation_learned_vs_model(self):
-        mas, spec, _, _ = sim.formation_scenario()
+        mas, spec, _, _ = sim.build_formation(sim.default_formation())
         dec = Decomposition.from_assignment([0] * 6 + [1] * 3 + [2] * 3)
         plants = sim.cluster_plants(mas, dec)
-        k0_list = sim.initial_gains(mas, spec, dec)
+        k0_list = sim.initial_gains(mas, dec)
         gain, results = learn_hierarchical(plants, spec, dec,
                                            LearnConfig(seed=0),
                                            k0_list=k0_list)
@@ -523,7 +486,7 @@ class TestLearnHierarchical:
     def test_worker_pool_is_deterministic(self, monkeypatch):
         mas, spec = chain_system([(0, 1), (1, 2), (2, 3)], 4)
         dec = Decomposition.from_assignment([0, 0, 1, 1])
-        k0_list = sim.initial_gains(mas, spec, dec)
+        k0_list = sim.initial_gains(mas, dec)
 
         def run():
             plants = sim.cluster_plants(mas, dec)

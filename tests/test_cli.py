@@ -319,6 +319,22 @@ class TestNonPositiveStep:
         assert "error:" in capsys.readouterr().err
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("args", [
+        ["learn", "example1", "--s", "1", "--c", "2", "--assignment", "0,0,1"],
+        ["solve", "example1", "--s", "2", "--c", "2", "--dec", "2,0,2"],
+        ["solve", "five_node", "--assignment", "0,x,1,2,2"],
+        ["run", "--config", "missing.json"],
+        ["simulate", "five_node", "--assignment", "0,0,1,2,2",
+         "--gain", "missing.npz"],
+    ])
+    def test_fails_cleanly(self, args, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = main(args + ["--out", str(tmp_path)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+
 class TestMeaninglessSettings:
     @pytest.mark.parametrize("args", [
         ["learn", "example1", "--s", "1", "--c", "2", "--tol-pi", "-1"],

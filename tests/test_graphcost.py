@@ -299,7 +299,7 @@ class TestAssumptionChecks:
     def test_anchorless_cluster_not_observable(self):
         # a cluster with no anchored agent leaves its consensus direction
         # unpenalized: positions drift without showing up in the cost
-        mas, spec, _, _ = sim.formation_scenario()
+        mas, spec, _, _ = sim.build_formation(sim.default_formation())
         dec = Decomposition.from_clusters(
             [[0], [1, 2], [3, 4, 5, 6, 7, 8, 9, 10, 11]], 12)
         report = check_assumptions(mas, spec, dec)

@@ -269,7 +269,7 @@ class TestGapReport:
 
     def test_vacuous_flag(self):
         # anchored-agent weights leave Qbar singular: bound is not computable
-        mas, spec, _, x0 = sim.formation_scenario()
+        mas, spec, _, x0 = sim.build_formation(sim.default_formation())
         dec = Decomposition.from_assignment([0] * 6 + [1] * 3 + [2] * 3)
         gain = hierarchical_gain(mas, spec, dec)
         report = gap_report(mas, spec, dec, gain, x0=x0)
@@ -280,7 +280,7 @@ class TestGapReport:
         assert report.j_opt <= report.j_h
 
     def test_unstable_gain_rejected(self):
-        mas, spec, _, _ = sim.formation_scenario()
+        mas, spec, _, _ = sim.build_formation(sim.default_formation())
         dec = Decomposition.from_assignment([0] * 6 + [1] * 3 + [2] * 3)
         gain = hierarchical_gain(mas, spec, dec)
         doctored = hierctrl.HierarchicalGain(
@@ -297,7 +297,7 @@ class TestGapReport:
             gap_report(mas, spec, dec, doctored)
 
     def test_unstable_gain_rejected_before_newton(self, monkeypatch):
-        mas, spec, _, _ = sim.formation_scenario()
+        mas, spec, _, _ = sim.build_formation(sim.default_formation())
         dec = Decomposition.from_assignment([0] * 6 + [1] * 3 + [2] * 3)
         gain = dataclasses.replace(
             hierarchical_gain(mas, spec, dec),
@@ -370,6 +370,27 @@ def random_instance(seed):
     dec = Decomposition.from_assignment(
         rng.integers(0, int(rng.integers(1, n_agents + 1)), n_agents).tolist())
     return mas, spec, dec
+
+
+class TestGeneratedSparsity:
+    """k_h's structure over generated graphs, agents and decompositions."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_nonadjacent_blocks_and_link_bound(self, seed):
+        mas, spec, dec = random_instance(seed)
+        assume(graphcost.check_assumptions(mas, spec, dec).ok)
+        gain = hierarchical_gain(mas, spec, dec)
+        adj = graphcost.cluster_adjacency(spec.graph, dec)
+        for i in range(dec.s):
+            for j in range(dec.s):
+                if i != j and not adj[i, j]:
+                    block = gain.k_h[np.ix_(dec.input_indices(i, spec.m),
+                                            dec.state_indices(j, spec.n))]
+                    assert np.all(block == 0.0)
+        n_agents = dec.n_agents
+        _, n_c = graphcost.comm_links(gain.k_h, spec.n, spec.m)
+        assert n_c <= n_agents * (n_agents - 1) // 2 - graphcost.kappa(spec.graph, dec)
 
 
 class TestGapIdentity:

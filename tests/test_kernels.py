@@ -96,7 +96,7 @@ def rollout_oracle(a, b, k, cmd, disturbance, x0, dt, n_steps, q, r):
         return -k @ x + cmd[int(round(2.0 * t / dt))]
 
     return sim._integrate_callable(plant, controller, x0, dt, n_steps, q, r,
-                                   0.0, np.inf)
+                                   np.inf)
 
 
 def assert_rollout_matches(out, traj, last):
@@ -128,7 +128,7 @@ class TestBackendParity:
         dist = np.zeros_like(cmd)
         x0 = np.array([1.0, -1.0])
         out = _kernels.rollout_kernel(a, b, k, cmd, dist, x0, 1e-2, n_steps,
-                                      np.eye(2), np.eye(1), 1e6, 0.0, 50)
+                                      np.eye(2), np.eye(1), 1e6)
         assert out[4] == _kernels.OK and out[5] == n_steps
         traj = rollout_oracle(a, b, k, cmd, None, x0, 1e-2, n_steps,
                               np.eye(2), np.eye(1))
@@ -144,7 +144,7 @@ class TestBackendParity:
         assert plant.n_states == 48 and np.any(dist)
         q, r = assemble_q(spec), spec.r
         out = _kernels.rollout_kernel(plant._a, plant._b, baseline_k, cmd, dist,
-                                      x0, dt, n_steps, q, r, 1e6, 0.0, 1000)
+                                      x0, dt, n_steps, q, r, 1e6)
         assert out[4] == _kernels.OK
         traj = rollout_oracle(plant._a, plant._b, baseline_k, cmd,
                               mas.disturbance, x0, dt, n_steps, q, r)
@@ -164,26 +164,8 @@ class TestBackendParity:
         last = int(np.flatnonzero(np.abs(traj.states).max(axis=1) > guard)[0])
         assert _kernels.CHUNK < last < n_steps and last % _kernels.CHUNK
         out = _kernels.rollout_kernel(a, b, k, cmd, dist, x0, dt, n_steps,
-                                      np.eye(2), np.eye(1), guard, 0.0, 50)
+                                      np.eye(2), np.eye(1), guard)
         assert out[4] == _kernels.BLOWUP and out[5] == last
-        assert_rollout_matches(out, traj, last)
-
-    def test_early_stop_unaligned_to_chunk(self):
-        a, b = damped_rotation()
-        k = np.array([[0.2, 0.6]])
-        dt, n_steps, every, rtol = 1e-3, 20000, 700, 1e-4
-        assert _kernels.CHUNK % every and every % _kernels.CHUNK
-        cmd, dist = zero_tables(n_steps, 1)
-        x0 = np.array([1.0, -0.5])
-        traj = rollout_oracle(a, b, k, cmd, None, x0, dt, n_steps,
-                              np.eye(2), np.eye(1))
-        cost = traj.running_cost
-        last = next(j for j in range(2 * every, n_steps + 1, every)
-                    if cost[j] - cost[j - every] < rtol * cost[j])
-        assert last > _kernels.CHUNK and last % _kernels.CHUNK
-        out = _kernels.rollout_kernel(a, b, k, cmd, dist, x0, dt, n_steps,
-                                      np.eye(2), np.eye(1), 1e6, rtol, every)
-        assert out[4] == _kernels.EARLY_STOP and out[5] == last
         assert_rollout_matches(out, traj, last)
 
     def test_collect_matches_step_loop(self):
@@ -274,7 +256,7 @@ class TestBlockedRecurrence:
         dist = np.zeros_like(cmd)
         x0 = np.array([1.0, -1.0])
         out = _kernels.rollout_kernel(a, b, k, cmd, dist, x0, dt, n_steps,
-                                      np.eye(2), np.eye(1), 1e6, 0.0, 50)
+                                      np.eye(2), np.eye(1), 1e6)
         assert out[4] == _kernels.OK and out[5] == n_steps
         traj = rollout_oracle(a, b, k, cmd, None, x0, dt, n_steps,
                               np.eye(2), np.eye(1))
@@ -311,7 +293,7 @@ class TestBlockedRecurrence:
                               np.eye(2), np.eye(1))
         guard = guard_before(traj.states, step)
         out = _kernels.rollout_kernel(a, b, k, cmd, dist, x0, dt, n_steps,
-                                      np.eye(2), np.eye(1), guard, 0.0, 50)
+                                      np.eye(2), np.eye(1), guard)
         assert out[4] == _kernels.BLOWUP and out[5] == step
         assert_rollout_matches(out, traj, step)
 
@@ -339,7 +321,7 @@ class TestBlockedRecurrence:
         cmd, dist = zero_tables(n_steps, 1)
         xs, *_, status, last = _kernels.rollout_kernel(
             a, b, k, cmd, dist, np.array([1.0]), 1.0, n_steps,
-            np.eye(1), np.eye(1), np.inf, 0.0, 50)
+            np.eye(1), np.eye(1), np.inf)
         assert status == _kernels.BLOWUP and 0 < last < n_steps
         assert np.all(np.isfinite(xs[:last])) and not np.isfinite(xs[last, 0])
         assert not np.any(xs[last + 1:])
@@ -359,7 +341,7 @@ class TestKernelInterface:
         cmd, dist = zero_tables(n_steps, 1)
         for out in (
             _kernels.rollout_kernel(a, b, k, cmd, dist, x0, 1e-2, n_steps,
-                                    np.eye(2), np.eye(1), 5.0, 0.0, 50),
+                                    np.eye(2), np.eye(1), 5.0),
             BlackBoxPlant(a, b).rollout(k, cmd, x0, 1e-2, n_steps,
                                         np.eye(2), np.eye(1), guard=5.0),
         ):
@@ -411,7 +393,7 @@ class TestIntegrationAccuracy:
         cmd, dist = zero_tables(n_steps, 1)
         xs, _, _, _, status, last = _kernels.rollout_kernel(
             a, b, k, cmd, dist, np.array([1.0]), 1e-3, n_steps,
-            np.eye(1), np.eye(1), 1e6, 0.0, 50)
+            np.eye(1), np.eye(1), 1e6)
         assert status == _kernels.OK
         assert abs(xs[-1, 0] - np.exp(-1.0)) < 1e-8
 
@@ -425,7 +407,7 @@ class TestIntegrationAccuracy:
             cmd, dist = zero_tables(n_steps, 1)
             xs, *_ = _kernels.rollout_kernel(
                 a, b, k, cmd, dist, x0, dt, n_steps, np.eye(2), np.eye(1),
-                1e6, 0.0, 50)
+                1e6)
             return xs[-1]
 
         import scipy.linalg
@@ -444,7 +426,7 @@ class TestIntegrationAccuracy:
         cmd, dist = zero_tables(n_steps, 1)
         _, _, cost, _, status, _ = _kernels.rollout_kernel(
             a, b, k, cmd, dist, np.array([2.0]), 1e-3, n_steps,
-            np.eye(1), np.eye(1), 1e6, 0.0, 50)
+            np.eye(1), np.eye(1), 1e6)
         assert status == _kernels.OK
         assert abs(cost[-1] - 2.0) < 1e-6
 
@@ -458,23 +440,10 @@ class TestGuards:
         cmd, dist = zero_tables(n_steps, 1)
         xs, _, _, _, status, last = _kernels.rollout_kernel(
             a, b, k, cmd, dist, np.array([1.0]), 1e-2, n_steps,
-            np.eye(1), np.eye(1), 1e3, 0.0, 50)
+            np.eye(1), np.eye(1), 1e3)
         assert status == _kernels.BLOWUP
         assert last < n_steps
         assert np.all(np.abs(xs[: last + 1]) < np.inf)
-
-    def test_early_stop(self):
-        a = np.array([[-2.0]])
-        b = np.zeros((1, 1))
-        k = np.zeros((1, 1))
-        n_steps = 50000
-        cmd, dist = zero_tables(n_steps, 1)
-        _, _, cost, _, status, last = _kernels.rollout_kernel(
-            a, b, k, cmd, dist, np.array([1.0]), 1e-3, n_steps,
-            np.eye(1), np.eye(1), 1e6, 1e-9, 100)
-        assert status == _kernels.EARLY_STOP
-        assert last < n_steps
-        assert abs(cost[last] - 0.25) < 1e-4
 
     def test_collect_blowup(self):
         a = np.array([[1.5]])
@@ -487,27 +456,22 @@ class TestGuards:
         assert status == _kernels.BLOWUP
         assert done < windows
 
-
-    def test_blowup_wins_over_early_stop_at_same_step(self):
-        # zero cost weights make every early-stop check pass, so the first
-        # check at step 2 * every (the end of the first chunk) meets a guard
-        # crossing at the same step
+    def test_rollout_blowup_on_chunk_end(self):
+        # the guard trips at the last step of the first chunk: the cut is
+        # that step, and nothing of the second chunk is kept
         a, b, k = np.array([[0.5]]), np.zeros((1, 1)), np.zeros((1, 1))
-        dt, every = 1e-2, _kernels.CHUNK // 2
-        n_steps = 4 * every
+        dt, n_steps = 1e-2, 2 * _kernels.CHUNK
         cmd, dist = zero_tables(n_steps, 1)
         free = _kernels.rollout_kernel(a, b, k, cmd, dist, np.array([1.0]), dt,
                                        n_steps, np.zeros((1, 1)), np.zeros((1, 1)),
-                                       np.inf, 0.0, every)[0][:, 0]
-        guard = np.sqrt(free[2 * every - 1] * free[2 * every])
+                                       np.inf)[0][:, 0]
+        end = _kernels.CHUNK
+        guard = np.sqrt(free[end - 1] * free[end])
         out = _kernels.rollout_kernel(a, b, k, cmd, dist, np.array([1.0]), dt,
                                       n_steps, np.zeros((1, 1)), np.zeros((1, 1)),
-                                      guard, 1e-3, every)
-        assert out[4] == _kernels.BLOWUP and out[5] == 2 * every
-        out = _kernels.rollout_kernel(a, b, k, cmd, dist, np.array([1.0]), dt,
-                                      n_steps, np.zeros((1, 1)), np.zeros((1, 1)),
-                                      1e6, 1e-3, every)
-        assert out[4] == _kernels.EARLY_STOP and out[5] == 2 * every
+                                      guard)
+        assert out[4] == _kernels.BLOWUP and out[5] == end
+        assert not np.any(out[0][end + 1:])
 
     def test_collect_blowup_on_window_end(self):
         # the guard trips exactly at a window's last step: that window is

@@ -158,7 +158,7 @@ class TestSolveLyapunov:
 
     def test_marginal_formation_rejected(self):
         # double-integrator agents: abscissa exactly 0
-        mas = sim.formation_scenario()[0]
+        mas = sim.build_formation(sim.default_formation())[0]
         a = mas.a_full
         with pytest.raises(UnstableMatrix):
             matops.solve_lyapunov(a, np.eye(a.shape[0]))
