@@ -11,7 +11,9 @@ matrix P (symmetric basis) and for B'P, from the identity
   x'Px|window ends = -int x'(Q + K'RK)x dtau + 2 int (v + Kx)'(B'P)x dtau,
 
 followed by the policy update K <- R^{-1}(B'P).  Since B'P = R K at the fixed
-point, the coupling stage needs no separate estimate of B.
+point, the coupling stage needs no separate estimate of B.  The columns of P
+in that problem (the delta_xx block) do not depend on K, so their Householder
+QR is computed once per dataset, and each pass factors only what remains.
 """
 
 import math
@@ -199,48 +201,108 @@ class Dataset:
         return self.i_xu.shape[2]
 
 
-def _regressor(data, k, qk):
-    """(A, rhs) of the joint least-squares system at policy gain k."""
-    m_windows = data.M
-    ixv_t = data.i_xu.transpose(0, 2, 1)
-    k_ixx = np.einsum("an,wnb->wab", k, data.i_xx)
-    a2 = -2.0 * (ixv_t + k_ixx).reshape(m_windows, -1)
-    a_mat = np.hstack([data.delta_xx, a2])
-    rhs = -np.einsum("wij,ij->w", data.i_xx, qk)
-    return a_mat, rhs
+def _apply_qt(qr_a, tau, c):
+    """c <- Q'c in place for the Householder factor (qr_a, tau) of dgeqrf."""
+    lapack = scipy.linalg.lapack
+    work = lapack.dormqr("L", "T", qr_a, tau, c, -1)[1]
+    lapack.dormqr("L", "T", qr_a, tau, c, int(work[0]), overwrite_c=1)
 
 
-def _equilibrated_lstsq(a_mat, rhs):
-    """Column-equilibrated least squares by one Householder QR: (theta, rcond).
+class _BlockLstsq:
+    """The joint least squares of every policy-iteration pass on one dataset.
 
-    Scaling each column to unit norm before the solve removes the artificial
-    ill-conditioning caused by mixed magnitudes of the quadratic-state and
-    bilinear features.  Only R of the augmented system [A/s | b] is formed;
-    its last column is Q'b, so no Q is needed.  Without pivoting, diag(R)
-    does not reveal the rank, so identifiability is judged by the LAPACK
-    1-norm reciprocal condition estimate of R (dtrcon) against gelsd's
-    default cutoff eps * max(M, N); below it RankDeficient is raised.  The
-    estimate is returned too, for policy_iteration's conditioning guard.
+    At gain K the column-equilibrated regressor is [A1 | A2] with
+    A1 = delta_xx, the same in every pass, and A2 = -2 (I_xu' + K I_xx); the
+    right side is -I_xx : (Q + K'RK).  Householder QR of [A1 | A2 | rhs]
+    takes its first n_sym reflectors Q1 from A1 alone, so A1 is factored
+    once (R11) and Q1' is applied once to the unique columns of I_xx and to
+    I_xu.  A pass then forms Q1'[A2 | rhs] by one GEMM with K and one
+    contraction with Q + K'RK, scales each A2 column by its norm (Q1 is
+    orthogonal, so that of Q1'A2), and factors only the (M - n_sym) rows
+    below R12, which gives R22.  Without pivoting, diag(R) does not reveal
+    the rank, so identifiability is judged by the LAPACK 1-norm reciprocal
+    condition estimate (dtrcon) of R = [R11 R12; 0 R22] against gelsd's
+    default cutoff eps * max(M, N); below it RankDeficient is raised.
     """
-    n_rows, n_cols = a_mat.shape
-    scale = np.linalg.norm(a_mat, axis=0)
-    scale[scale == 0.0] = 1.0
-    aug = np.empty((n_rows, n_cols + 1), order="F")
-    np.divide(a_mat, scale, out=aug[:, :n_cols])
-    aug[:, n_cols] = rhs
-    (r_aug,) = scipy.linalg.qr(aug, mode="r", overwrite_a=True,
-                               check_finite=False)
-    r_mat = r_aug[:n_cols, :n_cols]
-    rcond, _ = scipy.linalg.lapack.dtrcon(r_mat)
-    cutoff = np.finfo(float).eps * max(n_rows, n_cols)
-    if not rcond > cutoff:
-        raise RankDeficient(
-            f"joint regressor of {n_cols} unknowns is rank deficient: "
-            f"reciprocal condition estimate {rcond:.3g} <= {cutoff:.3g}"
-        )
-    theta = scipy.linalg.solve_triangular(r_mat, r_aug[:n_cols, n_cols],
-                                          check_finite=False)
-    return theta / scale, rcond
+
+    def __init__(self, data):
+        n, m, n_rows = data.n, data.m, data.M
+        n_sym = n * (n + 1) // 2
+        n_cols = n_sym + m * n
+        lapack = scipy.linalg.lapack
+
+        scale_xx = np.linalg.norm(data.delta_xx, axis=0)
+        scale_xx[scale_xx == 0.0] = 1.0
+        a1 = np.empty((n_rows, n_sym), order="F")
+        np.divide(data.delta_xx, scale_xx, out=a1)
+        work, _ = lapack.dgeqrf(a1, lwork=-1)[2:]
+        a1, tau = lapack.dgeqrf(a1, lwork=int(work[0]), overwrite_a=1)[:2]
+        self.r_mat = np.zeros((n_cols, n_cols), order="F")
+        self.r_mat[:n_sym, :n_sym] = np.triu(a1[:n_sym])
+
+        # I_xx columns (i, j), i <= j, in row-major order, and I_xu columns
+        # (a, b) holding I_xu[:, b, a]; each operand is filled in place
+        ixx_sym = np.empty((n_rows, n_sym), order="F")
+        starts = np.cumsum([0] + list(range(n, 0, -1)))
+        for i in range(n):
+            ixx_sym[:, starts[i]:starts[i + 1]] = data.i_xx[:, i, i:]
+        self.ixu = np.empty((n_rows, m * n), order="F")
+        self.ixu.T.reshape(m, n, n_rows).transpose(2, 0, 1)[...] = (
+            data.i_xu.transpose(0, 2, 1))
+        _apply_qt(a1, tau, ixx_sym)
+        _apply_qt(a1, tau, self.ixu)
+        del a1, tau
+
+        # ixx[c, b] = Q1' I_xx[:, c, b], so K @ ixx.reshape(n, -1) is the
+        # transpose of Q1' K I_xx in the column order of A2
+        self.ixx = np.empty((n, n, n_rows))
+        for i in range(n):
+            rows = ixx_sym.T[starts[i]:starts[i + 1]]
+            self.ixx[i, i:] = rows
+            self.ixx[i:, i] = rows
+        del ixx_sym
+
+        self.operand = np.empty((n_rows, m * n + 1), order="F")
+        self.scale = np.concatenate([scale_xx, np.empty(m * n)])
+        self.n_sym = n_sym
+        self.cutoff = np.finfo(float).eps * max(n_rows, n_cols)
+
+    def __call__(self, k, qk):
+        """(theta, rcond) of the pass at gain k with state weight qk."""
+        n_sym, r_mat = self.n_sym, self.r_mat
+        n_cols = r_mat.shape[0]
+        n, _, n_rows = self.ixx.shape
+        n_a2 = n_cols - n_sym
+
+        op_t = self.operand.T
+        a2_t = op_t[:n_a2]
+        np.matmul(k, self.ixx.reshape(n, -1),
+                  out=a2_t.reshape(k.shape[0], -1))
+        a2_t += self.ixu.T
+        a2_t *= -2.0
+        scale = self.scale[n_sym:]
+        np.sqrt(np.einsum("ij,ij->i", a2_t, a2_t), out=scale)
+        scale[scale == 0.0] = 1.0
+        a2_t /= scale[:, None]
+        np.matmul(self.ixx.reshape(n * n, n_rows).T, -qk.ravel(),
+                  out=op_t[n_a2])
+
+        (r_tail,) = scipy.linalg.qr(self.operand[n_sym:], mode="r",
+                                    overwrite_a=True, check_finite=False)
+        r_mat[:n_sym, n_sym:] = self.operand[:n_sym, :n_a2]
+        r_mat[n_sym:, n_sym:] = r_tail[:n_a2, :n_a2]
+        rcond, _ = scipy.linalg.lapack.dtrcon(r_mat)
+        if not rcond > self.cutoff:
+            raise RankDeficient(
+                f"joint regressor of {n_cols} unknowns is rank deficient: "
+                f"reciprocal condition estimate {rcond:.3g} <= "
+                f"{self.cutoff:.3g}"
+            )
+        qt_rhs = np.concatenate([self.operand[:n_sym, n_a2],
+                                 r_tail[:n_a2, n_a2]])
+        theta = scipy.linalg.solve_triangular(r_mat, qt_rhs,
+                                              check_finite=False)
+        return theta / self.scale, rcond
 
 
 def collect(plant, k0, exc, horizon, dt, window, x0=None):
@@ -298,7 +360,8 @@ class LearnResult:
 def policy_iteration(data, qhat, rhat, k0, tol_pi=1e-8, max_iter=30):
     """Off-policy integral policy iteration on recorded data.
 
-    Each pass solves one least-squares system jointly for svec(P) and B'P,
+    Each pass solves one least-squares system jointly for svec(P) and B'P
+    (_BlockLstsq, which factors the delta_xx block once for all passes),
     then updates K = Rhat^{-1} (B'P).  Stops when |P_k - P_{k-1}|_F <
     tol_pi * max(1, |P_k|_F); the scale factor keeps the tolerance meaningful
     for large value matrices whose data-driven iterates plateau at a relative
@@ -316,14 +379,14 @@ def policy_iteration(data, qhat, rhat, k0, tol_pi=1e-8, max_iter=30):
     qhat = np.asarray(qhat, dtype=float)
     rhat = np.asarray(rhat, dtype=float)
     k = np.asarray(k0, dtype=float)
+    solve = _BlockLstsq(data)
+    n_sym = n * (n + 1) // 2
     p_prev = None
     for it in range(1, max_iter + 1):
-        a_mat, rhs = _regressor(data, k, qhat + k.T @ rhat @ k)
-        theta, rcond = _equilibrated_lstsq(a_mat, rhs)
+        theta, rcond = solve(k, qhat + k.T @ rhat @ k)
         if it == 1 and not 1.0 / rcond < COND_GUARD:
             raise RankDeficient(f"regressor condition estimate {1.0 / rcond:.3g}"
                                 f" at k0 exceeds guard {COND_GUARD:g}")
-        n_sym = n * (n + 1) // 2
         p_hat = unsvec(theta[:n_sym], n)
         btp = theta[n_sym:].reshape(m, n)
         k = np.linalg.solve(rhat, btp)

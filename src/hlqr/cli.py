@@ -89,6 +89,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise InvalidConfig(f"config must be a JSON object, not "
+                                f"{type(d).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -96,7 +99,11 @@ class ExperimentConfig:
         d = dict(d)
         for key in ("assignment", "dec_sizes"):
             if d.get(key) is not None:
-                d[key] = tuple(int(v) for v in d[key])
+                try:
+                    d[key] = tuple(int(v) for v in d[key])
+                except (TypeError, ValueError):
+                    raise InvalidConfig(f"config {key} {d[key]!r} is not a "
+                                        f"list of integers") from None
         return cls(**d)
 
     def to_dict(self):

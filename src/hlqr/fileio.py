@@ -37,8 +37,12 @@ def _plain(obj):
 
 
 def load_json(path):
+    """Parsed JSON of a file; InvalidConfig when it is not JSON."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"{path} is not valid JSON: {exc}") from None
 
 
 def save_json(path, obj):

@@ -23,6 +23,12 @@ from hlqr.adp import (
 )
 from hlqr.errors import InvalidConfig, RankDeficient, StateBlowup
 from hlqr.graphcost import CostGraph, CostSpec, Decomposition
+from oracles import (
+    equilibrated_lstsq,
+    lstsq_svd_oracle,
+    policy_iteration_oracle,
+    regressor,
+)
 
 SQRT2_M1 = 0.41421356237309515
 
@@ -317,13 +323,17 @@ class TestConditioningGuard:
     """The guard is the first policy-iteration pass's condition estimate."""
 
     def test_one_factorization_per_pass(self, monkeypatch):
+        # the delta_xx block is factored once (dgeqrf, after its workspace
+        # query), and each pass factors only the B'P tail (scipy.linalg.qr)
         plant, qhat, rhat = two_agent_clique_problem()
         svds = count_calls(monkeypatch, np.linalg, "svd")
         qrs = count_calls(monkeypatch, scipy.linalg, "qr")
+        geqrfs = count_calls(monkeypatch, scipy.linalg.lapack, "dgeqrf")
         result = learn_cluster(plant, qhat, rhat, LearnConfig(seed=13))
         assert result.converged
         assert len(svds) == 0
         assert len(qrs) == result.iterations
+        assert [kw["lwork"] > 0 for _, kw in geqrfs] == [False, True]
 
     def test_too_few_windows_regrow(self, monkeypatch):
         # 60 windows for 36 + 32 = 68 unknowns; one regrowth gives 90
@@ -342,22 +352,6 @@ class TestConditioningGuard:
             learn_cluster(plant, qhat, rhat, LearnConfig(seed=13))
         assert [args[3] for args, _ in collects] == pytest.approx(
             [9.2, 13.8, 20.7, 31.05])
-
-
-def lstsq_svd_oracle(a_mat, rhs):
-    """Column-equilibrated least squares by SVD (LAPACK gelsd): (theta, rcond).
-
-    The reference for adp._equilibrated_lstsq, whose return it mirrors with
-    the exact reciprocal 2-norm condition number; it raises RankDeficient
-    when gelsd's default cutoff finds fewer than N singular values.
-    """
-    scale = np.linalg.norm(a_mat, axis=0)
-    scale[scale == 0.0] = 1.0
-    theta, _, rank, sv = np.linalg.lstsq(a_mat / scale, rhs, rcond=None)
-    if rank < a_mat.shape[1]:
-        raise RankDeficient(
-            f"joint regressor rank {rank} < {a_mat.shape[1]} unknowns")
-    return theta / scale, sv[-1] / sv[0]
 
 
 def two_agent_clique_dataset():
@@ -380,21 +374,47 @@ def example1_clique_dataset():
     return data, qhat, rhat
 
 
+def conditioned_matrix(rng, n_rows, n_cols, log_cond, log_spread):
+    """Tall, full-rank matrix with singular values spread over log_cond
+    decades, then columns scaled over log_spread decades."""
+    u_mat, _ = np.linalg.qr(rng.standard_normal((n_rows, n_cols)))
+    v_mat, _ = np.linalg.qr(rng.standard_normal((n_cols, n_cols)))
+    sv = np.logspace(0.0, -log_cond, n_cols)
+    col_scale = 10.0 ** rng.uniform(-log_spread / 2, log_spread / 2, n_cols)
+    return (u_mat * sv) @ v_mat.T * col_scale
+
+
+def equilibrated_cond(a_mat):
+    """(column norms, 2-norm condition number of the equilibrated matrix)."""
+    scale = np.linalg.norm(a_mat, axis=0)
+    scale[scale == 0.0] = 1.0
+    return scale, np.linalg.cond(a_mat / scale)
+
+
+def assert_solves_agree(got, want, scale, cond):
+    # compared in the equilibrated unknowns, which both solvers factor
+    err = np.linalg.norm((got - want) * scale)
+    assert err <= 1e3 * np.finfo(float).eps * cond * np.linalg.norm(
+        want * scale)
+
+
 class TestLeastSquaresSolve:
     @pytest.mark.parametrize("make_data", [two_agent_clique_dataset,
                                            example1_clique_dataset])
-    def test_policy_iteration_matches_svd_oracle(self, make_data,
-                                                 monkeypatch):
+    def test_policy_iteration_matches_svd_oracle(self, make_data):
+        # the block solve against the full regressor of every pass, solved
+        # by Householder QR and by SVD
         data, qhat, rhat = make_data()
         k0 = np.zeros((data.m, data.n))
         result = policy_iteration(data, qhat, rhat, k0)
-        monkeypatch.setattr(adp, "_equilibrated_lstsq", lstsq_svd_oracle)
-        oracle = policy_iteration(data, qhat, rhat, k0)
-        assert result.converged and oracle.converged
-        assert result.iterations == oracle.iterations
-        for got, want in [(result.p_hat, oracle.p_hat),
-                          (result.k_hat, oracle.k_hat)]:
-            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+        assert result.converged
+        for lstsq in (equilibrated_lstsq, lstsq_svd_oracle):
+            oracle = policy_iteration_oracle(data, qhat, rhat, k0, lstsq)
+            assert result.iterations == oracle.iterations
+            for got, want in [(result.p_hat, oracle.p_hat),
+                              (result.k_hat, oracle.k_hat)]:
+                assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(
+                    want)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_cols=st.integers(1, 40),
@@ -402,28 +422,73 @@ class TestLeastSquaresSolve:
            log_spread=st.floats(0.0, 8.0))
     def test_solve_matches_svd_oracle(self, seed, n_cols, extra_rows,
                                       log_cond, log_spread):
-        # tall, full-rank matrix with prescribed singular values, then
-        # columns scaled over log_spread decades
         rng = np.random.default_rng(seed)
-        n_rows = n_cols + extra_rows
-        u_mat, _ = np.linalg.qr(rng.standard_normal((n_rows, n_cols)))
-        v_mat, _ = np.linalg.qr(rng.standard_normal((n_cols, n_cols)))
-        sv = np.logspace(0.0, -log_cond, n_cols)
-        col_scale = 10.0 ** rng.uniform(-log_spread / 2, log_spread / 2,
-                                        n_cols)
-        a_mat = (u_mat * sv) @ v_mat.T * col_scale
-        rhs = rng.standard_normal(n_rows)
-        scale = np.linalg.norm(a_mat, axis=0)
-        cond = np.linalg.cond(a_mat / scale)
-        got, rcond = adp._equilibrated_lstsq(a_mat, rhs)
+        a_mat = conditioned_matrix(rng, n_cols + extra_rows, n_cols,
+                                   log_cond, log_spread)
+        rhs = rng.standard_normal(n_cols + extra_rows)
+        scale, cond = equilibrated_cond(a_mat)
+        got, rcond = equilibrated_lstsq(a_mat, rhs)
         want, _ = lstsq_svd_oracle(a_mat, rhs)
-        # compared in the equilibrated unknowns, which both solvers factor
-        err = np.linalg.norm((got - want) * scale)
-        assert err <= 1e3 * np.finfo(float).eps * cond * np.linalg.norm(
-            want * scale)
+        assert_solves_agree(got, want, scale, cond)
         # dtrcon's estimate bounds |R^-1|_1 from below, and the 1-norm
         # condition number of R is at most n_cols times the 2-norm one
         assert 1.0 / rcond <= 1.01 * n_cols * cond
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+           m=st.integers(1, 3), extra_rows=st.integers(0, 60),
+           log_cond=st.floats(0.0, 7.0), log_spread=st.floats(0.0, 8.0),
+           zero_column=st.sampled_from([None, "delta_xx", "a2"]))
+    def test_block_solve_matches_full_qr(self, seed, n, m, extra_rows,
+                                         log_cond, log_spread, zero_column):
+        # data whose regressor at the first gain is a generated matrix, then
+        # two more gains (tails) on the same factored delta_xx block; I_xx is
+        # scaled to the smallest column of A2 = -2 (I_xu' + K I_xx), so that
+        # forming A2 from the data cancels no more than a few digits
+        rng = np.random.default_rng(seed)
+        n_sym = n * (n + 1) // 2
+        n_rows = n_sym + m * n + extra_rows
+        a_mat = conditioned_matrix(rng, n_rows, n_sym + m * n, log_cond,
+                                   log_spread)
+        gains = rng.standard_normal((3, m, n))
+        i_xx = rng.standard_normal((n_rows, n, n))
+        i_xx += i_xx.transpose(0, 2, 1)
+        i_xx *= np.linalg.norm(a_mat[:, n_sym:], axis=0).min() / (
+            n * np.linalg.norm(i_xx, axis=0).max())
+        k_ixx = np.einsum("an,wnb->wab", gains[0], i_xx)
+        i_xu = (-0.5 * a_mat[:, n_sym:].reshape(n_rows, m, n) - k_ixx
+                ).transpose(0, 2, 1)
+        delta_xx = a_mat[:, :n_sym].copy()
+        if zero_column == "delta_xx":
+            delta_xx[:, rng.integers(n_sym)] = 0.0
+        elif zero_column == "a2":
+            # B'P unknown (a, b) has the column
+            # -2 (I_xu[:, b, a] + K[a] I_xx[:, :, b])
+            a, b = rng.integers(m), rng.integers(n)
+            i_xu[:, b, a] = 0.0
+            gains[:, a] = 0.0
+        data = Dataset(delta_xx=delta_xx, i_xx=i_xx, i_xu=i_xu)
+        solve = adp._BlockLstsq(data)
+        for tail, k in enumerate(gains):
+            qk = rng.standard_normal((n, n))
+            qk += qk.T
+            a_k, rhs = regressor(data, k, qk)
+            if zero_column is not None:
+                with pytest.raises(RankDeficient):
+                    equilibrated_lstsq(a_k, rhs)
+                with pytest.raises(RankDeficient):
+                    solve(k, qk)
+                continue
+            scale, cond = equilibrated_cond(a_k)
+            want, rcond_want = equilibrated_lstsq(a_k, rhs)
+            got, rcond = solve(k, qk)
+            assert_solves_agree(got, want, scale, cond)
+            if tail == 0:
+                # both estimate from R factors that differ by rounding, so
+                # they agree to about eps * cond (at most 5.3 times that in
+                # 3,000 generated cases); 1e-10 relative up to cond 4.5e3
+                assert rcond == pytest.approx(
+                    rcond_want, rel=1e2 * np.finfo(float).eps * cond)
 
     def test_zero_regressor_column_raises_in_loop(self):
         # input channel 1 never moves and k0 has a zero row for it, so the

@@ -334,6 +334,20 @@ class TestBadInput:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"assignment": ["x", 1]}',
+        '{"assignment": 3}',
+        "scenario: five_node",
+        "null",
+    ])
+    def test_malformed_config_fails_cleanly(self, text, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(text, encoding="utf-8")
+        rc = main(["run", "five_node", "--config", str(config),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestMeaninglessSettings:
     @pytest.mark.parametrize("args", [
