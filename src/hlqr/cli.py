@@ -18,6 +18,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
+from typing import get_args
 
 import numpy as np
 
@@ -97,6 +98,18 @@ class ExperimentConfig:
         if unknown:
             raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
         d = dict(d)
+        for f in fields(cls):
+            if f.name not in d or f.name in ("assignment", "dec_sizes"):
+                continue
+            value = d[f.name]
+            # a field's JSON types: its own, and an integer where it takes a float
+            kinds = get_args(f.type) or (f.type,)
+            if float in kinds:
+                kinds += (int,)
+            if not isinstance(value, kinds) or (
+                    isinstance(value, bool) and bool not in kinds):
+                raise InvalidConfig(f"config {f.name} {value!r} is not of "
+                                    f"type {kinds[0].__name__}")
         for key in ("assignment", "dec_sizes"):
             if d.get(key) is not None:
                 try:

@@ -199,9 +199,9 @@ def _evaluate(mas, spec, dec, gain, x0=None, sigma=1.0):
 
     u is the cost matrix of k_h and cl the schur_factor of the hierarchical
     closed loop a_s = A - B k_h, so callers that need further closed-loop costs
-    solve with one dtrsyl.  u is also the first Newton-Kleinman iterate from
-    the stabilizing gain k_h, so the centralized Riccati solution p_opt
-    starts there.
+    solve without factoring a_s again.  u is also the first Newton-Kleinman
+    iterate from the stabilizing gain k_h, so the centralized Riccati
+    solution p_opt starts there.
     """
     a, b = mas.a_full, mas.b_full
     q = assemble_q(spec)

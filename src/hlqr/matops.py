@@ -6,8 +6,12 @@ the learning-oracle checks are all built on these three operations.
 
 A Lyapunov solve is Bartels-Stewart on one real Schur form (schur_factor),
 which callers keep when several right-hand sides share a closed loop.  The
-Riccati solver is Newton-Kleinman; it starts either from an eigenvalue-shift
-gain or from a given first iterate, the cost matrix of a stabilizing gain.
+triangular equation is solved by recursive blocking (Jonsson & Kagstrom's
+RECSY): LAPACK's dtrsyl on blocks of at most _LEAF rows, GEMM updates
+between them, and only the upper off-diagonal blocks of the symmetric
+solution.  The Riccati solver is Newton-Kleinman, each iterate one such
+Lyapunov solve; it starts either from an eigenvalue-shift gain or from a
+given first iterate, the cost matrix of a stabilizing gain.
 
 Conventions: symmetric matrices are plain float64 ndarrays, symmetrized as
 (M + M.T)/2 at every operation boundary.
@@ -40,6 +44,12 @@ CARE_MAX_ITER = 60
 
 #: eigenvalues down to this value are accepted as numerically PSD
 PSD_TOL = -1e-10
+
+#: largest triangular block solved by one dtrsyl call.  48 and 64 were the
+#: fastest of 32-128 at 256, 400 and 784 states on one BLAS thread; 64 keeps
+#: every solve of up to 64 states, such as a 48-state formation, the same bits
+#: as scipy's solver.
+_LEAF = 64
 
 
 def symmetrize(m):
@@ -102,9 +112,9 @@ def schur_factor(a_s):
 def solve_lyapunov(a_s, w):
     """Solve a_s' V + V a_s + W = 0 for stable a_s and PSD W.
 
-    a_s is the matrix or its schur_factor.  Bartels-Stewart: one dtrsyl
-    solves T Y + Y T' = Z'(-W)Z, in scipy's solve_continuous_lyapunov order,
-    so V is bit-identical to it.
+    a_s is the matrix or its schur_factor.  Bartels-Stewart: T Y + Y T' =
+    Z'(-W)Z is solved by _lyap_tri, in scipy's solve_continuous_lyapunov
+    order, so up to _LEAF states V is bit-identical to it.
 
     Raises UnstableMatrix when a_s is not Hurwitz, IterationDiverged when the
     solve fails its residual contract.
@@ -114,15 +124,79 @@ def solve_lyapunov(a_s, w):
     if f.a_s.shape != w.shape:
         raise ValueError(f"shape mismatch: a_s {f.a_s.shape} vs w {w.shape}")
     z = f.z
-    y, scale, info = dtrsyl(f.t, f.t, z.T.dot((-w).dot(z)), tranb="T")
-    if info < 0:
-        raise ValueError(f"dtrsyl: illegal value in argument {-info}")
-    y *= scale
+    y = z.T.dot(w.dot(z))
+    np.negative(y, out=y)  # the same bits as Z'(-W)Z, without forming -W
+    _lyap_tri(f.t, y)
     v = symmetrize(z.dot(y).dot(z.T))
-    res = np.linalg.norm(f.a_s.T @ v + v @ f.a_s + w, "fro")
+    e = v @ f.a_s  # a_s' V is its transpose, since V is symmetric
+    e += e.T
+    e += w
+    res = np.linalg.norm(e, "fro")
     if res > TOL_RESIDUAL * (1.0 + np.linalg.norm(v, "fro")) * 100.0:
         raise IterationDiverged(f"Lyapunov residual {res:.3e} out of contract")
     return v
+
+
+def _split(t):
+    """Middle index of a quasi-triangular t that cuts no 2x2 block."""
+    k = t.shape[0] // 2
+    return k + 1 if t[k, k - 1] != 0.0 else k
+
+
+def _trsyl(t1, t2, c):
+    """Overwrite c with X solving T1 X + X T2' = C by one dtrsyl call."""
+    x, scale, info = dtrsyl(t1, t2, c, tranb="T")
+    if info < 0:
+        raise ValueError(f"dtrsyl: illegal value in argument {-info}")
+    if scale < 1.0:
+        raise IterationDiverged(
+            f"dtrsyl scaled the right-hand side by {scale:.3e} to guard "
+            "against overflow")
+    c[...] = x
+
+
+def _lyap_tri(t, c):
+    """Overwrite c with Y solving T Y + Y T' = C.
+
+    t is upper quasi-triangular and c symmetric.  Above _LEAF rows, with
+    T = [T11 T12; 0 T22]: solve the trailing block Y22, then the Sylvester
+    equation T11 Y12 + Y12 T22' = C12 - T12 Y22, then the leading block
+    against C11 - T12 Y12' - Y12 T12'.  C21 is not read; Y21 = Y12'.
+    """
+    n = t.shape[0]
+    if n <= _LEAF:
+        _trsyl(t, t, c)
+        return
+    k = _split(t)
+    t12 = t[:k, k:]
+    _lyap_tri(t[k:, k:], c[k:, k:])
+    c[:k, k:] -= t12 @ c[k:, k:]
+    _sylv_tri(t[:k, :k], t[k:, k:], c[:k, k:])
+    g = t12 @ c[:k, k:].T
+    c[:k, :k] -= g
+    c[:k, :k] -= g.T
+    c[k:, :k] = c[:k, k:].T
+    _lyap_tri(t[:k, :k], c[:k, :k])
+
+
+def _sylv_tri(t1, t2, c):
+    """Overwrite c with X solving T1 X + X T2' = C, both t quasi-triangular.
+
+    Splits the larger side in two and solves the trailing half first.
+    """
+    m, n = c.shape
+    if m <= _LEAF and n <= _LEAF:
+        _trsyl(t1, t2, c)
+    elif m >= n:
+        k = _split(t1)
+        _sylv_tri(t1[k:, k:], t2, c[k:])
+        c[:k] -= t1[:k, k:] @ c[k:]
+        _sylv_tri(t1[:k, :k], t2, c[:k])
+    else:
+        k = _split(t2)
+        _sylv_tri(t1, t2[k:, k:], c[:, k:])
+        c[:, :k] -= c[:, k:] @ t2[:k, k:].T
+        _sylv_tri(t1, t2[:k, :k], c[:, :k])
 
 
 def care_residual(a, b, q, r, p):
@@ -139,8 +213,10 @@ def _initial_stabilizing_gain(a, b):
     """Gain K with A - B K Hurwitz, via the eigenvalue-shift Lyapunov trick.
 
     Shift A by beta > spectral radius so A + beta*I is anti-stable, solve
-    (A + beta I) Z + Z (A + beta I)' = 2 B B' (Z is PD for controllable (A,B)),
-    and take K = B' Z^{-1}.  Returns the zero gain when A is already Hurwitz.
+    (A + beta I) Z + Z (A + beta I)' = 2 B B' by scipy's
+    solve_continuous_lyapunov, since solve_lyapunov takes only Hurwitz
+    matrices (Z is PD for controllable (A,B)), and take K = B' Z^{-1}.
+    Returns the zero gain when A is already Hurwitz.
     Z may be nearly singular for poorly controllable pairs; only the
     abscissa of A - B K decides, and NonStabilizable is raised when Z cannot
     be solved, K is not finite, or A - B K is not Hurwitz.
@@ -162,10 +238,11 @@ def _initial_stabilizing_gain(a, b):
 def _kleinman_step(a, b, q, r, k):
     """Cost matrix P of the stabilizing gain K: one Newton-Kleinman iterate.
 
-    (A - B K)' P + P (A - B K) + Q + K' R K = 0, by scipy's Bartels-Stewart
-    solver: each iterate has a new closed loop, so no Schur factor is kept.
+    (A - B K)' P + P (A - B K) + Q + K' R K = 0, by solve_lyapunov: each
+    iterate has a new closed loop, so no Schur factor is kept.  Raises
+    UnstableMatrix when A - B K is not Hurwitz.
     """
-    return symmetrize(solve_continuous_lyapunov((a - b @ k).T, -(q + k.T @ r @ k)))
+    return solve_lyapunov(a - b @ k, q + k.T @ r @ k)
 
 
 def solve_care(a, b, q, r, p0=None):
@@ -180,8 +257,8 @@ def solve_care(a, b, q, r, p0=None):
     accepted at residual TOL_RESIDUAL * (1 + |P|_F).
 
     Raises NonStabilizable when no stabilizing initial gain exists and
-    IterationDiverged when the residual fails to contract within
-    CARE_MAX_ITER iterates.
+    IterationDiverged when an iterate's gain is not stabilizing or the
+    residual fails to contract within CARE_MAX_ITER iterates.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -193,7 +270,11 @@ def solve_care(a, b, q, r, p0=None):
             f"inconsistent shapes: a {a.shape}, b {b.shape}, q {q.shape}, r {r.shape}"
         )
     if p0 is None:
-        p = _kleinman_step(a, b, q, r, _initial_stabilizing_gain(a, b))
+        try:
+            p = _kleinman_step(a, b, q, r, _initial_stabilizing_gain(a, b))
+        except UnstableMatrix:
+            raise NonStabilizable(
+                "eigenvalue-shift gain leaves A - B K unstable") from None
     else:
         p = symmetrize(p0)
         if p.shape != (n, n):
@@ -209,7 +290,11 @@ def solve_care(a, b, q, r, p0=None):
             best_res = res
         elif res > 100.0 * best_res:
             raise IterationDiverged(f"Riccati residual diverging: {res:.3e}")
-        p = _kleinman_step(a, b, q, r, k)
+        try:
+            p = _kleinman_step(a, b, q, r, k)
+        except UnstableMatrix as exc:
+            raise IterationDiverged(
+                f"Newton-Kleinman gain lost stability: {exc}") from None
     raise IterationDiverged(
         f"Riccati residual {best_res:.3e} above tolerance after {CARE_MAX_ITER} iterations"
     )

@@ -192,26 +192,26 @@ class TestReportRow:
 
     def test_reference_care_starts_from_k_h(self, tmp_path, monkeypatch):
         # the centralized CARE continues from U, the cost matrix of k_h:
-        # no eigenvalue-shift start, and U itself is no Bartels-Stewart call
-        lyap = matops.solve_continuous_lyapunov
+        # no eigenvalue-shift start, and U itself is no Newton-Kleinman step
+        step = matops._kleinman_step
         shift = matops._initial_stabilizing_gain
-        lyap_sizes, shift_sizes = [], []
+        step_sizes, shift_sizes = [], []
 
-        def counting_lyap(a, q):
-            lyap_sizes.append(a.shape[0])
-            return lyap(a, q)
+        def counting_step(a, *args):
+            step_sizes.append(a.shape[0])
+            return step(a, *args)
 
         def counting_shift(a, b):
             shift_sizes.append(a.shape[0])
             return shift(a, b)
 
-        monkeypatch.setattr(matops, "solve_continuous_lyapunov", counting_lyap)
+        monkeypatch.setattr(matops, "_kleinman_step", counting_step)
         monkeypatch.setattr(matops, "_initial_stabilizing_gain", counting_shift)
         rc = main(["solve", "example1", "--clusters", "cliques", "--s", "5",
                    "--c", "5", "--out", str(tmp_path)])
         assert rc == 0
         assert 100 not in shift_sizes
-        assert 1 <= lyap_sizes.count(100) <= 5
+        assert 1 <= step_sizes.count(100) <= 5
 
     def test_x_u_from_shared_factor(self):
         cfg = ExperimentConfig(scenario="example1", s=3, c=3,
@@ -337,6 +337,8 @@ class TestBadInput:
     @pytest.mark.parametrize("text", [
         '{"assignment": ["x", 1]}',
         '{"assignment": 3}',
+        '{"sigma": "x"}',
+        '{"seed": "abc"}',
         "scenario: five_node",
         "null",
     ])

@@ -303,7 +303,7 @@ class TestGapReport:
             hierarchical_gain(mas, spec, dec),
             k_h=np.zeros((mas.b_full.shape[1], mas.a_full.shape[0])))
         monkeypatch.setattr(hierctrl, "solve_care", None)
-        monkeypatch.setattr(matops, "solve_continuous_lyapunov", None)
+        monkeypatch.setattr(matops, "_kleinman_step", None)
         with pytest.raises(UnstableClosedLoop):
             gap_report(mas, spec, dec, gain)
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlqr import matops, sim
 from hlqr.errors import IterationDiverged, NonStabilizable, UnstableMatrix
@@ -122,8 +124,16 @@ class TestSolveCare:
         a, b = random_controllable(rng, 5, 2)
         q, r = np.eye(5), np.eye(2)
         p = matops.solve_care(a, b, q, r)
-        monkeypatch.setattr(matops, "solve_continuous_lyapunov", None)
+        monkeypatch.setattr(matops, "_kleinman_step", None)
         assert np.array_equal(matops.solve_care(a, b, q, r, p0=p), p)
+
+    def test_destabilizing_iterate_diverges(self):
+        # p0 = 0 gives K = 0, which leaves A = I unstable: the Newton-Kleinman
+        # step reports divergence instead of heading for the anti-stabilizing
+        # solution 1 - sqrt(2)
+        with pytest.raises(IterationDiverged, match="lost stability"):
+            matops.solve_care(np.eye(2), np.eye(2), np.eye(2), np.eye(2),
+                              p0=np.zeros((2, 2)))
 
     def test_warm_start_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -192,6 +202,57 @@ class TestSolveLyapunov:
                 assert np.array_equal(got, matops.solve_lyapunov(a_s, w))
                 assert np.array_equal(got, matops.symmetrize(
                     scipy.linalg.solve_continuous_lyapunov(a_s.T, -w)))
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.integers(matops._LEAF + 1, 4 * matops._LEAF))
+    def test_blocked_solve_with_pair_at_split(self, seed, n):
+        # above _LEAF the triangular solve is split in the middle; a 2x2
+        # Schur block across the middle index moves the split, never cut
+        rng = np.random.default_rng(seed)
+        k = n // 2
+        t = np.triu(rng.standard_normal((n, n)), 1) / n
+        i = 0
+        while i < n:
+            if i == k - 1 or (i + 1 < n and i + 1 != k - 1 and rng.random() < 0.5):
+                # LAPACK's standard form: equal diagonal, opposite off-diagonals
+                re, (b, c) = -rng.uniform(0.01, 2.0), rng.uniform(0.2, 1.0, 2)
+                t[i:i + 2, i:i + 2] = [[re, b], [-c, re]]
+                i += 2
+            else:
+                t[i, i] = -rng.uniform(0.01, 2.0)
+                i += 1
+        assert t[k, k - 1] != 0.0 and matops._split(t) == k + 1
+        z = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        a_s = z @ t.T @ z.T
+        w_half = rng.standard_normal((n, n))
+        w = w_half @ w_half.T
+
+        v = matops.solve_lyapunov(matops.SchurFactor(a_s, t, z), w)
+        res = np.linalg.norm(a_s.T @ v + v @ a_s + w, "fro")
+        eps = np.finfo(float).eps
+        assert res <= 100 * n * eps * (
+            2.0 * np.linalg.norm(a_s, "fro") * np.linalg.norm(v, "fro")
+            + np.linalg.norm(w, "fro"))
+        # every draw has abscissa <= -0.01
+        want = matops.symmetrize(scipy.linalg.solve_continuous_lyapunov(a_s.T, -w))
+        assert np.linalg.norm(v - want, "fro") <= 1e-12 * np.linalg.norm(want, "fro")
+        assert np.array_equal(matops.solve_lyapunov(matops.schur_factor(a_s), w),
+                              matops.solve_lyapunov(a_s, w))
+
+    def test_dtrsyl_scale_refused(self, monkeypatch):
+        # dtrsyl solves T X + X T' = scale C and lowers scale below 1 only to
+        # avoid overflow; a scaled leaf is refused, in a blocked solve too
+        dtrsyl = matops.dtrsyl
+
+        def scaled(*args, **kwargs):
+            x, _, info = dtrsyl(*args, **kwargs)
+            return x, 0.5, info
+
+        monkeypatch.setattr(matops, "dtrsyl", scaled)
+        for n in (3, matops._LEAF + 6):
+            with pytest.raises(IterationDiverged, match="overflow"):
+                matops.solve_lyapunov(-np.eye(n), np.eye(n))
 
     def test_factor_rejects_unstable_and_wrong_shape(self):
         with pytest.raises(UnstableMatrix):
