@@ -13,6 +13,13 @@ solution.  The Riccati solver is Newton-Kleinman, each iterate one such
 Lyapunov solve; it starts either from an eigenvalue-shift gain or from a
 given first iterate, the cost matrix of a stabilizing gain.
 
+solve_care, schur_factor and pinv first split their input at the connected
+components of its exact nonzero pattern (_components) and solve one block
+per component: a decoupled problem's solution is block diagonal in the same
+permutation, and the Schur forms cost a quarter as much for two equal
+blocks.  Only an exactly zero entry separates two components; an input with
+one component takes the dense path unchanged.
+
 Conventions: symmetric matrices are plain float64 ndarrays, symmetrized as
 (M + M.T)/2 at every operation boundary.
 """
@@ -71,17 +78,58 @@ def abscissa(m):
     return float(np.linalg.eigvals(np.asarray(m, dtype=float)).real.max())
 
 
+def _components(adj):
+    """Connected components of the undirected graph with boolean adjacency adj.
+
+    adj is square and symmetric.  Returns one increasing index array per
+    component, the components ordered by their smallest index.
+    """
+    unseen = np.ones(adj.shape[0], dtype=bool)
+    comps = []
+    while unseen.any():
+        front = np.flatnonzero(unseen)[:1]
+        reached = ~unseen
+        reached[front] = True
+        while front.size:  # breadth first, one level per pass
+            front = np.flatnonzero(adj[front].any(axis=0) & ~reached)
+            reached[front] = True
+        comps.append(np.flatnonzero(reached & unseen))
+        unseen &= ~reached
+    return comps
+
+
+def _bipartite(nz):
+    """Adjacency on rows then columns of a boolean pattern nz (rows x cols)."""
+    rows, cols = nz.shape
+    adj = np.zeros((rows + cols, rows + cols), dtype=bool)
+    adj[:rows, rows:] = nz
+    adj[rows:, :rows] = nz.T
+    return adj
+
+
 def pinv(m):
     """Moore-Penrose pseudoinverse by SVD with an explicit rank cutoff.
 
     Singular values at or below max(shape) * machine_eps * sigma_max are
-    treated as zero.  The zero matrix maps to the zero matrix.
+    treated as zero.  The zero matrix maps to the zero matrix.  One SVD per
+    connected component of the row/column nonzero pattern, all cut off at
+    the global sigma_max, so the blocks of the result between components
+    are exactly zero.
     """
     m = np.asarray(m, dtype=float)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    tol = max(m.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    s_inv = np.where(s > tol, np.divide(1.0, s, out=np.zeros_like(s), where=s > tol), 0.0)
-    return (vt.T * s_inv) @ u.T
+    rows = m.shape[0]
+    svds = []
+    for c in _components(_bipartite(m != 0)):
+        i, j = c[c < rows], c[c >= rows] - rows
+        if i.size and j.size:  # a zero row or column maps to zero
+            svds.append((i, j, np.linalg.svd(m[np.ix_(i, j)], full_matrices=False)))
+    s_max = max((s[0] for _, _, (_, s, _) in svds), default=0.0)
+    tol = max(m.shape) * np.finfo(float).eps * s_max
+    out = np.zeros(m.shape[::-1])
+    for i, j, (u, s, vt) in svds:
+        s_inv = np.where(s > tol, np.divide(1.0, s, out=np.zeros_like(s), where=s > tol), 0.0)
+        out[np.ix_(j, i)] = (vt.T * s_inv) @ u.T
+    return out
 
 
 @dataclass(frozen=True)
@@ -100,9 +148,25 @@ def schur_factor(a_s):
     form puts the common real part of a complex pair on both diagonal
     entries of its 2x2 block).  Raises UnstableMatrix when a_s is not
     Hurwitz.
+
+    One Schur form per connected component of a_s's nonzero pattern: T is
+    the block diagonal of the T_c in component order, and Z scatters each
+    Z_c to its component's rows.
     """
     a_s = np.asarray(a_s, dtype=float)
-    t, z = schur(a_s.T, output="real")
+    nz = a_s != 0
+    comps = _components(nz | nz.T)
+    if len(comps) == 1:  # scipy's Fortran-ordered factors, for the same bits
+        t, z = schur(a_s.T, output="real")
+    else:
+        n = a_s.shape[0]
+        t, z = np.zeros((n, n)), np.zeros((n, n))
+        i = 0
+        for c in comps:
+            t_c, z_c = schur(a_s[np.ix_(c, c)].T, output="real")
+            t[i:i + c.size, i:i + c.size] = t_c
+            z[c, i:i + c.size] = z_c
+            i += c.size
     alpha = float(np.diag(t).max())
     if alpha >= 0.0:
         raise UnstableMatrix(f"spectral abscissa {alpha:.3e} >= 0")
@@ -253,8 +317,17 @@ def solve_care(a, b, q, r, p0=None):
     iterate.  Quadratically convergent with monotonically decreasing iterates.
     The first iterate is p0 when given, which must be the cost matrix of a
     stabilizing gain K0 (so (A - B K0)' p0 + p0 (A - B K0) + Q + K0' R K0
-    = 0), and otherwise that of the eigenvalue-shift gain.  An iterate is
-    accepted at residual TOL_RESIDUAL * (1 + |P|_F).
+    = 0), and otherwise that of the eigenvalue-shift gain.  P is accepted at
+    residual TOL_RESIDUAL * (1 + |P|_F).
+
+    The iteration runs once per connected component of the graph on states
+    and inputs whose edges are the nonzeros of A, A', Q, B, R and p0: P is
+    zero between components.  Each of the k components with states starts
+    from its block of p0 or its own eigenvalue-shift gain, and is accepted
+    at TOL_RESIDUAL * (k^{-1/2} + |P_c|_F), which keeps the assembled P
+    within the global contract.  A component without inputs is a Lyapunov
+    solve when it is Hurwitz and NonStabilizable otherwise; one without
+    states adds nothing.
 
     Raises NonStabilizable when no stabilizing initial gain exists and
     IterationDiverged when an iterate's gain is not stabilizing or the
@@ -269,22 +342,44 @@ def solve_care(a, b, q, r, p0=None):
         raise ValueError(
             f"inconsistent shapes: a {a.shape}, b {b.shape}, q {q.shape}, r {r.shape}"
         )
-    if p0 is None:
+    ss = (a != 0) | (q != 0)
+    if p0 is not None:
+        p0 = symmetrize(p0)
+        if p0.shape != (n, n):
+            raise ValueError(f"inconsistent shapes: p0 {p0.shape}, a {a.shape}")
+        ss |= p0 != 0
+    adj = _bipartite(b != 0)
+    adj[:n, :n] = ss | ss.T
+    adj[n:, n:] = r != 0
+    comps = _components(adj)
+    if len(comps) == 1:  # the arrays as given: a copy can change GEMM's bits
+        return _newton_kleinman(a, b, q, r, p0, 1.0)
+    blocks = [(c[c < n], c[c >= n] - n) for c in comps if c[0] < n]
+    floor = max(len(blocks), 1) ** -0.5
+    p = np.zeros((n, n))
+    for s, u in blocks:
+        s2 = np.ix_(s, s)
+        p[s2] = _newton_kleinman(a[s2], b[np.ix_(s, u)], q[s2], r[np.ix_(u, u)],
+                                 None if p0 is None else p0[s2], floor)
+    return p
+
+
+def _newton_kleinman(a, b, q, r, p, floor):
+    """solve_care's iteration on one component, accepted at residual
+    TOL_RESIDUAL * (floor + |P|_F); p is the first iterate, or None for the
+    cost matrix of the eigenvalue-shift gain."""
+    if p is None:
         try:
             p = _kleinman_step(a, b, q, r, _initial_stabilizing_gain(a, b))
         except UnstableMatrix:
             raise NonStabilizable(
                 "eigenvalue-shift gain leaves A - B K unstable") from None
-    else:
-        p = symmetrize(p0)
-        if p.shape != (n, n):
-            raise ValueError(f"inconsistent shapes: p0 {p.shape}, a {a.shape}")
 
     best_res = np.inf
     for _ in range(CARE_MAX_ITER):
         k = np.linalg.solve(r, b.T @ p)
         res = _residual(a, b, q, p, k)
-        if res <= TOL_RESIDUAL * (1.0 + np.linalg.norm(p, "fro")):
+        if res <= TOL_RESIDUAL * (floor + np.linalg.norm(p, "fro")):
             return p
         if res < best_res:
             best_res = res

@@ -1,5 +1,8 @@
 """Reference solvers that the library's faster paths are checked against.
 
+svd_pinv is matops.pinv without the split at connected components: one SVD
+of the whole matrix.
+
 The policy-iteration oracles build the full joint regressor of every pass
 and solve it from scratch, by one Householder QR (equilibrated_lstsq) or by
 SVD (lstsq_svd_oracle).  adp.policy_iteration factors the pass-invariant
@@ -90,3 +93,13 @@ def policy_iteration_oracle(data, qhat, rhat, k0, lstsq=equilibrated_lstsq,
                                iterations=it, converged=True)
         p_prev = p_hat
     raise NoConvergence(f"policy iteration did not converge in {max_iter} passes")
+
+
+def svd_pinv(m):
+    """Pseudoinverse by one SVD, singular values at or below
+    max(shape) * eps * sigma_max cut to zero."""
+    m = np.asarray(m, dtype=float)
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    tol = max(m.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    s_inv = np.where(s > tol, np.divide(1.0, s, out=np.zeros_like(s), where=s > tol), 0.0)
+    return (vt.T * s_inv) @ u.T

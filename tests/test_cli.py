@@ -191,27 +191,41 @@ class TestReportRow:
         assert sizes.count(20) == 1
 
     def test_reference_care_starts_from_k_h(self, tmp_path, monkeypatch):
-        # the centralized CARE continues from U, the cost matrix of k_h:
-        # no eigenvalue-shift start, and U itself is no Newton-Kleinman step
-        step = matops._kleinman_step
-        shift = matops._initial_stabilizing_gain
-        step_sizes, shift_sizes = [], []
+        # the 100-state example1 system is two decoupled 50-state blocks, so
+        # the centralized CARE is two Newton-Kleinman runs, each continuing
+        # from its block of U, the cost matrix of k_h: no eigenvalue-shift
+        # start, U itself is no step, and no Schur form exceeds a block
+        newton, step = matops._newton_kleinman, matops._kleinman_step
+        shift, schur = matops._initial_stabilizing_gain, matops.schur
+        solves, shift_sizes, schur_sizes = [], [], []
 
-        def counting_step(a, *args):
-            step_sizes.append(a.shape[0])
-            return step(a, *args)
+        def counting_newton(a, *args):
+            solves.append([a.shape[0], 0])
+            return newton(a, *args)
+
+        def counting_step(*args):
+            solves[-1][1] += 1
+            return step(*args)
 
         def counting_shift(a, b):
             shift_sizes.append(a.shape[0])
             return shift(a, b)
 
+        def counting_schur(a, **kwargs):
+            schur_sizes.append(a.shape[0])
+            return schur(a, **kwargs)
+
+        monkeypatch.setattr(matops, "_newton_kleinman", counting_newton)
         monkeypatch.setattr(matops, "_kleinman_step", counting_step)
         monkeypatch.setattr(matops, "_initial_stabilizing_gain", counting_shift)
+        monkeypatch.setattr(matops, "schur", counting_schur)
         rc = main(["solve", "example1", "--clusters", "cliques", "--s", "5",
                    "--c", "5", "--out", str(tmp_path)])
         assert rc == 0
-        assert 100 not in shift_sizes
-        assert 1 <= step_sizes.count(100) <= 5
+        assert max(shift_sizes) < 50
+        steps = [k for n, k in solves if n == 50]
+        assert len(steps) == 2 and all(1 <= k <= 5 for k in steps)
+        assert max(schur_sizes) == 50
 
     def test_x_u_from_shared_factor(self):
         cfg = ExperimentConfig(scenario="example1", s=3, c=3,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hlqr import matops, sim
 from hlqr.errors import IterationDiverged, NonStabilizable, UnstableMatrix
+from oracles import svd_pinv
 
 SQRT2_M1 = 0.41421356237309515
 
@@ -20,6 +21,57 @@ def random_controllable(rng, n, m):
         ctrb = np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(n)])
         if np.linalg.matrix_rank(ctrb) == n:
             return a, b
+
+
+def hidden_blocks(rng, n_blocks, inputs_everywhere=False):
+    """Block-diagonal (A, B, Q, R) with the blocks hidden by random state and
+    input permutations, and the block label of each state and input.
+
+    A block has 0-4 states and 0-2 inputs, at least one of either, or 1-4
+    and 1-2 when inputs_everywhere.  (A_c, B_c) is controllable, and A_c is
+    Hurwitz when the block has no inputs.
+    """
+    sizes = []
+    lo = int(inputs_everywhere)
+    while len(sizes) < n_blocks or not (sum(n for n, _ in sizes) and sum(m for _, m in sizes)):
+        n_c, m_c = int(rng.integers(lo, 5)), int(rng.integers(lo, 3))
+        if n_c + m_c:
+            sizes = (sizes + [(n_c, m_c)])[-n_blocks:]
+    a, b, q, r = (scipy.linalg.block_diag(*x) for x in zip(*[
+        _block(rng, n_c, m_c) for n_c, m_c in sizes]))
+    s_lab = np.repeat(np.arange(n_blocks), [n for n, _ in sizes])
+    u_lab = np.repeat(np.arange(n_blocks), [m for _, m in sizes])
+    ps, pu = rng.permutation(s_lab.size), rng.permutation(u_lab.size)
+    return (a[np.ix_(ps, ps)], b[np.ix_(ps, pu)], q[np.ix_(ps, ps)],
+            r[np.ix_(pu, pu)], s_lab[ps], u_lab[pu])
+
+
+def _block(rng, n, m):
+    if m == 0:
+        a = rng.standard_normal((n, n))
+        a -= (matops.abscissa(a) + 0.5) * np.eye(n) if n else 0.0
+        b = np.zeros((n, 0))
+    elif n == 0:
+        a, b = np.zeros((0, 0)), np.zeros((0, m))
+    else:
+        a, b = random_controllable(rng, n, m)
+    q_half = rng.standard_normal((n, n))
+    r_half = rng.standard_normal((m, m))
+    return a, b, q_half @ q_half.T + np.eye(n), r_half @ r_half.T + np.eye(m)
+
+
+def cross(lab_rows, lab_cols):
+    """Mask of the entries between different blocks."""
+    return lab_rows[:, None] != lab_cols[None, :]
+
+
+def couple(rng, m, lab_rows, lab_cols):
+    """Set one entry of m between blocks 0 and 1 (either way round) to 0.5;
+    returns the row and column masks of that off-diagonal block."""
+    c, d = rng.permutation(2)
+    m[rng.choice(np.flatnonzero(lab_rows == c)),
+      rng.choice(np.flatnonzero(lab_cols == d))] = 0.5
+    return lab_rows == c, lab_cols == d
 
 
 class TestSymmetrize:
@@ -271,14 +323,20 @@ class TestSolveLyapunov:
             w_half = rng.standard_normal((n, n))
             w = w_half @ w_half.T
             v = matops.solve_lyapunov(a_s, w)
-            dt, t_final = 1e-3, 40.0
-            # midpoint rule: e runs through expm(a_s t) at t = dt/2, 3dt/2, ...
-            e = scipy.linalg.expm(a_s * (dt / 2.0))
+            dt, t_final, blk = 1e-3, 40.0, 200
+            # midpoint rule at t = dt/2, 3dt/2, ...: a block of blk nodes is
+            # expm(a_s t0) @ e_mid, e_mid[j] = expm(a_s (dt/2 + j dt))
             e_step = scipy.linalg.expm(a_s * dt)
-            total = 0.0
-            for _ in range(int(round(t_final / dt))):
-                total += np.trace(e.T @ w @ e) * dt
-                e = e @ e_step
+            e_mid = np.empty((blk, n, n))
+            e_mid[0] = scipy.linalg.expm(a_s * (dt / 2.0))
+            for j in range(1, blk):
+                e_mid[j] = e_mid[j - 1] @ e_step
+            e_blk = np.linalg.matrix_power(e_step, blk)
+            e0, total = np.eye(n), 0.0
+            for _ in range(int(round(t_final / dt)) // blk):
+                e = e0 @ e_mid
+                total += np.einsum("kji,jl,kli->", e, w, e) * dt
+                e0 = e0 @ e_blk
             assert abs(total - np.trace(v)) <= 1e-2 * np.trace(v)
 
 
@@ -317,6 +375,101 @@ class TestPinv:
         mp = matops.pinv(m)
         assert np.allclose(m @ mp @ m, m, atol=1e-12)
         assert np.linalg.matrix_rank(mp) == 1
+
+
+class TestHiddenBlocks:
+    """solve_care, schur_factor and pinv on block-diagonal inputs behind
+    random permutations: exact zeros between blocks and the dense solvers'
+    answers; and once one entry couples two blocks, the dense path's bits."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_blocks=st.integers(2, 4))
+    def test_care_split(self, seed, n_blocks):
+        rng = np.random.default_rng(seed)
+        a, b, q, r, s_lab, _ = hidden_blocks(rng, n_blocks)
+        p = matops.solve_care(a, b, q, r)
+        assert np.all(p[cross(s_lab, s_lab)] == 0.0)
+        assert matops.care_residual(a, b, q, r, p) <= matops.TOL_RESIDUAL * (
+            1.0 + np.linalg.norm(p, "fro"))
+        p_ref = scipy.linalg.solve_continuous_are(a, b, q, r)
+        assert np.linalg.norm(p - p_ref, "fro") <= 1e-7 * (
+            1.0 + np.linalg.norm(p_ref, "fro"))
+        # from its own solution every block is accepted at once
+        assert np.array_equal(matops.solve_care(a, b, q, r, p0=p), p)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_care_coupled(self, seed):
+        # one entry of A between two controllable blocks: A is block
+        # triangular, so still stabilizable, and the problem one component
+        rng = np.random.default_rng(seed)
+        a, b, q, r, s_lab, _ = hidden_blocks(rng, 2, inputs_everywhere=True)
+        rows, cols = couple(rng, a, s_lab, s_lab)
+        p = matops.solve_care(a, b, q, r)
+        assert np.array_equal(p, matops._newton_kleinman(a, b, q, r, None, 1.0))
+        assert np.any(p[np.ix_(rows, cols)] != 0.0)
+        p_ref = scipy.linalg.solve_continuous_are(a, b, q, r)
+        assert np.linalg.norm(p - p_ref, "fro") <= 1e-7 * (
+            1.0 + np.linalg.norm(p_ref, "fro"))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_blocks=st.integers(2, 4))
+    def test_schur_factor_split(self, seed, n_blocks):
+        rng = np.random.default_rng(seed)
+        a, b, q, r, s_lab, _ = hidden_blocks(rng, n_blocks)
+        a_s = a - b @ np.linalg.solve(r, b.T @ matops.solve_care(a, b, q, r))
+        f = matops.schur_factor(a_s)
+        n = a_s.shape[0]
+        assert np.all(np.tril(f.t, -2) == 0.0)
+        assert np.allclose(f.z.T @ f.z, np.eye(n), rtol=0.0, atol=1e-13)
+        assert np.allclose(f.z @ f.t @ f.z.T, a_s.T, rtol=0.0,
+                           atol=1e-13 * np.linalg.norm(a_s, "fro"))
+        v = matops.solve_lyapunov(f, q)
+        assert np.all(v[cross(s_lab, s_lab)] == 0.0)
+        want = matops.symmetrize(scipy.linalg.solve_continuous_lyapunov(a_s.T, -q))
+        assert np.linalg.norm(v - want, "fro") <= 1e-12 * np.linalg.norm(want, "fro")
+
+        # one entry between blocks 0 and 1 of the closed loop: block
+        # triangular, so still Hurwitz, and the dense Schur form
+        keep = s_lab < 2
+        a_s, s_lab = a_s[np.ix_(keep, keep)], s_lab[keep]
+        if set(s_lab) == {0, 1}:
+            rows, cols = couple(rng, a_s, s_lab, s_lab)
+            f = matops.schur_factor(a_s)
+            t, z = scipy.linalg.schur(a_s.T, output="real")
+            assert np.array_equal(f.t, t) and np.array_equal(f.z, z)
+            v = matops.solve_lyapunov(f, q[np.ix_(keep, keep)])
+            assert np.any(v[np.ix_(rows, cols)] != 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_blocks=st.integers(2, 4))
+    def test_pinv_split(self, seed, n_blocks):
+        # blocks of 0-3 rows and columns, some of rank one
+        rng = np.random.default_rng(seed)
+        shapes = rng.integers(0, 4, (n_blocks, 2))
+        m = scipy.linalg.block_diag(*[
+            rng.standard_normal((i, 1)) @ rng.standard_normal((1, j))
+            if rng.random() < 0.3 else rng.standard_normal((i, j))
+            for i, j in shapes])
+        r_lab = np.repeat(np.arange(n_blocks), shapes[:, 0])
+        c_lab = np.repeat(np.arange(n_blocks), shapes[:, 1])
+        pr, pc = rng.permutation(r_lab.size), rng.permutation(c_lab.size)
+        m, r_lab, c_lab = m[np.ix_(pr, pc)], r_lab[pr], c_lab[pc]
+        mp = matops.pinv(m)
+        assert mp.shape == m.shape[::-1]
+        assert np.all(mp[cross(c_lab, r_lab)] == 0.0)
+        if m.size:
+            want = np.linalg.pinv(m, rcond=max(m.shape) * np.finfo(float).eps)
+            assert np.allclose(mp, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
+
+        # one entry between blocks 0 and 1, both with rows and columns
+        keep_r, keep_c = r_lab < 2, c_lab < 2
+        m, r_lab, c_lab = m[np.ix_(keep_r, keep_c)], r_lab[keep_r], c_lab[keep_c]
+        if set(r_lab) == set(c_lab) == {0, 1}:
+            rows, cols = couple(rng, m, r_lab, c_lab)
+            mp = matops.pinv(m)
+            assert np.array_equal(mp, svd_pinv(m))
+            assert np.any(mp[np.ix_(cols, rows)] != 0.0)
 
 
 class TestResidualGuards:
