@@ -8,8 +8,16 @@ classical RK4 step of length h is an exact linear map
 and every stage state x1..x4 is likewise linear in z = [x; w(t); w(t + h/2);
 w(t + h)].  The maps are built once per call by pushing identity blocks
 through the RK4 stage formulas.  Both kernels then work per chunk of steps:
-the exogenous drive of the chunk is one GEMM, and stage states, inputs, cost
-quadratures and window integrals are batched GEMMs over the chunk.
+the exogenous drive of the chunk is one GEMM, and the stage values of the
+chunk are batched GEMMs over it.
+
+The rollout kernel reads stage 1 from its state record and takes stages 2-4,
+the inputs and the cost quadratures from batched products.  The collect
+kernel keeps no per-step record.  Its chunk is one buffer of rows
+[x | w(t) w(t + h/2) w(t + h)], and one sample map Y sends such a row to the
+weighted stage states and applied inputs c_i [x_i, v_i], i = 1..4, with
+c_i^2 the RK4 quadrature weights.  One GEMM of the buffer with Y' and one
+batched product Y_x' Y then give [I_xx | I_xv] of every window of the chunk.
 
 The state recurrence runs in blocks of BLOCK steps with the powers
 T, T^2, .., T^BLOCK, built once per call.  Within a block starting at x_p,
@@ -25,9 +33,9 @@ the outputs.
 Exogenous signals (excitation, disturbance) are tabulated on the half-step
 grid (2*n_steps + 1 samples) so RK4 stage evaluations see exact signal values.
 
-The state guard is checked per chunk and the outputs are cut at the first
-offending step, so status, last step and the zero tail of every output array
-are those of a per-step loop.
+The state guard is one reduction per chunk, and the outputs are cut at the
+first offending step, so status, last step and the zero tail of every output
+array are those of a per-step loop.
 
 Status codes: 0 = ran to completion, 1 = state guard exceeded (blowup).
 """
@@ -48,12 +56,16 @@ USING_NUMBA = False
 OK = 0
 BLOWUP = 1
 
-#: Steps per chunk.  The collect kernel rounds it to whole windows (at least
-#: one window per chunk).  256 keeps the temporaries near 1 MB at 48 states.
-#: With a per-step recurrence larger chunks ran no faster and raised the peak
-#: memory of a 30,000-step rollout by 6% at 1024; with the blocked recurrence
-#: 512 ran the 36-state collect about 10% faster.
+#: Steps per chunk of the rollout kernel.  256 keeps the temporaries near
+#: 1 MB at 48 states; 1024 ran the 30,000-step formation rollout no faster and
+#: raised its tracemalloc peak from 18.7 to 22.6 MB.
 CHUNK = 256
+
+#: Steps per chunk of the collect kernel, rounded down to whole windows (at
+#: least one window per chunk).  On the 36-state learn (100-step windows, one
+#: BLAS thread) the kernel took 0.51, 0.45, 0.43 and 0.43 s at 256, 512, 1024
+#: and 2048 steps, with temporaries of about 1, 2, 4 and 8 MB.
+COLLECT_CHUNK = 1024
 
 #: Steps per block of the state recurrence.  A chunk of L steps costs BLOCK
 #: GEMMs, ceil(L / BLOCK) matrix-vector products and one GEMM, instead of L
@@ -61,6 +73,8 @@ CHUNK = 256
 BLOCK = 16
 
 _RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
+
+_FMAX = np.finfo(float).max
 
 
 def _rk4_maps(a, b, k, dt):
@@ -86,6 +100,23 @@ def _rk4_maps(a, b, k, dt):
     return step[:, :n], step[:, n:], np.vstack([x, x2, x3, x4])
 
 
+def _sample_map(s_map, k0, dt):
+    """Y with Y z = [c_i x_i, c_i v_i], i = 1..4, for one step's z.
+
+    x_i is stage i's state (the n-row blocks of S z), v_i = w_i - K0 x_i the
+    input applied there, and c_i = sqrt(dt/6 * (1, 2, 2, 1)_i), so that the
+    product of a step's rows Y_x' Y is its RK4 quadrature of [x x' | x v'].
+    """
+    m, n = k0.shape
+    cols = s_map.shape[1]
+    stage_x = s_map.reshape(4, n, cols)
+    stage_v = -(k0 @ stage_x)
+    for i, j in enumerate((0, 1, 1, 2)):  # w(t), w(t+h/2) twice, w(t+h)
+        stage_v[i, :, n + j * m:n + (j + 1) * m] += np.eye(m)
+    c = np.sqrt((dt / 6.0) * _RK4_WEIGHTS)[:, None, None]
+    return (c * np.concatenate([stage_x, stage_v], axis=1)).reshape(-1, cols)
+
+
 def _step_drive(w):
     """Per-step rows [w(t), w(t+h/2), w(t+h)], shape (L, 3m), of a
     (2L+1, m) half-grid slice."""
@@ -94,7 +125,7 @@ def _step_drive(w):
 
 def _stage_rows(half):
     """Values at the four RK4 stages of a (2L+1, m) half-grid slice, as
-    (4L, m) rows ordered like _stages."""
+    (4L, m) rows, row 4s + i at stage i + 1 of step s."""
     stacked = np.stack([half[0:-1:2], half[1::2], half[1::2], half[2::2]], axis=1)
     return stacked.reshape(-1, half.shape[1])
 
@@ -133,18 +164,13 @@ def _advance(t_pows, g_map, xs, wz, s0, s1):
 
 
 def _first_bad(x_rows, guard):
-    """Index of the first row with a non-finite entry or one above guard;
-    len(x_rows) when there is none."""
-    bad = ~np.isfinite(x_rows).all(axis=1) | (np.abs(x_rows) > guard).any(axis=1)
-    hits = np.flatnonzero(bad)
-    return int(hits[0]) if hits.size else len(x_rows)
-
-
-def _stages(s_map, x_rows, wz):
-    """Stage states of the steps starting from x_rows, as (4L, n) rows:
-    row 4s + i is stage i + 1 of step s."""
-    z = np.hstack([x_rows, wz])
-    return (z @ s_map.T).reshape(-1, x_rows.shape[1])
+    """Index of the first row with an entry that is not finite or is above
+    guard, or None.  One reduction decides; the rows are searched only when
+    it fails."""
+    limit = min(guard, _FMAX)
+    if np.abs(x_rows).max() <= limit:  # false also for NaN and inf
+        return None
+    return int(np.flatnonzero(~(np.abs(x_rows) <= limit).all(axis=1))[0])
 
 
 def rollout_kernel(a, b, k, exo_cmd, exo_dist, x0, dt, n_steps, q, r, guard):
@@ -166,6 +192,7 @@ def rollout_kernel(a, b, k, exo_cmd, exo_dist, x0, dt, n_steps, q, r, guard):
     last = n_steps
     t_map, g_map, s_map = _rk4_maps(a, b, k, dt)
     t_pows = _powers(t_map)
+    later_stages = s_map[n:].T  # stage 1 is x itself
     weights = (dt / 6.0) * _RK4_WEIGHTS
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -174,14 +201,18 @@ def rollout_kernel(a, b, k, exo_cmd, exo_dist, x0, dt, n_steps, q, r, guard):
             e = exo_cmd[2 * s0:2 * s1 + 1]
             wz = _step_drive(e + exo_dist[2 * s0:2 * s1 + 1])
             _advance(t_pows, g_map, xs, wz, s0, s1)
-            keep = _first_bad(xs[s0 + 1:s1 + 1], guard) + 1
-            if keep <= s1 - s0:
+            keep = s1 - s0
+            bad = _first_bad(xs[s0 + 1:s1 + 1], guard)
+            if bad is not None:
                 status = BLOWUP
+                keep = bad + 1
                 last = s0 + keep
-            else:
-                keep = s1 - s0
 
-            xst = _stages(s_map, xs[s0:s0 + keep], wz[:keep])
+            x_rows = xs[s0:s0 + keep]
+            xst = np.empty((keep, 4 * n))
+            xst[:, :n] = x_rows
+            np.matmul(np.hstack([x_rows, wz[:keep]]), later_stages, out=xst[:, n:])
+            xst = xst.reshape(-1, n)
             ust = _stage_rows(e[:2 * keep + 1]) - xst @ k.T
             cst = np.sum((xst @ q.T) * xst, axis=1) + np.sum((ust @ r.T) * ust, axis=1)
             jst = np.sum(ust * ust, axis=1)
@@ -203,9 +234,9 @@ def collect_kernel(a, b, k0, exo_cmd, exo_dist, x0, dt, steps_per_window,
     """Learning-data rollout under u = -K0 x + e with applied input v = u + d.
 
     Accumulates per-window RK4 quadratures of x x' and x v' and records window
-    boundary states.  Returns (boundaries, i_xx, i_xv, raw_x, raw_v, status,
-    windows_done); raw_x is the per-step state record the recurrence runs
-    in, raw_v the applied input at each step.  adp.collect uses neither.
+    boundary states.  Returns (boundaries, i_xx, i_xv, None, None, status,
+    windows_done).  No per-step record is kept; slots 3 and 4 are empty and
+    stay only for callers that read windows_done by position.
     """
     n = a.shape[0]
     m = b.shape[1]
@@ -213,48 +244,43 @@ def collect_kernel(a, b, k0, exo_cmd, exo_dist, x0, dt, steps_per_window,
     xb = np.zeros((n_windows + 1, n))
     ixx = np.zeros((n_windows, n, n))
     ixv = np.zeros((n_windows, n, m))
-    raw_x = np.zeros((spw * n_windows + 1, n))
-    raw_v = np.zeros((spw * n_windows + 1, m))
-
     xb[0] = x0
-    raw_x[0] = x0
-    raw_v[0] = -np.dot(k0, x0) + exo_cmd[0] + exo_dist[0]
     status = OK
     done = 0
     t_map, g_map, s_map = _rk4_maps(a, b, k0, dt)
     t_pows = _powers(t_map)
-    weights = (dt / 6.0) * np.tile(_RK4_WEIGHTS, spw)[:, None]
-    per_chunk = max(1, CHUNK // spw)
+    y_map = _sample_map(s_map, k0, dt).T
+    per_chunk = max(1, COLLECT_CHUNK // spw)
+    # row s: the chunk's state x_s, then the drive [w(t) w(t+h/2) w(t+h)] of
+    # the step from it; the state columns run the recurrence
+    buf = np.empty((min(per_chunk, n_windows) * spw + 1, n + 3 * m))
+    xs = buf[:, :n]
+    xs[0] = x0
 
     with np.errstate(over="ignore", invalid="ignore"):
         for w0 in range(0, n_windows, per_chunk):
             w1 = min(w0 + per_chunk, n_windows)
             s0, s1 = w0 * spw, w1 * spw
-            w = exo_cmd[2 * s0:2 * s1 + 1] + exo_dist[2 * s0:2 * s1 + 1]
-            wz = _step_drive(w)
-            _advance(t_pows, g_map, raw_x, wz, s0, s1)
-            keep = _first_bad(raw_x[s0 + 1:s1 + 1], guard) + 1
-            if keep <= s1 - s0:
+            steps = s1 - s0
+            for j in range(3):
+                np.add(exo_cmd[2 * s0 + j:2 * s1 + j:2], exo_dist[2 * s0 + j:2 * s1 + j:2],
+                       out=buf[:steps, n + j * m:n + (j + 1) * m])
+            _advance(t_pows, g_map, xs, buf[:steps, n:], 0, steps)
+            bad = _first_bad(xs[1:steps + 1], guard)
+            if bad is not None:
+                # whole windows only: the window holding a blowup is dropped
                 status = BLOWUP
-                raw_x[s0 + keep + 1:] = 0.0
-            else:
-                keep = s1 - s0
-            raw_v[s0 + 1:s0 + keep + 1] = (
-                w[2:2 * keep + 1:2] - raw_x[s0 + 1:s0 + keep + 1] @ k0.T
-            )
+                steps = bad // spw * spw
 
-            # whole windows only: the window holding a blowup is dropped
-            n_win = (keep - (status == BLOWUP)) // spw
-            steps = n_win * spw
-            xst = _stages(s_map, raw_x[s0:s0 + steps], wz[:steps])
-            vst = _stage_rows(w[:2 * steps + 1]) - xst @ k0.T
-            xst = xst.reshape(n_win, 4 * spw, n)
-            xw = (xst * weights).transpose(0, 2, 1)
-            ixx[w0:w0 + n_win] = xw @ xst
-            ixv[w0:w0 + n_win] = xw @ vst.reshape(n_win, 4 * spw, m)
-            xb[w0 + 1:w0 + n_win + 1] = raw_x[s0 + spw:s0 + steps + 1:spw]
+            n_win = steps // spw
+            samples = (buf[:steps] @ y_map).reshape(n_win, 4 * spw, n + m)
+            ints = samples[:, :, :n].transpose(0, 2, 1) @ samples
+            ixx[w0:w0 + n_win] = ints[:, :, :n]
+            ixv[w0:w0 + n_win] = ints[:, :, n:]
+            xb[w0 + 1:w0 + n_win + 1] = xs[spw:steps + 1:spw]
             done = w0 + n_win
             if status == BLOWUP:
                 break
+            xs[0] = xs[steps]
 
-    return xb, ixx, ixv, raw_x, raw_v, status, done
+    return xb, ixx, ixv, None, None, status, done

@@ -27,8 +27,8 @@ Conventions: symmetric matrices are plain float64 ndarrays, symmetrized as
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur, solve_continuous_lyapunov
-from scipy.linalg.lapack import dtrsyl
+from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg.lapack import dgees, dtrsyl
 
 from .errors import IterationDiverged, NonStabilizable, UnstableMatrix
 
@@ -141,6 +141,20 @@ class SchurFactor:
     z: np.ndarray
 
 
+def _no_select(wr, wi):
+    return 0
+
+
+def _schur(a):
+    """Real Schur form (T, Z), a = Z T Z', by LAPACK dgees with its workspace
+    query: the call scipy.linalg.schur makes, without its argument checks."""
+    lwork = int(dgees(_no_select, a, lwork=-1)[-2][0])
+    t, _, _, _, z, _, info = dgees(_no_select, a, lwork=lwork)
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found")
+    return t, z
+
+
 def schur_factor(a_s):
     """Factor a Hurwitz a_s for solve_lyapunov, once for any number of W.
 
@@ -154,16 +168,18 @@ def schur_factor(a_s):
     Z_c to its component's rows.
     """
     a_s = np.asarray(a_s, dtype=float)
+    if not np.isfinite(a_s).all():
+        raise ValueError("schur_factor needs a finite matrix")
     nz = a_s != 0
     comps = _components(nz | nz.T)
-    if len(comps) == 1:  # scipy's Fortran-ordered factors, for the same bits
-        t, z = schur(a_s.T, output="real")
+    if len(comps) == 1:  # Fortran-ordered factors, the same bits as scipy's
+        t, z = _schur(a_s.T)
     else:
         n = a_s.shape[0]
         t, z = np.zeros((n, n)), np.zeros((n, n))
         i = 0
         for c in comps:
-            t_c, z_c = schur(a_s[np.ix_(c, c)].T, output="real")
+            t_c, z_c = _schur(a_s[np.ix_(c, c)].T)
             t[i:i + c.size, i:i + c.size] = t_c
             z[c, i:i + c.size] = z_c
             i += c.size

@@ -196,7 +196,7 @@ class TestReportRow:
         # from its block of U, the cost matrix of k_h: no eigenvalue-shift
         # start, U itself is no step, and no Schur form exceeds a block
         newton, step = matops._newton_kleinman, matops._kleinman_step
-        shift, schur = matops._initial_stabilizing_gain, matops.schur
+        shift, schur = matops._initial_stabilizing_gain, matops._schur
         solves, shift_sizes, schur_sizes = [], [], []
 
         def counting_newton(a, *args):
@@ -211,14 +211,14 @@ class TestReportRow:
             shift_sizes.append(a.shape[0])
             return shift(a, b)
 
-        def counting_schur(a, **kwargs):
+        def counting_schur(a):
             schur_sizes.append(a.shape[0])
-            return schur(a, **kwargs)
+            return schur(a)
 
         monkeypatch.setattr(matops, "_newton_kleinman", counting_newton)
         monkeypatch.setattr(matops, "_kleinman_step", counting_step)
         monkeypatch.setattr(matops, "_initial_stabilizing_gain", counting_shift)
-        monkeypatch.setattr(matops, "schur", counting_schur)
+        monkeypatch.setattr(matops, "_schur", counting_schur)
         rc = main(["solve", "example1", "--clusters", "cliques", "--s", "5",
                    "--c", "5", "--out", str(tmp_path)])
         assert rc == 0

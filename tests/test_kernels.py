@@ -4,6 +4,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hlqr import _kernels, sim
 from hlqr.adp import Excitation
@@ -30,8 +32,10 @@ def assert_rel(actual, expected, tol=1e-12):
 
 def collect_step_loop(a, b, k0, exo_cmd, exo_dist, x0, dt, steps_per_window,
                       n_windows, guard):
-    """Per-step RK4 reference for collect_kernel: same arguments, same
-    return tuple, one stage evaluation at a time."""
+    """Per-step RK4 reference for collect_kernel: same arguments, one stage
+    evaluation at a time.  Returns the kernel's tuple with the per-step state
+    and applied-input records raw_x, raw_v in slots 3 and 4, which the
+    kernel leaves empty."""
     n = a.shape[0]
     m = b.shape[1]
     total = steps_per_window * n_windows
@@ -111,9 +115,19 @@ def assert_rollout_matches(out, traj, last):
 
 
 def assert_collect_matches(out, ref):
-    for got, want in zip(out[:5], ref[:5]):
-        assert_rel(got, want)
+    """Boundary states and window integrals against collect_step_loop, equal
+    status and windows done, and zero rows past the last whole window."""
     assert out[5] == ref[5] and out[6] == ref[6]
+    done = ref[6]
+    for got, want in zip(out[:3], ref[:3]):
+        assert_rel(got, want)
+    for tail in (out[0][done + 1:], out[1][done:], out[2][done:]):
+        assert not np.any(tail)
+
+
+def first_blowup_step(raw_x, guard):
+    """The step at which the oracle's state record first exceeds guard."""
+    return int(np.flatnonzero(np.abs(raw_x).max(axis=1) > guard)[0])
 
 
 class TestBackendParity:
@@ -188,7 +202,7 @@ class TestBackendParity:
         n, m = b.shape
         dt, steps, windows = 1e-3, 100, 25
         n_steps = steps * windows
-        assert n_steps > 2 * _kernels.CHUNK
+        assert n_steps > 2 * _kernels.COLLECT_CHUNK
         cmd = tabulate_signal(Excitation.make(5, m), dt, n_steps, m)
         amps = 0.2 * np.arange(1, m + 1)
         dist = tabulate_signal(lambda t: amps * np.cos(3.0 * t) / (t + 1.0),
@@ -213,15 +227,49 @@ class TestBackendParity:
                 windows, guard)
         ref = collect_step_loop(*args)
         assert ref[5] == _kernels.BLOWUP
-        per_chunk = _kernels.CHUNK // steps
+        per_chunk = _kernels.COLLECT_CHUNK // steps
         assert ref[6] > per_chunk and ref[6] % per_chunk
         out = _kernels.collect_kernel(*args)
         assert_collect_matches(out, ref)
-        bad = int(np.flatnonzero(np.abs(ref[3]).max(axis=1) > guard)[0])
-        assert (bad - 1) // steps == ref[6]
-        for arr in (out[3][bad + 1:], out[4][bad + 1:], out[0][ref[6] + 1:],
-                    out[1][ref[6]:], out[2][ref[6]:]):
-            assert not np.any(arr)
+        assert (first_blowup_step(ref[3], guard) - 1) // steps == ref[6]
+
+
+@st.composite
+def collect_cases(draw):
+    """A small stable or unstable pair with a nonzero behavior gain, an
+    excitation and a disturbance, a window length that does not divide the
+    collect chunk, more than one chunk of steps, and a guard between |x0|
+    and 1e4 times it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    shift = draw(st.floats(-0.5, 1.5))  # small shifts leave many draws unstable
+    a = rng.uniform(-1.0, 1.0, (n, n)) - shift * np.eye(n)
+    b = rng.uniform(-1.0, 1.0, (n, m))
+    k0 = rng.uniform(-0.5, 0.5, (m, n))
+    spw = draw(st.integers(3, 60).filter(lambda s: _kernels.COLLECT_CHUNK % s))
+    per_chunk = _kernels.COLLECT_CHUNK // spw
+    windows = per_chunk + draw(st.integers(1, per_chunk))
+    dt, n_steps = 10.0 ** draw(st.floats(-3.0, -2.0)), spw * windows
+    freq, phase = rng.uniform(0.5, 5.0, m), rng.uniform(0.0, np.pi, m)
+    cmd = tabulate_signal(lambda t: 0.3 * np.sin(freq * t + phase), dt, n_steps, m)
+    amps = rng.uniform(0.05, 0.5, m)
+    dist = tabulate_signal(lambda t: amps * np.cos(1.3 * t), dt, n_steps, m)
+    x0 = rng.standard_normal(n)
+    guard = float(np.abs(x0).max() * 10.0 ** draw(st.floats(0.0, 4.0)))
+    return a, b, k0, cmd, dist, x0, dt, spw, windows, guard
+
+
+class TestCollectProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(args=collect_cases())
+    def test_matches_step_loop(self, args):
+        ref = collect_step_loop(*args)
+        guard = args[-1]
+        peaks = np.abs(ref[3]).max(axis=1)
+        assume(np.all(np.abs(peaks - guard) > 1e-9 * guard))  # no near-tie
+        out = _kernels.collect_kernel(*args)
+        assert_collect_matches(out, ref)
+        assert_rel(out[1], out[1].transpose(0, 2, 1), 1e-15)
 
 
 def growing_pair():
@@ -264,11 +312,11 @@ class TestBlockedRecurrence:
 
     @pytest.mark.parametrize("steps, windows", [
         (1, 1),                           # a single one-step chunk
-        (1, _kernels.CHUNK + 1),          # the last chunk is one step
-        (7, 40),                          # chunks of 252 and 28 steps
+        (1, _kernels.COLLECT_CHUNK + 1),  # the last chunk is one step
+        (7, 160),                         # chunks of 1022 and 98 steps
     ])
     def test_collect_chunk_lengths(self, steps, windows):
-        per_chunk = max(1, _kernels.CHUNK // steps)
+        per_chunk = max(1, _kernels.COLLECT_CHUNK // steps)
         tail = (windows % per_chunk or per_chunk) * steps
         assert tail == 1 or tail % self.B
         a, b = damped_rotation()
@@ -299,11 +347,12 @@ class TestBlockedRecurrence:
 
     @pytest.mark.parametrize("row", [0, _kernels.BLOCK - 1])
     def test_collect_blowup_on_block_edge(self, row):
-        # chunks of 250 steps; second chunk, block 3: its first row, or its last
+        # chunks of 1020 steps; second chunk, block 3: its first row, or its last
         a, b, k0, x0 = growing_pair()
-        dt, steps, windows = 1e-2, 10, 60
-        s0 = (_kernels.CHUNK // steps) * steps
+        dt, steps, windows = 1e-2, 10, 120
+        s0 = (_kernels.COLLECT_CHUNK // steps) * steps
         step = s0 + 3 * self.B + row + 1
+        assert s0 == 1020 and step < steps * windows
         cmd, dist = zero_tables(steps * windows, 1)
         args = [a, b, k0, cmd, dist, x0, dt, steps, windows, np.inf]
         free = collect_step_loop(*args)
@@ -312,7 +361,7 @@ class TestBlockedRecurrence:
         assert ref[5] == _kernels.BLOWUP and ref[6] == (step - 1) // steps
         out = _kernels.collect_kernel(*args)
         assert_collect_matches(out, ref)
-        assert not np.any(out[3][step + 1:])
+        assert first_blowup_step(ref[3], args[-1]) == step
 
     def test_overflow_without_guard(self):
         # with an infinite guard the first non-finite row is the blowup
@@ -327,8 +376,10 @@ class TestBlockedRecurrence:
         assert not np.any(xs[last + 1:])
         out = _kernels.collect_kernel(a, b, k, cmd, dist, np.array([1.0]), 1.0,
                                       steps, n_steps // steps, np.inf)
-        assert out[5] == _kernels.BLOWUP and out[6] == (last - 1) // steps
-        assert np.array_equal(out[3][:last], xs[:last])
+        done = out[6]
+        assert out[5] == _kernels.BLOWUP and done == (last - 1) // steps
+        assert np.array_equal(out[0][:done + 1], xs[:done * steps + 1:steps])
+        assert not np.any(out[0][done + 1:])
 
 
 class TestKernelInterface:
@@ -357,6 +408,8 @@ class TestKernelInterface:
         a, b, k0, x0 = growing_pair()
         steps, windows = 10, 40
         cmd, dist = zero_tables(steps * windows, 1)
+        raw_x = collect_step_loop(a, b, k0, cmd, dist, x0, 1e-2, steps, windows,
+                                  5.0)[3]
         for out in (
             _kernels.collect_kernel(a, b, k0, cmd, dist, x0, 1e-2, steps,
                                     windows, 5.0),
@@ -364,14 +417,13 @@ class TestKernelInterface:
                                         guard=5.0),
         ):
             assert len(out) == 7
-            xb, ixx, ixv, raw_x, raw_v, status, done = out
+            xb, ixx, ixv, no_x, no_v, status, done = out
             assert xb.shape == (windows + 1, 2)
             assert ixx.shape == (windows, 2, 2) and ixv.shape == (windows, 2, 1)
-            assert raw_x.shape == (steps * windows + 1, 2)
-            assert raw_v.shape == (steps * windows + 1, 1)
+            assert no_x is None and no_v is None
             assert status == _kernels.BLOWUP
             assert isinstance(done, int) and 0 < done < windows
-            assert np.array_equal(xb[1:done + 1], raw_x[steps:done * steps + 1:steps])
+            assert_rel(xb[:done + 1], raw_x[:done * steps + 1:steps])
 
     def test_positional_arguments(self):
         # perfbench reads steps_per_window as args[7] of collect_kernel and
@@ -480,7 +532,7 @@ class TestGuards:
         dt, steps, windows = 1e-2, 40, 100
         cmd, dist = zero_tables(steps * windows, 1)
         args = [a, b, k0, cmd, dist, np.array([1.0]), dt, steps, windows, np.inf]
-        free = _kernels.collect_kernel(*args)[3][:, 0]
+        free = collect_step_loop(*args)[3][:, 0]
         end = 7 * steps
         args[-1] = np.sqrt(free[end - 1] * free[end])
         out = _kernels.collect_kernel(*args)
@@ -502,11 +554,12 @@ class TestCollectIntegrals:
         cmd = tabulate_signal(exc, dt, n_steps, 1)
         dist = np.zeros_like(cmd)
         x0 = np.array([1.0, 0.0])
-        xb, ixx, ixv, raw_x, raw_v, status, done = _kernels.collect_kernel(
-            a, b, k0, cmd, dist, x0, dt, steps, windows, 1e6)
+        args = (a, b, k0, cmd, dist, x0, dt, steps, windows, 1e6)
+        xb, ixx, ixv, _, _, status, done = _kernels.collect_kernel(*args)
         assert status == _kernels.OK and done == windows
+        raw_x, raw_v = collect_step_loop(*args)[3:5]
 
-        # reference: trapezoid over the recorded per-step samples
+        # reference: trapezoid over the oracle's per-step samples
         for w in range(windows):
             lo, hi = w * steps, (w + 1) * steps
             xs = raw_x[lo:hi + 1]
@@ -520,7 +573,7 @@ class TestCollectIntegrals:
                                       + np.outer(xs[i + 1], vs[i + 1]))
             assert np.allclose(ixx[w], ref_xx, atol=5e-7)
             assert np.allclose(ixv[w], ref_xv, atol=5e-7)
-        # boundary states match the raw trace
+        # boundary states match the oracle's per-step record
         for w in range(windows + 1):
             assert np.allclose(xb[w], raw_x[w * steps], atol=1e-14)
 

@@ -441,6 +441,29 @@ class TestHiddenBlocks:
             v = matops.solve_lyapunov(f, q[np.ix_(keep, keep)])
             assert np.any(v[np.ix_(rows, cols)] != 0.0)
 
+    @pytest.mark.parametrize("n_blocks", [1, 4])
+    def test_schur_factor_bits_of_scipy(self, n_blocks):
+        # dgees called directly returns scipy.linalg.schur's factors, of the
+        # whole matrix or of each component
+        rng = np.random.default_rng(11)
+        sizes = [1, 2, 5, 8][:n_blocks] if n_blocks > 1 else [9]
+        a_s = scipy.linalg.block_diag(*[
+            rng.standard_normal((k, k)) - 2.0 * k * np.eye(k) for k in sizes])
+        perm = rng.permutation(a_s.shape[0])
+        a_s = a_s[np.ix_(perm, perm)]
+        f = matops.schur_factor(a_s)
+        comps = matops._components((a_s != 0) | (a_s != 0).T)
+        assert len(comps) == n_blocks
+        assert np.any(np.diag(f.t, -1))  # a complex pair's 2x2 block
+        i = 0
+        for c in comps:
+            t, z = scipy.linalg.schur(a_s[np.ix_(c, c)].T, output="real")
+            assert np.array_equal(f.t[i:i + c.size, i:i + c.size], t)
+            assert np.array_equal(f.z[c, i:i + c.size], z)
+            i += c.size
+        with pytest.raises(ValueError, match="finite"):
+            matops.schur_factor(np.where(a_s == a_s[0, 0], np.nan, a_s))
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_blocks=st.integers(2, 4))
     def test_pinv_split(self, seed, n_blocks):
