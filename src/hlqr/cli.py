@@ -253,17 +253,12 @@ def _scenario_trajectory(cfg, scenario, gain):
 
 def make_report_row(cfg, scenario, dec, gain, learn_time=float("nan"),
                     traj=None):
-    """Evaluate a gain into a ReportRow (and the underlying GapReport).
+    """Evaluate a gain into (ReportRow, GapReport, P_opt).
 
-    Under the scenario x0 scheme the costs are those of traj, the
-    closed-loop trajectory from the scenario's initial state; it is
-    integrated here when not given.
+    P_opt is the centralized Riccati solution.  Under the scenario x0
+    scheme the costs are those of traj, the closed-loop trajectory from the
+    scenario's initial state; it is integrated here when not given.
     """
-    return _report_row(cfg, scenario, dec, gain, learn_time, traj)[:2]
-
-
-def _report_row(cfg, scenario, dec, gain, learn_time, traj):
-    """make_report_row's body; also returns the centralized Riccati solution."""
     mas, spec = scenario.mas, scenario.spec
     report, p_opt, u, cl = _evaluate(mas, spec, dec, gain, sigma=cfg.sigma)
     _, n_c = comm_links(gain.k_h, spec.n, spec.m)
@@ -322,7 +317,8 @@ def run_experiment(cfg):
     traj = None
     if cfg.x0_scheme == "scenario":
         traj = _scenario_trajectory(cfg, scenario, gain)
-    row, report = make_report_row(cfg, scenario, dec, gain, learn_time, traj)
+    row, report, _ = make_report_row(cfg, scenario, dec, gain, learn_time,
+                                     traj)
 
     out = cfg.out_dir
     paths = {
@@ -428,8 +424,7 @@ def _bench_decomposition_compare(out_dir, seed):
     for label, assignment in named:
         dec = Decomposition.from_assignment(assignment)
         gain = hierarchical_gain(mas, spec, dec)
-        row, _, p_opt = _report_row(cfg, scenario, dec, gain, float("nan"),
-                                    None)
+        row, _, p_opt = make_report_row(cfg, scenario, dec, gain)
         rows.append([label, *row.cells()[1:]])
 
     # every row shares mas and spec, so p_opt is the undecomposed optimum
@@ -487,7 +482,7 @@ def _bench_formation(out_dir, seed):
         except HlqrError as exc:
             gain = hierarchical_gain(mas, spec, dec)
             note = f"learning failed ({type(exc).__name__}); model-based gain"
-        row, _ = make_report_row(cfg, scenario, dec, gain, learn_time)
+        row, _, _ = make_report_row(cfg, scenario, dec, gain, learn_time)
         rows.append([*row.cells(), note])
     path = fileio.write_csv(
         f"{out_dir}/formation.csv", [*REPORT_COLUMNS, "note"], rows,
@@ -613,19 +608,13 @@ def _config_from_args(args):
     cfg = ExperimentConfig.from_dict(base)
 
     updates = {}
-    mapping = {
-        "scenario": "scenario", "s": "s", "c": "c", "n": "n", "m": "m",
-        "seed": "seed", "sigma": "sigma", "n_draws": "n_draws",
-        "x0_scheme": "x0_scheme", "learn": "learn", "dt": "dt",
-        "window": "window", "horizon": "horizon", "tol_pi": "tol_pi",
-        "max_iter": "max_iter", "t_final": "t_final", "out": "out_dir",
-    }
-    for arg_name, field in mapping.items():
-        value = getattr(args, arg_name, None)
+    # a flag has its field's name, except --out; --assignment is parsed below
+    for f in fields(ExperimentConfig):
+        if f.name == "assignment":
+            continue
+        value = getattr(args, "out" if f.name == "out_dir" else f.name, None)
         if value is not None:
-            updates[field] = value
-    if getattr(args, "objective", None):
-        updates["objective"] = args.objective
+            updates[f.name] = value
     if getattr(args, "clusters", None):
         updates["objective"] = "cliques"
     if getattr(args, "assignment", None):
@@ -678,7 +667,7 @@ def cmd_solve(args):
     scenario = build_scenario(cfg)
     dec, _ = choose_decomposition(cfg, scenario)
     gain = hierarchical_gain(scenario.mas, scenario.spec, dec)
-    row, report = make_report_row(cfg, scenario, dec, gain)
+    row, report, _ = make_report_row(cfg, scenario, dec, gain)
     fileio.save_gain(f"{cfg.out_dir}/gain.npz", gain)
     fileio.save_json(f"{cfg.out_dir}/gap_report.json", asdict(report))
     fileio.write_csv(f"{cfg.out_dir}/report.csv", REPORT_COLUMNS, [row.cells()])

@@ -10,7 +10,6 @@ __all__ = [
     "InvalidDecomposition",
     "DimensionMismatch",
     "Infeasible",
-    "TooLarge",
     "RankDeficient",
     "NoConvergence",
     "StateBlowup",
@@ -52,10 +51,6 @@ class DimensionMismatch(HlqrError):
 
 class Infeasible(HlqrError):
     """No decomposition satisfies the constraints."""
-
-
-class TooLarge(HlqrError):
-    """Problem size exceeds the exhaustive-search guard."""
 
 
 class RankDeficient(HlqrError):

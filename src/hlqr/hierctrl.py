@@ -48,11 +48,6 @@ class HierarchicalGain:
     dec: object
     agent_m: int
 
-    def agent_gain(self, i):
-        """Rows of k_h commanding agent i's inputs (m x nN)."""
-        m = self.agent_m
-        return self.k_h[m * i:m * (i + 1)]
-
     @property
     def p_full(self):
         """scriptP as a dense matrix in the original agent ordering."""

@@ -40,7 +40,6 @@ __all__ = [
     "schur_factor",
     "solve_lyapunov",
     "solve_care",
-    "care_residual",
 ]
 
 #: mixed absolute-relative residual tolerance of the matrix solvers
@@ -279,13 +278,8 @@ def _sylv_tri(t1, t2, c):
         _sylv_tri(t1, t2[:k, :k], c[:, :k])
 
 
-def care_residual(a, b, q, r, p):
-    """Frobenius norm of P A + A' P + Q - P B R^{-1} B' P."""
-    return _residual(a, b, q, p, np.linalg.solve(r, b.T @ p))
-
-
 def _residual(a, b, q, p, k):
-    """care_residual with K = R^{-1} B' P already formed."""
+    """Frobenius norm of P A + A' P + Q - P B K, K = R^{-1} B' P."""
     return float(np.linalg.norm(p @ a + a.T @ p + q - (p @ b) @ k, "fro"))
 
 

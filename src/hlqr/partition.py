@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Infeasible, TooLarge
+from .errors import Infeasible
 from .graphcost import ADJACENCY_TOL, Decomposition
 
 __all__ = [
@@ -44,10 +44,8 @@ __all__ = [
     "PartitionResult",
     "max_kappa",
     "min_scut",
-    "enumerate_partitions",
 ]
 
-ENUMERATION_GUARD = 12
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
@@ -57,13 +55,12 @@ class ConstraintSet:
 
     leader_indicator is a 0/1 vector over agents; require_leader demands at
     least one leader per cluster.  require_neighbor demands every member of a
-    non-singleton cluster have an intra-cluster neighbor (weight >= min_epsilon);
-    require_connected strengthens that to full cluster connectivity.
-    min_epsilon defaults to the smallest nonzero coupling weight of the graph.
+    non-singleton cluster have an intra-cluster neighbor (a coupling of at
+    least the smallest nonzero weight of the graph); require_connected
+    strengthens that to full cluster connectivity.
     """
 
     leader_indicator: tuple | None = None
-    min_epsilon: float | None = None
     require_leader: bool = False
     require_neighbor: bool = False
     require_connected: bool = False
@@ -139,11 +136,9 @@ def _precheck(problem):
             )
 
 
-def _min_eps(graph, constraints):
-    if constraints.min_epsilon is not None:
-        return constraints.min_epsilon
-    w = _weight_matrix(graph)
-    nz = w[w > 0.0]
+def _min_eps(weights):
+    """Smallest nonzero coupling weight (inf for a graph without edges)."""
+    nz = weights[weights > 0.0]
     return float(nz.min()) if nz.size else np.inf
 
 
@@ -174,7 +169,7 @@ class _Search:
         self.budget = problem.node_budget
         self.maximize_kappa = maximize_kappa
         self.w = _weight_matrix(problem.graph)
-        self.eps = _min_eps(problem.graph, problem.constraints)
+        self.eps = _min_eps(self.w)
 
         w = self.w.tolist()
         # coupled agents of u: earlier ones with their weights, later ones
@@ -389,47 +384,3 @@ def min_scut(problem):
     _precheck(problem)
     search = _Search(problem, maximize_kappa=False).run()
     return _finish(search)
-
-
-def enumerate_partitions(n_agents, s, constraints=None, graph=None):
-    """Yield every partition of {0..N-1} into s nonempty clusters, once each.
-
-    Restricted-growth enumeration; guarded against combinatorial blowup at
-    N > 12.  Leader constraints filter directly; neighbor-set and connectivity
-    constraints need coupling information and apply only when graph is given.
-    """
-    if n_agents > ENUMERATION_GUARD:
-        raise TooLarge(f"N={n_agents} exceeds enumeration guard {ENUMERATION_GUARD}")
-    if not 1 <= s <= n_agents:
-        return
-
-    cons = constraints if constraints is not None else ConstraintSet()
-    weights = _weight_matrix(graph) if graph is not None else None
-    eps = _min_eps(graph, cons) if graph is not None else np.inf
-
-    assign = [0] * n_agents
-
-    def rec(idx, n_open):
-        if n_agents - idx < s - n_open:
-            return
-        if idx == n_agents:
-            if n_open == s:
-                yield tuple(assign)
-            return
-        for c in range(min(n_open + 1, s)):
-            assign[idx] = c
-            yield from rec(idx + 1, max(n_open, c + 1))
-
-    for a in rec(0, 0):
-        if cons.require_leader and cons.leader_indicator is not None:
-            ok = all(
-                any(cons.leader_indicator[u] for u in range(n_agents) if a[u] == c)
-                for c in range(s)
-            )
-            if not ok:
-                continue
-        if graph is not None and (cons.require_neighbor or cons.require_connected):
-            clusters = [[u for u in range(n_agents) if a[u] == c] for c in range(s)]
-            if not _constraints_ok(graph, cons, clusters, weights, eps):
-                continue
-        yield Decomposition.from_assignment(a)

@@ -2,10 +2,10 @@
 
 Systems are block-diagonal compositions of per-agent LTI dynamics
 xdot_i = A_i x_i + B_i (u_i + d_i) with an optional measurable disturbance d.
-Integration is classical fixed-step RK4 with running cost integrals carried on
-the same grid (see _kernels).  Scenario builders cover the clique-path
-benchmark family, a five-node demo graph, and the 12-agent planar formation
-maneuver with its baseline stabilization law.
+Integration is classical fixed-step RK4 under a state-feedback gain, with
+running cost integrals carried on the same grid (see _kernels).  Scenario
+builders cover the clique-path benchmark family, a five-node demo graph, and
+the 12-agent planar formation maneuver with its baseline stabilization law.
 """
 
 import math
@@ -15,15 +15,9 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from . import _kernels
-from .errors import (
-    DimensionMismatch,
-    InvalidConfig,
-    StateBlowup,
-    UnstableClosedLoop,
-    UnstableMatrix,
-)
+from .errors import DimensionMismatch, InvalidConfig, StateBlowup
 from .graphcost import CostGraph, CostSpec, Decomposition, assemble_q
-from .matops import abscissa, schur_factor, solve_care, solve_lyapunov, symmetrize
+from .matops import abscissa, solve_care
 
 __all__ = [
     "MasSystem",
@@ -31,8 +25,6 @@ __all__ = [
     "Trajectory",
     "FormationScenario",
     "integrate",
-    "evaluate_cost",
-    "quadrature_cost",
     "clique_path_graph",
     "clique_decomposition",
     "clique_path_scenario",
@@ -207,14 +199,12 @@ class Trajectory:
         return float(self.running_ju[-1])
 
 
-def integrate(sys, controller, x0, t_final, dt, cost=None):
-    """Simulate the closed loop and return a Trajectory.
+def integrate(sys, k, x0, t_final, dt, cost=None):
+    """Simulate the closed loop u = -K x and return a Trajectory.
 
-    controller is either a gain matrix K (meaning u = -K x, fast kernel path)
-    or a callable u(t, x) evaluated at every RK4 stage (python path).  cost
-    may be a CostSpec or a (Q, R) pair; running_ju accumulates u'u always.
-    The trajectory has n_steps + 1 = round(t_final / dt) + 1 rows; raises
-    StateBlowup when a state entry exceeds DEFAULT_GUARD in magnitude.
+    cost may be a CostSpec or a (Q, R) pair; running_ju accumulates u'u
+    always.  The trajectory has n_steps + 1 = round(t_final / dt) + 1 rows;
+    raises StateBlowup when a state entry exceeds DEFAULT_GUARD in magnitude.
     """
     x0 = np.asarray(x0, dtype=float)
     if not dt > 0:
@@ -232,11 +222,7 @@ def integrate(sys, controller, x0, t_final, dt, cost=None):
     else:
         q, r = cost
 
-    if callable(controller):
-        return _integrate_callable(sys, controller, x0, dt, n_steps, q, r,
-                                   DEFAULT_GUARD)
-
-    k = np.asarray(controller, dtype=float)
+    k = np.asarray(k, dtype=float)
     plant = sys.black_box() if isinstance(sys, MasSystem) else sys
     if q is None:
         q = np.zeros((plant.n_states, plant.n_states))
@@ -246,92 +232,6 @@ def integrate(sys, controller, x0, t_final, dt, cost=None):
     if status == _kernels.BLOWUP:
         raise StateBlowup(f"state exceeded guard {DEFAULT_GUARD:g} at step {last}")
     return Trajectory(np.arange(n_steps + 1) * dt, xs, us, c, ju)
-
-
-def _integrate_callable(sys, controller, x0, dt, n_steps, q, r, guard):
-    """RK4 step loop with an arbitrary state-feedback callable.
-
-    The controller is evaluated at every stage, so this path does not assume
-    an LTI closed loop; it also serves as the independent reference for the
-    gain path's rollout kernel.
-    """
-    plant = sys.black_box() if isinstance(sys, MasSystem) else sys
-    a, b, dist = plant._a, plant._b, plant._dist
-    n, m = b.shape
-    if q is None:
-        q = np.zeros((n, n))
-        r = np.zeros((m, m))
-    d_tab = tabulate_signal(dist, dt, n_steps, m)
-
-    xs = np.zeros((n_steps + 1, n))
-    us = np.zeros((n_steps + 1, m))
-    cost = np.zeros(n_steps + 1)
-    ju = np.zeros(n_steps + 1)
-    x = x0.copy()
-    xs[0] = x
-    us[0] = controller(0.0, x)
-
-    def stage(xst, tst, tix):
-        u = np.asarray(controller(tst, xst), dtype=float)
-        f = a @ xst + b @ (u + d_tab[tix])
-        c = float(xst @ q @ xst + u @ r @ u)
-        return f, c, float(u @ u)
-
-    for step in range(n_steps):
-        t = step * dt
-        f1, c1, j1 = stage(x, t, 2 * step)
-        x2 = x + 0.5 * dt * f1
-        f2, c2, j2 = stage(x2, t + 0.5 * dt, 2 * step + 1)
-        x3 = x + 0.5 * dt * f2
-        f3, c3, j3 = stage(x3, t + 0.5 * dt, 2 * step + 1)
-        x4 = x + dt * f3
-        f4, c4, j4 = stage(x4, t + dt, 2 * step + 2)
-
-        x = x + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        xs[step + 1] = x
-        us[step + 1] = controller(t + dt, x)
-        cost[step + 1] = cost[step] + (dt / 6.0) * (c1 + 2 * c2 + 2 * c3 + c4)
-        ju[step + 1] = ju[step] + (dt / 6.0) * (j1 + 2 * j2 + 2 * j3 + j4)
-
-        if not np.all(np.isfinite(x)) or np.abs(x).max() > guard:
-            raise StateBlowup(f"state exceeded guard {guard:g} at step {step + 1}")
-
-    return Trajectory(np.arange(n_steps + 1) * dt, xs, us, cost, ju)
-
-
-def evaluate_cost(sys, spec, k, x0):
-    """Analytic closed-loop costs (J, J_u) for the gain K from x0.
-
-    J = x0' X x0 with (A-BK)' X + X (A-BK) + Q + K'RK = 0 and J_u likewise
-    with K'K.  Raises UnstableClosedLoop when A - BK is not Hurwitz.
-    """
-    a, b = sys.a_full, sys.b_full
-    k = np.asarray(k, dtype=float)
-    try:
-        cl = schur_factor(a - b @ k)
-    except UnstableMatrix as exc:
-        raise UnstableClosedLoop("A - BK is not Hurwitz") from exc
-    q = assemble_q(spec)
-    r = spec.r
-    x = solve_lyapunov(cl, symmetrize(q + k.T @ r @ k))
-    x_u = solve_lyapunov(cl, symmetrize(k.T @ k))
-    x0 = np.asarray(x0, dtype=float)
-    return float(x0 @ x @ x0), float(x0 @ x_u @ x0)
-
-
-def quadrature_cost(sys, spec, k, x0, dt=1e-3, tail=1e-6):
-    """Time-domain (J, J_u) cross-check of evaluate_cost.
-
-    The horizon is chosen so exp(abscissa * T) < tail, making the truncated
-    integral agree with the analytic value to well under 0.1%.
-    """
-    a_cl = sys.a_full - sys.b_full @ np.asarray(k, dtype=float)
-    alpha = abscissa(a_cl)
-    if alpha >= 0.0:
-        raise UnstableClosedLoop("A - BK is not Hurwitz")
-    t_final = math.log(tail) / alpha
-    traj = integrate(sys, k, x0, t_final, dt, cost=spec)
-    return traj.cost, traj.ju
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +507,6 @@ class _SliceSignal:
     def __init__(self, f, indices):
         self.f = f
         self.indices = np.asarray(indices, dtype=int)
-
-    def __call__(self, t):
-        return np.asarray(self.f(t), dtype=float)[self.indices]
 
     def table(self, ts):
         if hasattr(self.f, "table"):

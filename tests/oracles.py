@@ -1,7 +1,16 @@
 """Reference solvers that the library's faster paths are checked against.
 
 svd_pinv is matops.pinv without the split at connected components: one SVD
-of the whole matrix.
+of the whole matrix.  care_residual is the Riccati residual of a candidate
+P, with its gain formed from R.
+
+integrate_callable is an RK4 step loop that evaluates a state-feedback
+callable at every stage; it is the reference for the rollout kernel behind
+sim.integrate.  evaluate_cost gives the analytic closed-loop costs of a gain
+by two Lyapunov solves, and quadrature_cost the same costs integrated in time.
+
+enumerate_partitions lists every set partition once, by brute force, for
+the branch-and-bound searches of hlqr.partition to be checked against.
 
 The policy-iteration oracles build the full joint regressor of every pass
 and solve it from scratch, by one Householder QR (equilibrated_lstsq) or by
@@ -9,11 +18,23 @@ SVD (lstsq_svd_oracle).  adp.policy_iteration factors the pass-invariant
 delta_xx block once per dataset instead, and must agree with both.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 
 from hlqr.adp import LearnResult, unsvec
-from hlqr.errors import NoConvergence, RankDeficient
+from hlqr.errors import (
+    NoConvergence,
+    RankDeficient,
+    StateBlowup,
+    UnstableClosedLoop,
+    UnstableMatrix,
+)
+from hlqr.graphcost import Decomposition, assemble_q
+from hlqr.matops import abscissa, schur_factor, solve_lyapunov, symmetrize
+from hlqr.partition import ConstraintSet, _constraints_ok, _min_eps, _weight_matrix
+from hlqr.sim import MasSystem, Trajectory, integrate, tabulate_signal
 
 
 def regressor(data, k, qk):
@@ -103,3 +124,126 @@ def svd_pinv(m):
     tol = max(m.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     s_inv = np.where(s > tol, np.divide(1.0, s, out=np.zeros_like(s), where=s > tol), 0.0)
     return (vt.T * s_inv) @ u.T
+
+
+def care_residual(a, b, q, r, p):
+    """Frobenius norm of P A + A' P + Q - P B R^{-1} B' P."""
+    k = np.linalg.solve(r, b.T @ p)
+    return float(np.linalg.norm(p @ a + a.T @ p + q - (p @ b) @ k, "fro"))
+
+
+def integrate_callable(sys, controller, x0, dt, n_steps, q, r, guard):
+    """RK4 step loop with a state-feedback callable u(t, x) at every stage.
+
+    Returns the Trajectory sim.integrate would; raises StateBlowup when a
+    state entry exceeds guard in magnitude.
+    """
+    plant = sys.black_box() if isinstance(sys, MasSystem) else sys
+    a, b, dist = plant._a, plant._b, plant._dist
+    n, m = b.shape
+    if q is None:
+        q = np.zeros((n, n))
+        r = np.zeros((m, m))
+    d_tab = tabulate_signal(dist, dt, n_steps, m)
+
+    xs = np.zeros((n_steps + 1, n))
+    us = np.zeros((n_steps + 1, m))
+    cost = np.zeros(n_steps + 1)
+    ju = np.zeros(n_steps + 1)
+    x = np.asarray(x0, dtype=float).copy()
+    xs[0] = x
+    us[0] = controller(0.0, x)
+
+    def stage(xst, tst, tix):
+        u = np.asarray(controller(tst, xst), dtype=float)
+        f = a @ xst + b @ (u + d_tab[tix])
+        c = float(xst @ q @ xst + u @ r @ u)
+        return f, c, float(u @ u)
+
+    for step in range(n_steps):
+        t = step * dt
+        f1, c1, j1 = stage(x, t, 2 * step)
+        f2, c2, j2 = stage(x + 0.5 * dt * f1, t + 0.5 * dt, 2 * step + 1)
+        f3, c3, j3 = stage(x + 0.5 * dt * f2, t + 0.5 * dt, 2 * step + 1)
+        f4, c4, j4 = stage(x + dt * f3, t + dt, 2 * step + 2)
+
+        x = x + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        xs[step + 1] = x
+        us[step + 1] = controller(t + dt, x)
+        cost[step + 1] = cost[step] + (dt / 6.0) * (c1 + 2 * c2 + 2 * c3 + c4)
+        ju[step + 1] = ju[step] + (dt / 6.0) * (j1 + 2 * j2 + 2 * j3 + j4)
+
+        if not np.all(np.isfinite(x)) or np.abs(x).max() > guard:
+            raise StateBlowup(f"state exceeded guard {guard:g} at step {step + 1}")
+
+    return Trajectory(np.arange(n_steps + 1) * dt, xs, us, cost, ju)
+
+
+def evaluate_cost(sys, spec, k, x0):
+    """Analytic closed-loop costs (J, J_u) for the gain K from x0.
+
+    J = x0' X x0 with (A-BK)' X + X (A-BK) + Q + K'RK = 0 and J_u likewise
+    with K'K.  Raises UnstableClosedLoop when A - BK is not Hurwitz.
+    """
+    a, b = sys.a_full, sys.b_full
+    k = np.asarray(k, dtype=float)
+    try:
+        cl = schur_factor(a - b @ k)
+    except UnstableMatrix as exc:
+        raise UnstableClosedLoop("A - BK is not Hurwitz") from exc
+    x = solve_lyapunov(cl, symmetrize(assemble_q(spec) + k.T @ spec.r @ k))
+    x_u = solve_lyapunov(cl, symmetrize(k.T @ k))
+    x0 = np.asarray(x0, dtype=float)
+    return float(x0 @ x @ x0), float(x0 @ x_u @ x0)
+
+
+def quadrature_cost(sys, spec, k, x0, dt=1e-3, tail=1e-6):
+    """Time-domain (J, J_u) cross-check of evaluate_cost.
+
+    The horizon is chosen so exp(abscissa * T) < tail, making the truncated
+    integral agree with the analytic value to well under 0.1%.
+    """
+    alpha = abscissa(sys.a_full - sys.b_full @ np.asarray(k, dtype=float))
+    if alpha >= 0.0:
+        raise UnstableClosedLoop("A - BK is not Hurwitz")
+    traj = integrate(sys, k, x0, math.log(tail) / alpha, dt, cost=spec)
+    return traj.cost, traj.ju
+
+
+def enumerate_partitions(n_agents, s, constraints=None, graph=None):
+    """Yield every partition of {0..N-1} into s nonempty clusters, once each.
+
+    Restricted-growth enumeration.  Leader constraints filter directly;
+    neighbor-set and connectivity constraints need coupling information and
+    apply only when graph is given.
+    """
+    if not 1 <= s <= n_agents:
+        return
+    cons = constraints if constraints is not None else ConstraintSet()
+    if graph is not None:
+        weights = _weight_matrix(graph)
+        eps = _min_eps(weights)
+
+    assign = [0] * n_agents
+
+    def rec(idx, n_open):
+        if n_agents - idx < s - n_open:
+            return
+        if idx == n_agents:
+            if n_open == s:
+                yield tuple(assign)
+            return
+        for c in range(min(n_open + 1, s)):
+            assign[idx] = c
+            yield from rec(idx + 1, max(n_open, c + 1))
+
+    for a in rec(0, 0):
+        clusters = [[u for u in range(n_agents) if a[u] == c] for c in range(s)]
+        if cons.require_leader and cons.leader_indicator is not None:
+            if not all(any(cons.leader_indicator[u] for u in members)
+                       for members in clusters):
+                continue
+        if graph is not None and (cons.require_neighbor or cons.require_connected):
+            if not _constraints_ok(graph, cons, clusters, weights, eps):
+                continue
+        yield Decomposition.from_assignment(a)

@@ -24,6 +24,7 @@ from hlqr.graphcost import (
 )
 from hlqr.hierctrl import gap_report, hierarchical_gain
 from hlqr.partition import PartitionProblem, max_kappa, min_scut
+from oracles import evaluate_cost
 
 SQRT2_M1 = 0.41421356237309515
 
@@ -417,8 +418,8 @@ def test_criterion_12_formation_dominance():
     p = matops.solve_care(mas.a_full, mas.b_full, assemble_q(spec), spec.r)
     k_star = np.linalg.solve(spec.r, mas.b_full.T @ p)
 
-    j_opt, ju_opt = sim.evaluate_cost(mas, spec, k_star, x0)
-    j_base, ju_base = sim.evaluate_cost(mas, spec, baseline_k, x0)
+    j_opt, ju_opt = evaluate_cost(mas, spec, k_star, x0)
+    j_base, ju_base = evaluate_cost(mas, spec, baseline_k, x0)
     assert j_opt < j_base
     assert ju_opt < ju_base
 

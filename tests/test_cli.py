@@ -13,6 +13,7 @@ from hlqr import adp, cli, fileio, hierctrl, matops, sim
 from hlqr.cli import ExperimentConfig, ReportRow, REPORT_COLUMNS, main
 from hlqr.errors import InvalidConfig
 from hlqr.graphcost import assemble_q
+from oracles import evaluate_cost
 
 
 def read_text(path):
@@ -160,11 +161,11 @@ class TestReportRow:
         mas, spec = scenario.mas, scenario.spec
         dec, _ = cli.choose_decomposition(cfg, scenario)
         gain = hierctrl.hierarchical_gain(mas, spec, dec)
-        row, _ = cli.make_report_row(cfg, scenario, dec, gain)
+        row, _, _ = cli.make_report_row(cfg, scenario, dec, gain)
 
         x0s = cli.draw_x0(scheme, np.random.default_rng(cfg.seed + 1),
                           mas.a_full.shape[0], cfg.n_draws)
-        costs = np.array([sim.evaluate_cost(mas, spec, gain.k_h, x0)
+        costs = np.array([evaluate_cost(mas, spec, gain.k_h, x0)
                           for x0 in x0s])
         p_opt = matops.solve_care(mas.a_full, mas.b_full, assemble_q(spec),
                                   spec.r)
@@ -238,7 +239,7 @@ class TestReportRow:
         w = matops.symmetrize(gain.k_h.T @ gain.k_h)
         x_u = matops.solve_lyapunov(mas.a_full - mas.b_full @ gain.k_h, w)
         assert np.array_equal(matops.solve_lyapunov(cl, w), x_u)
-        row, _ = cli.make_report_row(cfg, scenario, dec, gain)
+        row, _, _ = cli.make_report_row(cfg, scenario, dec, gain)
         x0s = cli.draw_x0(cfg.x0_scheme, np.random.default_rng(cfg.seed + 1),
                           mas.a_full.shape[0], cfg.n_draws)
         assert row.j_u == cli._quad_mean(x0s, x_u)
@@ -286,6 +287,28 @@ class TestRun:
         assert echo["seed"] == 9
         assert echo["scenario"] == "five_node"
         assert echo["assignment"] == [0, 0, 1, 2, 2]
+
+    def test_every_flag_reaches_the_config(self, tmp_path):
+        cfg_path = fileio.save_json(tmp_path / "cfg.json", {"amplitude": 0.4})
+        out = tmp_path / "o"
+        rc = main(["run", "example1", "--config", str(cfg_path),
+                   "--s", "2", "--c", "1", "--n", "4", "--m", "2",
+                   "--objective", "scut", "--clusters", "cliques",
+                   "--assignment", "0,1", "--dec", "1,1", "--seed", "4",
+                   "--sigma", "0.5", "--n-draws", "20",
+                   "--x0-scheme", "normal05", "--learn", "--dt", "0.002",
+                   "--window", "0.1", "--horizon", "8", "--tol-pi", "1e-7",
+                   "--max-iter", "25", "--t-final", "5", "--out", str(out)])
+        assert rc == 0
+        echo = fileio.load_json(out / "config_echo.json")
+        assert echo == {
+            "scenario": "example1", "s": 2, "c": 1, "n": 4, "m": 2,
+            "objective": "assignment", "assignment": [0, 1],
+            "dec_sizes": [1, 1], "seed": 4, "sigma": 0.5, "n_draws": 20,
+            "x0_scheme": "normal05", "learn": True, "dt": 0.002,
+            "window": 0.1, "horizon": 8.0, "tol_pi": 1e-7, "max_iter": 25,
+            "amplitude": 0.4, "t_final": 5.0, "out_dir": str(out),
+        }
 
     def test_bad_config_key_fails_cleanly(self, tmp_path, capsys):
         cfg_path = fileio.save_json(tmp_path / "cfg.json", {"tipo": 1})

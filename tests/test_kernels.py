@@ -11,6 +11,7 @@ from hlqr import _kernels, sim
 from hlqr.adp import Excitation
 from hlqr.graphcost import assemble_q
 from hlqr.sim import BlackBoxPlant, tabulate_signal
+from oracles import integrate_callable
 
 
 def damped_rotation():
@@ -93,14 +94,13 @@ def collect_step_loop(a, b, k0, exo_cmd, exo_dist, x0, dt, steps_per_window,
 
 
 def rollout_oracle(a, b, k, cmd, disturbance, x0, dt, n_steps, q, r):
-    """sim's callable-controller RK4 loop with u = -K x + e from the table."""
+    """The callable-controller RK4 loop with u = -K x + e from the table."""
     plant = BlackBoxPlant(a, b, disturbance)
 
     def controller(t, x):
         return -k @ x + cmd[int(round(2.0 * t / dt))]
 
-    return sim._integrate_callable(plant, controller, x0, dt, n_steps, q, r,
-                                   np.inf)
+    return integrate_callable(plant, controller, x0, dt, n_steps, q, r, np.inf)
 
 
 def assert_rollout_matches(out, traj, last):

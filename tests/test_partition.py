@@ -6,15 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlqr import graphcost, partition, sim
-from hlqr.errors import Infeasible, TooLarge
+from hlqr.errors import Infeasible
 from hlqr.graphcost import CostGraph, Decomposition, kappa, split_graph
-from hlqr.partition import (
-    ConstraintSet,
-    PartitionProblem,
-    enumerate_partitions,
-    max_kappa,
-    min_scut,
-)
+from hlqr.partition import ConstraintSet, PartitionProblem, max_kappa, min_scut
+from oracles import enumerate_partitions
 
 
 def random_graph(rng, n, p=0.4):
@@ -51,10 +46,6 @@ class TestEnumeration:
             seen.add(key)
             assert dec.s == 3
             assert all(size >= 1 for size in dec.sizes())
-
-    def test_size_guard(self):
-        with pytest.raises(TooLarge):
-            list(enumerate_partitions(13, 2))
 
     def test_out_of_range_s(self):
         assert list(enumerate_partitions(3, 4)) == []

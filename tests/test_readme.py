@@ -1,0 +1,55 @@
+"""README.md's python examples run and print what their comments say.
+
+Each ```python block is executed on its own.  A "# " comment line directly
+below a print call is that call's expected output.  Printed lines must equal
+it exactly, except for the quantities in BOUNDS, whose printed value must
+stay below the bound the README states for it.
+"""
+
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+#: printed label -> upper bound on the value after it
+BOUNDS = {"relative gain error vs model-based": 1e-8}
+
+
+def python_blocks():
+    return re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+
+
+def expected_output(source):
+    """The comment lines directly below each print call, in order."""
+    lines = source.splitlines()
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "print"):
+            below = node.end_lineno  # 0-based index of the next line
+            if below < len(lines) and lines[below].startswith("# "):
+                out.append((node.lineno, lines[below][2:]))
+    return [text for _, text in sorted(out)]
+
+
+@pytest.mark.parametrize("index", range(len(python_blocks())))
+def test_readme_example_output(index):
+    source = python_blocks()[index]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        exec(compile(source, f"README.md block {index}", "exec"), {})
+    printed = buf.getvalue().splitlines()
+    expected = expected_output(source)
+    assert expected and len(printed) == len(expected)
+    for got, want in zip(printed, expected):
+        label = want.partition(": ")[0]
+        if label in BOUNDS:
+            assert got.startswith(label + ": ")
+            assert float(got.split(": ")[1]) < BOUNDS[label]
+        else:
+            assert got == want

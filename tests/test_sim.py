@@ -7,6 +7,7 @@ from hlqr import graphcost, hierctrl, matops, sim
 from hlqr.errors import InvalidConfig, StateBlowup, UnstableClosedLoop
 from hlqr.graphcost import CostGraph, Decomposition, check_assumptions
 from hlqr.sim import MasSystem, integrate
+from oracles import evaluate_cost, integrate_callable, quadrature_cost
 
 
 def decay_system(n_agents=2):
@@ -28,7 +29,9 @@ class TestIntegrate:
         rng = np.random.default_rng(2)
         x0 = rng.standard_normal(16)
         t1 = integrate(mas, k, x0, 0.5, 1e-3, cost=spec)
-        t2 = integrate(mas, lambda t, x: -k @ x, x0, 0.5, 1e-3, cost=spec)
+        t2 = integrate_callable(mas, lambda t, x: -k @ x, x0, 1e-3, 500,
+                                graphcost.assemble_q(spec), spec.r,
+                                sim.DEFAULT_GUARD)
         assert np.allclose(t1.states, t2.states, atol=1e-12)
         assert np.allclose(t1.running_cost, t2.running_cost, atol=1e-10)
 
@@ -73,8 +76,8 @@ class TestCostEvaluation:
         a, b = mas.a_full, mas.b_full
         p = matops.solve_care(a, b, graphcost.assemble_q(spec), spec.r)
         k = np.linalg.solve(spec.r, b.T @ p)
-        j, ju = sim.evaluate_cost(mas, spec, k, x0)
-        jq, juq = sim.quadrature_cost(mas, spec, k, x0)
+        j, ju = evaluate_cost(mas, spec, k, x0)
+        jq, juq = quadrature_cost(mas, spec, k, x0)
         assert jq == pytest.approx(j, rel=1e-3)
         assert juq == pytest.approx(ju, rel=1e-3)
 
@@ -86,15 +89,15 @@ class TestCostEvaluation:
         k = np.linalg.solve(spec.r, b.T @ p)
         for _ in range(5):
             x0 = rng.standard_normal(16)
-            j, _ = sim.evaluate_cost(mas, spec, k, x0)
+            j, _ = evaluate_cost(mas, spec, k, x0)
             assert j == pytest.approx(float(x0 @ p @ x0), rel=1e-8)
 
     def test_unstable_gain_rejected(self):
         mas, spec, _, x0 = sim.build_formation(sim.default_formation())
         with pytest.raises(UnstableClosedLoop):
-            sim.evaluate_cost(mas, spec, np.zeros((24, 48)), x0)
+            evaluate_cost(mas, spec, np.zeros((24, 48)), x0)
         with pytest.raises(UnstableClosedLoop):
-            sim.quadrature_cost(mas, spec, np.zeros((24, 48)), x0)
+            quadrature_cost(mas, spec, np.zeros((24, 48)), x0)
 
 
 class TestAccessModes:
@@ -185,8 +188,8 @@ class TestFormationScenario:
         a, b = mas.a_full, mas.b_full
         p = matops.solve_care(a, b, graphcost.assemble_q(spec), spec.r)
         k_star = np.linalg.solve(spec.r, b.T @ p)
-        j_opt, ju_opt = sim.evaluate_cost(mas, spec, k_star, x0)
-        j_base, ju_base = sim.evaluate_cost(mas, spec, baseline_k, x0)
+        j_opt, ju_opt = evaluate_cost(mas, spec, k_star, x0)
+        j_base, ju_base = evaluate_cost(mas, spec, baseline_k, x0)
         assert j_opt < j_base
         assert ju_opt < ju_base
 
