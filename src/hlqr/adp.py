@@ -23,10 +23,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
 
-from . import _kernels
+from . import _kernels, _lapack
 from .errors import InvalidConfig, NoConvergence, RankDeficient, StateBlowup
 from .graphcost import cluster_costs, split_graph
 from .hierctrl import assemble_gain, compute_rtilde
@@ -203,9 +201,8 @@ class Dataset:
 
 def _apply_qt(qr_a, tau, c):
     """c <- Q'c in place for the Householder factor (qr_a, tau) of dgeqrf."""
-    lapack = scipy.linalg.lapack
-    work = lapack.dormqr("L", "T", qr_a, tau, c, -1)[1]
-    lapack.dormqr("L", "T", qr_a, tau, c, int(work[0]), overwrite_c=1)
+    work = _lapack.dormqr("L", "T", qr_a, tau, c, -1)[1]
+    _lapack.dormqr("L", "T", qr_a, tau, c, int(work[0]), overwrite_c=1)
 
 
 class _BlockLstsq:
@@ -229,14 +226,13 @@ class _BlockLstsq:
         n, m, n_rows = data.n, data.m, data.M
         n_sym = n * (n + 1) // 2
         n_cols = n_sym + m * n
-        lapack = scipy.linalg.lapack
 
         scale_xx = np.linalg.norm(data.delta_xx, axis=0)
         scale_xx[scale_xx == 0.0] = 1.0
         a1 = np.empty((n_rows, n_sym), order="F")
         np.divide(data.delta_xx, scale_xx, out=a1)
-        work, _ = lapack.dgeqrf(a1, lwork=-1)[2:]
-        a1, tau = lapack.dgeqrf(a1, lwork=int(work[0]), overwrite_a=1)[:2]
+        work, _ = _lapack.dgeqrf(a1, lwork=-1)[2:]
+        a1, tau = _lapack.dgeqrf(a1, lwork=int(work[0]), overwrite_a=1)[:2]
         self.r_mat = np.zeros((n_cols, n_cols), order="F")
         self.r_mat[:n_sym, :n_sym] = np.triu(a1[:n_sym])
 
@@ -287,11 +283,12 @@ class _BlockLstsq:
         np.matmul(self.ixx.reshape(n * n, n_rows).T, -qk.ravel(),
                   out=op_t[n_a2])
 
-        (r_tail,) = scipy.linalg.qr(self.operand[n_sym:], mode="r",
-                                    overwrite_a=True, check_finite=False)
+        tail = self.operand[n_sym:]
+        work = _lapack.dgeqrf(tail, lwork=-1)[2]
+        r_tail = np.triu(_lapack.dgeqrf(tail, lwork=int(work[0]))[0])
         r_mat[:n_sym, n_sym:] = self.operand[:n_sym, :n_a2]
         r_mat[n_sym:, n_sym:] = r_tail[:n_a2, :n_a2]
-        rcond, _ = scipy.linalg.lapack.dtrcon(r_mat)
+        rcond, _ = _lapack.dtrcon(r_mat)
         if not rcond > self.cutoff:
             raise RankDeficient(
                 f"joint regressor of {n_cols} unknowns is rank deficient: "
@@ -300,8 +297,9 @@ class _BlockLstsq:
             )
         qt_rhs = np.concatenate([self.operand[:n_sym, n_a2],
                                  r_tail[:n_a2, n_a2]])
-        theta = scipy.linalg.solve_triangular(r_mat, qt_rhs,
-                                              check_finite=False)
+        theta, info = _lapack.dtrtrs(r_mat, qt_rhs)
+        if info:
+            raise np.linalg.LinAlgError(f"dtrtrs: info {info} on R")
         return theta / self.scale, rcond
 
 

@@ -14,10 +14,9 @@ Agent and cluster indices are 0-based throughout; human-readable labels are
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import DimensionMismatch, InvalidDecomposition, NotALaplacian
-from .matops import is_psd, symmetrize
+from .matops import block_diag, is_psd, symmetrize
 
 __all__ = [
     "CostGraph",
@@ -323,14 +322,10 @@ def comm_links(k, n, m):
     n_in, n_st = k.shape[0] // m, k.shape[1] // n
     if n_in != n_st:
         raise DimensionMismatch(f"{n_in} input blocks vs {n_st} state blocks")
-    tol = 1e-8 * np.abs(k).max()
-    edges = []
-    for i in range(n_in):
-        for j in range(i + 1, n_in):
-            bij = k[i * m:(i + 1) * m, j * n:(j + 1) * n]
-            bji = k[j * m:(j + 1) * m, i * n:(i + 1) * n]
-            if np.abs(bij).max() > tol or np.abs(bji).max() > tol:
-                edges.append((i, j))
+    mag = np.abs(k)
+    linked = mag.reshape(n_in, m, n_in, n).max(axis=(1, 3)) > 1e-8 * mag.max()
+    rows, cols = np.nonzero(np.triu(linked | linked.T, 1))
+    edges = list(zip(rows.tolist(), cols.tolist()))
     return edges, len(edges)
 
 

@@ -27,9 +27,8 @@ Conventions: symmetric matrices are plain float64 ndarrays, symmetrized as
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
-from scipy.linalg.lapack import dgees, dtrsyl
 
+from ._lapack import dgees, dtrsyl
 from .errors import IterationDiverged, NonStabilizable, UnstableMatrix
 
 __all__ = [
@@ -75,6 +74,18 @@ def is_psd(m, tol=PSD_TOL):
 def abscissa(m):
     """Largest real part of the eigenvalues of a square matrix."""
     return float(np.linalg.eigvals(np.asarray(m, dtype=float)).real.max())
+
+
+def block_diag(*blocks):
+    """Matrix with the 2-D blocks on its diagonal and zeros elsewhere."""
+    rows = sum(b.shape[0] for b in blocks)
+    cols = sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
+    i = j = 0
+    for b in blocks:
+        out[i:i + b.shape[0], j:j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    return out
 
 
 def _components(adj):
@@ -192,8 +203,8 @@ def solve_lyapunov(a_s, w):
     """Solve a_s' V + V a_s + W = 0 for stable a_s and PSD W.
 
     a_s is the matrix or its schur_factor.  Bartels-Stewart: T Y + Y T' =
-    Z'(-W)Z is solved by _lyap_tri, in scipy's solve_continuous_lyapunov
-    order, so up to _LEAF states V is bit-identical to it.
+    Z'(-W)Z is solved by _lyap_tri, in solve_continuous_lyapunov's order, so
+    up to _LEAF states V is bit-identical to it and to scipy's.
 
     Raises UnstableMatrix when a_s is not Hurwitz, IterationDiverged when the
     solve fails its residual contract.
@@ -214,6 +225,22 @@ def solve_lyapunov(a_s, w):
     if res > TOL_RESIDUAL * (1.0 + np.linalg.norm(v, "fro")) * 100.0:
         raise IterationDiverged(f"Lyapunov residual {res:.3e} out of contract")
     return v
+
+
+def solve_continuous_lyapunov(a, q):
+    """X solving A X + X A' = Q for any A without eigenvalue pair summing
+    to zero: scipy.linalg.solve_continuous_lyapunov's steps and bits, one
+    dtrsyl call on the whole Schur form."""
+    a = np.asarray(a, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(q).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    t, z = _schur(a)
+    y, scale, info = dtrsyl(t, t, z.T.dot(q.dot(z)), tranb="T")
+    if info < 0:
+        raise ValueError(f"dtrsyl: illegal value in argument {-info}")
+    y *= scale
+    return z.dot(y).dot(z.T)
 
 
 def _split(t):
@@ -287,9 +314,11 @@ def _initial_stabilizing_gain(a, b):
     """Gain K with A - B K Hurwitz, via the eigenvalue-shift Lyapunov trick.
 
     Shift A by beta > spectral radius so A + beta*I is anti-stable, solve
-    (A + beta I) Z + Z (A + beta I)' = 2 B B' by scipy's
-    solve_continuous_lyapunov, since solve_lyapunov takes only Hurwitz
-    matrices (Z is PD for controllable (A,B)), and take K = B' Z^{-1}.
+    (A + beta I) Z + Z (A + beta I)' = 2 B B' by solve_continuous_lyapunov,
+    since solve_lyapunov takes only Hurwitz matrices (Z is PD for
+    controllable (A,B)), and take K = B' Z^{-1}.  The solver is called
+    through its module-level name, which perfbench/spans.py wraps to count
+    the calls.
     Returns the zero gain when A is already Hurwitz.
     Z may be nearly singular for poorly controllable pairs; only the
     abscissa of A - B K decides, and NonStabilizable is raised when Z cannot

@@ -8,16 +8,14 @@ builders cover the clique-path benchmark family, a five-node demo graph, and
 the 12-agent planar formation maneuver with its baseline stabilization law.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import _kernels
 from .errors import DimensionMismatch, InvalidConfig, StateBlowup
 from .graphcost import CostGraph, CostSpec, Decomposition, assemble_q
-from .matops import abscissa, solve_care
+from .matops import abscissa, block_diag, solve_care
 
 __all__ = [
     "MasSystem",
@@ -45,8 +43,9 @@ class MasSystem:
     """Block-diagonal multi-agent LTI system.
 
     agents is a list of (A_i, B_i) pairs with uniform per-agent dimensions;
-    disturbance, when present, maps time to the stacked (m*N,) input-channel
-    disturbance.  The learner sees the system only through black_box() and
+    disturbance, when present, is the stacked (m*N,) input-channel
+    disturbance, given by its vectorized table(ts) of shape (len(ts), m*N).
+    The learner sees the system only through black_box() and
     cluster_plants() handles.
     """
 
@@ -153,17 +152,13 @@ class BlackBoxPlant:
 def tabulate_signal(f, dt, n_steps, m):
     """Tabulate a time signal on the RK4 half-grid: (2*n_steps+1, m).
 
-    f may be None (zeros), a callable t -> (m,), or carry a vectorized
-    .table(ts) method.
+    f is None (zeros) or carries a vectorized .table(ts) method.
     """
     n_half = 2 * n_steps + 1
     if f is None:
         return np.zeros((n_half, m))
     ts = np.arange(n_half) * (dt / 2.0)
-    if hasattr(f, "table"):
-        out = np.asarray(f.table(ts), dtype=float)
-    else:
-        out = np.asarray([np.broadcast_to(f(float(t)), (m,)) for t in ts], dtype=float)
+    out = np.asarray(f.table(ts), dtype=float)
     if out.shape != (n_half, m):
         raise DimensionMismatch(f"signal table shape {out.shape} != {(n_half, m)}")
     return np.ascontiguousarray(out)
@@ -334,9 +329,6 @@ class _CosDecayDisturbance:
 
     def __init__(self, amps_flat):
         self.amps = np.asarray(amps_flat, dtype=float)
-
-    def __call__(self, t):
-        return self.amps * (math.cos(t) / (t + 1.0))
 
     def table(self, ts):
         return np.outer(np.cos(ts) / (ts + 1.0), self.amps)
@@ -509,6 +501,4 @@ class _SliceSignal:
         self.indices = np.asarray(indices, dtype=int)
 
     def table(self, ts):
-        if hasattr(self.f, "table"):
-            return np.asarray(self.f.table(ts), dtype=float)[:, self.indices]
-        return np.asarray([np.asarray(self.f(float(t)), dtype=float)[self.indices] for t in ts])
+        return np.asarray(self.f.table(ts), dtype=float)[:, self.indices]

@@ -2,7 +2,11 @@
 
 svd_pinv is matops.pinv without the split at connected components: one SVD
 of the whole matrix.  care_residual is the Riccati residual of a candidate
-P, with its gain formed from R.
+P, with its gain formed from R.  comm_links_loop tests graphcost.comm_links'
+agent pairs one at a time.
+
+Pointwise gives a test signal written as a function of time the .table(ts)
+form that the simulator reads.
 
 integrate_callable is an RK4 step loop that evaluates a state-feedback
 callable at every stage; it is the reference for the rollout kernel behind
@@ -124,6 +128,32 @@ def svd_pinv(m):
     tol = max(m.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     s_inv = np.where(s > tol, np.divide(1.0, s, out=np.zeros_like(s), where=s > tol), 0.0)
     return (vt.T * s_inv) @ u.T
+
+
+def comm_links_loop(k, n, m):
+    """graphcost.comm_links by a loop over agent pairs: (edges, n_c)."""
+    n_agents = k.shape[0] // m
+    tol = 1e-8 * np.abs(k).max()
+    edges = []
+    for i in range(n_agents):
+        for j in range(i + 1, n_agents):
+            bij = k[i * m:(i + 1) * m, j * n:(j + 1) * n]
+            bji = k[j * m:(j + 1) * m, i * n:(i + 1) * n]
+            if np.abs(bij).max() > tol or np.abs(bji).max() > tol:
+                edges.append((i, j))
+    return edges, len(edges)
+
+
+class Pointwise:
+    """A signal t -> (m,) given pointwise, with the vectorized .table(ts)
+    that sim.tabulate_signal reads: one call per sample time."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def table(self, ts):
+        return np.asarray([np.atleast_1d(self.f(float(t))) for t in ts],
+                          dtype=float)
 
 
 def care_residual(a, b, q, r, p):

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlqr import adp, graphcost, hierctrl, matops, sim
+from hlqr import _lapack, adp, graphcost, hierctrl, matops, sim
 from hlqr.adp import (
     Dataset,
     Excitation,
@@ -323,17 +323,18 @@ class TestConditioningGuard:
     """The guard is the first policy-iteration pass's condition estimate."""
 
     def test_one_factorization_per_pass(self, monkeypatch):
-        # the delta_xx block is factored once (dgeqrf, after its workspace
-        # query), and each pass factors only the B'P tail (scipy.linalg.qr)
+        # the delta_xx block (36 columns) is factored once, after its
+        # workspace query, and each pass then factors only the B'P tail
+        # (4 x 8 + 1 columns), also after a workspace query
         plant, qhat, rhat = two_agent_clique_problem()
         svds = count_calls(monkeypatch, np.linalg, "svd")
-        qrs = count_calls(monkeypatch, scipy.linalg, "qr")
-        geqrfs = count_calls(monkeypatch, scipy.linalg.lapack, "dgeqrf")
+        geqrfs = count_calls(monkeypatch, _lapack, "dgeqrf")
         result = learn_cluster(plant, qhat, rhat, LearnConfig(seed=13))
         assert result.converged
         assert len(svds) == 0
-        assert len(qrs) == result.iterations
-        assert [kw["lwork"] > 0 for _, kw in geqrfs] == [False, True]
+        calls = [(args[0].shape[1], kw["lwork"] > 0) for args, kw in geqrfs]
+        assert calls[:2] == [(36, False), (36, True)]
+        assert calls[2:] == [(33, False), (33, True)] * result.iterations
 
     def test_too_few_windows_regrow(self, monkeypatch):
         # 60 windows for 36 + 32 = 68 unknowns; one regrowth gives 90

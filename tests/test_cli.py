@@ -95,6 +95,33 @@ class TestParser:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestStartUp:
+    def test_commands_never_import_scipy_linalg(self, tmp_path):
+        # hlqr loads scipy's LAPACK wrappers on their own (hlqr._lapack);
+        # importing scipy.linalg would add about 0.25 s to every command
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, *filter(None, [env.get("PYTHONPATH")])])
+        script = (
+            "import sys\n"
+            "from hlqr.cli import main\n"
+            "assert 'scipy.linalg' not in sys.modules, 'import'\n"
+            "for i, argv in enumerate(sys.argv[1:]):\n"
+            "    out = ['--out', f'{i}']\n"
+            "    assert main(argv.split() + out) == 0, argv\n"
+            "    assert 'scipy.linalg' not in sys.modules, argv\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script,
+             "solve example1 --s 2 --c 1 --clusters cliques",
+             "learn example1 --s 2 --c 1 --clusters cliques --seed 0",
+             "run formation --dec 6,3,3 --t-final 2"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            check=False)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestDecompose:
     def test_kappa_search(self, tmp_path, capsys):
         rc = main(["decompose", "example1", "--s", "3", "--c", "3",

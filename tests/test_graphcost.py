@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlqr import graphcost, sim
 from hlqr.errors import DimensionMismatch, InvalidDecomposition, NotALaplacian
@@ -16,6 +18,7 @@ from hlqr.graphcost import (
     kappa,
     split_graph,
 )
+from oracles import comm_links_loop
 
 
 def random_graph(rng, n, p=0.5):
@@ -226,6 +229,24 @@ class TestCommLinks:
         edges, n_c = comm_links(k, 4, 2)
         assert edges == [(0, 1)]
         assert n_c == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(1, 9),
+           n=st.integers(1, 3), m=st.integers(1, 3))
+    def test_matches_pair_loop(self, seed, n_agents, n, m):
+        # exact-zero blocks, and entries on either side of the 1e-8 cutoff
+        rng = np.random.default_rng(seed)
+        k = rng.standard_normal((n_agents * m, n_agents * n))
+        blocks = k.reshape(n_agents, m, n_agents, n).transpose(0, 2, 1, 3)
+        blocks[rng.random((n_agents, n_agents)) < 0.5] = 0.0
+        k[0, 0] = 1e3
+        tol = 1e-8 * np.abs(k).max()
+        for _ in range(int(rng.integers(0, 4))):
+            i, j = rng.integers(0, n_agents, 2)
+            blocks[i, j] = 0.0
+            blocks[i, j, rng.integers(0, m), rng.integers(0, n)] = (
+                tol * rng.choice([-0.5, 1.0, 1.0 + 1e-9, -2.0]))
+        assert comm_links(k, n, m) == comm_links_loop(k, n, m)
 
     def test_shape_guard(self):
         with pytest.raises(DimensionMismatch):

@@ -11,7 +11,7 @@ from hlqr import _kernels, sim
 from hlqr.adp import Excitation
 from hlqr.graphcost import assemble_q
 from hlqr.sim import BlackBoxPlant, tabulate_signal
-from oracles import integrate_callable
+from oracles import Pointwise, integrate_callable
 
 
 def damped_rotation():
@@ -137,7 +137,7 @@ class TestBackendParity:
         a, b = damped_rotation()
         k = np.array([[0.3, 0.4]])
         n_steps = 400
-        cmd = tabulate_signal(lambda t: np.array([0.2 * np.sin(3.0 * t)]),
+        cmd = tabulate_signal(Pointwise(lambda t: np.array([0.2 * np.sin(3.0 * t)])),
                               1e-2, n_steps, 1)
         dist = np.zeros_like(cmd)
         x0 = np.array([1.0, -1.0])
@@ -168,7 +168,7 @@ class TestBackendParity:
         a, b = damped_rotation()
         k = np.array([[0.0, -1.5]])  # destabilizing: closed-loop poles at +0.25
         dt, n_steps = 1e-2, 3000
-        cmd = tabulate_signal(lambda t: np.array([0.1 * np.cos(2.0 * t)]),
+        cmd = tabulate_signal(Pointwise(lambda t: np.array([0.1 * np.cos(2.0 * t)])),
                               dt, n_steps, 1)
         dist = np.zeros_like(cmd)
         x0 = np.array([1.0, 0.0])
@@ -187,7 +187,7 @@ class TestBackendParity:
         k0 = np.array([[0.1, 0.2]])
         steps, windows = 20, 15
         n_steps = steps * windows
-        cmd = tabulate_signal(lambda t: np.array([0.3 * np.cos(2.0 * t)]),
+        cmd = tabulate_signal(Pointwise(lambda t: np.array([0.3 * np.cos(2.0 * t)])),
                               1e-2, n_steps, 1)
         dist = np.zeros_like(cmd)
         x0 = np.array([0.5, 0.5])
@@ -205,7 +205,7 @@ class TestBackendParity:
         assert n_steps > 2 * _kernels.COLLECT_CHUNK
         cmd = tabulate_signal(Excitation.make(5, m), dt, n_steps, m)
         amps = 0.2 * np.arange(1, m + 1)
-        dist = tabulate_signal(lambda t: amps * np.cos(3.0 * t) / (t + 1.0),
+        dist = tabulate_signal(Pointwise(lambda t: amps * np.cos(3.0 * t) / (t + 1.0)),
                                dt, n_steps, m)
         k0 = 0.05 * np.ones((m, n))
         x0 = np.random.default_rng(1).standard_normal(n)
@@ -219,7 +219,7 @@ class TestBackendParity:
         b = np.array([[0.0], [1.0]])
         k0 = np.array([[0.0, 0.0]])  # open loop unstable
         dt, steps, windows = 1e-2, 30, 200
-        cmd = tabulate_signal(lambda t: np.array([0.2 * np.sin(t)]), dt,
+        cmd = tabulate_signal(Pointwise(lambda t: np.array([0.2 * np.sin(t)])), dt,
                               steps * windows, 1)
         dist = 0.5 * cmd
         guard = 1e3
@@ -251,9 +251,10 @@ def collect_cases(draw):
     windows = per_chunk + draw(st.integers(1, per_chunk))
     dt, n_steps = 10.0 ** draw(st.floats(-3.0, -2.0)), spw * windows
     freq, phase = rng.uniform(0.5, 5.0, m), rng.uniform(0.0, np.pi, m)
-    cmd = tabulate_signal(lambda t: 0.3 * np.sin(freq * t + phase), dt, n_steps, m)
+    cmd = tabulate_signal(Pointwise(lambda t: 0.3 * np.sin(freq * t + phase)),
+                          dt, n_steps, m)
     amps = rng.uniform(0.05, 0.5, m)
-    dist = tabulate_signal(lambda t: amps * np.cos(1.3 * t), dt, n_steps, m)
+    dist = tabulate_signal(Pointwise(lambda t: amps * np.cos(1.3 * t)), dt, n_steps, m)
     x0 = rng.standard_normal(n)
     guard = float(np.abs(x0).max() * 10.0 ** draw(st.floats(0.0, 4.0)))
     return a, b, k0, cmd, dist, x0, dt, spw, windows, guard
@@ -299,7 +300,7 @@ class TestBlockedRecurrence:
         a, b = damped_rotation()
         k = np.array([[0.3, 0.4]])
         dt = 1e-2
-        cmd = tabulate_signal(lambda t: np.array([0.2 * np.sin(3.0 * t)]),
+        cmd = tabulate_signal(Pointwise(lambda t: np.array([0.2 * np.sin(3.0 * t)])),
                               dt, n_steps, 1)
         dist = np.zeros_like(cmd)
         x0 = np.array([1.0, -1.0])
@@ -322,7 +323,7 @@ class TestBlockedRecurrence:
         a, b = damped_rotation()
         k0 = np.array([[0.1, 0.2]])
         dt = 1e-2
-        cmd = tabulate_signal(lambda t: np.array([0.3 * np.cos(2.0 * t)]),
+        cmd = tabulate_signal(Pointwise(lambda t: np.array([0.3 * np.cos(2.0 * t)])),
                               dt, steps * windows, 1)
         dist = 0.05 * np.sin(np.arange(len(cmd)))[:, None]
         args = (a, b, k0, cmd, dist, np.array([0.5, 0.5]), dt, steps, windows, 1e6)
@@ -551,7 +552,7 @@ class TestCollectIntegrals:
             return np.array([0.4 * np.sin(5.0 * t) + 0.2 * np.cos(1.7 * t)])
 
         n_steps = steps * windows
-        cmd = tabulate_signal(exc, dt, n_steps, 1)
+        cmd = tabulate_signal(Pointwise(exc), dt, n_steps, 1)
         dist = np.zeros_like(cmd)
         x0 = np.array([1.0, 0.0])
         args = (a, b, k0, cmd, dist, x0, dt, steps, windows, 1e6)
@@ -580,7 +581,7 @@ class TestCollectIntegrals:
 
 class TestSignalTables:
     def test_half_grid_layout(self):
-        table = tabulate_signal(lambda t: np.array([t]), 0.1, 4, 1)
+        table = tabulate_signal(Pointwise(lambda t: np.array([t])), 0.1, 4, 1)
         assert table.shape == (9, 1)
         assert np.allclose(table[:, 0], np.arange(9) * 0.05)
 

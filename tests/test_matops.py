@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlqr import matops, sim
+from hlqr import _lapack, matops, sim
 from hlqr.errors import IterationDiverged, NonStabilizable, UnstableMatrix
 from oracles import care_residual, svd_pinv
 
@@ -493,6 +493,47 @@ class TestHiddenBlocks:
             mp = matops.pinv(m)
             assert np.array_equal(mp, svd_pinv(m))
             assert np.any(mp[np.ix_(cols, rows)] != 0.0)
+
+
+class TestScipyBits:
+    """matops' block_diag and solve_continuous_lyapunov, and the LAPACK
+    routines hlqr._lapack loads, give scipy.linalg's bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 24, 48, 100, 150])
+    def test_solve_continuous_lyapunov(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal((n, 3))
+        q = rng.standard_normal((n, n))
+        shifted = a + (np.linalg.norm(a, "fro") + 0.5) * np.eye(n)
+        for a_x, q_x in ((shifted, 2.0 * b @ b.T), (a, q)):
+            assert np.array_equal(
+                matops.solve_continuous_lyapunov(a_x, q_x),
+                scipy.linalg.solve_continuous_lyapunov(a_x, q_x))
+        q[0, -1] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            matops.solve_continuous_lyapunov(a, q)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_diag(self, seed):
+        rng = np.random.default_rng(seed)
+        shapes = rng.integers(0, 40, (int(rng.integers(1, 8)), 2))
+        blocks = [rng.standard_normal(tuple(s)) for s in shapes]
+        assert np.array_equal(matops.block_diag(*blocks),
+                              scipy.linalg.block_diag(*blocks))
+        ints = [np.arange(6).reshape(2, 3), np.ones((1, 1), dtype=int)]
+        got, want = matops.block_diag(*ints), scipy.linalg.block_diag(*ints)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64, 150])
+    def test_dgees(self, n):
+        a = np.random.default_rng(n).standard_normal((n, n))
+        lwork = int(_lapack.dgees(matops._no_select, a, lwork=-1)[-2][0])
+        got = _lapack.dgees(matops._no_select, a, lwork=lwork)
+        want = scipy.linalg.lapack.dgees(matops._no_select, a, lwork=lwork)
+        assert got[-1] == want[-1] == 0
+        for x, y in zip(got[:-1], want[:-1]):
+            assert np.array_equal(x, y)
 
 
 class TestResidualGuards:

@@ -7,7 +7,7 @@ from hlqr import graphcost, hierctrl, matops, sim
 from hlqr.errors import InvalidConfig, StateBlowup, UnstableClosedLoop
 from hlqr.graphcost import CostGraph, Decomposition, check_assumptions
 from hlqr.sim import MasSystem, integrate
-from oracles import evaluate_cost, integrate_callable, quadrature_cost
+from oracles import Pointwise, evaluate_cost, integrate_callable, quadrature_cost
 
 
 def decay_system(n_agents=2):
@@ -52,12 +52,12 @@ class TestIntegrate:
     def test_disturbance_enters_through_b(self):
         # B = 0 makes the disturbance invisible; B = I makes it act
         quiet = MasSystem([(-np.eye(1), np.zeros((1, 1)))],
-                          disturbance=lambda t: np.array([1.0]))
+                          disturbance=Pointwise(lambda t: np.array([1.0])))
         traj = integrate(quiet, np.zeros((1, 1)), np.array([1.0]), 1.0, 1e-3)
         assert abs(traj.states[-1, 0] - np.exp(-1.0)) < 1e-8
 
         driven = MasSystem([(-np.eye(1), np.eye(1))],
-                           disturbance=lambda t: np.array([1.0]))
+                           disturbance=Pointwise(lambda t: np.array([1.0])))
         traj = integrate(driven, np.zeros((1, 1)), np.array([0.0]), 5.0, 1e-3)
         # step response toward the forced equilibrium: x(t) = 1 - exp(-t)
         assert abs(traj.states[-1, 0] - (1.0 - np.exp(-5.0))) < 1e-8
