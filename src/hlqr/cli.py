@@ -26,7 +26,7 @@ from . import fileio
 from .adp import LearnConfig, learn_hierarchical
 from .errors import HlqrError, InvalidConfig
 from .graphcost import Decomposition, comm_links, kappa, split_graph
-from .hierctrl import _evaluate, hierarchical_gain
+from .hierctrl import _cond, _evaluate, hierarchical_gain
 from .matops import solve_lyapunov, symmetrize
 from .partition import ConstraintSet, PartitionProblem, max_kappa, min_scut
 from .sim import (
@@ -433,12 +433,8 @@ def _bench_decomposition_compare(out_dir, seed):
     a, b = mas.a_full, mas.b_full
     k_opt = np.linalg.solve(spec.r, b.T @ p_opt)
     x_u = solve_lyapunov(a - b @ k_opt, symmetrize(k_opt.T @ k_opt))
-    lam = np.linalg.eigvalsh(p_opt)
-    cond_p = (float(lam[-1] / lam[0])
-              if lam[0] > lam.size * np.finfo(float).eps * lam[-1]
-              else float("inf"))
     rows.append([
-        "undecomposed", "n/a", "n/a", cond_p,
+        "undecomposed", "n/a", "n/a", _cond(np.linalg.eigvalsh(p_opt)),
         _quad_mean(x0s, p_opt), _quad_mean(x0s, x_u),
         mas.n_agents * (mas.n_agents - 1) // 2, float("nan"), 0.0,
     ])

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDecomposition, NotALaplacian
-from .matops import block_diag, is_psd, symmetrize
+from .errors import DimensionMismatch, InvalidDecomposition, NonStabilizable, NotALaplacian
+from .matops import _pd, block_diag, is_psd, stabilizing_gain, symmetrize
 
 __all__ = [
     "CostGraph",
@@ -351,65 +351,50 @@ def cluster_costs(spec, dec):
     return out
 
 
-def _psd_sqrt(m):
-    w, v = np.linalg.eigh(symmetrize(m))
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-
-
-def _pbh_controllable(a, b, tol=1e-7):
-    n = a.shape[0]
-    for lam in np.linalg.eigvals(a):
-        stacked = np.hstack([lam * np.eye(n) - a, b.astype(complex)])
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        if sv[n - 1] <= tol * max(1.0, sv[0]):
-            return False
-    return True
-
-
-def _pbh_observable(c, a, tol=1e-7):
-    n = a.shape[0]
-    for lam in np.linalg.eigvals(a):
-        stacked = np.vstack([lam * np.eye(n) - a, c.astype(complex)])
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        if sv[n - 1] <= tol * max(1.0, sv[0]):
-            return False
+def _stabilizable(a, b):
+    try:
+        stabilizing_gain(a, b)
+    except NonStabilizable:
+        return False
     return True
 
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """PBH and connectivity checks behind the controller guarantees."""
+    """Stabilizability, detectability and connectivity behind the guarantees."""
 
-    controllable: list
-    observable: list
+    stabilizable: list
+    detectable: list
     graph_connected: bool
     cluster_connected: list
 
     @property
     def ok(self):
         return (
-            all(self.controllable)
-            and all(self.observable)
+            all(self.stabilizable)
+            and all(self.detectable)
             and self.graph_connected
         )
 
 
 def check_assumptions(mas, spec, dec):
-    """Report per-cluster controllability of (A_j, B_j), observability of
+    """Report per-cluster stabilizability of (A_j, B_j), detectability of
     (Qhat_j^{1/2}, A_j), and connectivity of the coupling graph and each
     cluster subgraph.  Never raises; the report carries any failures.
+
+    The first two make each cluster Riccati solution stabilizing (Kucera
+    1972): stabilizable when matops.stabilizing_gain finds a gain, detectable
+    when Qhat_j is PD to rounding or (A_j', Qhat_j) is stabilizable.
     """
-    costs = cluster_costs(spec, dec)
-    controllable, observable, connected = [], [], []
-    for j in range(dec.s):
+    stabilizable, detectable, connected = [], [], []
+    for j, (qhat_j, _) in enumerate(cluster_costs(spec, dec)):
         a_j, b_j = mas.cluster(dec, j)
-        qhat_j, _ = costs[j]
-        controllable.append(_pbh_controllable(a_j, b_j))
-        observable.append(_pbh_observable(_psd_sqrt(qhat_j), a_j))
+        stabilizable.append(_stabilizable(a_j, b_j))
+        detectable.append(_pd(np.linalg.eigvalsh(qhat_j)) or _stabilizable(a_j.T, qhat_j))
         connected.append(spec.graph.connected(dec.clusters()[j]))
     return AssumptionReport(
-        controllable=controllable,
-        observable=observable,
+        stabilizable=stabilizable,
+        detectable=detectable,
         graph_connected=spec.graph.connected(),
         cluster_connected=connected,
     )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, UnstableClosedLoop, UnstableMatrix
 from .graphcost import assemble_q, cluster_costs, split_graph
-from .matops import pinv, schur_factor, solve_care, solve_lyapunov, symmetrize
+from .matops import _pd, pinv, schur_factor, solve_care, solve_lyapunov, symmetrize
 
 __all__ = [
     "HierarchicalGain",
@@ -189,6 +189,11 @@ def gap_report(mas, spec, dec, gain, x0=None, sigma=1.0):
     return _evaluate(mas, spec, dec, gain, x0, sigma)[0]
 
 
+def _cond(lam):
+    """lam[-1] / lam[0] of ascending eigenvalues, +inf if lam[0] <= n eps lam[-1]."""
+    return float(lam[-1] / lam[0]) if _pd(lam) else float("inf")
+
+
 def _evaluate(mas, spec, dec, gain, x0=None, sigma=1.0):
     """gap_report's body; returns (report, p_opt, u, cl).
 
@@ -232,9 +237,7 @@ def _evaluate(mas, spec, dec, gain, x0=None, sigma=1.0):
 
     lam_p = np.linalg.eigvalsh(p_script)
     lam_min_p, lam_max_p = float(lam_p[0]), float(lam_p[-1])
-    cond_p = (lam_max_p / lam_min_p
-              if lam_min_p > lam_p.size * np.finfo(float).eps * lam_max_p
-              else float("inf"))
+    cond_p = _cond(lam_p)
     sv_b = np.linalg.svd(b, compute_uv=False)
     sig_max_b = float(sv_b[0])
     nonzero = sv_b[sv_b > max(b.shape) * np.finfo(float).eps * sig_max_b]

@@ -10,8 +10,8 @@ triangular equation is solved by recursive blocking (Jonsson & Kagstrom's
 RECSY): LAPACK's dtrsyl on blocks of at most _LEAF rows, GEMM updates
 between them, and only the upper off-diagonal blocks of the symmetric
 solution.  The Riccati solver is Newton-Kleinman, each iterate one such
-Lyapunov solve; it starts either from an eigenvalue-shift gain or from a
-given first iterate, the cost matrix of a stabilizing gain.
+Lyapunov solve; it starts from the cost matrix of a given stabilizing gain or
+from stabilizing_gain, whose ordered Schur form also decides stabilizability.
 
 solve_care, schur_factor and pinv first split their input at the connected
 components of its exact nonzero pattern (_components) and solve one block
@@ -38,6 +38,7 @@ __all__ = [
     "SchurFactor",
     "schur_factor",
     "solve_lyapunov",
+    "stabilizing_gain",
     "solve_care",
 ]
 
@@ -69,6 +70,12 @@ def is_psd(m, tol=PSD_TOL):
     """True when all eigenvalues of the symmetric part are >= tol."""
     w = np.linalg.eigvalsh(symmetrize(m))
     return bool(w[0] >= tol)
+
+
+def _pd(w, scale=0.0):
+    """True when w, the ascending eigenvalues of a symmetric matrix, show it
+    PD to rounding: w[0] > n eps max(w[-1], scale)."""
+    return bool(w[0] > w.size * np.finfo(float).eps * max(w[-1], scale))
 
 
 def abscissa(m):
@@ -155,14 +162,21 @@ def _no_select(wr, wi):
     return 0
 
 
-def _schur(a):
-    """Real Schur form (T, Z), a = Z T Z', by LAPACK dgees with its workspace
-    query: the call scipy.linalg.schur makes, without its argument checks."""
-    lwork = int(dgees(_no_select, a, lwork=-1)[-2][0])
-    t, _, _, _, z, _, info = dgees(_no_select, a, lwork=lwork)
+def _stable(wr, wi):
+    return wr < 0.0
+
+
+def _schur(a, select=_no_select):
+    """Real Schur form (T, Z, k), a = Z T Z', by LAPACK dgees with its
+    workspace query: the call scipy.linalg.schur makes, without its argument
+    checks.  Given select(wr, wi), T is ordered with the k eigenvalues it
+    selects first (a complex pair counts twice); by default k = 0."""
+    lwork = int(dgees(select, a, lwork=-1)[-2][0])
+    t, k, _, _, z, _, info = dgees(select, a, sort_t=int(select is not _no_select),
+                                   lwork=lwork)
     if info > 0:
         raise np.linalg.LinAlgError("Schur form not found")
-    return t, z
+    return t, z, k
 
 
 def schur_factor(a_s):
@@ -183,13 +197,13 @@ def schur_factor(a_s):
     nz = a_s != 0
     comps = _components(nz | nz.T)
     if len(comps) == 1:  # Fortran-ordered factors, the same bits as scipy's
-        t, z = _schur(a_s.T)
+        t, z, _ = _schur(a_s.T)
     else:
         n = a_s.shape[0]
         t, z = np.zeros((n, n)), np.zeros((n, n))
         i = 0
         for c in comps:
-            t_c, z_c = _schur(a_s[np.ix_(c, c)].T)
+            t_c, z_c, _ = _schur(a_s[np.ix_(c, c)].T)
             t[i:i + c.size, i:i + c.size] = t_c
             z[c, i:i + c.size] = z_c
             i += c.size
@@ -235,7 +249,7 @@ def solve_continuous_lyapunov(a, q):
     q = np.asarray(q, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(q).all()):
         raise ValueError("array must not contain infs or NaNs")
-    t, z = _schur(a)
+    t, z, _ = _schur(a)
     y, scale, info = dtrsyl(t, t, z.T.dot(q.dot(z)), tranb="T")
     if info < 0:
         raise ValueError(f"dtrsyl: illegal value in argument {-info}")
@@ -310,32 +324,33 @@ def _residual(a, b, q, p, k):
     return float(np.linalg.norm(p @ a + a.T @ p + q - (p @ b) @ k, "fro"))
 
 
-def _initial_stabilizing_gain(a, b):
-    """Gain K with A - B K Hurwitz, via the eigenvalue-shift Lyapunov trick.
+def stabilizing_gain(a, b):
+    """Gain K with A - B K Hurwitz, by one ordered Schur form (Varga 1981).
 
-    Shift A by beta > spectral radius so A + beta*I is anti-stable, solve
-    (A + beta I) Z + Z (A + beta I)' = 2 B B' by solve_continuous_lyapunov,
-    since solve_lyapunov takes only Hurwitz matrices (Z is PD for
-    controllable (A,B)), and take K = B' Z^{-1}.  The solver is called
-    through its module-level name, which perfbench/spans.py wraps to count
-    the calls.
-    Returns the zero gain when A is already Hurwitz.
-    Z may be nearly singular for poorly controllable pairs; only the
-    abscissa of A - B K decides, and NonStabilizable is raised when Z cannot
-    be solved, K is not finite, or A - B K is not Hurwitz.
+    A = Z T Z', T = [T11 T12; 0 T22], with the eigenvalues of negative real
+    part (schur_factor's Hurwitz test) in T11, so B2 = Z2' B alone drives the
+    unstable and marginal modes in T22.  With beta = |T22|_F + 0.5, X solves
+    (T22 + beta I) X + X (T22 + beta I)' = 2 B2 B2' (solve_continuous_lyapunov,
+    by its module-level name, which perfbench/spans.py wraps to count calls);
+    then K2 = B2' X^{-1} gives (T22 - B2 K2) X + X (T22 - B2 K2)' = -2 beta X,
+    Hurwitz for PD X, and K = K2 Z2' leaves T11 in place.  Returns the zero
+    gain when A is Hurwitz.  Raises NonStabilizable unless X is PD to
+    rounding, its least eigenvalue above n eps times its largest or
+    |B|_F^2 / beta: B2's rounding alone gives an X of order eps^2 that.
     """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     n, m = b.shape
-    if abscissa(a) < 0.0:
+    t, z, k = _schur(a, _stable)
+    if k == n:
         return np.zeros((m, n))
-    beta = np.linalg.norm(a, "fro") + 0.5
-    z = symmetrize(solve_continuous_lyapunov(a + beta * np.eye(n), 2.0 * b @ b.T))
-    try:
-        k0 = np.linalg.solve(z, b).T
-    except np.linalg.LinAlgError:
-        raise NonStabilizable("shifted Lyapunov solution is singular; (A,B) not stabilizable") from None
-    if not np.all(np.isfinite(k0)) or abscissa(a - b @ k0) >= 0.0:
-        raise NonStabilizable("eigenvalue-shift initialization failed to stabilize")
-    return k0
+    t22, z2t = t[k:, k:], z[:, k:].T
+    b2 = z2t @ b
+    beta = np.linalg.norm(t22, "fro") + 0.5
+    w, v = np.linalg.eigh(solve_continuous_lyapunov(
+        t22 + beta * np.eye(n - k), 2.0 * b2 @ b2.T))
+    if not _pd(w, np.linalg.norm(b) ** 2 / beta):
+        raise NonStabilizable(f"{n - k} unstable or marginal modes not stabilizable")
+    return (v.T @ b2 / w[:, None]).T @ (v.T @ z2t)
 
 
 def _kleinman_step(a, b, q, r, k):
@@ -356,19 +371,19 @@ def solve_care(a, b, q, r, p0=None):
     iterate.  Quadratically convergent with monotonically decreasing iterates.
     The first iterate is p0 when given, which must be the cost matrix of a
     stabilizing gain K0 (so (A - B K0)' p0 + p0 (A - B K0) + Q + K0' R K0
-    = 0), and otherwise that of the eigenvalue-shift gain.  P is accepted at
+    = 0), and otherwise that of stabilizing_gain(A, B).  P is accepted at
     residual TOL_RESIDUAL * (1 + |P|_F).
 
     The iteration runs once per connected component of the graph on states
     and inputs whose edges are the nonzeros of A, A', Q, B, R and p0: P is
     zero between components.  Each of the k components with states starts
-    from its block of p0 or its own eigenvalue-shift gain, and is accepted
+    from its block of p0 or its own stabilizing_gain, and is accepted
     at TOL_RESIDUAL * (k^{-1/2} + |P_c|_F), which keeps the assembled P
     within the global contract.  A component without inputs is a Lyapunov
     solve when it is Hurwitz and NonStabilizable otherwise; one without
     states adds nothing.
 
-    Raises NonStabilizable when no stabilizing initial gain exists and
+    Raises NonStabilizable when (A, B) is not stabilizable and
     IterationDiverged when an iterate's gain is not stabilizing or the
     residual fails to contract within CARE_MAX_ITER iterates.
     """
@@ -406,13 +421,13 @@ def solve_care(a, b, q, r, p0=None):
 def _newton_kleinman(a, b, q, r, p, floor):
     """solve_care's iteration on one component, accepted at residual
     TOL_RESIDUAL * (floor + |P|_F); p is the first iterate, or None for the
-    cost matrix of the eigenvalue-shift gain."""
+    cost matrix of stabilizing_gain(a, b)."""
     if p is None:
         try:
-            p = _kleinman_step(a, b, q, r, _initial_stabilizing_gain(a, b))
+            p = _kleinman_step(a, b, q, r, stabilizing_gain(a, b))
         except UnstableMatrix:
             raise NonStabilizable(
-                "eigenvalue-shift gain leaves A - B K unstable") from None
+                "Schur-method gain leaves A - B K unstable") from None
 
     best_res = np.inf
     for _ in range(CARE_MAX_ITER):

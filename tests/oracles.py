@@ -3,7 +3,9 @@
 svd_pinv is matops.pinv without the split at connected components: one SVD
 of the whole matrix.  care_residual is the Riccati residual of a candidate
 P, with its gain formed from R.  comm_links_loop tests graphcost.comm_links'
-agent pairs one at a time.
+agent pairs one at a time.  pbh_stabilizable is the Popov-Belevitch-Hautus
+rank test that graphcost.check_assumptions replaces by one ordered Schur
+form.
 
 Pointwise gives a test signal written as a function of time the .table(ts)
 form that the simulator reads.
@@ -128,6 +130,30 @@ def svd_pinv(m):
     tol = max(m.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     s_inv = np.where(s > tol, np.divide(1.0, s, out=np.zeros_like(s), where=s > tol), 0.0)
     return (vt.T * s_inv) @ u.T
+
+
+def pbh_stabilizable(a, b, every_mode=False, tol=1e-7):
+    """PBH test: [lambda I - A, B] has full row rank at every eigenvalue
+    lambda of A with Re lambda >= 0, or at every eigenvalue when every_mode
+    (controllability).  Rank counts the singular values above
+    tol * max(1, sigma_max), one complex SVD per eigenvalue.  (C, A) is
+    detectable when (A', C') is stabilizable."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    for lam in np.linalg.eigvals(a):
+        if lam.real < 0.0 and not every_mode:
+            continue
+        stacked = np.hstack([lam * np.eye(n) - a, np.asarray(b, dtype=complex)])
+        sv = np.linalg.svd(stacked, compute_uv=False)
+        if sv[n - 1] <= tol * max(1.0, sv[0]):
+            return False
+    return True
+
+
+def psd_sqrt(m):
+    """Symmetric square root of a PSD matrix, negative rounding clipped."""
+    w, v = np.linalg.eigh(symmetrize(m))
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
 def comm_links_loop(k, n, m):

@@ -363,7 +363,7 @@ def test_criterion_10_suboptimality_trend():
 
 
 def test_criterion_11_feasibility_observability():
-    # The per-cluster observability oracle agrees exactly with anchored
+    # The per-cluster detectability check agrees exactly with anchored
     # connected components: every component of the cluster subgraph must
     # contain a leader.  The one-leader-and-connected shortcut is verified
     # sufficient; multi-component clusters whose components are all anchored
@@ -402,10 +402,10 @@ def test_criterion_11_feasibility_observability():
             )
             stated = bool(set(leaders).intersection(members)) and \
                 graph.connected(members)
-            assert report.observable[j] == anchored
+            assert report.detectable[j] == anchored
             if stated:
-                assert report.observable[j]
-            if stated != report.observable[j]:
+                assert report.detectable[j]
+            if stated != report.detectable[j]:
                 gap_cases += 1
             checked += 1
     print(f"criterion 11 PASS - observability equals component anchoring on "

@@ -221,10 +221,10 @@ class TestReportRow:
     def test_reference_care_starts_from_k_h(self, tmp_path, monkeypatch):
         # the 100-state example1 system is two decoupled 50-state blocks, so
         # the centralized CARE is two Newton-Kleinman runs, each continuing
-        # from its block of U, the cost matrix of k_h: no eigenvalue-shift
+        # from its block of U, the cost matrix of k_h: no stabilizing_gain
         # start, U itself is no step, and no Schur form exceeds a block
         newton, step = matops._newton_kleinman, matops._kleinman_step
-        shift, schur = matops._initial_stabilizing_gain, matops._schur
+        shift, schur = matops.stabilizing_gain, matops._schur
         solves, shift_sizes, schur_sizes = [], [], []
 
         def counting_newton(a, *args):
@@ -239,13 +239,13 @@ class TestReportRow:
             shift_sizes.append(a.shape[0])
             return shift(a, b)
 
-        def counting_schur(a):
+        def counting_schur(a, *args):
             schur_sizes.append(a.shape[0])
-            return schur(a)
+            return schur(a, *args)
 
         monkeypatch.setattr(matops, "_newton_kleinman", counting_newton)
         monkeypatch.setattr(matops, "_kleinman_step", counting_step)
-        monkeypatch.setattr(matops, "_initial_stabilizing_gain", counting_shift)
+        monkeypatch.setattr(matops, "stabilizing_gain", counting_shift)
         monkeypatch.setattr(matops, "_schur", counting_schur)
         rc = main(["solve", "example1", "--clusters", "cliques", "--s", "5",
                    "--c", "5", "--out", str(tmp_path)])

@@ -18,7 +18,8 @@ from hlqr.graphcost import (
     kappa,
     split_graph,
 )
-from oracles import comm_links_loop
+from oracles import comm_links_loop, pbh_stabilizable, psd_sqrt
+from test_hierctrl import random_instance
 
 
 def random_graph(rng, n, p=0.5):
@@ -312,8 +313,8 @@ class TestAssumptionChecks:
         dec = sim.clique_decomposition(3, 3)
         report = check_assumptions(mas, spec, dec)
         assert report.ok
-        assert all(report.controllable)
-        assert all(report.observable)
+        assert all(report.stabilizable)
+        assert all(report.detectable)
         assert report.graph_connected
         assert all(report.cluster_connected)
 
@@ -324,9 +325,26 @@ class TestAssumptionChecks:
         dec = Decomposition.from_clusters(
             [[0], [1, 2], [3, 4, 5, 6, 7, 8, 9, 10, 11]], 12)
         report = check_assumptions(mas, spec, dec)
-        assert report.observable[0]
-        assert not report.observable[1]
+        assert report.detectable[0]
+        assert not report.detectable[1]
         assert report.cluster_connected[1]
+
+    def test_zero_position_mode_needs_no_input_or_cost(self):
+        # a double integrator is marginal (eigenvalues 0, 0): without an
+        # input it is not stabilizable, and without a position cost not
+        # detectable, though its velocity is weighted
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        agent = (a, np.zeros((2, 1)))
+        spec = CostSpec.homogeneous(CostGraph.from_edges(1, []),
+                                    np.diag([0.0, 1.0]), np.eye(2), np.eye(1))
+        report = check_assumptions(sim.MasSystem([agent]), spec,
+                                   Decomposition.from_assignment([0]))
+        assert report.stabilizable == [False] and report.detectable == [False]
+        spec = CostSpec.homogeneous(CostGraph.from_edges(1, []), np.eye(2),
+                                    np.eye(2), np.eye(1))
+        mas = sim.MasSystem([(a, np.array([[0.0], [1.0]]))])
+        report = check_assumptions(mas, spec, Decomposition.from_assignment([0]))
+        assert report.ok
 
     def test_disconnected_graph_flagged(self):
         graph = CostGraph.from_edges(4, [(0, 1), (2, 3)])
@@ -336,3 +354,42 @@ class TestAssumptionChecks:
         report = check_assumptions(mas, spec, dec)
         assert not report.graph_connected
         assert not report.ok
+
+
+def random_formation(seed):
+    """Formation of 3-7 agents with random graph, leaders and decomposition:
+    a cluster is detectable exactly when each of its graph components holds
+    a leader, since the consensus position of a component without one is an
+    unweighted zero mode."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 8))
+    graph = random_graph(rng, n, p=0.3)
+    leaders = tuple(sorted(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                      replace=False).tolist()))
+    scn = sim.FormationScenario(
+        masses=[np.diag([1.0 + u / 2.0, 1.0 + u / 3.0]) for u in range(n)],
+        damping=[np.diag([0.5 + u / 4.0, 0.5 + u / 5.0]) for u in range(n)],
+        formation_graph=graph,
+        leaders=leaders,
+        targets=np.zeros((n, 2)),
+        initial_positions=np.zeros((n, 2)),
+        initial_velocities=np.zeros((n, 2)),
+    )
+    mas, spec, _, _ = sim.build_formation(scn)
+    return mas, spec, random_decomposition(rng, n, int(rng.integers(1, n)))
+
+
+class TestAssumptionOracle:
+    """check_assumptions against the PBH rank test of tests/oracles.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), formation=st.booleans())
+    def test_agrees_with_pbh(self, seed, formation):
+        mas, spec, dec = (random_formation if formation else random_instance)(seed)
+        report = check_assumptions(mas, spec, dec)
+        for j, (qhat_j, _) in enumerate(cluster_costs(spec, dec)):
+            a_j, b_j = mas.cluster(dec, j)
+            assert report.stabilizable[j] == pbh_stabilizable(a_j, b_j)
+            assert report.detectable[j] == pbh_stabilizable(a_j.T, psd_sqrt(qhat_j))
+            if pbh_stabilizable(a_j, b_j, every_mode=True):
+                assert report.stabilizable[j]

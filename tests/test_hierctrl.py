@@ -471,9 +471,10 @@ class TestGapIdentity:
 
     @pytest.mark.parametrize("seed", [28, 122, 178, 179, 315])
     def test_poorly_controllable_instances(self, seed):
-        # these clusters pass check_assumptions but have a nearly singular
-        # shifted Lyapunov solution (seed 28: eigenvalues 9.7e-13 to 0.57),
-        # which the eigenvalue-shift start once rejected as NonStabilizable
+        # these clusters pass check_assumptions though poorly controllable:
+        # a shift of the whole of A gave nearly singular Lyapunov solutions
+        # (seed 28: eigenvalues 9.7e-13 to 0.57), once rejected as
+        # NonStabilizable.  stabilizing_gain shifts only the unstable block
         mas, spec, dec = random_instance(seed)
         assert graphcost.check_assumptions(mas, spec, dec).ok
         a, b, r = mas.a_full, mas.b_full, spec.r

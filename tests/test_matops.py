@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from hlqr import _lapack, matops, sim
@@ -23,18 +23,17 @@ def random_controllable(rng, n, m):
             return a, b
 
 
-def hidden_blocks(rng, n_blocks, inputs_everywhere=False):
+def hidden_blocks(rng, n_blocks):
     """Block-diagonal (A, B, Q, R) with the blocks hidden by random state and
     input permutations, and the block label of each state and input.
 
-    A block has 0-4 states and 0-2 inputs, at least one of either, or 1-4
-    and 1-2 when inputs_everywhere.  (A_c, B_c) is controllable, and A_c is
-    Hurwitz when the block has no inputs.
+    A block has 0-4 states and 0-2 inputs, at least one of either.
+    (A_c, B_c) is controllable, and A_c is Hurwitz when the block has no
+    inputs.
     """
     sizes = []
-    lo = int(inputs_everywhere)
     while len(sizes) < n_blocks or not (sum(n for n, _ in sizes) and sum(m for _, m in sizes)):
-        n_c, m_c = int(rng.integers(lo, 5)), int(rng.integers(lo, 3))
+        n_c, m_c = int(rng.integers(0, 5)), int(rng.integers(0, 3))
         if n_c + m_c:
             sizes = (sizes + [(n_c, m_c)])[-n_blocks:]
     a, b, q, r = (scipy.linalg.block_diag(*x) for x in zip(*[
@@ -151,7 +150,7 @@ class TestSolveCare:
 
     def test_warm_start_from_stabilizing_cost(self, monkeypatch):
         # p0 = cost matrix of a stabilizing K0 is Newton-Kleinman's first
-        # iterate from K0: no eigenvalue-shift start, and the same solution
+        # iterate from K0: no stabilizing_gain start, and the same solution
         # to within the residual tolerance
         rng = np.random.default_rng(53)
         for _ in range(20):
@@ -163,7 +162,7 @@ class TestSolveCare:
             assert matops.abscissa(a - b @ k0) < 0.0
             p0 = matops.solve_lyapunov(a - b @ k0, q + k0.T @ r @ k0)
             with monkeypatch.context() as mp:
-                mp.setattr(matops, "_initial_stabilizing_gain", None)
+                mp.setattr(matops, "stabilizing_gain", None)
                 p_warm = matops.solve_care(a, b, q, r, p0=p0)
             assert care_residual(a, b, q, r, p_warm) <= (
                 1e-9 * (1.0 + np.linalg.norm(p_warm, "fro")))
@@ -191,6 +190,55 @@ class TestSolveCare:
         with pytest.raises(ValueError):
             matops.solve_care(-np.eye(3), np.ones((3, 1)), np.eye(3),
                               np.eye(1), p0=np.eye(2))
+
+
+class TestStabilizingGain:
+    def test_hurwitz_gets_zero_gain(self):
+        k = matops.stabilizing_gain(-np.eye(3) + np.triu(np.ones((3, 3)), 1),
+                                    np.ones((3, 2)))
+        assert k.shape == (2, 3) and not k.any()
+
+    def test_stabilizes_and_keeps_stable_modes(self):
+        # the stable eigenvalues of A stay in A - B K, the others move
+        # left of -beta
+        rng = np.random.default_rng(67)
+        for _ in range(30):
+            n, m = 6, 2
+            a, b = random_controllable(rng, n, m)
+            k = matops.stabilizing_gain(a, b)
+            lam = np.linalg.eigvals(a)
+            lam_cl = np.linalg.eigvals(a - b @ k)
+            assert lam_cl.real.max() < 0.0
+            for mu in lam[lam.real < 0.0]:
+                assert np.abs(lam_cl - mu).min() <= 1e-8 * (1.0 + abs(mu))
+
+    def test_marginal_modes_stabilized(self):
+        # double integrators: every eigenvalue is 0, none counts as stable
+        mas = sim.build_formation(sim.default_formation())[0]
+        a, b = mas.a_full, mas.b_full
+        assert matops.abscissa(a - b @ matops.stabilizing_gain(a, b)) < 0.0
+
+    def test_uncontrollable_mode_in_any_basis(self):
+        # an unstable mode without input, in a random basis, so Z2' B is
+        # rounding rather than zero
+        rng = np.random.default_rng(71)
+        for _ in range(10):
+            s = rng.standard_normal((3, 3))
+            a = s @ np.diag([1.0, -1.0, 2.0]) @ np.linalg.inv(s)
+            b = s @ np.array([[0.0], [1.0], [1.0]])
+            with pytest.raises(NonStabilizable):
+                matops.stabilizing_gain(a, b)
+
+    def test_uncontrollable_marginal_mode(self):
+        # an exact zero eigenvalue is not stable, with or without a coupled
+        # stable part
+        a = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 2.0]])
+        b = np.array([[0.0], [1.0], [1.0]])
+        with pytest.raises(NonStabilizable):
+            matops.stabilizing_gain(a, b)
+        a[0, 0] = -0.5
+        k = matops.stabilizing_gain(a, b)
+        assert matops.abscissa(a - b @ k) < 0.0
 
 
 class TestSolveLyapunov:
@@ -397,18 +445,28 @@ class TestHiddenBlocks:
         # from its own solution every block is accepted at once
         assert np.array_equal(matops.solve_care(a, b, q, r, p0=p), p)
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_care_coupled(self, seed):
-        # one entry of A between two controllable blocks: A is block
-        # triangular, so still stabilizable, and the problem one component
+        # one entry of A between two blocks with states: A is block
+        # triangular, so still stabilizable, and the problem one component.
+        # A block without inputs (and Hurwitz A_c) is a stable part that is
+        # not controllable; wherever scipy finds the stabilizing solution,
+        # solve_care finds it too
         rng = np.random.default_rng(seed)
-        a, b, q, r, s_lab, _ = hidden_blocks(rng, 2, inputs_everywhere=True)
+        s_lab = np.zeros(0)
+        while set(s_lab) != {0, 1}:
+            a, b, q, r, s_lab, _ = hidden_blocks(rng, 2)
         rows, cols = couple(rng, a, s_lab, s_lab)
+        try:
+            p_ref = scipy.linalg.solve_continuous_are(a, b, q, r)
+        except (np.linalg.LinAlgError, ValueError):
+            reject()
         p = matops.solve_care(a, b, q, r)
         assert np.array_equal(p, matops._newton_kleinman(a, b, q, r, None, 1.0))
         assert np.any(p[np.ix_(rows, cols)] != 0.0)
-        p_ref = scipy.linalg.solve_continuous_are(a, b, q, r)
+        assert care_residual(a, b, q, r, p) <= matops.TOL_RESIDUAL * (
+            1.0 + np.linalg.norm(p, "fro"))
         assert np.linalg.norm(p - p_ref, "fro") <= 1e-7 * (
             1.0 + np.linalg.norm(p_ref, "fro"))
 

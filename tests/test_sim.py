@@ -302,10 +302,10 @@ class TestClusterFeasibility:
                 anchored_components = all(
                     comp.intersection(leaders)
                     for comp in self.components(graph, members))
-                assert anchored_components == report.observable[j], (
+                assert anchored_components == report.detectable[j], (
                     f"leaders={leaders} cluster={members}")
                 if stated:
-                    assert report.observable[j]
+                    assert report.detectable[j]
                 elif anchored_components:
                     verdict_gap_seen += 1
                 checked += 1
