@@ -329,7 +329,7 @@ class TestAssumptionChecks:
         assert not report.detectable[1]
         assert report.cluster_connected[1]
 
-    def test_zero_position_mode_needs_no_input_or_cost(self):
+    def test_unreachable_and_unweighted_zero_modes(self):
         # a double integrator is marginal (eigenvalues 0, 0): without an
         # input it is not stabilizable, and without a position cost not
         # detectable, though its velocity is weighted
