@@ -17,16 +17,14 @@ QR is computed once per dataset, and each pass factors only what remains.
 """
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels, _lapack
 from .errors import InvalidConfig, NoConvergence, RankDeficient, StateBlowup
-from .graphcost import cluster_costs, split_graph
+from .graphcost import cluster_costs
 from .hierctrl import assemble_gain, compute_rtilde
 from .sim import tabulate_signal
 
@@ -434,11 +432,11 @@ def learn_cluster(plant, qhat, rhat, cfg, k0=None, tag=0):
     n, m = plant.n_states, plant.n_inputs
     horizon = cfg.horizon if cfg.horizon is not None else _auto_horizon(cfg, n, m)
     exc = Excitation.make(cfg.seed + 7919 * tag, m, amplitude=cfg.amplitude)
-    k0_arr = np.zeros((m, n)) if k0 is None else np.asarray(k0, dtype=float)
+    k0 = np.zeros((m, n)) if k0 is None else np.asarray(k0, dtype=float)
     for attempt in range(4):
         data = collect(plant, k0, exc, horizon, cfg.dt, cfg.window)
         try:
-            result = policy_iteration(data, qhat, rhat, k0_arr,
+            result = policy_iteration(data, qhat, rhat, k0,
                                       tol_pi=cfg.tol_pi, max_iter=cfg.max_iter)
             break
         except RankDeficient:
@@ -451,10 +449,9 @@ def learn_cluster(plant, qhat, rhat, cfg, k0=None, tag=0):
 def learn_hierarchical(plants, spec, dec, cfg=None, k0_list=None):
     """Learn every cluster model-free, then assemble the hierarchical gain.
 
-    plants are black-box cluster handles ordered like dec's clusters.
-    Returns (HierarchicalGain, list of LearnResult).  Cluster learning tasks
-    run in a thread pool when HLQR_WORKERS is set above 1 (the kernels hold
-    no interpreter state); the coupling stage waits for all of them.
+    plants are black-box cluster handles ordered like dec's clusters, and
+    clusters are learned one after another.  Returns (HierarchicalGain, list
+    of LearnResult).
     """
     cfg = cfg if cfg is not None else LearnConfig()
     if len(plants) != dec.s:
@@ -462,28 +459,9 @@ def learn_hierarchical(plants, spec, dec, cfg=None, k0_list=None):
     if k0_list is None:
         k0_list = [None] * dec.s
     costs = cluster_costs(spec, dec)
-
-    def task(j):
-        qhat_j, rhat_j = costs[j]
-        return learn_cluster(plants[j], qhat_j, rhat_j, cfg,
-                             k0=k0_list[j], tag=j)
-
-    raw = os.environ.get("HLQR_WORKERS", "1") or "1"
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise InvalidConfig(f"HLQR_WORKERS={raw!r} is not an integer") from None
-    if workers > 1 and dec.s > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, dec.s)) as pool:
-            results = list(pool.map(task, range(dec.s)))
-    else:
-        results = [task(j) for j in range(dec.s)]
-
+    results = [learn_cluster(plants[j], *costs[j], cfg, k0=k0_list[j], tag=j)
+               for j in range(dec.s)]
     pb_blocks = [res.btp_hat.T for res in results]
-    split = split_graph(spec.graph, dec)
-    g2q = np.kron(split.g2, spec.qtilde)
-    r_tilde = compute_rtilde(pb_blocks, g2q, dec, spec.n, spec.m)
+    r_tilde = compute_rtilde(pb_blocks, spec, dec)
     p_blocks = [res.p_hat for res in results]
-    gain = assemble_gain(p_blocks, pb_blocks, r_tilde, spec, dec)
-    return gain, results
-
+    return assemble_gain(p_blocks, pb_blocks, r_tilde, spec, dec), results

@@ -10,7 +10,6 @@ Subcommands:
 
 All randomness flows from --seed; identical config and seed give byte-identical
 CSV output (wall-clock columns vary by machine and are documented as such).
-The HLQR_WORKERS environment variable sizes the per-cluster worker pool.
 """
 
 import argparse
@@ -243,29 +242,25 @@ def _quad_mean(x0s, mat):
     return float(_quad_forms(x0s, mat).mean())
 
 
-def _scenario_trajectory(cfg, scenario, gain):
-    """Closed-loop trajectory from the scenario's own initial state."""
-    if scenario.x0 is None:
-        raise InvalidConfig("scenario x0 scheme needs a scenario initial state")
-    return integrate(scenario.mas, gain.k_h, scenario.x0, cfg.t_final, cfg.dt,
-                     cost=scenario.spec)
-
-
-def make_report_row(cfg, scenario, dec, gain, learn_time=float("nan"),
-                    traj=None):
-    """Evaluate a gain into (ReportRow, GapReport, P_opt).
+def make_report_row(cfg, scenario, dec, gain, learn_time=float("nan")):
+    """Evaluate a gain into (ReportRow, GapReport, P_opt, trajectory).
 
     P_opt is the centralized Riccati solution.  Under the scenario x0
-    scheme the costs are those of traj, the closed-loop trajectory from the
-    scenario's initial state; it is integrated here when not given.
+    scheme the costs are those of the closed-loop trajectory from the
+    scenario's initial state, which is returned; otherwise the trajectory
+    is None.
     """
     mas, spec = scenario.mas, scenario.spec
     report, p_opt, u, cl = _evaluate(mas, spec, dec, gain, sigma=cfg.sigma)
     _, n_c = comm_links(gain.k_h, spec.n, spec.m)
 
+    traj = None
     if cfg.x0_scheme == "scenario":
-        if traj is None:
-            traj = _scenario_trajectory(cfg, scenario, gain)
+        if scenario.x0 is None:
+            raise InvalidConfig("scenario x0 scheme needs a scenario initial "
+                                "state")
+        traj = integrate(mas, gain.k_h, scenario.x0, cfg.t_final, cfg.dt,
+                         cost=spec)
         j_mean, j_u = traj.cost, traj.ju
         sop = report.sop
     else:
@@ -288,7 +283,18 @@ def make_report_row(cfg, scenario, dec, gain, learn_time=float("nan"),
         learn_time=learn_time,
         sop=sop,
     )
-    return row, report, p_opt
+    return row, report, p_opt, traj
+
+
+def _learn(mas, spec, dec, learn_cfg):
+    """Learn dec's clusters from black-box plants, each started at its
+    initial_gains gain.  Returns (gain, LearnResults, learning wall time)."""
+    plants = cluster_plants(mas, dec)
+    k0_list = initial_gains(mas, dec)
+    t0 = time.perf_counter()
+    gain, results = learn_hierarchical(plants, spec, dec, learn_cfg,
+                                       k0_list=k0_list)
+    return gain, results, time.perf_counter() - t0
 
 
 def run_experiment(cfg):
@@ -301,24 +307,13 @@ def run_experiment(cfg):
     dec, _ = choose_decomposition(cfg, scenario)
     mas, spec = scenario.mas, scenario.spec
 
-    learn_time = float("nan")
     results = None
     if cfg.learn:
-        plants = cluster_plants(mas, dec)
-        k0_list = initial_gains(mas, dec)
-        t0 = time.perf_counter()
-        gain, results = learn_hierarchical(
-            plants, spec, dec, cfg.learn_config(), k0_list=k0_list,
-        )
-        learn_time = time.perf_counter() - t0
+        gain, results, learn_time = _learn(mas, spec, dec, cfg.learn_config())
     else:
-        gain = hierarchical_gain(mas, spec, dec)
-
-    traj = None
-    if cfg.x0_scheme == "scenario":
-        traj = _scenario_trajectory(cfg, scenario, gain)
-    row, report, _ = make_report_row(cfg, scenario, dec, gain, learn_time,
-                                     traj)
+        gain, learn_time = hierarchical_gain(mas, spec, dec), float("nan")
+    row, report, _, traj = make_report_row(cfg, scenario, dec, gain,
+                                           learn_time)
 
     out = cfg.out_dir
     paths = {
@@ -370,19 +365,12 @@ def _bench_rl_compare(out_dir, seed):
         cfg = LearnConfig(seed=seed)
         note = ""
 
-        plants = cluster_plants(mas, dec)
-        t0 = time.perf_counter()
-        gain, results = learn_hierarchical(plants, spec, dec, cfg)
-        t_h = time.perf_counter() - t0
+        gain, results, t_h = _learn(mas, spec, dec, cfg)
         iters_h = max(r.iterations for r in results)
 
         dec_all = Decomposition.from_assignment([0] * mas.n_agents)
         try:
-            t0 = time.perf_counter()
-            _, res_c = learn_hierarchical(
-                cluster_plants(mas, dec_all), spec, dec_all, cfg,
-            )
-            t_c = time.perf_counter() - t0
+            _, res_c, t_c = _learn(mas, spec, dec_all, cfg)
             iters_c = res_c[0].iterations
         except HlqrError as exc:
             t_c, iters_c = float("nan"), 0
@@ -410,21 +398,21 @@ def _bench_rl_compare(out_dir, seed):
 
 
 def _bench_decomposition_compare(out_dir, seed):
-    mas, spec = clique_path_scenario(3, 3)
+    cfg = ExperimentConfig(scenario="example1", s=3, c=3, seed=seed,
+                           x0_scheme="normal05", n_draws=1000)
+    scenario = build_scenario(cfg)
+    mas, spec = scenario.mas, scenario.spec
     n_states = spec.n * mas.n_agents
-    scenario = Scenario(mas=mas, spec=spec)
     named = [
         ("{1,2}|{3..7}|{8,9}", [0, 0, 1, 1, 1, 1, 1, 2, 2]),
         ("{1,2,3}|{4,5,6}|{7,8,9}", [0, 0, 0, 1, 1, 1, 2, 2, 2]),
         ("{1,2,3}|{4}|{5..9}", [0, 0, 0, 1, 2, 2, 2, 2, 2]),
     ]
-    cfg = ExperimentConfig(scenario="example1", s=3, c=3, seed=seed,
-                           x0_scheme="normal05", n_draws=1000)
     rows = []
     for label, assignment in named:
         dec = Decomposition.from_assignment(assignment)
         gain = hierarchical_gain(mas, spec, dec)
-        row, _, p_opt = make_report_row(cfg, scenario, dec, gain)
+        row, _, p_opt, _ = make_report_row(cfg, scenario, dec, gain)
         rows.append([label, *row.cells()[1:]])
 
     # every row shares mas and spec, so p_opt is the undecomposed optimum
@@ -453,32 +441,24 @@ def _bench_decomposition_compare(out_dir, seed):
 
 
 def _bench_formation(out_dir, seed):
-    scn = default_formation()
-    mas, spec, baseline_k, x0 = build_formation(scn)
-    scenario = Scenario(mas=mas, spec=spec, formation=scn,
-                        baseline_k=baseline_k, x0=x0)
     cfg = ExperimentConfig(scenario="formation", seed=seed,
                            x0_scheme="scenario", learn=True)
+    scenario = build_scenario(cfg)
+    mas, spec = scenario.mas, scenario.spec
     rows = []
     for sizes in ((6, 3, 3), (1, 10, 1), (7, 2, 3)):
         dec = Decomposition.from_assignment(
             _sizes_to_assignment(sizes, mas.n_agents)
         )
-        if not anchoring_check(scn, dec):
+        if not anchoring_check(scenario.formation, dec):
             continue
         note = ""
-        learn_time = float("nan")
         try:
-            plants = cluster_plants(mas, dec)
-            k0_list = initial_gains(mas, dec)
-            t0 = time.perf_counter()
-            gain, _ = learn_hierarchical(plants, spec, dec,
-                                         cfg.learn_config(), k0_list=k0_list)
-            learn_time = time.perf_counter() - t0
+            gain, _, learn_time = _learn(mas, spec, dec, cfg.learn_config())
         except HlqrError as exc:
-            gain = hierarchical_gain(mas, spec, dec)
+            gain, learn_time = hierarchical_gain(mas, spec, dec), float("nan")
             note = f"learning failed ({type(exc).__name__}); model-based gain"
-        row, _, _ = make_report_row(cfg, scenario, dec, gain, learn_time)
+        row, *_ = make_report_row(cfg, scenario, dec, gain, learn_time)
         rows.append([*row.cells(), note])
     path = fileio.write_csv(
         f"{out_dir}/formation.csv", [*REPORT_COLUMNS, "note"], rows,
@@ -546,7 +526,6 @@ def build_parser():
         prog="hlqr",
         description="Hierarchical LQR for multi-agent systems: decompose, "
                     "learn cluster controllers model-free, assemble, evaluate.",
-        epilog="Environment: HLQR_WORKERS sizes the per-cluster worker pool.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -659,14 +638,8 @@ def cmd_decompose(args):
 
 
 def cmd_solve(args):
-    cfg = _config_from_args(args)
-    scenario = build_scenario(cfg)
-    dec, _ = choose_decomposition(cfg, scenario)
-    gain = hierarchical_gain(scenario.mas, scenario.spec, dec)
-    row, report, _ = make_report_row(cfg, scenario, dec, gain)
-    fileio.save_gain(f"{cfg.out_dir}/gain.npz", gain)
-    fileio.save_json(f"{cfg.out_dir}/gap_report.json", asdict(report))
-    fileio.write_csv(f"{cfg.out_dir}/report.csv", REPORT_COLUMNS, [row.cells()])
+    rows, _ = run_experiment(replace(_config_from_args(args), learn=False))
+    row = rows[0]
     print(f"decomposition {row.label}")
     print(f"kappa={row.kappa} trace_g2={row.trace_g2} n_c={row.n_c} "
           f"cond_p={row.cond_p:.4g} sop={row.sop:.4%}")

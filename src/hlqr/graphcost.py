@@ -127,30 +127,18 @@ class Decomposition:
     s: int
 
     def __post_init__(self):
-        a = tuple(int(v) for v in self.assignment)
-        if not a:
-            raise InvalidDecomposition("empty assignment")
         seen = {}
-        canon = []
-        for v in a:
-            if v not in seen:
-                seen[v] = len(seen)
-            canon.append(seen[v])
-        if sorted(seen.values()) != list(range(len(seen))):
-            raise InvalidDecomposition("cluster ids are not contiguous")
+        canon = tuple(seen.setdefault(int(v), len(seen)) for v in self.assignment)
+        if not canon:
+            raise InvalidDecomposition("empty assignment")
         if self.s != len(seen):
             raise InvalidDecomposition(f"s={self.s} but assignment uses {len(seen)} clusters")
-        object.__setattr__(self, "assignment", tuple(canon))
+        object.__setattr__(self, "assignment", canon)
 
     @classmethod
     def from_assignment(cls, assignment):
-        ids = []
-        seen = {}
-        for v in assignment:
-            if v not in seen:
-                seen[v] = len(seen)
-            ids.append(seen[v])
-        return cls(tuple(ids), len(seen))
+        ids = tuple(assignment)
+        return cls(ids, len(set(ids)))
 
     @classmethod
     def from_clusters(cls, clusters, n_agents):

@@ -78,19 +78,17 @@ def solve_clusters(mas, spec, dec):
     return p_blocks, pb_blocks
 
 
-def compute_rtilde(pb_blocks, g2q, dec, n, m):
+def compute_rtilde(pb_blocks, spec, dec):
     """Minimum-norm PSD coupling weight Rtilde.
 
-    Rtilde = Xi g2q Xi^T with Xi the block-diagonal (per cluster) scatter of
-    (scriptP_j B_j)^+ into the original agent ordering.  Because g2q carries
+    Rtilde = Xi (G2 (x) Qtilde) Xi^T with G2 the inter-cluster Laplacian of
+    split_graph and Xi the block-diagonal (per cluster) scatter of
+    (scriptP_j B_j)^+ into the original agent ordering.  Because G2 carries
     zero blocks between non-adjacent clusters and Xi is cluster-block-diagonal,
     the same blocks of Rtilde are exactly zero.
     """
+    n, m = spec.n, spec.m
     n_agents = dec.n_agents
-    if g2q.shape != (n * n_agents, n * n_agents):
-        raise DimensionMismatch(
-            f"g2q shape {g2q.shape} != {(n * n_agents, n * n_agents)}"
-        )
     xi = np.zeros((m * n_agents, n * n_agents))
     for j, pb_j in enumerate(pb_blocks):
         six = dec.state_indices(j, n)
@@ -101,6 +99,7 @@ def compute_rtilde(pb_blocks, g2q, dec, n, m):
                 f"{(len(six), len(iix))}"
             )
         xi[np.ix_(iix, six)] = pinv(pb_j)
+    g2q = np.kron(split_graph(spec.graph, dec).g2, spec.qtilde)
     return symmetrize(xi @ g2q @ xi.T)
 
 
@@ -130,9 +129,7 @@ def assemble_gain(p_blocks, pb_blocks, r_tilde, spec, dec):
 def hierarchical_gain(mas, spec, dec):
     """One-call synthesis: cluster solves, coupling weight, assembly."""
     p_blocks, pb_blocks = solve_clusters(mas, spec, dec)
-    split = split_graph(spec.graph, dec)
-    g2q = np.kron(split.g2, spec.qtilde)
-    r_tilde = compute_rtilde(pb_blocks, g2q, dec, spec.n, spec.m)
+    r_tilde = compute_rtilde(pb_blocks, spec, dec)
     return assemble_gain(p_blocks, pb_blocks, r_tilde, spec, dec)
 
 

@@ -549,33 +549,6 @@ class TestLearnHierarchical:
         rel = np.linalg.norm(gain.k_h - model.k_h) / np.linalg.norm(model.k_h)
         assert rel <= 5e-3
 
-    def test_worker_pool_is_deterministic(self, monkeypatch):
-        mas, spec = chain_system([(0, 1), (1, 2), (2, 3)], 4)
-        dec = Decomposition.from_assignment([0, 0, 1, 1])
-        k0_list = sim.initial_gains(mas, dec)
-
-        def run():
-            plants = sim.cluster_plants(mas, dec)
-            gain, _ = learn_hierarchical(plants, spec, dec,
-                                         LearnConfig(seed=31),
-                                         k0_list=k0_list)
-            return gain
-
-        monkeypatch.delenv("HLQR_WORKERS", raising=False)
-        serial = run()
-        monkeypatch.setenv("HLQR_WORKERS", "2")
-        pooled = run()
-        assert np.array_equal(serial.k_h, pooled.k_h)
-        assert np.array_equal(serial.r_tilde, pooled.r_tilde)
-
-    def test_worker_count_must_be_an_integer(self, monkeypatch):
-        mas, spec = chain_system([(0, 1), (2, 3)], 4)
-        dec = Decomposition.from_assignment([0, 0, 1, 1])
-        plants = sim.cluster_plants(mas, dec)
-        monkeypatch.setenv("HLQR_WORKERS", "two")
-        with pytest.raises(InvalidConfig, match="HLQR_WORKERS='two'"):
-            learn_hierarchical(plants, spec, dec)
-
     def test_plant_count_guard(self):
         mas, spec = chain_system([(0, 1), (2, 3)], 4)
         dec = Decomposition.from_assignment([0, 0, 1, 1])

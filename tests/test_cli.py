@@ -177,6 +177,19 @@ class TestSolve:
         gb = fileio.load_gain(tmp_path / "b" / "gain.npz")
         assert np.array_equal(ga["k_h"], gb["k_h"])
 
+    def test_same_outputs_as_model_based_run(self, tmp_path):
+        flags = ["example1", "--s", "3", "--c", "3", "--clusters", "cliques",
+                 "--seed", "2"]
+        solve, run = tmp_path / "solve", tmp_path / "run"
+        assert main(["solve", *flags, "--out", str(solve)]) == 0
+        assert main(["run", *flags, "--out", str(run)]) == 0
+        for name in ("report.csv", "gap_report.json"):
+            assert read_text(solve / name) == read_text(run / name)
+        with np.load(solve / "gain.npz") as gs, np.load(run / "gain.npz") as gr:
+            assert gs.files == gr.files
+            assert all(np.array_equal(gs[k], gr[k]) for k in gs.files)
+        assert fileio.load_json(solve / "config_echo.json")["learn"] is False
+
 
 class TestReportRow:
     @pytest.mark.parametrize("scheme", ["uniform_pm1", "normal05"])
@@ -188,7 +201,7 @@ class TestReportRow:
         mas, spec = scenario.mas, scenario.spec
         dec, _ = cli.choose_decomposition(cfg, scenario)
         gain = hierctrl.hierarchical_gain(mas, spec, dec)
-        row, _, _ = cli.make_report_row(cfg, scenario, dec, gain)
+        row, *_ = cli.make_report_row(cfg, scenario, dec, gain)
 
         x0s = cli.draw_x0(scheme, np.random.default_rng(cfg.seed + 1),
                           mas.a_full.shape[0], cfg.n_draws)
@@ -266,7 +279,7 @@ class TestReportRow:
         w = matops.symmetrize(gain.k_h.T @ gain.k_h)
         x_u = matops.solve_lyapunov(mas.a_full - mas.b_full @ gain.k_h, w)
         assert np.array_equal(matops.solve_lyapunov(cl, w), x_u)
-        row, _, _ = cli.make_report_row(cfg, scenario, dec, gain)
+        row, *_ = cli.make_report_row(cfg, scenario, dec, gain)
         x0s = cli.draw_x0(cfg.x0_scheme, np.random.default_rng(cfg.seed + 1),
                           mas.a_full.shape[0], cfg.n_draws)
         assert row.j_u == cli._quad_mean(x0s, x_u)
@@ -509,6 +522,21 @@ class TestBench:
             assert float(row["sop"]) >= -1e-12
             assert row["note"] == ""
             assert float(row["learn_time"]) > 0.0
+
+    def test_formation_row_matches_run(self, tmp_path):
+        path = cli.bench_tables("formation", out_dir=str(tmp_path / "bench"),
+                                seed=0)
+        bench = {row["label"]: row for row in read_report(path)}
+        rc = main(["run", "formation", "--dec", "6,3,3", "--learn",
+                   "--x0-scheme", "scenario", "--seed", "0",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 0
+        run_row = read_report(tmp_path / "run" / "report.csv")[0]
+        bench_row = bench[run_row["label"]]
+        assert bench_row.pop("note") == ""
+        for row in (bench_row, run_row):
+            assert float(row.pop("learn_time")) > 0.0
+        assert bench_row == run_row
 
     def test_rl_compare_table(self, tmp_path):
         path = cli.bench_tables("rl-compare", out_dir=str(tmp_path), seed=0)

@@ -110,7 +110,7 @@ class TestComputeRtilde:
         p_blocks, pb_blocks = solve_clusters(mas, spec, dec)
         parts = graphcost.split_graph(spec.graph, dec)
         g2q = np.kron(parts.g2, spec.qtilde)
-        r_tilde = compute_rtilde(pb_blocks, g2q, dec, spec.n, spec.m)
+        r_tilde = compute_rtilde(pb_blocks, spec, dec)
 
         pb = np.zeros((4, 2))
         for j, pb_j in enumerate(pb_blocks):
@@ -123,14 +123,10 @@ class TestComputeRtilde:
         assert matops.is_psd(r_tilde)
 
     def test_dimension_guards(self):
-        mas, spec = pair_system()
+        _, spec = pair_system()
         dec = Decomposition.from_assignment([0, 1])
-        p_blocks, pb_blocks = solve_clusters(mas, spec, dec)
         with pytest.raises(DimensionMismatch):
-            compute_rtilde(pb_blocks, np.eye(3), dec, spec.n, spec.m)
-        with pytest.raises(DimensionMismatch):
-            compute_rtilde([np.ones((3, 3))] * 2, np.eye(4), dec, spec.n,
-                           spec.m)
+            compute_rtilde([np.ones((3, 3))] * 2, spec, dec)
 
 
 class TestAssembleGain:

@@ -1,18 +1,25 @@
-"""README.md's python examples run and print what their comments say.
+"""README.md's examples run and print what the README says they print.
 
 Each ```python block is executed on its own.  A "# " comment line directly
 below a print call is that call's expected output.  Printed lines must equal
 it exactly, except for the quantities in BOUNDS, whose printed value must
 stay below the bound the README states for it.
+
+Each "$ hlqr ..." line of a ```sh block runs through hlqr.cli.main in a
+temporary directory, so its relative --out lands there.  The lines below it,
+up to the next blank line, are its exact output.
 """
 
 import ast
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from hlqr.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -53,3 +60,26 @@ def test_readme_example_output(index):
             assert float(got.split(": ")[1]) < BOUNDS[label]
         else:
             assert got == want
+
+
+def shell_examples():
+    """(argv, expected output lines) of each "$ hlqr" line in sh blocks."""
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for chunk in block.split("\n\n"):
+            command, *output = chunk.strip().splitlines()
+            if command.startswith("$ hlqr "):
+                examples.append((shlex.split(command)[2:], output))
+    return examples
+
+
+SHELL_EXAMPLES = shell_examples()
+
+
+@pytest.mark.parametrize("argv, expected", SHELL_EXAMPLES,
+                         ids=["-".join(argv[:2]) for argv, _ in SHELL_EXAMPLES])
+def test_readme_shell_example_output(argv, expected, tmp_path, monkeypatch,
+                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == expected
