@@ -114,6 +114,17 @@ class CostGraph:
         return len(seen) == len(nodes)
 
 
+def _cluster_id(v):
+    """v as an int; InvalidDecomposition when it is not an integral value."""
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != v:
+        raise InvalidDecomposition(f"cluster id {v!r} is not an integer")
+    return i
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Partition of agents into s clusters, stored as an assignment vector.
@@ -128,7 +139,7 @@ class Decomposition:
 
     def __post_init__(self):
         seen = {}
-        canon = tuple(seen.setdefault(int(v), len(seen)) for v in self.assignment)
+        canon = tuple(seen.setdefault(_cluster_id(v), len(seen)) for v in self.assignment)
         if not canon:
             raise InvalidDecomposition("empty assignment")
         if self.s != len(seen):

@@ -139,10 +139,11 @@ class GapReport:
 
     j_approx <= j_opt <= j_h holds up to the Riccati residual tolerance.
     When the decomposition leaves no gap (one cluster) the three costs
-    coincide to rounding: P_opt starts from U, which then already meets the
-    tolerance, so j_opt == j_h, and j_approx, from the cluster solve of the
-    same equation, may sit an ulp above them.  expected_gap = sigma^2 tr(V)
-    is the mean excess cost over random initial states with covariance
+    coincide to rounding: U then meets the Riccati residual contract, so
+    solve_care returns it as P_opt and j_opt == j_h, and j_approx, from the
+    cluster solve of the same equation, may sit an ulp above them.
+    expected_gap = sigma^2 tr(V) is the mean excess cost over random
+    initial states with covariance
     sigma^2 I; f1 + f2 upper-bound tr(W) with W = (k_h - k_opt)' R
     (k_h - k_opt) (vacuous=True when B has no nonzero singular value, or
     Qbar or scriptP is not PD, in which case the bound divides by zero and is
@@ -196,9 +197,10 @@ def _evaluate(mas, spec, dec, gain, x0=None, sigma=1.0):
 
     u is the cost matrix of k_h and cl the schur_factor of the hierarchical
     closed loop a_s = A - B k_h, so callers that need further closed-loop costs
-    solve without factoring a_s again.  u is also the first Newton-Kleinman
-    iterate from the stabilizing gain k_h, so the centralized Riccati
-    solution p_opt starts there.
+    solve without factoring a_s again.  u is passed to solve_care as p0:
+    the centralized Riccati solution p_opt is u itself when u meets the
+    residual contract, as for a gap-free decomposition, and is otherwise
+    solved from scratch.
     """
     a, b = mas.a_full, mas.b_full
     q = assemble_q(spec)

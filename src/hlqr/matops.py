@@ -9,16 +9,19 @@ which callers keep when several right-hand sides share a closed loop.  The
 triangular equation is solved by recursive blocking (Jonsson & Kagstrom's
 RECSY): LAPACK's dtrsyl on blocks of at most _LEAF rows, GEMM updates
 between them, and only the upper off-diagonal blocks of the symmetric
-solution.  The Riccati solver is Newton-Kleinman, each iterate one such
-Lyapunov solve; it starts from the cost matrix of a given stabilizing gain or
-from stabilizing_gain, whose ordered Schur form also decides stabilizability.
+solution.  The Riccati solver is the structure-preserving doubling
+algorithm, one LU solve and a few GEMMs per doubling and no Schur form; a
+doubled solution that misses the residual contract is polished by
+Newton-Kleinman steps, each one such Lyapunov solve.  When the doubling
+breaks down, stabilizing_gain's ordered Schur form decides whether the
+problem is stabilizable.
 
 solve_care, schur_factor and pinv first split their input at the connected
 components of its exact nonzero pattern (_components) and solve one block
 per component: a decoupled problem's solution is block diagonal in the same
-permutation, and the Schur forms cost a quarter as much for two equal
-blocks.  Only an exactly zero entry separates two components; an input with
-one component takes the dense path unchanged.
+permutation, and the factorizations and doublings cost a quarter as much for
+two equal blocks.  Only an exactly zero entry separates two components; an
+input with one component takes the dense path unchanged.
 
 Conventions: symmetric matrices are plain float64 ndarrays, symmetrized as
 (M + M.T)/2 at every operation boundary.
@@ -45,7 +48,8 @@ __all__ = [
 #: mixed absolute-relative residual tolerance of the matrix solvers
 TOL_RESIDUAL = 1e-9
 
-#: Newton-Kleinman iterates solve_care checks before giving up
+#: doublings, and then Newton-Kleinman polishing steps, solve_care takes on
+#: one component before giving up
 CARE_MAX_ITER = 60
 
 #: eigenvalues down to this value are accepted as numerically PSD
@@ -319,11 +323,6 @@ def _sylv_tri(t1, t2, c):
         _sylv_tri(t1, t2[:k, :k], c[:, :k])
 
 
-def _residual(a, b, q, p, k):
-    """Frobenius norm of P A + A' P + Q - P B K, K = R^{-1} B' P."""
-    return float(np.linalg.norm(p @ a + a.T @ p + q - (p @ b) @ k, "fro"))
-
-
 def stabilizing_gain(a, b):
     """Gain K with A - B K Hurwitz, by one ordered Schur form (Varga 1981).
 
@@ -353,39 +352,25 @@ def stabilizing_gain(a, b):
     return (v.T @ b2 / w[:, None]).T @ (v.T @ z2t)
 
 
-def _kleinman_step(a, b, q, r, k):
-    """Cost matrix P of the stabilizing gain K: one Newton-Kleinman iterate.
-
-    (A - B K)' P + P (A - B K) + Q + K' R K = 0, by solve_lyapunov: each
-    iterate has a new closed loop, so no Schur factor is kept.  Raises
-    UnstableMatrix when A - B K is not Hurwitz.
-    """
-    return solve_lyapunov(a - b @ k, q + k.T @ r @ k)
-
-
 def solve_care(a, b, q, r, p0=None):
     """Stabilizing solution of A'P + PA + Q - P B R^{-1} B' P = 0.
 
-    Newton-Kleinman iteration (Kleinman 1968): check the iterate P's
-    residual, set K = R^{-1} B' P, and take the cost matrix of K as the next
-    iterate.  Quadratically convergent with monotonically decreasing iterates.
-    The first iterate is p0 when given, which must be the cost matrix of a
-    stabilizing gain K0 (so (A - B K0)' p0 + p0 (A - B K0) + Q + K0' R K0
-    = 0), and otherwise that of stabilizing_gain(A, B).  P is accepted at
-    residual TOL_RESIDUAL * (1 + |P|_F).
+    The structure-preserving doubling algorithm (_doubling), polished by
+    Newton-Kleinman steps (Kleinman 1968), one Lyapunov solve each, when
+    the doubled P misses the residual contract TOL_RESIDUAL * (1 + |P|_F).
+    p0, when given, is the cost matrix of a stabilizing gain; it is returned
+    unchanged if it meets the contract, and is otherwise ignored.
 
-    The iteration runs once per connected component of the graph on states
+    The solve runs once per connected component of the graph on states
     and inputs whose edges are the nonzeros of A, A', Q, B, R and p0: P is
-    zero between components.  Each of the k components with states starts
-    from its block of p0 or its own stabilizing_gain, and is accepted
-    at TOL_RESIDUAL * (k^{-1/2} + |P_c|_F), which keeps the assembled P
-    within the global contract.  A component without inputs is a Lyapunov
-    solve when it is Hurwitz and NonStabilizable otherwise; one without
-    states adds nothing.
+    zero between components.  Each of the k components with states is
+    accepted at TOL_RESIDUAL * (k^{-1/2} + |P_c|_F), which keeps the assembled
+    P within the global contract.  A component without inputs doubles to its
+    Lyapunov solution (squared Smith) when it is Hurwitz and is
+    NonStabilizable otherwise; one without states adds nothing.
 
-    Raises NonStabilizable when (A, B) is not stabilizable and
-    IterationDiverged when an iterate's gain is not stabilizing or the
-    residual fails to contract within CARE_MAX_ITER iterates.
+    When the doubling breaks down or the polish fails, raises NonStabilizable
+    if stabilizing_gain finds (A, B) not stabilizable, else IterationDiverged.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -407,40 +392,103 @@ def solve_care(a, b, q, r, p0=None):
     adj[n:, n:] = r != 0
     comps = _components(adj)
     if len(comps) == 1:  # the arrays as given: a copy can change GEMM's bits
-        return _newton_kleinman(a, b, q, r, p0, 1.0)
+        return _care_component(a, b, q, r, p0, 1.0)
     blocks = [(c[c < n], c[c >= n] - n) for c in comps if c[0] < n]
     floor = max(len(blocks), 1) ** -0.5
     p = np.zeros((n, n))
     for s, u in blocks:
         s2 = np.ix_(s, s)
-        p[s2] = _newton_kleinman(a[s2], b[np.ix_(s, u)], q[s2], r[np.ix_(u, u)],
-                                 None if p0 is None else p0[s2], floor)
+        p[s2] = _care_component(a[s2], b[np.ix_(s, u)], q[s2], r[np.ix_(u, u)],
+                                None if p0 is None else p0[s2], floor)
     return p
 
 
-def _newton_kleinman(a, b, q, r, p, floor):
-    """solve_care's iteration on one component, accepted at residual
-    TOL_RESIDUAL * (floor + |P|_F); p is the first iterate, or None for the
-    cost matrix of stabilizing_gain(a, b)."""
-    if p is None:
-        try:
-            p = _kleinman_step(a, b, q, r, stabilizing_gain(a, b))
-        except UnstableMatrix:
-            raise NonStabilizable(
-                "Schur-method gain leaves A - B K unstable") from None
+def _care_component(a, b, q, r, p0, floor):
+    """solve_care on one component, accepted at residual
+    TOL_RESIDUAL * (floor + |P|_F): p0 if it is accepted, else the doubled
+    P, polished when it is not."""
+    if p0 is not None and _accepted(a, b, q, r, p0, floor)[0]:
+        return p0
+    p = _doubling(a, b, q, r)
+    try:
+        if p is None:
+            raise IterationDiverged(
+                f"doubling broke down or stalled within {CARE_MAX_ITER} doublings")
+        return _newton_kleinman(a, b, q, r, p, floor)
+    except IterationDiverged:
+        stabilizing_gain(a, b)  # raises NonStabilizable
+        raise
 
+
+def _accepted(a, b, q, r, p, floor):
+    """(accepted, residual, K) of a Riccati iterate P: K = R^{-1} B' P and the
+    Frobenius norm of P A + A' P + Q - P B K."""
+    k = np.linalg.solve(r, b.T @ p)
+    res = float(np.linalg.norm(p @ a + a.T @ p + q - (p @ b) @ k, "fro"))
+    return res <= TOL_RESIDUAL * (floor + np.linalg.norm(p, "fro")), res, k
+
+
+def _doubling(a, b, q, r):
+    """Stabilizing Riccati solution by the structure-preserving doubling
+    algorithm (SDA; Chu, Fan & Lin 2005), or None when it breaks down.
+
+    With G = B R^{-1} B', A_g = A - gamma I and V = A_g + G A_g^{-T} Q, the
+    Cayley transform of the Hamiltonian starts E = I + 2 gamma V^{-1},
+    G_0 = -2 gamma A_g^{-1} G V^{-T} and H = 2 gamma V^{-T} Q A_g^{-1}.  Each
+    doubling, with W = I - G_k H, sets E <- E W^{-1} E, G_k <- G_k +
+    E W^{-1} G_k E' and H <- H + E' H W^{-1} E; H converges quadratically
+    to P, so the doublings stop once H moves by at most sqrt(eps) |H|_1.
+    gamma > |A|_1 keeps A_g invertible, |A_g^{-1}|_1 <= 1 / (gamma - |A|_1),
+    and V = A_g (I + A_g^{-1} G A_g^{-T} Q) with it, the second factor's
+    eigenvalues being >= 1; the floor 0.1 sqrt(|G|_1 |Q|_1) sets the scale
+    when A is small beside G and Q.  Breakdown (a singular W, a non-finite
+    H, or CARE_MAX_ITER doublings) raises no floating-point warning.
+    """
+    n = a.shape[0]
+    g = symmetrize(b @ np.linalg.solve(r, b.T))
+    gamma = max(1.01 * np.linalg.norm(a, 1),
+                0.1 * np.sqrt(np.linalg.norm(g, 1) * np.linalg.norm(q, 1))) or 1.0
+    eye = np.eye(n)
+    a_g = a - gamma * eye
+    with np.errstate(all="ignore"):
+        try:
+            y = np.linalg.solve(a_g.T, q)  # A_g^{-T} Q
+            v_inv = np.linalg.inv(a_g + g @ y)
+            e = eye + 2.0 * gamma * v_inv
+            g_k = symmetrize(-2.0 * gamma * np.linalg.solve(a_g, g @ v_inv.T))
+            h = symmetrize(2.0 * gamma * (y @ v_inv).T)
+            for _ in range(CARE_MAX_ITER):
+                x = np.linalg.solve(eye - g_k @ h, np.hstack([e, g_k]))
+                step = e.T @ (h @ x[:, :n])
+                h = h + symmetrize(step)
+                moved = np.linalg.norm(step, 1)
+                if not np.isfinite(moved):
+                    return None
+                if moved <= np.sqrt(np.finfo(float).eps) * np.linalg.norm(h, 1):
+                    return h
+                g_k = symmetrize(g_k + (e @ x[:, n:]) @ e.T)
+                e = e @ x[:, :n]
+        except np.linalg.LinAlgError:
+            return None
+    return None
+
+
+def _newton_kleinman(a, b, q, r, p, floor):
+    """Newton-Kleinman steps from the iterate p until it is accepted at
+    residual TOL_RESIDUAL * (floor + |P|_F): each next iterate is the cost
+    matrix of K = R^{-1} B' P, (A - B K)' P + P (A - B K) + Q + K' R K = 0,
+    by solve_lyapunov."""
     best_res = np.inf
     for _ in range(CARE_MAX_ITER):
-        k = np.linalg.solve(r, b.T @ p)
-        res = _residual(a, b, q, p, k)
-        if res <= TOL_RESIDUAL * (floor + np.linalg.norm(p, "fro")):
+        ok, res, k = _accepted(a, b, q, r, p, floor)
+        if ok:
             return p
         if res < best_res:
             best_res = res
         elif res > 100.0 * best_res:
             raise IterationDiverged(f"Riccati residual diverging: {res:.3e}")
         try:
-            p = _kleinman_step(a, b, q, r, k)
+            p = solve_lyapunov(a - b @ k, q + k.T @ r @ k)
         except UnstableMatrix as exc:
             raise IterationDiverged(
                 f"Newton-Kleinman gain lost stability: {exc}") from None

@@ -231,42 +231,35 @@ class TestReportRow:
         assert rc == 0
         assert sizes.count(20) == 1
 
-    def test_reference_care_starts_from_k_h(self, tmp_path, monkeypatch):
-        # the 100-state example1 system is two decoupled 50-state blocks, so
-        # the centralized CARE is two Newton-Kleinman runs, each continuing
-        # from its block of U, the cost matrix of k_h: no stabilizing_gain
-        # start, U itself is no step, and no Schur form exceeds a block
-        newton, step = matops._newton_kleinman, matops._kleinman_step
-        shift, schur = matops.stabilizing_gain, matops._schur
-        solves, shift_sizes, schur_sizes = [], [], []
+    def test_reference_care_takes_no_schur_form(self, tmp_path, monkeypatch):
+        # the 100-state example1 system is two decoupled 50-state blocks; the
+        # centralized CARE doubles each from scratch, since U, the cost
+        # matrix of k_h, misses the residual contract, and needs no polish:
+        # no Schur form and no Lyapunov solve inside it
+        solve, schur, lyap = matops.solve_care, matops._schur, matops.solve_lyapunov
+        inside, sizes = [], []
 
-        def counting_newton(a, *args):
-            solves.append([a.shape[0], 0])
-            return newton(a, *args)
+        def counting_solve(a, *args, **kwargs):
+            inside.append(np.shape(a)[0])
+            try:
+                return solve(a, *args, **kwargs)
+            finally:
+                inside.pop()
 
-        def counting_step(*args):
-            solves[-1][1] += 1
-            return step(*args)
+        def counting(f):
+            def wrapped(a, *args):
+                sizes.append((inside[-1] if inside else 0, f.__name__))
+                return f(a, *args)
+            return wrapped
 
-        def counting_shift(a, b):
-            shift_sizes.append(a.shape[0])
-            return shift(a, b)
-
-        def counting_schur(a, *args):
-            schur_sizes.append(a.shape[0])
-            return schur(a, *args)
-
-        monkeypatch.setattr(matops, "_newton_kleinman", counting_newton)
-        monkeypatch.setattr(matops, "_kleinman_step", counting_step)
-        monkeypatch.setattr(matops, "stabilizing_gain", counting_shift)
-        monkeypatch.setattr(matops, "_schur", counting_schur)
+        monkeypatch.setattr(hierctrl, "solve_care", counting_solve)
+        monkeypatch.setattr(matops, "_schur", counting(schur))
+        monkeypatch.setattr(matops, "solve_lyapunov", counting(lyap))
         rc = main(["solve", "example1", "--clusters", "cliques", "--s", "5",
                    "--c", "5", "--out", str(tmp_path)])
         assert rc == 0
-        assert max(shift_sizes) < 50
-        steps = [k for n, k in solves if n == 50]
-        assert len(steps) == 2 and all(1 <= k <= 5 for k in steps)
-        assert max(schur_sizes) == 50
+        assert not [name for n, name in sizes if n == 100]
+        assert (0, "_schur") in sizes  # the closed loop's factor, outside
 
     def test_x_u_from_shared_factor(self):
         cfg = ExperimentConfig(scenario="example1", s=3, c=3,

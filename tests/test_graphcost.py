@@ -108,6 +108,14 @@ class TestDecomposition:
         with pytest.raises(InvalidDecomposition):
             Decomposition.from_clusters([[0]], 2)
 
+    def test_non_integral_ids_rejected(self):
+        # an id is not truncated to an integer: 0.5 is no cluster 0
+        for make in (lambda: Decomposition((0, 0.5), 1),
+                     lambda: Decomposition.from_assignment([0, 0.5])):
+            with pytest.raises(InvalidDecomposition, match="0.5 is not an integer"):
+                make()
+        assert Decomposition.from_assignment(np.array([0, 1, 1])).sizes() == [1, 2]
+
     def test_index_slices(self):
         d = Decomposition.from_assignment([0, 1, 0])
         assert d.state_indices(0, 2).tolist() == [0, 1, 4, 5]

@@ -1,12 +1,14 @@
 """Riccati/Lyapunov solvers and pseudoinverse."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from hlqr import _lapack, matops, sim
+from hlqr import _lapack, graphcost, hierctrl, matops, sim
 from hlqr.errors import IterationDiverged, NonStabilizable, UnstableMatrix
 from oracles import care_residual, svd_pinv
 
@@ -138,20 +140,37 @@ class TestSolveCare:
             assert matops.is_psd(p2 - p1, tol=-1e-8)
 
     def test_not_stabilizable(self):
-        # unstable mode decoupled from the input channel
-        a = np.diag([1.0, -1.0])
-        b = np.array([[0.0], [1.0]])
-        with pytest.raises(NonStabilizable):
-            matops.solve_care(a, b, np.eye(2), np.eye(1))
+        # an unstable or marginal mode decoupled from the input channel, in
+        # the given basis or a random one, or a component without inputs:
+        # the doubling breaks down or its result cannot be polished, and
+        # stabilizing_gain names the cause, with no overflow warning
+        rng = np.random.default_rng(71)
+        s = rng.standard_normal((3, 3))
+        cases = [
+            (np.diag([1.0, -1.0]), np.array([[0.0], [1.0]])),
+            (np.diag([0.0, -1.0]), np.array([[0.0], [1.0]])),
+            (np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+             np.array([[0.0], [0.0], [1.0]])),
+            (s @ np.diag([1.0, -1.0, 2.0]) @ np.linalg.inv(s),
+             s @ np.array([[0.0], [1.0], [1.0]])),
+            (scipy.linalg.block_diag([[-1.0]], [[0.5, 1.0], [0.0, -1.0]]),
+             np.array([[1.0], [0.0], [0.0]])),
+        ]
+        for a, b in cases:
+            n, m = b.shape
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonStabilizable):
+                    matops.solve_care(a, b, np.eye(n), np.eye(m))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             matops.solve_care(np.eye(3), np.ones((2, 1)), np.eye(3), np.eye(1))
 
     def test_warm_start_from_stabilizing_cost(self, monkeypatch):
-        # p0 = cost matrix of a stabilizing K0 is Newton-Kleinman's first
-        # iterate from K0: no stabilizing_gain start, and the same solution
-        # to within the residual tolerance
+        # p0 = cost matrix of a stabilizing K0 other than the optimum misses
+        # the residual contract, so it is ignored: the same bits as the cold
+        # solve, with no stabilizing_gain call, and below p0
         rng = np.random.default_rng(53)
         for _ in range(20):
             n, m = 6, 2
@@ -166,8 +185,7 @@ class TestSolveCare:
                 p_warm = matops.solve_care(a, b, q, r, p0=p0)
             assert care_residual(a, b, q, r, p_warm) <= (
                 1e-9 * (1.0 + np.linalg.norm(p_warm, "fro")))
-            assert np.linalg.norm(p_warm - p_cold, "fro") <= 1e-7 * (
-                1.0 + np.linalg.norm(p_cold, "fro"))
+            assert np.array_equal(p_warm, p_cold)
             assert matops.is_psd(p0 - p_warm)
 
     def test_warm_start_at_solution_makes_no_solve(self, monkeypatch):
@@ -175,16 +193,50 @@ class TestSolveCare:
         a, b = random_controllable(rng, 5, 2)
         q, r = np.eye(5), np.eye(2)
         p = matops.solve_care(a, b, q, r)
-        monkeypatch.setattr(matops, "_kleinman_step", None)
+        monkeypatch.setattr(matops, "_doubling", None)
+        monkeypatch.setattr(matops, "solve_lyapunov", None)
         assert np.array_equal(matops.solve_care(a, b, q, r, p0=p), p)
 
-    def test_destabilizing_iterate_diverges(self):
-        # p0 = 0 gives K = 0, which leaves A = I unstable: the Newton-Kleinman
-        # step reports divergence instead of heading for the anti-stabilizing
-        # solution 1 - sqrt(2)
-        with pytest.raises(IterationDiverged, match="lost stability"):
-            matops.solve_care(np.eye(2), np.eye(2), np.eye(2), np.eye(2),
-                              p0=np.zeros((2, 2)))
+    def test_destabilizing_warm_start_ignored(self):
+        # p0 = 0, whose gain K = 0 leaves A = I unstable, misses the contract
+        # and is ignored: the stabilizing root 1 + sqrt(2) of
+        # p**2 - 2p - 1 = 0, the cold solve's bits
+        args = np.eye(2), np.eye(2), np.eye(2), np.eye(2)
+        p = matops.solve_care(*args, p0=np.zeros((2, 2)))
+        assert np.array_equal(p, matops.solve_care(*args))
+        assert np.allclose(p, (1.0 + np.sqrt(2.0)) * np.eye(2), rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           m=st.integers(1, 4))
+    def test_stabilizing_solution_property(self, seed, n, m):
+        # random controllable (A, B) with random PD Q and R: the residual
+        # contract, a Hurwitz closed loop, and scipy's Schur-method solution
+        rng = np.random.default_rng(seed)
+        a, b = random_controllable(rng, n, m)
+        q_half, r_half = rng.standard_normal((n, n)), rng.standard_normal((m, m))
+        q, r = q_half @ q_half.T + 0.1 * np.eye(n), r_half @ r_half.T + 0.1 * np.eye(m)
+        p = matops.solve_care(a, b, q, r)
+        assert care_residual(a, b, q, r, p) <= matops.TOL_RESIDUAL * (
+            1.0 + np.linalg.norm(p, "fro"))
+        assert matops.abscissa(a - b @ np.linalg.solve(r, b.T @ p)) < 0.0
+        p_ref = scipy.linalg.solve_continuous_are(a, b, q, r)
+        assert np.linalg.norm(p - p_ref, "fro") <= 1e-7 * (
+            1.0 + np.linalg.norm(p_ref, "fro"))
+
+    def test_no_schur_form_on_example1(self, monkeypatch):
+        # the 100-state example1 system, cold and from the cost matrix of a
+        # gain that is not optimal: doubling alone, no dgees
+        mas, spec = sim.clique_path_scenario(5, 5)
+        a, b, r = mas.a_full, mas.b_full, spec.r
+        q = graphcost.assemble_q(spec)
+        k0 = hierctrl.hierarchical_gain(mas, spec, sim.clique_decomposition(5, 5)).k_h
+        u = matops.solve_lyapunov(a - b @ k0, q + k0.T @ r @ k0)
+        monkeypatch.setattr(matops, "_schur", None)
+        for p0 in (None, u):
+            p = matops.solve_care(a, b, q, r, p0=p0)
+            assert care_residual(a, b, q, r, p) <= matops.TOL_RESIDUAL * (
+                1.0 + np.linalg.norm(p, "fro"))
 
     def test_warm_start_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -463,7 +515,7 @@ class TestHiddenBlocks:
         except (np.linalg.LinAlgError, ValueError):
             reject()
         p = matops.solve_care(a, b, q, r)
-        assert np.array_equal(p, matops._newton_kleinman(a, b, q, r, None, 1.0))
+        assert np.array_equal(p, matops._care_component(a, b, q, r, None, 1.0))
         assert np.any(p[np.ix_(rows, cols)] != 0.0)
         assert care_residual(a, b, q, r, p) <= matops.TOL_RESIDUAL * (
             1.0 + np.linalg.norm(p, "fro"))
