@@ -13,8 +13,9 @@ solution.  The Riccati solver is the structure-preserving doubling
 algorithm, one LU solve and a few GEMMs per doubling and no Schur form; a
 doubled solution that misses the residual contract is polished by
 Newton-Kleinman steps, each one such Lyapunov solve.  When the doubling
-breaks down, stabilizing_gain's ordered Schur form decides whether the
-problem is stabilizable.
+breaks down, does not stabilize or cannot be polished, Newton-Kleinman
+starts over from stabilizing_gain, whose ordered Schur form also decides
+stabilizability.
 
 solve_care, schur_factor and pinv first split their input at the connected
 components of its exact nonzero pattern (_components) and solve one block
@@ -369,8 +370,13 @@ def solve_care(a, b, q, r, p0=None):
     Lyapunov solution (squared Smith) when it is Hurwitz and is
     NonStabilizable otherwise; one without states adds nothing.
 
-    When the doubling breaks down or the polish fails, raises NonStabilizable
-    if stabilizing_gain finds (A, B) not stabilizable, else IterationDiverged.
+    When the doubling breaks down, its H does not stabilize (Q leaves an
+    unstable or marginal mode unweighted) or its polish fails,
+    Newton-Kleinman starts over from the cost matrix of
+    stabilizing_gain(A, B), which raises NonStabilizable when (A, B) is not
+    stabilizable.  Raises IterationDiverged when that iterate's gain is not
+    stabilizing or the residual fails to contract within CARE_MAX_ITER
+    iterates.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -406,18 +412,23 @@ def solve_care(a, b, q, r, p0=None):
 def _care_component(a, b, q, r, p0, floor):
     """solve_care on one component, accepted at residual
     TOL_RESIDUAL * (floor + |P|_F): p0 if it is accepted, else the doubled
-    P, polished when it is not."""
+    P, polished when it is not.  When the doubling yields no stabilizing P
+    or its polish fails, Newton-Kleinman starts over from the cost matrix of
+    stabilizing_gain(a, b)."""
     if p0 is not None and _accepted(a, b, q, r, p0, floor)[0]:
         return p0
     p = _doubling(a, b, q, r)
+    if p is not None:
+        try:
+            return _newton_kleinman(a, b, q, r, p, floor)
+        except IterationDiverged:
+            pass
+    k = stabilizing_gain(a, b)  # raises NonStabilizable
     try:
-        if p is None:
-            raise IterationDiverged(
-                f"doubling broke down or stalled within {CARE_MAX_ITER} doublings")
-        return _newton_kleinman(a, b, q, r, p, floor)
-    except IterationDiverged:
-        stabilizing_gain(a, b)  # raises NonStabilizable
-        raise
+        p = solve_lyapunov(a - b @ k, q + k.T @ r @ k)
+    except UnstableMatrix:
+        raise NonStabilizable("Schur-method gain leaves A - B K unstable") from None
+    return _newton_kleinman(a, b, q, r, p, floor)
 
 
 def _accepted(a, b, q, r, p, floor):
@@ -438,6 +449,12 @@ def _doubling(a, b, q, r):
     doubling, with W = I - G_k H, sets E <- E W^{-1} E, G_k <- G_k +
     E W^{-1} G_k E' and H <- H + E' H W^{-1} E; H converges quadratically
     to P, so the doublings stop once H moves by at most sqrt(eps) |H|_1.
+    For a solution X, (I - G_k X)^{-1} E is the 2^k-th power of the Cayley
+    transform (A_X - gamma I)^{-1} (A_X + gamma I) of A_X = A - G X, whose
+    eigenvalues lie inside the unit disc exactly when A_X is Hurwitz; so H
+    is returned only when W^{-1} E has 1-norm at most 1/2 at the stop.  It
+    has not when Q leaves an unstable or marginal mode unweighted: H is zero
+    in that direction from the start and stops moving at once.
     gamma > |A|_1 keeps A_g invertible, |A_g^{-1}|_1 <= 1 / (gamma - |A|_1),
     and V = A_g (I + A_g^{-1} G A_g^{-T} Q) with it, the second factor's
     eigenvalues being >= 1; the floor 0.1 sqrt(|G|_1 |Q|_1) sets the scale
@@ -465,7 +482,7 @@ def _doubling(a, b, q, r):
                 if not np.isfinite(moved):
                     return None
                 if moved <= np.sqrt(np.finfo(float).eps) * np.linalg.norm(h, 1):
-                    return h
+                    return h if np.linalg.norm(x[:, :n], 1) <= 0.5 else None
                 g_k = symmetrize(g_k + (e @ x[:, n:]) @ e.T)
                 e = e @ x[:, :n]
         except np.linalg.LinAlgError:

@@ -141,12 +141,13 @@ class TestSolveCare:
 
     def test_not_stabilizable(self):
         # an unstable or marginal mode decoupled from the input channel, in
-        # the given basis or a random one, or a component without inputs:
-        # the doubling breaks down or its result cannot be polished, and
-        # stabilizing_gain names the cause, with no overflow warning
+        # the given basis or a random one, or a component without inputs,
+        # weighted by Q = I or (last two) left unweighted: the doubling
+        # yields no stabilizing P or its polish fails, and stabilizing_gain
+        # names the cause, with no overflow warning
         rng = np.random.default_rng(71)
         s = rng.standard_normal((3, 3))
-        cases = [
+        cases = [(a, b, np.eye(len(a))) for a, b in [
             (np.diag([1.0, -1.0]), np.array([[0.0], [1.0]])),
             (np.diag([0.0, -1.0]), np.array([[0.0], [1.0]])),
             (np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
@@ -155,17 +156,57 @@ class TestSolveCare:
              s @ np.array([[0.0], [1.0], [1.0]])),
             (scipy.linalg.block_diag([[-1.0]], [[0.5, 1.0], [0.0, -1.0]]),
              np.array([[1.0], [0.0], [0.0]])),
+        ]] + [
+            (np.diag([1.0, -1.0]), np.array([[0.0], [1.0]]), np.diag([0.0, 1.0])),
+            (np.eye(1), np.zeros((1, 1)), np.zeros((1, 1))),
         ]
-        for a, b in cases:
-            n, m = b.shape
+        for a, b, q in cases:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(NonStabilizable):
-                    matops.solve_care(a, b, np.eye(n), np.eye(m))
+                    matops.solve_care(a, b, q, np.eye(b.shape[1]))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             matops.solve_care(np.eye(3), np.ones((2, 1)), np.eye(3), np.eye(1))
+
+    def test_unweighted_unstable_mode(self):
+        # Q = 0 leaves the unstable mode unweighted, so the doubled P stays 0
+        # and leaves A - B K = 1: the stabilizing root 2 of 2p - p**2 = 0
+        # comes from Newton-Kleinman started at stabilizing_gain
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = matops.solve_care([[1.0]], [[1.0]], [[0.0]], [[1.0]])
+        assert np.allclose(p, [[2.0]], rtol=1e-9)
+
+    def test_unweighted_unstable_block_property(self, monkeypatch):
+        # A = [[A11, A12], [0, A22]] with A11 unstable and Q = diag(0, I),
+        # in a random orthonormal basis: Q sees none of A11's modes, which
+        # B stabilizes.  The residual contract, a Hurwitz closed loop, and
+        # scipy's Schur-method solution, also where the doubling gives up
+        # and Newton-Kleinman starts from stabilizing_gain.
+        calls = []
+        gain = matops.stabilizing_gain
+        monkeypatch.setattr(matops, "stabilizing_gain",
+                            lambda a, b: calls.append(a.shape) or gain(a, b))
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            n1, n2, m = 2, 3, 2
+            a, b = random_controllable(rng, n1 + n2, m)
+            a[n1:, :n1] = 0.0
+            a[:n1, :n1] += (1.0 - np.linalg.eigvals(a[:n1, :n1]).real.min()) * np.eye(n1)
+            basis, _ = np.linalg.qr(rng.standard_normal((n1 + n2, n1 + n2)))
+            a, b = basis @ a @ basis.T, basis @ b
+            q = basis @ np.diag([0.0] * n1 + [1.0] * n2) @ basis.T
+            r = np.eye(m)
+            p = matops.solve_care(a, b, q, r)
+            assert care_residual(a, b, q, r, p) <= matops.TOL_RESIDUAL * (
+                1.0 + np.linalg.norm(p, "fro"))
+            assert matops.abscissa(a - b @ np.linalg.solve(r, b.T @ p)) < 0.0
+            p_ref = scipy.linalg.solve_continuous_are(a, b, q, r)
+            assert np.linalg.norm(p - p_ref, "fro") <= 1e-7 * (
+                1.0 + np.linalg.norm(p_ref, "fro"))
+        assert calls
 
     def test_warm_start_from_stabilizing_cost(self, monkeypatch):
         # p0 = cost matrix of a stabilizing K0 other than the optimum misses
