@@ -110,12 +110,13 @@ class ExperimentConfig:
                 raise InvalidConfig(f"config {f.name} {value!r} is not of "
                                     f"type {kinds[0].__name__}")
         for key in ("assignment", "dec_sizes"):
-            if d.get(key) is not None:
-                try:
-                    d[key] = tuple(int(v) for v in d[key])
-                except (TypeError, ValueError):
-                    raise InvalidConfig(f"config {key} {d[key]!r} is not a "
-                                        f"list of integers") from None
+            value = d.get(key)
+            if value is not None:
+                if not (isinstance(value, (list, tuple))
+                        and all(type(v) is int for v in value)):
+                    raise InvalidConfig(f"config {key} {value!r} is not a list "
+                                        f"of integers")
+                d[key] = tuple(value)
         return cls(**d)
 
     def to_dict(self):
@@ -251,7 +252,7 @@ def make_report_row(cfg, scenario, dec, gain, learn_time=float("nan")):
     is None.
     """
     mas, spec = scenario.mas, scenario.spec
-    report, p_opt, u, cl = _evaluate(mas, spec, dec, gain, sigma=cfg.sigma)
+    report, p_opt, u = _evaluate(mas, spec, dec, gain, sigma=cfg.sigma)
     _, n_c = comm_links(gain.k_h, spec.n, spec.m)
 
     traj = None
@@ -266,7 +267,8 @@ def make_report_row(cfg, scenario, dec, gain, learn_time=float("nan")):
     else:
         rng = np.random.default_rng(cfg.seed + 1)
         x0s = draw_x0(cfg.x0_scheme, rng, spec.n * mas.n_agents, cfg.n_draws)
-        x_u = solve_lyapunov(cl, symmetrize(gain.k_h.T @ gain.k_h))
+        x_u = solve_lyapunov(mas.a_full - mas.b_full @ gain.k_h,
+                             symmetrize(gain.k_h.T @ gain.k_h))
         j_mean = _quad_mean(x0s, u)
         j_u = _quad_mean(x0s, x_u)
         j_opt_mean = _quad_mean(x0s, p_opt)
@@ -378,7 +380,7 @@ def _bench_rl_compare(out_dir, seed):
 
         rng = np.random.default_rng(seed + 1)
         x0s = draw_x0("uniform_pm1", rng, n_states, 200)
-        _, p_opt, u, _ = _evaluate(mas, spec, dec, gain)
+        _, p_opt, u = _evaluate(mas, spec, dec, gain)
         js = _quad_forms(x0s, u)
         jo = _quad_forms(x0s, p_opt)
         keep = jo > 0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, UnstableClosedLoop, UnstableMatrix
 from .graphcost import assemble_q, cluster_costs, split_graph
-from .matops import _pd, pinv, schur_factor, solve_care, solve_lyapunov, symmetrize
+from .matops import _pd, pinv, solve_care, solve_lyapunov, symmetrize
 
 __all__ = [
     "HierarchicalGain",
@@ -193,14 +193,13 @@ def _cond(lam):
 
 
 def _evaluate(mas, spec, dec, gain, x0=None, sigma=1.0):
-    """gap_report's body; returns (report, p_opt, u, cl).
+    """gap_report's body; returns (report, p_opt, u).
 
-    u is the cost matrix of k_h and cl the schur_factor of the hierarchical
-    closed loop a_s = A - B k_h, so callers that need further closed-loop costs
-    solve without factoring a_s again.  u is passed to solve_care as p0:
-    the centralized Riccati solution p_opt is u itself when u meets the
-    residual contract, as for a gap-free decomposition, and is otherwise
-    solved from scratch.
+    u is the cost matrix of k_h, solved on the hierarchical closed loop
+    a_s = A - B k_h, and is passed to solve_care as p0: the centralized
+    Riccati solution p_opt is u itself when u meets the residual contract
+    and its gain is stabilizing, as for a gap-free decomposition, and is
+    otherwise solved from scratch.
     """
     a, b = mas.a_full, mas.b_full
     q = assemble_q(spec)
@@ -208,11 +207,10 @@ def _evaluate(mas, spec, dec, gain, x0=None, sigma=1.0):
 
     k_h = gain.k_h
     try:
-        cl = schur_factor(a - b @ k_h)
+        u = solve_lyapunov(a - b @ k_h, symmetrize(q + k_h.T @ r @ k_h))
     except UnstableMatrix as exc:
         raise UnstableClosedLoop(
             "hierarchical closed loop is not Hurwitz") from exc
-    u = solve_lyapunov(cl, symmetrize(q + k_h.T @ r @ k_h))
     p_opt = solve_care(a, b, q, r, p0=u)
     k_opt = np.linalg.solve(r, b.T @ p_opt)
 
@@ -274,4 +272,4 @@ def _evaluate(mas, spec, dec, gain, x0=None, sigma=1.0):
         trace_v_bound=trace_v_bound,
         vacuous=vacuous,
     )
-    return report, p_opt, u, cl
+    return report, p_opt, u

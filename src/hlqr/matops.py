@@ -4,31 +4,26 @@ Continuous-time Riccati and Lyapunov solvers and an SVD pseudoinverse with
 an explicit rank cutoff.  Controller synthesis, the suboptimality bounds, and
 the learning-oracle checks are all built on these three operations.
 
-A Lyapunov solve is Bartels-Stewart on one real Schur form (schur_factor),
-which callers keep when several right-hand sides share a closed loop.  The
-triangular equation is solved by recursive blocking (Jonsson & Kagstrom's
-RECSY): LAPACK's dtrsyl on blocks of at most _LEAF rows, GEMM updates
-between them, and only the upper off-diagonal blocks of the symmetric
-solution.  The Riccati solver is the structure-preserving doubling
-algorithm, one LU solve and a few GEMMs per doubling and no Schur form; a
-doubled solution that misses the residual contract is polished by
-Newton-Kleinman steps, each one such Lyapunov solve.  When the doubling
+The Riccati solver is the structure-preserving doubling algorithm, one LU
+solve and a few GEMMs per doubling and no Schur form; a doubled solution
+that misses the residual contract is polished by Newton-Kleinman steps in
+correction form, each one Lyapunov solve.  A Lyapunov solve is squared
+Smith, the same doubling without the input term, whose last power of the
+Cayley transform also certifies the matrix Hurwitz.  When the doubling
 breaks down, does not stabilize or cannot be polished, Newton-Kleinman
 starts over from stabilizing_gain, whose ordered Schur form also decides
 stabilizability.
 
-solve_care, schur_factor and pinv first split their input at the connected
-components of its exact nonzero pattern (_components) and solve one block
-per component: a decoupled problem's solution is block diagonal in the same
-permutation, and the factorizations and doublings cost a quarter as much for
-two equal blocks.  Only an exactly zero entry separates two components; an
-input with one component takes the dense path unchanged.
+solve_care, solve_lyapunov and pinv first split their input at the
+connected components of its exact nonzero pattern (_components) and solve
+one block per component: a decoupled problem's solution is block diagonal
+in the same permutation, and the factorizations and doublings cost a
+quarter as much for two equal blocks.  Only an exactly zero entry separates
+two components; an input with one component takes the dense path unchanged.
 
 Conventions: symmetric matrices are plain float64 ndarrays, symmetrized as
 (M + M.T)/2 at every operation boundary.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +34,6 @@ __all__ = [
     "symmetrize",
     "is_psd",
     "pinv",
-    "SchurFactor",
-    "schur_factor",
     "solve_lyapunov",
     "stabilizing_gain",
     "solve_care",
@@ -49,18 +42,13 @@ __all__ = [
 #: mixed absolute-relative residual tolerance of the matrix solvers
 TOL_RESIDUAL = 1e-9
 
-#: doublings, and then Newton-Kleinman polishing steps, solve_care takes on
-#: one component before giving up
+#: doublings (of the Riccati or the squared-Smith Lyapunov iteration), and
+#: then Newton-Kleinman polishing steps, taken on one component before
+#: giving up
 CARE_MAX_ITER = 60
 
 #: eigenvalues down to this value are accepted as numerically PSD
 PSD_TOL = -1e-10
-
-#: largest triangular block solved by one dtrsyl call.  48 and 64 were the
-#: fastest of 32-128 at 256, 400 and 784 states on one BLAS thread; 64 keeps
-#: every solve of up to 64 states, such as a 48-state formation, the same bits
-#: as scipy's solver.
-_LEAF = 64
 
 
 def symmetrize(m):
@@ -154,15 +142,6 @@ def pinv(m):
     return out
 
 
-@dataclass(frozen=True)
-class SchurFactor:
-    """Real Schur form a_s' = Z T Z' of a Hurwitz matrix a_s."""
-
-    a_s: np.ndarray
-    t: np.ndarray
-    z: np.ndarray
-
-
 def _no_select(wr, wi):
     return 0
 
@@ -184,66 +163,79 @@ def _schur(a, select=_no_select):
     return t, z, k
 
 
-def schur_factor(a_s):
-    """Factor a Hurwitz a_s for solve_lyapunov, once for any number of W.
+def solve_lyapunov(a_s, w):
+    """Solve a_s' V + V a_s + W = 0 for Hurwitz a_s and symmetric W.
 
-    The abscissa is the largest diagonal entry of T (LAPACK's standardized
-    form puts the common real part of a complex pair on both diagonal
-    entries of its 2x2 block).  Raises UnstableMatrix when a_s is not
-    Hurwitz.
+    Squared Smith (_smith) on each connected component of the graph whose
+    edges are the nonzeros of a_s, a_s' and W, so V is exactly zero between
+    components.  A V that misses the residual contract
+    100 TOL_RESIDUAL (1 + |V|_F) takes one defect-correction step: V += D
+    with a_s' D + D a_s + Res(V) = 0, Res(V) = a_s' V + V a_s + W.
 
-    One Schur form per connected component of a_s's nonzero pattern: T is
-    the block diagonal of the T_c in component order, and Z scatters each
-    Z_c to its component's rows.
+    Raises UnstableMatrix when a_s is not certified Hurwitz,
+    IterationDiverged when the corrected V still fails the contract.
     """
     a_s = np.asarray(a_s, dtype=float)
-    if not np.isfinite(a_s).all():
-        raise ValueError("schur_factor needs a finite matrix")
-    nz = a_s != 0
-    comps = _components(nz | nz.T)
-    if len(comps) == 1:  # Fortran-ordered factors, the same bits as scipy's
-        t, z, _ = _schur(a_s.T)
-    else:
-        n = a_s.shape[0]
-        t, z = np.zeros((n, n)), np.zeros((n, n))
-        i = 0
-        for c in comps:
-            t_c, z_c, _ = _schur(a_s[np.ix_(c, c)].T)
-            t[i:i + c.size, i:i + c.size] = t_c
-            z[c, i:i + c.size] = z_c
-            i += c.size
-    alpha = float(np.diag(t).max())
-    if alpha >= 0.0:
-        raise UnstableMatrix(f"spectral abscissa {alpha:.3e} >= 0")
-    return SchurFactor(a_s, t, z)
-
-
-def solve_lyapunov(a_s, w):
-    """Solve a_s' V + V a_s + W = 0 for stable a_s and PSD W.
-
-    a_s is the matrix or its schur_factor.  Bartels-Stewart: T Y + Y T' =
-    Z'(-W)Z is solved by _lyap_tri, in solve_continuous_lyapunov's order, so
-    up to _LEAF states V is bit-identical to it and to scipy's.
-
-    Raises UnstableMatrix when a_s is not Hurwitz, IterationDiverged when the
-    solve fails its residual contract.
-    """
-    f = a_s if isinstance(a_s, SchurFactor) else schur_factor(a_s)
     w = symmetrize(w)
-    if f.a_s.shape != w.shape:
-        raise ValueError(f"shape mismatch: a_s {f.a_s.shape} vs w {w.shape}")
-    z = f.z
-    y = z.T.dot(w.dot(z))
-    np.negative(y, out=y)  # the same bits as Z'(-W)Z, without forming -W
-    _lyap_tri(f.t, y)
-    v = symmetrize(z.dot(y).dot(z.T))
-    e = v @ f.a_s  # a_s' V is its transpose, since V is symmetric
-    e += e.T
-    e += w
-    res = np.linalg.norm(e, "fro")
-    if res > TOL_RESIDUAL * (1.0 + np.linalg.norm(v, "fro")) * 100.0:
-        raise IterationDiverged(f"Lyapunov residual {res:.3e} out of contract")
-    return v
+    if a_s.shape != w.shape:
+        raise ValueError(f"shape mismatch: a_s {a_s.shape} vs w {w.shape}")
+    if not (np.isfinite(a_s).all() and np.isfinite(w).all()):
+        raise ValueError("solve_lyapunov needs finite matrices")
+    nz = (a_s != 0) | (w != 0)
+    blocks = [np.ix_(c, c) for c in _components(nz | nz.T)]
+    v, e = np.zeros(a_s.shape), w
+    for _ in range(2):  # the solve, then at most one correction
+        for c2 in blocks:
+            v[c2] += _smith(a_s[c2], e[c2])
+        e = v @ a_s  # a_s' V is its transpose, since V is symmetric
+        e += e.T
+        e += w
+        res = np.linalg.norm(e, "fro")
+        if res <= TOL_RESIDUAL * (1.0 + np.linalg.norm(v, "fro")) * 100.0:
+            return v
+    raise IterationDiverged(f"Lyapunov residual {res:.3e} out of contract")
+
+
+def _smith(a, w):
+    """V solving a' V + V a + W = 0 by squared Smith (Smith 1968): _doubling
+    with G = 0, so W = I and there is nothing to solve per doubling.
+
+    E starts at the Cayley transform I + 2 gamma A_g^{-1} of a and H at
+    2 gamma A_g^{-T} W A_g^{-1}; each doubling sets H <- H + E' H E and
+    E <- E^2.  The doublings stop only when H moves by at most
+    sqrt(eps) |H|_1 and |E|_1 <= 1/2, which certifies a Hurwitz as in
+    _doubling; a non-normal E can fall below 1/2 only well after H has
+    stopped.  Raises UnstableMatrix when that takes more than CARE_MAX_ITER
+    doublings or H stops being finite.
+    """
+    n = a.shape[0]
+    gamma = 1.01 * np.linalg.norm(a, 1) or 1.0
+    with np.errstate(all="ignore"):
+        a_g = a - gamma * np.eye(n)
+        y = np.linalg.solve(a_g.T, w)  # A_g^{-T} W
+        a_g_inv = np.linalg.inv(a_g)
+        e = np.eye(n) + 2.0 * gamma * a_g_inv
+        h = symmetrize(2.0 * gamma * (y @ a_g_inv).T)
+        for _ in range(CARE_MAX_ITER):
+            step = e.T @ (h @ e)
+            h = h + symmetrize(step)
+            moved = np.linalg.norm(step, 1)
+            if not np.isfinite(moved):
+                break
+            if (moved <= np.sqrt(np.finfo(float).eps) * np.linalg.norm(h, 1)
+                    and np.linalg.norm(e, 1) <= 0.5):
+                return h
+            e = e @ e
+    raise UnstableMatrix(f"{n}x{n} matrix not certified Hurwitz by squared Smith")
+
+
+def _hurwitz(a):
+    """True when _smith certifies a Hurwitz."""
+    try:
+        _smith(a, np.zeros(a.shape))
+    except UnstableMatrix:
+        return False
+    return True
 
 
 def solve_continuous_lyapunov(a, q):
@@ -262,74 +254,12 @@ def solve_continuous_lyapunov(a, q):
     return z.dot(y).dot(z.T)
 
 
-def _split(t):
-    """Middle index of a quasi-triangular t that cuts no 2x2 block."""
-    k = t.shape[0] // 2
-    return k + 1 if t[k, k - 1] != 0.0 else k
-
-
-def _trsyl(t1, t2, c):
-    """Overwrite c with X solving T1 X + X T2' = C by one dtrsyl call."""
-    x, scale, info = dtrsyl(t1, t2, c, tranb="T")
-    if info < 0:
-        raise ValueError(f"dtrsyl: illegal value in argument {-info}")
-    if scale < 1.0:
-        raise IterationDiverged(
-            f"dtrsyl scaled the right-hand side by {scale:.3e} to guard "
-            "against overflow")
-    c[...] = x
-
-
-def _lyap_tri(t, c):
-    """Overwrite c with Y solving T Y + Y T' = C.
-
-    t is upper quasi-triangular and c symmetric.  Above _LEAF rows, with
-    T = [T11 T12; 0 T22]: solve the trailing block Y22, then the Sylvester
-    equation T11 Y12 + Y12 T22' = C12 - T12 Y22, then the leading block
-    against C11 - T12 Y12' - Y12 T12'.  C21 is not read; Y21 = Y12'.
-    """
-    n = t.shape[0]
-    if n <= _LEAF:
-        _trsyl(t, t, c)
-        return
-    k = _split(t)
-    t12 = t[:k, k:]
-    _lyap_tri(t[k:, k:], c[k:, k:])
-    c[:k, k:] -= t12 @ c[k:, k:]
-    _sylv_tri(t[:k, :k], t[k:, k:], c[:k, k:])
-    g = t12 @ c[:k, k:].T
-    c[:k, :k] -= g
-    c[:k, :k] -= g.T
-    c[k:, :k] = c[:k, k:].T
-    _lyap_tri(t[:k, :k], c[:k, :k])
-
-
-def _sylv_tri(t1, t2, c):
-    """Overwrite c with X solving T1 X + X T2' = C, both t quasi-triangular.
-
-    Splits the larger side in two and solves the trailing half first.
-    """
-    m, n = c.shape
-    if m <= _LEAF and n <= _LEAF:
-        _trsyl(t1, t2, c)
-    elif m >= n:
-        k = _split(t1)
-        _sylv_tri(t1[k:, k:], t2, c[k:])
-        c[:k] -= t1[:k, k:] @ c[k:]
-        _sylv_tri(t1[:k, :k], t2, c[:k])
-    else:
-        k = _split(t2)
-        _sylv_tri(t1, t2[k:, k:], c[:, k:])
-        c[:, :k] -= c[:, k:] @ t2[:k, k:].T
-        _sylv_tri(t1, t2[:k, :k], c[:, :k])
-
-
 def stabilizing_gain(a, b):
     """Gain K with A - B K Hurwitz, by one ordered Schur form (Varga 1981).
 
     A = Z T Z', T = [T11 T12; 0 T22], with the eigenvalues of negative real
-    part (schur_factor's Hurwitz test) in T11, so B2 = Z2' B alone drives the
-    unstable and marginal modes in T22.  With beta = |T22|_F + 0.5, X solves
+    part (a strict test) in T11, so B2 = Z2' B alone drives the unstable
+    and marginal modes in T22.  With beta = |T22|_F + 0.5, X solves
     (T22 + beta I) X + X (T22 + beta I)' = 2 B2 B2' (solve_continuous_lyapunov,
     by its module-level name, which perfbench/spans.py wraps to count calls);
     then K2 = B2' X^{-1} gives (T22 - B2 K2) X + X (T22 - B2 K2)' = -2 beta X,
@@ -360,7 +290,8 @@ def solve_care(a, b, q, r, p0=None):
     Newton-Kleinman steps (Kleinman 1968), one Lyapunov solve each, when
     the doubled P misses the residual contract TOL_RESIDUAL * (1 + |P|_F).
     p0, when given, is the cost matrix of a stabilizing gain; it is returned
-    unchanged if it meets the contract, and is otherwise ignored.
+    unchanged if it meets the contract and _smith certifies its closed loop
+    A - B R^{-1} B' p0 Hurwitz, and is otherwise ignored.
 
     The solve runs once per connected component of the graph on states
     and inputs whose edges are the nonzeros of A, A', Q, B, R and p0: P is
@@ -411,12 +342,14 @@ def solve_care(a, b, q, r, p0=None):
 
 def _care_component(a, b, q, r, p0, floor):
     """solve_care on one component, accepted at residual
-    TOL_RESIDUAL * (floor + |P|_F): p0 if it is accepted, else the doubled
-    P, polished when it is not.  When the doubling yields no stabilizing P
-    or its polish fails, Newton-Kleinman starts over from the cost matrix of
-    stabilizing_gain(a, b)."""
-    if p0 is not None and _accepted(a, b, q, r, p0, floor)[0]:
-        return p0
+    TOL_RESIDUAL * (floor + |P|_F): p0 if it is accepted and its gain
+    stabilizing, else the doubled P, polished when it is not.  When the
+    doubling yields no stabilizing P or its polish fails, Newton-Kleinman
+    starts over from the cost matrix of stabilizing_gain(a, b)."""
+    if p0 is not None:
+        ok, _, k = _accepted(a, b, q, r, p0, floor)
+        if ok and _hurwitz(a - b @ k):
+            return p0
     p = _doubling(a, b, q, r)
     if p is not None:
         try:
@@ -433,10 +366,12 @@ def _care_component(a, b, q, r, p0, floor):
 
 def _accepted(a, b, q, r, p, floor):
     """(accepted, residual, K) of a Riccati iterate P: K = R^{-1} B' P and the
-    Frobenius norm of P A + A' P + Q - P B K."""
+    residual P A + A' P + Q - P B K, accepted when its Frobenius norm is at
+    most TOL_RESIDUAL * (floor + |P|_F)."""
     k = np.linalg.solve(r, b.T @ p)
-    res = float(np.linalg.norm(p @ a + a.T @ p + q - (p @ b) @ k, "fro"))
-    return res <= TOL_RESIDUAL * (floor + np.linalg.norm(p, "fro")), res, k
+    res = p @ a + a.T @ p + q - (p @ b) @ k
+    ok = np.linalg.norm(res, "fro") <= TOL_RESIDUAL * (floor + np.linalg.norm(p, "fro"))
+    return ok, res, k
 
 
 def _doubling(a, b, q, r):
@@ -492,20 +427,23 @@ def _doubling(a, b, q, r):
 
 def _newton_kleinman(a, b, q, r, p, floor):
     """Newton-Kleinman steps from the iterate p until it is accepted at
-    residual TOL_RESIDUAL * (floor + |P|_F): each next iterate is the cost
-    matrix of K = R^{-1} B' P, (A - B K)' P + P (A - B K) + Q + K' R K = 0,
-    by solve_lyapunov."""
+    residual TOL_RESIDUAL * (floor + |P|_F), in correction form: with
+    K = R^{-1} B' P, the next iterate is P + X for (A - B K)' X +
+    X (A - B K) + Res(P) = 0, with Res(P) the residual of _accepted, by
+    solve_lyapunov, whose error is then relative to X rather than P.  In
+    exact arithmetic P + X is Kleinman's iterate, the cost matrix of K."""
     best_res = np.inf
     for _ in range(CARE_MAX_ITER):
-        ok, res, k = _accepted(a, b, q, r, p, floor)
+        ok, e, k = _accepted(a, b, q, r, p, floor)
         if ok:
             return p
+        res = np.linalg.norm(e, "fro")
         if res < best_res:
             best_res = res
         elif res > 100.0 * best_res:
             raise IterationDiverged(f"Riccati residual diverging: {res:.3e}")
         try:
-            p = solve_lyapunov(a - b @ k, q + k.T @ r @ k)
+            p = symmetrize(p + solve_lyapunov(a - b @ k, e))
         except UnstableMatrix as exc:
             raise IterationDiverged(
                 f"Newton-Kleinman gain lost stability: {exc}") from None

@@ -13,7 +13,8 @@ form that the simulator reads.
 integrate_callable is an RK4 step loop that evaluates a state-feedback
 callable at every stage; it is the reference for the rollout kernel behind
 sim.integrate.  evaluate_cost gives the analytic closed-loop costs of a gain
-by two Lyapunov solves, and quadrature_cost the same costs integrated in time.
+by two Lyapunov solves of scipy's, not hlqr's, and quadrature_cost the same
+costs integrated in time.
 
 enumerate_partitions lists every set partition once, by brute force, for
 the branch-and-bound searches of hlqr.partition to be checked against.
@@ -35,10 +36,9 @@ from hlqr.errors import (
     RankDeficient,
     StateBlowup,
     UnstableClosedLoop,
-    UnstableMatrix,
 )
 from hlqr.graphcost import Decomposition, assemble_q
-from hlqr.matops import abscissa, schur_factor, solve_lyapunov, symmetrize
+from hlqr.matops import abscissa, symmetrize
 from hlqr.partition import ConstraintSet, _constraints_ok, _min_eps, _weight_matrix
 from hlqr.sim import MasSystem, Trajectory, integrate, tabulate_signal
 
@@ -239,16 +239,17 @@ def evaluate_cost(sys, spec, k, x0):
     """Analytic closed-loop costs (J, J_u) for the gain K from x0.
 
     J = x0' X x0 with (A-BK)' X + X (A-BK) + Q + K'RK = 0 and J_u likewise
-    with K'K.  Raises UnstableClosedLoop when A - BK is not Hurwitz.
+    with K'K, both by scipy's Bartels-Stewart solver, which shares no code
+    with hlqr's.  Raises UnstableClosedLoop when A - BK is not Hurwitz.
     """
     a, b = sys.a_full, sys.b_full
     k = np.asarray(k, dtype=float)
-    try:
-        cl = schur_factor(a - b @ k)
-    except UnstableMatrix as exc:
-        raise UnstableClosedLoop("A - BK is not Hurwitz") from exc
-    x = solve_lyapunov(cl, symmetrize(assemble_q(spec) + k.T @ spec.r @ k))
-    x_u = solve_lyapunov(cl, symmetrize(k.T @ k))
+    a_s = a - b @ k
+    if abscissa(a_s) >= 0.0:
+        raise UnstableClosedLoop("A - BK is not Hurwitz")
+    x = scipy.linalg.solve_continuous_lyapunov(
+        a_s.T, -symmetrize(assemble_q(spec) + k.T @ spec.r @ k))
+    x_u = scipy.linalg.solve_continuous_lyapunov(a_s.T, -symmetrize(k.T @ k))
     x0 = np.asarray(x0, dtype=float)
     return float(x0 @ x @ x0), float(x0 @ x_u @ x0)
 

@@ -326,7 +326,7 @@ def direct_v_check(mas, spec, dec):
     a, b, r = mas.a_full, mas.b_full, spec.r
     q = graphcost.assemble_q(spec)
     gain = hierarchical_gain(mas, spec, dec)
-    report, p_opt, _, _ = hierctrl._evaluate(mas, spec, dec, gain)
+    report, p_opt, _ = hierctrl._evaluate(mas, spec, dec, gain)
     assert abs(report.trace_v - report.delta_j) <= 1e-12 * report.j_h
     assert report.expected_gap == report.trace_v
 
@@ -453,7 +453,7 @@ class TestGapIdentity:
         a, b, r = mas.a_full, mas.b_full, spec.r
         q = graphcost.assemble_q(spec)
         gain = hierarchical_gain(mas, spec, dec)
-        report, p_opt, u, _ = hierctrl._evaluate(mas, spec, dec, gain)
+        report, p_opt, u = hierctrl._evaluate(mas, spec, dec, gain)
         if not np.array_equal(p_opt, u):
             assert np.array_equal(p_opt, matops.solve_care(a, b, q, r))
         assert care_residual(a, b, q, r, p_opt) <= matops.TOL_RESIDUAL * (
@@ -507,6 +507,22 @@ class TestGapIdentity:
         p_ref = scipy.linalg.solve_continuous_are(a, b, q, r)
         assert np.linalg.norm(p - p_ref, "fro") <= 1e-7 * (
             1.0 + np.linalg.norm(p_ref, "fro"))
+
+    def test_u_takes_one_correction_step(self):
+        # seed 178's U, the cost matrix of k_h: squared Smith's first pass
+        # misses the Lyapunov residual contract, and one defect-correction
+        # step meets it with five orders of magnitude to spare
+        mas, spec, dec = random_instance(178)
+        k_h = hierarchical_gain(mas, spec, dec).k_h
+        a_s = mas.a_full - mas.b_full @ k_h
+        w = matops.symmetrize(graphcost.assemble_q(spec) + k_h.T @ spec.r @ k_h)
+
+        def share_of_contract(v):
+            return np.linalg.norm(a_s.T @ v + v @ a_s + w, "fro") / (
+                100.0 * matops.TOL_RESIDUAL * (1.0 + np.linalg.norm(v, "fro")))
+
+        assert share_of_contract(matops._smith(a_s, w)) > 1.0
+        assert share_of_contract(matops.solve_lyapunov(a_s, w)) <= 1e-4
 
     @pytest.mark.parametrize("seed", [28, 122, 178, 179, 315])
     def test_poorly_controllable_instances(self, seed):

@@ -61,6 +61,32 @@ def _block(rng, n, m):
     return a, b, q_half @ q_half.T + np.eye(n), r_half @ r_half.T + np.eye(m)
 
 
+def random_hurwitz(rng, n, kind):
+    """A Hurwitz n x n matrix of one of three kinds.
+
+    similar: S D S^{-1} with cond(S) from 1 to 1e4 and D real block
+    diagonal, real parts in [-2, -0.01] and complex pairs up to 5i;
+    stiff: eigenvalues -1e-3 to -1e3, log spaced, in an orthonormal basis;
+    triangular: upper triangular, diagonal in [-2, -0.1] and N(0, 25)
+    couplings above it.
+    """
+    if kind == "similar":
+        u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        s = u @ np.diag(np.logspace(0.0, -rng.uniform(0.0, 4.0), n)) @ v.T
+        d = np.diag(-rng.uniform(0.01, 2.0, n))
+        for i in range(0, n - 1, 2):
+            if rng.random() < 0.5:
+                im = rng.uniform(0.1, 5.0)
+                d[i:i + 2, i:i + 2] = [[d[i, i], im], [-im, d[i, i]]]
+        return s @ d @ np.linalg.inv(s)
+    if kind == "stiff":
+        basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        return basis @ np.diag(-np.logspace(-3.0, 3.0, n)) @ basis.T
+    return (np.diag(-rng.uniform(0.1, 2.0, n))
+            + np.triu(rng.normal(0.0, 5.0, (n, n)), 1))
+
+
 def cross(lab_rows, lab_cols):
     """Mask of the entries between different blocks."""
     return lab_rows[:, None] != lab_cols[None, :]
@@ -173,11 +199,13 @@ class TestSolveCare:
     def test_unweighted_unstable_mode(self):
         # Q = 0 leaves the unstable mode unweighted, so the doubled P stays 0
         # and leaves A - B K = 1: the stabilizing root 2 of 2p - p**2 = 0
-        # comes from Newton-Kleinman started at stabilizing_gain
+        # comes from Newton-Kleinman started at stabilizing_gain.  p0 = 0
+        # solves the equation exactly but leaves A - B K = 1: ignored too
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p = matops.solve_care([[1.0]], [[1.0]], [[0.0]], [[1.0]])
-        assert np.allclose(p, [[2.0]], rtol=1e-9)
+            for p0 in (None, [[0.0]]):
+                p = matops.solve_care([[1.0]], [[1.0]], [[0.0]], [[1.0]], p0=p0)
+                assert np.allclose(p, [[2.0]], rtol=1e-9)
 
     def test_unweighted_unstable_block_property(self, monkeypatch):
         # A = [[A11, A12], [0, A22]] with A11 unstable and Q = diag(0, I),
@@ -239,13 +267,16 @@ class TestSolveCare:
         assert np.array_equal(matops.solve_care(a, b, q, r, p0=p), p)
 
     def test_destabilizing_warm_start_ignored(self):
-        # p0 = 0, whose gain K = 0 leaves A = I unstable, misses the contract
-        # and is ignored: the stabilizing root 1 + sqrt(2) of
-        # p**2 - 2p - 1 = 0, the cold solve's bits
+        # p0 = 0, whose gain K = 0 leaves A = I unstable, misses the
+        # contract; p0 = (1 - sqrt 2) I, the other root of p**2 - 2p - 1 = 0,
+        # meets it but leaves A - B K = sqrt(2) I unstable.  Both are
+        # ignored: the stabilizing root 1 + sqrt(2), the cold solve's bits
         args = np.eye(2), np.eye(2), np.eye(2), np.eye(2)
-        p = matops.solve_care(*args, p0=np.zeros((2, 2)))
-        assert np.array_equal(p, matops.solve_care(*args))
-        assert np.allclose(p, (1.0 + np.sqrt(2.0)) * np.eye(2), rtol=1e-12)
+        for p0 in (np.zeros((2, 2)), (1.0 - np.sqrt(2.0)) * np.eye(2)):
+            p = matops.solve_care(*args, p0=p0)
+            assert np.array_equal(p, matops.solve_care(*args))
+            assert np.allclose(p, (1.0 + np.sqrt(2.0)) * np.eye(2), rtol=1e-12)
+        assert matops._accepted(*args, p0, 1.0)[0]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
@@ -366,93 +397,30 @@ class TestSolveLyapunov:
         with pytest.raises(UnstableMatrix):
             matops.solve_lyapunov(a, np.eye(a.shape[0]))
 
-    def test_bit_identical_to_scipy(self):
-        rng = np.random.default_rng(47)
-        for n in (1, 2, 3, 5, 8, 13, 21, 40):
-            for _ in range(3):
-                a_s = rng.standard_normal((n, n))
-                a_s -= (matops.abscissa(a_s) + 0.5) * np.eye(n)
-                w_half = rng.standard_normal((n, n))
-                w = w_half @ w_half.T
-                want = matops.symmetrize(
-                    scipy.linalg.solve_continuous_lyapunov(a_s.T, -w))
-                assert np.array_equal(matops.solve_lyapunov(a_s, w), want)
-        # the random draws above have complex pairs; check one explicitly
-        assert np.iscomplex(np.linalg.eigvals(a_s)).any()
-
-    def test_shared_factor_bit_identical(self):
-        # one schur_factor serves every right-hand side, and each solve is
-        # the same bits as factoring a_s afresh and as scipy's solver
-        rng = np.random.default_rng(61)
-        for n in (1, 3, 8, 21):
-            a_s = rng.standard_normal((n, n))
-            a_s -= (matops.abscissa(a_s) + 0.5) * np.eye(n)
-            f = matops.schur_factor(a_s)
-            for _ in range(3):
-                w_half = rng.standard_normal((n, n))
-                w = w_half @ w_half.T
-                got = matops.solve_lyapunov(f, w)
-                assert np.array_equal(got, matops.solve_lyapunov(a_s, w))
-                assert np.array_equal(got, matops.symmetrize(
-                    scipy.linalg.solve_continuous_lyapunov(a_s.T, -w)))
-
-    @settings(max_examples=12, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           n=st.integers(matops._LEAF + 1, 4 * matops._LEAF))
-    def test_blocked_solve_with_pair_at_split(self, seed, n):
-        # above _LEAF the triangular solve is split in the middle; a 2x2
-        # Schur block across the middle index moves the split, never cut
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24),
+           kind=st.sampled_from(["similar", "stiff", "triangular"]))
+    def test_matches_scipy_property(self, seed, n, kind):
+        # the residual contract, and scipy's Bartels-Stewart solution within
+        # what the two residuals allow: for Hurwitz a_s and symmetric C the
+        # X solving a_s' X + X a_s = C has |X|_2 <= |Y|_2 |C|_2, Y solving
+        # a_s' Y + Y a_s + I = 0 (Hewer & Kenney 1988), and computing each
+        # residual adds at most n eps (2 |a_s| |V| + |W|)
         rng = np.random.default_rng(seed)
-        k = n // 2
-        t = np.triu(rng.standard_normal((n, n)), 1) / n
-        i = 0
-        while i < n:
-            if i == k - 1 or (i + 1 < n and i + 1 != k - 1 and rng.random() < 0.5):
-                # LAPACK's standard form: equal diagonal, opposite off-diagonals
-                re, (b, c) = -rng.uniform(0.01, 2.0), rng.uniform(0.2, 1.0, 2)
-                t[i:i + 2, i:i + 2] = [[re, b], [-c, re]]
-                i += 2
-            else:
-                t[i, i] = -rng.uniform(0.01, 2.0)
-                i += 1
-        assert t[k, k - 1] != 0.0 and matops._split(t) == k + 1
-        z = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        a_s = z @ t.T @ z.T
+        a_s = random_hurwitz(rng, n, kind)
         w_half = rng.standard_normal((n, n))
         w = w_half @ w_half.T
-
-        v = matops.solve_lyapunov(matops.SchurFactor(a_s, t, z), w)
-        res = np.linalg.norm(a_s.T @ v + v @ a_s + w, "fro")
-        eps = np.finfo(float).eps
-        assert res <= 100 * n * eps * (
-            2.0 * np.linalg.norm(a_s, "fro") * np.linalg.norm(v, "fro")
-            + np.linalg.norm(w, "fro"))
-        # every draw has abscissa <= -0.01
+        v = matops.solve_lyapunov(a_s, w)
+        assert np.array_equal(v, v.T)
+        assert np.linalg.norm(a_s.T @ v + v @ a_s + w, "fro") <= (
+            100.0 * matops.TOL_RESIDUAL * (1.0 + np.linalg.norm(v, "fro")))
         want = matops.symmetrize(scipy.linalg.solve_continuous_lyapunov(a_s.T, -w))
-        assert np.linalg.norm(v - want, "fro") <= 1e-12 * np.linalg.norm(want, "fro")
-        assert np.array_equal(matops.solve_lyapunov(matops.schur_factor(a_s), w),
-                              matops.solve_lyapunov(a_s, w))
-
-    def test_dtrsyl_scale_refused(self, monkeypatch):
-        # dtrsyl solves T X + X T' = scale C and lowers scale below 1 only to
-        # avoid overflow; a scaled leaf is refused, in a blocked solve too
-        dtrsyl = matops.dtrsyl
-
-        def scaled(*args, **kwargs):
-            x, _, info = dtrsyl(*args, **kwargs)
-            return x, 0.5, info
-
-        monkeypatch.setattr(matops, "dtrsyl", scaled)
-        for n in (3, matops._LEAF + 6):
-            with pytest.raises(IterationDiverged, match="overflow"):
-                matops.solve_lyapunov(-np.eye(n), np.eye(n))
-
-    def test_factor_rejects_unstable_and_wrong_shape(self):
-        with pytest.raises(UnstableMatrix):
-            matops.schur_factor(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        f = matops.schur_factor(-np.eye(3))
-        with pytest.raises(ValueError):
-            matops.solve_lyapunov(f, np.eye(2))
+        y = scipy.linalg.solve_continuous_lyapunov(a_s.T, -np.eye(n))
+        d_res = (a_s.T @ v + v @ a_s) - (a_s.T @ want + want @ a_s)
+        rounding = n * np.finfo(float).eps * (
+            2.0 * np.linalg.norm(a_s, 2) * np.linalg.norm(v, 2) + np.linalg.norm(w, 2))
+        assert np.linalg.norm(v - want, 2) <= np.linalg.norm(y, 2) * (
+            np.linalg.norm(d_res, 2) + rounding)
 
     def test_trace_matches_quadrature(self):
         # tr(V) = integral of tr(exp(As' t) W exp(As t)) dt on [0, inf)
@@ -519,7 +487,7 @@ class TestPinv:
 
 
 class TestHiddenBlocks:
-    """solve_care, schur_factor and pinv on block-diagonal inputs behind
+    """solve_care, solve_lyapunov and pinv on block-diagonal inputs behind
     random permutations: exact zeros between blocks and the dense solvers'
     answers; and once one entry couples two blocks, the dense path's bits."""
 
@@ -565,55 +533,28 @@ class TestHiddenBlocks:
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_blocks=st.integers(2, 4))
-    def test_schur_factor_split(self, seed, n_blocks):
+    def test_lyapunov_split(self, seed, n_blocks):
         rng = np.random.default_rng(seed)
         a, b, q, r, s_lab, _ = hidden_blocks(rng, n_blocks)
         a_s = a - b @ np.linalg.solve(r, b.T @ matops.solve_care(a, b, q, r))
-        f = matops.schur_factor(a_s)
-        n = a_s.shape[0]
-        assert np.all(np.tril(f.t, -2) == 0.0)
-        assert np.allclose(f.z.T @ f.z, np.eye(n), rtol=0.0, atol=1e-13)
-        assert np.allclose(f.z @ f.t @ f.z.T, a_s.T, rtol=0.0,
-                           atol=1e-13 * np.linalg.norm(a_s, "fro"))
-        v = matops.solve_lyapunov(f, q)
+        v = matops.solve_lyapunov(a_s, q)
         assert np.all(v[cross(s_lab, s_lab)] == 0.0)
         want = matops.symmetrize(scipy.linalg.solve_continuous_lyapunov(a_s.T, -q))
         assert np.linalg.norm(v - want, "fro") <= 1e-12 * np.linalg.norm(want, "fro")
+        n = a_s.shape[0]
+        with pytest.raises(ValueError, match="shape"):
+            matops.solve_lyapunov(a_s, np.eye(n + 1))
+        with pytest.raises(ValueError, match="finite"):
+            matops.solve_lyapunov(np.where(a_s == a_s[0, 0], np.nan, a_s), q)
 
         # one entry between blocks 0 and 1 of the closed loop: block
-        # triangular, so still Hurwitz, and the dense Schur form
+        # triangular, so still Hurwitz, and one component
         keep = s_lab < 2
         a_s, s_lab = a_s[np.ix_(keep, keep)], s_lab[keep]
         if set(s_lab) == {0, 1}:
             rows, cols = couple(rng, a_s, s_lab, s_lab)
-            f = matops.schur_factor(a_s)
-            t, z = scipy.linalg.schur(a_s.T, output="real")
-            assert np.array_equal(f.t, t) and np.array_equal(f.z, z)
-            v = matops.solve_lyapunov(f, q[np.ix_(keep, keep)])
+            v = matops.solve_lyapunov(a_s, q[np.ix_(keep, keep)])
             assert np.any(v[np.ix_(rows, cols)] != 0.0)
-
-    @pytest.mark.parametrize("n_blocks", [1, 4])
-    def test_schur_factor_bits_of_scipy(self, n_blocks):
-        # dgees called directly returns scipy.linalg.schur's factors, of the
-        # whole matrix or of each component
-        rng = np.random.default_rng(11)
-        sizes = [1, 2, 5, 8][:n_blocks] if n_blocks > 1 else [9]
-        a_s = scipy.linalg.block_diag(*[
-            rng.standard_normal((k, k)) - 2.0 * k * np.eye(k) for k in sizes])
-        perm = rng.permutation(a_s.shape[0])
-        a_s = a_s[np.ix_(perm, perm)]
-        f = matops.schur_factor(a_s)
-        comps = matops._components((a_s != 0) | (a_s != 0).T)
-        assert len(comps) == n_blocks
-        assert np.any(np.diag(f.t, -1))  # a complex pair's 2x2 block
-        i = 0
-        for c in comps:
-            t, z = scipy.linalg.schur(a_s[np.ix_(c, c)].T, output="real")
-            assert np.array_equal(f.t[i:i + c.size, i:i + c.size], t)
-            assert np.array_equal(f.z[c, i:i + c.size], z)
-            i += c.size
-        with pytest.raises(ValueError, match="finite"):
-            matops.schur_factor(np.where(a_s == a_s[0, 0], np.nan, a_s))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_blocks=st.integers(2, 4))
