@@ -223,6 +223,10 @@ def choose_decomposition(cfg, scenario):
         )
     problem = PartitionProblem(graph=spec.graph, s=cfg.s, constraints=constraints)
     result = max_kappa(problem) if cfg.objective == "kappa" else min_scut(problem)
+    if not result.optimal:
+        print(f"warning: the {cfg.objective} search stopped at its node budget "
+              f"after {result.nodes} nodes; the decomposition is not certified "
+              f"optimal", file=sys.stderr)
     return result.dec, result
 
 

@@ -5,6 +5,17 @@ in restricted-growth form (agent 0 is fixed to cluster 0 and a new cluster id
 may only be opened in index order), so every set partition is visited at most
 once and the first optimum found is the lexicographically smallest one.
 
+Twins: agents u and v are twins when their weights to every third agent
+are equal and so are their leader flags.  All pairs within a twin class then
+share one weight, so twinship is an equivalence, and swapping two twins
+preserves kappa, the cut weight and every ConstraintSet rule.  Each agent is
+branched only on clusters at or after the cluster of its latest earlier twin.
+This keeps the first optimum: if twins t < t' had a[t] > a[t'], swapping them
+would give an equally good partition whose restricted-growth form agrees with
+a before t and is smaller at t, so a was not the first.  Cut weights are summed
+as exact integers (multiples of the finest binary fraction among the weights),
+so that twin-swapped partitions tie exactly, not only up to rounding.
+
 Bounds:
 
 * max-kappa: at a node with agents 0..idx-1 assigned, kappa of any
@@ -152,6 +163,22 @@ def _mass(mask, sizes):
     return total
 
 
+def _prev_twins(weights, is_leader):
+    """prev[u] = the latest agent v < u that is u's twin (module docstring),
+    or -1."""
+    n = len(weights)
+    leader = np.array(is_leader, dtype=bool)
+    prev = [-1] * n
+    for u in range(1, n):
+        differ = weights[:u] != weights[u]
+        differ[:, u] = False
+        differ[np.arange(u), np.arange(u)] = False
+        twins = np.flatnonzero(~differ.any(axis=1) & (leader[:u] == leader[u]))
+        if twins.size:
+            prev[u] = int(twins[-1])
+    return prev
+
+
 class _Search:
     """Shared DFS state for both objectives.
 
@@ -172,8 +199,13 @@ class _Search:
         self.eps = _min_eps(self.w)
 
         w = self.w.tolist()
+        # each weight as an integer multiple of 1/scale, so that a cut sums
+        # exactly: twin-swapped partitions then tie, whatever the edge order
+        ratios = [[x.as_integer_ratio() for x in row] for row in w]
+        self.scale = max(d for row in ratios for _, d in row)
         # coupled agents of u: earlier ones with their weights, later ones
-        self.earlier = [[(v, w[u][v]) for v in range(u) if w[u][v] > 0.0]
+        self.earlier = [[(v, num * (self.scale // den))
+                         for v, (num, den) in enumerate(ratios[u][:u]) if num]
                         for u in range(n)]
         self.later = [[v for v in range(u + 1, n) if w[u][v] > 0.0]
                       for u in range(n)]
@@ -189,6 +221,7 @@ class _Search:
         self.is_leader = (
             [bool(x) for x in leaders] if self.require_leader else [False] * n
         )
+        self.prev_twin = _prev_twins(self.w, self.is_leader)
         # leaders_from[idx] = number of leaders among agents idx..n-1
         self.leaders_from = [0] * (n + 1)
         for u in range(n - 1, -1, -1):
@@ -215,7 +248,7 @@ class _Search:
         assign, adj, sizes = self.assign, self.adj, self.sizes
         bit = 1 << c
         new_adj = []
-        cut_delta = 0.0
+        cut_delta = 0
         for v, wuv in self.earlier[u]:
             b = assign[v]
             if b != c:
@@ -298,7 +331,7 @@ class _Search:
     # -- main recursion ------------------------------------------------------
 
     def run(self):
-        self._dfs(0, 0, 0.0)
+        self._dfs(0, 0, 0)
         return self
 
     def _improves(self, value):
@@ -348,7 +381,8 @@ class _Search:
                     return
 
         limit = min(n_open + 1, self.s)
-        for c in range(limit):
+        twin = self.prev_twin[idx]
+        for c in range(0 if twin < 0 else self.assign[twin], limit):
             record = self._place(idx, c, n_open)
             self._dfs(idx + 1, max(n_open, c + 1), cut + record[1])
             self._unplace(idx, c, record)
@@ -364,9 +398,12 @@ def _finish(search):
             )
         raise Infeasible("no decomposition satisfies the constraints")
     dec = Decomposition.from_assignment(search.best_assign)
+    value = search.best_value
+    if not search.maximize_kappa:
+        value /= search.scale
     return PartitionResult(
         dec=dec,
-        value=float(search.best_value),
+        value=float(value),
         optimal=not search.exhausted,
         nodes=search.nodes,
     )

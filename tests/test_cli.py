@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,20 @@ class TestDecompose:
 
 
 class TestSolve:
+    def test_uncertified_search_reported(self, tmp_path, capsys, monkeypatch):
+        argv = ["solve", "example1", "--objective", "kappa", "--s", "3",
+                "--c", "3", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        search = cli.max_kappa
+        monkeypatch.setattr(cli, "max_kappa", lambda problem: replace(
+            search(problem), optimal=False, nodes=77))
+        assert main(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "77 nodes" in err[0]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
     def test_five_node_assignment(self, tmp_path, capsys):
         rc = main(["solve", "five_node", "--assignment", "0,0,1,2,2",
                    "--out", str(tmp_path)])

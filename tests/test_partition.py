@@ -1,5 +1,7 @@
 """Exact decomposition search: kappa maximization and minimum s-cut."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,8 +29,10 @@ def random_tree(rng, n):
 
 
 def cut_weight(graph, dec):
+    """Exact cut weight, summed as fractions."""
     assign = dec.assignment
-    return sum(w for i, j, w in graph.edges() if assign[i] != assign[j])
+    return sum((Fraction(w) for i, j, w in graph.edges()
+                if assign[i] != assign[j]), Fraction(0))
 
 
 class TestEnumeration:
@@ -107,20 +111,20 @@ class TestMaxKappa:
         graph = sim.clique_path_graph(3, 3)
         with pytest.raises(Infeasible):
             max_kappa(PartitionProblem(graph, 3, node_budget=5))
-        # the search certifies this instance at its 136th node
+        # the search certifies this instance at its 130th node
         res = max_kappa(PartitionProblem(graph, 3, node_budget=100))
         assert not res.optimal
         assert res.value == 15.0
 
     def test_node_savings(self):
-        # the two-part kappa bound certifies this N=16 instance in 16,669
-        # nodes; counting every zero-weight pair with an unassigned endpoint
-        # took 257,039
+        # the two-part kappa bound and twin pruning certify this N=16
+        # instance in 8,469 nodes; the bound alone took 16,669, and counting
+        # every zero-weight pair with an unassigned endpoint took 257,039
         graph = sim.clique_path_graph(4, 4)
         res = max_kappa(PartitionProblem(graph, 4))
         assert res.value == 64.0
         assert res.optimal
-        assert res.nodes <= 50_000
+        assert res.nodes <= 8_500
 
     @pytest.mark.parametrize("s, c, best", [(4, 5, 105), (5, 4, 120)])
     def test_twenty_agents_certified(self, s, c, best):
@@ -167,6 +171,92 @@ class TestMaxKappaProperty:
         assert res.dec == decs[values.index(best)]
 
 
+def planted_twin_graph(rng, n_max, p):
+    """Random graph whose agents come in planted twin classes.
+
+    Each base agent gets up to two clones with its weight row; clones of one
+    agent are coupled to each other with weight 0 or w.  Agents are then
+    shuffled so that twins are not consecutive.
+    """
+    sizes = []
+    while sum(sizes) < n_max:
+        sizes.append(int(rng.integers(1, min(3, n_max - sum(sizes)) + 1)))
+    k = len(sizes)
+    base = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            if rng.random() < p or j == i + 1:
+                base[i, j] = base[j, i] = rng.uniform(0.1, 3.0)
+    inner = [rng.uniform(0.1, 3.0) if rng.random() < 0.5 else 0.0
+             for _ in range(k)]
+    cls = [i for i, size in enumerate(sizes) for _ in range(size)]
+    cls = [cls[u] for u in rng.permutation(len(cls))]
+    n = len(cls)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            w = inner[cls[u]] if cls[u] == cls[v] else base[cls[u], cls[v]]
+            if w > 0.0:
+                edges.append((u, v, float(w)))
+    return CostGraph.from_edges(n, edges)
+
+
+class TestTwinPruning:
+    """Branching only on twin-sorted partitions keeps the first optimum."""
+
+    def test_clique_path_twin_classes(self):
+        graph = sim.clique_path_graph(4, 4)
+        prev = partition._prev_twins(partition._weight_matrix(graph),
+                                     [False] * 16)
+        classes = {}
+        for u, v in enumerate(prev):
+            classes[u] = classes[v] if v >= 0 else {u}
+            classes[u].add(u)
+        twins = sorted({tuple(sorted(c)) for c in classes.values() if len(c) > 1})
+        assert twins == [(0, 1, 2), (5, 6), (9, 10), (13, 14, 15)]
+
+    def test_leader_flag_splits_class(self):
+        graph = sim.clique_path_graph(1, 4)
+        prev = partition._prev_twins(partition._weight_matrix(graph),
+                                     [False, True, False, True])
+        assert prev == [-1, -1, 0, 1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9),
+           s=st.integers(1, 4), p=st.floats(0.0, 0.7),
+           kind=st.sampled_from(["none", "neighbor", "connected", "leaders"]))
+    def test_first_brute_force_optimum(self, seed, n, s, p, kind):
+        rng = np.random.default_rng(seed)
+        s = min(s, n)
+        graph = planted_twin_graph(rng, n, p)
+        cons = {
+            "none": ConstraintSet(),
+            "neighbor": ConstraintSet(require_neighbor=True),
+            "connected": ConstraintSet(require_connected=True),
+            "leaders": ConstraintSet(
+                leader_indicator=tuple(int(x) for x in rng.random(n) < 0.6),
+                require_leader=True, require_connected=True),
+        }[kind]
+        problem = PartitionProblem(graph, s, constraints=cons)
+        decs = list(enumerate_partitions(n, s, constraints=cons, graph=graph))
+        if not decs:
+            with pytest.raises(Infeasible):
+                max_kappa(problem)
+            with pytest.raises(Infeasible):
+                min_scut(problem)
+            return
+        kappas = [kappa(graph, dec) for dec in decs]
+        res = max_kappa(problem)
+        assert res.optimal
+        assert res.value == max(kappas)
+        assert res.dec == decs[kappas.index(max(kappas))]
+        cuts = [cut_weight(graph, dec) for dec in decs]
+        res = min_scut(problem)
+        assert res.optimal
+        assert res.value == float(min(cuts))
+        assert res.dec == decs[cuts.index(min(cuts))]
+
+
 class TestMinScut:
     def test_clique_path_cliques_optimal(self):
         graph = sim.clique_path_graph(3, 3)
@@ -178,9 +268,9 @@ class TestMinScut:
         assert np.trace(parts.g2) == pytest.approx(4.0)
 
     def test_node_count(self):
-        # the cut bound is unchanged, and so is the search it prunes
+        # the cut bound and twin pruning fix the search exactly
         graph = sim.clique_path_graph(3, 3)
-        assert min_scut(PartitionProblem(graph, 3)).nodes == 100
+        assert min_scut(PartitionProblem(graph, 3)).nodes == 89
 
     def test_triangle_forced_singletons(self):
         graph = CostGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
