@@ -1,7 +1,8 @@
 """Hot numerical loops: RK4 rollout with cost quadrature, ADP data collection.
 
-For a fixed gain the closed loop xdot = (A - BK) x + B w is LTI, so one
-classical RK4 step of length h is an exact linear map
+For a fixed gain the closed loop xdot = (A - BK) x + B w is LTI, where w is
+the disturbance d in a rollout and the excitation plus disturbance e + d in a
+collect.  One classical RK4 step of length h is then an exact linear map
 
     x+ = T x + G0 w(t) + Gh w(t + h/2) + G1 w(t + h),
 
@@ -123,13 +124,6 @@ def _step_drive(w):
     return np.hstack([w[0:-1:2], w[1::2], w[2::2]])
 
 
-def _stage_rows(half):
-    """Values at the four RK4 stages of a (2L+1, m) half-grid slice, as
-    (4L, m) rows, row 4s + i at stage i + 1 of step s."""
-    stacked = np.stack([half[0:-1:2], half[1::2], half[1::2], half[2::2]], axis=1)
-    return stacked.reshape(-1, half.shape[1])
-
-
 def _powers(t_map):
     """Transposed powers (T^j)', j = 1..BLOCK, as a (BLOCK, n, n) stack, so
     that row states x' map to (T^j x)' = x' (T^j)'."""
@@ -173,21 +167,24 @@ def _first_bad(x_rows, guard):
     return int(np.flatnonzero(~(np.abs(x_rows) <= limit).all(axis=1))[0])
 
 
-def rollout_kernel(a, b, k, exo_cmd, exo_dist, x0, dt, n_steps, q, r, guard):
-    """Closed-loop RK4 rollout of xdot = A x + B(u + d), u = -K x + e.
+def rollout_kernel(a, b, k, exo_dist, x0, dt, n_steps, q, r, guard):
+    """Closed-loop RK4 rollout of xdot = A x + B(u + d), u = -K x.
 
-    exo_cmd/exo_dist are (2*n_steps+1, m) half-grid tables for e and d.
-    Returns (states, inputs, cost, ju, status, last_step); cost and ju carry
-    the RK4-quadrature running integrals of x'Qx + u'Ru and u'u.
+    exo_dist is the (2*n_steps+1, m) half-grid table of d.  Returns (states,
+    inputs, cost, ju, status, last_step); cost and ju carry the
+    RK4-quadrature running integrals of x'Qx + u'Ru and u'u.
     """
     n = a.shape[0]
     m = b.shape[1]
+    # u = x (-K)': negating the gain, not the product, records u = +0.0
+    # where K x is zero
+    k_neg = -k
     xs = np.zeros((n_steps + 1, n))
     us = np.zeros((n_steps + 1, m))
     cost = np.zeros(n_steps + 1)
     ju = np.zeros(n_steps + 1)
     xs[0] = x0
-    us[0] = -np.dot(k, x0) + exo_cmd[0]
+    us[0] = x0 @ k_neg.T
     status = OK
     last = n_steps
     t_map, g_map, s_map = _rk4_maps(a, b, k, dt)
@@ -198,8 +195,7 @@ def rollout_kernel(a, b, k, exo_cmd, exo_dist, x0, dt, n_steps, q, r, guard):
     with np.errstate(over="ignore", invalid="ignore"):
         for s0 in range(0, n_steps, CHUNK):
             s1 = min(s0 + CHUNK, n_steps)
-            e = exo_cmd[2 * s0:2 * s1 + 1]
-            wz = _step_drive(e + exo_dist[2 * s0:2 * s1 + 1])
+            wz = _step_drive(exo_dist[2 * s0:2 * s1 + 1])
             _advance(t_pows, g_map, xs, wz, s0, s1)
             keep = s1 - s0
             bad = _first_bad(xs[s0 + 1:s1 + 1], guard)
@@ -213,14 +209,14 @@ def rollout_kernel(a, b, k, exo_cmd, exo_dist, x0, dt, n_steps, q, r, guard):
             xst[:, :n] = x_rows
             np.matmul(np.hstack([x_rows, wz[:keep]]), later_stages, out=xst[:, n:])
             xst = xst.reshape(-1, n)
-            ust = _stage_rows(e[:2 * keep + 1]) - xst @ k.T
+            ust = xst @ k_neg.T
             cst = np.sum((xst @ q.T) * xst, axis=1) + np.sum((ust @ r.T) * ust, axis=1)
             jst = np.sum(ust * ust, axis=1)
             for acc, stage_vals in ((cost, cst), (ju, jst)):
                 run = acc[s0:s0 + keep + 1]
                 run[1:] = stage_vals.reshape(keep, 4) @ weights
                 np.cumsum(run, out=run)
-            us[s0 + 1:s0 + keep + 1] = e[2:2 * keep + 1:2] - xs[s0 + 1:s0 + keep + 1] @ k.T
+            us[s0 + 1:s0 + keep + 1] = xs[s0 + 1:s0 + keep + 1] @ k_neg.T
             if status == BLOWUP:
                 for arr in (xs, us, cost, ju):
                     arr[last + 1:] = 0.0

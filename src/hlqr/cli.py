@@ -42,12 +42,6 @@ from .sim import (
 
 __all__ = ["ExperimentConfig", "ReportRow", "run_experiment", "bench_tables", "main"]
 
-REPORT_COLUMNS = [
-    "label", "kappa", "trace_g2", "cond_p", "j_mean", "j_u", "n_c",
-    "learn_time", "sop",
-]
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one end-to-end experiment."""
@@ -150,6 +144,9 @@ class ReportRow:
 
     def cells(self):
         return [getattr(self, c) for c in REPORT_COLUMNS]
+
+
+REPORT_COLUMNS = [f.name for f in fields(ReportRow)]
 
 
 @dataclass(frozen=True)
@@ -497,12 +494,12 @@ def bench_tables(which, out_dir="out", seed=0):
 
 
 def _add_common(p):
-    p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument("--seed", type=int, help="master RNG seed")
     p.add_argument("--out", help="output directory")
 
 
 def _add_scenario_flags(p):
+    p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument("scenario", nargs="?", help="example1 | five_node | formation")
     p.add_argument("--s", type=int, help="number of clusters / cliques")
     p.add_argument("--c", type=int, help="clique size (example1)")

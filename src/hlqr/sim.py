@@ -97,8 +97,8 @@ class BlackBoxPlant:
     """Simulation handle exposing dimensions and trajectory data only.
 
     Wraps private dynamics matrices and the (measurable) disturbance; the
-    learning pipeline interacts with plants exclusively through rollout() and
-    collect(), never reading A or B.
+    learning pipeline interacts with plants exclusively through collect(),
+    never reading A or B.
     """
 
     def __init__(self, a, b, disturbance=None):
@@ -117,18 +117,12 @@ class BlackBoxPlant:
     def _dist_table(self, dt, n_steps):
         return tabulate_signal(self._dist, dt, n_steps, self.n_inputs)
 
-    def rollout(self, k, exo_cmd, x0, dt, n_steps, q=None, r=None,
-                guard=DEFAULT_GUARD):
-        """Closed-loop run under u = -K x + e; returns the raw kernel tuple."""
-        n, m = self.n_states, self.n_inputs
-        if q is None:
-            q = np.zeros((n, n))
-        if r is None:
-            r = np.zeros((m, m))
-        exo_cmd = _check_table(exo_cmd, dt, n_steps, m)
+    def rollout(self, k, x0, dt, n_steps, q, r, guard=DEFAULT_GUARD):
+        """Closed-loop run under u = -K x with running cost x'Qx + u'Ru;
+        returns the raw kernel tuple."""
         return _kernels.rollout_kernel(
             self._a, self._b, np.ascontiguousarray(k, dtype=float),
-            exo_cmd, self._dist_table(dt, n_steps),
+            self._dist_table(dt, n_steps),
             np.ascontiguousarray(x0, dtype=float), float(dt), int(n_steps),
             np.ascontiguousarray(q, dtype=float),
             np.ascontiguousarray(r, dtype=float),
@@ -165,8 +159,6 @@ def tabulate_signal(f, dt, n_steps, m):
 
 
 def _check_table(table, dt, n_steps, m):
-    if table is None:
-        return np.zeros((2 * n_steps + 1, m))
     table = np.ascontiguousarray(table, dtype=float)
     if table.shape != (2 * n_steps + 1, m):
         raise DimensionMismatch(
@@ -195,11 +187,12 @@ class Trajectory:
 
 
 def integrate(sys, k, x0, t_final, dt, cost=None):
-    """Simulate the closed loop u = -K x and return a Trajectory.
+    """Simulate the MasSystem's closed loop u = -K x and return a Trajectory.
 
-    cost may be a CostSpec or a (Q, R) pair; running_ju accumulates u'u
-    always.  The trajectory has n_steps + 1 = round(t_final / dt) + 1 rows;
-    raises StateBlowup when a state entry exceeds DEFAULT_GUARD in magnitude.
+    running_cost integrates x'Qx + u'Ru of the CostSpec cost, or zero when
+    cost is None; running_ju accumulates u'u always.  The trajectory has
+    n_steps + 1 = round(t_final / dt) + 1 rows; raises StateBlowup when a
+    state entry exceeds DEFAULT_GUARD in magnitude.
     """
     x0 = np.asarray(x0, dtype=float)
     if not dt > 0:
@@ -210,20 +203,13 @@ def integrate(sys, k, x0, t_final, dt, cost=None):
     if n_steps < 1:
         raise InvalidConfig(f"t_final={t_final} shorter than one step dt={dt}")
 
-    if isinstance(cost, CostSpec):
-        q, r = assemble_q(cost), cost.r
-    elif cost is None:
-        q = r = None
-    else:
-        q, r = cost
-
-    k = np.asarray(k, dtype=float)
-    plant = sys.black_box() if isinstance(sys, MasSystem) else sys
-    if q is None:
+    plant = sys.black_box()
+    if cost is None:
         q = np.zeros((plant.n_states, plant.n_states))
         r = np.zeros((plant.n_inputs, plant.n_inputs))
-    xs, us, c, ju, status, last = plant.rollout(k, None, x0, dt, n_steps,
-                                                q=q, r=r)
+    else:
+        q, r = assemble_q(cost), cost.r
+    xs, us, c, ju, status, last = plant.rollout(k, x0, dt, n_steps, q, r)
     if status == _kernels.BLOWUP:
         raise StateBlowup(f"state exceeded guard {DEFAULT_GUARD:g} at step {last}")
     return Trajectory(np.arange(n_steps + 1) * dt, xs, us, c, ju)

@@ -1,16 +1,21 @@
-"""The benchmark's span names still resolve in the library.
+"""The benchmark's span names and positional reads still hold in the library.
 
 perfbench/spans.py resolves every public function of its MODULES and every
 EXTRA attribute path by name when a benchmark run starts, so deleting or
 renaming one of them fails every run.  Its layer_metrics reads spans by the
 names given to _is(...), and a name that no longer resolves reads 0 rather
-than failing.  The module is read and executed here without importing it,
-so nothing is written under perfbench/.
+than failing.  Its _counts reads step counts from arguments and results by
+position, so a moved argument miscounts silently.  The module is read and
+executed here without importing it, so nothing is written under perfbench/.
 """
 
 import ast
 import pathlib
 import types
+
+import numpy as np
+
+from hlqr import _kernels, adp, sim
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -45,3 +50,45 @@ def test_every_metric_span_resolves():
              for arg in node.args if isinstance(arg, ast.Constant)}
     assert "matops.solve_lyapunov" in names
     assert names <= set(found), sorted(names - set(found))
+
+
+def test_counts_read_real_calls(monkeypatch):
+    # _counts reads steps (and the rollout kernel's operation count) from the
+    # arguments and results by position; record them as integrate and
+    # adp.collect pass them, through the plant methods into the kernels
+    calls = {}
+
+    def spy(owner, attr, name):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            out = original(*args, **kwargs)
+            calls[name] = (args, out)
+            return out
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    spy(sim.BlackBoxPlant, "rollout", "sim.BlackBoxPlant.rollout")
+    spy(sim.BlackBoxPlant, "collect", "sim.BlackBoxPlant.collect")
+    spy(_kernels, "rollout_kernel", "_kernels.rollout_kernel")
+    spy(_kernels, "collect_kernel", "_kernels.collect_kernel")
+
+    mas, spec = sim.clique_path_scenario(1, 2)
+    n, m = 8, 4
+    n_steps = 300
+    sim.integrate(mas, np.zeros((m, n)), np.ones(n), n_steps * 1e-2, 1e-2,
+                  cost=spec)
+    windows, spw = 7, 20
+    adp.collect(mas.black_box(), None, adp.Excitation.make(3, m),
+                windows * spw * 1e-3, 1e-3, spw * 1e-3)
+    assert len(calls) == 4
+
+    spans = load_spans()
+    for name, steps in (("sim.BlackBoxPlant.rollout", n_steps),
+                        ("_kernels.rollout_kernel", n_steps),
+                        ("sim.BlackBoxPlant.collect", windows * spw),
+                        ("_kernels.collect_kernel", windows * spw)):
+        assert spans._counts(name, *calls[name])["steps"] == steps, name
+    counts = spans._counts("_kernels.rollout_kernel",
+                           *calls["_kernels.rollout_kernel"])
+    assert counts["ops"] == n_steps * spans.rollout_ops_per_step(n, m)

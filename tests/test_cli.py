@@ -96,6 +96,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["bench"])
 
+    def test_bench_rejects_config(self, tmp_path):
+        # bench builds its tables from fixed settings; a config file it would
+        # not read is refused, not ignored
+        config = tmp_path / "c.json"
+        config.write_text("{}")
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--which", "rl-compare", "--config", str(config),
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_module_entry_point_without_warning(self):
         # runpy warns when the package has already imported hlqr.cli
         src = str(Path(cli.__file__).resolve().parents[1])

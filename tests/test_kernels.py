@@ -20,9 +20,12 @@ def damped_rotation():
     return a, b
 
 
+def zero_table(n_steps, m):
+    return np.zeros((2 * n_steps + 1, m))
+
+
 def zero_tables(n_steps, m):
-    z = np.zeros((2 * n_steps + 1, m))
-    return z, z.copy()
+    return zero_table(n_steps, m), zero_table(n_steps, m)
 
 
 def assert_rel(actual, expected, tol=1e-12):
@@ -93,14 +96,12 @@ def collect_step_loop(a, b, k0, exo_cmd, exo_dist, x0, dt, steps_per_window,
     return xb, ixx, ixv, raw_x, raw_v, status, done
 
 
-def rollout_oracle(a, b, k, cmd, disturbance, x0, dt, n_steps, q, r):
-    """The callable-controller RK4 loop with u = -K x + e from the table."""
+def rollout_oracle(a, b, k, disturbance, x0, dt, n_steps, q, r):
+    """The callable-controller RK4 loop with u = -K x and the disturbance
+    signal d entering as B(u + d)."""
     plant = BlackBoxPlant(a, b, disturbance)
-
-    def controller(t, x):
-        return -k @ x + cmd[int(round(2.0 * t / dt))]
-
-    return integrate_callable(plant, controller, x0, dt, n_steps, q, r, np.inf)
+    return integrate_callable(plant, lambda t, x: -k @ x, x0, dt, n_steps, q, r,
+                              np.inf)
 
 
 def assert_rollout_matches(out, traj, last):
@@ -137,14 +138,13 @@ class TestBackendParity:
         a, b = damped_rotation()
         k = np.array([[0.3, 0.4]])
         n_steps = 400
-        cmd = tabulate_signal(Pointwise(lambda t: np.array([0.2 * np.sin(3.0 * t)])),
-                              1e-2, n_steps, 1)
-        dist = np.zeros_like(cmd)
+        signal = Pointwise(lambda t: np.array([0.2 * np.sin(3.0 * t)]))
+        dist = tabulate_signal(signal, 1e-2, n_steps, 1)
         x0 = np.array([1.0, -1.0])
-        out = _kernels.rollout_kernel(a, b, k, cmd, dist, x0, 1e-2, n_steps,
+        out = _kernels.rollout_kernel(a, b, k, dist, x0, 1e-2, n_steps,
                                       np.eye(2), np.eye(1), 1e6)
         assert out[4] == _kernels.OK and out[5] == n_steps
-        traj = rollout_oracle(a, b, k, cmd, None, x0, 1e-2, n_steps,
+        traj = rollout_oracle(a, b, k, signal, x0, 1e-2, n_steps,
                               np.eye(2), np.eye(1))
         assert_rollout_matches(out, traj, n_steps)
 
@@ -152,32 +152,29 @@ class TestBackendParity:
         mas, spec, baseline_k, x0 = sim.build_formation(sim.default_formation())
         plant = mas.black_box()
         dt, n_steps = 1e-3, 2 * _kernels.CHUNK + 300
-        m = plant.n_inputs
-        cmd = np.zeros((2 * n_steps + 1, m))
-        dist = tabulate_signal(mas.disturbance, dt, n_steps, m)
+        dist = tabulate_signal(mas.disturbance, dt, n_steps, plant.n_inputs)
         assert plant.n_states == 48 and np.any(dist)
         q, r = assemble_q(spec), spec.r
-        out = _kernels.rollout_kernel(plant._a, plant._b, baseline_k, cmd, dist,
+        out = _kernels.rollout_kernel(plant._a, plant._b, baseline_k, dist,
                                       x0, dt, n_steps, q, r, 1e6)
         assert out[4] == _kernels.OK
-        traj = rollout_oracle(plant._a, plant._b, baseline_k, cmd,
-                              mas.disturbance, x0, dt, n_steps, q, r)
+        traj = rollout_oracle(plant._a, plant._b, baseline_k, mas.disturbance,
+                              x0, dt, n_steps, q, r)
         assert_rollout_matches(out, traj, n_steps)
 
     def test_rollout_blowup_mid_chunk(self):
         a, b = damped_rotation()
         k = np.array([[0.0, -1.5]])  # destabilizing: closed-loop poles at +0.25
         dt, n_steps = 1e-2, 3000
-        cmd = tabulate_signal(Pointwise(lambda t: np.array([0.1 * np.cos(2.0 * t)])),
-                              dt, n_steps, 1)
-        dist = np.zeros_like(cmd)
+        signal = Pointwise(lambda t: np.array([0.1 * np.cos(2.0 * t)]))
+        dist = tabulate_signal(signal, dt, n_steps, 1)
         x0 = np.array([1.0, 0.0])
-        traj = rollout_oracle(a, b, k, cmd, None, x0, dt, n_steps,
+        traj = rollout_oracle(a, b, k, signal, x0, dt, n_steps,
                               np.eye(2), np.eye(1))
         guard = 50.0
         last = int(np.flatnonzero(np.abs(traj.states).max(axis=1) > guard)[0])
         assert _kernels.CHUNK < last < n_steps and last % _kernels.CHUNK
-        out = _kernels.rollout_kernel(a, b, k, cmd, dist, x0, dt, n_steps,
+        out = _kernels.rollout_kernel(a, b, k, dist, x0, dt, n_steps,
                                       np.eye(2), np.eye(1), guard)
         assert out[4] == _kernels.BLOWUP and out[5] == last
         assert_rollout_matches(out, traj, last)
@@ -300,14 +297,13 @@ class TestBlockedRecurrence:
         a, b = damped_rotation()
         k = np.array([[0.3, 0.4]])
         dt = 1e-2
-        cmd = tabulate_signal(Pointwise(lambda t: np.array([0.2 * np.sin(3.0 * t)])),
-                              dt, n_steps, 1)
-        dist = np.zeros_like(cmd)
+        signal = Pointwise(lambda t: np.array([0.2 * np.sin(3.0 * t)]))
+        dist = tabulate_signal(signal, dt, n_steps, 1)
         x0 = np.array([1.0, -1.0])
-        out = _kernels.rollout_kernel(a, b, k, cmd, dist, x0, dt, n_steps,
+        out = _kernels.rollout_kernel(a, b, k, dist, x0, dt, n_steps,
                                       np.eye(2), np.eye(1), 1e6)
         assert out[4] == _kernels.OK and out[5] == n_steps
-        traj = rollout_oracle(a, b, k, cmd, None, x0, dt, n_steps,
+        traj = rollout_oracle(a, b, k, signal, x0, dt, n_steps,
                               np.eye(2), np.eye(1))
         assert_rollout_matches(out, traj, n_steps)
 
@@ -337,12 +333,11 @@ class TestBlockedRecurrence:
         a, b, k, x0 = growing_pair()
         dt, n_steps = 1e-2, 2 * _kernels.CHUNK
         step = _kernels.CHUNK + 3 * self.B + row + 1
-        cmd, dist = zero_tables(n_steps, 1)
-        traj = rollout_oracle(a, b, k, cmd, None, x0, dt, n_steps,
+        traj = rollout_oracle(a, b, k, None, x0, dt, n_steps,
                               np.eye(2), np.eye(1))
         guard = guard_before(traj.states, step)
-        out = _kernels.rollout_kernel(a, b, k, cmd, dist, x0, dt, n_steps,
-                                      np.eye(2), np.eye(1), guard)
+        out = _kernels.rollout_kernel(a, b, k, zero_table(n_steps, 1), x0, dt,
+                                      n_steps, np.eye(2), np.eye(1), guard)
         assert out[4] == _kernels.BLOWUP and out[5] == step
         assert_rollout_matches(out, traj, step)
 
@@ -370,7 +365,7 @@ class TestBlockedRecurrence:
         n_steps, steps = 300, 10
         cmd, dist = zero_tables(n_steps, 1)
         xs, *_, status, last = _kernels.rollout_kernel(
-            a, b, k, cmd, dist, np.array([1.0]), 1.0, n_steps,
+            a, b, k, dist, np.array([1.0]), 1.0, n_steps,
             np.eye(1), np.eye(1), np.inf)
         assert status == _kernels.BLOWUP and 0 < last < n_steps
         assert np.all(np.isfinite(xs[:last])) and not np.isfinite(xs[last, 0])
@@ -390,11 +385,10 @@ class TestKernelInterface:
     def test_rollout_tuple(self):
         a, b, k, x0 = growing_pair()
         n_steps = 300
-        cmd, dist = zero_tables(n_steps, 1)
         for out in (
-            _kernels.rollout_kernel(a, b, k, cmd, dist, x0, 1e-2, n_steps,
-                                    np.eye(2), np.eye(1), 5.0),
-            BlackBoxPlant(a, b).rollout(k, cmd, x0, 1e-2, n_steps,
+            _kernels.rollout_kernel(a, b, k, zero_table(n_steps, 1), x0, 1e-2,
+                                    n_steps, np.eye(2), np.eye(1), 5.0),
+            BlackBoxPlant(a, b).rollout(k, x0, 1e-2, n_steps,
                                         np.eye(2), np.eye(1), guard=5.0),
         ):
             assert len(out) == 6
@@ -443,9 +437,8 @@ class TestIntegrationAccuracy:
         b = np.zeros((1, 1))
         k = np.zeros((1, 1))
         n_steps = 1000
-        cmd, dist = zero_tables(n_steps, 1)
         xs, _, _, _, status, last = _kernels.rollout_kernel(
-            a, b, k, cmd, dist, np.array([1.0]), 1e-3, n_steps,
+            a, b, k, zero_table(n_steps, 1), np.array([1.0]), 1e-3, n_steps,
             np.eye(1), np.eye(1), 1e6)
         assert status == _kernels.OK
         assert abs(xs[-1, 0] - np.exp(-1.0)) < 1e-8
@@ -457,10 +450,9 @@ class TestIntegrationAccuracy:
         x0 = np.array([1.0, 0.0])
 
         def endpoint(dt, n_steps):
-            cmd, dist = zero_tables(n_steps, 1)
             xs, *_ = _kernels.rollout_kernel(
-                a, b, k, cmd, dist, x0, dt, n_steps, np.eye(2), np.eye(1),
-                1e6)
+                a, b, k, zero_table(n_steps, 1), x0, dt, n_steps, np.eye(2),
+                np.eye(1), 1e6)
             return xs[-1]
 
         import scipy.linalg
@@ -476,9 +468,8 @@ class TestIntegrationAccuracy:
         b = np.zeros((1, 1))
         k = np.zeros((1, 1))
         n_steps = 20000
-        cmd, dist = zero_tables(n_steps, 1)
         _, _, cost, _, status, _ = _kernels.rollout_kernel(
-            a, b, k, cmd, dist, np.array([2.0]), 1e-3, n_steps,
+            a, b, k, zero_table(n_steps, 1), np.array([2.0]), 1e-3, n_steps,
             np.eye(1), np.eye(1), 1e6)
         assert status == _kernels.OK
         assert abs(cost[-1] - 2.0) < 1e-6
@@ -490,9 +481,8 @@ class TestGuards:
         b = np.zeros((1, 1))
         k = np.zeros((1, 1))
         n_steps = 5000
-        cmd, dist = zero_tables(n_steps, 1)
         xs, _, _, _, status, last = _kernels.rollout_kernel(
-            a, b, k, cmd, dist, np.array([1.0]), 1e-2, n_steps,
+            a, b, k, zero_table(n_steps, 1), np.array([1.0]), 1e-2, n_steps,
             np.eye(1), np.eye(1), 1e3)
         assert status == _kernels.BLOWUP
         assert last < n_steps
@@ -514,13 +504,13 @@ class TestGuards:
         # that step, and nothing of the second chunk is kept
         a, b, k = np.array([[0.5]]), np.zeros((1, 1)), np.zeros((1, 1))
         dt, n_steps = 1e-2, 2 * _kernels.CHUNK
-        cmd, dist = zero_tables(n_steps, 1)
-        free = _kernels.rollout_kernel(a, b, k, cmd, dist, np.array([1.0]), dt,
+        dist = zero_table(n_steps, 1)
+        free = _kernels.rollout_kernel(a, b, k, dist, np.array([1.0]), dt,
                                        n_steps, np.zeros((1, 1)), np.zeros((1, 1)),
                                        np.inf)[0][:, 0]
         end = _kernels.CHUNK
         guard = np.sqrt(free[end - 1] * free[end])
-        out = _kernels.rollout_kernel(a, b, k, cmd, dist, np.array([1.0]), dt,
+        out = _kernels.rollout_kernel(a, b, k, dist, np.array([1.0]), dt,
                                       n_steps, np.zeros((1, 1)), np.zeros((1, 1)),
                                       guard)
         assert out[4] == _kernels.BLOWUP and out[5] == end

@@ -62,6 +62,16 @@ class TestIntegrate:
         # step response toward the forced equilibrium: x(t) = 1 - exp(-t)
         assert abs(traj.states[-1, 0] - (1.0 - np.exp(-5.0))) < 1e-8
 
+    def test_zero_feedback_recorded_as_positive_zero(self):
+        # K x is exactly zero in channel 1 throughout: u = -K x records it
+        # as +0.0, as u = 0 - K x does, never as -0.0
+        mas = MasSystem([(-np.eye(2), np.eye(2))])
+        k = np.array([[1.0, 0.0], [0.0, 2.0]])
+        traj = integrate(mas, k, np.array([1.0, 0.0]), 1.0, 1e-2)
+        assert np.all(traj.inputs[:, 0] < 0.0)
+        assert not np.any(traj.inputs[:, 1])
+        assert not np.any(np.signbit(traj.inputs[:, 1]))
+
     def test_config_guards(self):
         mas = decay_system()
         with pytest.raises(InvalidConfig):
