@@ -303,8 +303,7 @@ def _learn(mas, spec, dec, learn_cfg):
 def run_experiment(cfg):
     """Execute the configured pipeline and write all report files.
 
-    Returns (rows, paths) where rows is the list of ReportRow written to
-    report.csv.
+    Returns (row, paths) where row is the ReportRow written to report.csv.
     """
     scenario = build_scenario(cfg)
     dec, _ = choose_decomposition(cfg, scenario)
@@ -340,7 +339,7 @@ def run_experiment(cfg):
         paths["trajectory"] = fileio.write_trajectory_csv(
             f"{out}/trajectory.csv", traj, stride=10,
         )
-    return [row], paths
+    return row, paths
 
 
 # ---------------------------------------------------------------------------
@@ -579,13 +578,17 @@ def build_parser():
     return parser
 
 
-def _config_from_args(args):
+def _config_from_args(args, objective="cliques"):
+    """The --config file's settings with the flags over them; objective
+    applies when neither chooses the decomposition."""
     base = {}
     if getattr(args, "config", None):
         base = fileio.load_json(args.config)
     cfg = ExperimentConfig.from_dict(base)
 
     updates = {}
+    if "objective" not in base and cfg.assignment is None and cfg.dec_sizes is None:
+        updates["objective"] = objective
     # a flag has its field's name, except --out; --assignment is parsed below
     for f in fields(ExperimentConfig):
         if f.name == "assignment":
@@ -613,11 +616,7 @@ def _int_list(flag, text):
 
 
 def cmd_decompose(args):
-    cfg = _config_from_args(args)
-    explicit = getattr(args, "clusters", None) or cfg.objective in ("kappa", "scut") \
-        or cfg.assignment is not None or cfg.dec_sizes is not None
-    if not explicit:
-        cfg = replace(cfg, objective="kappa")
+    cfg = _config_from_args(args, objective="kappa")
     scenario = build_scenario(cfg)
     dec, result = choose_decomposition(cfg, scenario)
     split = split_graph(scenario.spec.graph, dec)
@@ -641,8 +640,7 @@ def cmd_decompose(args):
 
 
 def cmd_solve(args):
-    rows, _ = run_experiment(replace(_config_from_args(args), learn=False))
-    row = rows[0]
+    row, _ = run_experiment(replace(_config_from_args(args), learn=False))
     print(f"decomposition {row.label}")
     print(f"kappa={row.kappa} trace_g2={row.trace_g2} n_c={row.n_c} "
           f"cond_p={row.cond_p:.4g} sop={row.sop:.4%}")
@@ -652,8 +650,7 @@ def cmd_solve(args):
 def cmd_learn(args):
     cfg = _config_from_args(args)
     cfg = replace(cfg, learn=True)
-    rows, paths = run_experiment(cfg)
-    row = rows[0]
+    row, paths = run_experiment(cfg)
     print(f"decomposition {row.label}")
     print(f"learned gain in {row.learn_time:.3f}s; sop={row.sop:.4%} "
           f"n_c={row.n_c}")
@@ -698,11 +695,9 @@ def cmd_simulate(args):
 
 def cmd_run(args):
     cfg = _config_from_args(args)
-    rows, paths = run_experiment(cfg)
-    header = ",".join(REPORT_COLUMNS)
-    print(header)
-    for row in rows:
-        print(",".join(str(v) for v in row.cells()))
+    row, paths = run_experiment(cfg)
+    print(",".join(REPORT_COLUMNS))
+    print(",".join(str(v) for v in row.cells()))
     print(f"report: {paths['report']}")
     return 0
 

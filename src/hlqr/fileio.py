@@ -7,6 +7,7 @@ no timestamps are embedded in text files.
 
 import csv
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -97,14 +98,20 @@ def load_gain(path):
     """Load a saved gain file back into a dict of arrays.
 
     Returns keys k_h, k_local, k_global, r_tilde, bt_p, assignment, agent_m,
-    p_blocks (list).
+    p_blocks (list).  InvalidConfig unless path is an NPZ with k_h and agent_m.
     """
-    with np.load(path) as data:
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # not a NumPy file
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):  # an .npy array is no archive
+        raise InvalidConfig(f"{path} is not a gain file")
+    with data:
         out = {k: data[k] for k in data.files if not k.startswith("p_block_")}
         n_blocks = sum(1 for k in data.files if k.startswith("p_block_"))
         out["p_blocks"] = [data[f"p_block_{j}"] for j in range(n_blocks)]
-    if "k_h" not in out:
-        raise InvalidConfig(f"{path} is not a gain file")
+    if "k_h" not in out or "agent_m" not in out:
+        raise InvalidConfig(f"{path} is not a gain file: no k_h or agent_m")
     out["agent_m"] = int(out["agent_m"][0])
     return out
 

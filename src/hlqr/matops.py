@@ -4,14 +4,15 @@ Continuous-time Riccati and Lyapunov solvers and an SVD pseudoinverse with
 an explicit rank cutoff.  Controller synthesis, the suboptimality bounds, and
 the learning-oracle checks are all built on these three operations.
 
-The Riccati solver is the structure-preserving doubling algorithm, one LU
-solve and a few GEMMs per doubling and no Schur form; a doubled solution
-that misses the residual contract is polished by Newton-Kleinman steps in
-correction form, each one Lyapunov solve.  A Lyapunov solve is squared
-Smith, the same doubling without the input term, whose last power of the
-Cayley transform also certifies the matrix Hurwitz.  When the doubling
-breaks down, does not stabilize or cannot be polished, Newton-Kleinman
-starts over from stabilizing_gain, whose ordered Schur form also decides
+Both solvers run one doubling loop (_doubling), with no Schur form.  A
+Riccati solve is the structure-preserving doubling algorithm, one LU solve
+and a few GEMMs per doubling; a doubled solution that misses the residual
+contract is polished by Newton-Kleinman steps in correction form, each one
+Lyapunov solve.  A Lyapunov solve is squared Smith, the same loop without
+the input term and three GEMMs per doubling, whose last power of the Cayley
+transform also certifies the matrix Hurwitz.  When the doubling breaks
+down, does not stabilize or cannot be polished, Newton-Kleinman starts over
+from stabilizing_gain, whose ordered Schur form also decides
 stabilizability.
 
 solve_care, solve_lyapunov and pinv first split their input at the
@@ -166,9 +167,9 @@ def _schur(a, select=_no_select):
 def solve_lyapunov(a_s, w):
     """Solve a_s' V + V a_s + W = 0 for Hurwitz a_s and symmetric W.
 
-    Squared Smith (_smith) on each connected component of the graph whose
-    edges are the nonzeros of a_s, a_s' and W, so V is exactly zero between
-    components.  A V that misses the residual contract
+    Squared Smith (_doubling with G = None) on each connected component of
+    the graph whose edges are the nonzeros of a_s, a_s' and W, so V is
+    exactly zero between components.  A V that misses the residual contract
     100 TOL_RESIDUAL (1 + |V|_F) takes one defect-correction step: V += D
     with a_s' D + D a_s + Res(V) = 0, Res(V) = a_s' V + V a_s + W.
 
@@ -186,7 +187,10 @@ def solve_lyapunov(a_s, w):
     v, e = np.zeros(a_s.shape), w
     for _ in range(2):  # the solve, then at most one correction
         for c2 in blocks:
-            v[c2] += _smith(a_s[c2], e[c2])
+            h = _doubling(a_s[c2], None, e[c2])  # squared Smith
+            if h is None:
+                raise UnstableMatrix(f"{c2[0].size}-state block not certified Hurwitz")
+            v[c2] += h
         e = v @ a_s  # a_s' V is its transpose, since V is symmetric
         e += e.T
         e += w
@@ -194,48 +198,6 @@ def solve_lyapunov(a_s, w):
         if res <= TOL_RESIDUAL * (1.0 + np.linalg.norm(v, "fro")) * 100.0:
             return v
     raise IterationDiverged(f"Lyapunov residual {res:.3e} out of contract")
-
-
-def _smith(a, w):
-    """V solving a' V + V a + W = 0 by squared Smith (Smith 1968): _doubling
-    with G = 0, so W = I and there is nothing to solve per doubling.
-
-    E starts at the Cayley transform I + 2 gamma A_g^{-1} of a and H at
-    2 gamma A_g^{-T} W A_g^{-1}; each doubling sets H <- H + E' H E and
-    E <- E^2.  The doublings stop only when H moves by at most
-    sqrt(eps) |H|_1 and |E|_1 <= 1/2, which certifies a Hurwitz as in
-    _doubling; a non-normal E can fall below 1/2 only well after H has
-    stopped.  Raises UnstableMatrix when that takes more than CARE_MAX_ITER
-    doublings or H stops being finite.
-    """
-    n = a.shape[0]
-    gamma = 1.01 * np.linalg.norm(a, 1) or 1.0
-    with np.errstate(all="ignore"):
-        a_g = a - gamma * np.eye(n)
-        y = np.linalg.solve(a_g.T, w)  # A_g^{-T} W
-        a_g_inv = np.linalg.inv(a_g)
-        e = np.eye(n) + 2.0 * gamma * a_g_inv
-        h = symmetrize(2.0 * gamma * (y @ a_g_inv).T)
-        for _ in range(CARE_MAX_ITER):
-            step = e.T @ (h @ e)
-            h = h + symmetrize(step)
-            moved = np.linalg.norm(step, 1)
-            if not np.isfinite(moved):
-                break
-            if (moved <= np.sqrt(np.finfo(float).eps) * np.linalg.norm(h, 1)
-                    and np.linalg.norm(e, 1) <= 0.5):
-                return h
-            e = e @ e
-    raise UnstableMatrix(f"{n}x{n} matrix not certified Hurwitz by squared Smith")
-
-
-def _hurwitz(a):
-    """True when _smith certifies a Hurwitz."""
-    try:
-        _smith(a, np.zeros(a.shape))
-    except UnstableMatrix:
-        return False
-    return True
 
 
 def solve_continuous_lyapunov(a, q):
@@ -290,16 +252,16 @@ def solve_care(a, b, q, r, p0=None):
     Newton-Kleinman steps (Kleinman 1968), one Lyapunov solve each, when
     the doubled P misses the residual contract TOL_RESIDUAL * (1 + |P|_F).
     p0, when given, is the cost matrix of a stabilizing gain; it is returned
-    unchanged if it meets the contract and _smith certifies its closed loop
-    A - B R^{-1} B' p0 Hurwitz, and is otherwise ignored.
+    unchanged if it meets the contract and squared Smith certifies its
+    closed loop A - B R^{-1} B' p0 Hurwitz, and is otherwise ignored.
 
     The solve runs once per connected component of the graph on states
     and inputs whose edges are the nonzeros of A, A', Q, B, R and p0: P is
     zero between components.  Each of the k components with states is
     accepted at TOL_RESIDUAL * (k^{-1/2} + |P_c|_F), which keeps the assembled
-    P within the global contract.  A component without inputs doubles to its
-    Lyapunov solution (squared Smith) when it is Hurwitz and is
-    NonStabilizable otherwise; one without states adds nothing.
+    P within the global contract.  A component without inputs, G = 0, yields
+    its Lyapunov solution when it is Hurwitz and is NonStabilizable
+    otherwise; one without states adds nothing.
 
     When the doubling breaks down, its H does not stabilize (Q leaves an
     unstable or marginal mode unweighted) or its polish fails,
@@ -348,9 +310,9 @@ def _care_component(a, b, q, r, p0, floor):
     starts over from the cost matrix of stabilizing_gain(a, b)."""
     if p0 is not None:
         ok, _, k = _accepted(a, b, q, r, p0, floor)
-        if ok and _hurwitz(a - b @ k):
+        if ok and _doubling(a - b @ k, None, np.zeros(a.shape)) is not None:  # Hurwitz
             return p0
-    p = _doubling(a, b, q, r)
+    p = _doubling(a, symmetrize(b @ np.linalg.solve(r, b.T)), q)
     if p is not None:
         try:
             return _newton_kleinman(a, b, q, r, p, floor)
@@ -374,22 +336,34 @@ def _accepted(a, b, q, r, p, floor):
     return ok, res, k
 
 
-def _doubling(a, b, q, r):
-    """Stabilizing Riccati solution by the structure-preserving doubling
-    algorithm (SDA; Chu, Fan & Lin 2005), or None when it breaks down.
+def _doubling(a, g, q):
+    """Stabilizing solution X of A'X + XA + Q - X G X = 0 by doubling, or
+    None when the doubling breaks down or cannot certify X.  With
+    G = B R^{-1} B' this is the structure-preserving doubling algorithm for
+    a Riccati equation (SDA; Chu, Fan & Lin 2005); G None is squared Smith
+    for the Lyapunov equation A'X + XA + Q = 0 (Smith 1968), three GEMMs
+    per doubling and no solve.
 
-    With G = B R^{-1} B', A_g = A - gamma I and V = A_g + G A_g^{-T} Q, the
-    Cayley transform of the Hamiltonian starts E = I + 2 gamma V^{-1},
+    With A_g = A - gamma I and V = A_g + G A_g^{-T} Q (V = A_g for G None),
+    the Cayley transform of the Hamiltonian starts E = I + 2 gamma V^{-1},
     G_0 = -2 gamma A_g^{-1} G V^{-T} and H = 2 gamma V^{-T} Q A_g^{-1}.  Each
-    doubling, with W = I - G_k H, sets E <- E W^{-1} E, G_k <- G_k +
-    E W^{-1} G_k E' and H <- H + E' H W^{-1} E; H converges quadratically
-    to P, so the doublings stop once H moves by at most sqrt(eps) |H|_1.
-    For a solution X, (I - G_k X)^{-1} E is the 2^k-th power of the Cayley
-    transform (A_X - gamma I)^{-1} (A_X + gamma I) of A_X = A - G X, whose
-    eigenvalues lie inside the unit disc exactly when A_X is Hurwitz; so H
-    is returned only when W^{-1} E has 1-norm at most 1/2 at the stop.  It
-    has not when Q leaves an unstable or marginal mode unweighted: H is zero
-    in that direction from the start and stops moving at once.
+    doubling, with W = I - G_k H (W = I for G None), sets E <- E W^{-1} E,
+    G_k <- G_k + E W^{-1} G_k E' and H <- H + E' H W^{-1} E.  H converges
+    quadratically to X and has stopped once a doubling moves it by at most
+    sqrt(eps) |H|_1.
+
+    (I - G_k X)^{-1} E is the 2^k-th power of the Cayley transform
+    (A_X - gamma I)^{-1} (A_X + gamma I) of A_X = A - G X, whose eigenvalues
+    lie inside the unit disc exactly when A_X is Hurwitz.  After k
+    doublings, |W^{-1} E|_1 <= 1/2 bounds each of them in modulus by
+    2^(-2^-k), and H is returned only at a stop where that holds.  For
+    G None, E is that power whatever H is, so the doublings go on until it
+    holds (a non-normal E can fall below 1/2 well after H has stopped).
+    With a G, even a zero one, W^{-1} E is that power only at the fixed
+    point, so the first stop without it returns None.  That happens when Q
+    leaves an unstable or marginal mode unweighted: H is zero in that
+    direction from the start and stops moving at once.
+
     gamma > |A|_1 keeps A_g invertible, |A_g^{-1}|_1 <= 1 / (gamma - |A|_1),
     and V = A_g (I + A_g^{-1} G A_g^{-T} Q) with it, the second factor's
     eigenvalues being >= 1; the floor 0.1 sqrt(|G|_1 |Q|_1) sets the scale
@@ -397,29 +371,37 @@ def _doubling(a, b, q, r):
     H, or CARE_MAX_ITER doublings) raises no floating-point warning.
     """
     n = a.shape[0]
-    g = symmetrize(b @ np.linalg.solve(r, b.T))
-    gamma = max(1.01 * np.linalg.norm(a, 1),
-                0.1 * np.sqrt(np.linalg.norm(g, 1) * np.linalg.norm(q, 1))) or 1.0
     eye = np.eye(n)
-    a_g = a - gamma * eye
     with np.errstate(all="ignore"):
+        gamma = 1.01 * np.linalg.norm(a, 1)
+        if g is not None:
+            gamma = max(gamma, 0.1 * np.sqrt(np.linalg.norm(g, 1) * np.linalg.norm(q, 1)))
+        gamma = gamma or 1.0
+        a_g = a - gamma * eye
         try:
             y = np.linalg.solve(a_g.T, q)  # A_g^{-T} Q
-            v_inv = np.linalg.inv(a_g + g @ y)
+            v_inv = np.linalg.inv(a_g if g is None else a_g + g @ y)
             e = eye + 2.0 * gamma * v_inv
-            g_k = symmetrize(-2.0 * gamma * np.linalg.solve(a_g, g @ v_inv.T))
             h = symmetrize(2.0 * gamma * (y @ v_inv).T)
+            if g is not None:
+                g_k = symmetrize(-2.0 * gamma * np.linalg.solve(a_g, g @ v_inv.T))
             for _ in range(CARE_MAX_ITER):
-                x = np.linalg.solve(eye - g_k @ h, np.hstack([e, g_k]))
-                step = e.T @ (h @ x[:, :n])
+                if g is not None:
+                    x = np.linalg.solve(eye - g_k @ h, np.hstack([e, g_k]))
+                w_e = e if g is None else x[:, :n]  # W^{-1} E
+                step = e.T @ (h @ w_e)
                 h = h + symmetrize(step)
                 moved = np.linalg.norm(step, 1)
                 if not np.isfinite(moved):
                     return None
                 if moved <= np.sqrt(np.finfo(float).eps) * np.linalg.norm(h, 1):
-                    return h if np.linalg.norm(x[:, :n], 1) <= 0.5 else None
-                g_k = symmetrize(g_k + (e @ x[:, n:]) @ e.T)
-                e = e @ x[:, :n]
+                    if np.linalg.norm(w_e, 1) <= 0.5:
+                        return h
+                    if g is not None:
+                        return None
+                if g is not None:
+                    g_k = symmetrize(g_k + (e @ x[:, n:]) @ e.T)
+                e = e @ w_e
         except np.linalg.LinAlgError:
             return None
     return None

@@ -166,6 +166,18 @@ class TestDecompose:
         assert info["objective"] == "kappa"
         assert info["kappa"] == 15
 
+    def test_config_file_objective_kept(self, tmp_path):
+        # the kappa default applies only when neither the flags nor the
+        # config file choose an objective: here the file chooses cliques
+        config = tmp_path / "c.json"
+        config.write_text('{"objective": "cliques", "s": 2, "c": 2}')
+        rc = main(["decompose", "example1", "--config", str(config),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        info = fileio.load_json(tmp_path / "decomposition.json")
+        assert info["objective"] == "cliques"
+        assert info["label"] == "1,2|3,4"
+
     def test_scut_search(self, tmp_path):
         rc = main(["decompose", "five_node", "--s", "2",
                    "--objective", "scut", "--out", str(tmp_path)])

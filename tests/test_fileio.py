@@ -103,6 +103,25 @@ class TestGainFiles:
         with pytest.raises(InvalidConfig):
             fileio.load_gain(path)
 
+    @pytest.mark.parametrize("name", ["README.md", "k_h.npy", "broken.npz"])
+    def test_rejects_non_npz_file(self, name, tmp_path):
+        # text, which numpy declines to unpickle, a bare .npy array, and a
+        # file with a zip signature but no archive behind it
+        path = tmp_path / name
+        if name.endswith(".npy"):
+            np.save(path, np.eye(2))
+        else:
+            path.write_bytes(b"PK\x03\x04" if name.endswith(".npz") else b"# hlqr\n")
+        with pytest.raises(InvalidConfig, match=f"{name} is not a gain file"):
+            fileio.load_gain(path)
+
+    def test_rejects_npz_without_agent_m(self, tmp_path):
+        gain, _ = self.make_gain()
+        path = tmp_path / "k_h.npz"
+        np.savez(path, k_h=gain.k_h)
+        with pytest.raises(InvalidConfig, match="k_h.npz is not a gain file"):
+            fileio.load_gain(path)
+
 
 class TestTrajectoryCsv:
     def make_traj(self):

@@ -192,6 +192,21 @@ class TestSolveCare:
                 with pytest.raises(NonStabilizable):
                     matops.solve_care(a, b, q, np.eye(b.shape[1]))
 
+    def test_blind_marginal_mode_in_any_basis(self):
+        # diag(0, -1, 2) in a random orthonormal basis, B reaching only the
+        # unstable mode and Q blind to the zero mode: no stabilizing P
+        # exists.  The Riccati doubling stops with H still, and gives up
+        # there; squaring E on until |E|_1 <= 1/2, as squared Smith does,
+        # would return a P for 19 of these 20 bases
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            s = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            a = s @ np.diag([0.0, -1.0, 2.0]) @ s.T
+            b = s @ np.array([[0.0], [0.0], [1.0]])
+            q = s @ np.diag([0.0, 1.0, 1.0]) @ s.T
+            with pytest.raises((NonStabilizable, IterationDiverged)):
+                matops.solve_care(a, b, q, np.eye(1))
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             matops.solve_care(np.eye(3), np.ones((2, 1)), np.eye(3), np.eye(1))
@@ -262,9 +277,17 @@ class TestSolveCare:
         a, b = random_controllable(rng, 5, 2)
         q, r = np.eye(5), np.eye(2)
         p = matops.solve_care(a, b, q, r)
-        monkeypatch.setattr(matops, "_doubling", None)
+        doubling, calls = matops._doubling, []
+
+        def lyapunov_only(a, g, q):
+            assert g is None, "a Riccati doubling ran"
+            calls.append(1)
+            return doubling(a, g, q)
+
+        monkeypatch.setattr(matops, "_doubling", lyapunov_only)
         monkeypatch.setattr(matops, "solve_lyapunov", None)
         assert np.array_equal(matops.solve_care(a, b, q, r, p0=p), p)
+        assert len(calls) == 1  # squared Smith certifies the gain Hurwitz
 
     def test_destabilizing_warm_start_ignored(self):
         # p0 = 0, whose gain K = 0 leaves A = I unstable, misses the
