@@ -27,7 +27,7 @@ from .errors import HlqrError, InvalidConfig
 from .graphcost import Decomposition, comm_links, kappa, split_graph
 from .hierctrl import _cond, _evaluate, hierarchical_gain
 from .matops import solve_lyapunov, symmetrize
-from .partition import ConstraintSet, PartitionProblem, max_kappa, min_scut
+from .partition import PartitionProblem, max_kappa, min_scut
 from .sim import (
     build_formation,
     clique_decomposition,
@@ -209,15 +209,7 @@ def choose_decomposition(cfg, scenario):
     if cfg.objective == "assignment":
         raise InvalidConfig("objective 'assignment' needs an explicit "
                             "assignment or cluster sizes")
-    constraints = None
-    if scenario.formation is not None:
-        indicator = np.zeros(n_agents)
-        indicator[list(scenario.formation.leaders)] = 1.0
-        constraints = ConstraintSet(
-            leader_indicator=indicator,
-            require_leader=True,
-            require_connected=True,
-        )
+    constraints = None if scenario.formation is None else scenario.formation.constraints
     problem = PartitionProblem(graph=spec.graph, s=cfg.s, constraints=constraints)
     result = max_kappa(problem) if cfg.objective == "kappa" else min_scut(problem)
     if not result.optimal:
@@ -580,14 +572,15 @@ def build_parser():
 
 def _config_from_args(args, objective="cliques"):
     """The --config file's settings with the flags over them; objective
-    applies when neither chooses the decomposition."""
+    applies when neither names one.  An explicit assignment or cluster sizes,
+    from either, choose the decomposition and record objective 'assignment'."""
     base = {}
     if getattr(args, "config", None):
         base = fileio.load_json(args.config)
     cfg = ExperimentConfig.from_dict(base)
 
     updates = {}
-    if "objective" not in base and cfg.assignment is None and cfg.dec_sizes is None:
+    if "objective" not in base:
         updates["objective"] = objective
     # a flag has its field's name, except --out; --assignment is parsed below
     for f in fields(ExperimentConfig):
@@ -600,11 +593,12 @@ def _config_from_args(args, objective="cliques"):
         updates["objective"] = "cliques"
     if getattr(args, "assignment", None):
         updates["assignment"] = _int_list("--assignment", args.assignment)
-        updates["objective"] = "assignment"
     if getattr(args, "dec", None):
         updates["dec_sizes"] = _int_list("--dec", args.dec)
-        updates["objective"] = "assignment"
-    return replace(cfg, **updates)
+    cfg = replace(cfg, **updates)
+    if cfg.assignment is not None or cfg.dec_sizes is not None:
+        cfg = replace(cfg, objective="assignment")
+    return cfg
 
 
 def _int_list(flag, text):

@@ -7,6 +7,12 @@ Qhat = Qbar + G1 (x) Qtilde is block-diagonal cluster by cluster) and G2 the
 inter-cluster remainder.  This module owns those structures plus the
 communication metrics kappa, tr(G2) and the gain-sparsity link count n_c.
 
+Two agents are coupled exactly when their Laplacian entry is nonzero.
+CostGraph rejects any coupling weight in (0, ADJACENCY_TOL], so that every
+structural query (adjacency, connectivity, cluster adjacency, kappa, the
+split and the decomposition search) reads the same exact nonzero pattern as
+the gain's zero blocks.
+
 Agent and cluster indices are 0-based throughout; human-readable labels are
 1-based to match the usual tabulated form.
 """
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDecomposition, NonStabilizable, NotALaplacian
-from .matops import _pd, block_diag, is_psd, stabilizing_gain, symmetrize
+from .matops import _components, _pd, block_diag, is_psd, stabilizing_gain, symmetrize
 
 __all__ = [
     "CostGraph",
@@ -33,7 +39,7 @@ __all__ = [
     "check_assumptions",
 ]
 
-#: absolute tolerance below which a coupling weight is treated as zero
+#: smallest coupling weight a CostGraph accepts: a weight is zero or above it
 ADJACENCY_TOL = 1e-12
 
 
@@ -42,7 +48,8 @@ class CostGraph:
     """Laplacian coupling graph on n_agents nodes.
 
     laplacian has nonpositive off-diagonal entries and diagonal equal to the
-    row sums of the off-diagonal magnitudes.
+    row sums of the off-diagonal magnitudes.  Agents i != j are coupled iff
+    laplacian[i, j] != 0; every coupling weight exceeds ADJACENCY_TOL.
     """
 
     n_agents: int
@@ -55,15 +62,20 @@ class CostGraph:
             raise NotALaplacian(f"expected {n}x{n} matrix, got {g.shape}")
         if not np.allclose(g, g.T, rtol=0.0, atol=1e-12):
             raise NotALaplacian("matrix is not symmetric")
+        g = symmetrize(g)
         off = g - np.diag(np.diag(g))
-        if np.any(off > ADJACENCY_TOL):
+        if np.any(off > 0.0):
             raise NotALaplacian("positive off-diagonal entry")
-        row_abs = np.abs(off).sum(axis=1)
-        if not np.allclose(np.diag(g), row_abs, rtol=0.0, atol=1e-9):
+        if np.any((off < 0.0) & (off >= -ADJACENCY_TOL)):
+            raise NotALaplacian(
+                f"coupling weight in (0, {ADJACENCY_TOL:g}]: a weight must be "
+                f"zero or above it"
+            )
+        if not np.allclose(np.diag(g), -off.sum(axis=1), rtol=0.0, atol=1e-9):
             raise NotALaplacian("diagonal does not equal row absolute sums")
         if not is_psd(g):
             raise NotALaplacian("matrix is not PSD")
-        object.__setattr__(self, "laplacian", symmetrize(g))
+        object.__setattr__(self, "laplacian", g)
 
     @classmethod
     def from_edges(cls, n_agents, edges):
@@ -83,35 +95,22 @@ class CostGraph:
 
     def adjacency(self):
         """Boolean matrix: True where agents are coupled (off-diagonal)."""
-        a = np.abs(self.laplacian) > ADJACENCY_TOL
+        a = self.laplacian != 0.0
         np.fill_diagonal(a, False)
         return a
 
     def edges(self):
         """Sorted list of (i, j, weight) with i < j."""
-        out = []
-        g = self.laplacian
-        for i in range(self.n_agents):
-            for j in range(i + 1, self.n_agents):
-                if abs(g[i, j]) > ADJACENCY_TOL:
-                    out.append((i, j, float(-g[i, j])))
-        return out
+        rows, cols = np.nonzero(np.triu(self.adjacency()))
+        return [(i, j, float(-self.laplacian[i, j]))
+                for i, j in zip(rows.tolist(), cols.tolist())]
 
     def connected(self, nodes=None):
         """True when the induced subgraph on nodes (default: all) is connected."""
-        nodes = list(range(self.n_agents)) if nodes is None else sorted(nodes)
+        nodes = range(self.n_agents) if nodes is None else sorted(nodes)
         if not nodes:
             return False
-        adj = self.adjacency()
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            u = stack.pop()
-            for v in nodes:
-                if v not in seen and adj[u, v]:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == len(nodes)
+        return len(_components(self.adjacency()[np.ix_(nodes, nodes)])) == 1
 
 
 def _cluster_id(v):
@@ -282,13 +281,9 @@ def split_graph(graph, dec):
 
 def cluster_adjacency(graph, dec):
     """s x s boolean matrix: True where two clusters share any coupling."""
-    gbar = np.abs(graph.laplacian)
-    adj = np.zeros((dec.s, dec.s), dtype=bool)
-    clusters = dec.clusters()
-    for i in range(dec.s):
-        for j in range(i + 1, dec.s):
-            w = gbar[np.ix_(clusters[i], clusters[j])].sum()
-            adj[i, j] = adj[j, i] = w > ADJACENCY_TOL
+    e = np.eye(dec.s, dtype=int)[list(dec.assignment)]  # agent-to-cluster 0/1
+    adj = e.T @ graph.adjacency() @ e > 0
+    np.fill_diagonal(adj, False)
     return adj
 
 
@@ -298,14 +293,8 @@ def kappa(graph, dec):
     Pairs counted by kappa need no communication link under the hierarchical
     gain; n_c = N(N-1)/2 - kappa is the matching link count.
     """
-    adj = cluster_adjacency(graph, dec)
-    sizes = dec.sizes()
-    total = 0
-    for i in range(dec.s):
-        for j in range(i + 1, dec.s):
-            if not adj[i, j]:
-                total += sizes[i] * sizes[j]
-    return total
+    sizes = np.array(dec.sizes())
+    return int(sizes @ np.triu(~cluster_adjacency(graph, dec), 1) @ sizes)
 
 
 def comm_links(k, n, m):

@@ -27,8 +27,6 @@ __all__ = [
     "gap_report",
 ]
 
-ZERO_BLOCK_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class HierarchicalGain:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Infeasible
-from .graphcost import ADJACENCY_TOL, Decomposition
+from .graphcost import Decomposition
 
 __all__ = [
     "ConstraintSet",
@@ -66,9 +66,9 @@ class ConstraintSet:
 
     leader_indicator is a 0/1 vector over agents; require_leader demands at
     least one leader per cluster.  require_neighbor demands every member of a
-    non-singleton cluster have an intra-cluster neighbor (a coupling of at
-    least the smallest nonzero weight of the graph); require_connected
-    strengthens that to full cluster connectivity.
+    non-singleton cluster have an intra-cluster neighbor, an agent it is
+    coupled to (a nonzero Laplacian entry, as everywhere in CostGraph);
+    require_connected strengthens that to full cluster connectivity.
     """
 
     leader_indicator: tuple | None = None
@@ -107,13 +107,12 @@ class PartitionResult:
 
 
 def _weight_matrix(graph):
-    w = np.abs(graph.laplacian).astype(float)
+    w = np.abs(graph.laplacian)
     np.fill_diagonal(w, 0.0)
-    w[w <= ADJACENCY_TOL] = 0.0
     return w
 
 
-def _constraints_ok(graph, constraints, clusters, weights, eps):
+def _constraints_ok(graph, constraints, clusters):
     c = constraints
     if c.require_leader:
         xi = c.leader_indicator
@@ -125,12 +124,10 @@ def _constraints_ok(graph, constraints, clusters, weights, eps):
             if len(members) > 1 and not graph.connected(members):
                 return False
     elif c.require_neighbor:
+        adj = graph.adjacency()
         for members in clusters:
-            if len(members) == 1:
-                continue
-            for u in members:
-                if not any(weights[u, v] >= eps for v in members if v != u):
-                    return False
+            if len(members) > 1 and not adj[np.ix_(members, members)].any(axis=1).all():
+                return False
     return True
 
 
@@ -145,12 +142,6 @@ def _precheck(problem):
                 f"{problem.s} clusters but only "
                 f"{sum(1 for v in c.leader_indicator if v)} leaders"
             )
-
-
-def _min_eps(weights):
-    """Smallest nonzero coupling weight (inf for a graph without edges)."""
-    nz = weights[weights > 0.0]
-    return float(nz.min()) if nz.size else np.inf
 
 
 def _mass(mask, sizes):
@@ -196,7 +187,6 @@ class _Search:
         self.budget = problem.node_budget
         self.maximize_kappa = maximize_kappa
         self.w = _weight_matrix(problem.graph)
-        self.eps = _min_eps(self.w)
 
         w = self.w.tolist()
         # each weight as an integer multiple of 1/scale, so that a cut sums
@@ -355,7 +345,7 @@ class _Search:
             clusters = [[] for _ in range(self.s)]
             for u, c in enumerate(self.assign):
                 clusters[c].append(u)
-            if not _constraints_ok(self.graph, self.cons, clusters, self.w, self.eps):
+            if not _constraints_ok(self.graph, self.cons, clusters):
                 return
             value = self.nonadj if self.maximize_kappa else cut
             if self._improves(value):

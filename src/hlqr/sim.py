@@ -16,6 +16,7 @@ from . import _kernels
 from .errors import DimensionMismatch, InvalidConfig, StateBlowup
 from .graphcost import CostGraph, CostSpec, Decomposition, assemble_q
 from .matops import abscissa, block_diag, solve_care
+from .partition import ConstraintSet, _constraints_ok
 
 __all__ = [
     "MasSystem",
@@ -309,6 +310,16 @@ class FormationScenario:
     def n_agents(self):
         return self.formation_graph.n_agents
 
+    @property
+    def constraints(self):
+        """The decomposition rules: a leader in every cluster, and each
+        cluster's formation subgraph connected."""
+        return ConstraintSet(
+            leader_indicator=tuple(int(u in self.leaders) for u in range(self.n_agents)),
+            require_leader=True,
+            require_connected=True,
+        )
+
 
 class _CosDecayDisturbance:
     """d(t) = amps * cos(t)/(t+1), stacked over agents; vectorized table."""
@@ -430,16 +441,10 @@ def build_formation(scn):
 
 
 def anchoring_check(scn, dec):
-    """True iff every cluster holds a leader and its formation subgraph is
-    connected, the combinatorial feasibility test for cluster-level
-    observability of the formation cost."""
-    leaders = set(scn.leaders)
-    for members in dec.clusters():
-        if not leaders.intersection(members):
-            return False
-        if not scn.formation_graph.connected(members):
-            return False
-    return True
+    """True iff dec meets scn.constraints (every cluster holds a leader and
+    its formation subgraph is connected), the combinatorial feasibility test
+    for cluster-level observability of the formation cost."""
+    return _constraints_ok(scn.formation_graph, scn.constraints, dec.clusters())
 
 
 def initial_gains(mas, dec):

@@ -17,7 +17,9 @@ by two Lyapunov solves of scipy's, not hlqr's, and quadrature_cost the same
 costs integrated in time.
 
 enumerate_partitions lists every set partition once, by brute force, for
-the branch-and-bound searches of hlqr.partition to be checked against.
+the branch-and-bound searches of hlqr.partition to be checked against.  It
+applies the ConstraintSet rules itself, from the graph's nonzero Laplacian
+entries, with bfs_connected as its connectivity test.
 
 The policy-iteration oracles build the full joint regressor of every pass
 and solve it from scratch, by one Householder QR (equilibrated_lstsq) or by
@@ -39,7 +41,7 @@ from hlqr.errors import (
 )
 from hlqr.graphcost import Decomposition, assemble_q
 from hlqr.matops import abscissa, symmetrize
-from hlqr.partition import ConstraintSet, _constraints_ok, _min_eps, _weight_matrix
+from hlqr.partition import ConstraintSet
 from hlqr.sim import MasSystem, Trajectory, integrate, tabulate_signal
 
 
@@ -267,19 +269,40 @@ def quadrature_cost(sys, spec, k, x0, dt=1e-3, tail=1e-6):
     return traj.cost, traj.ju
 
 
+def neighbours(graph):
+    """neighbours(graph)[u] is the set of agents v != u with L[u, v] != 0."""
+    lap = graph.laplacian
+    return [{v for v in range(graph.n_agents) if v != u and lap[u, v] != 0.0}
+            for u in range(graph.n_agents)]
+
+
+def bfs_connected(nbrs, nodes):
+    """True when nodes is nonempty and induces a connected subgraph, by
+    breadth-first search over the neighbour sets nbrs."""
+    nodes = set(nodes)
+    if not nodes:
+        return False
+    start = min(nodes)
+    seen, frontier = {start}, [start]
+    while frontier:
+        frontier = [v for u in frontier for v in nbrs[u] & nodes if v not in seen]
+        seen.update(frontier)
+    return seen == nodes
+
+
 def enumerate_partitions(n_agents, s, constraints=None, graph=None):
     """Yield every partition of {0..N-1} into s nonempty clusters, once each.
 
     Restricted-growth enumeration.  Leader constraints filter directly;
     neighbor-set and connectivity constraints need coupling information and
-    apply only when graph is given.
+    apply only when graph is given: a member of a cluster of two or more
+    needs an agent of its cluster it is coupled to, and a connected cluster
+    passes bfs_connected.
     """
     if not 1 <= s <= n_agents:
         return
     cons = constraints if constraints is not None else ConstraintSet()
-    if graph is not None:
-        weights = _weight_matrix(graph)
-        eps = _min_eps(weights)
+    nbrs = neighbours(graph) if graph is not None else None
 
     assign = [0] * n_agents
 
@@ -300,7 +323,11 @@ def enumerate_partitions(n_agents, s, constraints=None, graph=None):
             if not all(any(cons.leader_indicator[u] for u in members)
                        for members in clusters):
                 continue
-        if graph is not None and (cons.require_neighbor or cons.require_connected):
-            if not _constraints_ok(graph, cons, clusters, weights, eps):
+        if graph is not None and cons.require_connected:
+            if not all(bfs_connected(nbrs, members) for members in clusters):
+                continue
+        elif graph is not None and cons.require_neighbor:
+            if not all(len(members) == 1 or nbrs[u] & set(members)
+                       for members in clusters for u in members):
                 continue
         yield Decomposition.from_assignment(a)

@@ -178,6 +178,23 @@ class TestDecompose:
         assert info["objective"] == "cliques"
         assert info["label"] == "1,2|3,4"
 
+    @pytest.mark.parametrize("choice", [{"assignment": [0, 0, 1, 1]},
+                                        {"dec_sizes": [2, 2]}])
+    def test_config_file_decomposition_recorded(self, tmp_path, choice):
+        # a file's assignment or cluster sizes pick the decomposition, so the
+        # records name objective "assignment", as the matching flags do
+        config = fileio.save_json(tmp_path / "c.json", choice)
+        flags = ["example1", "--s", "2", "--c", "2", "--config", str(config)]
+        assert main(["decompose", *flags,
+                     "--out", str(tmp_path / "decompose")]) == 0
+        assert main(["run", *flags, "--n-draws", "5",
+                     "--out", str(tmp_path / "run")]) == 0
+        info = fileio.load_json(tmp_path / "decompose" / "decomposition.json")
+        assert info["objective"] == "assignment"
+        assert info["label"] == "1,2|3,4"
+        echo = fileio.load_json(tmp_path / "run" / "config_echo.json")
+        assert echo["objective"] == "assignment"
+
     def test_scut_search(self, tmp_path):
         rc = main(["decompose", "five_node", "--s", "2",
                    "--objective", "scut", "--out", str(tmp_path)])

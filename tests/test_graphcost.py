@@ -13,12 +13,14 @@ from hlqr.graphcost import (
     Decomposition,
     assemble_q,
     check_assumptions,
+    cluster_adjacency,
     cluster_costs,
     comm_links,
     kappa,
     split_graph,
 )
-from oracles import comm_links_loop, pbh_stabilizable, psd_sqrt
+from hlqr.partition import PartitionProblem, max_kappa
+from oracles import bfs_connected, comm_links_loop, neighbours, pbh_stabilizable, psd_sqrt
 from test_hierctrl import random_instance
 
 
@@ -88,6 +90,62 @@ class TestCostGraph:
         g = CostGraph(2, np.zeros((2, 2)))
         assert g.edges() == []
         assert not g.connected()
+
+
+class TestCouplingRule:
+    """Agents are coupled iff their Laplacian entry is nonzero, and every
+    nonzero coupling weight exceeds ADJACENCY_TOL."""
+
+    def test_sub_tolerance_edges_rejected(self):
+        # accepting these made the search certify kappa 4 for 1,2|3,4 while
+        # kappa() read 0 and adjacency() a disconnected graph
+        with pytest.raises(NotALaplacian, match="coupling weight"):
+            CostGraph.from_edges(
+                4, [(0, 1, 1), (2, 3, 1), (1, 2, 6e-13), (0, 3, 6e-13)])
+        with pytest.raises(NotALaplacian, match="coupling weight"):
+            CostGraph.from_edges(2, [(0, 1, graphcost.ADJACENCY_TOL)])
+        g = CostGraph.from_edges(2, [(0, 1, 2 * graphcost.ADJACENCY_TOL)])
+        assert g.connected()
+
+    @pytest.mark.parametrize("w", [-5e-13, 5e-13])
+    def test_sub_tolerance_laplacian_rejected(self, w):
+        # a coupling of magnitude |w| between agents 1 and 2, either sign
+        m = np.array([[1.0, -1.0, 0.0],
+                      [-1.0, 1.0 + abs(w), w],
+                      [0.0, w, abs(w)]])
+        with pytest.raises(NotALaplacian):
+            CostGraph(3, m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
+           s=st.integers(1, 4), p=st.floats(0.0, 0.8))
+    def test_structural_queries_read_one_pattern(self, seed, n, s, p):
+        rng = np.random.default_rng(seed)
+        s = min(s, n)
+        weights = (1e-11, 0.25, 1.0, 3.0)
+        edges = [(i, j, float(rng.choice(weights)))
+                 for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        graph = CostGraph.from_edges(n, edges)
+
+        res = max_kappa(PartitionProblem(graph, s))
+        assert res.value == kappa(graph, res.dec)
+
+        for dec in (res.dec,
+                    Decomposition.from_assignment(rng.integers(0, s, n).tolist())):
+            g2 = split_graph(graph, dec).g2
+            clusters = dec.clusters()
+            adj = cluster_adjacency(graph, dec)
+            for a in range(dec.s):
+                for b in range(dec.s):
+                    linked = a != b and np.any(
+                        g2[np.ix_(clusters[a], clusters[b])] != 0.0)
+                    assert adj[a, b] == linked
+
+        nbrs = neighbours(graph)
+        assert graph.connected() == bfs_connected(nbrs, range(n))
+        for _ in range(5):
+            nodes = np.flatnonzero(rng.random(n) < 0.5).tolist()
+            assert graph.connected(nodes) == bfs_connected(nbrs, nodes)
 
 
 class TestDecomposition:

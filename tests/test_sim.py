@@ -7,7 +7,15 @@ from hlqr import graphcost, hierctrl, matops, sim
 from hlqr.errors import InvalidConfig, StateBlowup, UnstableClosedLoop
 from hlqr.graphcost import CostGraph, Decomposition, check_assumptions
 from hlqr.sim import MasSystem, integrate
-from oracles import Pointwise, evaluate_cost, integrate_callable, quadrature_cost
+from oracles import (
+    Pointwise,
+    bfs_connected,
+    enumerate_partitions,
+    evaluate_cost,
+    integrate_callable,
+    neighbours,
+    quadrature_cost,
+)
 
 
 def decay_system(n_agents=2):
@@ -249,6 +257,21 @@ class TestClusterFeasibility:
         dec = Decomposition.from_clusters(
             [[0, 11], [7] + [1, 2, 3, 4, 5, 6], [8, 9, 10]], 12)
         assert not sim.anchoring_check(scn, dec)
+
+    def test_matches_brute_force_rules(self):
+        # anchoring_check evaluates scn.constraints, the rules the formation
+        # search is given; here they are checked from the leaders and the
+        # mesh directly, on every 2-cluster partition
+        scn = self.leaders_scn()
+        nbrs = neighbours(scn.formation_graph)
+        verdicts = set()
+        for dec in enumerate_partitions(12, 2):
+            want = all(set(scn.leaders) & set(members)
+                       and bfs_connected(nbrs, members)
+                       for members in dec.clusters())
+            assert sim.anchoring_check(scn, dec) == want, dec.label()
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
     @staticmethod
     def components(graph, members):
