@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDecomposition, NonStabilizable, NotALaplacian
-from .matops import _components, _pd, block_diag, is_psd, stabilizing_gain, symmetrize
+from .matops import PSD_TOL, _components, _pd, block_diag, is_psd, stabilizing_gain, symmetrize
 
 __all__ = [
     "CostGraph",
@@ -199,6 +199,20 @@ class SplitGraphs:
     g2: np.ndarray
 
 
+def _check_blocks(blocks, name, size, ok, kind):
+    """Raise for the first block, in order, that is not size x size
+    (DimensionMismatch) or whose symmetric part has a least eigenvalue that
+    fails ok (NotALaplacian): one batched eigvalsh on the leading blocks of
+    the right shape."""
+    bad = next((i for i, blk in enumerate(blocks) if blk.shape != (size, size)),
+               len(blocks))
+    if bad and not ok(np.linalg.eigvalsh(symmetrize(np.stack(blocks[:bad])))[:, 0]).all():
+        raise NotALaplacian(f"{name} block not {kind}")
+    if bad < len(blocks):
+        raise DimensionMismatch(
+            f"{name} block shape {blocks[bad].shape} != ({size},{size})")
+
+
 @dataclass(frozen=True)
 class CostSpec:
     """Quadratic cost structure Q = Qbar + G (x) Qtilde, R = diag(R_i).
@@ -218,18 +232,10 @@ class CostSpec:
         m = self.m
         if len(self.qbar_blocks) != self.graph.n_agents or len(self.r_blocks) != self.graph.n_agents:
             raise DimensionMismatch("need one qbar block and one r block per agent")
-        for blk in self.qbar_blocks:
-            if blk.shape != (n, n):
-                raise DimensionMismatch(f"qbar block shape {blk.shape} != ({n},{n})")
-            if not is_psd(blk):
-                raise NotALaplacian("qbar block not PSD")
+        _check_blocks(self.qbar_blocks, "qbar", n, lambda w: w >= PSD_TOL, "PSD")
         if not is_psd(self.qtilde):
             raise NotALaplacian("qtilde not PSD")
-        for blk in self.r_blocks:
-            if blk.shape != (m, m):
-                raise DimensionMismatch(f"r block shape {blk.shape} != ({m},{m})")
-            if np.linalg.eigvalsh(symmetrize(blk))[0] <= 0:
-                raise NotALaplacian("r block not PD")
+        _check_blocks(self.r_blocks, "r", m, lambda w: w > 0, "PD")
 
     @classmethod
     def homogeneous(cls, graph, qbar_block, qtilde, r_block):

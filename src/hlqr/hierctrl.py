@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, UnstableClosedLoop, UnstableMatrix
 from .graphcost import assemble_q, cluster_costs, split_graph
-from .matops import _pd, pinv, solve_care, solve_lyapunov, symmetrize
+from .matops import _components, _pd, pinv, solve_care, solve_lyapunov, symmetrize
 
 __all__ = [
     "HierarchicalGain",
@@ -148,6 +148,14 @@ class GapReport:
     skipped).  cond_p is lambda_max/lambda_min of scriptP, +inf when
     lambda_min <= n eps lambda_max.
 
+    No spectrum is taken of a dense block-diagonal matrix.  lambda(scriptP)
+    comes from the per-cluster gain.p_blocks; sigma(B), lambda(Qbar),
+    lambda(R) and tr(B R^{-1} B') from the per-agent blocks of mas.agents,
+    spec.qbar_blocks and spec.r_blocks, with the smallest nonzero sigma(B)
+    cut at max(B.shape) eps sigma_max of the whole B; lambda_max(P_opt)
+    from the connected components of P_opt's nonzeros, a dense P_opt being
+    one.  Only their rounding differs from the dense spectra's.
+
     V = U - P_opt exactly, with U the cost matrix of k_h: B' P_opt = R k_opt
     turns the Riccati equation into a_s' P_opt + P_opt a_s + Q + k_h' R k_h
     = W for a_s = A - B k_h, and subtracting it from U's Lyapunov equation
@@ -230,27 +238,30 @@ def _evaluate(mas, spec, dec, gain, x0=None, sigma=1.0):
     split = split_graph(spec.graph, dec)
     trace_g2 = float(np.trace(split.g2))
 
-    lam_p = np.linalg.eigvalsh(p_script)
+    # each spectrum from its blocks, as GapReport says
+    lam_p = np.sort(np.concatenate([np.linalg.eigvalsh(p_j) for p_j in gain.p_blocks]))
     lam_min_p, lam_max_p = float(lam_p[0]), float(lam_p[-1])
     cond_p = _cond(lam_p)
-    sv_b = np.linalg.svd(b, compute_uv=False)
-    sig_max_b = float(sv_b[0])
+    b_blocks = np.stack([b_u for _, b_u in mas.agents])
+    sv_b = np.linalg.svd(b_blocks, compute_uv=False)
+    sig_max_b = float(sv_b.max())
     nonzero = sv_b[sv_b > max(b.shape) * np.finfo(float).eps * sig_max_b]
-    sigma_l_b = float(nonzero[-1]) if nonzero.size else 0.0
-    qbar = spec.qbar
-    lam_min_qbar = float(np.linalg.eigvalsh(symmetrize(qbar)).min())
+    sigma_l_b = float(nonzero.min()) if nonzero.size else 0.0
+    lam_min_qbar = float(np.linalg.eigvalsh(symmetrize(np.stack(spec.qbar_blocks))).min())
 
     vacuous = sigma_l_b <= 0.0 or lam_min_qbar <= 0.0 or lam_min_p <= 0.0
     if vacuous:
         f1 = f2 = trace_v_bound = float("nan")
     else:
+        r_blocks = np.stack(spec.r_blocks)
+        tr_brb = float(np.einsum(  # tr(B R^{-1} B'), agent by agent
+            "uij,uji->", b_blocks, np.linalg.solve(r_blocks, b_blocks.swapaxes(1, 2))))
+        lam_max_opt = max(float(np.linalg.eigvalsh(p_opt[np.ix_(c, c)])[-1])
+                          for c in _components(p_opt != 0))
         tr_g2q = trace_g2 * float(np.trace(spec.qtilde))
         denom = lam_min_p ** 2 * sigma_l_b ** 2
-        f1 = tr_g2q ** 2 * float(np.linalg.eigvalsh(r)[-1]) / denom
-        f2 = (float(np.linalg.eigvalsh(p_opt)[-1]) - lam_min_p) * (
-            float(np.trace(b @ np.linalg.solve(r, b.T)))
-            + sig_max_b ** 2 * tr_g2q / denom
-        )
+        f1 = tr_g2q ** 2 * float(np.linalg.eigvalsh(r_blocks).max()) / denom
+        f2 = (lam_max_opt - lam_min_p) * (tr_brb + sig_max_b ** 2 * tr_g2q / denom)
         trace_v_bound = lam_max_p * cond_p * (f1 + f2) / lam_min_qbar
 
     delta_j = j_h - j_opt

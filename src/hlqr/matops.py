@@ -53,11 +53,12 @@ PSD_TOL = -1e-10
 
 
 def symmetrize(m):
-    """Return the symmetric part (m + m.T)/2 as a float64 array."""
+    """Return the symmetric part (m + m')/2 as a float64 array, of a square
+    matrix or of each matrix in a stack of them."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return (m + m.T) / 2.0
+    return (m + m.swapaxes(-1, -2)) / 2.0
 
 
 def is_psd(m, tol=PSD_TOL):

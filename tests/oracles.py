@@ -16,6 +16,13 @@ sim.integrate.  evaluate_cost gives the analytic closed-loop costs of a gain
 by two Lyapunov solves of scipy's, not hlqr's, and quadrature_cost the same
 costs integrated in time.
 
+cost_spec_checks_loop is CostSpec's validation of its blocks, one block
+at a time.
+
+dense_gap_report is hierctrl.gap_report with every spectrum taken of the
+dense matrix: scriptP, B, Qbar, R and P_opt whole, where the library reads
+them from their cluster, agent and component blocks.
+
 enumerate_partitions lists every set partition once, by brute force, for
 the branch-and-bound searches of hlqr.partition to be checked against.  It
 applies the ConstraintSet rules itself, from the graph's nonzero Laplacian
@@ -34,13 +41,16 @@ import scipy.linalg
 
 from hlqr.adp import LearnResult, unsvec
 from hlqr.errors import (
+    DimensionMismatch,
     NoConvergence,
+    NotALaplacian,
     RankDeficient,
     StateBlowup,
     UnstableClosedLoop,
 )
-from hlqr.graphcost import Decomposition, assemble_q
-from hlqr.matops import abscissa, symmetrize
+from hlqr.graphcost import Decomposition, assemble_q, split_graph
+from hlqr.hierctrl import GapReport, _cond
+from hlqr.matops import abscissa, is_psd, solve_care, solve_lyapunov, symmetrize
 from hlqr.partition import ConstraintSet
 from hlqr.sim import MasSystem, Trajectory, integrate, tabulate_signal
 
@@ -267,6 +277,79 @@ def quadrature_cost(sys, spec, k, x0, dt=1e-3, tail=1e-6):
         raise UnstableClosedLoop("A - BK is not Hurwitz")
     traj = integrate(sys, k, x0, math.log(tail) / alpha, dt, cost=spec)
     return traj.cost, traj.ju
+
+
+def cost_spec_checks_loop(qbar_blocks, qtilde, r_blocks):
+    """CostSpec's block checks in order, one eigvalsh per block: each Qbar
+    block n x n and PSD, Qtilde PSD, each R block m x m and PD."""
+    n, m = qtilde.shape[0], r_blocks[0].shape[0]
+    for blk in qbar_blocks:
+        if blk.shape != (n, n):
+            raise DimensionMismatch(f"qbar block shape {blk.shape} != ({n},{n})")
+        if not is_psd(blk):
+            raise NotALaplacian("qbar block not PSD")
+    if not is_psd(qtilde):
+        raise NotALaplacian("qtilde not PSD")
+    for blk in r_blocks:
+        if blk.shape != (m, m):
+            raise DimensionMismatch(f"r block shape {blk.shape} != ({m},{m})")
+        if np.linalg.eigvalsh(symmetrize(blk))[0] <= 0:
+            raise NotALaplacian("r block not PD")
+
+
+def dense_gap_report(mas, spec, dec, gain, x0=None, sigma=1.0):
+    """hierctrl.gap_report by its dense formulas: the same U and P_opt
+    solves, with the eigenvalues of the dense scriptP, Qbar, R and P_opt,
+    the singular values of the dense B, and tr(B R^{-1} B') of the dense
+    product."""
+    a, b = mas.a_full, mas.b_full
+    q = assemble_q(spec)
+    r = spec.r
+    k_h = gain.k_h
+    u = solve_lyapunov(a - b @ k_h, symmetrize(q + k_h.T @ r @ k_h))
+    p_opt = solve_care(a, b, q, r, p0=u)
+    dk = k_h - np.linalg.solve(r, b.T @ p_opt)
+    trace_w = float(np.sum(dk * (r @ dk)))
+    trace_v = float(np.trace(u - p_opt))
+
+    p_script = gain.p_full
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        j_opt, j_h, j_approx = (float(x0 @ m @ x0) for m in (p_opt, u, p_script))
+    else:
+        j_opt, j_h, j_approx = (float(np.trace(m)) for m in (p_opt, u, p_script))
+    trace_g2 = float(np.trace(split_graph(spec.graph, dec).g2))
+
+    lam_p = np.linalg.eigvalsh(p_script)
+    lam_min_p, lam_max_p = float(lam_p[0]), float(lam_p[-1])
+    cond_p = _cond(lam_p)
+    sv_b = np.linalg.svd(b, compute_uv=False)
+    sig_max_b = float(sv_b[0])
+    nonzero = sv_b[sv_b > max(b.shape) * np.finfo(float).eps * sig_max_b]
+    sigma_l_b = float(nonzero[-1]) if nonzero.size else 0.0
+    lam_min_qbar = float(np.linalg.eigvalsh(symmetrize(spec.qbar)).min())
+
+    vacuous = sigma_l_b <= 0.0 or lam_min_qbar <= 0.0 or lam_min_p <= 0.0
+    if vacuous:
+        f1 = f2 = trace_v_bound = float("nan")
+    else:
+        tr_g2q = trace_g2 * float(np.trace(spec.qtilde))
+        denom = lam_min_p ** 2 * sigma_l_b ** 2
+        f1 = tr_g2q ** 2 * float(np.linalg.eigvalsh(r)[-1]) / denom
+        f2 = (float(np.linalg.eigvalsh(p_opt)[-1]) - lam_min_p) * (
+            float(np.trace(b @ np.linalg.solve(r, b.T)))
+            + sig_max_b ** 2 * tr_g2q / denom
+        )
+        trace_v_bound = lam_max_p * cond_p * (f1 + f2) / lam_min_qbar
+
+    delta_j = j_h - j_opt
+    return GapReport(
+        j_opt=j_opt, j_h=j_h, j_approx=j_approx, delta_j=delta_j,
+        expected_gap=float(sigma ** 2 * trace_v), f1=f1, f2=f2, cond_p=cond_p,
+        trace_g2=trace_g2, sop=delta_j / j_opt if j_opt > 0 else 0.0,
+        trace_v=trace_v, trace_w=trace_w, trace_v_bound=trace_v_bound,
+        vacuous=vacuous,
+    )
 
 
 def neighbours(graph):

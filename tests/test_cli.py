@@ -282,6 +282,43 @@ class TestReportRow:
         assert row.j_u == pytest.approx(j_u, rel=1e-12)
         assert row.sop == pytest.approx((j_mean - j_opt) / j_opt, rel=1e-12)
 
+    @pytest.mark.parametrize("scheme", ["uniform_pm1", "normal05"])
+    @pytest.mark.parametrize("scenario, assignment", [
+        ("five_node", (0, 0, 1, 2, 2)),
+        ("example1", (0, 0, 0, 1, 1, 1, 2, 2, 2)),
+    ])
+    def test_sample_means_match_per_draw_forms(self, scheme, scenario,
+                                               assignment):
+        # the mean of x0' M x0 from the moment matrix S = x0s' x0s, for the
+        # report's U, X_u and P_opt, against the per-draw forms' mean
+        cfg = ExperimentConfig(scenario=scenario, assignment=assignment,
+                               objective="assignment", x0_scheme=scheme)
+        scn = cli.build_scenario(cfg)
+        mas, spec = scn.mas, scn.spec
+        dec, _ = cli.choose_decomposition(cfg, scn)
+        gain = hierctrl.hierarchical_gain(mas, spec, dec)
+        _, p_opt, u = hierctrl._evaluate(mas, spec, dec, gain)
+        k_h = gain.k_h
+        x_u = matops.solve_lyapunov(mas.a_full - mas.b_full @ k_h,
+                                    matops.symmetrize(k_h.T @ k_h))
+        x0s = cli.draw_x0(scheme, np.random.default_rng(cfg.seed + 1),
+                          mas.a_full.shape[0], cfg.n_draws)
+        means = cli._sample_means(x0s, u, x_u, p_opt)
+        for got, mat in zip(means, (u, x_u, p_opt)):
+            assert got == pytest.approx(cli._quad_forms(x0s, mat).mean(),
+                                        rel=1e-13)
+
+    @pytest.mark.parametrize("dim", [5, 36, 400])
+    def test_moment_matrix_integer_exact(self, dim):
+        # uniform_pm1 draws are integers, so S is formed exactly and the mean
+        # for an integer M is the correctly rounded <M, S> / N
+        rng = np.random.default_rng(dim)
+        x0s = cli.draw_x0("uniform_pm1", rng, dim, 1000)
+        m = rng.integers(-5, 6, (dim, dim))
+        x0i = x0s.astype(np.int64)
+        exact = int(((x0i.T @ x0i) * m).sum())
+        assert cli._sample_means(x0s, m.astype(float)) == [exact / len(x0s)]
+
     def test_solve_runs_centralized_care_once(self, tmp_path, monkeypatch):
         original = matops.solve_care
         sizes = []

@@ -20,7 +20,14 @@ from hlqr.graphcost import (
     split_graph,
 )
 from hlqr.partition import PartitionProblem, max_kappa
-from oracles import bfs_connected, comm_links_loop, neighbours, pbh_stabilizable, psd_sqrt
+from oracles import (
+    bfs_connected,
+    comm_links_loop,
+    cost_spec_checks_loop,
+    neighbours,
+    pbh_stabilizable,
+    psd_sqrt,
+)
 from test_hierctrl import random_instance
 
 
@@ -320,6 +327,51 @@ class TestCommLinks:
             comm_links(np.ones((5, 8)), 4, 2)
         with pytest.raises(DimensionMismatch):
             comm_links(np.ones((4, 12)), 4, 2)
+
+
+def spec_block(rng, size, least):
+    """A size x size block in a random basis (exactly diagonal when least is
+    0) whose least eigenvalue is least, nonsymmetric in one draw of four;
+    now and then of the wrong shape."""
+    if rng.random() < 0.05:
+        return np.eye(size + 1)
+    w = np.append(rng.uniform(0.5, 2.0, size - 1), least)
+    if least == 0.0:
+        return np.diag(rng.permutation(w))
+    v, _ = np.linalg.qr(rng.normal(size=(size, size)))
+    blk = (v * w) @ v.T
+    if rng.random() < 0.25:
+        skew = rng.normal(size=(size, size))
+        blk = blk + (skew - skew.T)
+    return blk
+
+
+class TestCostSpecChecks:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(1, 5),
+           n=st.integers(1, 3), m=st.integers(1, 2))
+    def test_batched_checks_match_block_loop(self, seed, n_agents, n, m):
+        # the first failing check, its error type and its message, as the
+        # one-block-at-a-time loop finds them: PSD_TOL is -1e-10, so -1e-11
+        # passes as PSD and -1e-9 does not; 0 is not PD
+        rng = np.random.default_rng(seed)
+        levels = [0.3, 0.3, 0.3, -1e-11, -1e-9, 0.0]
+        qbar = [spec_block(rng, n, rng.choice(levels)) for _ in range(n_agents)]
+        r = [spec_block(rng, m, rng.choice([0.3, 0.3, 0.3, 1e-300, 0.0]))
+             for _ in range(n_agents)]
+        qtilde = np.eye(n) if rng.random() < 0.9 else -np.eye(n)
+        graph = CostGraph.from_edges(n_agents, [])
+        try:
+            cost_spec_checks_loop(qbar, qtilde, r)
+            want = None
+        except (DimensionMismatch, NotALaplacian) as exc:
+            want = (type(exc), str(exc))
+        try:
+            CostSpec(graph, qbar, qtilde, r)
+            got = None
+        except (DimensionMismatch, NotALaplacian) as exc:
+            got = (type(exc), str(exc))
+        assert got == want
 
 
 class TestCostAssembly:
