@@ -304,19 +304,20 @@ class _BlockLstsq:
 def collect(plant, k0, exc, horizon, dt, window, x0=None):
     """Run the behavior policy u = -k0 x + e(t) and record window integrals.
 
-    horizon and window are in seconds; dt and window must be positive and
-    dt must divide window.  When a measurable disturbance is attached to
-    the plant, the recorded applied input is u + d.  x0 defaults to a
-    standard normal draw from the excitation seed.  Only the window
-    integrals and boundary states are kept, not the per-step samples.
+    horizon and window are in seconds; dt, window and horizon must be
+    positive and finite, and dt must divide window.  When a measurable
+    disturbance is attached to the plant, the recorded applied input is
+    u + d.  x0 defaults to a standard normal draw from the excitation seed.
+    Only the window integrals and boundary states are kept, not the
+    per-step samples.
     Raises StateBlowup when a state entry exceeds sim.DEFAULT_GUARD.
     """
     n, m = plant.n_states, plant.n_inputs
     k0 = np.zeros((m, n)) if k0 is None else np.asarray(k0, dtype=float)
-    if not (dt > 0 and window > 0):
-        raise InvalidConfig(f"dt={dt} and window={window} must be positive")
-    if not horizon > 0:
-        raise InvalidConfig(f"horizon={horizon} must be positive")
+    if not (0 < dt < np.inf and 0 < window < np.inf):
+        raise InvalidConfig(f"dt={dt} and window={window} must be positive and finite")
+    if not 0 < horizon < np.inf:
+        raise InvalidConfig(f"horizon={horizon} must be positive and finite")
     steps_per_window = int(round(window / dt))
     if abs(steps_per_window * dt - window) > 1e-9 * max(1.0, window):
         raise InvalidConfig(f"dt={dt} does not divide window={window}")
@@ -409,6 +410,8 @@ class LearnConfig:
     amplitude: float = 0.5
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidConfig(f"seed={self.seed} must be nonnegative")
         if not (self.tol_pi > 0 and math.isfinite(self.tol_pi)):
             raise InvalidConfig(f"tol_pi={self.tol_pi} must be positive and finite")
         if self.max_iter < 1:

@@ -204,7 +204,10 @@ def choose_decomposition(cfg, scenario):
         )
     if cfg.objective == "cliques":
         if cfg.scenario != "example1":
-            raise InvalidConfig("objective 'cliques' needs the example1 scenario")
+            raise InvalidConfig(
+                "objective 'cliques', the default, needs the example1 scenario; "
+                "choose a decomposition with --objective kappa|scut, "
+                "--assignment or --dec")
         return clique_decomposition(cfg.s, cfg.c), None
     if cfg.objective == "assignment":
         raise InvalidConfig("objective 'assignment' needs an explicit "

@@ -112,6 +112,14 @@ class CostGraph:
             return False
         return len(_components(self.adjacency()[np.ix_(nodes, nodes)])) == 1
 
+    def clusters_connected(self, assignment):
+        """Boolean array over cluster ids 0..max(assignment): True where the
+        cluster's members induce a connected subgraph.  One component search
+        on the couplings inside clusters decides every cluster at once."""
+        a = np.asarray(assignment)
+        comps = _components(self.adjacency() & (a[:, None] == a))
+        return np.bincount([a[c[0]] for c in comps], minlength=a.max() + 1) == 1
+
 
 def _cluster_id(v):
     """v as an int; InvalidDecomposition when it is not an integral value."""
@@ -130,7 +138,10 @@ class Decomposition:
 
     assignment[u] is the 0-based cluster id of agent u; ids are canonicalized
     to first-use order (agent 0 is always in cluster 0), so two decompositions
-    are equal iff they induce the same partition.
+    are equal iff they induce the same partition.  Flat vectors are
+    agent-major: agent u owns entries u*n .. u*n+n-1 of a vector with n
+    entries per agent.  state_indices is the one rule placing a cluster in
+    them, and scatter the one way per-cluster blocks reach agent order.
     """
 
     assignment: tuple
@@ -178,13 +189,20 @@ class Decomposition:
         return [len(c) for c in self.clusters()]
 
     def state_indices(self, j, n):
-        """Flat state indices of cluster j when each agent carries n states."""
-        members = self.clusters()[j]
-        return np.concatenate([np.arange(u * n, (u + 1) * n) for u in members])
+        """Ascending flat indices of cluster j's entries when each agent
+        carries n of them (states, or inputs with n = m)."""
+        return np.flatnonzero(np.repeat(np.equal(self.assignment, j), n))
 
-    def input_indices(self, j, m):
-        members = self.clusters()[j]
-        return np.concatenate([np.arange(u * m, (u + 1) * m) for u in members])
+    input_indices = state_indices
+
+    def scatter(self, blocks, rows, cols):
+        """Dense (rows N) x (cols N) matrix holding blocks[j] at cluster j's
+        state_indices(j, rows) x state_indices(j, cols), exact zeros
+        elsewhere."""
+        out = np.zeros((rows * self.n_agents, cols * self.n_agents))
+        for j, block in enumerate(blocks):
+            out[np.ix_(self.state_indices(j, rows), self.state_indices(j, cols))] = block
+        return out
 
     def label(self):
         """Human-readable 1-based form, e.g. '1,2|3,4,5,6,7|8,9'."""
@@ -331,16 +349,18 @@ def assemble_q(spec):
 def cluster_costs(spec, dec):
     """Per-cluster (Qhat_j, Rhat_j) blocks of the decomposed cost.
 
-    Qhat = Qbar + g1 (x) Qtilde restricted to each cluster's states; the full
+    Qhat_j is the cluster-j block of Qhat = Qbar + g1 (x) Qtilde, built from
+    the members' Qbar blocks and g1's cluster block alone: the whole Qhat is
+    never formed, and each entry is the same sum of the same two numbers as
+    in it.  Rhat_j is the block diagonal of the members' R blocks.  The full
     Q satisfies Q = Qhat + g2 (x) Qtilde exactly.
     """
-    parts = split_graph(spec.graph, dec)
-    qhat = spec.qbar + np.kron(parts.g1, spec.qtilde)
+    g1 = split_graph(spec.graph, dec).g1
     out = []
-    for j in range(dec.s):
-        six = dec.state_indices(j, spec.n)
-        qj = symmetrize(qhat[np.ix_(six, six)])
-        rj = block_diag(*[spec.r_blocks[u] for u in dec.clusters()[j]])
+    for members in dec.clusters():
+        qbar_j = block_diag(*[spec.qbar_blocks[u] for u in members])
+        qj = symmetrize(qbar_j + np.kron(g1[np.ix_(members, members)], spec.qtilde))
+        rj = block_diag(*[spec.r_blocks[u] for u in members])
         out.append((qj, rj))
     return out
 
@@ -380,15 +400,14 @@ def check_assumptions(mas, spec, dec):
     1972): stabilizable when matops.stabilizing_gain finds a gain, detectable
     when Qhat_j is PD to rounding or (A_j', Qhat_j) is stabilizable.
     """
-    stabilizable, detectable, connected = [], [], []
+    stabilizable, detectable = [], []
     for j, (qhat_j, _) in enumerate(cluster_costs(spec, dec)):
         a_j, b_j = mas.cluster(dec, j)
         stabilizable.append(_stabilizable(a_j, b_j))
         detectable.append(_pd(np.linalg.eigvalsh(qhat_j)) or _stabilizable(a_j.T, qhat_j))
-        connected.append(spec.graph.connected(dec.clusters()[j]))
     return AssumptionReport(
         stabilizable=stabilizable,
         detectable=detectable,
         graph_connected=spec.graph.connected(),
-        cluster_connected=connected,
+        cluster_connected=spec.graph.clusters_connected(dec.assignment).tolist(),
     )

@@ -49,13 +49,8 @@ class HierarchicalGain:
     @property
     def p_full(self):
         """scriptP as a dense matrix in the original agent ordering."""
-        n_total = self.k_h.shape[1]
-        n = n_total // self.dec.n_agents
-        p = np.zeros((n_total, n_total))
-        for j, p_j in enumerate(self.p_blocks):
-            six = self.dec.state_indices(j, n)
-            p[np.ix_(six, six)] = p_j
-        return p
+        n = self.k_h.shape[1] // self.dec.n_agents
+        return self.dec.scatter(self.p_blocks, n, n)
 
 
 def solve_clusters(mas, spec, dec):
@@ -86,17 +81,13 @@ def compute_rtilde(pb_blocks, spec, dec):
     the same blocks of Rtilde are exactly zero.
     """
     n, m = spec.n, spec.m
-    n_agents = dec.n_agents
-    xi = np.zeros((m * n_agents, n * n_agents))
+    sizes = dec.sizes()
     for j, pb_j in enumerate(pb_blocks):
-        six = dec.state_indices(j, n)
-        iix = dec.input_indices(j, m)
-        if pb_j.shape != (len(six), len(iix)):
+        want = (n * sizes[j], m * sizes[j])
+        if pb_j.shape != want:
             raise DimensionMismatch(
-                f"cluster {j}: scriptP_j B_j shape {pb_j.shape} != "
-                f"{(len(six), len(iix))}"
-            )
-        xi[np.ix_(iix, six)] = pinv(pb_j)
+                f"cluster {j}: scriptP_j B_j shape {pb_j.shape} != {want}")
+    xi = dec.scatter([pinv(pb_j) for pb_j in pb_blocks], m, n)
     g2q = np.kron(split_graph(spec.graph, dec).g2, spec.qtilde)
     return symmetrize(xi @ g2q @ xi.T)
 
@@ -104,12 +95,7 @@ def compute_rtilde(pb_blocks, spec, dec):
 def assemble_gain(p_blocks, pb_blocks, r_tilde, spec, dec):
     """Assemble the hierarchical gain from cluster solutions and Rtilde."""
     n, m = spec.n, spec.m
-    n_agents = dec.n_agents
-    bt_p = np.zeros((m * n_agents, n * n_agents))
-    for j, pb_j in enumerate(pb_blocks):
-        six = dec.state_indices(j, n)
-        iix = dec.input_indices(j, m)
-        bt_p[np.ix_(iix, six)] = pb_j.T
+    bt_p = dec.scatter([pb_j.T for pb_j in pb_blocks], m, n)
     k_local = np.linalg.solve(spec.r, bt_p)
     k_global = r_tilde @ bt_p
     return HierarchicalGain(

@@ -65,16 +65,24 @@ class ConstraintSet:
     """Formation-style decomposition constraints.
 
     leader_indicator is a 0/1 vector over agents; require_leader demands at
-    least one leader per cluster.  require_neighbor demands every member of a
-    non-singleton cluster have an intra-cluster neighbor, an agent it is
-    coupled to (a nonzero Laplacian entry, as everywhere in CostGraph);
-    require_connected strengthens that to full cluster connectivity.
+    least one leader per cluster.  require_connected demands that every
+    cluster's members induce a connected subgraph of the coupling graph
+    (nonzero Laplacian entries, as everywhere in CostGraph).  admits is the
+    one test of a complete assignment against these rules.
     """
 
     leader_indicator: tuple | None = None
     require_leader: bool = False
-    require_neighbor: bool = False
     require_connected: bool = False
+
+    def admits(self, graph, assignment):
+        """True when assignment (a cluster id per agent, ids 0..s-1) meets
+        every rule on graph."""
+        if self.require_leader and not set(assignment) <= {
+                c for c, lead in zip(assignment, self.leader_indicator) if lead}:
+            return False
+        return not self.require_connected or bool(
+            graph.clusters_connected(assignment).all())
 
 
 @dataclass(frozen=True)
@@ -110,25 +118,6 @@ def _weight_matrix(graph):
     w = np.abs(graph.laplacian)
     np.fill_diagonal(w, 0.0)
     return w
-
-
-def _constraints_ok(graph, constraints, clusters):
-    c = constraints
-    if c.require_leader:
-        xi = c.leader_indicator
-        for members in clusters:
-            if not any(xi[u] for u in members):
-                return False
-    if c.require_connected:
-        for members in clusters:
-            if len(members) > 1 and not graph.connected(members):
-                return False
-    elif c.require_neighbor:
-        adj = graph.adjacency()
-        for members in clusters:
-            if len(members) > 1 and not adj[np.ix_(members, members)].any(axis=1).all():
-                return False
-    return True
 
 
 def _precheck(problem):
@@ -340,12 +329,7 @@ class _Search:
             return
 
         if idx == self.n:
-            if n_open != self.s:
-                return
-            clusters = [[] for _ in range(self.s)]
-            for u, c in enumerate(self.assign):
-                clusters[c].append(u)
-            if not _constraints_ok(self.graph, self.cons, clusters):
+            if n_open != self.s or not self.cons.admits(self.graph, self.assign):
                 return
             value = self.nonadj if self.maximize_kappa else cut
             if self._improves(value):

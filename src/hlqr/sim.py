@@ -16,7 +16,7 @@ from . import _kernels
 from .errors import DimensionMismatch, InvalidConfig, StateBlowup
 from .graphcost import CostGraph, CostSpec, Decomposition, assemble_q
 from .matops import abscissa, block_diag, solve_care
-from .partition import ConstraintSet, _constraints_ok
+from .partition import ConstraintSet
 
 __all__ = [
     "MasSystem",
@@ -196,10 +196,10 @@ def integrate(sys, k, x0, t_final, dt, cost=None):
     state entry exceeds DEFAULT_GUARD in magnitude.
     """
     x0 = np.asarray(x0, dtype=float)
-    if not dt > 0:
-        raise InvalidConfig(f"dt={dt} must be positive")
-    if not t_final > 0:
-        raise InvalidConfig(f"t_final={t_final} must be positive")
+    if not 0 < dt < np.inf:
+        raise InvalidConfig(f"dt={dt} must be positive and finite")
+    if not 0 < t_final < np.inf:
+        raise InvalidConfig(f"t_final={t_final} must be positive and finite")
     n_steps = int(round(t_final / dt))
     if n_steps < 1:
         raise InvalidConfig(f"t_final={t_final} shorter than one step dt={dt}")
@@ -444,7 +444,7 @@ def anchoring_check(scn, dec):
     """True iff dec meets scn.constraints (every cluster holds a leader and
     its formation subgraph is connected), the combinatorial feasibility test
     for cluster-level observability of the formation cost."""
-    return _constraints_ok(scn.formation_graph, scn.constraints, dec.clusters())
+    return scn.constraints.admits(scn.formation_graph, dec.assignment)
 
 
 def initial_gains(mas, dec):

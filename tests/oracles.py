@@ -19,6 +19,9 @@ costs integrated in time.
 cost_spec_checks_loop is CostSpec's validation of its blocks, one block
 at a time.
 
+dense_cluster_costs is graphcost.cluster_costs sliced out of the whole
+dense Qhat = Qbar + G1 (x) Qtilde, which the library never forms.
+
 dense_gap_report is hierctrl.gap_report with every spectrum taken of the
 dense matrix: scriptP, B, Qbar, R and P_opt whole, where the library reads
 them from their cluster, agent and component blocks.
@@ -352,6 +355,17 @@ def dense_gap_report(mas, spec, dec, gain, x0=None, sigma=1.0):
     )
 
 
+def dense_cluster_costs(spec, dec):
+    """Per-cluster (Qhat_j, Rhat_j), each Qhat_j sliced out of the dense Qhat."""
+    qhat = spec.qbar + np.kron(split_graph(spec.graph, dec).g1, spec.qtilde)
+    out = []
+    for members in dec.clusters():
+        six = np.concatenate([np.arange(u * spec.n, (u + 1) * spec.n) for u in members])
+        rj = scipy.linalg.block_diag(*[spec.r_blocks[u] for u in members])
+        out.append((symmetrize(qhat[np.ix_(six, six)]), rj))
+    return out
+
+
 def neighbours(graph):
     """neighbours(graph)[u] is the set of agents v != u with L[u, v] != 0."""
     lap = graph.laplacian
@@ -377,10 +391,8 @@ def enumerate_partitions(n_agents, s, constraints=None, graph=None):
     """Yield every partition of {0..N-1} into s nonempty clusters, once each.
 
     Restricted-growth enumeration.  Leader constraints filter directly;
-    neighbor-set and connectivity constraints need coupling information and
-    apply only when graph is given: a member of a cluster of two or more
-    needs an agent of its cluster it is coupled to, and a connected cluster
-    passes bfs_connected.
+    the connectivity constraint needs coupling information and applies only
+    when graph is given: a connected cluster passes bfs_connected.
     """
     if not 1 <= s <= n_agents:
         return
@@ -408,9 +420,5 @@ def enumerate_partitions(n_agents, s, constraints=None, graph=None):
                 continue
         if graph is not None and cons.require_connected:
             if not all(bfs_connected(nbrs, members) for members in clusters):
-                continue
-        elif graph is not None and cons.require_neighbor:
-            if not all(len(members) == 1 or nbrs[u] & set(members)
-                       for members in clusters for u in members):
                 continue
         yield Decomposition.from_assignment(a)

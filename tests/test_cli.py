@@ -471,6 +471,51 @@ class TestNonPositiveStep:
         assert "error:" in capsys.readouterr().err
 
 
+class TestInvalidNumbers:
+    """Numbers numpy would reject or overflow on end in error: ..., exit 1."""
+
+    @pytest.mark.parametrize("args", [
+        ["decompose", "example1"],
+        ["solve", "five_node", "--assignment", "0,0,1,2,2"],
+        ["learn", "example1", "--s", "1", "--c", "2"],
+        ["run", "five_node", "--assignment", "0,0,1,2,2"],
+        ["simulate", "five_node", "--assignment", "0,0,1,2,2"],
+        ["bench", "--which", "rl-compare"],
+    ], ids=lambda args: args[0])
+    def test_negative_seed(self, args, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(adp, "collect", None)
+        monkeypatch.setattr(cli, "hierarchical_gain", None)
+        rc = main(args + ["--seed", "-5", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "seed=-5 must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "five_node", "--assignment", "0,0,1,2,2",
+         "--t-final", "inf"],
+        ["learn", "example1", "--s", "1", "--c", "2", "--horizon", "inf"],
+        ["learn", "example1", "--s", "1", "--c", "2", "--window", "inf"],
+    ], ids=["t-final", "horizon", "window"])
+    def test_infinite_time(self, args, tmp_path, capsys):
+        rc = main(args + ["--out", str(tmp_path)])
+        assert rc == 1
+        assert "=inf must be positive and finite" in capsys.readouterr().err
+
+
+class TestDefaultObjective:
+    @pytest.mark.parametrize("args", [
+        ["solve", "formation"],
+        ["learn", "five_node"],
+        ["simulate", "formation"],
+    ], ids=lambda args: args[0])
+    def test_names_the_choosing_flags(self, args, tmp_path, capsys):
+        rc = main(args + ["--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: objective 'cliques', the default, needs "
+                              "the example1 scenario")
+        assert "--objective kappa|scut, --assignment or --dec" in err
+
+
 class TestBadInput:
     @pytest.mark.parametrize("args", [
         ["learn", "example1", "--s", "1", "--c", "2", "--assignment", "0,0,1"],

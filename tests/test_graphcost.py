@@ -24,11 +24,12 @@ from oracles import (
     bfs_connected,
     comm_links_loop,
     cost_spec_checks_loop,
+    dense_cluster_costs,
     neighbours,
     pbh_stabilizable,
     psd_sqrt,
 )
-from test_hierctrl import random_instance
+from test_hierctrl import heterogeneous_instance, random_instance
 
 
 def random_graph(rng, n, p=0.5):
@@ -154,6 +155,22 @@ class TestCouplingRule:
             nodes = np.flatnonzero(rng.random(n) < 0.5).tolist()
             assert graph.connected(nodes) == bfs_connected(nbrs, nodes)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9),
+           s=st.integers(1, 5), p=st.floats(0.0, 0.8))
+    def test_clusters_connected_matches_bfs(self, seed, n, s, p):
+        # one component search over all clusters against a breadth-first
+        # search per cluster, with weights down to 1e-11
+        rng = np.random.default_rng(seed)
+        weights = (1e-11, 1e-6, 0.25, 1.0, 3.0)
+        edges = [(i, j, float(rng.choice(weights)))
+                 for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        graph = CostGraph.from_edges(n, edges)
+        nbrs = neighbours(graph)
+        dec = Decomposition.from_assignment(rng.integers(0, s, n).tolist())
+        got = graph.clusters_connected(dec.assignment)
+        assert got.tolist() == [bfs_connected(nbrs, c) for c in dec.clusters()]
+
 
 class TestDecomposition:
     def test_canonical_ids(self):
@@ -185,6 +202,27 @@ class TestDecomposition:
         d = Decomposition.from_assignment([0, 1, 0])
         assert d.state_indices(0, 2).tolist() == [0, 1, 4, 5]
         assert d.input_indices(1, 3).tolist() == [3, 4, 5]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(1, 8),
+           s=st.integers(1, 4), rows=st.integers(1, 3), cols=st.integers(1, 3))
+    def test_scatter_places_blocks_in_agent_order(self, seed, n_agents, s,
+                                                  rows, cols):
+        # assignments drawn at random are mostly non-contiguous
+        rng = np.random.default_rng(seed)
+        dec = Decomposition.from_assignment(rng.integers(0, s, n_agents).tolist())
+        blocks = [rng.normal(size=(rows * size, cols * size)) for size in dec.sizes()]
+        want = np.zeros((rows * n_agents, cols * n_agents))
+        for j, members in enumerate(dec.clusters()):
+            six = np.concatenate([np.arange(u * rows, (u + 1) * rows) for u in members])
+            iix = np.concatenate([np.arange(u * cols, (u + 1) * cols) for u in members])
+            assert dec.state_indices(j, rows).tolist() == six.tolist()
+            assert dec.input_indices(j, cols).tolist() == iix.tolist()
+            for a, row in enumerate(six):
+                for b, col in enumerate(iix):
+                    want[row, col] = blocks[j][a, b]
+        got = dec.scatter(blocks, rows, cols)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSplitGraph:
@@ -423,6 +461,22 @@ class TestCostAssembly:
             iix = dec.input_indices(j, spec.m)
             assert np.allclose(qj, qhat[np.ix_(six, six)], atol=1e-12)
             assert np.allclose(rj, spec.r[np.ix_(iix, iix)], atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_cluster_costs_match_dense_slices(self, seed):
+        # bit-equal to the blocks sliced out of the whole Qhat, for the
+        # instance's decomposition and for a non-contiguous one
+        _, spec, dec = heterogeneous_instance(seed)
+        n_agents = dec.n_agents
+        for d in (dec, Decomposition.from_assignment(
+                [u % 2 for u in reversed(range(n_agents))])):
+            got = cluster_costs(spec, d)
+            want = dense_cluster_costs(spec, d)
+            assert len(got) == len(want) == d.s
+            for (qj, rj), (qw, rw) in zip(got, want):
+                assert qj.tobytes() == qw.tobytes()
+                assert rj.tobytes() == rw.tobytes()
 
 
 class TestAssumptionChecks:

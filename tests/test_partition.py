@@ -140,7 +140,7 @@ class TestMaxKappaProperty:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9),
            s=st.integers(1, 4), p=st.floats(0.0, 0.7), path=st.booleans(),
-           kind=st.sampled_from(["none", "neighbor", "connected", "leaders"]))
+           kind=st.sampled_from(["none", "connected", "leaders"]))
     def test_first_brute_force_maximizer(self, seed, n, s, p, path, kind):
         rng = np.random.default_rng(seed)
         s = min(s, n)
@@ -150,7 +150,6 @@ class TestMaxKappaProperty:
         graph = CostGraph.from_edges(n, edges)
         cons = {
             "none": ConstraintSet(),
-            "neighbor": ConstraintSet(require_neighbor=True),
             "connected": ConstraintSet(require_connected=True),
             "leaders": ConstraintSet(
                 leader_indicator=tuple(int(x) for x in rng.random(n) < 0.6),
@@ -224,14 +223,13 @@ class TestTwinPruning:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9),
            s=st.integers(1, 4), p=st.floats(0.0, 0.7),
-           kind=st.sampled_from(["none", "neighbor", "connected", "leaders"]))
+           kind=st.sampled_from(["none", "connected", "leaders"]))
     def test_first_brute_force_optimum(self, seed, n, s, p, kind):
         rng = np.random.default_rng(seed)
         s = min(s, n)
         graph = planted_twin_graph(rng, n, p)
         cons = {
             "none": ConstraintSet(),
-            "neighbor": ConstraintSet(require_neighbor=True),
             "connected": ConstraintSet(require_connected=True),
             "leaders": ConstraintSet(
                 leader_indicator=tuple(int(x) for x in rng.random(n) < 0.6),
@@ -331,17 +329,6 @@ class TestConstraints:
         cons = ConstraintSet(require_leader=True)
         with pytest.raises(Infeasible):
             max_kappa(PartitionProblem(graph, 2, constraints=cons))
-
-    def test_neighbor_constraint_sound(self):
-        rng = np.random.default_rng(71)
-        graph = random_graph(rng, 7, p=0.3)
-        cons = ConstraintSet(require_neighbor=True)
-        res = max_kappa(PartitionProblem(graph, 3, constraints=cons))
-        w = np.abs(graph.laplacian)
-        for members in res.dec.clusters():
-            for u in members:
-                if len(members) > 1:
-                    assert any(w[u, v] > 0 for v in members if v != u)
 
     def test_connected_constraint_sound(self):
         rng = np.random.default_rng(73)
