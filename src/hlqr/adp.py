@@ -26,7 +26,7 @@ from . import _kernels, _lapack
 from .errors import InvalidConfig, NoConvergence, RankDeficient, StateBlowup
 from .graphcost import cluster_costs
 from .hierctrl import assemble_gain, compute_rtilde
-from .sim import tabulate_signal
+from .sim import check_steps
 
 __all__ = [
     "Excitation",
@@ -305,11 +305,11 @@ def collect(plant, k0, exc, horizon, dt, window, x0=None):
     """Run the behavior policy u = -k0 x + e(t) and record window integrals.
 
     horizon and window are in seconds; dt, window and horizon must be
-    positive and finite, and dt must divide window.  When a measurable
-    disturbance is attached to the plant, the recorded applied input is
-    u + d.  x0 defaults to a standard normal draw from the excitation seed.
-    Only the window integrals and boundary states are kept, not the
-    per-step samples.
+    positive and finite, dt must divide window, and numpy must be able to
+    index arrays of horizon / dt steps.  When a measurable disturbance is
+    attached to the plant, the recorded applied input is u + d.  x0 defaults
+    to a standard normal draw from the excitation seed.  Only the window
+    integrals and boundary states are kept, not the per-step samples.
     Raises StateBlowup when a state entry exceeds sim.DEFAULT_GUARD.
     """
     n, m = plant.n_states, plant.n_inputs
@@ -318,19 +318,21 @@ def collect(plant, k0, exc, horizon, dt, window, x0=None):
         raise InvalidConfig(f"dt={dt} and window={window} must be positive and finite")
     if not 0 < horizon < np.inf:
         raise InvalidConfig(f"horizon={horizon} must be positive and finite")
-    steps_per_window = int(round(window / dt))
+    # step counts stay floats (inf when a ratio overflows) until checked
+    steps_per_window = round(window / dt, 0)
     if abs(steps_per_window * dt - window) > 1e-9 * max(1.0, window):
         raise InvalidConfig(f"dt={dt} does not divide window={window}")
-    n_windows = int(round(horizon / window))
+    n_windows = round(horizon / window, 0)
     if n_windows < 1:
         raise InvalidConfig("horizon shorter than one window")
+    # per step: signal tables, the kernel's buffers and one window's integrals
+    check_steps(steps_per_window * n_windows, (n + 4) * (n + m))
+    steps_per_window, n_windows = int(steps_per_window), int(n_windows)
     if x0 is None:
         x0 = np.random.default_rng(exc.seed).standard_normal(n)
 
-    n_steps = steps_per_window * n_windows
-    exo_cmd = tabulate_signal(exc, dt, n_steps, m)
     xb, i_xx, i_xv, _, _, status, done = plant.collect(
-        k0, exo_cmd, x0, dt, steps_per_window, n_windows,
+        k0, exc, x0, dt, steps_per_window, n_windows,
     )
     if status == _kernels.BLOWUP:
         raise StateBlowup(

@@ -27,7 +27,7 @@ from .errors import HlqrError, InvalidConfig
 from .graphcost import Decomposition, comm_links, kappa, split_graph
 from .hierctrl import _cond, _evaluate, hierarchical_gain
 from .matops import solve_lyapunov, symmetrize
-from .partition import PartitionProblem, max_kappa, min_scut
+from .partition import ConstraintSet, PartitionProblem, max_kappa, min_scut
 from .sim import (
     build_formation,
     clique_decomposition,
@@ -71,8 +71,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in ("example1", "five_node", "formation"):
             raise InvalidConfig(f"unknown scenario {self.scenario!r}")
-        if not self.sigma > 0:
-            raise InvalidConfig(f"sigma={self.sigma} must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise InvalidConfig(f"sigma={self.sigma} must be positive and finite")
         if self.n_draws < 1:
             raise InvalidConfig("n_draws must be at least 1")
         if self.x0_scheme not in ("uniform_pm1", "normal05", "scenario"):
@@ -212,7 +212,8 @@ def choose_decomposition(cfg, scenario):
     if cfg.objective == "assignment":
         raise InvalidConfig("objective 'assignment' needs an explicit "
                             "assignment or cluster sizes")
-    constraints = None if scenario.formation is None else scenario.formation.constraints
+    constraints = (ConstraintSet() if scenario.formation is None
+                   else scenario.formation.constraints)
     problem = PartitionProblem(graph=spec.graph, s=cfg.s, constraints=constraints)
     result = max_kappa(problem) if cfg.objective == "kappa" else min_scut(problem)
     if not result.optimal:
@@ -723,7 +724,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (HlqrError, OSError) as exc:
+    except (HlqrError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

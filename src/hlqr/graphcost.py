@@ -138,28 +138,30 @@ class Decomposition:
 
     assignment[u] is the 0-based cluster id of agent u; ids are canonicalized
     to first-use order (agent 0 is always in cluster 0), so two decompositions
-    are equal iff they induce the same partition.  Flat vectors are
-    agent-major: agent u owns entries u*n .. u*n+n-1 of a vector with n
-    entries per agent.  state_indices is the one rule placing a cluster in
-    them, and scatter the one way per-cluster blocks reach agent order.
+    are equal iff they induce the same partition, and the cluster count s is
+    max(assignment) + 1.  Flat vectors are agent-major: agent u owns entries
+    u*n .. u*n+n-1 of a vector with n entries per agent.  state_indices is
+    the one rule placing a cluster in them, and scatter the one way
+    per-cluster blocks reach agent order.
     """
 
     assignment: tuple
-    s: int
 
     def __post_init__(self):
         seen = {}
         canon = tuple(seen.setdefault(_cluster_id(v), len(seen)) for v in self.assignment)
         if not canon:
             raise InvalidDecomposition("empty assignment")
-        if self.s != len(seen):
-            raise InvalidDecomposition(f"s={self.s} but assignment uses {len(seen)} clusters")
         object.__setattr__(self, "assignment", canon)
 
     @classmethod
     def from_assignment(cls, assignment):
-        ids = tuple(assignment)
-        return cls(ids, len(set(ids)))
+        """Build from any iterable of cluster ids, one per agent."""
+        return cls(tuple(assignment))
+
+    @property
+    def s(self):
+        return max(self.assignment) + 1
 
     @classmethod
     def from_clusters(cls, clusters, n_agents):

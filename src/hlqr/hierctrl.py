@@ -34,7 +34,8 @@ class HierarchicalGain:
 
     k_h = k_local + k_global where k_local = R^{-1} bt_p and
     k_global = r_tilde bt_p; bt_p is B^T scriptP in the original agent
-    ordering and p_blocks are the per-cluster value matrices.
+    ordering and p_blocks are the per-cluster value matrices.  agent_m, the
+    input count per agent, is read off k_h's shape.
     """
 
     p_blocks: list
@@ -44,7 +45,10 @@ class HierarchicalGain:
     k_h: np.ndarray
     bt_p: np.ndarray
     dec: object
-    agent_m: int
+
+    @property
+    def agent_m(self):
+        return self.k_h.shape[0] // self.dec.n_agents
 
     @property
     def p_full(self):
@@ -106,7 +110,6 @@ def assemble_gain(p_blocks, pb_blocks, r_tilde, spec, dec):
         k_h=k_local + k_global,
         bt_p=bt_p,
         dec=dec,
-        agent_m=m,
     )
 
 

@@ -64,22 +64,21 @@ DEFAULT_NODE_BUDGET = 5_000_000
 class ConstraintSet:
     """Formation-style decomposition constraints.
 
-    leader_indicator is a 0/1 vector over agents; require_leader demands at
-    least one leader per cluster.  require_connected demands that every
+    leaders, when given, is a tuple of leader agent ids, and every cluster
+    must hold at least one of them.  require_connected demands that every
     cluster's members induce a connected subgraph of the coupling graph
     (nonzero Laplacian entries, as everywhere in CostGraph).  admits is the
     one test of a complete assignment against these rules.
     """
 
-    leader_indicator: tuple | None = None
-    require_leader: bool = False
+    leaders: tuple | None = None
     require_connected: bool = False
 
     def admits(self, graph, assignment):
         """True when assignment (a cluster id per agent, ids 0..s-1) meets
         every rule on graph."""
-        if self.require_leader and not set(assignment) <= {
-                c for c, lead in zip(assignment, self.leader_indicator) if lead}:
+        if self.leaders is not None and not set(assignment) <= {
+                assignment[u] for u in self.leaders}:
             return False
         return not self.require_connected or bool(
             graph.clusters_connected(assignment).all())
@@ -87,6 +86,9 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class PartitionProblem:
+    """An s-part decomposition search; Infeasible at construction unless
+    1 <= s <= N and any leader ids are s or more distinct agents 0..N-1."""
+
     graph: object
     s: int
     constraints: ConstraintSet = field(default_factory=ConstraintSet)
@@ -96,8 +98,12 @@ class PartitionProblem:
         n = self.graph.n_agents
         if not 1 <= self.s <= n:
             raise Infeasible(f"need 1 <= s <= {n}, got s={self.s}")
-        if self.constraints is None:
-            object.__setattr__(self, "constraints", ConstraintSet())
+        leaders = self.constraints.leaders
+        if leaders is not None:
+            if not all(isinstance(u, (int, np.integer)) and 0 <= u < n for u in leaders):
+                raise Infeasible(f"leader ids {leaders} are not agents 0..{n - 1}")
+            if len(set(leaders)) < self.s:
+                raise Infeasible(f"{self.s} clusters but only {len(set(leaders))} leaders")
 
 
 @dataclass(frozen=True)
@@ -118,19 +124,6 @@ def _weight_matrix(graph):
     w = np.abs(graph.laplacian)
     np.fill_diagonal(w, 0.0)
     return w
-
-
-def _precheck(problem):
-    c = problem.constraints
-    n = problem.graph.n_agents
-    if c.require_leader:
-        if c.leader_indicator is None or len(c.leader_indicator) != n:
-            raise Infeasible("require_leader set without a full leader indicator")
-        if sum(1 for v in c.leader_indicator if v) < problem.s:
-            raise Infeasible(
-                f"{problem.s} clusters but only "
-                f"{sum(1 for v in c.leader_indicator if v)} leaders"
-            )
 
 
 def _mass(mask, sizes):
@@ -195,11 +188,9 @@ class _Search:
                 1 for v in range(u + 1, n) if w[u][v] == 0.0
             )
 
-        leaders = self.cons.leader_indicator
-        self.require_leader = self.cons.require_leader and leaders is not None
-        self.is_leader = (
-            [bool(x) for x in leaders] if self.require_leader else [False] * n
-        )
+        self.require_leader = self.cons.leaders is not None
+        leaders = set(self.cons.leaders or ())
+        self.is_leader = [u in leaders for u in range(n)]
         self.prev_twin = _prev_twins(self.w, self.is_leader)
         # leaders_from[idx] = number of leaders among agents idx..n-1
         self.leaders_from = [0] * (n + 1)
@@ -385,13 +376,11 @@ def _finish(search):
 
 def max_kappa(problem):
     """Decomposition maximizing kappa among all feasible s-part partitions."""
-    _precheck(problem)
     search = _Search(problem, maximize_kappa=True).run()
     return _finish(search)
 
 
 def min_scut(problem):
     """Decomposition minimizing total inter-cluster edge weight (tr(G2)/2)."""
-    _precheck(problem)
     search = _Search(problem, maximize_kappa=False).run()
     return _finish(search)

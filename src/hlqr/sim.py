@@ -115,30 +115,29 @@ class BlackBoxPlant:
     def n_inputs(self):
         return self._b.shape[1]
 
-    def _dist_table(self, dt, n_steps):
-        return tabulate_signal(self._dist, dt, n_steps, self.n_inputs)
-
     def rollout(self, k, x0, dt, n_steps, q, r, guard=DEFAULT_GUARD):
         """Closed-loop run under u = -K x with running cost x'Qx + u'Ru;
         returns the raw kernel tuple."""
         return _kernels.rollout_kernel(
             self._a, self._b, np.ascontiguousarray(k, dtype=float),
-            self._dist_table(dt, n_steps),
+            tabulate_signal(self._dist, dt, n_steps, self.n_inputs),
             np.ascontiguousarray(x0, dtype=float), float(dt), int(n_steps),
             np.ascontiguousarray(q, dtype=float),
             np.ascontiguousarray(r, dtype=float),
             float(guard),
         )
 
-    def collect(self, k0, exo_cmd, x0, dt, steps_per_window, n_windows,
+    def collect(self, k0, exc, x0, dt, steps_per_window, n_windows,
                 guard=DEFAULT_GUARD):
         """Learning-data run under u = -K0 x + e; the recorded applied input
-        is v = u + d.  Returns the raw kernel tuple."""
+        is v = u + d.  The excitation e is given like the disturbance: None
+        (zero) or a signal with a vectorized .table(ts).  Returns the raw
+        kernel tuple."""
         n_steps = steps_per_window * n_windows
-        exo_cmd = _check_table(exo_cmd, dt, n_steps, self.n_inputs)
         return _kernels.collect_kernel(
             self._a, self._b, np.ascontiguousarray(k0, dtype=float),
-            exo_cmd, self._dist_table(dt, n_steps),
+            tabulate_signal(exc, dt, n_steps, self.n_inputs),
+            tabulate_signal(self._dist, dt, n_steps, self.n_inputs),
             np.ascontiguousarray(x0, dtype=float), float(dt),
             int(steps_per_window), int(n_windows), float(guard),
         )
@@ -159,13 +158,13 @@ def tabulate_signal(f, dt, n_steps, m):
     return np.ascontiguousarray(out)
 
 
-def _check_table(table, dt, n_steps, m):
-    table = np.ascontiguousarray(table, dtype=float)
-    if table.shape != (2 * n_steps + 1, m):
-        raise DimensionMismatch(
-            f"exogenous table shape {table.shape} != {(2 * n_steps + 1, m)}"
-        )
-    return table
+def check_steps(n_steps, width):
+    """InvalidConfig unless numpy can index (2 * n_steps + 1) * width
+    elements, the caller's bound on each array a run of n_steps steps
+    allocates.  n_steps may be a float, inf included, checked before int()."""
+    if not (2 * n_steps + 1) * width <= np.iinfo(np.intp).max:
+        raise InvalidConfig(
+            f"{n_steps:.3g} steps need arrays larger than numpy can allocate")
 
 
 @dataclass(frozen=True)
@@ -192,19 +191,22 @@ def integrate(sys, k, x0, t_final, dt, cost=None):
 
     running_cost integrates x'Qx + u'Ru of the CostSpec cost, or zero when
     cost is None; running_ju accumulates u'u always.  The trajectory has
-    n_steps + 1 = round(t_final / dt) + 1 rows; raises StateBlowup when a
-    state entry exceeds DEFAULT_GUARD in magnitude.
+    n_steps + 1 = round(t_final / dt) + 1 rows; raises InvalidConfig when
+    numpy cannot index that many, and StateBlowup when a state entry exceeds
+    DEFAULT_GUARD in magnitude.
     """
     x0 = np.asarray(x0, dtype=float)
     if not 0 < dt < np.inf:
         raise InvalidConfig(f"dt={dt} must be positive and finite")
     if not 0 < t_final < np.inf:
         raise InvalidConfig(f"t_final={t_final} must be positive and finite")
-    n_steps = int(round(t_final / dt))
+    n_steps = round(t_final / dt, 0)
     if n_steps < 1:
         raise InvalidConfig(f"t_final={t_final} shorter than one step dt={dt}")
-
     plant = sys.black_box()
+    check_steps(n_steps, plant.n_states + plant.n_inputs)
+    n_steps = int(n_steps)
+
     if cost is None:
         q = np.zeros((plant.n_states, plant.n_states))
         r = np.zeros((plant.n_inputs, plant.n_inputs))
@@ -314,11 +316,7 @@ class FormationScenario:
     def constraints(self):
         """The decomposition rules: a leader in every cluster, and each
         cluster's formation subgraph connected."""
-        return ConstraintSet(
-            leader_indicator=tuple(int(u in self.leaders) for u in range(self.n_agents)),
-            require_leader=True,
-            require_connected=True,
-        )
+        return ConstraintSet(leaders=self.leaders, require_connected=True)
 
 
 class _CosDecayDisturbance:

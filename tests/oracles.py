@@ -414,8 +414,8 @@ def enumerate_partitions(n_agents, s, constraints=None, graph=None):
 
     for a in rec(0, 0):
         clusters = [[u for u in range(n_agents) if a[u] == c] for c in range(s)]
-        if cons.require_leader and cons.leader_indicator is not None:
-            if not all(any(cons.leader_indicator[u] for u in members)
+        if cons.leaders is not None:
+            if not all(any(u in cons.leaders for u in members)
                        for members in clusters):
                 continue
         if graph is not None and cons.require_connected:

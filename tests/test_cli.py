@@ -500,6 +500,43 @@ class TestInvalidNumbers:
         assert rc == 1
         assert "=inf must be positive and finite" in capsys.readouterr().err
 
+    def test_infinite_sigma(self, tmp_path, capsys):
+        rc = main(["solve", "five_node", "--assignment", "0,0,1,2,2",
+                   "--sigma", "inf", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "sigma=inf must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "gap_report.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "five_node", "--assignment", "0,0,1,2,2",
+         "--t-final", "1e300"],
+        ["simulate", "five_node", "--assignment", "0,0,1,2,2", "--dt", "1e-300"],
+        ["simulate", "five_node", "--assignment", "0,0,1,2,2",
+         "--t-final", "1e300", "--dt", "1e-300"],
+        ["learn", "example1", "--s", "1", "--c", "2", "--horizon", "1e300"],
+    ], ids=["t-final", "dt", "both", "horizon"])
+    def test_unallocatable_step_count(self, args, tmp_path, capsys):
+        rc = main(args + ["--out", str(tmp_path)])
+        assert rc == 1
+        assert "steps need arrays larger than numpy can allocate" in (
+            capsys.readouterr().err)
+
+    def test_memory_error_reported(self, tmp_path, capsys, monkeypatch):
+        # --dt 1e-9 asks for a 137 GiB excitation table; the stand-in raises
+        # numpy's MemoryError for any table past 100 MB instead of allocating
+        tabulate = sim.tabulate_signal
+
+        def capped(f, dt, n_steps, m):
+            if (2 * n_steps + 1) * m * 8 > 100e6:
+                raise MemoryError(f"Unable to allocate {n_steps * m * 16 / 2**30:.0f} GiB")
+            return tabulate(f, dt, n_steps, m)
+
+        monkeypatch.setattr(sim, "tabulate_signal", capped)
+        rc = main(["learn", "example1", "--s", "1", "--c", "2", "--dt", "1e-9",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
 
 class TestDefaultObjective:
     @pytest.mark.parametrize("args", [

@@ -192,11 +192,27 @@ class TestDecomposition:
 
     def test_non_integral_ids_rejected(self):
         # an id is not truncated to an integer: 0.5 is no cluster 0
-        for make in (lambda: Decomposition((0, 0.5), 1),
+        for make in (lambda: Decomposition((0, 0.5)),
                      lambda: Decomposition.from_assignment([0, 0.5])):
             with pytest.raises(InvalidDecomposition, match="0.5 is not an integer"):
                 make()
         assert Decomposition.from_assignment(np.array([0, 1, 1])).sizes() == [1, 2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ids=st.lists(st.integers(-3, 40), min_size=1, max_size=25),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cluster_count_derived(self, ids, seed):
+        # s is the number of distinct ids, whatever their values and order;
+        # relabelling the ids one-to-one keeps equality and the hash
+        dec = Decomposition.from_assignment(ids)
+        assert dec.s == len(set(ids)) == len(dec.clusters())
+        assert sorted(u for c in dec.clusters() for u in c) == list(range(len(ids)))
+        labels = sorted(set(ids))
+        perm = np.random.default_rng(seed).permutation(100)[:len(labels)]
+        relabel = dict(zip(labels, perm.tolist()))
+        other = Decomposition.from_assignment(relabel[v] for v in ids)
+        assert other == dec and hash(other) == hash(dec)
+        assert other.s == dec.s
 
     def test_index_slices(self):
         d = Decomposition.from_assignment([0, 1, 0])

@@ -281,7 +281,6 @@ class TestGapReport:
             k_h=np.zeros_like(gain.k_h),
             bt_p=gain.bt_p,
             dec=gain.dec,
-            agent_m=gain.agent_m,
         )
         with pytest.raises(UnstableClosedLoop):
             gap_report(mas, spec, dec, doctored)
@@ -425,6 +424,24 @@ class TestBlockSpectra:
         for key in ("cond_p", "f1", "f2", "trace_v_bound"):
             assert getattr(got, key) == pytest.approx(
                 getattr(want, key), rel=rel, nan_ok=True), key
+
+
+class TestAgentInputSize:
+    """agent_m is read off k_h; it equals the spec's per-agent input size."""
+
+    @pytest.mark.parametrize("n, m", [(4, 2), (8, 4)])
+    def test_model_based(self, n, m):
+        mas, spec = sim.clique_path_scenario(2, 2, n, m)
+        gain = hierarchical_gain(mas, spec, sim.clique_decomposition(2, 2))
+        assert gain.agent_m == spec.m == m
+
+    def test_learned(self):
+        mas, spec = sim.clique_path_scenario(2, 2)
+        dec = sim.clique_decomposition(2, 2)
+        gain, _ = adp.learn_hierarchical(
+            sim.cluster_plants(mas, dec), spec, dec, adp.LearnConfig(seed=3),
+            k0_list=sim.initial_gains(mas, dec))
+        assert gain.agent_m == spec.m == 2
 
 
 class TestGeneratedSparsity:

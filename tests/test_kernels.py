@@ -408,7 +408,7 @@ class TestKernelInterface:
         for out in (
             _kernels.collect_kernel(a, b, k0, cmd, dist, x0, 1e-2, steps,
                                     windows, 5.0),
-            BlackBoxPlant(a, b).collect(k0, cmd, x0, 1e-2, steps, windows,
+            BlackBoxPlant(a, b).collect(k0, None, x0, 1e-2, steps, windows,
                                         guard=5.0),
         ):
             assert len(out) == 7

@@ -55,7 +55,7 @@ class TestEnumeration:
         assert list(enumerate_partitions(3, 4)) == []
 
     def test_leader_filter(self):
-        cons = ConstraintSet(leader_indicator=(1, 0, 0, 1), require_leader=True)
+        cons = ConstraintSet(leaders=(0, 3))
         decs = list(enumerate_partitions(4, 2, constraints=cons))
         assert decs
         for dec in decs:
@@ -152,15 +152,15 @@ class TestMaxKappaProperty:
             "none": ConstraintSet(),
             "connected": ConstraintSet(require_connected=True),
             "leaders": ConstraintSet(
-                leader_indicator=tuple(int(x) for x in rng.random(n) < 0.6),
-                require_leader=True, require_connected=True),
+                leaders=tuple(int(u) for u in np.flatnonzero(rng.random(n) < 0.6)),
+                require_connected=True),
         }[kind]
-        problem = PartitionProblem(graph, s, constraints=cons)
         decs = list(enumerate_partitions(n, s, constraints=cons, graph=graph))
         if not decs:
             with pytest.raises(Infeasible):
-                max_kappa(problem)
+                max_kappa(PartitionProblem(graph, s, constraints=cons))
             return
+        problem = PartitionProblem(graph, s, constraints=cons)
         values = [kappa(graph, dec) for dec in decs]
         best = max(values)
         res = max_kappa(problem)
@@ -232,17 +232,17 @@ class TestTwinPruning:
             "none": ConstraintSet(),
             "connected": ConstraintSet(require_connected=True),
             "leaders": ConstraintSet(
-                leader_indicator=tuple(int(x) for x in rng.random(n) < 0.6),
-                require_leader=True, require_connected=True),
+                leaders=tuple(int(u) for u in np.flatnonzero(rng.random(n) < 0.6)),
+                require_connected=True),
         }[kind]
-        problem = PartitionProblem(graph, s, constraints=cons)
         decs = list(enumerate_partitions(n, s, constraints=cons, graph=graph))
         if not decs:
             with pytest.raises(Infeasible):
-                max_kappa(problem)
+                max_kappa(PartitionProblem(graph, s, constraints=cons))
             with pytest.raises(Infeasible):
-                min_scut(problem)
+                min_scut(PartitionProblem(graph, s, constraints=cons))
             return
+        problem = PartitionProblem(graph, s, constraints=cons)
         kappas = [kappa(graph, dec) for dec in decs]
         res = max_kappa(problem)
         assert res.optimal
@@ -301,17 +301,10 @@ class TestMinScut:
 
 
 class TestConstraints:
-    def leaders(self):
-        xi = [0] * 12
-        for u in (0, 7, 11):
-            xi[u] = 1
-        return tuple(xi)
-
     def test_leader_and_connectivity(self):
         scn = sim.default_formation()
         graph = scn.formation_graph
-        cons = ConstraintSet(leader_indicator=self.leaders(),
-                             require_leader=True, require_connected=True)
+        cons = ConstraintSet(leaders=(0, 7, 11), require_connected=True)
         res = max_kappa(PartitionProblem(graph, 3, constraints=cons))
         assert res.optimal
         for members in res.dec.clusters():
@@ -320,15 +313,45 @@ class TestConstraints:
 
     def test_too_few_leaders(self):
         graph = sim.clique_path_graph(2, 2)
-        cons = ConstraintSet(leader_indicator=(1, 0, 0, 0), require_leader=True)
+        cons = ConstraintSet(leaders=(0,))
         with pytest.raises(Infeasible):
             max_kappa(PartitionProblem(graph, 2, constraints=cons))
 
-    def test_missing_indicator(self):
-        graph = sim.clique_path_graph(2, 2)
-        cons = ConstraintSet(require_leader=True)
-        with pytest.raises(Infeasible):
-            max_kappa(PartitionProblem(graph, 2, constraints=cons))
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 9),
+           s=st.integers(1, 3))
+    def test_leader_order_and_repeats_ignored(self, seed, n, s):
+        rng = np.random.default_rng(seed)
+        graph = random_graph(rng, n, p=0.3)
+        leaders = sorted(int(u) for u in rng.choice(n, size=max(s, n // 2),
+                                                    replace=False))
+        shuffled = [leaders[i] for i in rng.permutation(len(leaders))]
+        messy = tuple(shuffled + shuffled[:2])
+        for cons in ({"require_connected": False}, {"require_connected": True}):
+            results = []
+            for ids in (tuple(leaders), messy):
+                problem = PartitionProblem(
+                    graph, s, constraints=ConstraintSet(leaders=ids, **cons))
+                try:
+                    results.append((max_kappa(problem), min_scut(problem)))
+                except Infeasible as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1]
+
+    @pytest.mark.parametrize("leaders", [
+        (0, 7, 12), (-1, 7, 11), (0, 7.0, 11), (0, "7", 11), (0, 7.5, 11),
+    ])
+    def test_bad_leader_ids_rejected(self, leaders):
+        graph = sim.default_formation().formation_graph
+        with pytest.raises(Infeasible, match="leader ids"):
+            PartitionProblem(graph, 3, constraints=ConstraintSet(leaders=leaders))
+        assert PartitionProblem(
+            graph, 3, constraints=ConstraintSet(leaders=np.array([0, 7, 11]).tolist()))
+
+    def test_repeated_leaders_count_once(self):
+        graph = sim.default_formation().formation_graph
+        with pytest.raises(Infeasible, match="3 clusters but only 2 leaders"):
+            PartitionProblem(graph, 3, constraints=ConstraintSet(leaders=(0, 7, 7, 0)))
 
     def test_connected_constraint_sound(self):
         rng = np.random.default_rng(73)
