@@ -1,4 +1,6 @@
-"""The six LAPACK routines hlqr calls, from scipy's compiled wrappers.
+"""The LAPACK routines hlqr calls, from scipy's compiled wrappers: dgees,
+dtrsyl, dgetrf, dgetri and its workspace query dgetri_lwork (matops), and
+dgeqrf, dormqr, dtrcon and dtrtrs (adp).
 
 Importing scipy.linalg costs about 0.25 s, most of it in scipy's array-API
 layer, which imports numpy.f2py and numpy.testing.  The routines themselves
@@ -25,6 +27,9 @@ if not _imported:  # CPython enters the extension in sys.modules as it loads
 
 dgees = _flapack.dgees
 dtrsyl = _flapack.dtrsyl
+dgetrf = _flapack.dgetrf
+dgetri = _flapack.dgetri
+dgetri_lwork = _flapack.dgetri_lwork
 dgeqrf = _flapack.dgeqrf
 dormqr = _flapack.dormqr
 dtrcon = _flapack.dtrcon

@@ -318,15 +318,18 @@ def collect(plant, k0, exc, horizon, dt, window, x0=None):
         raise InvalidConfig(f"dt={dt} and window={window} must be positive and finite")
     if not 0 < horizon < np.inf:
         raise InvalidConfig(f"horizon={horizon} must be positive and finite")
-    # step counts stay floats (inf when a ratio overflows) until checked
+    # per step: signal tables, the kernel's buffers and one window's integrals
+    width = (n + 4) * (n + m)
+    # step counts stay floats (inf when a ratio overflows) until checked;
+    # an overflowed window / dt is a step-count error, not a divisibility one
     steps_per_window = round(window / dt, 0)
-    if abs(steps_per_window * dt - window) > 1e-9 * max(1.0, window):
+    check_steps(steps_per_window, width)
+    if steps_per_window < 1 or abs(steps_per_window * dt - window) > 1e-9 * max(1.0, window):
         raise InvalidConfig(f"dt={dt} does not divide window={window}")
     n_windows = round(horizon / window, 0)
     if n_windows < 1:
         raise InvalidConfig("horizon shorter than one window")
-    # per step: signal tables, the kernel's buffers and one window's integrals
-    check_steps(steps_per_window * n_windows, (n + 4) * (n + m))
+    check_steps(steps_per_window * n_windows, width)
     steps_per_window, n_windows = int(steps_per_window), int(n_windows)
     if x0 is None:
         x0 = np.random.default_rng(exc.seed).standard_normal(n)

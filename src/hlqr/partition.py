@@ -68,11 +68,18 @@ class ConstraintSet:
     must hold at least one of them.  require_connected demands that every
     cluster's members induce a connected subgraph of the coupling graph
     (nonzero Laplacian entries, as everywhere in CostGraph).  admits is the
-    one test of a complete assignment against these rules.
+    one test of a complete assignment against these rules.  Infeasible at
+    construction unless every leader id is a non-negative integer; an id
+    past the last agent is PartitionProblem's to reject, with the graph.
     """
 
     leaders: tuple | None = None
     require_connected: bool = False
+
+    def __post_init__(self):
+        if self.leaders is not None and not all(
+                isinstance(u, (int, np.integer)) and u >= 0 for u in self.leaders):
+            raise Infeasible(f"leader ids {self.leaders} are not agent ids 0, 1, ...")
 
     def admits(self, graph, assignment):
         """True when assignment (a cluster id per agent, ids 0..s-1) meets
@@ -100,7 +107,7 @@ class PartitionProblem:
             raise Infeasible(f"need 1 <= s <= {n}, got s={self.s}")
         leaders = self.constraints.leaders
         if leaders is not None:
-            if not all(isinstance(u, (int, np.integer)) and 0 <= u < n for u in leaders):
+            if not all(u < n for u in leaders):
                 raise Infeasible(f"leader ids {leaders} are not agents 0..{n - 1}")
             if len(set(leaders)) < self.s:
                 raise Infeasible(f"{self.s} clusters but only {len(set(leaders))} leaders")

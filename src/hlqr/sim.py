@@ -295,7 +295,9 @@ class FormationScenario:
 
     States per agent are (position error, velocity) in the target-relative
     coordinates x_i = (q_i - h_i, qdot_i).  Leaders anchor the formation via
-    the diagonal weight lambda (leader_weight) in the cost.
+    the diagonal weight lambda (leader_weight) in the cost.  InvalidConfig
+    at construction unless leaders is one or more distinct agent ids
+    0..N-1.
     """
 
     masses: list
@@ -307,6 +309,13 @@ class FormationScenario:
     initial_velocities: np.ndarray
     disturbance_amps: np.ndarray | None = None
     leader_weight: float = 1.0
+
+    def __post_init__(self):
+        n, leaders = self.n_agents, self.leaders
+        agents = all(isinstance(u, (int, np.integer)) and 0 <= u < n for u in leaders)
+        if not (leaders and agents and len(set(leaders)) == len(leaders)):
+            raise InvalidConfig(
+                f"leaders {leaders} are not one or more distinct agents 0..{n - 1}")
 
     @property
     def n_agents(self):
@@ -340,9 +349,6 @@ def default_formation(n_cols=4, n_rows=3, leaders=(0, 7, 11)):
     disturbance amplitudes (0.05 i, 0.1 i), all for 1-based agent number i.
     """
     n_agents = n_cols * n_rows
-    for u in leaders:
-        if not 0 <= u < n_agents:
-            raise InvalidConfig(f"leader {u} out of range")
 
     def node(col, row):
         return col * n_rows + row
@@ -393,8 +399,6 @@ def build_formation(scn):
     u = -((L_complete + Lambda) (x) [I 0]) x.
     """
     n_agents = scn.n_agents
-    if not scn.leaders:
-        raise InvalidConfig("formation needs at least one leader")
     if not scn.formation_graph.connected():
         raise InvalidConfig("formation graph must be connected")
 

@@ -1,11 +1,14 @@
 """Reference solvers that the library's faster paths are checked against.
 
 svd_pinv is matops.pinv without the split at connected components: one SVD
-of the whole matrix.  care_residual is the Riccati residual of a candidate
-P, with its gain formed from R.  comm_links_loop tests graphcost.comm_links'
-agent pairs one at a time.  pbh_stabilizable is the Popov-Belevitch-Hautus
-rank test that graphcost.check_assumptions replaces by one ordered Schur
-form.
+of the whole matrix.  lu_doubling is matops._doubling with each linear
+solve done by np.linalg.solve or np.linalg.inv, a fresh LU factorization
+per use, where the library inverts each matrix once by LAPACK dgetri and
+applies the inverse by GEMM.  care_residual is the Riccati residual of a
+candidate P, with its gain formed from R.  comm_links_loop tests
+graphcost.comm_links' agent pairs one at a time.  pbh_stabilizable is the
+Popov-Belevitch-Hautus rank test that graphcost.check_assumptions replaces
+by one ordered Schur form.
 
 Pointwise gives a test signal written as a function of time the .table(ts)
 form that the simulator reads.
@@ -53,7 +56,8 @@ from hlqr.errors import (
 )
 from hlqr.graphcost import Decomposition, assemble_q, split_graph
 from hlqr.hierctrl import GapReport, _cond
-from hlqr.matops import abscissa, is_psd, solve_care, solve_lyapunov, symmetrize
+from hlqr.matops import (CARE_MAX_ITER, abscissa, is_psd, solve_care, solve_lyapunov,
+                         symmetrize)
 from hlqr.partition import ConstraintSet
 from hlqr.sim import MasSystem, Trajectory, integrate, tabulate_signal
 
@@ -195,6 +199,47 @@ class Pointwise:
     def table(self, ts):
         return np.asarray([np.atleast_1d(self.f(float(t))) for t in ts],
                           dtype=float)
+
+
+def lu_doubling(a, g, q):
+    """matops._doubling's iterates, certificate and stop rule, with
+    A_g^{-T} Q and the G_0 term by np.linalg.solve, V^{-1} by np.linalg.inv
+    and W^{-1} [E | G_k] by one np.linalg.solve per doubling."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    with np.errstate(all="ignore"):
+        gamma = 1.01 * np.linalg.norm(a, 1)
+        if g is not None:
+            gamma = max(gamma, 0.1 * np.sqrt(np.linalg.norm(g, 1) * np.linalg.norm(q, 1)))
+        gamma = gamma or 1.0
+        a_g = a - gamma * eye
+        try:
+            y = np.linalg.solve(a_g.T, q)
+            v_inv = np.linalg.inv(a_g if g is None else a_g + g @ y)
+            e = eye + 2.0 * gamma * v_inv
+            h = symmetrize(2.0 * gamma * (y @ v_inv).T)
+            if g is not None:
+                g_k = symmetrize(-2.0 * gamma * np.linalg.solve(a_g, g @ v_inv.T))
+            for _ in range(CARE_MAX_ITER):
+                if g is not None:
+                    x = np.linalg.solve(eye - g_k @ h, np.hstack([e, g_k]))
+                w_e = e if g is None else x[:, :n]
+                step = e.T @ (h @ w_e)
+                h = h + symmetrize(step)
+                moved = np.linalg.norm(step, 1)
+                if not np.isfinite(moved):
+                    return None
+                if moved <= np.sqrt(np.finfo(float).eps) * np.linalg.norm(h, 1):
+                    if np.linalg.norm(w_e, 1) <= 0.5:
+                        return h
+                    if g is not None:
+                        return None
+                if g is not None:
+                    g_k = symmetrize(g_k + (e @ x[:, n:]) @ e.T)
+                e = e @ w_e
+        except np.linalg.LinAlgError:
+            return None
+    return None
 
 
 def care_residual(a, b, q, r, p):

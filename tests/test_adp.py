@@ -218,6 +218,9 @@ class TestCollect:
             collect(plant, None, exc, 1.0, 0.3, 0.1)
         with pytest.raises(InvalidConfig):
             collect(plant, None, exc, 0.04, 1e-3, 0.1)
+        # a window shorter than half a step rounds to zero steps
+        with pytest.raises(InvalidConfig, match="does not divide"):
+            collect(plant, None, exc, 1e-9, 1.0, 1e-12)
         for dt, window in [(0.0, 0.1), (-1e-3, 0.1), (np.nan, 0.1),
                            (1e-3, 0.0), (1e-3, -0.1), (1e-3, np.nan)]:
             with pytest.raises(InvalidConfig, match="must be positive"):

@@ -514,7 +514,9 @@ class TestInvalidNumbers:
         ["simulate", "five_node", "--assignment", "0,0,1,2,2",
          "--t-final", "1e300", "--dt", "1e-300"],
         ["learn", "example1", "--s", "1", "--c", "2", "--horizon", "1e300"],
-    ], ids=["t-final", "dt", "both", "horizon"])
+        ["learn", "example1", "--s", "1", "--c", "2", "--dt", "1e-300",
+         "--window", "1e300"],
+    ], ids=["t-final", "dt", "both", "horizon", "window-over-dt"])
     def test_unallocatable_step_count(self, args, tmp_path, capsys):
         rc = main(args + ["--out", str(tmp_path)])
         assert rc == 1

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hlqr import _lapack, graphcost, hierctrl, matops, sim
 from hlqr.errors import IterationDiverged, NonStabilizable, UnstableMatrix
-from oracles import care_residual, svd_pinv
+from oracles import care_residual, lu_doubling, svd_pinv
 
 SQRT2_M1 = 0.41421356237309515
 
@@ -610,6 +610,102 @@ class TestHiddenBlocks:
             assert np.any(mp[np.ix_(cols, rows)] != 0.0)
 
 
+class TestFactorOnceDoubling:
+    """_doubling inverts A_g, V and each W once, by LAPACK dgetrf and
+    dgetri, and applies the inverses by GEMM; oracles.lu_doubling, the
+    reference, takes an LU solve per use.  solve_care and solve_lyapunov
+    run on either agree to 10 kappa eps relative, kappa = 2 |A_s|_2 |Y|_2
+    the relative condition number of the Lyapunov operator of the (closed
+    loop) matrix A_s, Y solving A_s' Y + Y A_s + I = 0.  Over 1500 draws of
+    each generator, the largest share of that tolerance used was 0.37."""
+
+    @staticmethod
+    def assert_agree(solve, args, a_s=None):
+        x = solve(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matops, "_doubling", lu_doubling)
+            x_ref = solve(*args)
+        if a_s is None:  # the Riccati closed loop
+            a, b, _, r = args
+            a_s = a - b @ np.linalg.solve(r, b.T @ x_ref)
+        y = scipy.linalg.solve_continuous_lyapunov(a_s.T, -np.eye(len(a_s)))
+        kappa = 2.0 * np.linalg.norm(a_s, 2) * np.linalg.norm(y, 2)
+        assert np.linalg.norm(x - x_ref, "fro") <= (
+            10.0 * kappa * np.finfo(float).eps * np.linalg.norm(x_ref, "fro"))
+        return x
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_blocks=st.integers(1, 4),
+           coupled=st.booleans())
+    def test_care_matches_lu_doubling(self, seed, n_blocks, coupled):
+        # coupled: one entry of A between blocks 0 and 1, as in
+        # TestHiddenBlocks.test_care_coupled
+        rng = np.random.default_rng(seed)
+        a, b, q, r, s_lab, _ = hidden_blocks(rng, n_blocks)
+        if coupled and {0, 1} <= set(s_lab):
+            couple(rng, a, s_lab, s_lab)
+        self.assert_agree(matops.solve_care, (a, b, q, r))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24),
+           kind=st.sampled_from(["similar", "stiff", "triangular"]))
+    def test_lyapunov_matches_lu_doubling(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        a_s = random_hurwitz(rng, n, kind)
+        w_half = rng.standard_normal((n, n))
+        self.assert_agree(matops.solve_lyapunov, (a_s, w_half @ w_half.T), a_s)
+
+    def test_benchmark_component_size(self):
+        # example1 with 10 cliques of 10 agents: the 400-state reference
+        # CARE and its cost matrix U split into two 200-state components
+        mas, spec = sim.clique_path_scenario(10, 10)
+        a, b, q, r = mas.a_full, mas.b_full, graphcost.assemble_q(spec), spec.r
+        p = self.assert_agree(matops.solve_care, (a, b, q, r))
+        k = np.linalg.solve(r, b.T @ p)
+        a_s = a - b @ k
+        self.assert_agree(matops.solve_lyapunov, (a_s, q + k.T @ r @ k), a_s)
+
+    def test_one_factorization_per_matrix(self, monkeypatch):
+        # CARE_MAX_ITER doublings, too few to converge: A_g, V and each W
+        # are factored once; squared Smith factors A_g alone.  No np.linalg
+        # solve or inverse is called
+        factored = []
+        dgetrf = matops.dgetrf
+        monkeypatch.setattr(matops, "dgetrf", lambda m: factored.append(m) or dgetrf(m))
+        for name in ("solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, None)
+        a, g, q = np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]])
+        for k in (1, 2, 3):
+            monkeypatch.setattr(matops, "CARE_MAX_ITER", k)
+            factored.clear()
+            assert matops._doubling(a, g, q) is None
+            assert len(factored) == 2 + k
+            factored.clear()
+            matops._doubling(a, None, q)
+            assert len(factored) == 1
+
+    def test_singular_inverse_breaks_down(self, monkeypatch):
+        for m in (np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]])):
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                matops._inv(m)
+        assert matops._inv(np.zeros((0, 0))).shape == (0, 0)
+        # a singular W in the second doubling: no P, and no warning
+        inv, calls = matops._inv, []
+
+        def failing(m):
+            calls.append(m)
+            if len(calls) == 4:
+                raise np.linalg.LinAlgError("singular matrix")
+            return inv(m)
+
+        monkeypatch.setattr(matops, "_inv", failing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert matops._doubling(np.array([[-1.0]]), np.array([[1.0]]),
+                                    np.array([[1.0]])) is None
+        assert len(calls) == 4
+
+
 class TestScipyBits:
     """matops' block_diag and solve_continuous_lyapunov, and the LAPACK
     routines hlqr._lapack loads, give scipy.linalg's bits."""
@@ -639,6 +735,22 @@ class TestScipyBits:
         ints = [np.arange(6).reshape(2, 3), np.ones((1, 1), dtype=int)]
         got, want = matops.block_diag(*ints), scipy.linalg.block_diag(*ints)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64, 200])
+    def test_dgetrf_dgetri(self, n):
+        a = np.random.default_rng(n).standard_normal((n, n))
+        got = _lapack.dgetrf(a)
+        want = scipy.linalg.lapack.dgetrf(a)
+        assert got[-1] == want[-1] == 0
+        for x, y in zip(got[:-1], want[:-1]):
+            assert np.array_equal(x, y)
+        lwork = int(_lapack.dgetri_lwork(n)[0])
+        assert lwork == int(scipy.linalg.lapack.dgetri_lwork(n)[0])
+        got = _lapack.dgetri(*got[:2], lwork=lwork)
+        want = scipy.linalg.lapack.dgetri(*want[:2], lwork=lwork)
+        assert got[-1] == want[-1] == 0
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(matops._inv(a), want[0])
 
     @pytest.mark.parametrize("n", [1, 2, 9, 64, 150])
     def test_dgees(self, n):

@@ -348,6 +348,12 @@ class TestConstraints:
         assert PartitionProblem(
             graph, 3, constraints=ConstraintSet(leaders=np.array([0, 7, 11]).tolist()))
 
+    @pytest.mark.parametrize("leaders", [(-1, 0, 7), (0, 7.0, 11), (0, "7", 11)])
+    def test_bad_leader_ids_rejected_where_stored(self, leaders):
+        # a negative id would index the assignment from its end in admits
+        with pytest.raises(Infeasible, match="leader ids"):
+            ConstraintSet(leaders=leaders)
+
     def test_repeated_leaders_count_once(self):
         graph = sim.default_formation().formation_graph
         with pytest.raises(Infeasible, match="3 clusters but only 2 leaders"):

@@ -201,6 +201,16 @@ class TestFormationScenario:
         with pytest.raises(InvalidConfig):
             sim.build_formation(replace(scn, leaders=()))
 
+    @pytest.mark.parametrize("leaders", [
+        (0, 7, 12), (-1, 0, 7), (0, 7, 7), (0, 7.0, 11), (0, "7", 11),
+    ])
+    def test_bad_leaders_rejected(self, leaders):
+        from dataclasses import replace
+        with pytest.raises(InvalidConfig, match="distinct agents"):
+            replace(sim.default_formation(), leaders=leaders)
+        with pytest.raises(InvalidConfig, match="distinct agents"):
+            sim.default_formation(leaders=leaders)
+
     def test_optimal_beats_baseline(self):
         mas, spec, baseline_k, x0 = sim.build_formation(sim.default_formation())
         a, b = mas.a_full, mas.b_full
