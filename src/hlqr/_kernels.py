@@ -8,17 +8,18 @@ collect.  One classical RK4 step of length h is then an exact linear map
 
 and every stage state x1..x4 is likewise linear in z = [x; w(t); w(t + h/2);
 w(t + h)].  The maps are built once per call by pushing identity blocks
-through the RK4 stage formulas.  Both kernels then work per chunk of steps:
-the exogenous drive of the chunk is one GEMM, and the stage values of the
-chunk are batched GEMMs over it.
+through the RK4 stage formulas.  Both kernels work per chunk of steps in one
+buffer of rows z', allocated once; the state columns run the recurrence.
 
-The rollout kernel reads stage 1 from its state record and takes stages 2-4,
-the inputs and the cost quadratures from batched products.  The collect
-kernel keeps no per-step record.  Its chunk is one buffer of rows
-[x | w(t) w(t + h/2) w(t + h)], and one sample map Y sends such a row to the
-weighted stage states and applied inputs c_i [x_i, v_i], i = 1..4, with
-c_i^2 the RK4 quadrature weights.  One GEMM of the buffer with Y' and one
-batched product Y_x' Y then give [I_xx | I_xv] of every window of the chunk.
+A rollout step adds |F z|^2 to a running cost, F'F = sum_i c_i^2 S_i'C'C S_i,
+with S_i z the stage states, c_i^2 = dt/6 * (1, 2, 2, 1)_i the RK4 weights,
+and C = K for u'u or, for the cost, C'C the symmetric part of Q + K'RK (Q and
+R may be nonsymmetric).  F is the R of one QR of the stacked c_i C S_i (at
+most n + 3m rows), so a chunk's costs are one GEMM of the buffer with
+[F_cost; F_u]' and two row sums of squares, never negative.  The collect
+kernel keeps no per-step record: a sample map Y sends a row to c_i [x_i, v_i],
+the weighted stage states and applied inputs, and one GEMM of the buffer with
+Y' and one batched product Y_x' Y give [I_xx | I_xv] of every window.
 
 The state recurrence runs in blocks of BLOCK steps with the powers
 T, T^2, .., T^BLOCK, built once per call.  Within a block starting at x_p,
@@ -29,10 +30,9 @@ where d_s = G w_s is the step's drive.  The zero-state responses z_j of all
 blocks of a chunk are BLOCK GEMMs, the block starts are stepped with T^BLOCK,
 one matrix-vector product per block, and the block interiors are one GEMM.
 Temporaries are O(chunk * n); nothing of full length is allocated besides
-the outputs.
-
-Exogenous signals (excitation, disturbance) are tabulated on the half-step
-grid (2*n_steps + 1 samples) so RK4 stage evaluations see exact signal values.
+the outputs.  Exogenous signals (excitation, disturbance) come tabulated on
+the half-step grid (2*n_steps + 1 samples), so RK4 stage evaluations see
+exact signal values; a missing signal is None, not a table of zeros.
 
 The state guard is one reduction per chunk, and the outputs are cut at the
 first offending step, so status, last step and the zero tail of every output
@@ -43,13 +43,9 @@ Status codes: 0 = ran to completion, 1 = state guard exceeded (blowup).
 
 import numpy as np
 
-__all__ = [
-    "USING_NUMBA",
-    "OK",
-    "BLOWUP",
-    "rollout_kernel",
-    "collect_kernel",
-]
+from . import _lapack
+
+__all__ = ["USING_NUMBA", "OK", "BLOWUP", "rollout_kernel", "collect_kernel"]
 
 #: There is one numpy backend; the flag stays for records that log it.
 USING_NUMBA = False
@@ -57,10 +53,10 @@ USING_NUMBA = False
 OK = 0
 BLOWUP = 1
 
-#: Steps per chunk of the rollout kernel.  256 keeps the temporaries near
-#: 1 MB at 48 states; 1024 ran the 30,000-step formation rollout no faster and
-#: raised its tracemalloc peak from 18.7 to 22.6 MB.
-CHUNK = 256
+#: Steps per chunk of the rollout kernel.  The 30,000-step 48-state formation
+#: rollout took 47.7, 44.0, 43.5 and 41.6 ms (one BLAS thread) at 128, 192,
+#: 256 and 512, and its command's peak RSS rose 0.15, 0.29 and 1.7 MB over 128.
+CHUNK = 192
 
 #: Steps per chunk of the collect kernel, rounded down to whole windows (at
 #: least one window per chunk).  On the 36-state learn (100-step windows, one
@@ -79,7 +75,7 @@ _FMAX = np.finfo(float).max
 
 
 def _rk4_maps(a, b, k, dt):
-    """(T, G, S) of one RK4 step of xdot = A x + B(-K x + w).
+    """(_powers(T), G, S) of one RK4 step of xdot = A x + B(-K x + w).
 
     With z = [x; w(t); w(t+h/2); w(t+h)], the step is x+ = T x + G z[n:] and
     the four stage states x1..x4 are the n-row blocks of S z.
@@ -98,7 +94,7 @@ def _rk4_maps(a, b, k, dt):
     x4 = x + dt * f3
     f4 = f_cl @ x4 + bw1
     step = x + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-    return step[:, :n], step[:, n:], np.vstack([x, x2, x3, x4])
+    return _powers(step[:, :n]), step[:, n:], np.vstack([x, x2, x3, x4])
 
 
 def _sample_map(s_map, k0, dt):
@@ -118,10 +114,19 @@ def _sample_map(s_map, k0, dt):
     return (c * np.concatenate([stage_x, stage_v], axis=1)).reshape(-1, cols)
 
 
-def _step_drive(w):
-    """Per-step rows [w(t), w(t+h/2), w(t+h)], shape (L, 3m), of a
-    (2L+1, m) half-grid slice."""
-    return np.hstack([w[0:-1:2], w[1::2], w[2::2]])
+def _psd_root(w):
+    """C with C'C = (W + W')/2, PSD, by pivoted Cholesky cut at its rank."""
+    u, piv, rank, _ = _lapack.dpstrf((w + w.T) / 2.0)  # reads one triangle
+    root = np.empty((rank, w.shape[0]))
+    root[:, piv - 1] = np.triu(u[:rank])
+    return root
+
+
+def _step_rows(table, m):
+    """Rows [w(t) w(t+h/2) w(t+h)], one per step, of a half-grid table, as a
+    view; None for None."""
+    if table is not None:
+        return np.lib.stride_tricks.sliding_window_view(table.reshape(-1), 3 * m)[::2 * m]
 
 
 def _powers(t_map):
@@ -134,27 +139,27 @@ def _powers(t_map):
     return pows
 
 
-def _advance(t_pows, g_map, xs, wz, s0, s1):
-    """Fill xs[s0+1 .. s1] by x+ = T x + G w from xs[s0], BLOCK steps at a
-    time; t_pows is _powers(T)."""
+def _advance(t_pows, g_map, xs, wz):
+    """Fill xs[1 .. steps] by x+ = T x + G w from xs[0], BLOCK steps at a
+    time, for the steps' drive rows wz; t_pows is _powers(T)."""
     n = xs.shape[1]
-    steps = s1 - s0
+    steps = len(wz)
     n_blocks = -(-steps // BLOCK)
     drive = np.zeros((n_blocks * BLOCK, n))
     np.matmul(wz, g_map.T, out=drive[:steps])
-    # z[j, q] is step s0 + q * BLOCK + j + 1; the last block is padded past
-    # s1 with zero drive
+    # z[j, q] is step q * BLOCK + j + 1; the last block is padded past the
+    # chunk with zero drive
     z = np.ascontiguousarray(drive.reshape(n_blocks, BLOCK, n).transpose(1, 0, 2))
     for j in range(1, BLOCK):
         z[j] += z[j - 1] @ t_pows[0]
     # block ends x_{p+BLOCK} = T^BLOCK x_p + z_BLOCK, in order
-    x = xs[s0]
+    x = xs[0]
     for end in z[-1]:
         end += x @ t_pows[-1]
         x = end
-    starts = np.vstack([xs[s0], z[-1, :-1]])
+    starts = np.vstack([xs[0], z[-1, :-1]])
     z[:-1] += np.matmul(starts, t_pows[:-1])
-    xs[s0 + 1:s1 + 1] = z.transpose(1, 0, 2).reshape(-1, n)[:steps]
+    xs[1:steps + 1] = z.transpose(1, 0, 2).reshape(-1, n)[:steps]
 
 
 def _first_bad(x_rows, guard):
@@ -170,57 +175,54 @@ def _first_bad(x_rows, guard):
 def rollout_kernel(a, b, k, exo_dist, x0, dt, n_steps, q, r, guard):
     """Closed-loop RK4 rollout of xdot = A x + B(u + d), u = -K x.
 
-    exo_dist is the (2*n_steps+1, m) half-grid table of d.  Returns (states,
-    inputs, cost, ju, status, last_step); cost and ju carry the
-    RK4-quadrature running integrals of x'Qx + u'Ru and u'u.
+    exo_dist is the (2*n_steps+1, m) half-grid table of d, or None for no
+    disturbance.  Returns (states, inputs, cost, ju, status, last_step); cost
+    and ju carry the RK4-quadrature running integrals of x'Qx + u'Ru and u'u.
     """
-    n = a.shape[0]
-    m = b.shape[1]
+    n, m = b.shape
     # u = x (-K)': negating the gain, not the product, records u = +0.0
     # where K x is zero
     k_neg = -k
-    xs = np.zeros((n_steps + 1, n))
-    us = np.zeros((n_steps + 1, m))
-    cost = np.zeros(n_steps + 1)
-    ju = np.zeros(n_steps + 1)
+    xs, us = np.zeros((n_steps + 1, n)), np.zeros((n_steps + 1, m))
+    cost, ju = np.zeros(n_steps + 1), np.zeros(n_steps + 1)
     xs[0] = x0
     us[0] = x0 @ k_neg.T
-    status = OK
-    last = n_steps
-    t_map, g_map, s_map = _rk4_maps(a, b, k, dt)
-    t_pows = _powers(t_map)
-    later_stages = s_map[n:].T  # stage 1 is x itself
-    weights = (dt / 6.0) * _RK4_WEIGHTS
+    status, last = OK, n_steps
+    t_pows, g_map, s_map = _rk4_maps(a, b, k, dt)
+    stages = np.sqrt((dt / 6.0) * _RK4_WEIGHTS)[:, None, None] * s_map.reshape(4, n, -1)
+    f_cost, f_u = (np.linalg.qr((c @ stages).reshape(-1, n + 3 * m), mode="r")
+                   for c in (_psd_root(q + k.T @ r @ k), k))
+    f_t, split = np.vstack([f_cost, f_u]).T, len(f_cost)
+    del s_map, stages, f_cost, f_u  # not held through the loop: peak RSS
+    # row s: x_s, then the drive of the step from it (zero without a disturbance)
+    buf = np.zeros((min(CHUNK, n_steps) + 1, n + 3 * m))
+    dist = _step_rows(exo_dist, m)
+    squares = np.empty((buf.shape[0] - 1, f_t.shape[1]))
+    xb = buf[:, :n]
+    xb[0] = x0
 
     with np.errstate(over="ignore", invalid="ignore"):
         for s0 in range(0, n_steps, CHUNK):
             s1 = min(s0 + CHUNK, n_steps)
-            wz = _step_drive(exo_dist[2 * s0:2 * s1 + 1])
-            _advance(t_pows, g_map, xs, wz, s0, s1)
-            keep = s1 - s0
-            bad = _first_bad(xs[s0 + 1:s1 + 1], guard)
+            steps = keep = s1 - s0
+            if dist is not None:
+                buf[:steps, n:] = dist[s0:s1]
+            _advance(t_pows, g_map, xb, buf[:steps, n:])
+            bad = _first_bad(xb[1:steps + 1], guard)
             if bad is not None:
-                status = BLOWUP
-                keep = bad + 1
-                last = s0 + keep
+                status, keep, last = BLOWUP, bad + 1, s0 + bad + 1
 
-            x_rows = xs[s0:s0 + keep]
-            xst = np.empty((keep, 4 * n))
-            xst[:, :n] = x_rows
-            np.matmul(np.hstack([x_rows, wz[:keep]]), later_stages, out=xst[:, n:])
-            xst = xst.reshape(-1, n)
-            ust = xst @ k_neg.T
-            cst = np.sum((xst @ q.T) * xst, axis=1) + np.sum((ust @ r.T) * ust, axis=1)
-            jst = np.sum(ust * ust, axis=1)
-            for acc, stage_vals in ((cost, cst), (ju, jst)):
+            sq = np.matmul(buf[:keep], f_t, out=squares[:keep])
+            np.square(sq, out=sq)
+            for acc, cols in ((cost, sq[:, :split]), (ju, sq[:, split:])):
                 run = acc[s0:s0 + keep + 1]
-                run[1:] = stage_vals.reshape(keep, 4) @ weights
+                np.sum(cols, axis=1, out=run[1:])
                 np.cumsum(run, out=run)
-            us[s0 + 1:s0 + keep + 1] = xs[s0 + 1:s0 + keep + 1] @ k_neg.T
+            xs[s0 + 1:s0 + keep + 1] = xb[1:keep + 1]
+            np.matmul(xs[s0 + 1:s0 + keep + 1], k_neg.T, out=us[s0 + 1:s0 + keep + 1])
             if status == BLOWUP:
-                for arr in (xs, us, cost, ju):
-                    arr[last + 1:] = 0.0
                 break
+            xb[0] = xb[steps]
 
     return xs, us, cost, ju, status, last
 
@@ -229,27 +231,24 @@ def collect_kernel(a, b, k0, exo_cmd, exo_dist, x0, dt, steps_per_window,
                    n_windows, guard):
     """Learning-data rollout under u = -K0 x + e with applied input v = u + d.
 
-    Accumulates per-window RK4 quadratures of x x' and x v' and records window
-    boundary states.  Returns (boundaries, i_xx, i_xv, None, None, status,
-    windows_done).  No per-step record is kept; slots 3 and 4 are empty and
-    stay only for callers that read windows_done by position.
+    exo_cmd and exo_dist are the half-grid tables of e and d, each None for
+    no signal.  Accumulates per-window RK4 quadratures of x x' and x v' and
+    records window boundary states.  Returns (boundaries, i_xx, i_xv, None,
+    None, status, windows_done).  No per-step record is kept; slots 3 and 4
+    stay empty for callers that read windows_done by position.
     """
-    n = a.shape[0]
-    m = b.shape[1]
+    n, m = b.shape
     spw = steps_per_window
     xb = np.zeros((n_windows + 1, n))
-    ixx = np.zeros((n_windows, n, n))
-    ixv = np.zeros((n_windows, n, m))
+    ixx, ixv = np.zeros((n_windows, n, n)), np.zeros((n_windows, n, m))
     xb[0] = x0
-    status = OK
-    done = 0
-    t_map, g_map, s_map = _rk4_maps(a, b, k0, dt)
-    t_pows = _powers(t_map)
+    status, done = OK, 0
+    t_pows, g_map, s_map = _rk4_maps(a, b, k0, dt)
     y_map = _sample_map(s_map, k0, dt).T
     per_chunk = max(1, COLLECT_CHUNK // spw)
-    # row s: the chunk's state x_s, then the drive [w(t) w(t+h/2) w(t+h)] of
-    # the step from it; the state columns run the recurrence
+    # row s: x_s, then the drive [w(t) w(t+h/2) w(t+h)] of the step from it
     buf = np.empty((min(per_chunk, n_windows) * spw + 1, n + 3 * m))
+    cmd, dist = _step_rows(exo_cmd, m), _step_rows(exo_dist, m)
     xs = buf[:, :n]
     xs[0] = x0
 
@@ -258,10 +257,10 @@ def collect_kernel(a, b, k0, exo_cmd, exo_dist, x0, dt, steps_per_window,
             w1 = min(w0 + per_chunk, n_windows)
             s0, s1 = w0 * spw, w1 * spw
             steps = s1 - s0
-            for j in range(3):
-                np.add(exo_cmd[2 * s0 + j:2 * s1 + j:2], exo_dist[2 * s0 + j:2 * s1 + j:2],
-                       out=buf[:steps, n + j * m:n + (j + 1) * m])
-            _advance(t_pows, g_map, xs, buf[:steps, n:], 0, steps)
+            buf[:steps, n:] = 0.0 if cmd is None else cmd[s0:s1]
+            if dist is not None:
+                buf[:steps, n:] += dist[s0:s1]
+            _advance(t_pows, g_map, xs, buf[:steps, n:])
             bad = _first_bad(xs[1:steps + 1], guard)
             if bad is not None:
                 # whole windows only: the window holding a blowup is dropped

@@ -1,6 +1,6 @@
 """The LAPACK routines hlqr calls, from scipy's compiled wrappers: dgees,
-dtrsyl, dgetrf, dgetri and its workspace query dgetri_lwork (matops), and
-dgeqrf, dormqr, dtrcon and dtrtrs (adp).
+dtrsyl, dgetrf, dgetri and its workspace query dgetri_lwork (matops),
+dgeqrf, dormqr, dtrcon and dtrtrs (adp), and dpstrf (_kernels).
 
 Importing scipy.linalg costs about 0.25 s, most of it in scipy's array-API
 layer, which imports numpy.f2py and numpy.testing.  The routines themselves
@@ -34,3 +34,4 @@ dgeqrf = _flapack.dgeqrf
 dormqr = _flapack.dormqr
 dtrcon = _flapack.dtrcon
 dtrtrs = _flapack.dtrtrs
+dpstrf = _flapack.dpstrf

@@ -117,7 +117,7 @@ class BlackBoxPlant:
 
     def rollout(self, k, x0, dt, n_steps, q, r, guard=DEFAULT_GUARD):
         """Closed-loop run under u = -K x with running cost x'Qx + u'Ru;
-        returns the raw kernel tuple."""
+        returns the raw kernel tuple (no disturbance is passed as None)."""
         return _kernels.rollout_kernel(
             self._a, self._b, np.ascontiguousarray(k, dtype=float),
             tabulate_signal(self._dist, dt, n_steps, self.n_inputs),
@@ -131,8 +131,8 @@ class BlackBoxPlant:
                 guard=DEFAULT_GUARD):
         """Learning-data run under u = -K0 x + e; the recorded applied input
         is v = u + d.  The excitation e is given like the disturbance: None
-        (zero) or a signal with a vectorized .table(ts).  Returns the raw
-        kernel tuple."""
+        (zero) or a signal with a vectorized .table(ts), passed to the kernel
+        as None or as its half-grid table.  Returns the raw kernel tuple."""
         n_steps = steps_per_window * n_windows
         return _kernels.collect_kernel(
             self._a, self._b, np.ascontiguousarray(k0, dtype=float),
@@ -146,11 +146,11 @@ class BlackBoxPlant:
 def tabulate_signal(f, dt, n_steps, m):
     """Tabulate a time signal on the RK4 half-grid: (2*n_steps+1, m).
 
-    f is None (zeros) or carries a vectorized .table(ts) method.
+    f carries a vectorized .table(ts) method, or is None (no table: None).
     """
     n_half = 2 * n_steps + 1
     if f is None:
-        return np.zeros((n_half, m))
+        return None
     ts = np.arange(n_half) * (dt / 2.0)
     out = np.asarray(f.table(ts), dtype=float)
     if out.shape != (n_half, m):

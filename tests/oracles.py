@@ -15,7 +15,10 @@ form that the simulator reads.
 
 integrate_callable is an RK4 step loop that evaluates a state-feedback
 callable at every stage; it is the reference for the rollout kernel behind
-sim.integrate.  evaluate_cost gives the analytic closed-loop costs of a gain
+sim.integrate.  stage_quadrature is the rollout kernel's former cost path:
+the stage states and inputs of a state record as batched products, and the
+RK4 quadrature of x'Qx + u'Ru and u'u summed stage by stage, where the
+kernel takes each step's increments as squared norms of one product.  evaluate_cost gives the analytic closed-loop costs of a gain
 by two Lyapunov solves of scipy's, not hlqr's, and quadrature_cost the same
 costs integrated in time.
 
@@ -45,6 +48,7 @@ import math
 import numpy as np
 import scipy.linalg
 
+from hlqr import _kernels
 from hlqr.adp import LearnResult, unsvec
 from hlqr.errors import (
     DimensionMismatch,
@@ -260,7 +264,8 @@ def integrate_callable(sys, controller, x0, dt, n_steps, q, r, guard):
     if q is None:
         q = np.zeros((n, n))
         r = np.zeros((m, m))
-    d_tab = tabulate_signal(dist, dt, n_steps, m)
+    d_tab = (np.zeros((2 * n_steps + 1, m)) if dist is None
+             else tabulate_signal(dist, dt, n_steps, m))
 
     xs = np.zeros((n_steps + 1, n))
     us = np.zeros((n_steps + 1, m))
@@ -293,6 +298,30 @@ def integrate_callable(sys, controller, x0, dt, n_steps, q, r, guard):
             raise StateBlowup(f"state exceeded guard {guard:g} at step {step + 1}")
 
     return Trajectory(np.arange(n_steps + 1) * dt, xs, us, cost, ju)
+
+
+def stage_quadrature(a, b, k, exo_dist, states, dt, q, r):
+    """(cost, ju) running integrals over the steps of a rollout's state record
+    states (steps + 1 rows) under u = -K x, with exo_dist the half-grid table
+    of d or None: each stage state and input formed, x'Qx + u'Ru and u'u
+    summed with the RK4 weights, and the step sums accumulated."""
+    n, m = b.shape
+    steps = len(states) - 1
+    if exo_dist is None:
+        exo_dist = np.zeros((2 * steps + 1, m))
+    s_map = _kernels._rk4_maps(a, b, k, dt)[2]
+    drive = np.hstack([exo_dist[0:2 * steps:2], exo_dist[1:2 * steps:2],
+                       exo_dist[2:2 * steps + 1:2]])
+    xst = np.empty((steps, 4 * n))
+    xst[:, :n] = states[:-1]
+    xst[:, n:] = np.hstack([states[:-1], drive]) @ s_map[n:].T
+    xst = xst.reshape(-1, n)
+    ust = xst @ (-k).T
+    cst = np.sum((xst @ q.T) * xst, axis=1) + np.sum((ust @ r.T) * ust, axis=1)
+    jst = np.sum(ust * ust, axis=1)
+    weights = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
+    return tuple(np.concatenate([[0.0], np.cumsum(vals.reshape(steps, 4) @ weights)])
+                 for vals in (cst, jst))
 
 
 def evaluate_cost(sys, spec, k, x0):

@@ -11,7 +11,7 @@ from hlqr import _kernels, sim
 from hlqr.adp import Excitation
 from hlqr.graphcost import assemble_q
 from hlqr.sim import BlackBoxPlant, tabulate_signal
-from oracles import Pointwise, integrate_callable
+from oracles import Pointwise, integrate_callable, stage_quadrature
 
 
 def damped_rotation():
@@ -270,6 +270,113 @@ class TestCollectProperty:
         assert_rel(out[1], out[1].transpose(0, 2, 1), 1e-15)
 
 
+@st.composite
+def rollout_cases(draw):
+    """A small pair under a gain that is zero in some draws, Q and R whose
+    symmetric parts are PSD of any rank (R = 0 included), nonsymmetric in some
+    draws, a disturbance or None, more than one chunk of steps, and a guard
+    between |x0| and 1e4 times it, which unstable draws trip."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    shift = draw(st.floats(-0.3, 1.5))
+    a = rng.uniform(-1.0, 1.0, (n, n)) - shift * np.eye(n)
+    b = rng.uniform(-1.0, 1.0, (n, m))
+    k = rng.uniform(-1.0, 1.0, (m, n)) * draw(st.sampled_from([0.0, 1.0]))
+    q_root = rng.standard_normal((draw(st.integers(0, n)), n))
+    r_root = rng.standard_normal((draw(st.integers(0, m)), m))
+    dt = 10.0 ** draw(st.floats(-3.0, -1.5))
+    n_steps = _kernels.CHUNK + draw(st.integers(1, 2 * _kernels.CHUNK))
+    dist = None
+    if draw(st.booleans()):
+        dist = rng.uniform(-0.5, 0.5, (2 * n_steps + 1, m))
+    x0 = rng.standard_normal(n)
+    guard = float(np.abs(x0).max() * 10.0 ** draw(st.floats(0.0, 4.0)))
+    q, r = q_root.T @ q_root, r_root.T @ r_root
+    if draw(st.booleans()):
+        # x'Qx and u'Ru read only the symmetric parts
+        q_skew, r_skew = rng.standard_normal((n, n)), rng.standard_normal((m, m))
+        q, r = q + q_skew - q_skew.T, r + r_skew - r_skew.T
+    return a, b, k, dist, x0, dt, n_steps, q, r, guard
+
+
+class TestRolloutCosts:
+    """The running costs as squared norms of one product per chunk, against
+    the stage-by-stage quadrature of the same state record."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(args=rollout_cases())
+    def test_match_stage_quadrature(self, args):
+        # within 1e-13 of the final value, plus the rounding of the stage
+        # sums: eps times the quadrature of |W| |x|^2 (W = Q + K'RK or K'K),
+        # which dominates when the states lie mostly outside the range of W
+        a, b, k, dist, _, dt, _, q, r, _ = args
+        n, m = b.shape
+        xs, _, cost, ju, _, last = _kernels.rollout_kernel(*args)
+        ref = stage_quadrature(a, b, k, dist, xs[:last + 1], dt, q, r)
+        x_sq = stage_quadrature(a, b, k, dist, xs[:last + 1], dt, np.eye(n),
+                                np.zeros((m, m)))[0][-1]
+        k_sq = np.linalg.norm(k, 2) ** 2
+        sizes = (np.linalg.norm(q, 2) + k_sq * np.linalg.norm(r, 2), k_sq)
+        for got, want, size in zip((cost, ju), ref, sizes):
+            tol = 1e-13 * want[-1] + np.finfo(float).eps * size * x_sq
+            assert np.all(np.abs(got[:last + 1] - want) <= tol)
+            assert np.all(np.diff(got[:last + 1]) >= 0.0)
+            assert not np.any(got[last + 1:])
+        if not np.any(k):
+            assert not np.any(ju)
+
+    def test_formation_costs(self):
+        mas, spec, baseline_k, x0 = sim.build_formation(sim.default_formation())
+        plant = mas.black_box()
+        dt, n_steps = 1e-3, 3 * _kernels.CHUNK + 50
+        dist = tabulate_signal(mas.disturbance, dt, n_steps, plant.n_inputs)
+        q, r = assemble_q(spec), spec.r
+        xs, _, cost, ju, status, _ = _kernels.rollout_kernel(
+            plant._a, plant._b, baseline_k, dist, x0, dt, n_steps, q, r, 1e6)
+        assert status == _kernels.OK
+        ref = stage_quadrature(plant._a, plant._b, baseline_k, dist, xs, dt, q, r)
+        for got, want in zip((cost, ju), ref):
+            assert_rel(got, want, 1e-14)
+
+    def test_nonsymmetric_weights(self):
+        # Q = I + a skew part has x'Qx = |x|^2, but its upper triangle
+        # mirrored, [[1, 2], [2, 1]], is indefinite
+        a, b = damped_rotation()
+        k = np.array([[0.3, 0.4]])
+        x0 = np.array([1.0, -1.0])
+        skew = np.array([[0.0, 2.0], [-2.0, 0.0]])
+        args = (None, x0, 1e-2, 2 * _kernels.CHUNK + 7)
+        got = _kernels.rollout_kernel(a, b, k, *args, np.eye(2) + skew,
+                                      np.array([[1.0]]), 1e6)
+        want = _kernels.rollout_kernel(a, b, k, *args, np.eye(2), np.array([[1.0]]), 1e6)
+        assert_rel(got[2], want[2], 1e-14)
+        assert got[3].tobytes() == want[3].tobytes()
+
+    def test_no_disturbance_is_a_zero_table(self):
+        # None and a table of zeros give the same bits, in both kernels
+        a, b = damped_rotation()
+        k = np.array([[0.3, 0.4]])
+        x0 = np.array([1.0, -1.0])
+        n_steps, steps = 2 * _kernels.CHUNK + 7, 20
+        with_table = _kernels.rollout_kernel(a, b, k, zero_table(n_steps, 1), x0, 1e-2,
+                                             n_steps, np.eye(2), np.eye(1), 1e6)
+        without = _kernels.rollout_kernel(a, b, k, None, x0, 1e-2, n_steps,
+                                          np.eye(2), np.eye(1), 1e6)
+        for got, want in zip(without, with_table):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        windows = 3 * _kernels.COLLECT_CHUNK // steps
+        cmd = tabulate_signal(Excitation.make(3, 1), 1e-2, steps * windows, 1)
+        for exc in (cmd, None):
+            table = zero_table(steps * windows, 1) if exc is None else exc
+            with_table = _kernels.collect_kernel(a, b, k, table, np.zeros_like(table), x0,
+                                                 1e-2, steps, windows, 1e6)
+            without = _kernels.collect_kernel(a, b, k, exc, None, x0, 1e-2, steps,
+                                              windows, 1e6)
+            assert with_table[5:] == without[5:] == (_kernels.OK, windows)
+            for got, want in zip(without[:3], with_table[:3]):
+                assert got.tobytes() == want.tobytes()
+
+
 def growing_pair():
     """Open-loop unstable pair whose states grow monotonically from x0 > 0,
     so a guard between two consecutive peaks trips at a chosen step."""
@@ -422,12 +529,29 @@ class TestKernelInterface:
 
     def test_positional_arguments(self):
         # perfbench reads steps_per_window as args[7] of collect_kernel and
-        # args[5] of the bound BlackBoxPlant.collect (args[0] is the plant)
+        # args[5] of the bound BlackBoxPlant.collect (args[0] is the plant),
+        # the last step as out[5] of rollout_kernel and BlackBoxPlant.rollout,
+        # and the windows done as out[6] of collect_kernel
         kernel = list(inspect.signature(_kernels.collect_kernel).parameters)
         plant = list(inspect.signature(BlackBoxPlant.collect).parameters)
         assert kernel[7] == "steps_per_window" and plant[5] == "steps_per_window"
         rollout = list(inspect.signature(_kernels.rollout_kernel).parameters)
         assert rollout[:2] == ["a", "b"]
+
+        a, b, k, x0 = growing_pair()
+        dt, n_steps, last, steps = 1e-2, 2 * _kernels.CHUNK, _kernels.CHUNK + 5, 10
+        free = rollout_oracle(a, b, k, None, x0, dt, n_steps, np.eye(2), np.eye(1))
+        guard = guard_before(free.states, last)
+        for out in (
+            _kernels.rollout_kernel(a, b, k, None, x0, dt, n_steps, np.eye(2),
+                                    np.eye(1), guard),
+            BlackBoxPlant(a, b).rollout(k, x0, dt, n_steps, np.eye(2), np.eye(1),
+                                        guard=guard),
+        ):
+            assert type(out[5]) is int and out[5] == last
+        out = _kernels.collect_kernel(a, b, k, zero_table(n_steps, 1), None, x0, dt,
+                                      steps, n_steps // steps, guard)
+        assert type(out[6]) is int and out[6] == (last - 1) // steps
 
 
 class TestIntegrationAccuracy:
