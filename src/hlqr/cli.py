@@ -25,8 +25,8 @@ from . import fileio
 from .adp import LearnConfig, learn_hierarchical
 from .errors import HlqrError, InvalidConfig
 from .graphcost import Decomposition, comm_links, kappa, split_graph
-from .hierctrl import _cond, _evaluate, hierarchical_gain
-from .matops import solve_lyapunov, symmetrize
+from .hierctrl import gap_report, hierarchical_gain
+from .matops import solve_lyapunov
 from .partition import ConstraintSet, PartitionProblem, max_kappa, min_scut
 from .sim import (
     build_formation,
@@ -244,15 +244,14 @@ def _sample_means(x0s, *mats):
 
 
 def make_report_row(cfg, scenario, dec, gain, learn_time=float("nan")):
-    """Evaluate a gain into (ReportRow, GapReport, P_opt, trajectory).
+    """Evaluate a gain into (ReportRow, GapReport, trajectory).
 
-    P_opt is the centralized Riccati solution.  Under the scenario x0
-    scheme the costs are those of the closed-loop trajectory from the
-    scenario's initial state, which is returned; otherwise the trajectory
-    is None.
+    Under the scenario x0 scheme the costs are those of the closed-loop
+    trajectory from the scenario's initial state, which is returned;
+    otherwise the trajectory is None.
     """
     mas, spec = scenario.mas, scenario.spec
-    report, p_opt, u = _evaluate(mas, spec, dec, gain, sigma=cfg.sigma)
+    report, p_opt, u = gap_report(mas, spec, dec, gain, sigma=cfg.sigma)
     _, n_c = comm_links(gain.k_h, spec.n, spec.m)
 
     traj = None
@@ -268,7 +267,7 @@ def make_report_row(cfg, scenario, dec, gain, learn_time=float("nan")):
         rng = np.random.default_rng(cfg.seed + 1)
         x0s = draw_x0(cfg.x0_scheme, rng, spec.n * mas.n_agents, cfg.n_draws)
         x_u = solve_lyapunov(mas.a_full - mas.b_full @ gain.k_h,
-                             symmetrize(gain.k_h.T @ gain.k_h))
+                             gain.k_h.T @ gain.k_h)
         j_mean, j_u, j_opt_mean = _sample_means(x0s, u, x_u, p_opt)
         sop = (j_mean - j_opt_mean) / j_opt_mean if j_opt_mean > 0 else 0.0
 
@@ -283,7 +282,7 @@ def make_report_row(cfg, scenario, dec, gain, learn_time=float("nan")):
         learn_time=learn_time,
         sop=sop,
     )
-    return row, report, p_opt, traj
+    return row, report, traj
 
 
 def _learn(mas, spec, dec, learn_cfg):
@@ -311,8 +310,7 @@ def run_experiment(cfg):
         gain, results, learn_time = _learn(mas, spec, dec, cfg.learn_config())
     else:
         gain, learn_time = hierarchical_gain(mas, spec, dec), float("nan")
-    row, report, _, traj = make_report_row(cfg, scenario, dec, gain,
-                                           learn_time)
+    row, report, traj = make_report_row(cfg, scenario, dec, gain, learn_time)
 
     out = cfg.out_dir
     paths = {
@@ -377,7 +375,7 @@ def _bench_rl_compare(out_dir, seed):
 
         rng = np.random.default_rng(seed + 1)
         x0s = draw_x0("uniform_pm1", rng, n_states, 200)
-        _, p_opt, u = _evaluate(mas, spec, dec, gain)
+        _, p_opt, u = gap_report(mas, spec, dec, gain)
         js = _quad_forms(x0s, u)
         jo = _quad_forms(x0s, p_opt)
         keep = jo > 0
@@ -401,30 +399,19 @@ def _bench_decomposition_compare(out_dir, seed):
                            x0_scheme="normal05", n_draws=1000)
     scenario = build_scenario(cfg)
     mas, spec = scenario.mas, scenario.spec
-    n_states = spec.n * mas.n_agents
+    # one cluster is the centralized controller: G2 = 0, so Rtilde = 0
     named = [
         ("{1,2}|{3..7}|{8,9}", [0, 0, 1, 1, 1, 1, 1, 2, 2]),
         ("{1,2,3}|{4,5,6}|{7,8,9}", [0, 0, 0, 1, 1, 1, 2, 2, 2]),
         ("{1,2,3}|{4}|{5..9}", [0, 0, 0, 1, 2, 2, 2, 2, 2]),
+        ("undecomposed", [0] * mas.n_agents),
     ]
     rows = []
     for label, assignment in named:
         dec = Decomposition.from_assignment(assignment)
         gain = hierarchical_gain(mas, spec, dec)
-        row, _, p_opt, _ = make_report_row(cfg, scenario, dec, gain)
+        row, *_ = make_report_row(cfg, scenario, dec, gain)
         rows.append([label, *row.cells()[1:]])
-
-    # every row shares mas and spec, so p_opt is the undecomposed optimum
-    rng = np.random.default_rng(seed + 1)
-    x0s = draw_x0("normal05", rng, n_states, 1000)
-    a, b = mas.a_full, mas.b_full
-    k_opt = np.linalg.solve(spec.r, b.T @ p_opt)
-    x_u = solve_lyapunov(a - b @ k_opt, symmetrize(k_opt.T @ k_opt))
-    rows.append([
-        "undecomposed", "n/a", "n/a", _cond(np.linalg.eigvalsh(p_opt)),
-        *_sample_means(x0s, p_opt, x_u),
-        mas.n_agents * (mas.n_agents - 1) // 2, float("nan"), 0.0,
-    ])
     path = fileio.write_csv(
         f"{out_dir}/decomposition_compare.csv",
         ["decomposition", *REPORT_COLUMNS[1:]], rows,

@@ -195,8 +195,6 @@ class Decomposition:
         carries n of them (states, or inputs with n = m)."""
         return np.flatnonzero(np.repeat(np.equal(self.assignment, j), n))
 
-    input_indices = state_indices
-
     def scatter(self, blocks, rows, cols):
         """Dense (rows N) x (cols N) matrix holding blocks[j] at cluster j's
         state_indices(j, rows) x state_indices(j, cols), exact zeros

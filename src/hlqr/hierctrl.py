@@ -171,30 +171,25 @@ class GapReport:
     vacuous: bool
 
 
-def gap_report(mas, spec, dec, gain, x0=None, sigma=1.0):
-    """Quantify the suboptimality of a hierarchical gain.
-
-    Costs are evaluated analytically: J(x0, K) = x0' X x0 with X solving the
-    closed-loop Lyapunov equation.  When x0 is None the j_* fields report
-    traces instead (the expectation over x0 with covariance I).  Raises
-    UnstableClosedLoop when either closed loop is not Hurwitz.
-    """
-    return _evaluate(mas, spec, dec, gain, x0, sigma)[0]
-
-
 def _cond(lam):
     """lam[-1] / lam[0] of ascending eigenvalues, +inf if lam[0] <= n eps lam[-1]."""
     return float(lam[-1] / lam[0]) if _pd(lam) else float("inf")
 
 
-def _evaluate(mas, spec, dec, gain, x0=None, sigma=1.0):
-    """gap_report's body; returns (report, p_opt, u).
+def gap_report(mas, spec, dec, gain, x0=None, sigma=1.0):
+    """Quantify the suboptimality of a hierarchical gain.
 
-    u is the cost matrix of k_h, solved on the hierarchical closed loop
-    a_s = A - B k_h, and is passed to solve_care as p0: the centralized
-    Riccati solution p_opt is u itself when u meets the residual contract
-    and its gain is stabilizing, as for a gap-free decomposition, and is
-    otherwise solved from scratch.
+    Returns (report, p_opt, u): the GapReport, the centralized Riccati
+    solution P_opt and the cost matrix U of k_h.  Costs are evaluated
+    analytically: J(x0, K) = x0' X x0 with X solving the closed-loop
+    Lyapunov equation.  When x0 is None the j_* fields report traces instead
+    (the expectation over x0 with covariance I).  Raises UnstableClosedLoop
+    when either closed loop is not Hurwitz.
+
+    U is solved on the hierarchical closed loop a_s = A - B k_h and is
+    passed to solve_care as p0: P_opt is U itself when U meets the residual
+    contract and its gain is stabilizing, as for a gap-free decomposition,
+    and is otherwise solved from scratch.
     """
     a, b = mas.a_full, mas.b_full
     q = assemble_q(spec)
@@ -202,7 +197,7 @@ def _evaluate(mas, spec, dec, gain, x0=None, sigma=1.0):
 
     k_h = gain.k_h
     try:
-        u = solve_lyapunov(a - b @ k_h, symmetrize(q + k_h.T @ r @ k_h))
+        u = solve_lyapunov(a - b @ k_h, q + k_h.T @ r @ k_h)
     except UnstableMatrix as exc:
         raise UnstableClosedLoop(
             "hierarchical closed loop is not Hurwitz") from exc

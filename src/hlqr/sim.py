@@ -295,9 +295,8 @@ class FormationScenario:
 
     States per agent are (position error, velocity) in the target-relative
     coordinates x_i = (q_i - h_i, qdot_i).  Leaders anchor the formation via
-    the diagonal weight lambda (leader_weight) in the cost.  InvalidConfig
-    at construction unless leaders is one or more distinct agent ids
-    0..N-1.
+    a unit diagonal weight in the cost.  InvalidConfig at construction unless
+    leaders is one or more distinct agent ids 0..N-1.
     """
 
     masses: list
@@ -308,7 +307,6 @@ class FormationScenario:
     initial_positions: np.ndarray
     initial_velocities: np.ndarray
     disturbance_amps: np.ndarray | None = None
-    leader_weight: float = 1.0
 
     def __post_init__(self):
         n, leaders = self.n_agents, self.leaders
@@ -394,8 +392,9 @@ def build_formation(scn):
 
     Dynamics per agent: A_i = [[0, I], [0, -M_i^{-1} C_i]], B_i = [0; M_i^{-1}]
     on the state (q_i - h_i, qdot_i).  Cost: Q = (L + Lambda) (x) I_4 with
-    Lambda the leader-weight diagonal, R = I.  The baseline stabilization law
-    is position-only feedback over the complete graph:
+    Lambda the diagonal with 1 at each leader and 0 elsewhere, R = I.  The
+    baseline stabilization law is position-only feedback over the complete
+    graph:
     u = -((L_complete + Lambda) (x) [I 0]) x.
     """
     n_agents = scn.n_agents
@@ -413,7 +412,7 @@ def build_formation(scn):
         agents.append((a, b))
 
     lam = np.zeros(n_agents)
-    lam[list(scn.leaders)] = scn.leader_weight
+    lam[list(scn.leaders)] = 1.0
     qbar_blocks = [lam[u] * np.eye(4) for u in range(n_agents)]
     spec = CostSpec(
         graph=scn.formation_graph,
@@ -480,7 +479,7 @@ def cluster_plants(mas, dec):
         a_j, b_j = mas.cluster(dec, j)
         dist_j = None
         if mas.disturbance is not None:
-            iix = dec.input_indices(j, m)
+            iix = dec.state_indices(j, m)
             dist_j = _SliceSignal(mas.disturbance, iix)
         plants.append(BlackBoxPlant(a_j, b_j, dist_j))
     return plants

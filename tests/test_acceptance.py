@@ -214,7 +214,7 @@ def test_criterion_04_expected_gap_identity():
     while done < 10:
         mas, spec, dec = random_instance(rng, max_agents=4, max_n=3)
         gain = hierarchical_gain(mas, spec, dec)
-        report = gap_report(mas, spec, dec, gain)
+        report, *_ = gap_report(mas, spec, dec, gain)
         if report.trace_v <= 1e-8:
             continue
         p_opt = matops.solve_care(mas.a_full, mas.b_full, assemble_q(spec),
@@ -248,8 +248,8 @@ def test_criterion_05_nonadjacent_zero_blocks():
             for b in range(a + 1, dec.s):
                 if adj[a, b]:
                     continue
-                rows = dec.input_indices(a, spec.m)
-                cols = dec.input_indices(b, spec.m)
+                rows = dec.state_indices(a, spec.m)
+                cols = dec.state_indices(b, spec.m)
                 block = gain.r_tilde[np.ix_(rows, cols)]
                 assert np.max(np.abs(block)) <= 1e-10
                 blocks += 1
@@ -278,7 +278,7 @@ def test_criterion_07_trace_bound_chain():
     for _ in range(100):
         mas, spec, dec = random_instance(rng)
         gain = hierarchical_gain(mas, spec, dec)
-        report = gap_report(mas, spec, dec, gain)
+        report, *_ = gap_report(mas, spec, dec, gain)
         assert not report.vacuous
         if report.trace_w > report.f1 + report.f2 + 1e-9 * max(
                 1.0, report.f1 + report.f2):

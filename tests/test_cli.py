@@ -297,7 +297,7 @@ class TestReportRow:
         mas, spec = scn.mas, scn.spec
         dec, _ = cli.choose_decomposition(cfg, scn)
         gain = hierctrl.hierarchical_gain(mas, spec, dec)
-        _, p_opt, u = hierctrl._evaluate(mas, spec, dec, gain)
+        _, p_opt, u = hierctrl.gap_report(mas, spec, dec, gain)
         k_h = gain.k_h
         x_u = matops.solve_lyapunov(mas.a_full - mas.b_full @ k_h,
                                     matops.symmetrize(k_h.T @ k_h))
@@ -662,13 +662,15 @@ class TestBench:
             "{1,2,3}|{4}|{5..9}",
             "undecomposed",
         ]
-        assert [r["kappa"] for r in rows[:3]] == ["4", "9", "15"]
-        assert [r["trace_g2"] for r in rows[:3]] == ["8.0", "4.0", "6.0"]
-        assert [r["n_c"] for r in rows[:3]] == ["32", "27", "21"]
+        # the undecomposed row is the one-cluster decomposition, whose
+        # centralized gain is dense and gap-free
+        assert [r["kappa"] for r in rows] == ["4", "9", "15", "0"]
+        assert [r["trace_g2"] for r in rows] == ["8.0", "4.0", "6.0", "0.0"]
+        assert [r["n_c"] for r in rows] == ["32", "27", "21", "36"]
+        assert rows[3]["sop"] == "0.0"
         # coarser clustering along the cliques costs less than the
         # unbalanced split, mirroring the reference comparison
         assert float(rows[1]["sop"]) < float(rows[0]["sop"])
-        assert rows[3]["n_c"] == "36"
         notes = fileio.load_json(
             tmp_path / "decomposition_compare_annotations.json")
         assert "learn_time" in notes["machine_dependent"]

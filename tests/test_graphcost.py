@@ -217,7 +217,7 @@ class TestDecomposition:
     def test_index_slices(self):
         d = Decomposition.from_assignment([0, 1, 0])
         assert d.state_indices(0, 2).tolist() == [0, 1, 4, 5]
-        assert d.input_indices(1, 3).tolist() == [3, 4, 5]
+        assert d.state_indices(1, 3).tolist() == [3, 4, 5]
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_agents=st.integers(1, 8),
@@ -233,7 +233,7 @@ class TestDecomposition:
             six = np.concatenate([np.arange(u * rows, (u + 1) * rows) for u in members])
             iix = np.concatenate([np.arange(u * cols, (u + 1) * cols) for u in members])
             assert dec.state_indices(j, rows).tolist() == six.tolist()
-            assert dec.input_indices(j, cols).tolist() == iix.tolist()
+            assert dec.state_indices(j, cols).tolist() == iix.tolist()
             for a, row in enumerate(six):
                 for b, col in enumerate(iix):
                     want[row, col] = blocks[j][a, b]
@@ -474,7 +474,7 @@ class TestCostAssembly:
         qhat = spec.qbar + np.kron(parts.g1, spec.qtilde)
         for j, (qj, rj) in enumerate(cluster_costs(spec, dec)):
             six = dec.state_indices(j, spec.n)
-            iix = dec.input_indices(j, spec.m)
+            iix = dec.state_indices(j, spec.m)
             assert np.allclose(qj, qhat[np.ix_(six, six)], atol=1e-12)
             assert np.allclose(rj, spec.r[np.ix_(iix, iix)], atol=1e-12)
 

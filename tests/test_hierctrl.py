@@ -74,16 +74,20 @@ class TestSolveClusters:
 
 class TestComputeRtilde:
     def test_no_coupling_gives_zero(self):
-        mas, spec = sim.clique_path_scenario(1, 3)
-        dec = Decomposition.from_assignment([0, 0, 0])
-        gain = hierarchical_gain(mas, spec, dec)
-        assert np.allclose(gain.r_tilde, 0.0)
-        assert np.allclose(gain.k_global, 0.0)
-        # the gain degenerates to the per-cluster optimal law
-        p = matops.solve_care(mas.a_full, mas.b_full,
-                              graphcost.assemble_q(spec), spec.r)
-        k_star = np.linalg.solve(spec.r, mas.b_full.T @ p)
-        assert np.allclose(gain.k_h, k_star, atol=1e-7)
+        # one cluster leaves G2 = 0: Rtilde and the global term are exactly
+        # zero, and k_h is the centralized gain R^{-1} B' P_opt
+        for mas, spec in (sim.clique_path_scenario(1, 3),
+                          sim.clique_path_scenario(3, 3),
+                          sim.five_node_scenario(),
+                          sim.build_formation(sim.default_formation())[:2],
+                          heterogeneous_instance(0)[:2]):
+            dec = Decomposition.from_assignment([0] * mas.n_agents)
+            gain = hierarchical_gain(mas, spec, dec)
+            assert not gain.r_tilde.any() and not gain.k_global.any()
+            a, b = mas.a_full, mas.b_full
+            p_opt = matops.solve_care(a, b, graphcost.assemble_q(spec), spec.r)
+            k_opt = np.linalg.solve(spec.r, b.T @ p_opt)
+            assert np.linalg.norm(gain.k_h - k_opt) <= 1e-12 * np.linalg.norm(k_opt)
 
     def test_fully_actuated_identity(self):
         # square nonsingular input map: scriptP B Rtilde B' scriptP
@@ -116,7 +120,7 @@ class TestComputeRtilde:
         pb = np.zeros((4, 2))
         for j, pb_j in enumerate(pb_blocks):
             six = dec.state_indices(j, 2)
-            iix = dec.input_indices(j, 1)
+            iix = dec.state_indices(j, 1)
             pb[np.ix_(six, iix)] = pb_j
         coeff = np.kron(pb, pb)
         sol, *_ = np.linalg.lstsq(coeff, g2q.reshape(-1), rcond=None)
@@ -189,8 +193,8 @@ class TestGapReport:
         dec = Decomposition.from_assignment([0] * 4)
         gain = hierarchical_gain(mas, spec, dec)
         rng = np.random.default_rng(97)
-        report = gap_report(mas, spec, dec, gain,
-                            x0=rng.standard_normal(16))
+        report, *_ = gap_report(mas, spec, dec, gain,
+                                x0=rng.standard_normal(16))
         assert report.trace_w <= 1e-10
         assert report.trace_v <= 1e-8
         assert report.expected_gap <= 1e-8
@@ -208,7 +212,7 @@ class TestGapReport:
         slack = 1e-9
         for _ in range(20):
             x0 = rng.standard_normal(24)
-            report = gap_report(mas, spec, dec, gain, x0=x0)
+            report, *_ = gap_report(mas, spec, dec, gain, x0=x0)
             assert report.j_approx <= report.j_opt + slack * abs(report.j_opt)
             assert report.j_opt <= report.j_h + slack * abs(report.j_h)
             assert report.delta_j >= -slack
@@ -219,7 +223,7 @@ class TestGapReport:
         dec = Decomposition.from_assignment([0, 1])
         gain = hierarchical_gain(mas, spec, dec)
         for sigma in (1.0, 0.7):
-            report = gap_report(mas, spec, dec, gain, sigma=sigma)
+            report, *_ = gap_report(mas, spec, dec, gain, sigma=sigma)
             assert report.expected_gap == pytest.approx(
                 sigma ** 2 * report.trace_v, rel=1e-12)
             rng = np.random.default_rng(103)
@@ -239,7 +243,7 @@ class TestGapReport:
         mas, spec = sim.clique_path_scenario(2, 3)
         dec = sim.clique_decomposition(2, 3)
         gain = hierarchical_gain(mas, spec, dec)
-        report = gap_report(mas, spec, dec, gain)
+        report, *_ = gap_report(mas, spec, dec, gain)
         assert report.delta_j == pytest.approx(report.trace_v, rel=1e-9)
 
     def test_error_bound_chain(self):
@@ -250,7 +254,7 @@ class TestGapReport:
             mas, spec = sim.clique_path_scenario(s, c)
             dec = sim.clique_decomposition(s, c)
             gain = hierarchical_gain(mas, spec, dec)
-            report = gap_report(mas, spec, dec, gain)
+            report, *_ = gap_report(mas, spec, dec, gain)
             assert not report.vacuous
             assert np.isfinite(report.f1) and report.f1 >= 0.0
             assert np.isfinite(report.f2)
@@ -262,7 +266,7 @@ class TestGapReport:
         mas, spec, _, x0 = sim.build_formation(sim.default_formation())
         dec = Decomposition.from_assignment([0] * 6 + [1] * 3 + [2] * 3)
         gain = hierarchical_gain(mas, spec, dec)
-        report = gap_report(mas, spec, dec, gain, x0=x0)
+        report, *_ = gap_report(mas, spec, dec, gain, x0=x0)
         assert report.vacuous
         assert np.isnan(report.trace_v_bound)
         assert np.isnan(report.f1)
@@ -331,7 +335,7 @@ def direct_v_check(mas, spec, dec):
     a, b, r = mas.a_full, mas.b_full, spec.r
     q = graphcost.assemble_q(spec)
     gain = hierarchical_gain(mas, spec, dec)
-    report, p_opt, _ = hierctrl._evaluate(mas, spec, dec, gain)
+    report, p_opt, _ = hierctrl.gap_report(mas, spec, dec, gain)
     assert abs(report.trace_v - report.delta_j) <= 1e-12 * report.j_h
     assert report.expected_gap == report.trace_v
 
@@ -411,7 +415,7 @@ class TestBlockSpectra:
         x0 = (np.random.default_rng(seed).standard_normal(mas.a_full.shape[0])
               if with_x0 else None)
         try:
-            got = gap_report(mas, spec, dec, gain, x0=x0)
+            got, *_ = gap_report(mas, spec, dec, gain, x0=x0)
         except UnstableClosedLoop:
             reject()
         want = dense_gap_report(mas, spec, dec, gain, x0=x0)
@@ -457,7 +461,7 @@ class TestGeneratedSparsity:
         for i in range(dec.s):
             for j in range(dec.s):
                 if i != j and not adj[i, j]:
-                    block = gain.k_h[np.ix_(dec.input_indices(i, spec.m),
+                    block = gain.k_h[np.ix_(dec.state_indices(i, spec.m),
                                             dec.state_indices(j, spec.n))]
                     assert np.all(block == 0.0)
         n_agents = dec.n_agents
@@ -535,7 +539,7 @@ class TestGapIdentity:
         a, b, r = mas.a_full, mas.b_full, spec.r
         q = graphcost.assemble_q(spec)
         gain = hierarchical_gain(mas, spec, dec)
-        report, p_opt, u = hierctrl._evaluate(mas, spec, dec, gain)
+        report, p_opt, u = hierctrl.gap_report(mas, spec, dec, gain)
         if not np.array_equal(p_opt, u):
             assert np.array_equal(p_opt, matops.solve_care(a, b, q, r))
         assert care_residual(a, b, q, r, p_opt) <= matops.TOL_RESIDUAL * (
@@ -638,7 +642,7 @@ class TestGapIdentity:
         spec = CostSpec.homogeneous(graph, 0.5 * np.eye(2), np.eye(2),
                                     np.eye(1))
         dec = Decomposition.from_assignment([0, 1])
-        report = gap_report(mas, spec, dec, hierarchical_gain(mas, spec, dec))
+        report, *_ = gap_report(mas, spec, dec, hierarchical_gain(mas, spec, dec))
         assert report.vacuous is True
         assert np.isnan(report.trace_v_bound)
         fields = dataclasses.asdict(report)

@@ -8,6 +8,8 @@ stay below the bound the README states for it.
 Each "$ hlqr ..." line of a ```sh block runs through hlqr.cli.main in a
 temporary directory, so its relative --out lands there.  The lines below it,
 up to the next blank line, are its exact output.
+
+The LAPACK routines the README names are the ones hlqr._lapack binds.
 """
 
 import ast
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from hlqr import _lapack
 from hlqr.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -83,3 +86,10 @@ def test_readme_shell_example_output(argv, expected, tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_readme_names_bound_lapack_routines():
+    names = re.search(r"LAPACK\s+routines\s+\(([^)]*)\)", README.read_text()).group(1)
+    bound = {name for name, value in vars(_lapack).items()
+             if getattr(_lapack._flapack, name, None) is value}
+    assert sorted(re.findall(r"`(\w+)`", names)) == sorted(bound)

@@ -240,7 +240,7 @@ class TestFormationScenario:
             gain = hierctrl.hierarchical_gain(mas, spec, dec)
             _, n_c = graphcost.comm_links(gain.k_h, 4, 2)
             assert n_c == want_nc
-            report = hierctrl.gap_report(mas, spec, dec, gain, x0=x0)
+            report, *_ = hierctrl.gap_report(mas, spec, dec, gain, x0=x0)
             assert report.cond_p == pytest.approx(want_cond, rel=1e-6)
 
 
