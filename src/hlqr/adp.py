@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels, _lapack
-from .errors import InvalidConfig, NoConvergence, RankDeficient, StateBlowup
+from .errors import HlqrError, InvalidConfig, NoConvergence, RankDeficient, StateBlowup
 from .graphcost import cluster_costs
 from .hierctrl import assemble_gain, compute_rtilde
 from .sim import check_steps
@@ -459,7 +459,8 @@ def learn_hierarchical(plants, spec, dec, cfg=None, k0_list=None):
 
     plants are black-box cluster handles ordered like dec's clusters, and
     clusters are learned one after another.  Returns (HierarchicalGain, list
-    of LearnResult).
+    of LearnResult).  A cluster's HlqrError is raised again as the same type,
+    its message prefixed with the cluster and its agents.
     """
     cfg = cfg if cfg is not None else LearnConfig()
     if len(plants) != dec.s:
@@ -467,8 +468,12 @@ def learn_hierarchical(plants, spec, dec, cfg=None, k0_list=None):
     if k0_list is None:
         k0_list = [None] * dec.s
     costs = cluster_costs(spec, dec)
-    results = [learn_cluster(plants[j], *costs[j], cfg, k0=k0_list[j], tag=j)
-               for j in range(dec.s)]
+    results = []
+    for j in range(dec.s):
+        try:
+            results.append(learn_cluster(plants[j], *costs[j], cfg, k0=k0_list[j], tag=j))
+        except HlqrError as exc:
+            raise type(exc)(f"{dec.cluster_name(j)}: {exc}") from exc
     pb_blocks = [res.btp_hat.T for res in results]
     r_tilde = compute_rtilde(pb_blocks, spec, dec)
     p_blocks = [res.p_hat for res in results]

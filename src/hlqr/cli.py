@@ -37,7 +37,6 @@ from .sim import (
     five_node_scenario,
     initial_gains,
     integrate,
-    anchoring_check,
 )
 
 __all__ = ["ExperimentConfig", "ReportRow", "run_experiment", "bench_tables", "main"]
@@ -430,13 +429,13 @@ def _bench_formation(out_dir, seed):
     cfg = ExperimentConfig(scenario="formation", seed=seed,
                            x0_scheme="scenario", learn=True)
     scenario = build_scenario(cfg)
-    mas, spec = scenario.mas, scenario.spec
+    mas, spec, scn = scenario.mas, scenario.spec, scenario.formation
     rows = []
     for sizes in ((6, 3, 3), (1, 10, 1), (7, 2, 3)):
         dec = Decomposition.from_assignment(
             _sizes_to_assignment(sizes, mas.n_agents)
         )
-        if not anchoring_check(scenario.formation, dec):
+        if not scn.constraints.admits(scn.formation_graph, dec.assignment):
             continue
         note = ""
         try:

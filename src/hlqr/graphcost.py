@@ -163,19 +163,6 @@ class Decomposition:
     def s(self):
         return max(self.assignment) + 1
 
-    @classmethod
-    def from_clusters(cls, clusters, n_agents):
-        """Build from explicit clusters (lists of 0-based agent ids)."""
-        assignment = [-1] * n_agents
-        for cid, members in enumerate(clusters):
-            for u in members:
-                if not 0 <= u < n_agents or assignment[u] != -1:
-                    raise InvalidDecomposition(f"agent {u} missing or repeated")
-                assignment[u] = cid
-        if -1 in assignment:
-            raise InvalidDecomposition("clusters do not cover all agents")
-        return cls.from_assignment(assignment)
-
     @property
     def n_agents(self):
         return len(self.assignment)
@@ -207,6 +194,13 @@ class Decomposition:
     def label(self):
         """Human-readable 1-based form, e.g. '1,2|3,4,5,6,7|8,9'."""
         return "|".join(",".join(str(u + 1) for u in c) for c in self.clusters())
+
+    def cluster_name(self, j):
+        """Cluster j as an error message names it, with 1-based agent ids,
+        e.g. 'cluster 1 (agents 2,3)' or 'cluster 1 (agent 11)'."""
+        members = self.clusters()[j]
+        plural = "s" if len(members) > 1 else ""
+        return f"cluster {j} (agent{plural} {','.join(str(u + 1) for u in members)})"
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnstableClosedLoop, UnstableMatrix
-from .graphcost import assemble_q, cluster_costs, split_graph
+from .errors import DimensionMismatch, HlqrError, UnstableClosedLoop, UnstableMatrix
+from .graphcost import assemble_q, check_assumptions, cluster_costs, split_graph
 from .matops import _components, _pd, pinv, solve_care, solve_lyapunov, symmetrize
 
 __all__ = [
@@ -63,13 +63,24 @@ def solve_clusters(mas, spec, dec):
     Returns (p_blocks, pb_blocks) where p_blocks[j] solves the cluster
     Riccati equation for (A_j, B_j, Qhat_j, Rhat_j) and pb_blocks[j] is
     scriptP_j B_j (the only cluster quantity the coupling stage needs).
+
+    A cluster whose solve fails raises the same HlqrError type, its message
+    naming the cluster, its agents and the stabilizable and detectable
+    verdicts of check_assumptions, which runs only then.
     """
     costs = cluster_costs(spec, dec)
     p_blocks, pb_blocks = [], []
     for j in range(dec.s):
         a_j, b_j = mas.cluster(dec, j)
         qhat_j, rhat_j = costs[j]
-        p_j = solve_care(a_j, b_j, qhat_j, rhat_j)
+        try:
+            p_j = solve_care(a_j, b_j, qhat_j, rhat_j)
+        except HlqrError as exc:
+            check = check_assumptions(mas, spec, dec)
+            verdict = ", ".join(
+                f"{name} {'holds' if held[j] else 'fails'}" for name, held in
+                (("stabilizable", check.stabilizable), ("detectable", check.detectable)))
+            raise type(exc)(f"{dec.cluster_name(j)}: {exc}; {verdict}") from exc
         p_blocks.append(p_j)
         pb_blocks.append(p_j @ b_j)
     return p_blocks, pb_blocks

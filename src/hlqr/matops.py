@@ -12,10 +12,12 @@ doubling; a doubled solution that misses the residual contract is polished
 by Newton-Kleinman steps in correction form, each one Lyapunov solve.  A
 Lyapunov solve is squared Smith, the same loop without the input term,
 three GEMMs per doubling and one inverse in all, whose last power of the
-Cayley transform also certifies the matrix Hurwitz.  When the doubling breaks
-down, does not stabilize or cannot be polished, Newton-Kleinman starts over
-from stabilizing_gain, whose ordered Schur form also decides
-stabilizability.
+Cayley transform also certifies the matrix Hurwitz.  A Riccati solve
+raises when the doubling breaks down or does not stabilize, or a polish
+step's gain is not Hurwitz, as happens outside the standing assumptions of
+a stabilizable (A, B) and a detectable (Q^{1/2}, A).  stabilizing_gain,
+whose ordered Schur form decides stabilizability, serves
+graphcost.check_assumptions.
 
 solve_care, solve_lyapunov and pinv first split their input at the
 connected components of its exact nonzero pattern (_components) and solve
@@ -266,13 +268,11 @@ def solve_care(a, b, q, r, p0=None):
     its Lyapunov solution when it is Hurwitz and is NonStabilizable
     otherwise; one without states adds nothing.
 
-    When the doubling breaks down, its H does not stabilize (Q leaves an
-    unstable or marginal mode unweighted) or its polish fails,
-    Newton-Kleinman starts over from the cost matrix of
-    stabilizing_gain(A, B), which raises NonStabilizable when (A, B) is not
-    stabilizable.  Raises IterationDiverged when that iterate's gain is not
-    stabilizing or the residual fails to contract within CARE_MAX_ITER
-    iterates.
+    Raises NonStabilizable when the doubling breaks down or its H does not
+    stabilize, as when (A, B) is not stabilizable or Q leaves an unstable
+    or marginal mode unweighted, and when a polish step's gain is not
+    Hurwitz; IterationDiverged when the polish residual diverges or fails
+    to contract within CARE_MAX_ITER iterates.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -308,24 +308,14 @@ def solve_care(a, b, q, r, p0=None):
 def _care_component(a, b, q, r, p0, floor):
     """solve_care on one component, accepted at residual
     TOL_RESIDUAL * (floor + |P|_F): p0 if it is accepted and its gain
-    stabilizing, else the doubled P, polished when it is not.  When the
-    doubling yields no stabilizing P or its polish fails, Newton-Kleinman
-    starts over from the cost matrix of stabilizing_gain(a, b)."""
+    stabilizing, else the doubled P, polished when it is not."""
     if p0 is not None:
         ok, _, k = _accepted(a, b, q, r, p0, floor)
         if ok and _doubling(a - b @ k, None, np.zeros(a.shape)) is not None:  # Hurwitz
             return p0
     p = _doubling(a, symmetrize(b @ np.linalg.solve(r, b.T)), q)
-    if p is not None:
-        try:
-            return _newton_kleinman(a, b, q, r, p, floor)
-        except IterationDiverged:
-            pass
-    k = stabilizing_gain(a, b)  # raises NonStabilizable
-    try:
-        p = solve_lyapunov(a - b @ k, q + k.T @ r @ k)
-    except UnstableMatrix:
-        raise NonStabilizable("Schur-method gain leaves A - B K unstable") from None
+    if p is None:
+        raise NonStabilizable(f"{a.shape[0]}-state block: doubling found no stabilizing P")
     return _newton_kleinman(a, b, q, r, p, floor)
 
 
@@ -441,7 +431,10 @@ def _newton_kleinman(a, b, q, r, p, floor):
     K = R^{-1} B' P, the next iterate is P + X for (A - B K)' X +
     X (A - B K) + Res(P) = 0, with Res(P) the residual of _accepted, by
     solve_lyapunov, whose error is then relative to X rather than P.  In
-    exact arithmetic P + X is Kleinman's iterate, the cost matrix of K."""
+    exact arithmetic P + X is Kleinman's iterate, the cost matrix of K.
+    Raises NonStabilizable when a step's gain is not certified Hurwitz, as
+    then the doubled P was not stabilizing; IterationDiverged when the
+    residual diverges or stalls."""
     best_res = np.inf
     for _ in range(CARE_MAX_ITER):
         ok, e, k = _accepted(a, b, q, r, p, floor)
@@ -454,9 +447,9 @@ def _newton_kleinman(a, b, q, r, p, floor):
             raise IterationDiverged(f"Riccati residual diverging: {res:.3e}")
         try:
             p = symmetrize(p + solve_lyapunov(a - b @ k, e))
-        except UnstableMatrix as exc:
-            raise IterationDiverged(
-                f"Newton-Kleinman gain lost stability: {exc}") from None
+        except UnstableMatrix:
+            raise NonStabilizable(f"{a.shape[0]}-state block: doubled P not stabilizing, "
+                                  f"Newton-Kleinman gain not Hurwitz") from None
     raise IterationDiverged(
         f"Riccati residual {best_res:.3e} above tolerance after {CARE_MAX_ITER} iterations"
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionMismatch, InvalidConfig, StateBlowup
+from .errors import DimensionMismatch, HlqrError, InvalidConfig, StateBlowup
 from .graphcost import CostGraph, CostSpec, Decomposition, assemble_q
 from .matops import abscissa, block_diag, solve_care
 from .partition import ConstraintSet
@@ -30,7 +30,6 @@ __all__ = [
     "five_node_scenario",
     "default_formation",
     "build_formation",
-    "anchoring_check",
     "initial_gains",
     "cluster_plants",
 ]
@@ -441,29 +440,27 @@ def build_formation(scn):
     return mas, spec, baseline_k, x0
 
 
-def anchoring_check(scn, dec):
-    """True iff dec meets scn.constraints (every cluster holds a leader and
-    its formation subgraph is connected), the combinatorial feasibility test
-    for cluster-level observability of the formation cost."""
-    return scn.constraints.admits(scn.formation_graph, dec.assignment)
-
-
 def initial_gains(mas, dec):
     """White-box stabilizing initial gains per cluster (zero when the cluster
     is already open-loop stable).  Used to seed the model-free learner.
 
     Unstable clusters get the unit-cost LQR gain, which is stabilizing with
     moderate norm; aggressive pre-stabilizers flatten the state response and
-    degrade the learner's regressor conditioning.
+    degrade the learner's regressor conditioning.  A cluster's HlqrError is
+    raised again as the same type, its message prefixed with the cluster and
+    its agents.
     """
     out = []
     for j in range(dec.s):
         a_j, b_j = mas.cluster(dec, j)
         if abscissa(a_j) < -1e-9:
             out.append(np.zeros((b_j.shape[1], b_j.shape[0])))
-        else:
+            continue
+        try:
             p0 = solve_care(a_j, b_j, np.eye(a_j.shape[0]), np.eye(b_j.shape[1]))
-            out.append(b_j.T @ p0)
+        except HlqrError as exc:
+            raise type(exc)(f"{dec.cluster_name(j)}: {exc}") from exc
+        out.append(b_j.T @ p0)
     return out
 
 

@@ -21,7 +21,7 @@ from hlqr.adp import (
     svec,
     unsvec,
 )
-from hlqr.errors import InvalidConfig, RankDeficient, StateBlowup
+from hlqr.errors import InvalidConfig, NoConvergence, RankDeficient, StateBlowup
 from hlqr.graphcost import CostGraph, CostSpec, Decomposition
 from oracles import (
     equilibrated_lstsq,
@@ -551,6 +551,15 @@ class TestLearnHierarchical:
         model = hierctrl.hierarchical_gain(mas, spec, dec)
         rel = np.linalg.norm(gain.k_h - model.k_h) / np.linalg.norm(model.k_h)
         assert rel <= 5e-3
+
+    def test_failure_names_cluster(self):
+        # a cluster's error keeps its type, prefixed with the cluster
+        mas, spec = sim.clique_path_scenario(2, 2)
+        dec = sim.clique_decomposition(2, 2)
+        with pytest.raises(NoConvergence, match=r"^cluster 0 \(agents 1,2\): policy"):
+            learn_hierarchical(sim.cluster_plants(mas, dec), spec, dec,
+                               LearnConfig(max_iter=1),
+                               k0_list=sim.initial_gains(mas, dec))
 
     def test_plant_count_guard(self):
         mas, spec = chain_system([(0, 1), (2, 3)], 4)

@@ -438,6 +438,24 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
 
+class TestLeaderlessCluster:
+    """A formation cluster without a leader leaves its Riccati equation
+    outside the detectability assumption: solve exits 1 naming it."""
+
+    @pytest.mark.parametrize("assignment, name", [
+        ("0,1,1,0,0,0,0,0,0,0,0,0", "cluster 1 (agents 2,3)"),
+        ("0,0,0,0,0,0,0,0,0,0,1,0", "cluster 1 (agent 11)"),
+    ], ids=["agents-2-3", "agent-11"])
+    def test_solve_names_cluster(self, assignment, name, tmp_path, capsys):
+        rc = main(["solve", "formation", "--assignment", assignment,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}: ")
+        assert "stabilizable holds, detectable fails" in err
+        assert not (tmp_path / "gap_report.json").exists()
+
+
 class TestLearnCommand:
     def test_two_singleton_cliques(self, tmp_path, capsys):
         rc = main(["learn", "example1", "--s", "2", "--c", "1",

@@ -179,16 +179,11 @@ class TestDecomposition:
         assert d1 == d2
         assert d1.sizes() == [2, 1, 1]
 
-    def test_from_clusters(self):
-        d = Decomposition.from_clusters([[0, 1], [2]], 3)
-        assert d.clusters() == [[0, 1], [2]]
-        assert d.label() == "1,2|3"
-
-    def test_from_clusters_errors(self):
-        with pytest.raises(InvalidDecomposition):
-            Decomposition.from_clusters([[0], [0, 1]], 2)
-        with pytest.raises(InvalidDecomposition):
-            Decomposition.from_clusters([[0]], 2)
+    def test_cluster_name(self):
+        d = Decomposition.from_assignment([0, 1, 1, 0])
+        assert d.label() == "1,4|2,3"
+        assert d.cluster_name(1) == "cluster 1 (agents 2,3)"
+        assert Decomposition.from_assignment([0, 0, 1]).cluster_name(1) == "cluster 1 (agent 3)"
 
     def test_non_integral_ids_rejected(self):
         # an id is not truncated to an integer: 0.5 is no cluster 0
@@ -244,14 +239,14 @@ class TestDecomposition:
 class TestSplitGraph:
     def test_five_node_cut(self):
         _, spec = sim.five_node_scenario()
-        dec = Decomposition.from_clusters([[0, 1], [2], [3, 4]], 5)
+        dec = Decomposition.from_assignment([0, 0, 1, 2, 2])
         parts = split_graph(spec.graph, dec)
         assert np.trace(parts.g2) == pytest.approx(6.0)
         assert kappa(spec.graph, dec) == 2
 
     def test_five_node_all_adjacent(self):
         _, spec = sim.five_node_scenario()
-        dec = Decomposition.from_clusters([[0], [1, 2], [3, 4]], 5)
+        dec = Decomposition.from_assignment([0, 1, 1, 2, 2])
         assert kappa(spec.graph, dec) == 0
         parts = split_graph(spec.graph, dec)
         assert np.trace(parts.g2) == pytest.approx(6.0)
@@ -510,8 +505,7 @@ class TestAssumptionChecks:
         # a cluster with no anchored agent leaves its consensus direction
         # unpenalized: positions drift without showing up in the cost
         mas, spec, _, _ = sim.build_formation(sim.default_formation())
-        dec = Decomposition.from_clusters(
-            [[0], [1, 2], [3, 4, 5, 6, 7, 8, 9, 10, 11]], 12)
+        dec = Decomposition.from_assignment([0, 1, 1] + [2] * 9)
         report = check_assumptions(mas, spec, dec)
         assert report.detectable[0]
         assert not report.detectable[1]

@@ -98,7 +98,7 @@ class TestComputeRtilde:
         mas = sim.MasSystem([(a_i, np.eye(2)) for _ in range(5)])
         spec = CostSpec.homogeneous(graph, 0.5 * np.eye(2), np.eye(2),
                                     np.eye(2))
-        dec = Decomposition.from_clusters([[0, 1], [2], [3, 4]], 5)
+        dec = Decomposition.from_assignment([0, 0, 1, 2, 2])
         gain = hierarchical_gain(mas, spec, dec)
         parts = graphcost.split_graph(graph, dec)
         g2q = np.kron(parts.g2, spec.qtilde)
@@ -137,7 +137,7 @@ class TestComputeRtilde:
 class TestAssembleGain:
     def test_nonadjacent_blocks_exactly_zero(self):
         mas, spec = sim.five_node_scenario()
-        dec = Decomposition.from_clusters([[0, 1], [2], [3, 4]], 5)
+        dec = Decomposition.from_assignment([0, 0, 1, 2, 2])
         gain = hierarchical_gain(mas, spec, dec)
         # clusters {3} and {4,5} share no coupling: kappa = 2
         assert graphcost.kappa(spec.graph, dec) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hlqr import graphcost, hierctrl, matops, sim
-from hlqr.errors import InvalidConfig, StateBlowup, UnstableClosedLoop
+from hlqr.errors import InvalidConfig, NonStabilizable, StateBlowup, UnstableClosedLoop
 from hlqr.graphcost import CostGraph, Decomposition, check_assumptions
 from hlqr.sim import MasSystem, integrate
 from oracles import (
@@ -244,6 +244,14 @@ class TestFormationScenario:
             assert report.cond_p == pytest.approx(want_cond, rel=1e-6)
 
 
+def test_initial_gains_failure_names_cluster():
+    # agent 2 has an unstable mode and no input: cluster 1 has no gain
+    mas = MasSystem([(-np.eye(1), np.eye(1)), (np.eye(1), np.zeros((1, 1)))])
+    dec = Decomposition.from_assignment([0, 1])
+    with pytest.raises(NonStabilizable, match=r"^cluster 1 \(agent 2\): "):
+        sim.initial_gains(mas, dec)
+
+
 class TestClusterFeasibility:
     def leaders_scn(self):
         return sim.default_formation()
@@ -251,25 +259,22 @@ class TestClusterFeasibility:
     def test_leader_singletons_feasible(self):
         scn = self.leaders_scn()
         # every cluster anchored: {0}, {7}, {11} plus the rest split between
-        dec = Decomposition.from_clusters(
-            [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]], 12)
-        assert sim.anchoring_check(scn, dec)
+        dec = Decomposition.from_assignment([0] * 4 + [1] * 4 + [2] * 4)
+        assert scn.constraints.admits(scn.formation_graph, dec.assignment)
 
     def test_no_leader_infeasible(self):
         scn = self.leaders_scn()
-        dec = Decomposition.from_clusters(
-            [[0], [1, 2], [3, 4, 5, 6, 7, 8, 9, 10, 11]], 12)
-        assert not sim.anchoring_check(scn, dec)
+        dec = Decomposition.from_assignment([0, 1, 1] + [2] * 9)
+        assert not scn.constraints.admits(scn.formation_graph, dec.assignment)
 
     def test_disconnected_cluster_infeasible(self):
         scn = self.leaders_scn()
         # agents 0 (col 0) and 11 (col 3) share no mesh edge in this cluster
-        dec = Decomposition.from_clusters(
-            [[0, 11], [7] + [1, 2, 3, 4, 5, 6], [8, 9, 10]], 12)
-        assert not sim.anchoring_check(scn, dec)
+        dec = Decomposition.from_assignment([0] + [1] * 7 + [2] * 3 + [0])
+        assert not scn.constraints.admits(scn.formation_graph, dec.assignment)
 
     def test_matches_brute_force_rules(self):
-        # anchoring_check evaluates scn.constraints, the rules the formation
+        # scn.constraints.admits applies the rules the formation
         # search is given; here they are checked from the leaders and the
         # mesh directly, on every 2-cluster partition
         scn = self.leaders_scn()
@@ -279,7 +284,8 @@ class TestClusterFeasibility:
             want = all(set(scn.leaders) & set(members)
                        and bfs_connected(nbrs, members)
                        for members in dec.clusters())
-            assert sim.anchoring_check(scn, dec) == want, dec.label()
+            assert scn.constraints.admits(scn.formation_graph, dec.assignment) == want, \
+                dec.label()
             verdicts.add(want)
         assert verdicts == {True, False}
 
