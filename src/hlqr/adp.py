@@ -33,6 +33,7 @@ __all__ = [
     "Dataset",
     "LearnResult",
     "LearnConfig",
+    "unknown_count",
     "collect",
     "policy_iteration",
     "learn_cluster",
@@ -65,6 +66,27 @@ _UNIFORM_ULPS = 32
 
 
 @dataclass(frozen=True)
+class LearnConfig:
+    """Knobs for the data collection and learning pipeline."""
+
+    seed: int = 0
+    dt: float = 1e-3
+    window: float = 0.1
+    horizon: float | None = None
+    tol_pi: float = 1e-8
+    max_iter: int = 30
+    amplitude: float = 0.5
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidConfig(f"seed={self.seed} must be nonnegative")
+        if not (self.tol_pi > 0 and math.isfinite(self.tol_pi)):
+            raise InvalidConfig(f"tol_pi={self.tol_pi} must be positive and finite")
+        if self.max_iter < 1:
+            raise InvalidConfig(f"max_iter={self.max_iter} must be at least 1")
+
+
+@dataclass(frozen=True)
 class Excitation:
     """Per-channel sum-of-sinusoids exploration signal.
 
@@ -79,7 +101,7 @@ class Excitation:
     phases: np.ndarray
 
     @classmethod
-    def make(cls, seed, m, n_sin=N_SIN, amplitude=0.5):
+    def make(cls, seed, m, n_sin=N_SIN, amplitude=LearnConfig.amplitude):
         rng = np.random.default_rng(seed)
         freqs = rng.uniform(FREQ_RANGE[0], FREQ_RANGE[1], size=(m, n_sin))
         phases = rng.uniform(0.0, 2.0 * math.pi, size=(m, n_sin))
@@ -349,17 +371,23 @@ def collect(plant, k0, exc, horizon, dt, window, x0=None):
 
 @dataclass(frozen=True)
 class LearnResult:
-    """Converged (or not) policy-iteration output for one cluster."""
+    """Converged policy-iteration output for one cluster."""
 
     p_hat: np.ndarray
     k_hat: np.ndarray
     btp_hat: np.ndarray
     iterations: int
-    converged: bool
     wall_time: float = 0.0
 
 
-def policy_iteration(data, qhat, rhat, k0, tol_pi=1e-8, max_iter=30):
+def unknown_count(n, m):
+    """Unknowns of a cluster's least-squares problem with n states and m
+    inputs: the n(n+1)/2 entries of symmetric P and the m n of B'P."""
+    return n * (n + 1) // 2 + m * n
+
+
+def policy_iteration(data, qhat, rhat, k0, tol_pi=LearnConfig.tol_pi,
+                     max_iter=LearnConfig.max_iter):
     """Off-policy integral policy iteration on recorded data.
 
     Each pass solves one least-squares system jointly for svec(P) and B'P
@@ -373,7 +401,7 @@ def policy_iteration(data, qhat, rhat, k0, tol_pi=1e-8, max_iter=30):
     NoConvergence when max_iter passes go by without meeting tol_pi.
     """
     n, m = data.n, data.m
-    n_unknowns = n * (n + 1) // 2 + m * n
+    n_unknowns = unknown_count(n, m)
     if data.M < n_unknowns:
         raise RankDeficient(
             f"{data.M} windows < {n_unknowns} unknowns; collect more data"
@@ -394,39 +422,15 @@ def policy_iteration(data, qhat, rhat, k0, tol_pi=1e-8, max_iter=30):
         k = np.linalg.solve(rhat, btp)
         if p_prev is not None and np.linalg.norm(p_hat - p_prev) < tol_pi * max(
                 1.0, np.linalg.norm(p_hat)):
-            return LearnResult(
-                p_hat=p_hat, k_hat=k, btp_hat=rhat @ k,
-                iterations=it, converged=True,
-            )
+            return LearnResult(p_hat=p_hat, k_hat=k, btp_hat=rhat @ k,
+                               iterations=it)
         p_prev = p_hat
     raise NoConvergence(f"policy iteration did not converge in {max_iter} passes")
 
 
-@dataclass(frozen=True)
-class LearnConfig:
-    """Knobs for the data collection and learning pipeline."""
-
-    seed: int = 0
-    dt: float = 1e-3
-    window: float = 0.1
-    horizon: float | None = None
-    tol_pi: float = 1e-8
-    max_iter: int = 30
-    amplitude: float = 0.5
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise InvalidConfig(f"seed={self.seed} must be nonnegative")
-        if not (self.tol_pi > 0 and math.isfinite(self.tol_pi)):
-            raise InvalidConfig(f"tol_pi={self.tol_pi} must be positive and finite")
-        if self.max_iter < 1:
-            raise InvalidConfig(f"max_iter={self.max_iter} must be at least 1")
-
-
 def _auto_horizon(cfg, n, m):
     """Windows needed: a 20% oversample of the unknown count plus margin."""
-    n_unknowns = n * (n + 1) // 2 + m * n
-    windows = math.ceil(OVERSAMPLE * n_unknowns) + 10
+    windows = math.ceil(OVERSAMPLE * unknown_count(n, m)) + 10
     return windows * cfg.window
 
 

@@ -22,9 +22,9 @@ from typing import get_args
 import numpy as np
 
 from . import fileio
-from .adp import LearnConfig, learn_hierarchical
-from .errors import HlqrError, InvalidConfig
-from .graphcost import Decomposition, comm_links, kappa, split_graph
+from .adp import LearnConfig, learn_hierarchical, unknown_count
+from .errors import HlqrError, InvalidConfig, NonStabilizable
+from .graphcost import Decomposition, check_assumptions, comm_links, kappa, split_graph
 from .hierctrl import gap_report, hierarchical_gain
 from .matops import solve_lyapunov
 from .partition import ConstraintSet, PartitionProblem, max_kappa, min_scut
@@ -58,12 +58,12 @@ class ExperimentConfig:
     n_draws: int = 1000
     x0_scheme: str = "uniform_pm1"
     learn: bool = False
-    dt: float = 1e-3
-    window: float = 0.1
-    horizon: float | None = None
-    tol_pi: float = 1e-8
-    max_iter: int = 30
-    amplitude: float = 0.5
+    dt: float = LearnConfig.dt
+    window: float = LearnConfig.window
+    horizon: float | None = LearnConfig.horizon
+    tol_pi: float = LearnConfig.tol_pi
+    max_iter: int = LearnConfig.max_iter
+    amplitude: float = LearnConfig.amplitude
     t_final: float = 30.0
     out_dir: str = "out"
 
@@ -286,7 +286,17 @@ def make_report_row(cfg, scenario, dec, gain, learn_time=float("nan")):
 
 def _learn(mas, spec, dec, learn_cfg):
     """Learn dec's clusters from black-box plants, each started at its
-    initial_gains gain.  Returns (gain, LearnResults, learning wall time)."""
+    initial_gains gain.  Returns (gain, LearnResults, learning wall time).
+
+    check_assumptions runs first, on the model that initial_gains reads, so
+    a cluster whose Riccati equation has no stabilizing solution raises
+    NonStabilizable, named as solve_clusters names it, before any data are
+    collected."""
+    check = check_assumptions(mas, spec, dec)
+    for j, held in enumerate(zip(check.stabilizable, check.detectable)):
+        if not all(held):
+            raise NonStabilizable(check.explain(
+                dec, j, "no stabilizing cluster Riccati solution to learn"))
     plants = cluster_plants(mas, dec)
     k0_list = initial_gains(mas, dec)
     t0 = time.perf_counter()
@@ -323,11 +333,8 @@ def run_experiment(cfg):
     if results is not None:
         paths["learn"] = fileio.write_csv(
             f"{out}/learn_summary.csv",
-            ["cluster", "iterations", "converged", "wall_time"],
-            [
-                [j, r.iterations, int(r.converged), r.wall_time]
-                for j, r in enumerate(results)
-            ],
+            ["cluster", "iterations", "wall_time"],
+            [[j, r.iterations, r.wall_time] for j, r in enumerate(results)],
         )
     if traj is not None:
         paths["trajectory"] = fileio.write_trajectory_csv(
@@ -352,12 +359,8 @@ def _bench_rl_compare(out_dir, seed):
         mas, spec = clique_path_scenario(s, c)
         dec = clique_decomposition(s, c)
         n_states = spec.n * mas.n_agents
-        n_j = spec.n * c
-        m_j = spec.m * c
-        unknowns_h = n_j * (n_j + 1) // 2 + m_j * n_j
-        n_all = n_states
-        m_all = spec.m * mas.n_agents
-        unknowns_c = n_all * (n_all + 1) // 2 + m_all * n_all
+        unknowns_h = unknown_count(spec.n * c, spec.m * c)
+        unknowns_c = unknown_count(n_states, spec.m * mas.n_agents)
         cfg = LearnConfig(seed=seed)
         note = ""
 

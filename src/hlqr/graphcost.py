@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDecomposition, NonStabilizable, NotALaplacian
-from .matops import PSD_TOL, _components, _pd, block_diag, is_psd, stabilizing_gain, symmetrize
+from .errors import DimensionMismatch, InvalidDecomposition, NotALaplacian
+from .matops import PSD_TOL, _components, _pd, block_diag, is_psd, stabilizable, symmetrize
 
 __all__ = [
     "CostGraph",
@@ -359,14 +359,6 @@ def cluster_costs(spec, dec):
     return out
 
 
-def _stabilizable(a, b):
-    try:
-        stabilizing_gain(a, b)
-    except NonStabilizable:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class AssumptionReport:
     """Stabilizability, detectability and connectivity behind the guarantees."""
@@ -384,6 +376,14 @@ class AssumptionReport:
             and self.graph_connected
         )
 
+    def explain(self, dec, j, cause):
+        """cause, named for cluster j and followed by its two verdicts:
+        'cluster 1 (agents 2,3): cause; stabilizable holds, detectable fails'."""
+        verdicts = ", ".join(
+            f"{name} {'holds' if held[j] else 'fails'}" for name, held in
+            (("stabilizable", self.stabilizable), ("detectable", self.detectable)))
+        return f"{dec.cluster_name(j)}: {cause}; {verdicts}"
+
 
 def check_assumptions(mas, spec, dec):
     """Report per-cluster stabilizability of (A_j, B_j), detectability of
@@ -391,17 +391,18 @@ def check_assumptions(mas, spec, dec):
     cluster subgraph.  Never raises; the report carries any failures.
 
     The first two make each cluster Riccati solution stabilizing (Kucera
-    1972): stabilizable when matops.stabilizing_gain finds a gain, detectable
-    when Qhat_j is PD to rounding or (A_j', Qhat_j) is stabilizable.
+    1972): stabilizable by matops.stabilizable's verdict on (A_j, B_j),
+    detectable when Qhat_j is PD to rounding or (A_j', Qhat_j) is
+    stabilizable.
     """
-    stabilizable, detectable = [], []
+    stab, detect = [], []
     for j, (qhat_j, _) in enumerate(cluster_costs(spec, dec)):
         a_j, b_j = mas.cluster(dec, j)
-        stabilizable.append(_stabilizable(a_j, b_j))
-        detectable.append(_pd(np.linalg.eigvalsh(qhat_j)) or _stabilizable(a_j.T, qhat_j))
+        stab.append(stabilizable(a_j, b_j))
+        detect.append(_pd(np.linalg.eigvalsh(qhat_j)) or stabilizable(a_j.T, qhat_j))
     return AssumptionReport(
-        stabilizable=stabilizable,
-        detectable=detectable,
+        stabilizable=stab,
+        detectable=detect,
         graph_connected=spec.graph.connected(),
         cluster_connected=spec.graph.clusters_connected(dec.assignment).tolist(),
     )

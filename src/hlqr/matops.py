@@ -15,9 +15,9 @@ three GEMMs per doubling and one inverse in all, whose last power of the
 Cayley transform also certifies the matrix Hurwitz.  A Riccati solve
 raises when the doubling breaks down or does not stabilize, or a polish
 step's gain is not Hurwitz, as happens outside the standing assumptions of
-a stabilizable (A, B) and a detectable (Q^{1/2}, A).  stabilizing_gain,
-whose ordered Schur form decides stabilizability, serves
-graphcost.check_assumptions.
+a stabilizable (A, B) and a detectable (Q^{1/2}, A).  stabilizable
+decides the first by one ordered Schur form, for
+graphcost.check_assumptions, and returns only its verdict.
 
 solve_care, solve_lyapunov and pinv first split their input at the
 connected components of its exact nonzero pattern (_components) and solve
@@ -40,7 +40,7 @@ __all__ = [
     "is_psd",
     "pinv",
     "solve_lyapunov",
-    "stabilizing_gain",
+    "stabilizable",
     "solve_care",
 ]
 
@@ -221,33 +221,29 @@ def solve_continuous_lyapunov(a, q):
     return z.dot(y).dot(z.T)
 
 
-def stabilizing_gain(a, b):
-    """Gain K with A - B K Hurwitz, by one ordered Schur form (Varga 1981).
+def stabilizable(a, b):
+    """True when (A, B) is stabilizable, by one ordered Schur form (Varga 1981).
 
     A = Z T Z', T = [T11 T12; 0 T22], with the eigenvalues of negative real
-    part (a strict test) in T11, so B2 = Z2' B alone drives the unstable
+    part (a strict test) in T11, so B2 = Z2' B alone must drive the unstable
     and marginal modes in T22.  With beta = |T22|_F + 0.5, X solves
     (T22 + beta I) X + X (T22 + beta I)' = 2 B2 B2' (solve_continuous_lyapunov,
     by its module-level name, which perfbench/spans.py wraps to count calls);
-    then K2 = B2' X^{-1} gives (T22 - B2 K2) X + X (T22 - B2 K2)' = -2 beta X,
-    Hurwitz for PD X, and K = K2 Z2' leaves T11 in place.  Returns the zero
-    gain when A is Hurwitz.  Raises NonStabilizable unless X is PD to
-    rounding, its least eigenvalue above n eps times its largest or
-    |B|_F^2 / beta: B2's rounding alone gives an X of order eps^2 that.
+    (A, B) is stabilizable exactly when X is PD, and K2 = B2' X^{-1} would
+    then give the Hurwitz T22 - B2 K2.  X counts as PD when its least
+    eigenvalue is above n eps times its largest or |B|_F^2 / beta: B2's
+    rounding alone gives an X of order eps^2 that.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    n, m = b.shape
+    n = b.shape[0]
     t, z, k = _schur(a, _stable)
-    if k == n:
-        return np.zeros((m, n))
-    t22, z2t = t[k:, k:], z[:, k:].T
-    b2 = z2t @ b
+    if k == n:  # A is Hurwitz
+        return True
+    t22, b2 = t[k:, k:], z[:, k:].T @ b
     beta = np.linalg.norm(t22, "fro") + 0.5
-    w, v = np.linalg.eigh(solve_continuous_lyapunov(
+    w = np.linalg.eigvalsh(solve_continuous_lyapunov(
         t22 + beta * np.eye(n - k), 2.0 * b2 @ b2.T))
-    if not _pd(w, np.linalg.norm(b) ** 2 / beta):
-        raise NonStabilizable(f"{n - k} unstable or marginal modes not stabilizable")
-    return (v.T @ b2 / w[:, None]).T @ (v.T @ z2t)
+    return _pd(w, np.linalg.norm(b) ** 2 / beta)
 
 
 def solve_care(a, b, q, r, p0=None):

@@ -140,7 +140,7 @@ def policy_iteration_oracle(data, qhat, rhat, k0, lstsq=equilibrated_lstsq,
         if p_prev is not None and np.linalg.norm(p_hat - p_prev) < tol_pi * max(
                 1.0, np.linalg.norm(p_hat)):
             return LearnResult(p_hat=p_hat, k_hat=k, btp_hat=rhat @ k,
-                               iterations=it, converged=True)
+                               iterations=it)
         p_prev = p_hat
     raise NoConvergence(f"policy iteration did not converge in {max_iter} passes")
 
@@ -374,11 +374,11 @@ def cost_spec_checks_loop(qbar_blocks, qtilde, r_blocks):
             raise NotALaplacian("r block not PD")
 
 
-def dense_gap_report(mas, spec, dec, gain, x0=None, sigma=1.0):
+def dense_gap_report(mas, spec, dec, gain, sigma=1.0):
     """hierctrl.gap_report by its dense formulas: the same U and P_opt
-    solves, with the eigenvalues of the dense scriptP, Qbar, R and P_opt,
-    the singular values of the dense B, and tr(B R^{-1} B') of the dense
-    product."""
+    solves, with the trace and eigenvalues of the dense scriptP, the
+    eigenvalues of the dense Qbar, R and P_opt, the singular values of the
+    dense B, and tr(B R^{-1} B') of the dense product."""
     a, b = mas.a_full, mas.b_full
     q = assemble_q(spec)
     r = spec.r
@@ -389,12 +389,8 @@ def dense_gap_report(mas, spec, dec, gain, x0=None, sigma=1.0):
     trace_w = float(np.sum(dk * (r @ dk)))
     trace_v = float(np.trace(u - p_opt))
 
-    p_script = gain.p_full
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        j_opt, j_h, j_approx = (float(x0 @ m @ x0) for m in (p_opt, u, p_script))
-    else:
-        j_opt, j_h, j_approx = (float(np.trace(m)) for m in (p_opt, u, p_script))
+    p_script = dec.scatter(gain.p_blocks, spec.n, spec.n)
+    j_opt, j_h, j_approx = (float(np.trace(m)) for m in (p_opt, u, p_script))
     trace_g2 = float(np.trace(split_graph(spec.graph, dec).g2))
 
     lam_p = np.linalg.eigvalsh(p_script)

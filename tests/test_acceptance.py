@@ -226,10 +226,11 @@ def test_criterion_03_cost_sandwich():
         p_opt = matops.solve_care(mas.a_full, mas.b_full, assemble_q(spec),
                                   spec.r)
         u_mat = closed_loop_value(mas, spec, gain.k_h)
+        p_script = dec.scatter(gain.p_blocks, spec.n, spec.n)
         dim = p_opt.shape[0]
         for _ in range(20):
             x0 = rng.standard_normal(dim)
-            j_approx = x0 @ gain.p_full @ x0
+            j_approx = x0 @ p_script @ x0
             j_opt = x0 @ p_opt @ x0
             j_h = x0 @ u_mat @ x0
             assert j_opt - j_approx >= -1e-8 * max(1.0, abs(j_opt))

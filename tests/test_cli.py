@@ -32,7 +32,7 @@ class TestExperimentConfig:
     def test_defaults_valid(self):
         cfg = ExperimentConfig()
         assert cfg.scenario == "example1"
-        assert cfg.learn_config().seed == cfg.seed
+        assert cfg.learn_config() == adp.LearnConfig(seed=cfg.seed)
 
     def test_rejects_bad_values(self):
         with pytest.raises(InvalidConfig):
@@ -440,7 +440,8 @@ class TestRun:
 
 class TestLeaderlessCluster:
     """A formation cluster without a leader leaves its Riccati equation
-    outside the detectability assumption: solve exits 1 naming it."""
+    outside the detectability assumption: solve and learn exit 1 naming
+    it."""
 
     @pytest.mark.parametrize("assignment, name", [
         ("0,1,1,0,0,0,0,0,0,0,0,0", "cluster 1 (agents 2,3)"),
@@ -455,6 +456,20 @@ class TestLeaderlessCluster:
         assert "stabilizable holds, detectable fails" in err
         assert not (tmp_path / "gap_report.json").exists()
 
+    def test_learn_refuses_before_collecting(self, tmp_path, capsys, monkeypatch):
+        # learn checks the assumptions on the model before any data
+        def collect(*args, **kwargs):
+            raise AssertionError("data collected for a leaderless cluster")
+
+        monkeypatch.setattr(adp, "collect", collect)
+        rc = main(["learn", "formation", "--assignment", "0,1,1,0,0,0,0,0,0,0,0,0",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cluster 1 (agents 2,3): ")
+        assert err.rstrip().endswith("; stabilizable holds, detectable fails")
+        assert not (tmp_path / "learn_summary.csv").exists()
+
 
 class TestLearnCommand:
     def test_two_singleton_cliques(self, tmp_path, capsys):
@@ -464,7 +479,7 @@ class TestLearnCommand:
         assert rc == 0
         summary = read_report(tmp_path / "learn_summary.csv")
         assert len(summary) == 2
-        assert all(int(r["converged"]) == 1 for r in summary)
+        assert list(summary[0]) == ["cluster", "iterations", "wall_time"]
         assert all(int(r["iterations"]) <= 30 for r in summary)
         rows = read_report(tmp_path / "report.csv")
         assert float(rows[0]["learn_time"]) > 0.0

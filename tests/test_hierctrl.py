@@ -53,10 +53,10 @@ class TestSolveClusters:
         parts = graphcost.split_graph(graph, dec)
         assert np.allclose(parts.g2, 0.0)
         gain = hierarchical_gain(mas, spec, dec)
+        p_script = dec.scatter(gain.p_blocks, spec.n, spec.n)
         res = care_residual(mas.a_full, mas.b_full,
-                                   graphcost.assemble_q(spec), spec.r,
-                                   gain.p_full)
-        assert res <= 1e-8 * (1.0 + np.linalg.norm(gain.p_full, "fro"))
+                            graphcost.assemble_q(spec), spec.r, p_script)
+        assert res <= 1e-8 * (1.0 + np.linalg.norm(p_script, "fro"))
 
     def test_cluster_residuals(self):
         mas, spec = sim.clique_path_scenario(3, 2)
@@ -102,7 +102,7 @@ class TestComputeRtilde:
         gain = hierarchical_gain(mas, spec, dec)
         parts = graphcost.split_graph(graph, dec)
         g2q = np.kron(parts.g2, spec.qtilde)
-        p = gain.p_full
+        p = dec.scatter(gain.p_blocks, spec.n, spec.n)
         b = mas.b_full
         residual = g2q - p @ b @ gain.r_tilde @ b.T @ p
         assert np.linalg.norm(residual, "fro") <= 1e-10 * (
@@ -192,9 +192,7 @@ class TestGapReport:
         mas, spec = sim.clique_path_scenario(2, 2)
         dec = Decomposition.from_assignment([0] * 4)
         gain = hierarchical_gain(mas, spec, dec)
-        rng = np.random.default_rng(97)
-        report, *_ = gap_report(mas, spec, dec, gain,
-                                x0=rng.standard_normal(16))
+        report, *_ = gap_report(mas, spec, dec, gain)
         assert report.trace_w <= 1e-10
         assert report.trace_v <= 1e-8
         assert report.expected_gap <= 1e-8
@@ -202,21 +200,25 @@ class TestGapReport:
         assert abs(report.sop) <= 1e-7
 
     def test_cost_sandwich(self):
+        # the expected costs of the report, and the costs from single
+        # initial states read off the returned P_opt and U and scriptP
         mas, spec = sim.clique_path_scenario(3, 2)
         dec = sim.clique_decomposition(3, 2)
         gain = hierarchical_gain(mas, spec, dec)
-        p_opt = matops.solve_care(mas.a_full, mas.b_full,
-                                  graphcost.assemble_q(spec), spec.r)
-        assert matops.is_psd(p_opt - gain.p_full, tol=-1e-8)
-        rng = np.random.default_rng(101)
+        report, p_opt, u = gap_report(mas, spec, dec, gain)
         slack = 1e-9
+        assert report.j_approx <= report.j_opt + slack * abs(report.j_opt)
+        assert report.j_opt <= report.j_h + slack * abs(report.j_h)
+        assert report.delta_j >= -slack
+        assert report.sop >= -slack
+        p_script = dec.scatter(gain.p_blocks, spec.n, spec.n)
+        assert matops.is_psd(p_opt - p_script, tol=-1e-8)
+        rng = np.random.default_rng(101)
         for _ in range(20):
             x0 = rng.standard_normal(24)
-            report, *_ = gap_report(mas, spec, dec, gain, x0=x0)
-            assert report.j_approx <= report.j_opt + slack * abs(report.j_opt)
-            assert report.j_opt <= report.j_h + slack * abs(report.j_h)
-            assert report.delta_j >= -slack
-            assert report.sop >= -slack
+            j_approx, j_opt, j_h = (x0 @ m @ x0 for m in (p_script, p_opt, u))
+            assert j_approx <= j_opt + slack * abs(j_opt)
+            assert j_opt <= j_h + slack * abs(j_h)
 
     def test_expected_gap_monte_carlo(self):
         mas, spec = pair_system()
@@ -263,10 +265,10 @@ class TestGapReport:
 
     def test_vacuous_flag(self):
         # anchored-agent weights leave Qbar singular: bound is not computable
-        mas, spec, _, x0 = sim.build_formation(sim.default_formation())
+        mas, spec, _, _ = sim.build_formation(sim.default_formation())
         dec = Decomposition.from_assignment([0] * 6 + [1] * 3 + [2] * 3)
         gain = hierarchical_gain(mas, spec, dec)
-        report, *_ = gap_report(mas, spec, dec, gain, x0=x0)
+        report, *_ = gap_report(mas, spec, dec, gain)
         assert report.vacuous
         assert np.isnan(report.trace_v_bound)
         assert np.isnan(report.f1)
@@ -407,18 +409,16 @@ class TestBlockSpectra:
     the dense ones of oracles.dense_gap_report."""
 
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), with_x0=st.booleans())
-    def test_matches_dense_report(self, seed, with_x0):
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_report(self, seed):
         mas, spec, dec = heterogeneous_instance(seed)
         assume(graphcost.check_assumptions(mas, spec, dec).ok)
         gain = hierarchical_gain(mas, spec, dec)
-        x0 = (np.random.default_rng(seed).standard_normal(mas.a_full.shape[0])
-              if with_x0 else None)
         try:
-            got, *_ = gap_report(mas, spec, dec, gain, x0=x0)
+            got, *_ = gap_report(mas, spec, dec, gain)
         except UnstableClosedLoop:
             reject()
-        want = dense_gap_report(mas, spec, dec, gain, x0=x0)
+        want = dense_gap_report(mas, spec, dec, gain)
         for key in ("j_opt", "j_h", "j_approx", "trace_v", "trace_w", "vacuous"):
             assert getattr(got, key) == getattr(want, key), key
         # both ways find lambda_min(scriptP) to about n eps lambda_max, so
@@ -500,7 +500,6 @@ class TestGeneratedLearning:
                     k0_list=sim.initial_gains(mas, dec))
             except RankDeficient:
                 reject()  # the guard refused data that identify too little
-        assert all(res.converged for res in results)
         model = hierarchical_gain(mas, spec, dec)
         rel = np.linalg.norm(gain.k_h - model.k_h) / np.linalg.norm(model.k_h)
         assert rel <= max(1e-6, 1e-11 * max(conds))

@@ -223,7 +223,7 @@ class TestFormationScenario:
 
     def test_decomposition_metrics_frozen(self):
         # model-based reference values for the three documented decompositions
-        mas, spec, _, x0 = sim.build_formation(sim.default_formation())
+        mas, spec, _, _ = sim.build_formation(sim.default_formation())
         rows = [
             ((6, 3, 3), 18, 12.0, 48, 248.72788320108236),
             ((1, 10, 1), 1, 8.0, 65, 341.2891716520614),
@@ -240,7 +240,7 @@ class TestFormationScenario:
             gain = hierctrl.hierarchical_gain(mas, spec, dec)
             _, n_c = graphcost.comm_links(gain.k_h, 4, 2)
             assert n_c == want_nc
-            report, *_ = hierctrl.gap_report(mas, spec, dec, gain, x0=x0)
+            report, *_ = hierctrl.gap_report(mas, spec, dec, gain)
             assert report.cond_p == pytest.approx(want_cond, rel=1e-6)
 
 
