@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, HlqrError, UnstableClosedLoop, UnstableMatrix
 from .graphcost import assemble_q, check_assumptions, cluster_costs, split_graph
-from .matops import _components, _pd, pinv, solve_care, solve_lyapunov, symmetrize
+from .matops import _block, _components, _pd, _twins, pinv, solve_care, solve_lyapunov, symmetrize
 
 __all__ = [
     "HierarchicalGain",
@@ -148,7 +148,8 @@ class GapReport:
     spec.qbar_blocks and spec.r_blocks, with the smallest nonzero sigma(B)
     cut at max(B.shape) eps sigma_max of the whole B; lambda_max(P_opt)
     from the connected components of P_opt's nonzeros, a dense P_opt being
-    one.  Only their rounding differs from the dense spectra's.
+    one, each set of bit-equal components (matops._twins) taken once.  Only
+    their rounding differs from the dense spectra's.
 
     V = U - P_opt exactly, with U the cost matrix of k_h: B' P_opt = R k_opt
     turns the Riccati equation into a_s' P_opt + P_opt a_s + Q + k_h' R k_h
@@ -244,8 +245,10 @@ def gap_report(mas, spec, dec, gain, sigma=1.0):
         r_blocks = np.stack(spec.r_blocks)
         tr_brb = float(np.einsum(  # tr(B R^{-1} B'), agent by agent
             "uij,uji->", b_blocks, np.linalg.solve(r_blocks, b_blocks.swapaxes(1, 2))))
-        lam_max_opt = max(float(np.linalg.eigvalsh(p_opt[np.ix_(c, c)])[-1])
-                          for c in _components(p_opt != 0))
+        comps = [(c,) for c in _components(p_opt != 0)]
+        twin = _twins(comps, lambda c: (_block(p_opt, c, c),))
+        lam_max_opt = max(float(np.linalg.eigvalsh(_block(p_opt, c, c))[-1])
+                          for (c,), t in zip(comps, twin) if t is None)
         tr_g2q = trace_g2 * float(np.trace(spec.qtilde))
         denom = lam_min_p ** 2 * sigma_l_b ** 2
         f1 = tr_g2q ** 2 * float(np.linalg.eigvalsh(r_blocks).max()) / denom

@@ -22,13 +22,19 @@ graphcost.check_assumptions, and returns only its verdict.
 solve_care, solve_lyapunov and pinv first split their input at the
 connected components of its exact nonzero pattern (_components) and solve
 one block per component: a decoupled problem's solution is block diagonal
-in the same permutation, and the factorizations and doublings cost a
-quarter as much for two equal blocks.  Only an exactly zero entry separates
-two components; an input with one component takes the dense path unchanged.
+in the same permutation, and the factorizations and doublings of two
+blocks of half the size cost a quarter as much.  Only an exactly zero entry
+separates two components; an input with one component takes the dense path
+unchanged.  Components whose input blocks are equal bit for bit (_twins)
+are solved once and the answer copied, which gives the bits a solve of each
+would: example1 and five_node have the same dynamics and weights on both
+axes, so their two blocks are one solve; formation's axes differ.
 
 Conventions: symmetric matrices are plain float64 ndarrays, symmetrized as
 (M + M.T)/2 at every operation boundary.
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -114,6 +120,43 @@ def _components(adj):
     return comps
 
 
+def _twins(comps, blocks):
+    """For each component, an earlier one whose input blocks are equal.
+
+    comps lists the components, each a tuple of index arrays, and
+    blocks(*comp) returns a component's input blocks.  twin[k] is the first
+    component before k with k's sizes and the same XOR of each block's bit
+    patterns, when its blocks equal k's bit for bit (as uint64 patterns, so
+    0.0 and -0.0 differ), else None; a solve of twin[k]'s blocks then gives
+    k's answer, bits and all.  Only components that share their sizes with
+    another are extracted, and the blocks are dropped on return.
+    """
+    sizes = [tuple(map(len, comp)) for comp in comps]
+    count = Counter(sizes)
+    twin, first = [None] * len(comps), {}
+    for k, comp in enumerate(comps):
+        if count[sizes[k]] > 1:
+            mine = blocks(*comp)
+            key = (sizes[k], *(np.bitwise_xor.reduce(x.view(np.uint64), axis=None)
+                               for x in mine))
+            t, theirs = first.setdefault(key, (k, mine))
+            if t != k and _same_bits(mine, theirs):
+                twin[k] = t
+    return twin
+
+
+def _same_bits(xs, ys):
+    """True when the float64 arrays xs[i] and ys[i], of equal shapes, hold
+    the same bit patterns."""
+    return all(np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in zip(xs, ys))
+
+
+def _block(x, i, j):
+    """x[np.ix_(i, j)], as a C-ordered copy with the same bits, by two takes:
+    about twice as fast on example1's interleaved axes."""
+    return x.take(i, 0).take(j, 1)
+
+
 def _bipartite(nz):
     """Adjacency on rows then columns of a boolean pattern nz (rows x cols)."""
     rows, cols = nz.shape
@@ -130,21 +173,26 @@ def pinv(m):
     treated as zero.  The zero matrix maps to the zero matrix.  One SVD per
     connected component of the row/column nonzero pattern, all cut off at
     the global sigma_max, so the blocks of the result between components
-    are exactly zero.
+    are exactly zero.  A component whose block equals an earlier one's bit
+    for bit (_twins) copies that one's pseudoinverse.
     """
     m = np.asarray(m, dtype=float)
     rows = m.shape[0]
-    svds = []
-    for c in _components(_bipartite(m != 0)):
-        i, j = c[c < rows], c[c >= rows] - rows
-        if i.size and j.size:  # a zero row or column maps to zero
-            svds.append((i, j, np.linalg.svd(m[np.ix_(i, j)], full_matrices=False)))
-    s_max = max((s[0] for _, _, (_, s, _) in svds), default=0.0)
+    comps = [(c[c < rows], c[c >= rows] - rows) for c in _components(_bipartite(m != 0))]
+    comps = [(i, j) for i, j in comps if i.size and j.size]  # a zero row or column maps to zero
+    twin = _twins(comps, lambda i, j: (_block(m, i, j),))
+    svds = [None if t is not None else np.linalg.svd(_block(m, i, j), full_matrices=False)
+            for (i, j), t in zip(comps, twin)]
+    s_max = max((svd[1][0] for svd in svds if svd is not None), default=0.0)
     tol = max(m.shape) * np.finfo(float).eps * s_max
     out = np.zeros(m.shape[::-1])
-    for i, j, (u, s, vt) in svds:
-        s_inv = np.where(s > tol, np.divide(1.0, s, out=np.zeros_like(s), where=s > tol), 0.0)
-        out[np.ix_(j, i)] = (vt.T * s_inv) @ u.T
+    for (i, j), t, svd in zip(comps, twin, svds):
+        if t is None:
+            u, s, vt = svd
+            s_inv = np.where(s > tol, np.divide(1.0, s, out=np.zeros_like(s), where=s > tol), 0.0)
+            out[np.ix_(j, i)] = (vt.T * s_inv) @ u.T
+        else:
+            out[np.ix_(j, i)] = _block(out, comps[t][1], comps[t][0])
     return out
 
 
@@ -160,12 +208,20 @@ def _schur(a, select=_no_select):
     """Real Schur form (T, Z, k), a = Z T Z', by LAPACK dgees with its
     workspace query: the call scipy.linalg.schur makes, without its argument
     checks.  Given select(wr, wi), T is ordered with the k eigenvalues it
-    selects first (a complex pair counts twice); by default k = 0."""
+    selects first (a complex pair counts twice); by default k = 0.
+
+    When dgees cannot finish that ordering (info n + 1: two eigenvalues too
+    close to swap; n + 2: a swap's rounding moved one across select), T and
+    Z are still a Schur form of a, in the order reached, and k counts the
+    selected eigenvalues ahead of the first unselected one.  Raises
+    LinAlgError only when the QR algorithm fails (info 1 to n)."""
     lwork = int(dgees(select, a, lwork=-1)[-2][0])
-    t, k, _, _, z, _, info = dgees(select, a, sort_t=int(select is not _no_select),
-                                   lwork=lwork)
-    if info > 0:
+    t, k, wr, wi, z, _, info = dgees(select, a, sort_t=int(select is not _no_select),
+                                     lwork=lwork)
+    if 0 < info <= a.shape[0]:
         raise np.linalg.LinAlgError("Schur form not found")
+    if info:
+        k = next((i for i, x in enumerate(zip(wr, wi)) if not select(*x)), len(wr))
     return t, z, k
 
 
@@ -178,6 +234,11 @@ def solve_lyapunov(a_s, w):
     100 TOL_RESIDUAL (1 + |V|_F) takes one defect-correction step: V += D
     with a_s' D + D a_s + Res(V) = 0, Res(V) = a_s' V + V a_s + W.
 
+    A component whose blocks of a_s and W equal an earlier one's bit for bit
+    (_twins) copies that one's V.  In the correction it copies the twin's
+    corrected V again only when its block of Res(V) also equals the twin's;
+    otherwise it is corrected by its own solve.
+
     Raises UnstableMatrix when a_s is not certified Hurwitz,
     IterationDiverged when the corrected V still fails the contract.
     """
@@ -188,20 +249,27 @@ def solve_lyapunov(a_s, w):
     if not (np.isfinite(a_s).all() and np.isfinite(w).all()):
         raise ValueError("solve_lyapunov needs finite matrices")
     nz = (a_s != 0) | (w != 0)
-    blocks = [np.ix_(c, c) for c in _components(nz | nz.T)]
+    comps = _components(nz | nz.T)
+    twin = _twins([(c,) for c in comps], lambda c: (_block(a_s, c, c), _block(w, c, c)))
     v, e = np.zeros(a_s.shape), w
     for _ in range(2):  # the solve, then at most one correction
-        for c2 in blocks:
-            h = _doubling(a_s[c2], None, e[c2])  # squared Smith
+        for c, t in zip(comps, twin):
+            if t is not None:  # after the twin's update
+                v[np.ix_(c, c)] = _block(v, comps[t], comps[t])
+                continue
+            h = _doubling(_block(a_s, c, c), None, _block(e, c, c))  # squared Smith
             if h is None:
-                raise UnstableMatrix(f"{c2[0].size}-state block not certified Hurwitz")
-            v[c2] += h
+                raise UnstableMatrix(f"{c.size}-state block not certified Hurwitz")
+            v[np.ix_(c, c)] += h
         e = v @ a_s  # a_s' V is its transpose, since V is symmetric
         e += e.T
         e += w
         res = np.linalg.norm(e, "fro")
         if res <= TOL_RESIDUAL * (1.0 + np.linalg.norm(v, "fro")) * 100.0:
             return v
+        twin = [None if t is None or not _same_bits((_block(e, c, c),),
+                                                    (_block(e, comps[t], comps[t]),))
+                else t for c, t in zip(comps, twin)]
     raise IterationDiverged(f"Lyapunov residual {res:.3e} out of contract")
 
 
@@ -233,6 +301,13 @@ def stabilizable(a, b):
     then give the Hurwitz T22 - B2 K2.  X counts as PD when its least
     eigenvalue is above n eps times its largest or |B|_F^2 / beta: B2's
     rounding alone gives an X of order eps^2 that.
+
+    Never raises for a failed ordering: when dgees cannot move every stable
+    eigenvalue ahead (_schur), as for eigenvalues within rounding of the
+    imaginary axis, T11 holds only the stable eigenvalues ahead of the first
+    other one, and B2 must drive the stable modes left in T22 too.  A True
+    verdict then means what it means after a completed ordering; a False
+    one may also come from an uncontrollable stable mode left behind.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -262,7 +337,9 @@ def solve_care(a, b, q, r, p0=None):
     accepted at TOL_RESIDUAL * (k^{-1/2} + |P_c|_F), which keeps the assembled
     P within the global contract.  A component without inputs, G = 0, yields
     its Lyapunov solution when it is Hurwitz and is NonStabilizable
-    otherwise; one without states adds nothing.
+    otherwise; one without states adds nothing.  A component whose blocks
+    of A, B, Q, R and p0 equal an earlier one's bit for bit (_twins) copies
+    that one's P.
 
     Raises NonStabilizable when the doubling breaks down or its H does not
     stabilize, as when (A, B) is not stabilizable or Q leaves an unstable
@@ -293,15 +370,21 @@ def solve_care(a, b, q, r, p0=None):
         return _care_component(a, b, q, r, p0, 1.0)
     blocks = [(c[c < n], c[c >= n] - n) for c in comps if c[0] < n]
     floor = max(len(blocks), 1) ** -0.5
+
+    def inputs(s, u):  # (A, B, Q, R), and p0 when given
+        return (_block(a, s, s), _block(b, s, u), _block(q, s, s), _block(r, u, u),
+                *(() if p0 is None else (_block(p0, s, s),)))
+
     p = np.zeros((n, n))
-    for s, u in blocks:
-        s2 = np.ix_(s, s)
-        p[s2] = _care_component(a[s2], b[np.ix_(s, u)], q[s2], r[np.ix_(u, u)],
-                                None if p0 is None else p0[s2], floor)
+    for (s, u), t in zip(blocks, _twins(blocks, inputs)):
+        if t is None:
+            p[np.ix_(s, s)] = _care_component(*inputs(s, u), floor=floor)
+        else:
+            p[np.ix_(s, s)] = _block(p, blocks[t][0], blocks[t][0])
     return p
 
 
-def _care_component(a, b, q, r, p0, floor):
+def _care_component(a, b, q, r, p0=None, floor=1.0):
     """solve_care on one component, accepted at residual
     TOL_RESIDUAL * (floor + |P|_F): p0 if it is accepted and its gain
     stabilizing, else the doubled P, polished when it is not."""

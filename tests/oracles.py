@@ -1,7 +1,10 @@
 """Reference solvers that the library's faster paths are checked against.
 
 svd_pinv is matops.pinv without the split at connected components: one SVD
-of the whole matrix.  lu_doubling is matops._doubling with each linear
+of the whole matrix.  split_care, split_lyapunov and split_pinv are
+matops.solve_care, solve_lyapunov and pinv with every connected component
+solved on its own, where the library solves each set of components with
+bit-equal input blocks once and copies the answer.  lu_doubling is matops._doubling with each linear
 solve done by np.linalg.solve or np.linalg.inv, a fresh LU factorization
 per use, where the library inverts each matrix once by LAPACK dgetri and
 applies the inverse by GEMM.  care_residual is the Riccati residual of a
@@ -52,16 +55,19 @@ from hlqr import _kernels
 from hlqr.adp import LearnResult, unsvec
 from hlqr.errors import (
     DimensionMismatch,
+    IterationDiverged,
     NoConvergence,
     NotALaplacian,
     RankDeficient,
     StateBlowup,
     UnstableClosedLoop,
+    UnstableMatrix,
 )
 from hlqr.graphcost import Decomposition, assemble_q, split_graph
 from hlqr.hierctrl import GapReport, _cond
-from hlqr.matops import (CARE_MAX_ITER, abscissa, is_psd, solve_care, solve_lyapunov,
-                         symmetrize)
+from hlqr.matops import (CARE_MAX_ITER, TOL_RESIDUAL, _bipartite, _care_component,
+                         _components, _doubling, abscissa, is_psd, solve_care,
+                         solve_lyapunov, symmetrize)
 from hlqr.partition import ConstraintSet
 from hlqr.sim import MasSystem, Trajectory, integrate, tabulate_signal
 
@@ -153,6 +159,74 @@ def svd_pinv(m):
     tol = max(m.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     s_inv = np.where(s > tol, np.divide(1.0, s, out=np.zeros_like(s), where=s > tol), 0.0)
     return (vt.T * s_inv) @ u.T
+
+
+def split_pinv(m):
+    """matops.pinv with one SVD per component of the row/column nonzero
+    pattern, every component its own, all cut off at the global sigma_max."""
+    m = np.asarray(m, dtype=float)
+    rows = m.shape[0]
+    svds = []
+    for c in _components(_bipartite(m != 0)):
+        i, j = c[c < rows], c[c >= rows] - rows
+        if i.size and j.size:
+            svds.append((i, j, np.linalg.svd(m[np.ix_(i, j)], full_matrices=False)))
+    s_max = max((s[0] for _, _, (_, s, _) in svds), default=0.0)
+    tol = max(m.shape) * np.finfo(float).eps * s_max
+    out = np.zeros(m.shape[::-1])
+    for i, j, (u, s, vt) in svds:
+        s_inv = np.where(s > tol, np.divide(1.0, s, out=np.zeros_like(s), where=s > tol), 0.0)
+        out[np.ix_(j, i)] = (vt.T * s_inv) @ u.T
+    return out
+
+
+def split_lyapunov(a_s, w):
+    """matops.solve_lyapunov with squared Smith run on every component, in
+    the solve and in the defect-correction step alike."""
+    a_s = np.asarray(a_s, dtype=float)
+    w = symmetrize(w)
+    nz = (a_s != 0) | (w != 0)
+    blocks = [np.ix_(c, c) for c in _components(nz | nz.T)]
+    v, e = np.zeros(a_s.shape), w
+    for _ in range(2):
+        for c2 in blocks:
+            h = _doubling(a_s[c2], None, e[c2])
+            if h is None:
+                raise UnstableMatrix(f"{c2[0].size}-state block not certified Hurwitz")
+            v[c2] += h
+        e = v @ a_s
+        e += e.T
+        e += w
+        res = np.linalg.norm(e, "fro")
+        if res <= TOL_RESIDUAL * (1.0 + np.linalg.norm(v, "fro")) * 100.0:
+            return v
+    raise IterationDiverged(f"Lyapunov residual {res:.3e} out of contract")
+
+
+def split_care(a, b, q, r, p0=None):
+    """matops.solve_care with every component with states solved on its own,
+    each accepted at the same floor k^{-1/2}."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    q, r = symmetrize(q), symmetrize(r)
+    n = a.shape[0]
+    ss = (a != 0) | (q != 0)
+    if p0 is not None:
+        p0 = symmetrize(p0)
+        ss |= p0 != 0
+    adj = _bipartite(b != 0)
+    adj[:n, :n] = ss | ss.T
+    adj[n:, n:] = r != 0
+    comps = _components(adj)
+    if len(comps) == 1:
+        return _care_component(a, b, q, r, p0, 1.0)
+    blocks = [(c[c < n], c[c >= n] - n) for c in comps if c[0] < n]
+    floor = max(len(blocks), 1) ** -0.5
+    p = np.zeros((n, n))
+    for s, u in blocks:
+        s2 = np.ix_(s, s)
+        p[s2] = _care_component(a[s2], b[np.ix_(s, u)], q[s2], r[np.ix_(u, u)],
+                                None if p0 is None else p0[s2], floor)
+    return p
 
 
 def pbh_stabilizable(a, b, every_mode=False, tol=1e-7):

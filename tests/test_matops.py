@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from hlqr import _lapack, graphcost, hierctrl, matops, sim
 from hlqr.errors import IterationDiverged, NonStabilizable, UnstableMatrix
-from oracles import care_residual, lu_doubling, svd_pinv
+from oracles import (care_residual, lu_doubling, pbh_stabilizable, split_care,
+                     split_lyapunov, split_pinv, svd_pinv)
 
 SQRT2_M1 = 0.41421356237309515
 
@@ -378,6 +379,59 @@ class TestStabilizingGain:
         a[0, 0] = -0.5
         assert matops.stabilizable(a, b)
 
+    @staticmethod
+    def reordering_fails(monkeypatch, info, sort=True):
+        """Patch matops.dgees to report info, the ordering done (sort) or
+        never started."""
+        dgees = matops.dgees
+
+        def failing(select, a, sort_t=0, lwork=None):
+            out = dgees(select, a, sort_t=sort_t if sort else 0, lwork=lwork)
+            return (*out[:-1], info(a.shape[0]))
+
+        monkeypatch.setattr(matops, "dgees", failing)
+
+    def test_reordering_reported_failed_keeps_verdicts(self, monkeypatch):
+        # info n + 2 on an ordered T: the stable eigenvalues ahead of the
+        # first other one are all of them, so every verdict stands
+        rng = np.random.default_rng(71)
+        mas = sim.build_formation(sim.default_formation())[0]
+        pairs = [(mas.a_full, mas.b_full),
+                 (np.diag([1.0, -1.0, 2.0]), np.array([[1.0], [0.0], [1.0]])),
+                 (np.diag([1.0, -1.0, 2.0]), np.array([[1.0], [1.0], [0.0]]))]
+        for _ in range(5):
+            s = rng.standard_normal((4, 4))
+            pairs.append((s @ np.diag([0.5, -1.0, -2.0, 0.0]) @ np.linalg.inv(s),
+                          rng.standard_normal((4, 1))))
+        want = [matops.stabilizable(a, b) for a, b in pairs]
+        self.reordering_fails(monkeypatch, lambda n: n + 2)
+        assert [matops.stabilizable(a, b) for a, b in pairs] == want
+        assert want[:3] == [True, True, False]
+
+    def test_unordered_schur_form(self, monkeypatch):
+        # info n + 1 before any swap: T11 is the stable run ahead of the
+        # first other eigenvalue; a stable mode after it must be driven too
+        self.reordering_fails(monkeypatch, lambda n: n + 1, sort=False)
+        a = np.diag([-1.0, 1.0])
+        assert matops.stabilizable(a, np.array([[0.0], [1.0]]))
+        assert not matops.stabilizable(a, np.array([[1.0], [0.0]]))
+        assert not matops.stabilizable(a[::-1, ::-1], np.array([[1.0], [0.0]]))
+        assert matops.stabilizable(a[::-1, ::-1], np.array([[1.0], [1.0]]))
+        self.reordering_fails(monkeypatch, lambda n: 1)
+        with pytest.raises(np.linalg.LinAlgError):
+            matops.stabilizable(a, np.array([[0.0], [1.0]]))
+
+    def test_fourfold_zero_eigenvalue(self):
+        # eigenvalues 0, 0, 0, 0 and 1e-3 in a random basis: computed as
+        # +-1e-19 and below, and reordering them by sign fails (dgees info
+        # n + 2 with scipy-openblas 0.3.31).  The zero eigenvalue has four
+        # independent eigenvectors, so B needs rank 4
+        s = np.random.default_rng(0).standard_normal((5, 5))
+        a = s @ np.diag([0.0, 0.0, 0.0, 0.0, 1e-3]) @ np.linalg.inv(s)
+        for m in (1, 3, 4, 5):
+            b = np.random.default_rng(m).standard_normal((5, m))
+            assert matops.stabilizable(a, b) == pbh_stabilizable(a, b) == (m >= 4)
+
 
 class TestSolveLyapunov:
     def test_scalar(self):
@@ -647,6 +701,118 @@ class TestHiddenBlocks:
             mp = matops.pinv(m)
             assert np.array_equal(mp, svd_pinv(m))
             assert np.any(mp[np.ix_(cols, rows)] != 0.0)
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestEqualComponents:
+    """solve_care, solve_lyapunov and pinv solve each set of components
+    with bit-equal input blocks once, as _twins finds them, and give the
+    bits of oracles.split_*, which solve every component."""
+
+    def test_twins(self):
+        x = np.arange(16.0).reshape(4, 4)
+        x[2:, 2:] = x[:2, :2]  # x[2, 2] == x[0, 0] == 0.0
+        comps = [(np.arange(2),), (np.arange(2, 4),), (np.array([1]),),
+                 (np.array([2]),), (np.array([0]),)]
+
+        def blocks(c):
+            return (matops._block(x, c, c),)
+
+        assert matops._twins(comps, blocks) == [None, 0, None, None, 3]
+        x[2, 2] = -0.0  # equal to 0.0, but not bit-equal
+        assert matops._twins(comps, blocks) == [None] * 5
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3))
+    def test_lifted_matches_split_oracle(self, seed, d):
+        # (A, B, Q, R) (x) I_d: d bit-equal components, interleaved as
+        # example1's axes are, state i of axis k at index i d + k
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+
+        def lift(x):
+            return np.kron(x, np.eye(d))
+
+        a, b, q, r = map(lift, _block(rng, n, m))
+        p = matops.solve_care(a, b, q, r)
+        assert same_bits(p, split_care(a, b, q, r))
+        assert same_bits(matops.solve_care(a, b, q, r, p0=p), split_care(a, b, q, r, p0=p))
+        k = np.linalg.solve(r, b.T @ p)
+        a_s, w = a - b @ k, q + k.T @ r @ k
+        assert same_bits(matops.solve_lyapunov(a_s, w), split_lyapunov(a_s, w))
+        for mat in (p @ b, lift(rng.standard_normal((n, 1)) @ rng.standard_normal((1, m)))):
+            assert same_bits(matops.pinv(mat), split_pinv(mat))
+
+    def test_example1_axes_share_one_solve(self, monkeypatch):
+        # the cost matrix U of example1's 5 x 5 hierarchical gain: one
+        # squared-Smith run for both axes, and one each once an entry of
+        # the x axis changes
+        mas, spec = sim.clique_path_scenario(5, 5)
+        k_h = hierctrl.hierarchical_gain(mas, spec, sim.clique_decomposition(5, 5)).k_h
+        a_s = mas.a_full - mas.b_full @ k_h
+        w = graphcost.assemble_q(spec) + k_h.T @ spec.r @ k_h
+        doubling, calls = matops._doubling, []
+        monkeypatch.setattr(matops, "_doubling",
+                            lambda a, g, q: calls.append(a.shape) or doubling(a, g, q))
+        u = matops.solve_lyapunov(a_s, w)
+        assert calls == [(50, 50)]
+        assert same_bits(u, split_lyapunov(a_s, w))
+        w[0, 0] += 1e-3
+        calls.clear()
+        u = matops.solve_lyapunov(a_s, w)
+        assert calls == [(50, 50)] * 2
+        assert same_bits(u, split_lyapunov(a_s, w))
+
+    def test_correction_shared_by_equal_components(self, monkeypatch):
+        # TestSolveLyapunov's defect in the first solve, on (a_s, W) (x) I_2:
+        # the twin copies V + D, both miss the contract, and the twin takes
+        # its residual-equal twin's corrected V rather than adding it
+        a_s, w, v_true, _, calls = TestSolveLyapunov.defective_instance(monkeypatch, {1})
+        for lift, axes in ((lambda x: np.kron(x, np.eye(2)), (np.s_[0::2], np.s_[1::2])),
+                           (lambda x: np.kron(np.eye(2), x), (np.s_[:6], np.s_[6:]))):
+            calls.clear()
+            v = matops.solve_lyapunov(lift(a_s), lift(w))
+            assert len(calls) == 2
+            x, y = (v[ax, ax] for ax in axes)
+            assert same_bits(x, y)
+            assert np.linalg.norm(x - v_true) <= lyapunov_tol(a_s) * np.linalg.norm(v_true)
+
+
+    def test_correction_own_when_residuals_differ(self, monkeypatch):
+        # a 13-state (a_s, W) stacked as I_2 (x) (a_s, W), with a defect D in
+        # the first solve: the twin copies V + D, but V a_s can round
+        # differently on the two diagonal blocks (it does with
+        # scipy-openblas 0.3.31 on AVX-512), and a twin whose residual block
+        # differs is corrected by its own solve
+        rng = np.random.default_rng(3)
+        a_s = random_hurwitz(rng, 13, "similar")
+        w_half = rng.standard_normal((13, 13))
+        w = w_half @ w_half.T
+        doubling, calls = matops._doubling, []
+        h = doubling(a_s, None, w)
+        d = matops.symmetrize(rng.standard_normal((13, 13)))
+        d *= 1e-4 * np.linalg.norm(h) / np.linalg.norm(d)
+
+        def defective(a, g, q):
+            calls.append(q)
+            return doubling(a, g, q) + (d if len(calls) == 1 else 0.0)
+
+        monkeypatch.setattr(matops, "_doubling", defective)
+        big_a, big_w = np.kron(np.eye(2), a_s), np.kron(np.eye(2), w)
+        v1 = np.kron(np.eye(2), h + d)
+        e = v1 @ big_a
+        e += e.T
+        e += big_w
+        halves = (np.s_[:13], np.s_[13:])
+        e0, e1 = (e[x, x] for x in halves)
+        want = [v1[x, x] + doubling(a_s, None, e_x) for x, e_x in zip(halves, (e0, e1))]
+        v = matops.solve_lyapunov(big_a, big_w)
+        assert len(calls) == (2 if same_bits(e0, e1) else 3)
+        for x, want_x in zip(halves, want):
+            assert same_bits(v[x, x], want_x)
 
 
 class TestFactorOnceDoubling:
