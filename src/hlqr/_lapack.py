@@ -1,6 +1,7 @@
 """The LAPACK routines hlqr calls, from scipy's compiled wrappers: dgees,
-dtrsyl, dgetrf, dgetri and its workspace query dgetri_lwork (matops),
-dgeqrf, dormqr, dtrcon and dtrtrs (adp), and dpstrf (_kernels).
+dtrsyl, dgetrf, dgetri and its workspace query dgetri_lwork (matops), the
+blocked compact-WY Householder QR dgeqrt with its reflector application
+dgemqrt, dtrcon and dtrtrs (adp), and dpstrf (_kernels).
 
 Importing scipy.linalg costs about 0.25 s, most of it in scipy's array-API
 layer, which imports numpy.f2py and numpy.testing.  The routines themselves
@@ -30,8 +31,8 @@ dtrsyl = _flapack.dtrsyl
 dgetrf = _flapack.dgetrf
 dgetri = _flapack.dgetri
 dgetri_lwork = _flapack.dgetri_lwork
-dgeqrf = _flapack.dgeqrf
-dormqr = _flapack.dormqr
+dgeqrt = _flapack.dgeqrt
+dgemqrt = _flapack.dgemqrt
 dtrcon = _flapack.dtrcon
 dtrtrs = _flapack.dtrtrs
 dpstrf = _flapack.dpstrf

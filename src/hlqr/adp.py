@@ -13,7 +13,8 @@ matrix P (symmetric basis) and for B'P, from the identity
 followed by the policy update K <- R^{-1}(B'P).  Since B'P = R K at the fixed
 point, the coupling stage needs no separate estimate of B.  The columns of P
 in that problem (the delta_xx block) do not depend on K, so their Householder
-QR is computed once per dataset, and each pass factors only what remains.
+QR is computed once per dataset, and each pass factors only what remains;
+both are LAPACK's blocked compact-WY QR (dgeqrt) at block size QR_BLOCK.
 """
 
 import math
@@ -63,6 +64,13 @@ _TABLE_GROUP = 16
 #: Excitation.table accepts a grid whose samples all lie within this many
 #: ulps of max|ts| of the straight line through its ends.
 _UNIFORM_ULPS = 32
+
+#: Block size of the least squares' compact-WY Householder QR (dgeqrt and
+#: dgemqrt), clamped to min(rows, cols) as dgeqrt requires.  On the 36-state
+#: learn (one BLAS thread) policy_iteration took 259, 244, 233 and 244 ms at
+#: 32, 64, 128 and 256, and applying Q1' to its 1,314 columns 68, 63, 56 and
+#: 54 ms.
+QR_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -219,10 +227,11 @@ class Dataset:
         return self.i_xu.shape[2]
 
 
-def _apply_qt(qr_a, tau, c):
-    """c <- Q'c in place for the Householder factor (qr_a, tau) of dgeqrf."""
-    work = _lapack.dormqr("L", "T", qr_a, tau, c, -1)[1]
-    _lapack.dormqr("L", "T", qr_a, tau, c, int(work[0]), overwrite_c=1)
+def _qr(a):
+    """Factor the Fortran-ordered a in place by dgeqrt: R in its upper
+    triangle, the reflectors V below it.  Returns the block reflector T."""
+    _, t, _ = _lapack.dgeqrt(min(QR_BLOCK, *a.shape), a, overwrite_a=1)
+    return t
 
 
 class _BlockLstsq:
@@ -232,14 +241,17 @@ class _BlockLstsq:
     A1 = delta_xx, the same in every pass, and A2 = -2 (I_xu' + K I_xx); the
     right side is -I_xx : (Q + K'RK).  Householder QR of [A1 | A2 | rhs]
     takes its first n_sym reflectors Q1 from A1 alone, so A1 is factored
-    once (R11) and Q1' is applied once to the unique columns of I_xx and to
-    I_xu.  A pass then forms Q1'[A2 | rhs] by one GEMM with K and one
-    contraction with Q + K'RK, scales each A2 column by its norm (Q1 is
-    orthogonal, so that of Q1'A2), and factors only the (M - n_sym) rows
-    below R12, which gives R22.  Without pivoting, diag(R) does not reveal
-    the rank, so identifiability is judged by the LAPACK 1-norm reciprocal
-    condition estimate (dtrcon) of R = [R11 R12; 0 R22] against gelsd's
-    default cutoff eps * max(M, N); below it RankDeficient is raised.
+    once (R11) and Q1' is applied once, to one buffer holding the unique
+    columns of I_xx and I_xu.  Its first n_sym rows (the head) and the rest
+    (the tail) are stored apart.  A pass forms Q1'[A2 | rhs] by one GEMM with
+    K and one contraction with Q + K'RK on each part, scales each A2 column
+    by its norm (Q1 is orthogonal, so that of Q1'A2), and factors only the
+    tail, in place, which gives R22 and the tail of Q'rhs.  Both QRs are
+    LAPACK's blocked compact-WY form (dgeqrt, applied by dgemqrt) at block
+    size QR_BLOCK.  Without pivoting, diag(R) does not reveal the rank, so
+    identifiability is judged by the LAPACK 1-norm reciprocal condition
+    estimate (dtrcon) of R = [R11 R12; 0 R22] against gelsd's default cutoff
+    eps * max(M, N); below it RankDeficient is raised.
     """
 
     def __init__(self, data):
@@ -251,34 +263,39 @@ class _BlockLstsq:
         scale_xx[scale_xx == 0.0] = 1.0
         a1 = np.empty((n_rows, n_sym), order="F")
         np.divide(data.delta_xx, scale_xx, out=a1)
-        work, _ = _lapack.dgeqrf(a1, lwork=-1)[2:]
-        a1, tau = _lapack.dgeqrf(a1, lwork=int(work[0]), overwrite_a=1)[:2]
+        t1 = _qr(a1)
+        # dtrcon and dtrtrs read only the upper triangle of r_mat
         self.r_mat = np.zeros((n_cols, n_cols), order="F")
-        self.r_mat[:n_sym, :n_sym] = np.triu(a1[:n_sym])
+        self.r_mat[:n_sym, :n_sym] = a1[:n_sym]
 
-        # I_xx columns (i, j), i <= j, in row-major order, and I_xu columns
-        # (a, b) holding I_xu[:, b, a]; each operand is filled in place
-        ixx_sym = np.empty((n_rows, n_sym), order="F")
+        # I_xx columns (i, j), i <= j, in row-major order, then I_xu columns
+        # (a, b) holding I_xu[:, b, a]; each is filled in place
+        cols = np.empty((n_rows, n_cols), order="F")
         starts = np.cumsum([0] + list(range(n, 0, -1)))
         for i in range(n):
-            ixx_sym[:, starts[i]:starts[i + 1]] = data.i_xx[:, i, i:]
-        self.ixu = np.empty((n_rows, m * n), order="F")
-        self.ixu.T.reshape(m, n, n_rows).transpose(2, 0, 1)[...] = (
+            cols[:, starts[i]:starts[i + 1]] = data.i_xx[:, i, i:]
+        cols.T[n_sym:].reshape(m, n, n_rows).transpose(2, 0, 1)[...] = (
             data.i_xu.transpose(0, 2, 1))
-        _apply_qt(a1, tau, ixx_sym)
-        _apply_qt(a1, tau, self.ixu)
-        del a1, tau
+        _lapack.dgemqrt(a1, t1, cols, side="L", trans="T", overwrite_c=1)
+        del a1, t1
 
-        # ixx[c, b] = Q1' I_xx[:, c, b], so K @ ixx.reshape(n, -1) is the
-        # transpose of Q1' K I_xx in the column order of A2
-        self.ixx = np.empty((n, n, n_rows))
-        for i in range(n):
-            rows = ixx_sym.T[starts[i]:starts[i + 1]]
-            self.ixx[i, i:] = rows
-            self.ixx[i:, i] = rows
-        del ixx_sym
+        # the head rows (the first n_sym) and the tail rows, stored apart.
+        # Each part holds ixx[c, b] = Q1' I_xx[:, c, b], so that
+        # K @ ixx.reshape(n, -1) is the transpose of Q1' K I_xx in the column
+        # order of A2; Q1' I_xu, transposed; and the buffer of each pass's
+        # transposed [A2 | rhs].  The tail buffer's transpose is the
+        # Fortran-ordered matrix that _qr factors in place.
+        self.parts = []
+        for rows in (slice(0, n_sym), slice(n_sym, n_rows)):
+            ixx = np.empty((n, n, rows.stop - rows.start))
+            for i in range(n):
+                sym = cols.T[starts[i]:starts[i + 1], rows]
+                ixx[i, i:] = sym
+                ixx[i:, i] = sym
+            self.parts.append((ixx, cols.T[n_sym:, rows].copy(),
+                               np.empty((m * n + 1, ixx.shape[2]))))
+        del cols
 
-        self.operand = np.empty((n_rows, m * n + 1), order="F")
         self.scale = np.concatenate([scale_xx, np.empty(m * n)])
         self.n_sym = n_sym
         self.cutoff = np.finfo(float).eps * max(n_rows, n_cols)
@@ -287,27 +304,29 @@ class _BlockLstsq:
         """(theta, rcond) of the pass at gain k with state weight qk."""
         n_sym, r_mat = self.n_sym, self.r_mat
         n_cols = r_mat.shape[0]
-        n, _, n_rows = self.ixx.shape
         n_a2 = n_cols - n_sym
 
-        op_t = self.operand.T
-        a2_t = op_t[:n_a2]
-        np.matmul(k, self.ixx.reshape(n, -1),
-                  out=a2_t.reshape(k.shape[0], -1))
-        a2_t += self.ixu.T
-        a2_t *= -2.0
         scale = self.scale[n_sym:]
-        np.sqrt(np.einsum("ij,ij->i", a2_t, a2_t), out=scale)
+        scale[:] = 0.0
+        q_neg = -qk.ravel()
+        for ixx, ixu, op_t in self.parts:
+            a2_t = op_t[:n_a2]
+            np.matmul(k, ixx.reshape(k.shape[1], -1),
+                      out=a2_t.reshape(k.shape[0], -1))
+            a2_t += ixu
+            a2_t *= -2.0
+            scale += np.einsum("ij,ij->i", a2_t, a2_t)
+            np.matmul(ixx.reshape(q_neg.size, -1).T, q_neg, out=op_t[n_a2])
+        np.sqrt(scale, out=scale)
         scale[scale == 0.0] = 1.0
-        a2_t /= scale[:, None]
-        np.matmul(self.ixx.reshape(n * n, n_rows).T, -qk.ravel(),
-                  out=op_t[n_a2])
+        (_, _, head_t), (_, _, tail_t) = self.parts
+        head_t[:n_a2] /= scale[:, None]
+        tail_t[:n_a2] /= scale[:, None]
 
-        tail = self.operand[n_sym:]
-        work = _lapack.dgeqrf(tail, lwork=-1)[2]
-        r_tail = np.triu(_lapack.dgeqrf(tail, lwork=int(work[0]))[0])
-        r_mat[:n_sym, n_sym:] = self.operand[:n_sym, :n_a2]
-        r_mat[n_sym:, n_sym:] = r_tail[:n_a2, :n_a2]
+        tail = tail_t.T
+        _qr(tail)
+        r_mat[:n_sym, n_sym:] = head_t[:n_a2].T
+        r_mat[n_sym:, n_sym:] = tail[:n_a2, :n_a2]
         rcond, _ = _lapack.dtrcon(r_mat)
         if not rcond > self.cutoff:
             raise RankDeficient(
@@ -315,8 +334,7 @@ class _BlockLstsq:
                 f"reciprocal condition estimate {rcond:.3g} <= "
                 f"{self.cutoff:.3g}"
             )
-        qt_rhs = np.concatenate([self.operand[:n_sym, n_a2],
-                                 r_tail[:n_a2, n_a2]])
+        qt_rhs = np.concatenate([head_t[n_a2], tail[:n_a2, n_a2]])
         theta, info = _lapack.dtrtrs(r_mat, qt_rhs)
         if info:
             raise np.linalg.LinAlgError(f"dtrtrs: info {info} on R")
@@ -455,6 +473,7 @@ def learn_cluster(plant, qhat, rhat, cfg, k0=None, tag=0):
             if attempt == 3:
                 raise
             horizon *= 1.5
+            del data  # so that one dataset is held while collecting the next
     return replace(result, wall_time=time.perf_counter() - t0)
 
 

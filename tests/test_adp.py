@@ -1,5 +1,6 @@
 """Model-free cluster learning: data collection, policy iteration, assembly."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -325,25 +326,37 @@ class TestConditioningGuard:
     """The guard is the first policy-iteration pass's condition estimate."""
 
     def test_one_factorization_per_pass(self, monkeypatch):
-        # the delta_xx block (36 columns) is factored once, after its
-        # workspace query, and each pass then factors only the B'P tail
-        # (4 x 8 + 1 columns), also after a workspace query
+        # the delta_xx block (36 columns) is factored once per dataset, and
+        # its reflectors applied once; each pass then factors only the B'P
+        # tail (4 x 8 + 1 columns)
         plant, qhat, rhat = two_agent_clique_problem()
         svds = count_calls(monkeypatch, np.linalg, "svd")
-        geqrfs = count_calls(monkeypatch, _lapack, "dgeqrf")
+        geqrts = count_calls(monkeypatch, _lapack, "dgeqrt")
+        gemqrts = count_calls(monkeypatch, _lapack, "dgemqrt")
         result = learn_cluster(plant, qhat, rhat, LearnConfig(seed=13))
         assert len(svds) == 0
-        calls = [(args[0].shape[1], kw["lwork"] > 0) for args, kw in geqrfs]
-        assert calls[:2] == [(36, False), (36, True)]
-        assert calls[2:] == [(33, False), (33, True)] * result.iterations
+        assert [args[1].shape[1] for args, _ in geqrts] == (
+            [36] + [33] * result.iterations)
+        assert len(gemqrts) == 1
 
     def test_too_few_windows_regrow(self, monkeypatch):
-        # 60 windows for 36 + 32 = 68 unknowns; one regrowth gives 90
+        # 60 windows for 36 + 32 = 68 unknowns; one regrowth gives 90, and
+        # the refused dataset is freed before the second collect starts
         plant, qhat, rhat = two_agent_clique_problem()
-        collects = count_calls(monkeypatch, adp, "collect")
-        result = learn_cluster(plant, qhat, rhat,
-                               LearnConfig(seed=13, horizon=6.0))
-        assert [args[3] for args, _ in collects] == [6.0, 9.0]
+        inner = adp.collect
+        horizons, datasets, held = [], [], []
+
+        def spy(*args, **kwargs):
+            horizons.append(args[3])
+            held.append([ref() is not None for ref in datasets])
+            data = inner(*args, **kwargs)
+            datasets.append(weakref.ref(data))
+            return data
+
+        monkeypatch.setattr(adp, "collect", spy)
+        learn_cluster(plant, qhat, rhat, LearnConfig(seed=13, horizon=6.0))
+        assert horizons == [6.0, 9.0]
+        assert held == [[], [False]]
 
     def test_tripped_guard_regrows_three_times(self, monkeypatch):
         plant, qhat, rhat = two_agent_clique_problem()
@@ -399,6 +412,58 @@ def assert_solves_agree(got, want, scale, cond):
         want * scale)
 
 
+def check_block_solve(seed, n, m, extra_rows, log_cond, log_spread,
+                      zero_column):
+    # data whose regressor at the first gain is a generated matrix, then
+    # two more gains (tails) on the same factored delta_xx block; I_xx is
+    # scaled to the smallest column of A2 = -2 (I_xu' + K I_xx), so that
+    # forming A2 from the data cancels no more than a few digits
+    rng = np.random.default_rng(seed)
+    n_sym = n * (n + 1) // 2
+    n_rows = n_sym + m * n + extra_rows
+    a_mat = conditioned_matrix(rng, n_rows, n_sym + m * n, log_cond,
+                               log_spread)
+    gains = rng.standard_normal((3, m, n))
+    i_xx = rng.standard_normal((n_rows, n, n))
+    i_xx += i_xx.transpose(0, 2, 1)
+    i_xx *= np.linalg.norm(a_mat[:, n_sym:], axis=0).min() / (
+        n * np.linalg.norm(i_xx, axis=0).max())
+    k_ixx = np.einsum("an,wnb->wab", gains[0], i_xx)
+    i_xu = (-0.5 * a_mat[:, n_sym:].reshape(n_rows, m, n) - k_ixx
+            ).transpose(0, 2, 1)
+    delta_xx = a_mat[:, :n_sym].copy()
+    if zero_column == "delta_xx":
+        delta_xx[:, rng.integers(n_sym)] = 0.0
+    elif zero_column == "a2":
+        # B'P unknown (a, b) has the column
+        # -2 (I_xu[:, b, a] + K[a] I_xx[:, :, b])
+        a, b = rng.integers(m), rng.integers(n)
+        i_xu[:, b, a] = 0.0
+        gains[:, a] = 0.0
+    data = Dataset(delta_xx=delta_xx, i_xx=i_xx, i_xu=i_xu)
+    solve = adp._BlockLstsq(data)
+    for tail, k in enumerate(gains):
+        qk = rng.standard_normal((n, n))
+        qk += qk.T
+        a_k, rhs = regressor(data, k, qk)
+        if zero_column is not None:
+            with pytest.raises(RankDeficient):
+                equilibrated_lstsq(a_k, rhs)
+            with pytest.raises(RankDeficient):
+                solve(k, qk)
+            continue
+        scale, cond = equilibrated_cond(a_k)
+        want, rcond_want = equilibrated_lstsq(a_k, rhs)
+        got, rcond = solve(k, qk)
+        assert_solves_agree(got, want, scale, cond)
+        if tail == 0:
+            # both estimate from R factors that differ by rounding, so
+            # they agree to about eps * cond (at most 5.3 times that in
+            # 3,000 generated cases); 1e-10 relative up to cond 4.5e3
+            assert rcond == pytest.approx(
+                rcond_want, rel=1e2 * np.finfo(float).eps * cond)
+
+
 class TestLeastSquaresSolve:
     @pytest.mark.parametrize("make_data", [two_agent_clique_dataset,
                                            example1_clique_dataset])
@@ -441,54 +506,17 @@ class TestLeastSquaresSolve:
            zero_column=st.sampled_from([None, "delta_xx", "a2"]))
     def test_block_solve_matches_full_qr(self, seed, n, m, extra_rows,
                                          log_cond, log_spread, zero_column):
-        # data whose regressor at the first gain is a generated matrix, then
-        # two more gains (tails) on the same factored delta_xx block; I_xx is
-        # scaled to the smallest column of A2 = -2 (I_xu' + K I_xx), so that
-        # forming A2 from the data cancels no more than a few digits
-        rng = np.random.default_rng(seed)
-        n_sym = n * (n + 1) // 2
-        n_rows = n_sym + m * n + extra_rows
-        a_mat = conditioned_matrix(rng, n_rows, n_sym + m * n, log_cond,
-                                   log_spread)
-        gains = rng.standard_normal((3, m, n))
-        i_xx = rng.standard_normal((n_rows, n, n))
-        i_xx += i_xx.transpose(0, 2, 1)
-        i_xx *= np.linalg.norm(a_mat[:, n_sym:], axis=0).min() / (
-            n * np.linalg.norm(i_xx, axis=0).max())
-        k_ixx = np.einsum("an,wnb->wab", gains[0], i_xx)
-        i_xu = (-0.5 * a_mat[:, n_sym:].reshape(n_rows, m, n) - k_ixx
-                ).transpose(0, 2, 1)
-        delta_xx = a_mat[:, :n_sym].copy()
-        if zero_column == "delta_xx":
-            delta_xx[:, rng.integers(n_sym)] = 0.0
-        elif zero_column == "a2":
-            # B'P unknown (a, b) has the column
-            # -2 (I_xu[:, b, a] + K[a] I_xx[:, :, b])
-            a, b = rng.integers(m), rng.integers(n)
-            i_xu[:, b, a] = 0.0
-            gains[:, a] = 0.0
-        data = Dataset(delta_xx=delta_xx, i_xx=i_xx, i_xu=i_xu)
-        solve = adp._BlockLstsq(data)
-        for tail, k in enumerate(gains):
-            qk = rng.standard_normal((n, n))
-            qk += qk.T
-            a_k, rhs = regressor(data, k, qk)
-            if zero_column is not None:
-                with pytest.raises(RankDeficient):
-                    equilibrated_lstsq(a_k, rhs)
-                with pytest.raises(RankDeficient):
-                    solve(k, qk)
-                continue
-            scale, cond = equilibrated_cond(a_k)
-            want, rcond_want = equilibrated_lstsq(a_k, rhs)
-            got, rcond = solve(k, qk)
-            assert_solves_agree(got, want, scale, cond)
-            if tail == 0:
-                # both estimate from R factors that differ by rounding, so
-                # they agree to about eps * cond (at most 5.3 times that in
-                # 3,000 generated cases); 1e-10 relative up to cond 4.5e3
-                assert rcond == pytest.approx(
-                    rcond_want, rel=1e2 * np.finfo(float).eps * cond)
+        check_block_solve(seed, n, m, extra_rows, log_cond, log_spread,
+                          zero_column)
+
+    @pytest.mark.parametrize("seed, extra_rows, zero_column", [
+        (5, 0, None), (6, 200, None), (7, 0, "a2")])
+    def test_block_solve_past_one_qr_block(self, seed, extra_rows,
+                                           zero_column):
+        # n = 16 and m = 8: delta_xx has 136 columns and the tail 129, more
+        # than adp.QR_BLOCK; with no extra rows the tail is 128 x 129
+        assert 16 * 8 + 1 > adp.QR_BLOCK
+        check_block_solve(seed, 16, 8, extra_rows, 3.0, 4.0, zero_column)
 
     def test_zero_regressor_column_raises_in_loop(self):
         # input channel 1 never moves and k0 has a zero row for it, so the
