@@ -341,6 +341,30 @@ class _BlockLstsq:
         return theta / self.scale, rcond
 
 
+def _window_steps(dt, window, horizon=None, width=1):
+    """(steps per window, windows) of a collection, the windows None without
+    a horizon.  Raises InvalidConfig unless dt, window and the horizon are
+    positive and finite, dt divides window, the horizon holds a window, and
+    numpy can index the arrays of that many steps at width (check_steps)."""
+    if not (0 < dt < np.inf and 0 < window < np.inf):
+        raise InvalidConfig(f"dt={dt} and window={window} must be positive and finite")
+    if horizon is not None and not 0 < horizon < np.inf:
+        raise InvalidConfig(f"horizon={horizon} must be positive and finite")
+    # step counts stay floats (inf when a ratio overflows) until checked;
+    # an overflowed window / dt is a step-count error, not a divisibility one
+    steps_per_window = round(window / dt, 0)
+    check_steps(steps_per_window, width)
+    if steps_per_window < 1 or abs(steps_per_window * dt - window) > 1e-9 * max(1.0, window):
+        raise InvalidConfig(f"dt={dt} does not divide window={window}")
+    if horizon is None:
+        return int(steps_per_window), None
+    n_windows = round(horizon / window, 0)
+    if n_windows < 1:
+        raise InvalidConfig("horizon shorter than one window")
+    check_steps(steps_per_window * n_windows, width)
+    return int(steps_per_window), int(n_windows)
+
+
 def collect(plant, k0, exc, horizon, dt, window, x0=None):
     """Run the behavior policy u = -k0 x + e(t) and record window integrals.
 
@@ -354,23 +378,8 @@ def collect(plant, k0, exc, horizon, dt, window, x0=None):
     """
     n, m = plant.n_states, plant.n_inputs
     k0 = np.zeros((m, n)) if k0 is None else np.asarray(k0, dtype=float)
-    if not (0 < dt < np.inf and 0 < window < np.inf):
-        raise InvalidConfig(f"dt={dt} and window={window} must be positive and finite")
-    if not 0 < horizon < np.inf:
-        raise InvalidConfig(f"horizon={horizon} must be positive and finite")
     # per step: signal tables, the kernel's buffers and one window's integrals
-    width = (n + 4) * (n + m)
-    # step counts stay floats (inf when a ratio overflows) until checked;
-    # an overflowed window / dt is a step-count error, not a divisibility one
-    steps_per_window = round(window / dt, 0)
-    check_steps(steps_per_window, width)
-    if steps_per_window < 1 or abs(steps_per_window * dt - window) > 1e-9 * max(1.0, window):
-        raise InvalidConfig(f"dt={dt} does not divide window={window}")
-    n_windows = round(horizon / window, 0)
-    if n_windows < 1:
-        raise InvalidConfig("horizon shorter than one window")
-    check_steps(steps_per_window * n_windows, width)
-    steps_per_window, n_windows = int(steps_per_window), int(n_windows)
+    steps_per_window, n_windows = _window_steps(dt, window, horizon, (n + 4) * (n + m))
     if x0 is None:
         x0 = np.random.default_rng(exc.seed).standard_normal(n)
 
@@ -482,10 +491,12 @@ def learn_hierarchical(plants, spec, dec, cfg=None, k0_list=None):
 
     plants are black-box cluster handles ordered like dec's clusters, and
     clusters are learned one after another.  Returns (HierarchicalGain, list
-    of LearnResult).  A cluster's HlqrError is raised again as the same type,
-    its message prefixed with the cluster and its agents.
+    of LearnResult).  cfg's dt, window and horizon are checked once, before
+    the first cluster; a cluster's HlqrError is raised again as the same
+    type, its message prefixed with the cluster and its agents.
     """
     cfg = cfg if cfg is not None else LearnConfig()
+    _window_steps(cfg.dt, cfg.window, cfg.horizon)  # before any cluster is named
     if len(plants) != dec.s:
         raise InvalidConfig(f"{len(plants)} plants for {dec.s} clusters")
     if k0_list is None:

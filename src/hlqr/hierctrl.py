@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, HlqrError, UnstableClosedLoop, UnstableMatrix
 from .graphcost import assemble_q, check_assumptions, cluster_costs, split_graph
-from .matops import _block, _components, _pd, _twins, pinv, solve_care, solve_lyapunov, symmetrize
+from .matops import _pd, eigvalsh_max, pinv, solve_care, solve_lyapunov, symmetrize
 
 __all__ = [
     "HierarchicalGain",
@@ -134,6 +134,9 @@ class GapReport:
     coincide to rounding: U then meets the Riccati residual contract, so
     solve_care returns it as P_opt and j_opt == j_h, and j_approx, from the
     cluster solve of the same equation, may sit an ulp above them.
+    sop = delta_j / j_opt is the relative suboptimality, and sop_hi =
+    (j_h - j_approx) / j_approx its upper bound that needs no P_opt (0.0
+    when the denominator is not positive).
     expected_gap = sigma^2 tr(V) is the mean excess cost over random
     initial states with covariance
     sigma^2 I; f1 + f2 upper-bound tr(W) with W = (k_h - k_opt)' R
@@ -147,9 +150,8 @@ class GapReport:
     lambda(R) and tr(B R^{-1} B') from the per-agent blocks of mas.agents,
     spec.qbar_blocks and spec.r_blocks, with the smallest nonzero sigma(B)
     cut at max(B.shape) eps sigma_max of the whole B; lambda_max(P_opt)
-    from the connected components of P_opt's nonzeros, a dense P_opt being
-    one, each set of bit-equal components (matops._twins) taken once.  Only
-    their rounding differs from the dense spectra's.
+    by matops.eigvalsh_max, per connected component of P_opt's nonzeros.
+    Only their rounding differs from the dense spectra's.
 
     V = U - P_opt exactly, with U the cost matrix of k_h: B' P_opt = R k_opt
     turns the Riccati equation into a_s' P_opt + P_opt a_s + Q + k_h' R k_h
@@ -171,6 +173,7 @@ class GapReport:
     cond_p: float
     trace_g2: float
     sop: float
+    sop_hi: float
     trace_v: float
     trace_w: float
     trace_v_bound: float
@@ -192,10 +195,11 @@ def gap_report(mas, spec, dec, gain, sigma=1.0):
     matrices or scriptP.  Raises UnstableClosedLoop when either closed loop
     is not Hurwitz.
 
-    U is solved on the hierarchical closed loop a_s = A - B k_h and is
-    passed to solve_care as p0: P_opt is U itself when U meets the residual
-    contract and its gain is stabilizing, as for a gap-free decomposition,
-    and is otherwise solved from scratch.
+    U is solved on the hierarchical closed loop a_s = A - B k_h and
+    warm-starts solve_care as p0: each component of P_opt is U's block when
+    that block meets the component's residual contract and its gain is
+    stabilizing, as for a gap-free decomposition, and is otherwise solved
+    from scratch.
     """
     a, b = mas.a_full, mas.b_full
     q = assemble_q(spec)
@@ -245,10 +249,7 @@ def gap_report(mas, spec, dec, gain, sigma=1.0):
         r_blocks = np.stack(spec.r_blocks)
         tr_brb = float(np.einsum(  # tr(B R^{-1} B'), agent by agent
             "uij,uji->", b_blocks, np.linalg.solve(r_blocks, b_blocks.swapaxes(1, 2))))
-        comps = [(c,) for c in _components(p_opt != 0)]
-        twin = _twins(comps, lambda c: (_block(p_opt, c, c),))
-        lam_max_opt = max(float(np.linalg.eigvalsh(_block(p_opt, c, c))[-1])
-                          for (c,), t in zip(comps, twin) if t is None)
+        lam_max_opt = eigvalsh_max(p_opt)
         tr_g2q = trace_g2 * float(np.trace(spec.qtilde))
         denom = lam_min_p ** 2 * sigma_l_b ** 2
         f1 = tr_g2q ** 2 * float(np.linalg.eigvalsh(r_blocks).max()) / denom
@@ -267,6 +268,7 @@ def gap_report(mas, spec, dec, gain, sigma=1.0):
         cond_p=cond_p,
         trace_g2=trace_g2,
         sop=delta_j / j_opt if j_opt > 0 else 0.0,
+        sop_hi=(j_h - j_approx) / j_approx if j_approx > 0 else 0.0,
         trace_v=trace_v,
         trace_w=trace_w,
         trace_v_bound=trace_v_bound,

@@ -19,22 +19,22 @@ a stabilizable (A, B) and a detectable (Q^{1/2}, A).  stabilizable
 decides the first by one ordered Schur form, for
 graphcost.check_assumptions, and returns only its verdict.
 
-solve_care, solve_lyapunov and pinv first split their input at the
-connected components of its exact nonzero pattern (_components) and solve
-one block per component: a decoupled problem's solution is block diagonal
-in the same permutation, and the factorizations and doublings of two
-blocks of half the size cost a quarter as much.  Only an exactly zero entry
-separates two components; an input with one component takes the dense path
-unchanged.  Components whose input blocks are equal bit for bit (_twins)
-are solved once and the answer copied, which gives the bits a solve of each
-would: example1 and five_node have the same dynamics and weights on both
-axes, so their two blocks are one solve; formation's axes differ.
+solve_care, solve_lyapunov, pinv and eigvalsh_max first split their input
+at the connected components of its exact nonzero pattern (_components) and
+solve one block per component: a decoupled problem's solution is block
+diagonal in the same permutation, and the factorizations and doublings of
+two blocks of half the size cost a quarter as much.  Only an exactly zero
+entry separates two components.  _solve_once decides which blocks are
+solved: components whose input blocks are equal bit for bit share one solve,
+which gives the bits a solve of each would: example1 and five_node have the
+same dynamics and weights on both axes, so their two blocks are one solve;
+formation's axes differ.  Each Riccati and Lyapunov component is checked
+and corrected on its own block, against a share of the global residual
+contract.
 
 Conventions: symmetric matrices are plain float64 ndarrays, symmetrized as
 (M + M.T)/2 at every operation boundary.
 """
-
-from collections import Counter
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "symmetrize",
     "is_psd",
     "pinv",
+    "eigvalsh_max",
     "solve_lyapunov",
     "stabilizable",
     "solve_care",
@@ -120,35 +121,27 @@ def _components(adj):
     return comps
 
 
-def _twins(comps, blocks):
-    """For each component, an earlier one whose input blocks are equal.
-
-    comps lists the components, each a tuple of index arrays, and
-    blocks(*comp) returns a component's input blocks.  twin[k] is the first
-    component before k with k's sizes and the same XOR of each block's bit
-    patterns, when its blocks equal k's bit for bit (as uint64 patterns, so
-    0.0 and -0.0 differ), else None; a solve of twin[k]'s blocks then gives
-    k's answer, bits and all.  Only components that share their sizes with
-    another are extracted, and the blocks are dropped on return.
-    """
-    sizes = [tuple(map(len, comp)) for comp in comps]
-    count = Counter(sizes)
-    twin, first = [None] * len(comps), {}
+def _solve_once(comps, blocks, solve):
+    """[solve(*blocks(*comp)) for comp in comps], each set of components
+    whose input blocks are equal bit for bit solved once and its answer
+    shared: a solve of equal blocks gives the same bits.  comps lists the
+    components, each a tuple of index arrays, and blocks(*comp) returns a
+    component's input blocks, C-ordered float64 arrays.  A component is
+    compared only with the first one of its shapes and XOR of each block's
+    bit patterns, as uint64 patterns (so 0.0 and -0.0 differ), whose blocks
+    are extracted again for that; no block is kept past its solve."""
+    answers, first = [], {}
     for k, comp in enumerate(comps):
-        if count[sizes[k]] > 1:
-            mine = blocks(*comp)
-            key = (sizes[k], *(np.bitwise_xor.reduce(x.view(np.uint64), axis=None)
-                               for x in mine))
-            t, theirs = first.setdefault(key, (k, mine))
-            if t != k and _same_bits(mine, theirs):
-                twin[k] = t
-    return twin
-
-
-def _same_bits(xs, ys):
-    """True when the float64 arrays xs[i] and ys[i], of equal shapes, hold
-    the same bit patterns."""
-    return all(np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in zip(xs, ys))
+        mine = blocks(*comp)
+        key = tuple((x.shape, int(np.bitwise_xor.reduce(x.view(np.uint64), axis=None)))
+                    for x in mine)
+        t = first.setdefault(key, k)
+        if t < k and all(np.array_equal(x.view(np.uint64), y.view(np.uint64))
+                         for x, y in zip(mine, blocks(*comps[t]))):
+            answers.append(answers[t])
+        else:
+            answers.append(solve(*mine))
+    return answers
 
 
 def _block(x, i, j):
@@ -171,29 +164,35 @@ def pinv(m):
 
     Singular values at or below max(shape) * machine_eps * sigma_max are
     treated as zero.  The zero matrix maps to the zero matrix.  One SVD per
-    connected component of the row/column nonzero pattern, all cut off at
-    the global sigma_max, so the blocks of the result between components
-    are exactly zero.  A component whose block equals an earlier one's bit
-    for bit (_twins) copies that one's pseudoinverse.
+    connected component of the row/column nonzero pattern, each set of
+    bit-equal blocks once (_solve_once), all cut off at the global
+    sigma_max, so the blocks of the result between components are exactly
+    zero.
     """
     m = np.asarray(m, dtype=float)
     rows = m.shape[0]
     comps = [(c[c < rows], c[c >= rows] - rows) for c in _components(_bipartite(m != 0))]
     comps = [(i, j) for i, j in comps if i.size and j.size]  # a zero row or column maps to zero
-    twin = _twins(comps, lambda i, j: (_block(m, i, j),))
-    svds = [None if t is not None else np.linalg.svd(_block(m, i, j), full_matrices=False)
-            for (i, j), t in zip(comps, twin)]
-    s_max = max((svd[1][0] for svd in svds if svd is not None), default=0.0)
+    svds = _solve_once(comps, lambda i, j: (_block(m, i, j),),
+                       lambda x: np.linalg.svd(x, full_matrices=False))
+    s_max = max((s[0] for _, s, _ in svds), default=0.0)
     tol = max(m.shape) * np.finfo(float).eps * s_max
     out = np.zeros(m.shape[::-1])
-    for (i, j), t, svd in zip(comps, twin, svds):
-        if t is None:
-            u, s, vt = svd
-            s_inv = np.where(s > tol, np.divide(1.0, s, out=np.zeros_like(s), where=s > tol), 0.0)
-            out[np.ix_(j, i)] = (vt.T * s_inv) @ u.T
-        else:
-            out[np.ix_(j, i)] = _block(out, comps[t][1], comps[t][0])
+    for (i, j), (u, s, vt) in zip(comps, svds):
+        s_inv = np.where(s > tol, np.divide(1.0, s, out=np.zeros_like(s), where=s > tol), 0.0)
+        out[np.ix_(j, i)] = (vt.T * s_inv) @ u.T
     return out
+
+
+def eigvalsh_max(m):
+    """Largest eigenvalue of a nonempty symmetric matrix: the largest of one
+    eigvalsh per connected component of its nonzero pattern, each set of
+    bit-equal blocks once (_solve_once)."""
+    m = np.asarray(m, dtype=float)
+    nz = m != 0
+    comps = [(c,) for c in _components(nz | nz.T)]
+    return max(_solve_once(comps, lambda c: (_block(m, c, c),),
+                           lambda x: float(np.linalg.eigvalsh(x)[-1])))
 
 
 def _no_select(wr, wi):
@@ -228,19 +227,15 @@ def _schur(a, select=_no_select):
 def solve_lyapunov(a_s, w):
     """Solve a_s' V + V a_s + W = 0 for Hurwitz a_s and symmetric W.
 
-    Squared Smith (_doubling with G = None) on each connected component of
-    the graph whose edges are the nonzeros of a_s, a_s' and W, so V is
-    exactly zero between components.  A V that misses the residual contract
-    100 TOL_RESIDUAL (1 + |V|_F) takes one defect-correction step: V += D
-    with a_s' D + D a_s + Res(V) = 0, Res(V) = a_s' V + V a_s + W.
-
-    A component whose blocks of a_s and W equal an earlier one's bit for bit
-    (_twins) copies that one's V.  In the correction it copies the twin's
-    corrected V again only when its block of Res(V) also equals the twin's;
-    otherwise it is corrected by its own solve.
+    One _lyapunov_component per connected component of the graph whose
+    edges are the nonzeros of a_s, a_s' and W, each set of bit-equal blocks
+    once (_solve_once), so V is exactly zero between components.  Each of
+    the k components is accepted at 100 TOL_RESIDUAL (k^{-1/2} + |V_c|_F)
+    on its own block; the residual is zero between components, so the
+    assembled V meets 100 TOL_RESIDUAL (1 + |V|_F).
 
     Raises UnstableMatrix when a_s is not certified Hurwitz,
-    IterationDiverged when the corrected V still fails the contract.
+    IterationDiverged when a corrected component still fails its contract.
     """
     a_s = np.asarray(a_s, dtype=float)
     w = symmetrize(w)
@@ -249,28 +244,14 @@ def solve_lyapunov(a_s, w):
     if not (np.isfinite(a_s).all() and np.isfinite(w).all()):
         raise ValueError("solve_lyapunov needs finite matrices")
     nz = (a_s != 0) | (w != 0)
-    comps = _components(nz | nz.T)
-    twin = _twins([(c,) for c in comps], lambda c: (_block(a_s, c, c), _block(w, c, c)))
-    v, e = np.zeros(a_s.shape), w
-    for _ in range(2):  # the solve, then at most one correction
-        for c, t in zip(comps, twin):
-            if t is not None:  # after the twin's update
-                v[np.ix_(c, c)] = _block(v, comps[t], comps[t])
-                continue
-            h = _doubling(_block(a_s, c, c), None, _block(e, c, c))  # squared Smith
-            if h is None:
-                raise UnstableMatrix(f"{c.size}-state block not certified Hurwitz")
-            v[np.ix_(c, c)] += h
-        e = v @ a_s  # a_s' V is its transpose, since V is symmetric
-        e += e.T
-        e += w
-        res = np.linalg.norm(e, "fro")
-        if res <= TOL_RESIDUAL * (1.0 + np.linalg.norm(v, "fro")) * 100.0:
-            return v
-        twin = [None if t is None or not _same_bits((_block(e, c, c),),
-                                                    (_block(e, comps[t], comps[t]),))
-                else t for c, t in zip(comps, twin)]
-    raise IterationDiverged(f"Lyapunov residual {res:.3e} out of contract")
+    comps = [(c,) for c in _components(nz | nz.T)]
+    floor = max(len(comps), 1) ** -0.5
+    v = np.zeros(a_s.shape)
+    for (c,), v_c in zip(comps, _solve_once(
+            comps, lambda c: (_block(a_s, c, c), _block(w, c, c)),
+            lambda a_c, w_c: _lyapunov_component(a_c, w_c, floor))):
+        v[np.ix_(c, c)] = v_c
+    return v
 
 
 def solve_continuous_lyapunov(a, q):
@@ -327,19 +308,19 @@ def solve_care(a, b, q, r, p0=None):
     The structure-preserving doubling algorithm (_doubling), polished by
     Newton-Kleinman steps (Kleinman 1968), one Lyapunov solve each, when
     the doubled P misses the residual contract TOL_RESIDUAL * (1 + |P|_F).
-    p0, when given, is the cost matrix of a stabilizing gain; it is returned
-    unchanged if it meets the contract and squared Smith certifies its
-    closed loop A - B R^{-1} B' p0 Hurwitz, and is otherwise ignored.
 
     The solve runs once per connected component of the graph on states
-    and inputs whose edges are the nonzeros of A, A', Q, B, R and p0: P is
-    zero between components.  Each of the k components with states is
-    accepted at TOL_RESIDUAL * (k^{-1/2} + |P_c|_F), which keeps the assembled
-    P within the global contract.  A component without inputs, G = 0, yields
-    its Lyapunov solution when it is Hurwitz and is NonStabilizable
-    otherwise; one without states adds nothing.  A component whose blocks
-    of A, B, Q, R and p0 equal an earlier one's bit for bit (_twins) copies
-    that one's P.
+    and inputs whose edges are the nonzeros of A, A', Q, B and R, each set
+    of bit-equal blocks once (_solve_once): P is zero between components.
+    Each of the k components with states is accepted at TOL_RESIDUAL *
+    (k^{-1/2} + |P_c|_F), which keeps the assembled P within the global
+    contract.  A component without inputs, G = 0, yields its Lyapunov
+    solution when it is Hurwitz and is NonStabilizable otherwise; one
+    without states adds nothing.  p0, when given, only warm-starts: it is
+    the cost matrix of a stabilizing gain, and a component's block of it is
+    returned unchanged if it meets the component's contract and squared
+    Smith certifies its closed loop A - B R^{-1} B' p0 Hurwitz, and is
+    otherwise ignored.
 
     Raises NonStabilizable when the doubling breaks down or its H does not
     stabilize, as when (A, B) is not stabilizable or Q leaves an unstable
@@ -361,26 +342,20 @@ def solve_care(a, b, q, r, p0=None):
         p0 = symmetrize(p0)
         if p0.shape != (n, n):
             raise ValueError(f"inconsistent shapes: p0 {p0.shape}, a {a.shape}")
-        ss |= p0 != 0
     adj = _bipartite(b != 0)
     adj[:n, :n] = ss | ss.T
     adj[n:, n:] = r != 0
-    comps = _components(adj)
-    if len(comps) == 1:  # the arrays as given: a copy can change GEMM's bits
-        return _care_component(a, b, q, r, p0, 1.0)
-    blocks = [(c[c < n], c[c >= n] - n) for c in comps if c[0] < n]
-    floor = max(len(blocks), 1) ** -0.5
+    comps = [(c[c < n], c[c >= n] - n) for c in _components(adj) if c[0] < n]
+    floor = max(len(comps), 1) ** -0.5
 
     def inputs(s, u):  # (A, B, Q, R), and p0 when given
         return (_block(a, s, s), _block(b, s, u), _block(q, s, s), _block(r, u, u),
                 *(() if p0 is None else (_block(p0, s, s),)))
 
     p = np.zeros((n, n))
-    for (s, u), t in zip(blocks, _twins(blocks, inputs)):
-        if t is None:
-            p[np.ix_(s, s)] = _care_component(*inputs(s, u), floor=floor)
-        else:
-            p[np.ix_(s, s)] = _block(p, blocks[t][0], blocks[t][0])
+    for (s, _), p_c in zip(comps, _solve_once(
+            comps, inputs, lambda *x: _care_component(*x, floor=floor))):
+        p[np.ix_(s, s)] = p_c
     return p
 
 
@@ -396,6 +371,26 @@ def _care_component(a, b, q, r, p0=None, floor=1.0):
     if p is None:
         raise NonStabilizable(f"{a.shape[0]}-state block: doubling found no stabilizing P")
     return _newton_kleinman(a, b, q, r, p, floor)
+
+
+def _lyapunov_component(a_s, w, floor=1.0):
+    """solve_lyapunov on one component, accepted at residual
+    100 TOL_RESIDUAL (floor + |V|_F): squared Smith (_doubling with
+    G = None), and when V misses that, one defect-correction step V += D
+    with a_s' D + D a_s + Res(V) = 0, Res(V) = a_s' V + V a_s + W."""
+    v, e = np.zeros(a_s.shape), w
+    for _ in range(2):  # the solve, then at most one correction
+        h = _doubling(a_s, None, e)  # squared Smith
+        if h is None:
+            raise UnstableMatrix(f"{a_s.shape[0]}-state block not certified Hurwitz")
+        v += h
+        e = v @ a_s  # a_s' V is its transpose, since V is symmetric
+        e += e.T
+        e += w
+        res = np.linalg.norm(e, "fro")
+        if res <= TOL_RESIDUAL * (floor + np.linalg.norm(v, "fro")) * 100.0:
+            return v
+    raise IterationDiverged(f"Lyapunov residual {res:.3e} out of contract")
 
 
 def _accepted(a, b, q, r, p, floor):

@@ -4,7 +4,7 @@ svd_pinv is matops.pinv without the split at connected components: one SVD
 of the whole matrix.  split_care, split_lyapunov and split_pinv are
 matops.solve_care, solve_lyapunov and pinv with every connected component
 solved on its own, where the library solves each set of components with
-bit-equal input blocks once and copies the answer.  lu_doubling is matops._doubling with each linear
+bit-equal input blocks once and shares the answer (matops._solve_once).  lu_doubling is matops._doubling with each linear
 solve done by np.linalg.solve or np.linalg.inv, a fresh LU factorization
 per use, where the library inverts each matrix once by LAPACK dgetri and
 applies the inverse by GEMM.  care_residual is the Riccati residual of a
@@ -55,19 +55,17 @@ from hlqr import _kernels
 from hlqr.adp import LearnResult, unsvec
 from hlqr.errors import (
     DimensionMismatch,
-    IterationDiverged,
     NoConvergence,
     NotALaplacian,
     RankDeficient,
     StateBlowup,
     UnstableClosedLoop,
-    UnstableMatrix,
 )
 from hlqr.graphcost import Decomposition, assemble_q, split_graph
 from hlqr.hierctrl import GapReport, _cond
-from hlqr.matops import (CARE_MAX_ITER, TOL_RESIDUAL, _bipartite, _care_component,
-                         _components, _doubling, abscissa, is_psd, solve_care,
-                         solve_lyapunov, symmetrize)
+from hlqr.matops import (CARE_MAX_ITER, _bipartite, _care_component,
+                         _components, _doubling, _lyapunov_component, abscissa, is_psd,
+                         solve_care, solve_lyapunov, symmetrize)
 from hlqr.partition import ConstraintSet
 from hlqr.sim import MasSystem, Trajectory, integrate, tabulate_signal
 
@@ -181,45 +179,32 @@ def split_pinv(m):
 
 
 def split_lyapunov(a_s, w):
-    """matops.solve_lyapunov with squared Smith run on every component, in
-    the solve and in the defect-correction step alike."""
+    """matops.solve_lyapunov with every component solved, checked and
+    corrected on its own block, each accepted at the same floor k^{-1/2}."""
     a_s = np.asarray(a_s, dtype=float)
     w = symmetrize(w)
     nz = (a_s != 0) | (w != 0)
     blocks = [np.ix_(c, c) for c in _components(nz | nz.T)]
-    v, e = np.zeros(a_s.shape), w
-    for _ in range(2):
-        for c2 in blocks:
-            h = _doubling(a_s[c2], None, e[c2])
-            if h is None:
-                raise UnstableMatrix(f"{c2[0].size}-state block not certified Hurwitz")
-            v[c2] += h
-        e = v @ a_s
-        e += e.T
-        e += w
-        res = np.linalg.norm(e, "fro")
-        if res <= TOL_RESIDUAL * (1.0 + np.linalg.norm(v, "fro")) * 100.0:
-            return v
-    raise IterationDiverged(f"Lyapunov residual {res:.3e} out of contract")
+    floor = max(len(blocks), 1) ** -0.5
+    v = np.zeros(a_s.shape)
+    for c2 in blocks:
+        v[c2] = _lyapunov_component(a_s[c2], w[c2], floor)
+    return v
 
 
 def split_care(a, b, q, r, p0=None):
     """matops.solve_care with every component with states solved on its own,
-    each accepted at the same floor k^{-1/2}."""
+    each accepted at the same floor k^{-1/2}; p0's block warm-starts its
+    component."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     q, r = symmetrize(q), symmetrize(r)
+    p0 = None if p0 is None else symmetrize(p0)
     n = a.shape[0]
     ss = (a != 0) | (q != 0)
-    if p0 is not None:
-        p0 = symmetrize(p0)
-        ss |= p0 != 0
     adj = _bipartite(b != 0)
     adj[:n, :n] = ss | ss.T
     adj[n:, n:] = r != 0
-    comps = _components(adj)
-    if len(comps) == 1:
-        return _care_component(a, b, q, r, p0, 1.0)
-    blocks = [(c[c < n], c[c >= n] - n) for c in comps if c[0] < n]
+    blocks = [(c[c < n], c[c >= n] - n) for c in _components(adj) if c[0] < n]
     floor = max(len(blocks), 1) ** -0.5
     p = np.zeros((n, n))
     for s, u in blocks:
@@ -494,6 +479,7 @@ def dense_gap_report(mas, spec, dec, gain, sigma=1.0):
         j_opt=j_opt, j_h=j_h, j_approx=j_approx, delta_j=delta_j,
         expected_gap=float(sigma ** 2 * trace_v), f1=f1, f2=f2, cond_p=cond_p,
         trace_g2=trace_g2, sop=delta_j / j_opt if j_opt > 0 else 0.0,
+        sop_hi=(j_h - j_approx) / j_approx if j_approx > 0 else 0.0,
         trace_v=trace_v, trace_w=trace_w, trace_v_bound=trace_v_bound,
         vacuous=vacuous,
     )

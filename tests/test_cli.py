@@ -503,6 +503,21 @@ class TestNonPositiveStep:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--dt", "0"], "dt=0.0 and window=0.1 must be positive and finite"),
+        (["--window", "0.0001", "--dt", "0.001"], "dt=0.001 does not divide window=0.0001"),
+        (["--horizon", "0"], "horizon=0.0 must be positive and finite"),
+    ], ids=["dt", "window", "horizon"])
+    def test_learning_steps_name_no_cluster(self, args, message, tmp_path, capsys,
+                                            monkeypatch):
+        # the learning times are the run's, not a cluster's: they are checked
+        # once, before any data are collected
+        monkeypatch.setattr(adp, "collect", None)
+        rc = main(["learn", "five_node", "--assignment", "0,0,1,2,2", *args,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestInvalidNumbers:
     """Numbers numpy would reject or overflow on end in error: ..., exit 1."""

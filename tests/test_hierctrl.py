@@ -324,6 +324,23 @@ class TestGapReport:
         costs = [gap["j_approx"], gap["j_opt"], gap["j_h"]]
         assert max(costs) - min(costs) <= 1e-12 * gap["j_opt"]
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_sop_below_sop_hi(self, seed):
+        # sop <= sop_hi exactly when j_approx <= j_opt, which holds up to
+        # the Riccati tolerance slack |j_opt|; dividing by j_opt j_approx
+        # leaves slack j_h / j_approx
+        mas, spec, dec = random_instance(seed)
+        assume(graphcost.check_assumptions(mas, spec, dec).ok)
+        try:
+            report, *_ = gap_report(mas, spec, dec, hierarchical_gain(mas, spec, dec))
+        except UnstableClosedLoop:
+            reject()
+        assert report.j_approx > 0.0
+        assert report.sop_hi == (report.j_h - report.j_approx) / report.j_approx
+        slack = 1e-9
+        assert report.sop <= report.sop_hi + slack * report.j_h / report.j_approx
+
 
 def direct_v_check(mas, spec, dec):
     """(trace_v, tr V, bound) with V from a_s' V + V a_s + W = 0 itself.

@@ -709,21 +709,38 @@ def same_bits(x, y):
 
 class TestEqualComponents:
     """solve_care, solve_lyapunov and pinv solve each set of components
-    with bit-equal input blocks once, as _twins finds them, and give the
-    bits of oracles.split_*, which solve every component."""
+    with bit-equal input blocks once, by _solve_once, and give the bits of
+    oracles.split_*, which solve every component."""
 
-    def test_twins(self):
+    def test_solve_once(self):
         x = np.arange(16.0).reshape(4, 4)
         x[2:, 2:] = x[:2, :2]  # x[2, 2] == x[0, 0] == 0.0
         comps = [(np.arange(2),), (np.arange(2, 4),), (np.array([1]),),
                  (np.array([2]),), (np.array([0]),)]
+        solved = []
+
+        def solve(block):
+            solved.append(block)
+            return block
 
         def blocks(c):
             return (matops._block(x, c, c),)
 
-        assert matops._twins(comps, blocks) == [None, 0, None, None, 3]
+        # equal blocks share a solve; blocks of unequal sizes do not
+        answers = matops._solve_once(comps, blocks, solve)
+        assert len(solved) == 3
+        assert answers[1] is answers[0] and answers[4] is answers[3]
+        assert [a.shape for a in answers] == [(2, 2)] * 2 + [(1, 1)] * 3
+        solved.clear()
         x[2, 2] = -0.0  # equal to 0.0, but not bit-equal
-        assert matops._twins(comps, blocks) == [None] * 5
+        answers = matops._solve_once(comps, blocks, solve)
+        assert len(solved) == 5
+        assert np.array_equal(answers[0], answers[1]) and answers[3] == answers[4]
+        solved.clear()
+        y = np.array([[0.0, 1.0], [4.0, 5.0], [1.0, 0.0], [4.0, 5.0]])
+        answers = matops._solve_once([(np.arange(2),), (np.arange(2, 4),)],
+                                     lambda r: (y.take(r, 0),), solve)
+        assert len(solved) == 2  # the same XOR of bit patterns, not the same bits
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3))
@@ -781,38 +798,23 @@ class TestEqualComponents:
             assert np.linalg.norm(x - v_true) <= lyapunov_tol(a_s) * np.linalg.norm(v_true)
 
 
-    def test_correction_own_when_residuals_differ(self, monkeypatch):
-        # a 13-state (a_s, W) stacked as I_2 (x) (a_s, W), with a defect D in
-        # the first solve: the twin copies V + D, but V a_s can round
-        # differently on the two diagonal blocks (it does with
-        # scipy-openblas 0.3.31 on AVX-512), and a twin whose residual block
-        # differs is corrected by its own solve
-        rng = np.random.default_rng(3)
-        a_s = random_hurwitz(rng, 13, "similar")
-        w_half = rng.standard_normal((13, 13))
-        w = w_half @ w_half.T
-        doubling, calls = matops._doubling, []
-        h = doubling(a_s, None, w)
-        d = matops.symmetrize(rng.standard_normal((13, 13)))
-        d *= 1e-4 * np.linalg.norm(h) / np.linalg.norm(d)
-
-        def defective(a, g, q):
-            calls.append(q)
-            return doubling(a, g, q) + (d if len(calls) == 1 else 0.0)
-
-        monkeypatch.setattr(matops, "_doubling", defective)
-        big_a, big_w = np.kron(np.eye(2), a_s), np.kron(np.eye(2), w)
-        v1 = np.kron(np.eye(2), h + d)
-        e = v1 @ big_a
-        e += e.T
-        e += big_w
-        halves = (np.s_[:13], np.s_[13:])
-        e0, e1 = (e[x, x] for x in halves)
-        want = [v1[x, x] + doubling(a_s, None, e_x) for x, e_x in zip(halves, (e0, e1))]
+    def test_correction_own_component_only(self, monkeypatch):
+        # TestSolveLyapunov's defect in the first solve, on a_s beside a
+        # second, distinct component: only the defective component is
+        # solved again, and the assembled V meets the global contract
+        a_s, w, v_true, _, calls = TestSolveLyapunov.defective_instance(monkeypatch, {1})
+        rng = np.random.default_rng(62)
+        a_2 = random_hurwitz(rng, 4, "similar")
+        big_a, big_w = matops.block_diag(a_s, a_2), matops.block_diag(w, np.eye(4))
         v = matops.solve_lyapunov(big_a, big_w)
-        assert len(calls) == (2 if same_bits(e0, e1) else 3)
-        for x, want_x in zip(halves, want):
-            assert same_bits(v[x, x], want_x)
+        assert len(calls) == 3  # two components, one correction
+        assert [q.shape for q in calls] == [(6, 6), (6, 6), (4, 4)]
+        assert np.linalg.norm(v[:6, :6] - v_true) <= lyapunov_tol(a_s) * np.linalg.norm(v_true)
+        assert np.all(v[:6, 6:] == 0.0)
+        assert same_bits(v[6:, 6:], matops._doubling(a_2, None, np.eye(4)))
+        res = big_a.T @ v + v @ big_a + big_w
+        assert np.linalg.norm(res, "fro") <= 100.0 * matops.TOL_RESIDUAL * (
+            1.0 + np.linalg.norm(v, "fro"))
 
 
 class TestFactorOnceDoubling:
