@@ -30,9 +30,13 @@ where d_s = G w_s is the step's drive.  The zero-state responses z_j of all
 blocks of a chunk are BLOCK GEMMs, the block starts are stepped with T^BLOCK,
 one matrix-vector product per block, and the block interiors are one GEMM.
 Temporaries are O(chunk * n); nothing of full length is allocated besides
-the outputs.  Exogenous signals (excitation, disturbance) come tabulated on
-the half-step grid (2*n_steps + 1 samples), so RK4 stage evaluations see
-exact signal values; a missing signal is None, not a table of zeros.
+the outputs.  Exogenous signals (excitation, disturbance) are tables on the
+half-step grid t_i = i dt/2 (2*n_steps + 1 rows), read one chunk at a time:
+a chunk of steps s0..s1-1 slices rows 2 s0 .. 2 s1, so RK4 stage evaluations
+see exact signal values.  A table is a numpy array or any object that
+tabulates the rows of a slice when it is read (sim.BlackBoxPlant's signals),
+so no signal is held over the whole horizon; a missing signal is None, not a
+table of zeros.
 
 The state guard is one reduction per chunk, and the outputs are cut at the
 first offending step, so status, last step and the zero tail of every output
@@ -122,11 +126,15 @@ def _psd_root(w):
     return root
 
 
-def _step_rows(table, m):
-    """Rows [w(t) w(t+h/2) w(t+h)], one per step, of a half-grid table, as a
-    view; None for None."""
-    if table is not None:
-        return np.lib.stride_tricks.sliding_window_view(table.reshape(-1), 3 * m)[::2 * m]
+def _spread(half, drive):
+    """Fill drive's rows [w(t) w(t+h/2) w(t+h)], one per step, from the
+    chunk's half-grid rows w(t + i h/2), i = 0 .. 2 steps; zeros for None."""
+    if half is None:
+        drive[...] = 0.0
+        return
+    m, steps = half.shape[1], len(drive)
+    for j in range(3):
+        drive[:, j * m:(j + 1) * m] = half[j:j + 2 * steps:2]
 
 
 def _powers(t_map):
@@ -175,9 +183,10 @@ def _first_bad(x_rows, guard):
 def rollout_kernel(a, b, k, exo_dist, x0, dt, n_steps, q, r, guard):
     """Closed-loop RK4 rollout of xdot = A x + B(u + d), u = -K x.
 
-    exo_dist is the (2*n_steps+1, m) half-grid table of d, or None for no
-    disturbance.  Returns (states, inputs, cost, ju, status, last_step); cost
-    and ju carry the RK4-quadrature running integrals of x'Qx + u'Ru and u'u.
+    exo_dist is the (2*n_steps+1, m) half-grid table of d, read by row
+    slices, or None for no disturbance.  Returns (states, inputs, cost, ju,
+    status, last_step); cost and ju carry the RK4-quadrature running
+    integrals of x'Qx + u'Ru and u'u.
     """
     n, m = b.shape
     # u = x (-K)': negating the gain, not the product, records u = +0.0
@@ -196,7 +205,6 @@ def rollout_kernel(a, b, k, exo_dist, x0, dt, n_steps, q, r, guard):
     del s_map, stages, f_cost, f_u  # not held through the loop: peak RSS
     # row s: x_s, then the drive of the step from it (zero without a disturbance)
     buf = np.zeros((min(CHUNK, n_steps) + 1, n + 3 * m))
-    dist = _step_rows(exo_dist, m)
     squares = np.empty((buf.shape[0] - 1, f_t.shape[1]))
     xb = buf[:, :n]
     xb[0] = x0
@@ -205,8 +213,8 @@ def rollout_kernel(a, b, k, exo_dist, x0, dt, n_steps, q, r, guard):
         for s0 in range(0, n_steps, CHUNK):
             s1 = min(s0 + CHUNK, n_steps)
             steps = keep = s1 - s0
-            if dist is not None:
-                buf[:steps, n:] = dist[s0:s1]
+            if exo_dist is not None:
+                _spread(exo_dist[2 * s0:2 * s1 + 1], buf[:steps, n:])
             _advance(t_pows, g_map, xb, buf[:steps, n:])
             bad = _first_bad(xb[1:steps + 1], guard)
             if bad is not None:
@@ -231,9 +239,9 @@ def collect_kernel(a, b, k0, exo_cmd, exo_dist, x0, dt, steps_per_window,
                    n_windows, guard):
     """Learning-data rollout under u = -K0 x + e with applied input v = u + d.
 
-    exo_cmd and exo_dist are the half-grid tables of e and d, each None for
-    no signal.  Accumulates per-window RK4 quadratures of x x' and x v' and
-    records window boundary states.  Returns (boundaries, i_xx, i_xv, None,
+    exo_cmd and exo_dist are the half-grid tables of e and d, read by row
+    slices, each None for no signal.  Accumulates per-window RK4 quadratures
+    of x x' and x v' and records window boundary states.  Returns (boundaries, i_xx, i_xv, None,
     None, status, windows_done).  No per-step record is kept; slots 3 and 4
     stay empty for callers that read windows_done by position.
     """
@@ -248,7 +256,6 @@ def collect_kernel(a, b, k0, exo_cmd, exo_dist, x0, dt, steps_per_window,
     per_chunk = max(1, COLLECT_CHUNK // spw)
     # row s: x_s, then the drive [w(t) w(t+h/2) w(t+h)] of the step from it
     buf = np.empty((min(per_chunk, n_windows) * spw + 1, n + 3 * m))
-    cmd, dist = _step_rows(exo_cmd, m), _step_rows(exo_dist, m)
     xs = buf[:, :n]
     xs[0] = x0
 
@@ -257,9 +264,13 @@ def collect_kernel(a, b, k0, exo_cmd, exo_dist, x0, dt, steps_per_window,
             w1 = min(w0 + per_chunk, n_windows)
             s0, s1 = w0 * spw, w1 * spw
             steps = s1 - s0
-            buf[:steps, n:] = 0.0 if cmd is None else cmd[s0:s1]
-            if dist is not None:
-                buf[:steps, n:] += dist[s0:s1]
+            h0, h1 = 2 * s0, 2 * s1 + 1
+            exo = None if exo_cmd is None else exo_cmd[h0:h1]
+            if exo_dist is not None:
+                # a missing excitation adds as a table of zeros: 0.0 + d
+                # turns -0.0 into 0.0
+                exo = (0.0 if exo is None else exo) + exo_dist[h0:h1]
+            _spread(exo, buf[:steps, n:])
             _advance(t_pows, g_map, xs, buf[:steps, n:])
             bad = _first_bad(xs[1:steps + 1], guard)
             if bad is not None:

@@ -35,6 +35,7 @@ __all__ = [
     "LearnResult",
     "LearnConfig",
     "unknown_count",
+    "window_steps",
     "collect",
     "policy_iteration",
     "learn_cluster",
@@ -52,18 +53,14 @@ FREQ_RANGE = (0.5, 20.0)
 #: the margin of 10 windows (see _auto_horizon).
 OVERSAMPLE = 1.2
 
-#: Samples per block of Excitation.table.  Each block is anchored at a time
-#: read exactly from the grid, so the angle-addition offsets never exceed
-#: TABLE_BLOCK steps.
+#: Samples per block of Excitation.table.  Each block is anchored at an
+#: exact grid time, so the angle-addition offsets never exceed TABLE_BLOCK
+#: steps.
 TABLE_BLOCK = 512
 
-#: Blocks per batched GEMM of Excitation.table; the channel-major result is
-#: written to the sample-major table in pieces of this many blocks.
+#: Blocks per batched GEMM of Excitation.table: the grid is evaluated in
+#: groups of this many blocks, each into the one buffer of its table.
 _TABLE_GROUP = 16
-
-#: Excitation.table accepts a grid whose samples all lie within this many
-#: ulps of max|ts| of the straight line through its ends.
-_UNIFORM_ULPS = 32
 
 #: Block size of the least squares' compact-WY Householder QR (dgeqrt and
 #: dgemqrt), clamped to min(rows, cols) as dgeqrt requires.  On the 36-state
@@ -99,8 +96,8 @@ class Excitation:
     """Per-channel sum-of-sinusoids exploration signal.
 
     Frequencies and phases are drawn deterministically from the seed; the
-    amplitude bounds each channel's peak value.  Evaluates pointwise, or on a
-    uniform grid with table(ts) for the simulator half-grid.
+    amplitude bounds each channel's peak value.  Evaluates pointwise, or on
+    the simulator's half-grid with table(h, n).
     """
 
     seed: int
@@ -127,42 +124,62 @@ class Excitation:
             axis=1,
         )
 
-    def table(self, ts):
-        """Values on a uniform grid ts, shape (len(ts), n_channels).
+    def table(self, h, n):
+        """rows(i0, i1): the values at t_i = i h, i0 <= i < i1 <= n, shape
+        (i1 - i0, n_channels); see _GridTable."""
+        return _GridTable(self, h, n)
 
-        The grid is cut into blocks of TABLE_BLOCK samples.  Sample i of the
-        block anchored at t_b = ts[block start] is taken at t_b + tau_i with
-        tau_i = ts[i] - ts[0], so by angle addition each channel is a GEMM
 
-            [a sin(w t_b + phi), a cos(w t_b + phi)] @ [cos(w tau); sin(w tau)]
+class _GridTable:
+    """An excitation on the grid t_i = i h, i < n, evaluated by GEMMs.
 
-        of (blocks, 2 n_sin) by (2 n_sin, TABLE_BLOCK), batched over the
-        channels.  Only blocks * n_sin and TABLE_BLOCK * n_sin sines and
-        cosines are evaluated per channel.  Raises ValueError when ts is not
-        uniform up to rounding.
-        """
-        ts = np.asarray(ts, dtype=float)
-        n = len(ts)
-        out = np.empty((n, self.n_channels))
-        if n == 0:
-            return out
-        line = ts[0] + np.arange(n) * ((ts[-1] - ts[0]) / max(n - 1, 1))
-        tol = _UNIFORM_ULPS * np.finfo(float).eps * np.max(np.abs(ts))
-        if not np.max(np.abs(ts - line)) <= tol:
-            raise ValueError("Excitation.table needs a uniform time grid")
+    The grid is cut into blocks of TABLE_BLOCK samples.  Sample i of the
+    block anchored at t_b = b TABLE_BLOCK h is taken at t_b + tau_i with
+    tau_i = i h, so by angle addition each channel is a GEMM
 
+        [a sin(w t_b + phi), a cos(w t_b + phi)] @ [cos(w tau); sin(w tau)]
+
+    of (blocks, 2 n_sin) by (2 n_sin, TABLE_BLOCK), batched over the
+    channels.  Blocks are evaluated _TABLE_GROUP at a time, in the groups of
+    rows [g G, (g + 1) G) cut at n, G = _TABLE_GROUP TABLE_BLOCK, into one
+    buffer that holds the last group evaluated.  Every row is thus one
+    group's GEMM, whichever calls read it, and calls over increasing rows
+    evaluate each group once.  Only
+    blocks * n_sin and TABLE_BLOCK * n_sin sines and cosines are evaluated
+    per channel.
+    """
+
+    def __init__(self, exc, h, n):
+        self.exc, self.h, self.n = exc, h, n
+        self.right = self.vals = self.group = None
+
+    def _group(self, g):
+        """Channel-major values (channels, rows) of group g's rows."""
+        exc, rows = self.exc, _TABLE_GROUP * TABLE_BLOCK
         # left: (channels, blocks, 2 n_sin); right: (channels, 2 n_sin, block)
-        amp, freq = self.amplitudes[:, None, :], self.frequencies[:, None, :]
-        theta = freq * ts[::TABLE_BLOCK, None] + self.phases[:, None, :]
-        left = np.concatenate([amp * np.sin(theta), amp * np.cos(theta)], axis=2)
-        w_tau = freq.transpose(0, 2, 1) * (ts[:TABLE_BLOCK] - ts[0])
-        right = np.concatenate([np.cos(w_tau), np.sin(w_tau)], axis=1)
+        amp, freq = exc.amplitudes[:, None, :], exc.frequencies[:, None, :]
+        if self.right is None:
+            tau = np.arange(min(TABLE_BLOCK, self.n)) * self.h
+            w_tau = freq.transpose(0, 2, 1) * tau
+            self.right = np.concatenate([np.cos(w_tau), np.sin(w_tau)], axis=1)
+            # one group's values, which each group's GEMM overwrites
+            blocks = min(_TABLE_GROUP, -(-self.n // TABLE_BLOCK))
+            self.vals = np.empty((exc.n_channels, blocks, self.right.shape[2]))
+        t_b = np.arange(g * rows, min(self.n, (g + 1) * rows), TABLE_BLOCK) * self.h
+        vals = self.vals[:, :len(t_b)]
+        if g != self.group:
+            theta = freq * t_b[:, None] + exc.phases[:, None, :]
+            left = np.concatenate([amp * np.sin(theta), amp * np.cos(theta)], axis=2)
+            np.matmul(left, self.right, out=vals)
+            self.group = g
+        return vals.reshape(exc.n_channels, -1)
+
+    def __call__(self, i0, i1):
+        out = np.empty((i1 - i0, self.exc.n_channels))
         rows = _TABLE_GROUP * TABLE_BLOCK
-        for r0 in range(0, n, rows):
-            g0 = r0 // TABLE_BLOCK
-            vals = np.matmul(left[:, g0:g0 + _TABLE_GROUP], right)
-            r1 = min(n, r0 + rows)
-            out[r0:r1] = vals.reshape(self.n_channels, -1)[:, :r1 - r0].T
+        for g in range(i0 // rows, -(-i1 // rows)):
+            lo, hi = max(i0, g * rows), min(i1, (g + 1) * rows)
+            out[lo - i0:hi - i0] = self._group(g)[:, lo - g * rows:hi - g * rows].T
         return out
 
 
@@ -341,7 +358,7 @@ class _BlockLstsq:
         return theta / self.scale, rcond
 
 
-def _window_steps(dt, window, horizon=None, width=1):
+def window_steps(dt, window, horizon=None, width=1):
     """(steps per window, windows) of a collection, the windows None without
     a horizon.  Raises InvalidConfig unless dt, window and the horizon are
     positive and finite, dt divides window, the horizon holds a window, and
@@ -378,8 +395,8 @@ def collect(plant, k0, exc, horizon, dt, window, x0=None):
     """
     n, m = plant.n_states, plant.n_inputs
     k0 = np.zeros((m, n)) if k0 is None else np.asarray(k0, dtype=float)
-    # per step: signal tables, the kernel's buffers and one window's integrals
-    steps_per_window, n_windows = _window_steps(dt, window, horizon, (n + 4) * (n + m))
+    # per step: signal rows, the kernel's buffers and one window's integrals
+    steps_per_window, n_windows = window_steps(dt, window, horizon, (n + 4) * (n + m))
     if x0 is None:
         x0 = np.random.default_rng(exc.seed).standard_normal(n)
 
@@ -496,7 +513,7 @@ def learn_hierarchical(plants, spec, dec, cfg=None, k0_list=None):
     type, its message prefixed with the cluster and its agents.
     """
     cfg = cfg if cfg is not None else LearnConfig()
-    _window_steps(cfg.dt, cfg.window, cfg.horizon)  # before any cluster is named
+    window_steps(cfg.dt, cfg.window, cfg.horizon)  # before any cluster is named
     if len(plants) != dec.s:
         raise InvalidConfig(f"{len(plants)} plants for {dec.s} clusters")
     if k0_list is None:

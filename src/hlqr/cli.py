@@ -22,7 +22,7 @@ from typing import get_args
 import numpy as np
 
 from . import fileio
-from .adp import LearnConfig, learn_hierarchical, unknown_count
+from .adp import LearnConfig, learn_hierarchical, unknown_count, window_steps
 from .errors import HlqrError, InvalidConfig, NonStabilizable
 from .graphcost import Decomposition, check_assumptions, comm_links, kappa, split_graph
 from .hierctrl import gap_report, hierarchical_gain
@@ -40,6 +40,16 @@ from .sim import (
 )
 
 __all__ = ["ExperimentConfig", "ReportRow", "run_experiment", "bench_tables", "main"]
+
+#: Largest sigma whose square, the scale of gap_report's expected gap, is a
+#: finite float.
+SIGMA_MAX = math.sqrt(sys.float_info.max)
+
+#: Most initial states drawn for the cost means.  The draws are one
+#: (n_draws, states) float array: 32 GiB per state at this cap, and below
+#: 2**28 states a size numpy reports as a MemoryError, not an overflow.
+MAX_DRAWS = 2**32
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -72,8 +82,11 @@ class ExperimentConfig:
             raise InvalidConfig(f"unknown scenario {self.scenario!r}")
         if not 0 < self.sigma < np.inf:
             raise InvalidConfig(f"sigma={self.sigma} must be positive and finite")
-        if self.n_draws < 1:
-            raise InvalidConfig("n_draws must be at least 1")
+        if self.sigma > SIGMA_MAX:
+            raise InvalidConfig(f"sigma={self.sigma} must be at most {SIGMA_MAX:.6g}, "
+                                f"where its square overflows")
+        if not 1 <= self.n_draws <= MAX_DRAWS:
+            raise InvalidConfig(f"n_draws={self.n_draws} must be from 1 to {MAX_DRAWS}")
         if self.x0_scheme not in ("uniform_pm1", "normal05", "scenario"):
             raise InvalidConfig(f"unknown x0 scheme {self.x0_scheme!r}")
         if self.objective not in ("cliques", "kappa", "scut", "assignment"):
@@ -288,10 +301,11 @@ def _learn(mas, spec, dec, learn_cfg):
     """Learn dec's clusters from black-box plants, each started at its
     initial_gains gain.  Returns (gain, LearnResults, learning wall time).
 
-    check_assumptions runs first, on the model that initial_gains reads, so
-    a cluster whose Riccati equation has no stabilizing solution raises
-    NonStabilizable, named as solve_clusters names it, before any data are
-    collected."""
+    The step sizes are checked first.  check_assumptions runs next, on the
+    model that initial_gains reads, so a cluster whose Riccati equation has
+    no stabilizing solution raises NonStabilizable, named as solve_clusters
+    names it, before any data are collected."""
+    window_steps(learn_cfg.dt, learn_cfg.window, learn_cfg.horizon)
     check = check_assumptions(mas, spec, dec)
     for j, held in enumerate(zip(check.stabilizable, check.detectable)):
         if not all(held):

@@ -44,7 +44,7 @@ class MasSystem:
 
     agents is a list of (A_i, B_i) pairs with uniform per-agent dimensions;
     disturbance, when present, is the stacked (m*N,) input-channel
-    disturbance, given by its vectorized table(ts) of shape (len(ts), m*N).
+    disturbance, a signal as BlackBoxPlant takes it.
     The learner sees the system only through black_box() and
     cluster_plants() handles.
     """
@@ -98,13 +98,18 @@ class BlackBoxPlant:
 
     Wraps private dynamics matrices and the (measurable) disturbance; the
     learning pipeline interacts with plants exclusively through collect(),
-    never reading A or B.
+    never reading A or B.  A signal (disturbance or excitation) is None or
+    an object whose table(h, n) gives a function rows(i0, i1): the signal
+    at the times t_i = i h, i0 <= i < i1 <= n, one row per time.  The
+    plant's input channels are the signal's columns, or the columns
+    `channels` of the disturbance when given.
     """
 
-    def __init__(self, a, b, disturbance=None):
+    def __init__(self, a, b, disturbance=None, channels=None):
         self._a = np.ascontiguousarray(a, dtype=float)
         self._b = np.ascontiguousarray(b, dtype=float)
         self._dist = disturbance
+        self._channels = channels
 
     @property
     def n_states(self):
@@ -116,10 +121,11 @@ class BlackBoxPlant:
 
     def rollout(self, k, x0, dt, n_steps, q, r, guard=DEFAULT_GUARD):
         """Closed-loop run under u = -K x with running cost x'Qx + u'Ru;
-        returns the raw kernel tuple (no disturbance is passed as None)."""
+        returns the raw kernel tuple.  The kernel tabulates the disturbance
+        one chunk of steps at a time (no disturbance is passed as None)."""
         return _kernels.rollout_kernel(
             self._a, self._b, np.ascontiguousarray(k, dtype=float),
-            tabulate_signal(self._dist, dt, n_steps, self.n_inputs),
+            self._half_grid(self._dist, dt, n_steps, self._channels),
             np.ascontiguousarray(x0, dtype=float), float(dt), int(n_steps),
             np.ascontiguousarray(q, dtype=float),
             np.ascontiguousarray(r, dtype=float),
@@ -129,32 +135,47 @@ class BlackBoxPlant:
     def collect(self, k0, exc, x0, dt, steps_per_window, n_windows,
                 guard=DEFAULT_GUARD):
         """Learning-data run under u = -K0 x + e; the recorded applied input
-        is v = u + d.  The excitation e is given like the disturbance: None
-        (zero) or a signal with a vectorized .table(ts), passed to the kernel
-        as None or as its half-grid table.  Returns the raw kernel tuple."""
+        is v = u + d.  The excitation e is a signal like the disturbance, or
+        None (zero); the kernel tabulates both one chunk of steps at a time.
+        Returns the raw kernel tuple."""
         n_steps = steps_per_window * n_windows
         return _kernels.collect_kernel(
             self._a, self._b, np.ascontiguousarray(k0, dtype=float),
-            tabulate_signal(exc, dt, n_steps, self.n_inputs),
-            tabulate_signal(self._dist, dt, n_steps, self.n_inputs),
+            self._half_grid(exc, dt, n_steps),
+            self._half_grid(self._dist, dt, n_steps, self._channels),
             np.ascontiguousarray(x0, dtype=float), float(dt),
             int(steps_per_window), int(n_windows), float(guard),
         )
 
+    def _half_grid(self, f, dt, n_steps, channels=None):
+        """Signal f's table for the kernels on the RK4 half-grid t_i = i dt/2
+        of n_steps steps, or None for no signal."""
+        if f is not None:
+            return _HalfGrid(f.table(dt / 2.0, 2 * n_steps + 1), self.n_inputs,
+                             channels)
 
-def tabulate_signal(f, dt, n_steps, m):
-    """Tabulate a time signal on the RK4 half-grid: (2*n_steps+1, m).
 
-    f carries a vectorized .table(ts) method, or is None (no table: None).
-    """
-    n_half = 2 * n_steps + 1
-    if f is None:
-        return None
-    ts = np.arange(n_half) * (dt / 2.0)
-    out = np.asarray(f.table(ts), dtype=float)
-    if out.shape != (n_half, m):
-        raise DimensionMismatch(f"signal table shape {out.shape} != {(n_half, m)}")
-    return np.ascontiguousarray(out)
+class _HalfGrid:
+    """A half-grid table read by row slices: [h0:h1] is tabulate_signal's
+    table of rows h0..h1-1, so only the rows a kernel chunk reads exist."""
+
+    def __init__(self, rows, m, channels):
+        self.rows, self.m, self.channels = rows, m, channels
+
+    def __getitem__(self, span):
+        return tabulate_signal(self.rows, span.start, span.stop, self.m,
+                               self.channels)
+
+
+def tabulate_signal(rows, h0, h1, m, channels=None):
+    """Rows h0..h1-1 of a signal's grid function rows(i0, i1), restricted to
+    the columns `channels` (all when None): an (h1 - h0, m) array."""
+    out = np.asarray(rows(h0, h1), dtype=float)
+    if channels is not None:
+        out = out[:, channels]
+    if out.shape != (h1 - h0, m):
+        raise DimensionMismatch(f"signal rows shape {out.shape} != {(h1 - h0, m)}")
+    return out
 
 
 def check_steps(n_steps, width):
@@ -326,13 +347,19 @@ class FormationScenario:
 
 
 class _CosDecayDisturbance:
-    """d(t) = amps * cos(t)/(t+1), stacked over agents; vectorized table."""
+    """d(t) = amps * cos(t)/(t+1), stacked over agents."""
 
     def __init__(self, amps_flat):
         self.amps = np.asarray(amps_flat, dtype=float)
 
-    def table(self, ts):
-        return np.outer(np.cos(ts) / (ts + 1.0), self.amps)
+    def table(self, h, n):
+        """rows(i0, i1): d(i h) for i0 <= i < i1, elementwise in time."""
+
+        def rows(i0, i1):
+            ts = np.arange(i0, i1) * h
+            return np.outer(np.cos(ts) / (ts + 1.0), self.amps)
+
+        return rows
 
 
 def default_formation(n_cols=4, n_rows=3, leaders=(0, 7, 11)):
@@ -467,27 +494,12 @@ def initial_gains(mas, dec):
 def cluster_plants(mas, dec):
     """Black-box plant handles for each cluster of a white-box system.
 
-    Each handle wraps (A_j, B_j) and the disturbance restricted to the
-    cluster's input channels; downstream callers only see trajectory data.
+    Each handle wraps (A_j, B_j) and the disturbance read at the cluster's
+    input channels; downstream callers only see trajectory data.
     """
     plants = []
-    m = mas.m
     for j in range(dec.s):
         a_j, b_j = mas.cluster(dec, j)
-        dist_j = None
-        if mas.disturbance is not None:
-            iix = dec.state_indices(j, m)
-            dist_j = _SliceSignal(mas.disturbance, iix)
-        plants.append(BlackBoxPlant(a_j, b_j, dist_j))
+        channels = np.asarray(dec.state_indices(j, mas.m), dtype=int)
+        plants.append(BlackBoxPlant(a_j, b_j, mas.disturbance, channels))
     return plants
-
-
-class _SliceSignal:
-    """Channel-sliced view of a stacked time signal."""
-
-    def __init__(self, f, indices):
-        self.f = f
-        self.indices = np.asarray(indices, dtype=int)
-
-    def table(self, ts):
-        return np.asarray(self.f.table(ts), dtype=float)[:, self.indices]

@@ -13,8 +13,12 @@ graphcost.comm_links' agent pairs one at a time.  pbh_stabilizable is the
 Popov-Belevitch-Hautus rank test that graphcost.check_assumptions replaces
 by one ordered Schur form.
 
-Pointwise gives a test signal written as a function of time the .table(ts)
-form that the simulator reads.
+Pointwise gives a test signal written as a function of time the
+.table(h, n) form that the simulator reads.  half_grid_table is the
+simulator's former signal path: the whole RK4 half-grid tabulated before a
+kernel runs, with excitation_table, the former adp.Excitation.table(ts),
+for excitations.  The library tabulates each kernel chunk's rows instead,
+and its outputs must equal the whole-table ones bit for bit.
 
 integrate_callable is an RK4 step loop that evaluates a state-feedback
 callable at every stage; it is the reference for the rollout kernel behind
@@ -52,7 +56,7 @@ import numpy as np
 import scipy.linalg
 
 from hlqr import _kernels
-from hlqr.adp import LearnResult, unsvec
+from hlqr.adp import _TABLE_GROUP, TABLE_BLOCK, Excitation, LearnResult, unsvec
 from hlqr.errors import (
     DimensionMismatch,
     NoConvergence,
@@ -67,7 +71,8 @@ from hlqr.matops import (CARE_MAX_ITER, _bipartite, _care_component,
                          _components, _doubling, _lyapunov_component, abscissa, is_psd,
                          solve_care, solve_lyapunov, symmetrize)
 from hlqr.partition import ConstraintSet
-from hlqr.sim import MasSystem, Trajectory, integrate, tabulate_signal
+from hlqr.sim import MasSystem, Trajectory, integrate
+
 
 
 def regressor(data, k, qk):
@@ -253,15 +258,54 @@ def comm_links_loop(k, n, m):
 
 
 class Pointwise:
-    """A signal t -> (m,) given pointwise, with the vectorized .table(ts)
-    that sim.tabulate_signal reads: one call per sample time."""
+    """A signal t -> (m,) given pointwise, with the .table(h, n) that the
+    simulator reads: one call per sample time."""
 
     def __init__(self, f):
         self.f = f
 
-    def table(self, ts):
-        return np.asarray([np.atleast_1d(self.f(float(t))) for t in ts],
-                          dtype=float)
+    def table(self, h, n):
+        def rows(i0, i1):
+            return np.asarray([np.atleast_1d(self.f(i * h)) for i in range(i0, i1)],
+                              dtype=float)
+
+        return rows
+
+
+def excitation_table(exc, ts):
+    """An Excitation's values on the uniform grid ts from ts[0], shape
+    (len(ts), channels), in one pass: blocks of TABLE_BLOCK samples anchored
+    at ts[block start], sample i at tau_i = ts[i] - ts[0] past it, by angle
+    addition, one batched GEMM per _TABLE_GROUP blocks."""
+    ts = np.asarray(ts, dtype=float)
+    n = len(ts)
+    out = np.empty((n, exc.n_channels))
+    amp, freq = exc.amplitudes[:, None, :], exc.frequencies[:, None, :]
+    theta = freq * ts[::TABLE_BLOCK, None] + exc.phases[:, None, :]
+    left = np.concatenate([amp * np.sin(theta), amp * np.cos(theta)], axis=2)
+    w_tau = freq.transpose(0, 2, 1) * (ts[:TABLE_BLOCK] - ts[0])
+    right = np.concatenate([np.cos(w_tau), np.sin(w_tau)], axis=1)
+    rows = _TABLE_GROUP * TABLE_BLOCK
+    for r0 in range(0, n, rows):
+        g0 = r0 // TABLE_BLOCK
+        vals = np.matmul(left[:, g0:g0 + _TABLE_GROUP], right)
+        r1 = min(n, r0 + rows)
+        out[r0:r1] = vals.reshape(exc.n_channels, -1)[:, :r1 - r0].T
+    return out
+
+
+def half_grid_table(f, dt, n_steps, channels=None):
+    """Signal f on the whole RK4 half-grid t_i = i dt/2, i <= 2 n_steps, in
+    one table, restricted to the columns `channels` when given; None for
+    None."""
+    if f is None:
+        return None
+    n_half = 2 * n_steps + 1
+    if isinstance(f, Excitation):
+        table = excitation_table(f, np.arange(n_half) * (dt / 2.0))
+    else:
+        table = np.asarray(f.table(dt / 2.0, n_half)(0, n_half), dtype=float)
+    return table if channels is None else table[:, channels]
 
 
 def lu_doubling(a, g, q):
@@ -318,13 +362,14 @@ def integrate_callable(sys, controller, x0, dt, n_steps, q, r, guard):
     state entry exceeds guard in magnitude.
     """
     plant = sys.black_box() if isinstance(sys, MasSystem) else sys
-    a, b, dist = plant._a, plant._b, plant._dist
+    a, b = plant._a, plant._b
     n, m = b.shape
     if q is None:
         q = np.zeros((n, n))
         r = np.zeros((m, m))
-    d_tab = (np.zeros((2 * n_steps + 1, m)) if dist is None
-             else tabulate_signal(dist, dt, n_steps, m))
+    d_tab = half_grid_table(plant._dist, dt, n_steps, plant._channels)
+    if d_tab is None:
+        d_tab = np.zeros((2 * n_steps + 1, m))
 
     xs = np.zeros((n_steps + 1, n))
     us = np.zeros((n_steps + 1, m))

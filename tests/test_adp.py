@@ -26,6 +26,7 @@ from hlqr.errors import InvalidConfig, NoConvergence, RankDeficient, StateBlowup
 from hlqr.graphcost import CostGraph, CostSpec, Decomposition
 from oracles import (
     equilibrated_lstsq,
+    excitation_table,
     lstsq_svd_oracle,
     policy_iteration_oracle,
     regressor,
@@ -111,59 +112,67 @@ class TestFeatureMaps:
         assert np.allclose(out[1], [4.0, 9.0, 12.0])
 
 
-def uniform_grids():
-    """(t0, h, n): a nonzero start, lengths 1, below TABLE_BLOCK and past it
-    (never a multiple of it), and horizons (n - 1) h up to 160 s."""
+def grid_rows():
+    """(h, n, i0, i1): a grid t_i = i h of n samples, n up to three groups
+    of TABLE_BLOCK-sample blocks, with horizons (n - 1) h up to 160 s, and a
+    row range in it of length 1, below TABLE_BLOCK or past it."""
     block = adp.TABLE_BLOCK
-    lengths = st.one_of(
-        st.just(1),
-        st.integers(2, block - 1),
-        st.integers(block + 1, 4 * block).filter(lambda n: n % block),
-    )
+    group = adp._TABLE_GROUP * block
 
-    def grid(n, t0, frac):
-        horizon = frac * 160.0 if n > 1 else 0.0
-        return t0, horizon / max(n - 1, 1), n
+    def grid(n, frac, start, length):
+        h = frac * 160.0 / max(n - 1, 1)
+        i0 = int(start * (n - 1))
+        return h, n, i0, min(n, i0 + length)
 
-    t0s = st.floats(-50.0, 50.0).filter(lambda t: abs(t) > 1e-3)
-    return st.builds(grid, lengths, t0s, st.floats(1e-4, 1.0))
+    lengths = st.one_of(st.just(1), st.integers(2, block - 1),
+                        st.integers(block + 1, 4 * block))
+    return st.builds(grid, st.integers(1, 3 * group), st.floats(1e-4, 1.0),
+                     st.floats(0.0, 1.0), lengths)
 
 
 class TestExcitationTable:
-    """The blocked angle-addition table against pointwise evaluation."""
+    """The blocked angle-addition table against pointwise evaluation and
+    against the whole-grid table."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3),
-           n_sin=st.integers(1, 12), grid=uniform_grids())
+           n_sin=st.integers(1, 12), grid=grid_rows())
     def test_matches_pointwise(self, seed, m, n_sin, grid):
         # |table - pointwise| <= 8 eps a (f_max max|t| + 2 pi), the rounding
         # of the sine arguments; 3,000 random grids gave at most 1.4 times
         # eps a (f_max max|t| + 2 pi), 4.9e-13 absolute at a = 0.5
-        t0, h, n = grid
+        h, n, i0, i1 = grid
         exc = Excitation.make(seed, m, n_sin=n_sin)
-        ts = t0 + h * np.arange(n)
-        table = exc.table(ts)
-        assert table.shape == (n, m)
+        table = exc.table(h, n)(i0, i1)
+        assert table.shape == (i1 - i0, m)
+        ts = np.arange(i0, i1) * h
         want = np.array([exc(t) for t in ts])
         amp = exc.amplitudes.sum(axis=1).max()
         scale = amp * (exc.frequencies.max() * np.abs(ts).max() + 2.0 * np.pi)
         assert np.max(np.abs(table - want)) <= 8.0 * np.finfo(float).eps * scale
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3),
+           n=st.integers(1, 3 * adp._TABLE_GROUP * adp.TABLE_BLOCK),
+           h=st.floats(1e-5, 1e-2), cuts=st.lists(st.floats(0.0, 1.0), max_size=8))
+    def test_slices_match_whole_grid(self, seed, m, n, h, cuts):
+        # rows read in increasing slices, then one earlier slice again, are
+        # the whole grid's table bit for bit
+        exc = Excitation.make(seed, m)
+        rows = exc.table(h, n)
+        edges = sorted({0, n, *(int(c * n) for c in cuts)})
+        got = np.vstack([rows(i0, i1) for i0, i1 in zip(edges, edges[1:])])
+        want = excitation_table(exc, np.arange(n) * h)
+        assert got.tobytes() == want.tobytes()
+        assert rows(edges[0], edges[1]).tobytes() == want[:edges[1]].tobytes()
+
     def test_half_grid_matches_pointwise(self):
         exc = Excitation.make(3, 2)
         dt, n_steps = 1e-3, 3 * adp.TABLE_BLOCK + 7
-        table = sim.tabulate_signal(exc, dt, n_steps, 2)
+        rows = exc.table(dt / 2.0, 2 * n_steps + 1)
         for i in (0, 1, adp.TABLE_BLOCK - 1, adp.TABLE_BLOCK, 2 * n_steps):
-            assert np.allclose(table[i], exc(i * dt / 2.0), rtol=0.0, atol=1e-14)
-
-    @pytest.mark.parametrize("ts", [
-        [0.0, 1.0, 3.0],
-        np.r_[np.arange(600) * 0.01, 7.0],
-        np.arange(600) * 0.01 + np.r_[np.zeros(300), 1e-9, np.zeros(299)],
-    ])
-    def test_non_uniform_grid_raises(self, ts):
-        with pytest.raises(ValueError):
-            Excitation.make(1, 2).table(np.asarray(ts, dtype=float))
+            assert np.allclose(rows(i, i + 1)[0], exc(i * dt / 2.0), rtol=0.0,
+                               atol=1e-14)
 
 
 class TestCollect:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hlqr import adp, cli, fileio, hierctrl, matops, sim
+from hlqr import _kernels, adp, cli, fileio, hierctrl, matops, sim
 from hlqr.cli import ExperimentConfig, ReportRow, REPORT_COLUMNS, main
 from hlqr.errors import InvalidConfig
 from hlqr.graphcost import assemble_q
@@ -38,12 +38,15 @@ class TestExperimentConfig:
         with pytest.raises(InvalidConfig):
             ExperimentConfig(scenario="nope")
         for bad in ({"sigma": 0.0}, {"sigma": float("nan")},
+                    {"sigma": 1e300}, {"sigma": 10**400},
                     {"tol_pi": -1.0}, {"tol_pi": float("nan")},
-                    {"tol_pi": float("inf")}, {"max_iter": 0}):
+                    {"tol_pi": float("inf")}, {"max_iter": 0},
+                    {"n_draws": 0}, {"n_draws": cli.MAX_DRAWS + 1}):
             with pytest.raises(InvalidConfig):
                 ExperimentConfig(**bad)
-        with pytest.raises(InvalidConfig):
-            ExperimentConfig(n_draws=0)
+        # the largest accepted values: sigma ** 2 is finite
+        cfg = ExperimentConfig(sigma=cli.SIGMA_MAX, n_draws=cli.MAX_DRAWS)
+        assert np.isfinite(cfg.sigma ** 2)
         with pytest.raises(InvalidConfig):
             ExperimentConfig(x0_scheme="cauchy")
         with pytest.raises(InvalidConfig):
@@ -503,6 +506,28 @@ class TestNonPositiveStep:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_steps_checked_before_the_model(self, tmp_path, capsys, monkeypatch):
+        # a bad step size ends the run before the model is checked or the
+        # initial gains are solved
+        calls = []
+
+        def spy(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        spy("check_assumptions")
+        spy("initial_gains")
+        rc = main(["learn", "example1", "--s", "10", "--c", "10", "--dt", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 1 and calls == []
+        assert capsys.readouterr().err == (
+            "error: dt=0.0 and window=0.1 must be positive and finite\n")
+
     @pytest.mark.parametrize("args, message", [
         (["--dt", "0"], "dt=0.0 and window=0.1 must be positive and finite"),
         (["--window", "0.0001", "--dt", "0.001"], "dt=0.001 does not divide window=0.0001"),
@@ -572,20 +597,57 @@ class TestInvalidNumbers:
             capsys.readouterr().err)
 
     def test_memory_error_reported(self, tmp_path, capsys, monkeypatch):
-        # --dt 1e-9 asks for a 137 GiB excitation table; the stand-in raises
-        # numpy's MemoryError for any table past 100 MB instead of allocating
-        tabulate = sim.tabulate_signal
+        # --dt 1e-9 makes each collect chunk one window of 1e8 steps, whose
+        # buffer alone is 15 GiB; the stand-in raises numpy's MemoryError for
+        # any chunk buffer past 100 MB before the kernel allocates anything
+        kernel = _kernels.collect_kernel
 
-        def capped(f, dt, n_steps, m):
-            if (2 * n_steps + 1) * m * 8 > 100e6:
-                raise MemoryError(f"Unable to allocate {n_steps * m * 16 / 2**30:.0f} GiB")
-            return tabulate(f, dt, n_steps, m)
+        def capped(a, b, k0, exo_cmd, exo_dist, x0, dt, steps_per_window,
+                   n_windows, guard):
+            n, m = b.shape
+            per_chunk = max(1, _kernels.COLLECT_CHUNK // steps_per_window)
+            rows = min(per_chunk, n_windows) * steps_per_window + 1
+            if rows * (n + 3 * m) * 8 > 100e6:
+                raise MemoryError(f"Unable to allocate "
+                                  f"{rows * (n + 3 * m) * 8 / 2**30:.0f} GiB")
+            return kernel(a, b, k0, exo_cmd, exo_dist, x0, dt, steps_per_window,
+                          n_windows, guard)
 
-        monkeypatch.setattr(sim, "tabulate_signal", capped)
+        monkeypatch.setattr(_kernels, "collect_kernel", capped)
         rc = main(["learn", "example1", "--s", "1", "--c", "2", "--dt", "1e-9",
                    "--out", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+
+class TestOverflowingValues:
+    """Values that pass a positivity check but overflow later are rejected
+    where the config takes them: one error line, exit 1."""
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "five_node", "--assignment", "0,0,1,2,2", "--sigma", "1e300"],
+        ["run", "five_node", "--assignment", "0,0,1,2,2",
+         "--n-draws", "1000000000000000000000000"],
+    ], ids=["sigma", "n-draws"])
+    def test_flags(self, args, tmp_path, capsys):
+        rc = main(args + ["--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
+        '{"sigma": 1e300}',
+        '{"sigma": 1' + "0" * 400 + '}',
+        '{"n_draws": 1000000000000000000000000}',
+    ], ids=["sigma", "sigma-int", "n-draws"])
+    def test_config_files(self, text, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(text, encoding="utf-8")
+        rc = main(["run", "five_node", "--assignment", "0,0,1,2,2",
+                   "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestDefaultObjective:
@@ -699,6 +761,14 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="class")
+def formation_table(tmp_path_factory):
+    """Rows of one `bench --which formation` table, shared by the tests that
+    read it: three learns and three 30,000-step rollouts."""
+    out = tmp_path_factory.mktemp("bench")
+    return read_report(cli.bench_tables("formation", out_dir=str(out), seed=0))
+
+
 class TestBench:
     def test_decomposition_compare_table(self, tmp_path):
         path = cli.bench_tables("decomposition-compare",
@@ -723,19 +793,16 @@ class TestBench:
             tmp_path / "decomposition_compare_annotations.json")
         assert "learn_time" in notes["machine_dependent"]
 
-    def test_formation_table(self, tmp_path):
-        path = cli.bench_tables("formation", out_dir=str(tmp_path), seed=0)
-        rows = read_report(path)
+    def test_formation_table(self, formation_table):
+        rows = [dict(row) for row in formation_table]
         assert len(rows) == 3
         for row in rows:
             assert float(row["sop"]) >= -1e-12
             assert row["note"] == ""
             assert float(row["learn_time"]) > 0.0
 
-    def test_formation_row_matches_run(self, tmp_path):
-        path = cli.bench_tables("formation", out_dir=str(tmp_path / "bench"),
-                                seed=0)
-        bench = {row["label"]: row for row in read_report(path)}
+    def test_formation_row_matches_run(self, formation_table, tmp_path):
+        bench = {row["label"]: dict(row) for row in formation_table}
         rc = main(["run", "formation", "--dec", "6,3,3", "--learn",
                    "--x0-scheme", "scenario", "--seed", "0",
                    "--out", str(tmp_path / "run")])

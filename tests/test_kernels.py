@@ -1,6 +1,7 @@
 """Integration kernels: parity with step-loop oracles, order, guards."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hlqr import _kernels, sim
-from hlqr.adp import Excitation
+from hlqr.adp import _TABLE_GROUP, TABLE_BLOCK, Excitation
 from hlqr.graphcost import assemble_q
-from hlqr.sim import BlackBoxPlant, tabulate_signal
-from oracles import Pointwise, integrate_callable, stage_quadrature
+from hlqr.sim import BlackBoxPlant
+from oracles import Pointwise, half_grid_table, integrate_callable, stage_quadrature
 
 
 def damped_rotation():
@@ -139,7 +140,7 @@ class TestBackendParity:
         k = np.array([[0.3, 0.4]])
         n_steps = 400
         signal = Pointwise(lambda t: np.array([0.2 * np.sin(3.0 * t)]))
-        dist = tabulate_signal(signal, 1e-2, n_steps, 1)
+        dist = half_grid_table(signal, 1e-2, n_steps)
         x0 = np.array([1.0, -1.0])
         out = _kernels.rollout_kernel(a, b, k, dist, x0, 1e-2, n_steps,
                                       np.eye(2), np.eye(1), 1e6)
@@ -152,7 +153,7 @@ class TestBackendParity:
         mas, spec, baseline_k, x0 = sim.build_formation(sim.default_formation())
         plant = mas.black_box()
         dt, n_steps = 1e-3, 2 * _kernels.CHUNK + 300
-        dist = tabulate_signal(mas.disturbance, dt, n_steps, plant.n_inputs)
+        dist = half_grid_table(mas.disturbance, dt, n_steps)
         assert plant.n_states == 48 and np.any(dist)
         q, r = assemble_q(spec), spec.r
         out = _kernels.rollout_kernel(plant._a, plant._b, baseline_k, dist,
@@ -167,7 +168,7 @@ class TestBackendParity:
         k = np.array([[0.0, -1.5]])  # destabilizing: closed-loop poles at +0.25
         dt, n_steps = 1e-2, 3000
         signal = Pointwise(lambda t: np.array([0.1 * np.cos(2.0 * t)]))
-        dist = tabulate_signal(signal, dt, n_steps, 1)
+        dist = half_grid_table(signal, dt, n_steps)
         x0 = np.array([1.0, 0.0])
         traj = rollout_oracle(a, b, k, signal, x0, dt, n_steps,
                               np.eye(2), np.eye(1))
@@ -184,8 +185,8 @@ class TestBackendParity:
         k0 = np.array([[0.1, 0.2]])
         steps, windows = 20, 15
         n_steps = steps * windows
-        cmd = tabulate_signal(Pointwise(lambda t: np.array([0.3 * np.cos(2.0 * t)])),
-                              1e-2, n_steps, 1)
+        cmd = half_grid_table(Pointwise(lambda t: np.array([0.3 * np.cos(2.0 * t)])),
+                              1e-2, n_steps)
         dist = np.zeros_like(cmd)
         x0 = np.array([0.5, 0.5])
         args = (a, b, k0, cmd, dist, x0, 1e-2, steps, windows, 1e6)
@@ -200,10 +201,10 @@ class TestBackendParity:
         dt, steps, windows = 1e-3, 100, 25
         n_steps = steps * windows
         assert n_steps > 2 * _kernels.COLLECT_CHUNK
-        cmd = tabulate_signal(Excitation.make(5, m), dt, n_steps, m)
+        cmd = half_grid_table(Excitation.make(5, m), dt, n_steps)
         amps = 0.2 * np.arange(1, m + 1)
-        dist = tabulate_signal(Pointwise(lambda t: amps * np.cos(3.0 * t) / (t + 1.0)),
-                               dt, n_steps, m)
+        dist = half_grid_table(Pointwise(lambda t: amps * np.cos(3.0 * t) / (t + 1.0)),
+                               dt, n_steps)
         k0 = 0.05 * np.ones((m, n))
         x0 = np.random.default_rng(1).standard_normal(n)
         args = (a, b, k0, cmd, dist, x0, dt, steps, windows, 1e6)
@@ -216,8 +217,8 @@ class TestBackendParity:
         b = np.array([[0.0], [1.0]])
         k0 = np.array([[0.0, 0.0]])  # open loop unstable
         dt, steps, windows = 1e-2, 30, 200
-        cmd = tabulate_signal(Pointwise(lambda t: np.array([0.2 * np.sin(t)])), dt,
-                              steps * windows, 1)
+        cmd = half_grid_table(Pointwise(lambda t: np.array([0.2 * np.sin(t)])), dt,
+                              steps * windows)
         dist = 0.5 * cmd
         guard = 1e3
         args = (a, b, k0, cmd, dist, np.array([1.0, 1.0]), dt, steps,
@@ -248,10 +249,10 @@ def collect_cases(draw):
     windows = per_chunk + draw(st.integers(1, per_chunk))
     dt, n_steps = 10.0 ** draw(st.floats(-3.0, -2.0)), spw * windows
     freq, phase = rng.uniform(0.5, 5.0, m), rng.uniform(0.0, np.pi, m)
-    cmd = tabulate_signal(Pointwise(lambda t: 0.3 * np.sin(freq * t + phase)),
-                          dt, n_steps, m)
+    cmd = half_grid_table(Pointwise(lambda t: 0.3 * np.sin(freq * t + phase)),
+                          dt, n_steps)
     amps = rng.uniform(0.05, 0.5, m)
-    dist = tabulate_signal(Pointwise(lambda t: amps * np.cos(1.3 * t)), dt, n_steps, m)
+    dist = half_grid_table(Pointwise(lambda t: amps * np.cos(1.3 * t)), dt, n_steps)
     x0 = rng.standard_normal(n)
     guard = float(np.abs(x0).max() * 10.0 ** draw(st.floats(0.0, 4.0)))
     return a, b, k0, cmd, dist, x0, dt, spw, windows, guard
@@ -329,7 +330,7 @@ class TestRolloutCosts:
         mas, spec, baseline_k, x0 = sim.build_formation(sim.default_formation())
         plant = mas.black_box()
         dt, n_steps = 1e-3, 3 * _kernels.CHUNK + 50
-        dist = tabulate_signal(mas.disturbance, dt, n_steps, plant.n_inputs)
+        dist = half_grid_table(mas.disturbance, dt, n_steps)
         q, r = assemble_q(spec), spec.r
         xs, _, cost, ju, status, _ = _kernels.rollout_kernel(
             plant._a, plant._b, baseline_k, dist, x0, dt, n_steps, q, r, 1e6)
@@ -365,7 +366,7 @@ class TestRolloutCosts:
         for got, want in zip(without, with_table):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         windows = 3 * _kernels.COLLECT_CHUNK // steps
-        cmd = tabulate_signal(Excitation.make(3, 1), 1e-2, steps * windows, 1)
+        cmd = half_grid_table(Excitation.make(3, 1), 1e-2, steps * windows)
         for exc in (cmd, None):
             table = zero_table(steps * windows, 1) if exc is None else exc
             with_table = _kernels.collect_kernel(a, b, k, table, np.zeros_like(table), x0,
@@ -405,7 +406,7 @@ class TestBlockedRecurrence:
         k = np.array([[0.3, 0.4]])
         dt = 1e-2
         signal = Pointwise(lambda t: np.array([0.2 * np.sin(3.0 * t)]))
-        dist = tabulate_signal(signal, dt, n_steps, 1)
+        dist = half_grid_table(signal, dt, n_steps)
         x0 = np.array([1.0, -1.0])
         out = _kernels.rollout_kernel(a, b, k, dist, x0, dt, n_steps,
                                       np.eye(2), np.eye(1), 1e6)
@@ -426,8 +427,8 @@ class TestBlockedRecurrence:
         a, b = damped_rotation()
         k0 = np.array([[0.1, 0.2]])
         dt = 1e-2
-        cmd = tabulate_signal(Pointwise(lambda t: np.array([0.3 * np.cos(2.0 * t)])),
-                              dt, steps * windows, 1)
+        cmd = half_grid_table(Pointwise(lambda t: np.array([0.3 * np.cos(2.0 * t)])),
+                              dt, steps * windows)
         dist = 0.05 * np.sin(np.arange(len(cmd)))[:, None]
         args = (a, b, k0, cmd, dist, np.array([0.5, 0.5]), dt, steps, windows, 1e6)
         out = _kernels.collect_kernel(*args)
@@ -666,7 +667,7 @@ class TestCollectIntegrals:
             return np.array([0.4 * np.sin(5.0 * t) + 0.2 * np.cos(1.7 * t)])
 
         n_steps = steps * windows
-        cmd = tabulate_signal(Pointwise(exc), dt, n_steps, 1)
+        cmd = half_grid_table(Pointwise(exc), dt, n_steps)
         dist = np.zeros_like(cmd)
         x0 = np.array([1.0, 0.0])
         args = (a, b, k0, cmd, dist, x0, dt, steps, windows, 1e6)
@@ -695,17 +696,114 @@ class TestCollectIntegrals:
 
 class TestSignalTables:
     def test_half_grid_layout(self):
-        table = tabulate_signal(Pointwise(lambda t: np.array([t])), 0.1, 4, 1)
+        # row i is the signal at i dt/2, whichever slices read it
+        plant = BlackBoxPlant(np.zeros((1, 1)), np.ones((1, 1)))
+        grid = plant._half_grid(Pointwise(lambda t: np.array([t])), 0.1, 4)
+        table = grid[0:9]
         assert table.shape == (9, 1)
         assert np.allclose(table[:, 0], np.arange(9) * 0.05)
+        assert grid[3:7].tobytes() == table[3:7].tobytes()
 
     def test_vectorized_protocol(self):
         class Sig:
-            def __call__(self, t):
-                return np.array([np.sin(t)])
+            def table(self, h, n):
+                return lambda i0, i1: np.sin(np.arange(i0, i1) * h)[:, None]
 
-            def table(self, ts):
-                return np.sin(ts)[:, None]
+        rows = sim.tabulate_signal(Sig().table(0.05, 21), 4, 21, 1)
+        assert np.allclose(rows[:, 0], np.sin(np.arange(4, 21) * 0.05))
 
-        table = tabulate_signal(Sig(), 0.1, 10, 1)
-        assert np.allclose(table[:, 0], np.sin(np.arange(21) * 0.05))
+    def test_channels_and_width(self):
+        rows = sim._CosDecayDisturbance([1.0, 2.0, 3.0]).table(0.05, 21)
+        picked = sim.tabulate_signal(rows, 2, 9, 2, channels=np.array([2, 0]))
+        assert picked.tobytes() == rows(2, 9)[:, [2, 0]].tobytes()
+        with pytest.raises(sim.DimensionMismatch):
+            sim.tabulate_signal(rows, 2, 9, 2)
+
+
+#: steps whose half-grid fills one group of Excitation.table's GEMMs
+GROUP_STEPS = _TABLE_GROUP * TABLE_BLOCK // 2
+
+
+@st.composite
+def chunk_table_cases(draw):
+    """A small pair and gain, a horizon whose half-grid ends in the first
+    group of excitation blocks or one or two groups past it (with a one-block
+    tail when the extra steps are under TABLE_BLOCK / 2), a window length, and
+    an excitation and a disturbance, each absent, an Excitation, or the
+    formation's cosine decay, read at a random subset of its channels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a = rng.uniform(-1.0, 1.0, (n, n)) - draw(st.floats(0.0, 2.0)) * np.eye(n)
+    b = rng.uniform(-1.0, 1.0, (n, m))
+    k = rng.uniform(-0.5, 0.5, (m, n))
+    dt = 10.0 ** draw(st.floats(-4.0, -2.0))
+    n_steps = draw(st.one_of(
+        st.integers(1, 300),
+        st.builds(lambda g, t: g * GROUP_STEPS + t, st.integers(1, 2),
+                  st.integers(0, TABLE_BLOCK))))
+    spw = draw(st.integers(1, 8))
+    width = m + draw(st.integers(0, 2))
+    channels = rng.permutation(width)[:m]
+
+    def signal(cols):
+        kind = draw(st.sampled_from(["none", "excitation", "decay"]))
+        if kind == "excitation":
+            return Excitation.make(draw(st.integers(0, 2**16)), cols,
+                                   n_sin=draw(st.integers(1, 12)))
+        if kind == "decay":
+            return sim._CosDecayDisturbance(rng.uniform(0.05, 0.5, cols))
+        return None
+
+    q_root, r_root = rng.standard_normal((n, n)), rng.standard_normal((m, m))
+    return dict(a=a, b=b, k=k, x0=rng.standard_normal(n), dt=dt,
+                n_steps=n_steps, spw=spw, exc=signal(m), dist=signal(width),
+                channels=channels, q=q_root.T @ q_root, r=r_root.T @ r_root)
+
+
+def same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+class TestChunkTables:
+    """The kernels read signals one chunk of half-grid rows at a time; their
+    outputs are those of the whole-horizon tables, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=chunk_table_cases())
+    def test_match_whole_tables(self, case):
+        a, b, k, x0, dt = (case[key] for key in ("a", "b", "k", "x0", "dt"))
+        n_steps, spw, channels = case["n_steps"], case["spw"], case["channels"]
+        exc, dist = case["exc"], case["dist"]
+        plant = BlackBoxPlant(a, b, dist, channels)
+
+        got = plant.rollout(k, x0, dt, n_steps, case["q"], case["r"])
+        want = _kernels.rollout_kernel(
+            a, b, k, half_grid_table(dist, dt, n_steps, channels), x0, dt,
+            n_steps, case["q"], case["r"], sim.DEFAULT_GUARD)
+        same_bits(got, want)
+
+        windows = max(1, n_steps // spw)
+        got = plant.collect(k, exc, x0, dt, spw, windows)
+        want = _kernels.collect_kernel(
+            a, b, k, half_grid_table(exc, dt, spw * windows),
+            half_grid_table(dist, dt, spw * windows, channels), x0, dt, spw,
+            windows, sim.DEFAULT_GUARD)
+        same_bits(got, want)
+
+    def test_rollout_memory_is_per_chunk(self):
+        # run formation's 30,000-step rollout: its disturbance over the whole
+        # half-grid would be an 11.5 MB table; per chunk, the rollout holds
+        # little besides its outputs
+        mas, spec, baseline_k, x0 = sim.build_formation(sim.default_formation())
+        plant, q = mas.black_box(), assemble_q(spec)
+        tracemalloc.start()
+        try:
+            out = plant.rollout(baseline_k, x0, 1e-3, 30_000, q, spec.r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out[4] == _kernels.OK
+        outputs = sum(arr.nbytes for arr in out[:4])
+        assert outputs > 17e6 and peak - outputs < 2e6

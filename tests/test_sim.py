@@ -12,6 +12,7 @@ from oracles import (
     bfs_connected,
     enumerate_partitions,
     evaluate_cost,
+    half_grid_table,
     integrate_callable,
     neighbours,
     quadrature_cost,
@@ -132,6 +133,12 @@ class TestAccessModes:
         plants = sim.cluster_plants(mas, dec)
         assert [p.n_states for p in plants] == [24, 12, 12]
         assert [p.n_inputs for p in plants] == [12, 6, 6]
+        # each plant reads its own agents' columns of the disturbance
+        whole = half_grid_table(mas.disturbance, 1e-3, 100)
+        for j, plant in enumerate(plants):
+            rows = plant._half_grid(plant._dist, 1e-3, 100, plant._channels)
+            want = whole[50:90, dec.state_indices(j, mas.m)]
+            assert rows[50:90].tobytes() == want.tobytes()
 
 
 class TestCliquePathScenario:
