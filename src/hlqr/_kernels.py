@@ -30,13 +30,16 @@ where d_s = G w_s is the step's drive.  The zero-state responses z_j of all
 blocks of a chunk are BLOCK GEMMs, the block starts are stepped with T^BLOCK,
 one matrix-vector product per block, and the block interiors are one GEMM.
 Temporaries are O(chunk * n); nothing of full length is allocated besides
-the outputs.  Exogenous signals (excitation, disturbance) are tables on the
-half-step grid t_i = i dt/2 (2*n_steps + 1 rows), read one chunk at a time:
-a chunk of steps s0..s1-1 slices rows 2 s0 .. 2 s1, so RK4 stage evaluations
-see exact signal values.  A table is a numpy array or any object that
-tabulates the rows of a slice when it is read (sim.BlackBoxPlant's signals),
-so no signal is held over the whole horizon; a missing signal is None, not a
-table of zeros.
+the outputs.
+
+Both kernels run one chunk loop, _chunks, and keep only their consumers of
+its rows: the cost quadrature, or the window integrals.  Exogenous signals
+(excitation, disturbance) reach it as functions rows(h0, h1) that give rows
+h0..h1-1 of the signal's table on the half-step grid t_i = i dt/2
+(2*n_steps + 1 rows), such as sim.BlackBoxPlant tabulates, or as None for a
+missing signal, which drives nothing.  A chunk of steps s0..s1-1 reads rows
+2 s0 .. 2 s1 of each signal, so RK4 stage evaluations see exact signal
+values and no signal is held over the whole horizon.
 
 The state guard is one reduction per chunk, and the outputs are cut at the
 first offending step, so status, last step and the zero tail of every output
@@ -126,17 +129,6 @@ def _psd_root(w):
     return root
 
 
-def _spread(half, drive):
-    """Fill drive's rows [w(t) w(t+h/2) w(t+h)], one per step, from the
-    chunk's half-grid rows w(t + i h/2), i = 0 .. 2 steps; zeros for None."""
-    if half is None:
-        drive[...] = 0.0
-        return
-    m, steps = half.shape[1], len(drive)
-    for j in range(3):
-        drive[:, j * m:(j + 1) * m] = half[j:j + 2 * steps:2]
-
-
 def _powers(t_map):
     """Transposed powers (T^j)', j = 1..BLOCK, as a (BLOCK, n, n) stack, so
     that row states x' map to (T^j x)' = x' (T^j)'."""
@@ -180,13 +172,49 @@ def _first_bad(x_rows, guard):
     return int(np.flatnonzero(~(np.abs(x_rows) <= limit).all(axis=1))[0])
 
 
+def _chunks(t_pows, g_map, signals, x0, n_steps, chunk, guard):
+    """The chunk loop of both kernels: x+ = T x + G w over n_steps steps
+    from x0, chunk steps at a time; t_pows is _powers(T).
+
+    signals are half-grid rows(h0, h1) functions, None for a missing one,
+    each read once per chunk; the drive w is the sum of the present ones
+    (e + d in a collect), added into the first's copy, or zero.
+    Yields (s0, z, bad) for the chunk of steps s0 .. s0 + steps - 1: z holds
+    its steps + 1 rows, x_s then the drive [w(t) w(t+h/2) w(t+h)] of the
+    step from it, and bad is the first row of z[1:] past the guard, or
+    None.  A chunk with a blowup is the last; otherwise its last state
+    starts the next.
+    """
+    n, m = g_map.shape[0], g_map.shape[1] // 3
+    buf = np.empty((min(chunk, n_steps) + 1, n + 3 * m))
+    xs, drive = buf[:, :n], buf[:, n:]
+    xs[0] = x0
+    for s0 in range(0, n_steps, chunk):
+        steps = min(chunk, n_steps - s0)
+        halves = [rows(2 * s0, 2 * (s0 + steps) + 1) for rows in signals
+                  if rows is not None]
+        for j in range(3):  # w(t + i h/2), i = 0 .. 2 steps, one row per step
+            cols = drive[:steps, j * m:(j + 1) * m]
+            cols[...] = halves[0][j:j + 2 * steps:2] if halves else 0.0
+            for half in halves[1:]:
+                cols += half[j:j + 2 * steps:2]
+        _advance(t_pows, g_map, xs, drive[:steps])
+        bad = _first_bad(xs[1:steps + 1], guard)
+        yield s0, buf[:steps + 1], bad
+        if bad is not None:
+            return
+        xs[0] = xs[steps]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the guard reports overflow
 def rollout_kernel(a, b, k, exo_dist, x0, dt, n_steps, q, r, guard):
     """Closed-loop RK4 rollout of xdot = A x + B(u + d), u = -K x.
 
-    exo_dist is the (2*n_steps+1, m) half-grid table of d, read by row
-    slices, or None for no disturbance.  Returns (states, inputs, cost, ju,
-    status, last_step); cost and ju carry the RK4-quadrature running
-    integrals of x'Qx + u'Ru and u'u.
+    exo_dist gives the disturbance d as a function rows(h0, h1) of rows
+    h0..h1-1 of its (2*n_steps+1, m) half-grid table, or is None for no
+    disturbance.  Returns (states, inputs, cost, ju, status, last_step);
+    cost and ju carry the RK4-quadrature running integrals of x'Qx + u'Ru
+    and u'u.
     """
     n, m = b.shape
     # u = x (-K)': negating the gain, not the product, records u = +0.0
@@ -203,47 +231,36 @@ def rollout_kernel(a, b, k, exo_dist, x0, dt, n_steps, q, r, guard):
                    for c in (_psd_root(q + k.T @ r @ k), k))
     f_t, split = np.vstack([f_cost, f_u]).T, len(f_cost)
     del s_map, stages, f_cost, f_u  # not held through the loop: peak RSS
-    # row s: x_s, then the drive of the step from it (zero without a disturbance)
-    buf = np.zeros((min(CHUNK, n_steps) + 1, n + 3 * m))
-    squares = np.empty((buf.shape[0] - 1, f_t.shape[1]))
-    xb = buf[:, :n]
-    xb[0] = x0
+    squares = np.empty((min(CHUNK, n_steps), f_t.shape[1]))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s0 in range(0, n_steps, CHUNK):
-            s1 = min(s0 + CHUNK, n_steps)
-            steps = keep = s1 - s0
-            if exo_dist is not None:
-                _spread(exo_dist[2 * s0:2 * s1 + 1], buf[:steps, n:])
-            _advance(t_pows, g_map, xb, buf[:steps, n:])
-            bad = _first_bad(xb[1:steps + 1], guard)
-            if bad is not None:
-                status, keep, last = BLOWUP, bad + 1, s0 + bad + 1
-
-            sq = np.matmul(buf[:keep], f_t, out=squares[:keep])
-            np.square(sq, out=sq)
-            for acc, cols in ((cost, sq[:, :split]), (ju, sq[:, split:])):
-                run = acc[s0:s0 + keep + 1]
-                np.sum(cols, axis=1, out=run[1:])
-                np.cumsum(run, out=run)
-            xs[s0 + 1:s0 + keep + 1] = xb[1:keep + 1]
-            np.matmul(xs[s0 + 1:s0 + keep + 1], k_neg.T, out=us[s0 + 1:s0 + keep + 1])
-            if status == BLOWUP:
-                break
-            xb[0] = xb[steps]
+    for s0, z, bad in _chunks(t_pows, g_map, (exo_dist,), x0, n_steps,
+                              CHUNK, guard):
+        keep = len(z) - 1
+        if bad is not None:
+            status, keep, last = BLOWUP, bad + 1, s0 + bad + 1
+        sq = np.matmul(z[:keep], f_t, out=squares[:keep])
+        np.square(sq, out=sq)
+        for acc, cols in ((cost, sq[:, :split]), (ju, sq[:, split:])):
+            run = acc[s0:s0 + keep + 1]
+            np.sum(cols, axis=1, out=run[1:])
+            np.cumsum(run, out=run)
+        xs[s0 + 1:s0 + keep + 1] = z[1:keep + 1, :n]
+        np.matmul(xs[s0 + 1:s0 + keep + 1], k_neg.T, out=us[s0 + 1:s0 + keep + 1])
 
     return xs, us, cost, ju, status, last
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the guard reports overflow
 def collect_kernel(a, b, k0, exo_cmd, exo_dist, x0, dt, steps_per_window,
                    n_windows, guard):
     """Learning-data rollout under u = -K0 x + e with applied input v = u + d.
 
-    exo_cmd and exo_dist are the half-grid tables of e and d, read by row
-    slices, each None for no signal.  Accumulates per-window RK4 quadratures
-    of x x' and x v' and records window boundary states.  Returns (boundaries, i_xx, i_xv, None,
-    None, status, windows_done).  No per-step record is kept; slots 3 and 4
-    stay empty for callers that read windows_done by position.
+    exo_cmd and exo_dist give e and d as functions rows(h0, h1) of their
+    half-grid tables, like rollout_kernel's, each None for no signal.
+    Accumulates per-window RK4 quadratures of x x' and x v' and records
+    window boundary states.  Returns (boundaries, i_xx, i_xv, None, None,
+    status, windows_done).  No per-step record is kept; slots 3 and 4 stay
+    empty for callers that read windows_done by position.
     """
     n, m = b.shape
     spw = steps_per_window
@@ -253,40 +270,20 @@ def collect_kernel(a, b, k0, exo_cmd, exo_dist, x0, dt, steps_per_window,
     status, done = OK, 0
     t_pows, g_map, s_map = _rk4_maps(a, b, k0, dt)
     y_map = _sample_map(s_map, k0, dt).T
-    per_chunk = max(1, COLLECT_CHUNK // spw)
-    # row s: x_s, then the drive [w(t) w(t+h/2) w(t+h)] of the step from it
-    buf = np.empty((min(per_chunk, n_windows) * spw + 1, n + 3 * m))
-    xs = buf[:, :n]
-    xs[0] = x0
+    chunk = max(1, COLLECT_CHUNK // spw) * spw
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for w0 in range(0, n_windows, per_chunk):
-            w1 = min(w0 + per_chunk, n_windows)
-            s0, s1 = w0 * spw, w1 * spw
-            steps = s1 - s0
-            h0, h1 = 2 * s0, 2 * s1 + 1
-            exo = None if exo_cmd is None else exo_cmd[h0:h1]
-            if exo_dist is not None:
-                # a missing excitation adds as a table of zeros: 0.0 + d
-                # turns -0.0 into 0.0
-                exo = (0.0 if exo is None else exo) + exo_dist[h0:h1]
-            _spread(exo, buf[:steps, n:])
-            _advance(t_pows, g_map, xs, buf[:steps, n:])
-            bad = _first_bad(xs[1:steps + 1], guard)
-            if bad is not None:
-                # whole windows only: the window holding a blowup is dropped
-                status = BLOWUP
-                steps = bad // spw * spw
-
-            n_win = steps // spw
-            samples = (buf[:steps] @ y_map).reshape(n_win, 4 * spw, n + m)
-            ints = samples[:, :, :n].transpose(0, 2, 1) @ samples
-            ixx[w0:w0 + n_win] = ints[:, :, :n]
-            ixv[w0:w0 + n_win] = ints[:, :, n:]
-            xb[w0 + 1:w0 + n_win + 1] = xs[spw:steps + 1:spw]
-            done = w0 + n_win
-            if status == BLOWUP:
-                break
-            xs[0] = xs[steps]
+    for s0, z, bad in _chunks(t_pows, g_map, (exo_cmd, exo_dist), x0,
+                              n_windows * spw, chunk, guard):
+        steps = len(z) - 1
+        if bad is not None:
+            # whole windows only: the window holding a blowup is dropped
+            status, steps = BLOWUP, bad // spw * spw
+        w0, n_win = s0 // spw, steps // spw
+        samples = (z[:steps] @ y_map).reshape(n_win, 4 * spw, n + m)
+        ints = samples[:, :, :n].transpose(0, 2, 1) @ samples
+        ixx[w0:w0 + n_win] = ints[:, :, :n]
+        ixv[w0:w0 + n_win] = ints[:, :, n:]
+        xb[w0 + 1:w0 + n_win + 1] = z[spw:steps + 1:spw, :n]
+        done = w0 + n_win
 
     return xb, ixx, ixv, None, None, status, done

@@ -115,6 +115,12 @@ class ExperimentConfig:
                     isinstance(value, bool) and bool not in kinds):
                 raise InvalidConfig(f"config {f.name} {value!r} is not of "
                                     f"type {kinds[0].__name__}")
+            if float in kinds and type(value) is int:
+                try:
+                    d[f.name] = float(value)
+                except OverflowError:
+                    raise InvalidConfig(f"config {f.name} is an integer too "
+                                        f"large for a float") from None
         for key in ("assignment", "dec_sizes"):
             value = d.get(key)
             if value is not None:

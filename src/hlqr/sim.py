@@ -121,8 +121,8 @@ class BlackBoxPlant:
 
     def rollout(self, k, x0, dt, n_steps, q, r, guard=DEFAULT_GUARD):
         """Closed-loop run under u = -K x with running cost x'Qx + u'Ru;
-        returns the raw kernel tuple.  The kernel tabulates the disturbance
-        one chunk of steps at a time (no disturbance is passed as None)."""
+        returns the raw kernel tuple.  The kernel reads the disturbance
+        through _half_grid, one chunk of steps at a time."""
         return _kernels.rollout_kernel(
             self._a, self._b, np.ascontiguousarray(k, dtype=float),
             self._half_grid(self._dist, dt, n_steps, self._channels),
@@ -136,8 +136,8 @@ class BlackBoxPlant:
                 guard=DEFAULT_GUARD):
         """Learning-data run under u = -K0 x + e; the recorded applied input
         is v = u + d.  The excitation e is a signal like the disturbance, or
-        None (zero); the kernel tabulates both one chunk of steps at a time.
-        Returns the raw kernel tuple."""
+        None (zero); the kernel reads both through _half_grid, one chunk of
+        steps at a time.  Returns the raw kernel tuple."""
         n_steps = steps_per_window * n_windows
         return _kernels.collect_kernel(
             self._a, self._b, np.ascontiguousarray(k0, dtype=float),
@@ -148,23 +148,12 @@ class BlackBoxPlant:
         )
 
     def _half_grid(self, f, dt, n_steps, channels=None):
-        """Signal f's table for the kernels on the RK4 half-grid t_i = i dt/2
-        of n_steps steps, or None for no signal."""
+        """Signal f on the RK4 half-grid t_i = i dt/2 of n_steps steps as the
+        kernels read it, a function rows(h0, h1) that tabulates rows
+        h0..h1-1 when called (tabulate_signal), or None for no signal."""
         if f is not None:
-            return _HalfGrid(f.table(dt / 2.0, 2 * n_steps + 1), self.n_inputs,
-                             channels)
-
-
-class _HalfGrid:
-    """A half-grid table read by row slices: [h0:h1] is tabulate_signal's
-    table of rows h0..h1-1, so only the rows a kernel chunk reads exist."""
-
-    def __init__(self, rows, m, channels):
-        self.rows, self.m, self.channels = rows, m, channels
-
-    def __getitem__(self, span):
-        return tabulate_signal(self.rows, span.start, span.stop, self.m,
-                               self.channels)
+            rows, m = f.table(dt / 2.0, 2 * n_steps + 1), self.n_inputs
+            return lambda h0, h1: tabulate_signal(rows, h0, h1, m, channels)
 
 
 def tabulate_signal(rows, h0, h1, m, channels=None):

@@ -18,7 +18,8 @@ Pointwise gives a test signal written as a function of time the
 simulator's former signal path: the whole RK4 half-grid tabulated before a
 kernel runs, with excitation_table, the former adp.Excitation.table(ts),
 for excitations.  The library tabulates each kernel chunk's rows instead,
-and its outputs must equal the whole-table ones bit for bit.
+and its outputs must equal the whole-table ones bit for bit.  table_rows
+gives such a table the rows(h0, h1) form in which the kernels read signals.
 
 integrate_callable is an RK4 step loop that evaluates a state-feedback
 callable at every stage; it is the reference for the rollout kernel behind
@@ -306,6 +307,13 @@ def half_grid_table(f, dt, n_steps, channels=None):
     else:
         table = np.asarray(f.table(dt / 2.0, n_half)(0, n_half), dtype=float)
     return table if channels is None else table[:, channels]
+
+
+def table_rows(table):
+    """A half-grid table as the kernels read a signal: rows(h0, h1) is
+    table[h0:h1]; None for None."""
+    if table is not None:
+        return lambda h0, h1: table[h0:h1]
 
 
 def lu_doubling(a, g, q):

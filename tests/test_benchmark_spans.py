@@ -55,8 +55,18 @@ def test_every_metric_span_resolves():
 def test_counts_read_real_calls(monkeypatch):
     # _counts reads steps (and the rollout kernel's operation count) from the
     # arguments and results by position; record them as integrate and
-    # adp.collect pass them, through the plant methods into the kernels
+    # adp.collect pass them, through the plant methods into the kernels.
+    # sim.tabulate_signal_s times the signal rows, read through the sim
+    # namespace once per kernel chunk and signal
     calls = {}
+    tabulated = []
+    tabulate = sim.tabulate_signal
+
+    def tabulate_spy(*args, **kwargs):
+        tabulated.append(args[1:3])
+        return tabulate(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "tabulate_signal", tabulate_spy)
 
     def spy(owner, attr, name):
         original = getattr(owner, attr)
@@ -75,12 +85,19 @@ def test_counts_read_real_calls(monkeypatch):
 
     mas, spec = sim.clique_path_scenario(1, 2)
     n, m = 8, 4
+    mas = sim.MasSystem(mas.agents, sim._CosDecayDisturbance(np.ones(m)))
     n_steps = 300
     sim.integrate(mas, np.zeros((m, n)), np.ones(n), n_steps * 1e-2, 1e-2,
                   cost=spec)
-    windows, spw = 7, 20
+    # the disturbance's half-grid rows of the rollout's two chunks
+    chunk = _kernels.CHUNK
+    assert tabulated == [(0, 2 * chunk + 1), (2 * chunk, 2 * n_steps + 1)]
+    windows, spw = 60, 20
     adp.collect(mas.black_box(), None, adp.Excitation.make(3, m),
                 windows * spw * 1e-3, 1e-3, spw * 1e-3)
+    # then the excitation's and the disturbance's of each collect chunk
+    collect_chunks = -(-windows // (_kernels.COLLECT_CHUNK // spw))
+    assert collect_chunks == 2 and len(tabulated) == 2 + 2 * collect_chunks
     assert len(calls) == 4
 
     spans = load_spans()

@@ -1,14 +1,21 @@
 """Command-line pipeline: configs, subcommands, report files, determinism."""
 
+import contextlib
 import csv
+import io
+import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hlqr import _kernels, adp, cli, fileio, hierctrl, matops, sim
 from hlqr.cli import ExperimentConfig, ReportRow, REPORT_COLUMNS, main
@@ -639,7 +646,10 @@ class TestOverflowingValues:
         '{"sigma": 1e300}',
         '{"sigma": 1' + "0" * 400 + '}',
         '{"n_draws": 1000000000000000000000000}',
-    ], ids=["sigma", "sigma-int", "n-draws"])
+        *('{"%s": 1%s}' % (key, "0" * 400) for key in
+          ("dt", "window", "horizon", "tol_pi", "amplitude", "t_final")),
+    ], ids=["sigma", "sigma-int", "n-draws", "dt", "window", "horizon", "tol_pi",
+            "amplitude", "t_final"])
     def test_config_files(self, text, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(text, encoding="utf-8")
@@ -648,6 +658,105 @@ class TestOverflowingValues:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+#: Flag values of the property test below, as command-line text.  Numbers
+#: are edge values, short times, or far past a limit, so that no case
+#: allocates much or runs long: a huge --max-iter under a tiny --tol-pi
+#: would run every pass, so it takes small counts only.
+HUGE = "1" + "0" * 24
+FLOAT_TEXT = ("0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300",
+              "1" + "0" * 400, "0.01", "0.1")
+INT_TEXT = ("0", "-1", "1", "3", HUGE)
+LIST_TEXT = ("0,0,1,2,2", "0,0,0,0,0", "0,0,1,2", "0,x,1,2,2", "-1,0,0,0,0",
+             f"0,0,0,0,{HUGE}", "2,2,1", "5", "0,5", "1.5,2", ",", "[0]")
+COMMON_FLAGS = {"--seed": INT_TEXT, "--s": INT_TEXT, "--c": INT_TEXT,
+                "--n": INT_TEXT, "--m": INT_TEXT,
+                "--objective": ("cliques", "kappa", "scut"),
+                "--clusters": ("cliques",), "--assignment": LIST_TEXT,
+                "--dec": LIST_TEXT}
+LEARN_FLAGS = {"--horizon": FLOAT_TEXT, "--dt": FLOAT_TEXT, "--window": FLOAT_TEXT,
+               "--tol-pi": FLOAT_TEXT, "--max-iter": ("0", "-1", "1", "3")}
+CLI_FLAGS = {
+    "decompose": COMMON_FLAGS,
+    "solve": {**COMMON_FLAGS, "--sigma": FLOAT_TEXT},
+    "learn": {**COMMON_FLAGS, **LEARN_FLAGS},
+    "simulate": {**COMMON_FLAGS, "--baseline": None, "--t-final": FLOAT_TEXT,
+                 "--dt": FLOAT_TEXT},
+    "run": {**COMMON_FLAGS, **LEARN_FLAGS, "--learn": None, "--sigma": FLOAT_TEXT,
+            "--n-draws": INT_TEXT, "--t-final": FLOAT_TEXT,
+            "--x0-scheme": ("uniform_pm1", "normal05", "scenario")},
+}
+#: first flags of a case, which later ones may override: mostly a valid
+#: decomposition, so that most cases get past choosing one, and a short
+#: simulation
+DECOMPOSITIONS = ((), ("--assignment=0,0,1,2,2",), ("--dec=2,2,1",),
+                  ("--objective=kappa", "--s=3"), ("--objective=scut", "--s=2"))
+BASE_FLAGS = {"simulate": ("--t-final=1",)}
+#: --config values: JSON numbers and non-numbers, with the same caps
+JSON_VALUES = (0, -1, 0.01, 0.1, 1e300, -1e300, 1e-300, 10**24, 10**400,
+               float("nan"), float("inf"), "x", None, True, [], {}, [0, "x"],
+               [0, 0, 1, 2], [0, 0, 1, 2, 2], [2, 2, 1])
+CONFIG_VALUES = {
+    "max_iter": (0, -1, 1, 3, 0.5, "x", None, True),
+    "objective": ("cliques", "kappa", "scut", "assignment", "x", 1),
+    "x0_scheme": ("uniform_pm1", "normal05", "scenario", "x", None),
+}
+#: the config keys drawn: every field but the scenario and output directory
+CONFIG_KEYS = tuple(f for f in ExperimentConfig.__dataclass_fields__
+                    if f not in ("scenario", "out_dir"))
+FOUND_93 = (("learn", "five_node", "--assignment=0,0,1,2,2"),
+            '{"dt": 1' + "0" * 400 + "}")
+
+
+@st.composite
+def cli_cases(draw):
+    """(argv, config text or None): a command on five_node with its first
+    flags and up to three more, and sometimes a config file of up to four
+    fields."""
+    command = draw(st.sampled_from(sorted(CLI_FLAGS)))
+    flags = CLI_FLAGS[command]
+    argv = [command, "five_node", *BASE_FLAGS.get(command, ()),
+            *draw(st.sampled_from(DECOMPOSITIONS))]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3,
+                              unique=True)):
+        values = flags[flag]
+        argv.append(flag if values is None else f"{flag}={draw(st.sampled_from(values))}")
+    config = None
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=4, unique=True))
+        config = json.dumps({key: draw(st.sampled_from(CONFIG_VALUES.get(key, JSON_VALUES)))
+                             for key in keys})
+    return tuple(argv), config
+
+
+class TestEveryInputEnds:
+    """Every argv and --config file ends in exit 0, or in exit 1 with one
+    error: line; no exception escapes main and no warning is printed."""
+
+    @settings(max_examples=100, deadline=2000)
+    @given(case=cli_cases())
+    @example(case=FOUND_93)
+    @example(case=(("solve", "five_node", "--assignment=0,0,1,2,2", "--sigma=1e300"),
+                   None))
+    @example(case=(("run", "five_node", "--assignment=0,0,1,2,2", f"--n-draws={HUGE}"),
+                   None))
+    def test_result_or_one_error_line(self, case):
+        argv, config = case
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            if config is not None:
+                Path(tmp, "c.json").write_text(config, encoding="utf-8")
+                argv += ("--config", str(Path(tmp, "c.json")))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main([*argv, "--out", str(Path(tmp, "out"))])
+        assert not seen, [str(w.message) for w in seen]
+        lines = err.getvalue().splitlines()
+        if rc == 0:
+            assert lines == []
+        else:
+            assert rc == 1 and len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestDefaultObjective:

@@ -12,7 +12,19 @@ from hlqr import _kernels, sim
 from hlqr.adp import _TABLE_GROUP, TABLE_BLOCK, Excitation
 from hlqr.graphcost import assemble_q
 from hlqr.sim import BlackBoxPlant
-from oracles import Pointwise, half_grid_table, integrate_callable, stage_quadrature
+from oracles import (Pointwise, half_grid_table, integrate_callable, stage_quadrature,
+                     table_rows)
+
+
+def rollout_kernel(a, b, k, exo_dist, *rest):
+    """_kernels.rollout_kernel with the disturbance given as a table."""
+    return _kernels.rollout_kernel(a, b, k, table_rows(exo_dist), *rest)
+
+
+def collect_kernel(a, b, k0, exo_cmd, exo_dist, *rest):
+    """_kernels.collect_kernel with the signals given as tables."""
+    return _kernels.collect_kernel(a, b, k0, table_rows(exo_cmd),
+                                   table_rows(exo_dist), *rest)
 
 
 def damped_rotation():
@@ -142,8 +154,8 @@ class TestBackendParity:
         signal = Pointwise(lambda t: np.array([0.2 * np.sin(3.0 * t)]))
         dist = half_grid_table(signal, 1e-2, n_steps)
         x0 = np.array([1.0, -1.0])
-        out = _kernels.rollout_kernel(a, b, k, dist, x0, 1e-2, n_steps,
-                                      np.eye(2), np.eye(1), 1e6)
+        out = rollout_kernel(a, b, k, dist, x0, 1e-2, n_steps,
+                             np.eye(2), np.eye(1), 1e6)
         assert out[4] == _kernels.OK and out[5] == n_steps
         traj = rollout_oracle(a, b, k, signal, x0, 1e-2, n_steps,
                               np.eye(2), np.eye(1))
@@ -156,8 +168,8 @@ class TestBackendParity:
         dist = half_grid_table(mas.disturbance, dt, n_steps)
         assert plant.n_states == 48 and np.any(dist)
         q, r = assemble_q(spec), spec.r
-        out = _kernels.rollout_kernel(plant._a, plant._b, baseline_k, dist,
-                                      x0, dt, n_steps, q, r, 1e6)
+        out = rollout_kernel(plant._a, plant._b, baseline_k, dist,
+                             x0, dt, n_steps, q, r, 1e6)
         assert out[4] == _kernels.OK
         traj = rollout_oracle(plant._a, plant._b, baseline_k, mas.disturbance,
                               x0, dt, n_steps, q, r)
@@ -175,8 +187,8 @@ class TestBackendParity:
         guard = 50.0
         last = int(np.flatnonzero(np.abs(traj.states).max(axis=1) > guard)[0])
         assert _kernels.CHUNK < last < n_steps and last % _kernels.CHUNK
-        out = _kernels.rollout_kernel(a, b, k, dist, x0, dt, n_steps,
-                                      np.eye(2), np.eye(1), guard)
+        out = rollout_kernel(a, b, k, dist, x0, dt, n_steps,
+                             np.eye(2), np.eye(1), guard)
         assert out[4] == _kernels.BLOWUP and out[5] == last
         assert_rollout_matches(out, traj, last)
 
@@ -190,7 +202,7 @@ class TestBackendParity:
         dist = np.zeros_like(cmd)
         x0 = np.array([0.5, 0.5])
         args = (a, b, k0, cmd, dist, x0, 1e-2, steps, windows, 1e6)
-        out = _kernels.collect_kernel(*args)
+        out = collect_kernel(*args)
         assert out[5] == _kernels.OK and out[6] == windows
         assert_collect_matches(out, collect_step_loop(*args))
 
@@ -208,7 +220,7 @@ class TestBackendParity:
         k0 = 0.05 * np.ones((m, n))
         x0 = np.random.default_rng(1).standard_normal(n)
         args = (a, b, k0, cmd, dist, x0, dt, steps, windows, 1e6)
-        out = _kernels.collect_kernel(*args)
+        out = collect_kernel(*args)
         assert out[5] == _kernels.OK and out[6] == windows
         assert_collect_matches(out, collect_step_loop(*args))
 
@@ -227,7 +239,7 @@ class TestBackendParity:
         assert ref[5] == _kernels.BLOWUP
         per_chunk = _kernels.COLLECT_CHUNK // steps
         assert ref[6] > per_chunk and ref[6] % per_chunk
-        out = _kernels.collect_kernel(*args)
+        out = collect_kernel(*args)
         assert_collect_matches(out, ref)
         assert (first_blowup_step(ref[3], guard) - 1) // steps == ref[6]
 
@@ -266,7 +278,7 @@ class TestCollectProperty:
         guard = args[-1]
         peaks = np.abs(ref[3]).max(axis=1)
         assume(np.all(np.abs(peaks - guard) > 1e-9 * guard))  # no near-tie
-        out = _kernels.collect_kernel(*args)
+        out = collect_kernel(*args)
         assert_collect_matches(out, ref)
         assert_rel(out[1], out[1].transpose(0, 2, 1), 1e-15)
 
@@ -312,7 +324,7 @@ class TestRolloutCosts:
         # which dominates when the states lie mostly outside the range of W
         a, b, k, dist, _, dt, _, q, r, _ = args
         n, m = b.shape
-        xs, _, cost, ju, _, last = _kernels.rollout_kernel(*args)
+        xs, _, cost, ju, _, last = rollout_kernel(*args)
         ref = stage_quadrature(a, b, k, dist, xs[:last + 1], dt, q, r)
         x_sq = stage_quadrature(a, b, k, dist, xs[:last + 1], dt, np.eye(n),
                                 np.zeros((m, m)))[0][-1]
@@ -332,7 +344,7 @@ class TestRolloutCosts:
         dt, n_steps = 1e-3, 3 * _kernels.CHUNK + 50
         dist = half_grid_table(mas.disturbance, dt, n_steps)
         q, r = assemble_q(spec), spec.r
-        xs, _, cost, ju, status, _ = _kernels.rollout_kernel(
+        xs, _, cost, ju, status, _ = rollout_kernel(
             plant._a, plant._b, baseline_k, dist, x0, dt, n_steps, q, r, 1e6)
         assert status == _kernels.OK
         ref = stage_quadrature(plant._a, plant._b, baseline_k, dist, xs, dt, q, r)
@@ -347,9 +359,9 @@ class TestRolloutCosts:
         x0 = np.array([1.0, -1.0])
         skew = np.array([[0.0, 2.0], [-2.0, 0.0]])
         args = (None, x0, 1e-2, 2 * _kernels.CHUNK + 7)
-        got = _kernels.rollout_kernel(a, b, k, *args, np.eye(2) + skew,
-                                      np.array([[1.0]]), 1e6)
-        want = _kernels.rollout_kernel(a, b, k, *args, np.eye(2), np.array([[1.0]]), 1e6)
+        got = rollout_kernel(a, b, k, *args, np.eye(2) + skew,
+                             np.array([[1.0]]), 1e6)
+        want = rollout_kernel(a, b, k, *args, np.eye(2), np.array([[1.0]]), 1e6)
         assert_rel(got[2], want[2], 1e-14)
         assert got[3].tobytes() == want[3].tobytes()
 
@@ -359,20 +371,20 @@ class TestRolloutCosts:
         k = np.array([[0.3, 0.4]])
         x0 = np.array([1.0, -1.0])
         n_steps, steps = 2 * _kernels.CHUNK + 7, 20
-        with_table = _kernels.rollout_kernel(a, b, k, zero_table(n_steps, 1), x0, 1e-2,
-                                             n_steps, np.eye(2), np.eye(1), 1e6)
-        without = _kernels.rollout_kernel(a, b, k, None, x0, 1e-2, n_steps,
-                                          np.eye(2), np.eye(1), 1e6)
+        with_table = rollout_kernel(a, b, k, zero_table(n_steps, 1), x0, 1e-2,
+                                    n_steps, np.eye(2), np.eye(1), 1e6)
+        without = rollout_kernel(a, b, k, None, x0, 1e-2, n_steps,
+                                 np.eye(2), np.eye(1), 1e6)
         for got, want in zip(without, with_table):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         windows = 3 * _kernels.COLLECT_CHUNK // steps
         cmd = half_grid_table(Excitation.make(3, 1), 1e-2, steps * windows)
         for exc in (cmd, None):
             table = zero_table(steps * windows, 1) if exc is None else exc
-            with_table = _kernels.collect_kernel(a, b, k, table, np.zeros_like(table), x0,
-                                                 1e-2, steps, windows, 1e6)
-            without = _kernels.collect_kernel(a, b, k, exc, None, x0, 1e-2, steps,
-                                              windows, 1e6)
+            with_table = collect_kernel(a, b, k, table, np.zeros_like(table), x0,
+                                        1e-2, steps, windows, 1e6)
+            without = collect_kernel(a, b, k, exc, None, x0, 1e-2, steps,
+                                     windows, 1e6)
             assert with_table[5:] == without[5:] == (_kernels.OK, windows)
             for got, want in zip(without[:3], with_table[:3]):
                 assert got.tobytes() == want.tobytes()
@@ -408,8 +420,8 @@ class TestBlockedRecurrence:
         signal = Pointwise(lambda t: np.array([0.2 * np.sin(3.0 * t)]))
         dist = half_grid_table(signal, dt, n_steps)
         x0 = np.array([1.0, -1.0])
-        out = _kernels.rollout_kernel(a, b, k, dist, x0, dt, n_steps,
-                                      np.eye(2), np.eye(1), 1e6)
+        out = rollout_kernel(a, b, k, dist, x0, dt, n_steps,
+                             np.eye(2), np.eye(1), 1e6)
         assert out[4] == _kernels.OK and out[5] == n_steps
         traj = rollout_oracle(a, b, k, signal, x0, dt, n_steps,
                               np.eye(2), np.eye(1))
@@ -431,7 +443,7 @@ class TestBlockedRecurrence:
                               dt, steps * windows)
         dist = 0.05 * np.sin(np.arange(len(cmd)))[:, None]
         args = (a, b, k0, cmd, dist, np.array([0.5, 0.5]), dt, steps, windows, 1e6)
-        out = _kernels.collect_kernel(*args)
+        out = collect_kernel(*args)
         assert out[5] == _kernels.OK and out[6] == windows
         assert_collect_matches(out, collect_step_loop(*args))
 
@@ -444,8 +456,8 @@ class TestBlockedRecurrence:
         traj = rollout_oracle(a, b, k, None, x0, dt, n_steps,
                               np.eye(2), np.eye(1))
         guard = guard_before(traj.states, step)
-        out = _kernels.rollout_kernel(a, b, k, zero_table(n_steps, 1), x0, dt,
-                                      n_steps, np.eye(2), np.eye(1), guard)
+        out = rollout_kernel(a, b, k, zero_table(n_steps, 1), x0, dt,
+                             n_steps, np.eye(2), np.eye(1), guard)
         assert out[4] == _kernels.BLOWUP and out[5] == step
         assert_rollout_matches(out, traj, step)
 
@@ -463,7 +475,7 @@ class TestBlockedRecurrence:
         args[-1] = guard_before(free[3], step)
         ref = collect_step_loop(*args)
         assert ref[5] == _kernels.BLOWUP and ref[6] == (step - 1) // steps
-        out = _kernels.collect_kernel(*args)
+        out = collect_kernel(*args)
         assert_collect_matches(out, ref)
         assert first_blowup_step(ref[3], args[-1]) == step
 
@@ -472,14 +484,14 @@ class TestBlockedRecurrence:
         a, b, k = np.array([[50.0]]), np.zeros((1, 1)), np.zeros((1, 1))
         n_steps, steps = 300, 10
         cmd, dist = zero_tables(n_steps, 1)
-        xs, *_, status, last = _kernels.rollout_kernel(
+        xs, *_, status, last = rollout_kernel(
             a, b, k, dist, np.array([1.0]), 1.0, n_steps,
             np.eye(1), np.eye(1), np.inf)
         assert status == _kernels.BLOWUP and 0 < last < n_steps
         assert np.all(np.isfinite(xs[:last])) and not np.isfinite(xs[last, 0])
         assert not np.any(xs[last + 1:])
-        out = _kernels.collect_kernel(a, b, k, cmd, dist, np.array([1.0]), 1.0,
-                                      steps, n_steps // steps, np.inf)
+        out = collect_kernel(a, b, k, cmd, dist, np.array([1.0]), 1.0,
+                             steps, n_steps // steps, np.inf)
         done = out[6]
         assert out[5] == _kernels.BLOWUP and done == (last - 1) // steps
         assert np.array_equal(out[0][:done + 1], xs[:done * steps + 1:steps])
@@ -494,8 +506,8 @@ class TestKernelInterface:
         a, b, k, x0 = growing_pair()
         n_steps = 300
         for out in (
-            _kernels.rollout_kernel(a, b, k, zero_table(n_steps, 1), x0, 1e-2,
-                                    n_steps, np.eye(2), np.eye(1), 5.0),
+            rollout_kernel(a, b, k, zero_table(n_steps, 1), x0, 1e-2,
+                           n_steps, np.eye(2), np.eye(1), 5.0),
             BlackBoxPlant(a, b).rollout(k, x0, 1e-2, n_steps,
                                         np.eye(2), np.eye(1), guard=5.0),
         ):
@@ -514,8 +526,8 @@ class TestKernelInterface:
         raw_x = collect_step_loop(a, b, k0, cmd, dist, x0, 1e-2, steps, windows,
                                   5.0)[3]
         for out in (
-            _kernels.collect_kernel(a, b, k0, cmd, dist, x0, 1e-2, steps,
-                                    windows, 5.0),
+            collect_kernel(a, b, k0, cmd, dist, x0, 1e-2, steps,
+                           windows, 5.0),
             BlackBoxPlant(a, b).collect(k0, None, x0, 1e-2, steps, windows,
                                         guard=5.0),
         ):
@@ -544,14 +556,14 @@ class TestKernelInterface:
         free = rollout_oracle(a, b, k, None, x0, dt, n_steps, np.eye(2), np.eye(1))
         guard = guard_before(free.states, last)
         for out in (
-            _kernels.rollout_kernel(a, b, k, None, x0, dt, n_steps, np.eye(2),
-                                    np.eye(1), guard),
+            rollout_kernel(a, b, k, None, x0, dt, n_steps, np.eye(2),
+                           np.eye(1), guard),
             BlackBoxPlant(a, b).rollout(k, x0, dt, n_steps, np.eye(2), np.eye(1),
                                         guard=guard),
         ):
             assert type(out[5]) is int and out[5] == last
-        out = _kernels.collect_kernel(a, b, k, zero_table(n_steps, 1), None, x0, dt,
-                                      steps, n_steps // steps, guard)
+        out = collect_kernel(a, b, k, zero_table(n_steps, 1), None, x0, dt,
+                             steps, n_steps // steps, guard)
         assert type(out[6]) is int and out[6] == (last - 1) // steps
 
 
@@ -562,7 +574,7 @@ class TestIntegrationAccuracy:
         b = np.zeros((1, 1))
         k = np.zeros((1, 1))
         n_steps = 1000
-        xs, _, _, _, status, last = _kernels.rollout_kernel(
+        xs, _, _, _, status, last = rollout_kernel(
             a, b, k, zero_table(n_steps, 1), np.array([1.0]), 1e-3, n_steps,
             np.eye(1), np.eye(1), 1e6)
         assert status == _kernels.OK
@@ -575,7 +587,7 @@ class TestIntegrationAccuracy:
         x0 = np.array([1.0, 0.0])
 
         def endpoint(dt, n_steps):
-            xs, *_ = _kernels.rollout_kernel(
+            xs, *_ = rollout_kernel(
                 a, b, k, zero_table(n_steps, 1), x0, dt, n_steps, np.eye(2),
                 np.eye(1), 1e6)
             return xs[-1]
@@ -593,7 +605,7 @@ class TestIntegrationAccuracy:
         b = np.zeros((1, 1))
         k = np.zeros((1, 1))
         n_steps = 20000
-        _, _, cost, _, status, _ = _kernels.rollout_kernel(
+        _, _, cost, _, status, _ = rollout_kernel(
             a, b, k, zero_table(n_steps, 1), np.array([2.0]), 1e-3, n_steps,
             np.eye(1), np.eye(1), 1e6)
         assert status == _kernels.OK
@@ -606,7 +618,7 @@ class TestGuards:
         b = np.zeros((1, 1))
         k = np.zeros((1, 1))
         n_steps = 5000
-        xs, _, _, _, status, last = _kernels.rollout_kernel(
+        xs, _, _, _, status, last = rollout_kernel(
             a, b, k, zero_table(n_steps, 1), np.array([1.0]), 1e-2, n_steps,
             np.eye(1), np.eye(1), 1e3)
         assert status == _kernels.BLOWUP
@@ -619,7 +631,7 @@ class TestGuards:
         k0 = np.array([[0.0]])  # not stabilizing
         steps, windows = 100, 50
         cmd, dist = zero_tables(steps * windows, 1)
-        *_, status, done = _kernels.collect_kernel(
+        *_, status, done = collect_kernel(
             a, b, k0, cmd, dist, np.array([1.0]), 1e-2, steps, windows, 1e4)
         assert status == _kernels.BLOWUP
         assert done < windows
@@ -630,14 +642,14 @@ class TestGuards:
         a, b, k = np.array([[0.5]]), np.zeros((1, 1)), np.zeros((1, 1))
         dt, n_steps = 1e-2, 2 * _kernels.CHUNK
         dist = zero_table(n_steps, 1)
-        free = _kernels.rollout_kernel(a, b, k, dist, np.array([1.0]), dt,
-                                       n_steps, np.zeros((1, 1)), np.zeros((1, 1)),
-                                       np.inf)[0][:, 0]
+        free = rollout_kernel(a, b, k, dist, np.array([1.0]), dt,
+                              n_steps, np.zeros((1, 1)), np.zeros((1, 1)),
+                              np.inf)[0][:, 0]
         end = _kernels.CHUNK
         guard = np.sqrt(free[end - 1] * free[end])
-        out = _kernels.rollout_kernel(a, b, k, dist, np.array([1.0]), dt,
-                                      n_steps, np.zeros((1, 1)), np.zeros((1, 1)),
-                                      guard)
+        out = rollout_kernel(a, b, k, dist, np.array([1.0]), dt,
+                             n_steps, np.zeros((1, 1)), np.zeros((1, 1)),
+                             guard)
         assert out[4] == _kernels.BLOWUP and out[5] == end
         assert not np.any(out[0][end + 1:])
 
@@ -651,7 +663,7 @@ class TestGuards:
         free = collect_step_loop(*args)[3][:, 0]
         end = 7 * steps
         args[-1] = np.sqrt(free[end - 1] * free[end])
-        out = _kernels.collect_kernel(*args)
+        out = collect_kernel(*args)
         assert_collect_matches(out, collect_step_loop(*args))
         assert out[5] == _kernels.BLOWUP and out[6] == 6
 
@@ -671,7 +683,7 @@ class TestCollectIntegrals:
         dist = np.zeros_like(cmd)
         x0 = np.array([1.0, 0.0])
         args = (a, b, k0, cmd, dist, x0, dt, steps, windows, 1e6)
-        xb, ixx, ixv, _, _, status, done = _kernels.collect_kernel(*args)
+        xb, ixx, ixv, _, _, status, done = collect_kernel(*args)
         assert status == _kernels.OK and done == windows
         raw_x, raw_v = collect_step_loop(*args)[3:5]
 
@@ -699,10 +711,10 @@ class TestSignalTables:
         # row i is the signal at i dt/2, whichever slices read it
         plant = BlackBoxPlant(np.zeros((1, 1)), np.ones((1, 1)))
         grid = plant._half_grid(Pointwise(lambda t: np.array([t])), 0.1, 4)
-        table = grid[0:9]
+        table = grid(0, 9)
         assert table.shape == (9, 1)
         assert np.allclose(table[:, 0], np.arange(9) * 0.05)
-        assert grid[3:7].tobytes() == table[3:7].tobytes()
+        assert grid(3, 7).tobytes() == table[3:7].tobytes()
 
     def test_vectorized_protocol(self):
         class Sig:
@@ -779,14 +791,14 @@ class TestChunkTables:
         plant = BlackBoxPlant(a, b, dist, channels)
 
         got = plant.rollout(k, x0, dt, n_steps, case["q"], case["r"])
-        want = _kernels.rollout_kernel(
+        want = rollout_kernel(
             a, b, k, half_grid_table(dist, dt, n_steps, channels), x0, dt,
             n_steps, case["q"], case["r"], sim.DEFAULT_GUARD)
         same_bits(got, want)
 
         windows = max(1, n_steps // spw)
         got = plant.collect(k, exc, x0, dt, spw, windows)
-        want = _kernels.collect_kernel(
+        want = collect_kernel(
             a, b, k, half_grid_table(exc, dt, spw * windows),
             half_grid_table(dist, dt, spw * windows, channels), x0, dt, spw,
             windows, sim.DEFAULT_GUARD)

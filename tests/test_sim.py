@@ -138,7 +138,7 @@ class TestAccessModes:
         for j, plant in enumerate(plants):
             rows = plant._half_grid(plant._dist, 1e-3, 100, plant._channels)
             want = whole[50:90, dec.state_indices(j, mas.m)]
-            assert rows[50:90].tobytes() == want.tobytes()
+            assert rows(50, 90).tobytes() == want.tobytes()
 
 
 class TestCliquePathScenario:
