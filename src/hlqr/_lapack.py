@@ -1,7 +1,7 @@
 """The LAPACK routines hlqr calls, from scipy's compiled wrappers: dgees,
-dtrsyl, dgetrf, dgetri and its workspace query dgetri_lwork (matops), the
-blocked compact-WY Householder QR dgeqrt with its reflector application
-dgemqrt, dtrcon and dtrtrs (adp), and dpstrf (_kernels).
+dgetrf, dgetri and its workspace query dgetri_lwork (matops), the blocked
+compact-WY Householder QR dgeqrt with its reflector application dgemqrt,
+dtrcon and dtrtrs (adp), and dpstrf (_kernels).
 
 Importing scipy.linalg costs about 0.25 s, most of it in scipy's array-API
 layer, which imports numpy.f2py and numpy.testing.  The routines themselves
@@ -27,7 +27,6 @@ if not _imported:  # CPython enters the extension in sys.modules as it loads
     del sys.modules[_spec.name]
 
 dgees = _flapack.dgees
-dtrsyl = _flapack.dtrsyl
 dgetrf = _flapack.dgetrf
 dgetri = _flapack.dgetri
 dgetri_lwork = _flapack.dgetri_lwork

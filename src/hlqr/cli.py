@@ -91,6 +91,11 @@ class ExperimentConfig:
             raise InvalidConfig(f"unknown x0 scheme {self.x0_scheme!r}")
         if self.objective not in ("cliques", "kappa", "scut", "assignment"):
             raise InvalidConfig(f"unknown objective {self.objective!r}")
+        own = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)
+               if f.name in ("c", "n", "m") and getattr(self, f.name) != f.default]
+        if own and self.scenario != "example1":  # no other scenario reads them
+            raise InvalidConfig(f"c, n and m apply only to example1, not to "
+                                f"{self.scenario}: got {', '.join(own)}")
         self.learn_config()  # LearnConfig rejects meaningless learning knobs
 
     @classmethod

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDecomposition, NotALaplacian
-from .matops import PSD_TOL, _components, _pd, block_diag, is_psd, stabilizable, symmetrize
+from .matops import PSD_TOL, _components, _pd, block_diag, stabilizable, symmetrize
 
 __all__ = [
     "CostGraph",
@@ -71,10 +71,9 @@ class CostGraph:
                 f"coupling weight in (0, {ADJACENCY_TOL:g}]: a weight must be "
                 f"zero or above it"
             )
-        if not np.allclose(np.diag(g), -off.sum(axis=1), rtol=0.0, atol=1e-9):
+        rows = -off.sum(axis=1)  # Gershgorin: no eigenvalue below -1e-9 max(rows)
+        if not np.allclose(np.diag(g), rows, rtol=0.0, atol=1e-9 * rows.max()):
             raise NotALaplacian("diagonal does not equal row absolute sums")
-        if not is_psd(g):
-            raise NotALaplacian("matrix is not PSD")
         object.__setattr__(self, "laplacian", g)
 
     @classmethod
@@ -211,14 +210,19 @@ class SplitGraphs:
     g2: np.ndarray
 
 
+def _psd(w):
+    """Per row of ascending eigenvalues w: least >= PSD_TOL max(1, largest)."""
+    return w[..., 0] >= PSD_TOL * np.maximum(1.0, w[..., -1])
+
+
 def _check_blocks(blocks, name, size, ok, kind):
     """Raise for the first block, in order, that is not size x size
-    (DimensionMismatch) or whose symmetric part has a least eigenvalue that
-    fails ok (NotALaplacian): one batched eigvalsh on the leading blocks of
-    the right shape."""
+    (DimensionMismatch) or whose symmetric part has ascending eigenvalues
+    that fail ok (NotALaplacian): one batched eigvalsh on the leading blocks
+    of the right shape."""
     bad = next((i for i, blk in enumerate(blocks) if blk.shape != (size, size)),
                len(blocks))
-    if bad and not ok(np.linalg.eigvalsh(symmetrize(np.stack(blocks[:bad])))[:, 0]).all():
+    if bad and not ok(np.linalg.eigvalsh(symmetrize(np.stack(blocks[:bad])))).all():
         raise NotALaplacian(f"{name} block not {kind}")
     if bad < len(blocks):
         raise DimensionMismatch(
@@ -244,10 +248,10 @@ class CostSpec:
         m = self.m
         if len(self.qbar_blocks) != self.graph.n_agents or len(self.r_blocks) != self.graph.n_agents:
             raise DimensionMismatch("need one qbar block and one r block per agent")
-        _check_blocks(self.qbar_blocks, "qbar", n, lambda w: w >= PSD_TOL, "PSD")
-        if not is_psd(self.qtilde):
+        _check_blocks(self.qbar_blocks, "qbar", n, _psd, "PSD")
+        if not _psd(np.linalg.eigvalsh(symmetrize(self.qtilde))):
             raise NotALaplacian("qtilde not PSD")
-        _check_blocks(self.r_blocks, "r", m, lambda w: w > 0, "PD")
+        _check_blocks(self.r_blocks, "r", m, lambda w: w[:, 0] > 0, "PD")
 
     @classmethod
     def homogeneous(cls, graph, qbar_block, qtilde, r_block):

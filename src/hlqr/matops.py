@@ -16,8 +16,8 @@ Cayley transform also certifies the matrix Hurwitz.  A Riccati solve
 raises when the doubling breaks down or does not stabilize, or a polish
 step's gain is not Hurwitz, as happens outside the standing assumptions of
 a stabilizable (A, B) and a detectable (Q^{1/2}, A).  stabilizable
-decides the first by one ordered Schur form, for
-graphcost.check_assumptions, and returns only its verdict.
+decides the first for graphcost.check_assumptions, by one ordered Schur
+form, the library's only one, and one squared-Smith Gramian.
 
 solve_care, solve_lyapunov, pinv and eigvalsh_max first split their input
 at the connected components of its exact nonzero pattern (_components) and
@@ -38,7 +38,7 @@ Conventions: symmetric matrices are plain float64 ndarrays, symmetrized as
 
 import numpy as np
 
-from ._lapack import dgees, dgetrf, dgetri, dgetri_lwork, dtrsyl
+from ._lapack import dgees, dgetrf, dgetri, dgetri_lwork
 from .errors import IterationDiverged, NonStabilizable, UnstableMatrix
 
 __all__ = [
@@ -59,7 +59,7 @@ TOL_RESIDUAL = 1e-9
 #: giving up
 CARE_MAX_ITER = 60
 
-#: eigenvalues down to this value are accepted as numerically PSD
+#: least eigenvalue accepted as PSD (graphcost scales it by max(1, the largest))
 PSD_TOL = -1e-10
 
 
@@ -195,19 +195,10 @@ def eigvalsh_max(m):
                            lambda x: float(np.linalg.eigvalsh(x)[-1])))
 
 
-def _no_select(wr, wi):
-    return 0
-
-
-def _stable(wr, wi):
-    return wr < 0.0
-
-
-def _schur(a, select=_no_select):
+def _schur(a, select):
     """Real Schur form (T, Z, k), a = Z T Z', by LAPACK dgees with its
-    workspace query: the call scipy.linalg.schur makes, without its argument
-    checks.  Given select(wr, wi), T is ordered with the k eigenvalues it
-    selects first (a complex pair counts twice); by default k = 0.
+    workspace query, as scipy.linalg.schur calls it, T ordered with the k
+    eigenvalues that select(wr, wi) selects first (a pair counts twice).
 
     When dgees cannot finish that ordering (info n + 1: two eigenvalues too
     close to swap; n + 2: a swap's rounding moved one across select), T and
@@ -215,8 +206,7 @@ def _schur(a, select=_no_select):
     selected eigenvalues ahead of the first unselected one.  Raises
     LinAlgError only when the QR algorithm fails (info 1 to n)."""
     lwork = int(dgees(select, a, lwork=-1)[-2][0])
-    t, k, wr, wi, z, _, info = dgees(select, a, sort_t=int(select is not _no_select),
-                                     lwork=lwork)
+    t, k, wr, wi, z, _, info = dgees(select, a, sort_t=1, lwork=lwork)
     if 0 < info <= a.shape[0]:
         raise np.linalg.LinAlgError("Schur form not found")
     if info:
@@ -255,19 +245,10 @@ def solve_lyapunov(a_s, w):
 
 
 def solve_continuous_lyapunov(a, q):
-    """X solving A X + X A' = Q for any A without eigenvalue pair summing
-    to zero: scipy.linalg.solve_continuous_lyapunov's steps and bits, one
-    dtrsyl call on the whole Schur form."""
-    a = np.asarray(a, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if not (np.isfinite(a).all() and np.isfinite(q).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    t, z, _ = _schur(a)
-    y, scale, info = dtrsyl(t, t, z.T.dot(q.dot(z)), tranb="T")
-    if info < 0:
-        raise ValueError(f"dtrsyl: illegal value in argument {-info}")
-    y *= scale
-    return z.dot(y).dot(z.T)
+    """X solving A X + X A' = Q for anti-Hurwitz A and symmetric Q:
+    solve_lyapunov(-A', Q), with its contract and exceptions, under the name
+    perfbench/spans.py wraps to count stabilizable's Lyapunov solves."""
+    return solve_lyapunov(-np.asarray(a, dtype=float).T, q)
 
 
 def stabilizable(a, b):
@@ -275,13 +256,22 @@ def stabilizable(a, b):
 
     A = Z T Z', T = [T11 T12; 0 T22], with the eigenvalues of negative real
     part (a strict test) in T11, so B2 = Z2' B alone must drive the unstable
-    and marginal modes in T22.  With beta = |T22|_F + 0.5, X solves
-    (T22 + beta I) X + X (T22 + beta I)' = 2 B2 B2' (solve_continuous_lyapunov,
-    by its module-level name, which perfbench/spans.py wraps to count calls);
-    (A, B) is stabilizable exactly when X is PD, and K2 = B2' X^{-1} would
-    then give the Hurwitz T22 - B2 K2.  X counts as PD when its least
-    eigenvalue is above n eps times its largest or |B|_F^2 / beta: B2's
-    rounding alone gives an X of order eps^2 that.
+    and marginal modes in T22.  T22 and B, whose positive scale does not
+    change the verdict, are taken at unit Frobenius norm, and beta = 0.05 -
+    min(0, T22's least diagonal entry, the least real part of its
+    eigenvalues).  X solves (T22 + beta I) X + X (T22 + beta I)' = 2 B2 B2'
+    (solve_continuous_lyapunov, by its module-level name); (A, B) is
+    stabilizable exactly when X is PD, and K2 = B2' X^{-1} would then give
+    the Hurwitz T22 - B2 K2.  T22 + beta I, of unit scale with every
+    eigenvalue at real part 0.05 or more, is certified by squared Smith in
+    a few doublings; X, a sum of congruences of a PSD matrix, meets the
+    contract uncorrected and holds only rounding, of order eps |X|, in an
+    uncontrollable direction.  X counts as PD when its least eigenvalue is
+    above n eps times its largest or 1 / beta (B2's rounding alone gives an
+    X of order eps^2 that).  A small beta keeps X well conditioned: its
+    least eigenvalue for modes that B2 reaches only through T22 falls like a
+    power of |T22| / beta (Varga's |T22|_F + 0.5 lost single-input pairs
+    with four such modes).
 
     Never raises for a failed ordering: when dgees cannot move every stable
     eigenvalue ahead (_schur), as for eigenvalues within rounding of the
@@ -292,14 +282,15 @@ def stabilizable(a, b):
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     n = b.shape[0]
-    t, z, k = _schur(a, _stable)
+    t, z, k = _schur(a, lambda wr, wi: wr < 0.0)
     if k == n:  # A is Hurwitz
         return True
-    t22, b2 = t[k:, k:], z[:, k:].T @ b
-    beta = np.linalg.norm(t22, "fro") + 0.5
+    t22 = t[k:, k:] / (np.linalg.norm(t[k:, k:]) or 1.0)
+    b2 = z[:, k:].T @ b / (np.linalg.norm(b) or 1.0)
+    beta = 0.05 - min(t22.diagonal().min(), 0.0)
     w = np.linalg.eigvalsh(solve_continuous_lyapunov(
         t22 + beta * np.eye(n - k), 2.0 * b2 @ b2.T))
-    return _pd(w, np.linalg.norm(b) ** 2 / beta)
+    return _pd(w, 1.0 / beta)
 
 
 def solve_care(a, b, q, r, p0=None):

@@ -68,8 +68,8 @@ from hlqr.errors import (
 )
 from hlqr.graphcost import Decomposition, assemble_q, split_graph
 from hlqr.hierctrl import GapReport, _cond
-from hlqr.matops import (CARE_MAX_ITER, _bipartite, _care_component,
-                         _components, _doubling, _lyapunov_component, abscissa, is_psd,
+from hlqr.matops import (CARE_MAX_ITER, PSD_TOL, _bipartite, _care_component,
+                         _components, _doubling, _lyapunov_component, abscissa,
                          solve_care, solve_lyapunov, symmetrize)
 from hlqr.partition import ConstraintSet
 from hlqr.sim import MasSystem, Trajectory, integrate
@@ -470,14 +470,20 @@ def quadrature_cost(sys, spec, k, x0, dt=1e-3, tail=1e-6):
 
 def cost_spec_checks_loop(qbar_blocks, qtilde, r_blocks):
     """CostSpec's block checks in order, one eigvalsh per block: each Qbar
-    block n x n and PSD, Qtilde PSD, each R block m x m and PD."""
+    block n x n and PSD, Qtilde PSD, each R block m x m and PD.  PSD is a
+    least eigenvalue of at least PSD_TOL max(1, the largest)."""
     n, m = qtilde.shape[0], r_blocks[0].shape[0]
+
+    def psd(blk):
+        w = np.linalg.eigvalsh(symmetrize(blk))
+        return w[0] >= PSD_TOL * max(1.0, w[-1])
+
     for blk in qbar_blocks:
         if blk.shape != (n, n):
             raise DimensionMismatch(f"qbar block shape {blk.shape} != ({n},{n})")
-        if not is_psd(blk):
+        if not psd(blk):
             raise NotALaplacian("qbar block not PSD")
-    if not is_psd(qtilde):
+    if not psd(qtilde):
         raise NotALaplacian("qtilde not PSD")
     for blk in r_blocks:
         if blk.shape != (m, m):

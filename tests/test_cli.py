@@ -806,6 +806,34 @@ class TestBadInput:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("scenario", ["five_node", "formation"])
+    def test_example1_sizes_rejected_elsewhere(self, scenario, tmp_path, capsys):
+        # --c, --n and --m build example1 only; elsewhere they were ignored
+        # and still echoed into config_echo.json
+        asg = "0,0,1,2,2" if scenario == "five_node" else ",".join("0" * 12)
+        rc = main(["run", scenario, "--assignment", asg, "--n", "8", "--m", "4",
+                   "--c", "9", "--n-draws", "3", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: c, n and m apply only to example1, not to {scenario}: "
+            f"got c=9, n=8, m=4"]
+        assert not (tmp_path / "config_echo.json").exists()
+        # their defaults, written out, change nothing
+        assert main(["solve", scenario, "--assignment", asg, "--n", "4", "--m", "2",
+                     "--c", "3", "--out", str(tmp_path)]) == 0
+
+    def test_example1_sizes_rejected_in_config(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text('{"scenario": "example1", "m": 3}', encoding="utf-8")
+        rc = main(["solve", "five_node", "--assignment", "0,0,1,2,2",
+                   "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: c, n and m apply only to example1, not to five_node: got m=3"]
+        with pytest.raises(InvalidConfig):
+            ExperimentConfig.from_dict({"scenario": "formation", "c": 4})
+
+
 class TestMeaninglessSettings:
     @pytest.mark.parametrize("args", [
         ["learn", "example1", "--s", "1", "--c", "2", "--tol-pi", "-1"],

@@ -100,6 +100,80 @@ class TestCostGraph:
         assert not g.connected()
 
 
+SCALES = [10.0 ** k for k in range(-8, 9, 2)]
+
+
+def weighted_graph(rng, n, scale):
+    """Random connected graph on n agents, weights scale * U(0.5, 2)."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [(i, j) for i in range(n) for j in range(i + 2, n) if rng.random() < 0.4]
+    return [(i, j, scale * rng.uniform(0.5, 2.0)) for i, j in edges]
+
+
+def psd_block(rng, n, scale, least=0.0):
+    """scale times a symmetric n x n matrix in a random basis, eigenvalues
+    U(0.5, 2) but the least, which is least."""
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w = np.append(rng.uniform(0.5, 2.0, n - 1), least)
+    return scale * (v * w) @ v.T
+
+
+class TestChecksAtAnyScale:
+    """CostGraph and CostSpec accept valid Laplacians and rank-deficient PSD
+    weights at any scale, and reject invalid ones at any scale."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_valid_laplacians_accepted(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 8)
+        for n in (2, 5, 12, 30):
+            edges = weighted_graph(rng, n, scale)
+            g = CostGraph.from_edges(n, edges)
+            assert CostGraph(n, g.laplacian).edges() == g.edges()
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_invalid_laplacians_rejected(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 8)
+        g = CostGraph.from_edges(6, weighted_graph(rng, 6, scale)).laplacian
+        w = -g[0, 1]  # the chain's edge (0, 1)
+        asymmetric = g.copy()
+        asymmetric[0, 1] -= 1e-3 * w
+        asymmetric[0, 0] += 1e-3 * w
+        positive = g.copy()
+        positive[0, 1] = positive[1, 0] = w
+        positive[0, 0] -= 2.0 * w
+        positive[1, 1] -= 2.0 * w
+        row_sum = g.copy()
+        row_sum[2, 2] *= 1.0 + 1e-6
+        indefinite = g.copy()
+        indefinite[0, 0] = 0.0  # the 2 x 2 minor on agents 0, 1 is negative
+        assert np.linalg.eigvalsh(indefinite)[0] < 0.0
+        for bad, match in ((asymmetric, "not symmetric"), (positive, "positive off-diagonal"),
+                           (row_sum, "row absolute sums"), (indefinite, "row absolute sums")):
+            with pytest.raises(NotALaplacian, match=match):
+                CostGraph(6, bad)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_rank_deficient_weights_accepted(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 8)
+        graph = CostGraph.from_edges(3, [(0, 1), (1, 2)])
+        for _ in range(50):
+            n = int(rng.integers(2, 5))
+            qbar = [psd_block(rng, n, scale) for _ in range(3)]
+            CostSpec(graph, qbar, psd_block(rng, n, scale), [np.eye(1)] * 3)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_indefinite_weights_rejected(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 8)
+        graph = CostGraph.from_edges(3, [(0, 1), (1, 2)])
+        good = [psd_block(rng, 3, scale) for _ in range(3)]
+        # below scale 1 the PSD tolerance is absolute, -1e-10
+        bad = psd_block(rng, 3, scale, least=-1e-6 * max(1.0, 1e-3 / scale))
+        with pytest.raises(NotALaplacian, match="qtilde not PSD"):
+            CostSpec(graph, good, bad, [np.eye(1)] * 3)
+        with pytest.raises(NotALaplacian, match="qbar block not PSD"):
+            CostSpec(graph, [good[0], bad, good[2]], good[1], [np.eye(1)] * 3)
+
+
 class TestCouplingRule:
     """Agents are coupled iff their Laplacian entry is nonzero, and every
     nonzero coupling weight exceeds ADJACENCY_TOL."""
@@ -401,8 +475,9 @@ class TestCostSpecChecks:
            n=st.integers(1, 3), m=st.integers(1, 2))
     def test_batched_checks_match_block_loop(self, seed, n_agents, n, m):
         # the first failing check, its error type and its message, as the
-        # one-block-at-a-time loop finds them: PSD_TOL is -1e-10, so -1e-11
-        # passes as PSD and -1e-9 does not; 0 is not PD
+        # one-block-at-a-time loop finds them: a least eigenvalue down to
+        # PSD_TOL max(1, the largest), -1e-10 to -2e-10 here, passes as PSD,
+        # so -1e-11 passes and -1e-9 does not; 0 is not PD
         rng = np.random.default_rng(seed)
         levels = [0.3, 0.3, 0.3, -1e-11, -1e-9, 0.0]
         qbar = [spec_block(rng, n, rng.choice(levels)) for _ in range(n_agents)]

@@ -432,6 +432,45 @@ class TestStabilizingGain:
             b = np.random.default_rng(m).standard_normal((5, m))
             assert matops.stabilizable(a, b) == pbh_stabilizable(a, b) == (m >= 4)
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), m=st.integers(1, 3),
+           a_exp=st.floats(-12.0, 12.0), b_exp=st.floats(-12.0, 12.0),
+           dense=st.booleans())
+    def test_any_scale_matches_pbh(self, seed, n, m, a_exp, b_exp, dense):
+        # (A, B) = (10^a_exp A0, 10^b_exp B0): A0 = S D S^{-1}, D real block
+        # diagonal with stable and unstable real modes and pairs, a quarter
+        # of them at real part 0 or +-1e-9 instead, each block driven by B0
+        # or by nothing, and S orthogonal or dense.  The verdict never
+        # raises.  Where every eigenvalue's real part is at least 1e-6 |A|_F
+        # from 0, it is PBH's on (A0, B0) at unit Frobenius norm, where the
+        # oracle's tolerance is relative, whenever PBH gives that verdict at
+        # every tolerance from 1e-9 to 1e-5
+        rng = np.random.default_rng(seed)
+        d, b0 = np.zeros((n, n)), np.zeros((n, m))
+        i = 0
+        while i < n:
+            k = 2 if i + 1 < n and rng.random() < 0.4 else 1
+            re = rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 2.0)
+            if rng.random() < 0.25:
+                re = rng.choice([0.0, 1e-9, -1e-9])
+            d[i:i + k, i:i + k] = re * np.eye(k)
+            if k == 2:
+                im = rng.uniform(0.1, 3.0)
+                d[i, i + 1], d[i + 1, i] = im, -im
+            if rng.random() < 0.6:
+                b0[i:i + k] = rng.standard_normal((k, m))
+            i += k
+        s = rng.standard_normal((n, n))
+        if not dense:
+            s = np.linalg.qr(s)[0]
+        a0, b0 = s @ d @ np.linalg.inv(s), s @ b0
+        a, b = 10.0 ** a_exp * a0, 10.0 ** b_exp * b0
+        got = matops.stabilizable(a, b)
+        if np.abs(np.linalg.eigvals(a).real).min() >= 1e-6 * np.linalg.norm(a):
+            unit = [x / (np.linalg.norm(x) or 1.0) for x in (a0, b0)]
+            want = {pbh_stabilizable(*unit, tol=tol) for tol in (1e-9, 1e-7, 1e-5)}
+            assert want in ({got}, {True, False})
+
 
 class TestSolveLyapunov:
     def test_scalar(self):
@@ -911,23 +950,32 @@ class TestFactorOnceDoubling:
 
 
 class TestScipyBits:
-    """matops' block_diag and solve_continuous_lyapunov, and the LAPACK
-    routines hlqr._lapack loads, give scipy.linalg's bits."""
+    """matops' block_diag and the LAPACK routines hlqr._lapack loads give
+    scipy.linalg's bits; matops.solve_continuous_lyapunov, an adapter over
+    solve_lyapunov, meets that solver's contract with scipy's as reference."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 24, 48, 100, 150])
     def test_solve_continuous_lyapunov(self, n):
+        # A X + X A' = Q for anti-Hurwitz A: stabilizable's shifted T22 and
+        # its Q = 2 B B', then an indefinite symmetric Q
         rng = np.random.default_rng(n)
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((n, 3))
         q = rng.standard_normal((n, n))
+        q += q.T
         shifted = a + (np.linalg.norm(a, "fro") + 0.5) * np.eye(n)
-        for a_x, q_x in ((shifted, 2.0 * b @ b.T), (a, q)):
-            assert np.array_equal(
-                matops.solve_continuous_lyapunov(a_x, q_x),
-                scipy.linalg.solve_continuous_lyapunov(a_x, q_x))
+        bound = 100.0 * matops.TOL_RESIDUAL
+        for q_x in (2.0 * b @ b.T, q):
+            x = matops.solve_continuous_lyapunov(shifted, q_x)
+            want = scipy.linalg.solve_continuous_lyapunov(shifted, q_x)
+            res = shifted @ x + x @ shifted.T - q_x
+            assert np.linalg.norm(res, "fro") <= bound * (1.0 + np.linalg.norm(x, "fro"))
+            assert np.linalg.norm(x - want, "fro") <= bound * (1.0 + np.linalg.norm(want, "fro"))
+        with pytest.raises(UnstableMatrix):  # -A' is not Hurwitz
+            matops.solve_continuous_lyapunov(-shifted, q)
         q[0, -1] = np.inf
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            matops.solve_continuous_lyapunov(a, q)
+        with pytest.raises(ValueError, match="finite"):
+            matops.solve_continuous_lyapunov(shifted, q)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_block_diag(self, seed):
@@ -959,9 +1007,13 @@ class TestScipyBits:
     @pytest.mark.parametrize("n", [1, 2, 9, 64, 150])
     def test_dgees(self, n):
         a = np.random.default_rng(n).standard_normal((n, n))
-        lwork = int(_lapack.dgees(matops._no_select, a, lwork=-1)[-2][0])
-        got = _lapack.dgees(matops._no_select, a, lwork=lwork)
-        want = scipy.linalg.lapack.dgees(matops._no_select, a, lwork=lwork)
+
+        def no_select(wr, wi):
+            return 0
+
+        lwork = int(_lapack.dgees(no_select, a, lwork=-1)[-2][0])
+        got = _lapack.dgees(no_select, a, lwork=lwork)
+        want = scipy.linalg.lapack.dgees(no_select, a, lwork=lwork)
         assert got[-1] == want[-1] == 0
         for x, y in zip(got[:-1], want[:-1]):
             assert np.array_equal(x, y)

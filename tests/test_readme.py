@@ -9,7 +9,8 @@ Each "$ hlqr ..." line of a ```sh block runs through hlqr.cli.main in a
 temporary directory, so its relative --out lands there.  The lines below it,
 up to the next blank line, are its exact output.
 
-The LAPACK routines the README names are the ones hlqr._lapack binds.
+The LAPACK routines the README names are the ones hlqr._lapack binds, and
+each of them is used by another module of hlqr.
 """
 
 import ast
@@ -88,8 +89,30 @@ def test_readme_shell_example_output(argv, expected, tmp_path, monkeypatch,
     assert capsys.readouterr().out.splitlines() == expected
 
 
+def bound_routines():
+    """The names hlqr._lapack binds to routines of scipy's LAPACK wrappers."""
+    return {name for name, value in vars(_lapack).items()
+            if getattr(_lapack._flapack, name, None) is value}
+
+
 def test_readme_names_bound_lapack_routines():
     names = re.search(r"LAPACK\s+routines\s+\(([^)]*)\)", README.read_text()).group(1)
-    bound = {name for name, value in vars(_lapack).items()
-             if getattr(_lapack._flapack, name, None) is value}
-    assert sorted(re.findall(r"`(\w+)`", names)) == sorted(bound)
+    assert sorted(re.findall(r"`(\w+)`", names)) == sorted(bound_routines())
+
+
+def test_every_bound_lapack_routine_is_used():
+    # a use is _lapack.<name>, or a name imported from ._lapack and then
+    # read in the importing module; a binding nothing uses is dead
+    used = set()
+    for path in Path(_lapack.__file__).parent.glob("*.py"):
+        if path.name == "_lapack.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "_lapack"):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "_lapack":
+                used.update(alias.name for alias in node.names if alias.name in read)
+    assert bound_routines() <= used, sorted(bound_routines() - used)
