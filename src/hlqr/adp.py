@@ -258,17 +258,19 @@ class _BlockLstsq:
     A1 = delta_xx, the same in every pass, and A2 = -2 (I_xu' + K I_xx); the
     right side is -I_xx : (Q + K'RK).  Householder QR of [A1 | A2 | rhs]
     takes its first n_sym reflectors Q1 from A1 alone, so A1 is factored
-    once (R11) and Q1' is applied once, to one buffer holding the unique
-    columns of I_xx and I_xu.  Its first n_sym rows (the head) and the rest
-    (the tail) are stored apart.  A pass forms Q1'[A2 | rhs] by one GEMM with
-    K and one contraction with Q + K'RK on each part, scales each A2 column
-    by its norm (Q1 is orthogonal, so that of Q1'A2), and factors only the
-    tail, in place, which gives R22 and the tail of Q'rhs.  Both QRs are
-    LAPACK's blocked compact-WY form (dgeqrt, applied by dgemqrt) at block
-    size QR_BLOCK.  Without pivoting, diag(R) does not reveal the rank, so
-    identifiability is judged by the LAPACK 1-norm reciprocal condition
-    estimate (dtrcon) of R = [R11 R12; 0 R22] against gelsd's default cutoff
-    eps * max(M, N); below it RankDeficient is raised.
+    once (R11) and Q1' is applied once, to one Fortran buffer over all
+    windows holding the unique columns of I_xu and I_xx.  Only that reads
+    the data; the first pass spreads the buffer in place to all n^2 I_xx
+    columns and allocates R and its own buffers.  A pass forms Q1'[A2 | rhs]
+    over all rows by one GEMM with K and one matrix-vector product with
+    Q + K'RK, scales each A2 column by its norm (Q1 is orthogonal, so that
+    of Q1'A2), and factors in place only the rows below the first n_sym,
+    copied into one reused Fortran buffer, which gives R22 and the tail of
+    Q'rhs.  Both QRs are LAPACK's blocked compact-WY form (dgeqrt, applied
+    by dgemqrt) at block size QR_BLOCK.  Without pivoting, diag(R) does not
+    reveal the rank, so identifiability is judged by the LAPACK 1-norm
+    reciprocal condition estimate (dtrcon) of R = [R11 R12; 0 R22] against
+    gelsd's default cutoff eps * max(M, N); below it RankDeficient is raised.
     """
 
     def __init__(self, data):
@@ -281,77 +283,74 @@ class _BlockLstsq:
         a1 = np.empty((n_rows, n_sym), order="F")
         np.divide(data.delta_xx, scale_xx, out=a1)
         t1 = _qr(a1)
-        # dtrcon and dtrtrs read only the upper triangle of r_mat
-        self.r_mat = np.zeros((n_cols, n_cols), order="F")
-        self.r_mat[:n_sym, :n_sym] = a1[:n_sym]
+        self.r11 = a1[:n_sym]  # which keeps a1 until the first pass
 
-        # I_xx columns (i, j), i <= j, in row-major order, then I_xu columns
-        # (a, b) holding I_xu[:, b, a]; each is filled in place
-        cols = np.empty((n_rows, n_cols), order="F")
-        starts = np.cumsum([0] + list(range(n, 0, -1)))
+        # its leading columns: I_xu columns (a, b) holding I_xu[:, b, a],
+        # then I_xx columns (i, j), i <= j, in row-major order
+        self.cols = np.empty((n_rows, m * n + n * n), order="F")
+        cols = self.cols[:, :n_cols]
+        cols.T[:m * n].reshape(m, n, n_rows).transpose(2, 0, 1)[...] = (
+            data.i_xu.transpose(0, 2, 1))
+        starts = m * n + np.cumsum([0] + list(range(n, 0, -1)))
         for i in range(n):
             cols[:, starts[i]:starts[i + 1]] = data.i_xx[:, i, i:]
-        cols.T[n_sym:].reshape(m, n, n_rows).transpose(2, 0, 1)[...] = (
-            data.i_xu.transpose(0, 2, 1))
         _lapack.dgemqrt(a1, t1, cols, side="L", trans="T", overwrite_c=1)
-        del a1, t1
-
-        # the head rows (the first n_sym) and the tail rows, stored apart.
-        # Each part holds ixx[c, b] = Q1' I_xx[:, c, b], so that
-        # K @ ixx.reshape(n, -1) is the transpose of Q1' K I_xx in the column
-        # order of A2; Q1' I_xu, transposed; and the buffer of each pass's
-        # transposed [A2 | rhs].  The tail buffer's transpose is the
-        # Fortran-ordered matrix that _qr factors in place.
-        self.parts = []
-        for rows in (slice(0, n_sym), slice(n_sym, n_rows)):
-            ixx = np.empty((n, n, rows.stop - rows.start))
-            for i in range(n):
-                sym = cols.T[starts[i]:starts[i + 1], rows]
-                ixx[i, i:] = sym
-                ixx[i:, i] = sym
-            self.parts.append((ixx, cols.T[n_sym:, rows].copy(),
-                               np.empty((m * n + 1, ixx.shape[2]))))
-        del cols
 
         self.scale = np.concatenate([scale_xx, np.empty(m * n)])
         self.n_sym = n_sym
         self.cutoff = np.finfo(float).eps * max(n_rows, n_cols)
+        self.op_t = None
+
+    def _spread(self, n):
+        """Spread the I_xx columns in place to cols.T[m n + c n + b] =
+        Q1' I_xx[:, c, b], one column at a time from the last, so that none
+        overlaps its target; then allocate the pass buffers."""
+        n_sym, (n_rows, n_all), cols_t = self.n_sym, self.cols.shape, self.cols.T
+        n_a2 = n_all - n * n
+        ixx = cols_t[n_a2:].reshape(n, n, n_rows)
+        for i in reversed(range(n)):
+            for j in reversed(range(i, n)):
+                ixx[i, j] = cols_t[n_a2 + i * n + j - i * (i + 1) // 2]
+            ixx[i + 1:, i] = ixx[i, i + 1:]
+
+        # dtrcon and dtrtrs read only the upper triangle of r_mat
+        self.r_mat = np.zeros((n_sym + n_a2,) * 2, order="F")
+        self.r_mat[:n_sym, :n_sym] = self.r11
+        del self.r11
+        self.op_t = np.empty((n_a2 + 1, n_rows))  # [A2 | rhs], transposed
+        self.tail = np.empty((n_rows - n_sym, n_a2 + 1), order="F")
 
     def __call__(self, k, qk):
         """(theta, rcond) of the pass at gain k with state weight qk."""
-        n_sym, r_mat = self.n_sym, self.r_mat
-        n_cols = r_mat.shape[0]
-        n_a2 = n_cols - n_sym
+        if self.op_t is None:
+            self._spread(k.shape[1])
+        n_sym, r_mat, op_t, tail = self.n_sym, self.r_mat, self.op_t, self.tail
+        n_a2 = op_t.shape[0] - 1
+        ixx = self.cols.T[n_a2:]
 
+        a2_t = op_t[:n_a2]
+        np.matmul(k, ixx.reshape(k.shape[1], -1),
+                  out=a2_t.reshape(k.shape[0], -1))
+        a2_t += self.cols.T[:n_a2]
+        a2_t *= -2.0
+        np.matmul(ixx.T, -qk.ravel(), out=op_t[n_a2])
         scale = self.scale[n_sym:]
-        scale[:] = 0.0
-        q_neg = -qk.ravel()
-        for ixx, ixu, op_t in self.parts:
-            a2_t = op_t[:n_a2]
-            np.matmul(k, ixx.reshape(k.shape[1], -1),
-                      out=a2_t.reshape(k.shape[0], -1))
-            a2_t += ixu
-            a2_t *= -2.0
-            scale += np.einsum("ij,ij->i", a2_t, a2_t)
-            np.matmul(ixx.reshape(q_neg.size, -1).T, q_neg, out=op_t[n_a2])
-        np.sqrt(scale, out=scale)
+        np.sqrt(np.einsum("ij,ij->i", a2_t, a2_t), out=scale)
         scale[scale == 0.0] = 1.0
-        (_, _, head_t), (_, _, tail_t) = self.parts
-        head_t[:n_a2] /= scale[:, None]
-        tail_t[:n_a2] /= scale[:, None]
+        a2_t /= scale[:, None]
 
-        tail = tail_t.T
+        tail[:] = op_t[:, n_sym:].T
         _qr(tail)
-        r_mat[:n_sym, n_sym:] = head_t[:n_a2].T
+        r_mat[:n_sym, n_sym:] = a2_t[:, :n_sym].T
         r_mat[n_sym:, n_sym:] = tail[:n_a2, :n_a2]
         rcond, _ = _lapack.dtrcon(r_mat)
         if not rcond > self.cutoff:
             raise RankDeficient(
-                f"joint regressor of {n_cols} unknowns is rank deficient: "
+                f"joint regressor of {r_mat.shape[0]} unknowns is rank deficient: "
                 f"reciprocal condition estimate {rcond:.3g} <= "
                 f"{self.cutoff:.3g}"
             )
-        qt_rhs = np.concatenate([head_t[n_a2], tail[:n_a2, n_a2]])
+        qt_rhs = np.concatenate([op_t[n_a2, :n_sym], tail[:n_a2, n_a2]])
         theta, info = _lapack.dtrtrs(r_mat, qt_rhs)
         if info:
             raise np.linalg.LinAlgError(f"dtrtrs: info {info} on R")
@@ -454,6 +453,7 @@ def policy_iteration(data, qhat, rhat, k0, tol_pi=LearnConfig.tol_pi,
     rhat = np.asarray(rhat, dtype=float)
     k = np.asarray(k0, dtype=float)
     solve = _BlockLstsq(data)
+    del data  # so that a caller holding no other reference frees it here
     n_sym = n * (n + 1) // 2
     p_prev = None
     for it in range(1, max_iter + 1):
@@ -490,16 +490,16 @@ def learn_cluster(plant, qhat, rhat, cfg, k0=None, tag=0):
     exc = Excitation.make(cfg.seed + 7919 * tag, m, amplitude=cfg.amplitude)
     k0 = np.zeros((m, n)) if k0 is None else np.asarray(k0, dtype=float)
     for attempt in range(4):
-        data = collect(plant, k0, exc, horizon, cfg.dt, cfg.window)
         try:
-            result = policy_iteration(data, qhat, rhat, k0,
-                                      tol_pi=cfg.tol_pi, max_iter=cfg.max_iter)
+            # the dataset is not named here, so that policy_iteration frees it
+            result = policy_iteration(
+                collect(plant, k0, exc, horizon, cfg.dt, cfg.window), qhat, rhat,
+                k0, tol_pi=cfg.tol_pi, max_iter=cfg.max_iter)
             break
         except RankDeficient:
             if attempt == 3:
                 raise
             horizon *= 1.5
-            del data  # so that one dataset is held while collecting the next
     return replace(result, wall_time=time.perf_counter() - t0)
 
 

@@ -1,5 +1,7 @@
 """Model-free cluster learning: data collection, policy iteration, assembly."""
 
+import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -367,6 +369,37 @@ class TestConditioningGuard:
         assert horizons == [6.0, 9.0]
         assert held == [[], [False]]
 
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+        "before Python 3.11 a caller's evaluation stack holds its call's "
+        "arguments until the call returns"))
+    def test_dataset_freed_before_first_pass(self, monkeypatch):
+        # learn_cluster hands collect's dataset to policy_iteration unnamed,
+        # and policy_iteration lets go of it once _BlockLstsq has read it,
+        # so no pass, and none of the buffers only the passes use, runs
+        # beside it.  A wrapper that holds its call's arguments, such as
+        # perfbench/spans.py's traced policy_iteration, keeps it alive, so
+        # the saving shows in the untraced peak_rss_mb only
+        plant, qhat, rhat = two_agent_clique_problem()
+        inner = adp.collect
+        datasets, alive = [], []
+
+        def spy(*args, **kwargs):
+            data = inner(*args, **kwargs)
+            datasets.append([weakref.ref(obj) for obj in (
+                data, data.delta_xx, data.i_xx, data.i_xu)])
+            return data
+
+        class Recording(adp._BlockLstsq):
+            def __call__(self, k, qk):
+                alive.append([ref() is not None for ref in datasets[-1]])
+                return super().__call__(k, qk)
+
+        monkeypatch.setattr(adp, "collect", spy)
+        monkeypatch.setattr(adp, "_BlockLstsq", Recording)
+        result = learn_cluster(plant, qhat, rhat, LearnConfig(seed=13))
+        assert len(datasets) == 1
+        assert alive == [[False] * 4] * result.iterations
+
     def test_tripped_guard_regrows_three_times(self, monkeypatch):
         plant, qhat, rhat = two_agent_clique_problem()
         monkeypatch.setattr(adp, "COND_GUARD", 0.0)
@@ -526,6 +559,34 @@ class TestLeastSquaresSolve:
         # than adp.QR_BLOCK; with no extra rows the tail is 128 x 129
         assert 16 * 8 + 1 > adp.QR_BLOCK
         check_block_solve(seed, 16, 8, extra_rows, 3.0, 4.0, zero_column)
+
+    @pytest.mark.parametrize("seed, n, m, extra_rows", [
+        (8, 1, 3, 0), (9, 1, 1, 5), (10, 4, 1, 0), (11, 5, 1, 30)])
+    def test_block_solve_degenerate_shapes(self, seed, n, m, extra_rows):
+        # n = 1 has n^2 = n_sym, so the spread of the I_xx columns moves
+        # nothing, and m = 1 has a one-row gain
+        check_block_solve(seed, n, m, extra_rows, 3.0, 4.0, None)
+
+    def test_set_up_memory(self):
+        # _BlockLstsq(data) holds A1 (M x n_sym) and the one buffer
+        # (M x (m n + n^2)) together: the dataset's M x (n_sym + n^2 + m n)
+        # entries, 1x its bytes.  dgeqrt's block reflector (nb x n_sym,
+        # nb = min(QR_BLOCK, n_sym)) and dgemqrt's workspace
+        # (nb x (n_sym + m n)) add 0.32x on this dataset (M = 190,
+        # n_sym = nb = 78, m n = 72), so the set-up peaks at 1.33x; R and
+        # the pass buffers wait for the first pass.  A layout that holds R
+        # ((n_sym + m n)^2), the unique columns apart and the head and tail
+        # pass buffers at set-up peaks at 1.91x here
+        data, _, _ = example1_clique_dataset()
+        data_bytes = sum(a.nbytes for a in (data.delta_xx, data.i_xx, data.i_xu))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            adp._BlockLstsq(data)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * data_bytes
 
     def test_zero_regressor_column_raises_in_loop(self):
         # input channel 1 never moves and k0 has a zero row for it, so the
