@@ -1,5 +1,5 @@
-"""The LAPACK routines hlqr calls, from scipy's compiled wrappers: dgees,
-dgetrf, dgetri and its workspace query dgetri_lwork (matops), the blocked
+"""The LAPACK routines hlqr calls, from scipy's compiled wrappers: dgetrf,
+dgetri and its workspace query dgetri_lwork (matops), the blocked
 compact-WY Householder QR dgeqrt with its reflector application dgemqrt,
 dtrcon and dtrtrs (adp), and dpstrf (_kernels).
 
@@ -26,7 +26,6 @@ _spec.loader.exec_module(_flapack)
 if not _imported:  # CPython enters the extension in sys.modules as it loads
     del sys.modules[_spec.name]
 
-dgees = _flapack.dgees
 dgetrf = _flapack.dgetrf
 dgetri = _flapack.dgetri
 dgetri_lwork = _flapack.dgetri_lwork

@@ -190,7 +190,7 @@ def _sym_indices(n):
 def phi(x):
     """Quadratic feature map: [x_i^2 ...; 2 x_i x_j (i<j) ...].
 
-    Satisfies phi(x) . svec(P) = x'Px for the matching svec ordering; accepts
+    Satisfies phi(x) . v = x'Px for P = unsvec(v, n); accepts
     a single state or a stack of states (rows).
     """
     arr = np.asarray(x, dtype=float)
@@ -201,15 +201,9 @@ def phi(x):
     return out[0] if single else out
 
 
-def svec(p):
-    """[P_11..P_nn, P_12, P_13, .., P_{n-1,n}] vector of a symmetric matrix."""
-    p = np.asarray(p, dtype=float)
-    iu, ju = _sym_indices(p.shape[0])
-    return np.concatenate([np.diag(p), p[iu, ju]])
-
-
 def unsvec(v, n):
-    """Inverse of svec."""
+    """Symmetric n x n matrix from the vector of its unique entries,
+    [P_11..P_nn, P_12, P_13, .., P_{n-1,n}]."""
     p = np.zeros((n, n))
     np.fill_diagonal(p, v[:n])
     iu, ju = _sym_indices(n)
@@ -433,7 +427,7 @@ def policy_iteration(data, qhat, rhat, k0, tol_pi=LearnConfig.tol_pi,
                      max_iter=LearnConfig.max_iter):
     """Off-policy integral policy iteration on recorded data.
 
-    Each pass solves one least-squares system jointly for svec(P) and B'P
+    Each pass solves one least-squares system jointly for P and B'P
     (_BlockLstsq, which factors the delta_xx block once for all passes),
     then updates K = Rhat^{-1} (B'P).  Stops when |P_k - P_{k-1}|_F <
     tol_pi * max(1, |P_k|_F); the scale factor keeps the tolerance meaningful

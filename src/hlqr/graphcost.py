@@ -395,9 +395,11 @@ def check_assumptions(mas, spec, dec):
     cluster subgraph.  Never raises; the report carries any failures.
 
     The first two make each cluster Riccati solution stabilizing (Kucera
-    1972): stabilizable by matops.stabilizable's verdict on (A_j, B_j),
-    detectable when Qhat_j is PD to rounding or (A_j', Qhat_j) is
-    stabilizable.
+    1972): stabilizable by matops.stabilizable's verdict on (A_j, B_j), a
+    certified stabilizing solution of the Riccati equation with Q = I and
+    R = I, detectable when Qhat_j is PD to rounding or (A_j', Qhat_j) is
+    stabilizable.  A mode within the doubling's margin of the imaginary
+    axis (matops.CARE_MAX_ITER) counts as marginal.
     """
     stab, detect = [], []
     for j, (qhat_j, _) in enumerate(cluster_costs(spec, dec)):

@@ -16,8 +16,10 @@ Cayley transform also certifies the matrix Hurwitz.  A Riccati solve
 raises when the doubling breaks down or does not stabilize, or a polish
 step's gain is not Hurwitz, as happens outside the standing assumptions of
 a stabilizable (A, B) and a detectable (Q^{1/2}, A).  stabilizable
-decides the first for graphcost.check_assumptions, by one ordered Schur
-form, the library's only one, and one squared-Smith Gramian.
+decides the first for graphcost.check_assumptions by the same Riccati
+solve with Q = I and R = I, so the doubling's certificate, with the margin
+CARE_MAX_ITER sets, is the library's one test of a Hurwitz matrix and of a
+stabilizing solution.
 
 solve_care, solve_lyapunov, pinv and eigvalsh_max first split their input
 at the connected components of its exact nonzero pattern (_components) and
@@ -38,12 +40,11 @@ Conventions: symmetric matrices are plain float64 ndarrays, symmetrized as
 
 import numpy as np
 
-from ._lapack import dgees, dgetrf, dgetri, dgetri_lwork
+from ._lapack import dgetrf, dgetri, dgetri_lwork
 from .errors import IterationDiverged, NonStabilizable, UnstableMatrix
 
 __all__ = [
     "symmetrize",
-    "is_psd",
     "pinv",
     "eigvalsh_max",
     "solve_lyapunov",
@@ -56,8 +57,17 @@ TOL_RESIDUAL = 1e-9
 
 #: doublings (of the Riccati or the squared-Smith Lyapunov iteration), and
 #: then Newton-Kleinman polishing steps, taken on one component before
-#: giving up
-CARE_MAX_ITER = 60
+#: giving up.  The cap sets the certificate's margin (_doubling), in units
+#: of the doubling's shift gamma >= 1.01 |A|_1: a certified matrix has
+#: abscissa at most -(1 - 4^(-2^(1 - CARE_MAX_ITER))) gamma / 4, about
+#: -gamma ln 2 / 2^CARE_MAX_ITER = -2.6e-9 gamma, so a marginal mode is
+#: refused, and a normal one with abscissa at most about
+#: -gamma ln(eps^(-1/2)) / 2^CARE_MAX_ITER = -6.7e-8 gamma is always
+#: accepted.  At 24, solve_lyapunov refuses some of the Hurwitz matrices
+#: that TestSolveLyapunov checks against scipy; at 60, rounding's stable
+#: eigenvalues near 0 get certified (diag(0, -1, -2) in half of 200 dense
+#: bases).
+CARE_MAX_ITER = 28
 
 #: least eigenvalue accepted as PSD (graphcost scales it by max(1, the largest))
 PSD_TOL = -1e-10
@@ -72,16 +82,10 @@ def symmetrize(m):
     return (m + m.swapaxes(-1, -2)) / 2.0
 
 
-def is_psd(m, tol=PSD_TOL):
-    """True when all eigenvalues of the symmetric part are >= tol."""
-    w = np.linalg.eigvalsh(symmetrize(m))
-    return bool(w[0] >= tol)
-
-
-def _pd(w, scale=0.0):
+def _pd(w):
     """True when w, the ascending eigenvalues of a symmetric matrix, show it
-    PD to rounding: w[0] > n eps max(w[-1], scale)."""
-    return bool(w[0] > w.size * np.finfo(float).eps * max(w[-1], scale))
+    PD to rounding: w[0] > n eps w[-1]."""
+    return bool(w[0] > w.size * np.finfo(float).eps * w[-1])
 
 
 def abscissa(m):
@@ -195,25 +199,6 @@ def eigvalsh_max(m):
                            lambda x: float(np.linalg.eigvalsh(x)[-1])))
 
 
-def _schur(a, select):
-    """Real Schur form (T, Z, k), a = Z T Z', by LAPACK dgees with its
-    workspace query, as scipy.linalg.schur calls it, T ordered with the k
-    eigenvalues that select(wr, wi) selects first (a pair counts twice).
-
-    When dgees cannot finish that ordering (info n + 1: two eigenvalues too
-    close to swap; n + 2: a swap's rounding moved one across select), T and
-    Z are still a Schur form of a, in the order reached, and k counts the
-    selected eigenvalues ahead of the first unselected one.  Raises
-    LinAlgError only when the QR algorithm fails (info 1 to n)."""
-    lwork = int(dgees(select, a, lwork=-1)[-2][0])
-    t, k, wr, wi, z, _, info = dgees(select, a, sort_t=1, lwork=lwork)
-    if 0 < info <= a.shape[0]:
-        raise np.linalg.LinAlgError("Schur form not found")
-    if info:
-        k = next((i for i, x in enumerate(zip(wr, wi)) if not select(*x)), len(wr))
-    return t, z, k
-
-
 def solve_lyapunov(a_s, w):
     """Solve a_s' V + V a_s + W = 0 for Hurwitz a_s and symmetric W.
 
@@ -246,51 +231,37 @@ def solve_lyapunov(a_s, w):
 
 def solve_continuous_lyapunov(a, q):
     """X solving A X + X A' = Q for anti-Hurwitz A and symmetric Q:
-    solve_lyapunov(-A', Q), with its contract and exceptions, under the name
-    perfbench/spans.py wraps to count stabilizable's Lyapunov solves."""
+    solve_lyapunov(-A', Q), with its contract and exceptions.  Nothing in
+    hlqr calls it.  It stays, by this name, because the benchmark harness
+    (perfbench/spans.py) wraps it and counts its calls; it goes in the
+    benchmark revision that stops doing so."""
     return solve_lyapunov(-np.asarray(a, dtype=float).T, q)
 
 
 def stabilizable(a, b):
-    """True when (A, B) is stabilizable, by one ordered Schur form (Varga 1981).
+    """True when (A, B) is stabilizable: when the Riccati equation with
+    Q = I and R = I has a stabilizing solution P, which is then PD.
 
-    A = Z T Z', T = [T11 T12; 0 T22], with the eigenvalues of negative real
-    part (a strict test) in T11, so B2 = Z2' B alone must drive the unstable
-    and marginal modes in T22.  T22 and B, whose positive scale does not
-    change the verdict, are taken at unit Frobenius norm, and beta = 0.05 -
-    min(0, T22's least diagonal entry, the least real part of its
-    eigenvalues).  X solves (T22 + beta I) X + X (T22 + beta I)' = 2 B2 B2'
-    (solve_continuous_lyapunov, by its module-level name); (A, B) is
-    stabilizable exactly when X is PD, and K2 = B2' X^{-1} would then give
-    the Hurwitz T22 - B2 K2.  T22 + beta I, of unit scale with every
-    eigenvalue at real part 0.05 or more, is certified by squared Smith in
-    a few doublings; X, a sum of congruences of a PSD matrix, meets the
-    contract uncorrected and holds only rounding, of order eps |X|, in an
-    uncontrollable direction.  X counts as PD when its least eigenvalue is
-    above n eps times its largest or 1 / beta (B2's rounding alone gives an
-    X of order eps^2 that).  A small beta keeps X well conditioned: its
-    least eigenvalue for modes that B2 reaches only through T22 falls like a
-    power of |T22| / beta (Varga's |T22|_F + 0.5 lost single-input pairs
-    with four such modes).
-
-    Never raises for a failed ordering: when dgees cannot move every stable
-    eigenvalue ahead (_schur), as for eigenvalues within rounding of the
-    imaginary axis, T11 holds only the stable eigenvalues ahead of the first
-    other one, and B2 must drive the stable modes left in T22 too.  A True
-    verdict then means what it means after a completed ordering; a False
-    one may also come from an uncontrollable stable mode left behind.
+    A and B, whose positive scale does not change the verdict, are taken at
+    unit Frobenius norm, and P is solved as solve_care solves one component
+    (_care_component): doubled and certified to the margin CARE_MAX_ITER
+    sets, then polished by Newton-Kleinman steps, whose gains are certified
+    Hurwitz too, when it misses the residual contract.  The polish is part
+    of the verdict, since the doubling can stop short of the fixed point
+    with a certificate: for a zero mode that B reaches only through
+    rounding, diag(0, -1, -2) in a dense basis, its closed loop was at
+    +1.6e-8.  P must also be PD to rounding (_pd), as a stabilizing P with
+    Q = I is: the doubled P of an unstable mode that B reaches only through
+    rounding came out indefinite.  Never raises.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    n = b.shape[0]
-    t, z, k = _schur(a, lambda wr, wi: wr < 0.0)
-    if k == n:  # A is Hurwitz
-        return True
-    t22 = t[k:, k:] / (np.linalg.norm(t[k:, k:]) or 1.0)
-    b2 = z[:, k:].T @ b / (np.linalg.norm(b) or 1.0)
-    beta = 0.05 - min(t22.diagonal().min(), 0.0)
-    w = np.linalg.eigvalsh(solve_continuous_lyapunov(
-        t22 + beta * np.eye(n - k), 2.0 * b2 @ b2.T))
-    return _pd(w, 1.0 / beta)
+    a = a / (np.linalg.norm(a) or 1.0)
+    b = b / (np.linalg.norm(b) or 1.0)
+    try:
+        p = _care_component(a, b, np.eye(a.shape[0]), np.eye(b.shape[1]))
+    except (NonStabilizable, IterationDiverged):
+        return False
+    return _pd(np.linalg.eigvalsh(p))
 
 
 def solve_care(a, b, q, r, p0=None):
@@ -426,6 +397,24 @@ def _doubling(a, g, q):
     point, so the first stop without it returns None.  That happens when Q
     leaves an unstable or marginal mode unweighted: H is zero in that
     direction from the start and stops moving at once.
+
+    The margin follows from the two stop rules and the cap.  A Cayley image
+    mu of an eigenvalue lambda = x + iy of A_X has |mu|^2 =
+    ((gamma + x)^2 + y^2) / ((gamma - x)^2 + y^2), so |mu| < 1 needs x < 0,
+    and then (gamma - x)^2 + y^2 >= gamma^2.  The norm rule at k <
+    CARE_MAX_ITER doublings gives |mu|^2 <= 4^(-2^-k), so it proves
+    x <= -(1 - 4^(-2^-k)) gamma / 4, at worst about
+    -gamma ln 2 / 2^CARE_MAX_ITER.  The move rule bounds what is accepted:
+    for a normal A_X with spectral radius rho of the Cayley image, the
+    doubling after k moves H by about rho^(2^(k+1)) |H|, so H stops within
+    the cap once rho^(2^CARE_MAX_ITER) <= sqrt(eps), and |W^{-1} E|_1 is
+    then about eps^(1/4), far below 1/2.  As rho <= exp(-|x| / (gamma + |x|))
+    when |lambda| <= gamma (exp(-2 |x| / gamma) when lambda is real), an
+    abscissa of at most -gamma ln(eps^(-1/2)) / 2^CARE_MAX_ITER, up to the
+    log of a factor n from the norms, is certified (half that when the
+    slowest modes are real).  The proof holds for G None as it stands, and
+    with a G at the fixed point, which solve_care's residual contract and
+    polish make sure of.
 
     gamma > |A|_1 keeps A_g invertible, |A_g^{-1}|_1 <= 1 / (gamma - |A|_1),
     and V = A_g (I + A_g^{-1} G A_g^{-T} Q) with it, the second factor's

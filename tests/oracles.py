@@ -11,7 +11,10 @@ applies the inverse by GEMM.  care_residual is the Riccati residual of a
 candidate P, with its gain formed from R.  comm_links_loop tests
 graphcost.comm_links' agent pairs one at a time.  pbh_stabilizable is the
 Popov-Belevitch-Hautus rank test that graphcost.check_assumptions replaces
-by one ordered Schur form.
+by one Riccati doubling with Q = I (matops.stabilizable).  is_psd tests a
+symmetric part PSD by its least eigenvalue, and svec lists a symmetric
+matrix's unique entries in the order adp.unsvec reads them; the library
+calls neither.
 
 Pointwise gives a test signal written as a function of time the
 .table(h, n) form that the simulator reads.  half_grid_table is the
@@ -236,6 +239,18 @@ def pbh_stabilizable(a, b, every_mode=False, tol=1e-7):
         if sv[n - 1] <= tol * max(1.0, sv[0]):
             return False
     return True
+
+
+def is_psd(m, tol=PSD_TOL):
+    """True when all eigenvalues of the symmetric part are >= tol."""
+    return bool(np.linalg.eigvalsh(symmetrize(m))[0] >= tol)
+
+
+def svec(p):
+    """[P_11..P_nn, P_12, P_13, .., P_{n-1,n}] vector of a symmetric matrix."""
+    p = np.asarray(p, dtype=float)
+    iu, ju = np.triu_indices(p.shape[0], 1)
+    return np.concatenate([np.diag(p), p[iu, ju]])
 
 
 def psd_sqrt(m):

@@ -21,7 +21,6 @@ from hlqr.adp import (
     learn_hierarchical,
     phi,
     policy_iteration,
-    svec,
     unsvec,
 )
 from hlqr.errors import InvalidConfig, NoConvergence, RankDeficient, StateBlowup
@@ -29,9 +28,11 @@ from hlqr.graphcost import CostGraph, CostSpec, Decomposition
 from oracles import (
     equilibrated_lstsq,
     excitation_table,
+    is_psd,
     lstsq_svd_oracle,
     policy_iteration_oracle,
     regressor,
+    svec,
 )
 
 SQRT2_M1 = 0.41421356237309515
@@ -289,7 +290,7 @@ class TestPolicyIteration:
         result = learn_cluster(plant, qhat, np.eye(2), LearnConfig(seed=9))
         a_1, _ = mas.cluster(dec, 0)
         u0 = matops.solve_lyapunov(a_1, qhat)
-        assert matops.is_psd(u0 - result.p_hat, tol=-1e-6)
+        assert is_psd(u0 - result.p_hat, tol=-1e-6)
         rng = np.random.default_rng(12)
         for _ in range(20):
             x0 = rng.standard_normal(4)

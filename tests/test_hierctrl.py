@@ -18,7 +18,7 @@ from hlqr.hierctrl import (
     hierarchical_gain,
     solve_clusters,
 )
-from oracles import care_residual, dense_gap_report
+from oracles import care_residual, dense_gap_report, is_psd
 
 
 def pair_system(n=2, m=1):
@@ -69,7 +69,7 @@ class TestSolveClusters:
             res = care_residual(a_j, b_j, qhat_j, rhat_j, p_blocks[j])
             assert res <= 1e-9 * (1.0 + np.linalg.norm(p_blocks[j], "fro"))
             assert np.allclose(pb_blocks[j], p_blocks[j] @ b_j, atol=1e-12)
-            assert matops.is_psd(p_blocks[j])
+            assert is_psd(p_blocks[j])
 
 
 class TestComputeRtilde:
@@ -125,7 +125,7 @@ class TestComputeRtilde:
         coeff = np.kron(pb, pb)
         sol, *_ = np.linalg.lstsq(coeff, g2q.reshape(-1), rcond=None)
         assert np.allclose(r_tilde.reshape(-1), sol, atol=1e-8)
-        assert matops.is_psd(r_tilde)
+        assert is_psd(r_tilde)
 
     def test_dimension_guards(self):
         _, spec = pair_system()
@@ -173,7 +173,7 @@ class TestAssembleGain:
         assert np.allclose(gain.k_h, gain.k_local + gain.k_global, atol=1e-14)
         assert np.allclose(gain.k_local,
                            np.linalg.solve(spec.r, gain.bt_p), atol=1e-12)
-        assert matops.is_psd(gain.r_tilde)
+        assert is_psd(gain.r_tilde)
 
     def test_closed_loop_stable(self):
         rng = np.random.default_rng(89)
@@ -212,7 +212,7 @@ class TestGapReport:
         assert report.delta_j >= -slack
         assert report.sop >= -slack
         p_script = dec.scatter(gain.p_blocks, spec.n, spec.n)
-        assert matops.is_psd(p_opt - p_script, tol=-1e-8)
+        assert is_psd(p_opt - p_script, tol=-1e-8)
         rng = np.random.default_rng(101)
         for _ in range(20):
             x0 = rng.standard_normal(24)
@@ -560,7 +560,7 @@ class TestGapIdentity:
             assert np.array_equal(p_opt, matops.solve_care(a, b, q, r))
         assert care_residual(a, b, q, r, p_opt) <= matops.TOL_RESIDUAL * (
             1.0 + np.linalg.norm(p_opt, "fro"))
-        assert matops.is_psd(u - p_opt)
+        assert is_psd(u - p_opt)
         slack = 1e-9
         assert report.j_approx <= report.j_opt + slack * abs(report.j_opt)
         assert report.j_opt <= report.j_h + slack * abs(report.j_h)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from hlqr import _lapack, graphcost, hierctrl, matops, sim
 from hlqr.errors import IterationDiverged, NonStabilizable, UnstableMatrix
-from oracles import (care_residual, lu_doubling, pbh_stabilizable, split_care,
-                     split_lyapunov, split_pinv, svd_pinv)
+from oracles import (care_residual, is_psd, lu_doubling, pbh_stabilizable,
+                     split_care, split_lyapunov, split_pinv, svd_pinv)
 
 SQRT2_M1 = 0.41421356237309515
 
@@ -145,7 +145,7 @@ class TestSolveCare:
             r = np.eye(m)
             p = matops.solve_care(a, b, q, r)
             assert np.array_equal(p, p.T)
-            assert matops.is_psd(p)
+            assert is_psd(p)
             res = care_residual(a, b, q, r, p)
             assert res <= 1e-9 * (1.0 + np.linalg.norm(p, "fro"))
             k = np.linalg.solve(r, b.T @ p)
@@ -173,7 +173,7 @@ class TestSolveCare:
             q2 = q1 + bump @ bump.T
             p1 = matops.solve_care(a, b, q1, np.eye(2))
             p2 = matops.solve_care(a, b, q2, np.eye(2))
-            assert matops.is_psd(p2 - p1, tol=-1e-8)
+            assert is_psd(p2 - p1, tol=-1e-8)
 
     def test_not_stabilizable(self):
         # an unstable or marginal mode decoupled from the input channel, in
@@ -279,7 +279,7 @@ class TestSolveCare:
             assert care_residual(a, b, q, r, p_warm) <= (
                 1e-9 * (1.0 + np.linalg.norm(p_warm, "fro")))
             assert np.array_equal(p_warm, p_cold)
-            assert matops.is_psd(p0 - p_warm)
+            assert is_psd(p0 - p_warm)
 
     def test_warm_start_at_solution_makes_no_solve(self, monkeypatch):
         rng = np.random.default_rng(59)
@@ -328,15 +328,14 @@ class TestSolveCare:
         assert np.linalg.norm(p - p_ref, "fro") <= 1e-7 * (
             1.0 + np.linalg.norm(p_ref, "fro"))
 
-    def test_no_schur_form_on_example1(self, monkeypatch):
+    def test_no_schur_form_on_example1(self):
         # the 100-state example1 system, cold and from the cost matrix of a
-        # gain that is not optimal: doubling alone, no dgees
+        # gain that is not optimal: doubling alone meets the contract
         mas, spec = sim.clique_path_scenario(5, 5)
         a, b, r = mas.a_full, mas.b_full, spec.r
         q = graphcost.assemble_q(spec)
         k0 = hierctrl.hierarchical_gain(mas, spec, sim.clique_decomposition(5, 5)).k_h
         u = matops.solve_lyapunov(a - b @ k0, q + k0.T @ r @ k0)
-        monkeypatch.setattr(matops, "_schur", None)
         for p0 in (None, u):
             p = matops.solve_care(a, b, q, r, p0=p0)
             assert care_residual(a, b, q, r, p) <= matops.TOL_RESIDUAL * (
@@ -379,21 +378,10 @@ class TestStabilizingGain:
         a[0, 0] = -0.5
         assert matops.stabilizable(a, b)
 
-    @staticmethod
-    def reordering_fails(monkeypatch, info, sort=True):
-        """Patch matops.dgees to report info, the ordering done (sort) or
-        never started."""
-        dgees = matops.dgees
-
-        def failing(select, a, sort_t=0, lwork=None):
-            out = dgees(select, a, sort_t=sort_t if sort else 0, lwork=lwork)
-            return (*out[:-1], info(a.shape[0]))
-
-        monkeypatch.setattr(matops, "dgees", failing)
-
-    def test_reordering_reported_failed_keeps_verdicts(self, monkeypatch):
-        # info n + 2 on an ordered T: the stable eigenvalues ahead of the
-        # first other one are all of them, so every verdict stands
+    def test_reordering_reported_failed_keeps_verdicts(self):
+        # eigenvalues within rounding of 0 (formation's double integrators),
+        # an uncontrollable stable mode, an uncontrollable unstable one, and
+        # a zero mode beside stable and unstable ones in a random basis
         rng = np.random.default_rng(71)
         mas = sim.build_formation(sim.default_formation())[0]
         pairs = [(mas.a_full, mas.b_full),
@@ -403,29 +391,24 @@ class TestStabilizingGain:
             s = rng.standard_normal((4, 4))
             pairs.append((s @ np.diag([0.5, -1.0, -2.0, 0.0]) @ np.linalg.inv(s),
                           rng.standard_normal((4, 1))))
-        want = [matops.stabilizable(a, b) for a, b in pairs]
-        self.reordering_fails(monkeypatch, lambda n: n + 2)
-        assert [matops.stabilizable(a, b) for a, b in pairs] == want
-        assert want[:3] == [True, True, False]
+        got = [matops.stabilizable(a, b) for a, b in pairs]
+        assert got == [pbh_stabilizable(a, b) for a, b in pairs]
+        assert got[:3] == [True, True, False]
 
-    def test_unordered_schur_form(self, monkeypatch):
-        # info n + 1 before any swap: T11 is the stable run ahead of the
-        # first other eigenvalue; a stable mode after it must be driven too
-        self.reordering_fails(monkeypatch, lambda n: n + 1, sort=False)
+    def test_unordered_schur_form(self):
+        # a stable mode need not be driven, an unstable one must, in either
+        # order of the states
         a = np.diag([-1.0, 1.0])
         assert matops.stabilizable(a, np.array([[0.0], [1.0]]))
         assert not matops.stabilizable(a, np.array([[1.0], [0.0]]))
-        assert not matops.stabilizable(a[::-1, ::-1], np.array([[1.0], [0.0]]))
+        assert matops.stabilizable(a[::-1, ::-1], np.array([[1.0], [0.0]]))
+        assert not matops.stabilizable(a[::-1, ::-1], np.array([[0.0], [1.0]]))
         assert matops.stabilizable(a[::-1, ::-1], np.array([[1.0], [1.0]]))
-        self.reordering_fails(monkeypatch, lambda n: 1)
-        with pytest.raises(np.linalg.LinAlgError):
-            matops.stabilizable(a, np.array([[0.0], [1.0]]))
 
     def test_fourfold_zero_eigenvalue(self):
         # eigenvalues 0, 0, 0, 0 and 1e-3 in a random basis: computed as
-        # +-1e-19 and below, and reordering them by sign fails (dgees info
-        # n + 2 with scipy-openblas 0.3.31).  The zero eigenvalue has four
-        # independent eigenvectors, so B needs rank 4
+        # +-1e-19 and below.  The zero eigenvalue has four independent
+        # eigenvectors, so B needs rank 4
         s = np.random.default_rng(0).standard_normal((5, 5))
         a = s @ np.diag([0.0, 0.0, 0.0, 0.0, 1e-3]) @ np.linalg.inv(s)
         for m in (1, 3, 4, 5):
@@ -598,6 +581,89 @@ class TestSolveLyapunov:
                 total += np.einsum("kji,jl,kli->", e, w, e) * dt
                 e0 = e0 @ e_blk
             assert abs(total - np.trace(v)) <= 1e-2 * np.trace(v)
+
+
+def modal_pair(rng, n, re, dense=False, unstable=True):
+    """(A, B) with A = S D S^{-1} and B = S B0.  D is real block diagonal:
+    its first block is re, or the pair re +- i w with w in [0.1, 1], and the
+    other modes are real, of modulus 0.1 to 1, stable or (when unstable) of
+    either sign.  B0 drives every mode but the first block's.  S is
+    orthogonal, or when dense has condition number up to 100, so rounding
+    moves the first block's eigenvalues by far less than the doubling
+    certificate's margin."""
+    k = 2 if n > 2 and rng.random() < 0.5 else 1
+    d = np.zeros((n, n))
+    d[:k, :k] = re * np.eye(k)
+    if k == 2:
+        w = rng.uniform(0.1, 1.0)
+        d[0, 1], d[1, 0] = w, -w
+    signs = rng.choice([-1.0, 1.0], n - k) if unstable else -np.ones(n - k)
+    d[k:, k:] = np.diag(signs * rng.uniform(0.1, 1.0, n - k))
+    b0 = np.zeros((n, 1))
+    b0[k:, 0] = rng.choice([-1.0, 1.0], n - k) * rng.uniform(0.5, 2.0, n - k)
+    s = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    if dense:
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        s = s @ np.diag(np.logspace(0.0, -rng.uniform(0.0, 2.0), n)) @ v.T
+    return s @ d @ np.linalg.inv(s), s @ b0
+
+
+class TestCertificateMargin:
+    """The margin that CARE_MAX_ITER sets on the doubling certificate:
+    marginal matrices and uncontrollable marginal pairs are refused, and
+    normal matrices with abscissa at most -1e-6 |A|_2 are accepted."""
+
+    def test_marginal_families(self):
+        # diag(0, -1, -2) in 200 dense bases, and diag(0, -1, 2) in 100
+        # orthogonal ones with B missing the zero mode.  A cap of 60
+        # doublings certified the first Hurwitz 100 times and returned a P
+        # for the second 16 times
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            s = rng.standard_normal((3, 3))
+            a = s @ np.diag([0.0, -1.0, -2.0]) @ np.linalg.inv(s)
+            with pytest.raises(UnstableMatrix):
+                matops.solve_lyapunov(a, np.eye(3))
+            assert not matops.stabilizable(a, s @ np.array([[0.0], [1.0], [1.0]]))
+        rng = np.random.default_rng(71)
+        for _ in range(100):
+            u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            a = u @ np.diag([0.0, -1.0, 2.0]) @ u.T
+            b = u @ np.array([[0.0], [1.0], [1.0]])
+            with pytest.raises((NonStabilizable, IterationDiverged)):
+                matops.solve_care(a, b, np.eye(3), np.eye(1))
+            assert not matops.stabilizable(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+           exp=st.floats(-6.0, 6.0), dense=st.booleans())
+    def test_marginal_refused(self, seed, n, exp, dense):
+        # a zero or an imaginary pair, at any scale, in an orthogonal or
+        # well-conditioned basis: no Hurwitz certificate, no stabilizing P,
+        # not stabilizable without an input that reaches it
+        a, b = modal_pair(np.random.default_rng(seed), n, 0.0, dense)
+        a *= 10.0 ** exp
+        with pytest.raises(UnstableMatrix):
+            matops.solve_lyapunov(a, np.eye(n))
+        with pytest.raises((NonStabilizable, IterationDiverged)):
+            matops.solve_care(a, b, np.eye(n), np.eye(1))
+        assert not matops.stabilizable(a, b)
+        assert not matops.stabilizable(a, np.zeros((n, 1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+           margin=st.floats(1.01e-6, 0.1), exp=st.floats(-6.0, 6.0))
+    def test_margin_accepted(self, seed, n, margin, exp):
+        # a normal Hurwitz A whose abscissa, -margin, is at most -1e-6 |A|_2
+        # (|A|_2 <= 1.005), and B missing that mode: certified at any scale,
+        # and the Riccati solve at unit scale returns
+        a, b = modal_pair(np.random.default_rng(seed), n, -margin, unstable=False)
+        assert matops.abscissa(a) <= -1e-6 * np.linalg.norm(a, 2)
+        matops.solve_care(a, b, np.eye(n), np.eye(1))
+        a *= 10.0 ** exp
+        matops.solve_lyapunov(a, np.eye(n))
+        assert matops.stabilizable(a, b)
+        assert matops.stabilizable(a, np.zeros((n, 1)))
 
 
 class TestPinv:
@@ -956,8 +1022,8 @@ class TestScipyBits:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 24, 48, 100, 150])
     def test_solve_continuous_lyapunov(self, n):
-        # A X + X A' = Q for anti-Hurwitz A: stabilizable's shifted T22 and
-        # its Q = 2 B B', then an indefinite symmetric Q
+        # A X + X A' = Q for anti-Hurwitz A: a shifted random A with
+        # Q = 2 B B', then an indefinite symmetric Q
         rng = np.random.default_rng(n)
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((n, 3))
@@ -1003,20 +1069,6 @@ class TestScipyBits:
         assert got[-1] == want[-1] == 0
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(matops._inv(a), want[0])
-
-    @pytest.mark.parametrize("n", [1, 2, 9, 64, 150])
-    def test_dgees(self, n):
-        a = np.random.default_rng(n).standard_normal((n, n))
-
-        def no_select(wr, wi):
-            return 0
-
-        lwork = int(_lapack.dgees(no_select, a, lwork=-1)[-2][0])
-        got = _lapack.dgees(no_select, a, lwork=lwork)
-        want = scipy.linalg.lapack.dgees(no_select, a, lwork=lwork)
-        assert got[-1] == want[-1] == 0
-        for x, y in zip(got[:-1], want[:-1]):
-            assert np.array_equal(x, y)
 
 
 class TestResidualGuards:
