@@ -19,7 +19,8 @@ most n + 3m rows), so a chunk's costs are one GEMM of the buffer with
 [F_cost; F_u]' and two row sums of squares, never negative.  The collect
 kernel keeps no per-step record: a sample map Y sends a row to c_i [x_i, v_i],
 the weighted stage states and applied inputs, and one GEMM of the buffer with
-Y' and one batched product Y_x' Y give [I_xx | I_xv] of every window.
+Y' and one batched product Y_x' Y give [I_xx | I_xv] of every window, which
+go straight into the columns adp's least squares reads (collect_kernel).
 
 The state recurrence runs in blocks of BLOCK steps with the powers
 T, T^2, .., T^BLOCK, built once per call.  Within a block starting at x_p,
@@ -258,14 +259,23 @@ def collect_kernel(a, b, k0, exo_cmd, exo_dist, x0, dt, steps_per_window,
     exo_cmd and exo_dist give e and d as functions rows(h0, h1) of their
     half-grid tables, like rollout_kernel's, each None for no signal.
     Accumulates per-window RK4 quadratures of x x' and x v' and records
-    window boundary states.  Returns (boundaries, i_xx, i_xv, None, None,
-    status, windows_done).  No per-step record is kept; slots 3 and 4 stay
-    empty for callers that read windows_done by position.
+    window boundary states.  Returns (boundaries, cols, None, None, None,
+    status, windows_done).  cols is the Fortran (n_windows, m n + n^2)
+    buffer of adp's least squares: column a n + b holds int x_b v_a, then
+    column m n + c holds int x_i x_j for the c-th pair i <= j in row-major
+    order, and the last n (n - 1) / 2 columns are left zero.  No per-step
+    record is kept; slots 2 to 4 stay empty for callers that read
+    windows_done by position.
     """
     n, m = b.shape
     spw = steps_per_window
     xb = np.zeros((n_windows + 1, n))
-    ixx, ixv = np.zeros((n_windows, n, n)), np.zeros((n_windows, n, m))
+    cols = np.zeros((n_windows, m * n + n * n), order="F")
+    # rows of cols.T, which is C-ordered: the I_xv columns as (a, b), then
+    # the upper triangle of I_xx
+    ixv_t = cols.T[:m * n].reshape(m, n, n_windows)
+    ixx_t = cols.T[m * n:m * n + n * (n + 1) // 2]
+    upper = np.triu_indices(n)
     xb[0] = x0
     status, done = OK, 0
     t_pows, g_map, s_map = _rk4_maps(a, b, k0, dt)
@@ -281,9 +291,9 @@ def collect_kernel(a, b, k0, exo_cmd, exo_dist, x0, dt, steps_per_window,
         w0, n_win = s0 // spw, steps // spw
         samples = (z[:steps] @ y_map).reshape(n_win, 4 * spw, n + m)
         ints = samples[:, :, :n].transpose(0, 2, 1) @ samples
-        ixx[w0:w0 + n_win] = ints[:, :, :n]
-        ixv[w0:w0 + n_win] = ints[:, :, n:]
+        ixv_t[:, :, w0:w0 + n_win] = ints[:, :, n:].transpose(2, 1, 0)
+        ixx_t[:, w0:w0 + n_win] = ints[:, upper[0], upper[1]].T
         xb[w0 + 1:w0 + n_win + 1] = z[spw:steps + 1:spw, :n]
         done = w0 + n_win
 
-    return xb, ixx, ixv, None, None, status, done
+    return xb, cols, None, None, None, status, done

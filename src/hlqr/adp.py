@@ -62,6 +62,10 @@ TABLE_BLOCK = 512
 #: groups of this many blocks, each into the one buffer of its table.
 _TABLE_GROUP = 16
 
+#: Rows per block in which collect fills delta_xx from the boundary states
+#: and _BlockLstsq sums its column norms: no temporary spans the horizon.
+_ROW_BLOCK = 256
+
 #: Block size of the least squares' compact-WY Householder QR (dgeqrt and
 #: dgemqrt), clamped to min(rows, cols) as dgeqrt requires.  On the 36-state
 #: learn (one BLAS thread) policy_iteration took 259, 244, 233 and 244 ms at
@@ -212,18 +216,32 @@ def unsvec(v, n):
     return p
 
 
-@dataclass(frozen=True)
+@dataclass
 class Dataset:
-    """Window integrals recorded during the data collection phase.
+    """Window data recorded during the data collection phase, in the two
+    Fortran buffers that _BlockLstsq factors in place.
 
-    delta_xx[w] = phi(x(t_{w+1})) - phi(x(t_w)); i_xx[w] = int x x' dtau and
-    i_xu[w] = int x v' dtau over window w with v the applied input.  Whether
-    the data identify the unknowns is judged by policy_iteration's first pass.
+    delta_xx[w] = phi(x(t_{w+1})) - phi(x(t_w)) is A1, (M, n(n+1)/2); ints
+    holds the window integrals int x v' and int x x' dtau, v the applied
+    input, as (M, m n + n^2) columns in _kernels.collect_kernel's order.
+    Whether the data identify the unknowns is judged by policy_iteration's
+    first pass, which consumes the dataset (consume).
     """
 
     delta_xx: np.ndarray
-    i_xx: np.ndarray
-    i_xu: np.ndarray
+    ints: np.ndarray
+
+    def __post_init__(self):
+        if not all(a.dtype == float and a.flags.f_contiguous
+                   for a in (self.delta_xx, self.ints)):
+            raise ValueError("Dataset buffers must be Fortran-ordered float arrays")
+
+    def consume(self):
+        """(delta_xx, ints), which the caller may overwrite; the dataset
+        keeps neither, so a caller that still holds it holds no data."""
+        buffers = self.delta_xx, self.ints
+        self.delta_xx = self.ints = None
+        return buffers
 
     @property
     def M(self):
@@ -231,11 +249,26 @@ class Dataset:
 
     @property
     def n(self):
-        return self.i_xx.shape[1]
+        return (math.isqrt(8 * self.delta_xx.shape[1] + 1) - 1) // 2
 
     @property
     def m(self):
-        return self.i_xu.shape[2]
+        return self.ints.shape[1] // self.n - self.n
+
+
+def _column_norms(a):
+    """Column 2-norms of a, summed down the rows one at a time, as
+    np.linalg.norm(axis=0) does on a C-ordered array (on a Fortran one it
+    sums pairwise, which rounds differently); squared _ROW_BLOCK rows at a
+    time."""
+    acc = np.zeros(a.shape[1])
+    for r0 in range(0, a.shape[0], _ROW_BLOCK):
+        block = a[r0:r0 + _ROW_BLOCK]
+        squares = np.empty((len(block) + 1, a.shape[1]))
+        squares[0] = acc  # the running sum comes first
+        np.square(block, out=squares[1:])
+        acc = np.add.reduce(squares, axis=0)
+    return np.sqrt(acc)
 
 
 def _qr(a):
@@ -251,16 +284,16 @@ class _BlockLstsq:
     At gain K the column-equilibrated regressor is [A1 | A2] with
     A1 = delta_xx, the same in every pass, and A2 = -2 (I_xu' + K I_xx); the
     right side is -I_xx : (Q + K'RK).  Householder QR of [A1 | A2 | rhs]
-    takes its first n_sym reflectors Q1 from A1 alone, so A1 is factored
-    once (R11) and Q1' is applied once, to one Fortran buffer over all
-    windows holding the unique columns of I_xu and I_xx.  Only that reads
-    the data; the first pass spreads the buffer in place to all n^2 I_xx
-    columns and allocates R and its own buffers.  A pass forms Q1'[A2 | rhs]
-    over all rows by one GEMM with K and one matrix-vector product with
-    Q + K'RK, scales each A2 column by its norm (Q1 is orthogonal, so that
-    of Q1'A2), and factors in place only the rows below the first n_sym,
-    copied into one reused Fortran buffer, which gives R22 and the tail of
-    Q'rhs.  Both QRs are LAPACK's blocked compact-WY form (dgeqrt, applied
+    takes its first n_sym reflectors Q1 from A1 alone, so A1 is scaled and
+    factored once (R11), in the dataset's own buffer, and Q1' is applied
+    once, in place, to the dataset's buffer of the unique columns of I_xu
+    and I_xx.  The set-up thus consumes the dataset and copies none of it;
+    the first pass spreads the buffer in place to all n^2 I_xx columns and
+    allocates R and its own buffers.  A pass forms Q1'[A2 | rhs] over all rows by one GEMM with K
+    and one matrix-vector product with Q + K'RK, scales each A2 column by
+    its norm (Q1 is orthogonal, so that of Q1'A2), and factors in place only
+    the rows below the first n_sym, copied into one reused Fortran buffer,
+    which gives R22 and the tail of Q'rhs.  Both QRs are LAPACK's blocked compact-WY form (dgeqrt, applied
     by dgemqrt) at block size QR_BLOCK.  Without pivoting, diag(R) does not
     reveal the rank, so identifiability is judged by the LAPACK 1-norm
     reciprocal condition estimate (dtrcon) of R = [R11 R12; 0 R22] against
@@ -272,23 +305,16 @@ class _BlockLstsq:
         n_sym = n * (n + 1) // 2
         n_cols = n_sym + m * n
 
-        scale_xx = np.linalg.norm(data.delta_xx, axis=0)
+        a1, self.cols = data.consume()
+        scale_xx = _column_norms(a1)
         scale_xx[scale_xx == 0.0] = 1.0
-        a1 = np.empty((n_rows, n_sym), order="F")
-        np.divide(data.delta_xx, scale_xx, out=a1)
+        a1 /= scale_xx
         t1 = _qr(a1)
         self.r11 = a1[:n_sym]  # which keeps a1 until the first pass
 
-        # its leading columns: I_xu columns (a, b) holding I_xu[:, b, a],
-        # then I_xx columns (i, j), i <= j, in row-major order
-        self.cols = np.empty((n_rows, m * n + n * n), order="F")
-        cols = self.cols[:, :n_cols]
-        cols.T[:m * n].reshape(m, n, n_rows).transpose(2, 0, 1)[...] = (
-            data.i_xu.transpose(0, 2, 1))
-        starts = m * n + np.cumsum([0] + list(range(n, 0, -1)))
-        for i in range(n):
-            cols[:, starts[i]:starts[i + 1]] = data.i_xx[:, i, i:]
-        _lapack.dgemqrt(a1, t1, cols, side="L", trans="T", overwrite_c=1)
+        # the I_xu columns, then the unique I_xx columns (Dataset.ints)
+        _lapack.dgemqrt(a1, t1, self.cols[:, :n_cols], side="L", trans="T",
+                        overwrite_c=1)
 
         self.scale = np.concatenate([scale_xx, np.empty(m * n)])
         self.n_sym = n_sym
@@ -383,7 +409,9 @@ def collect(plant, k0, exc, horizon, dt, window, x0=None):
     index arrays of horizon / dt steps.  When a measurable disturbance is
     attached to the plant, the recorded applied input is u + d.  x0 defaults
     to a standard normal draw from the excitation seed.  Only the window
-    integrals and boundary states are kept, not the per-step samples.
+    integrals and boundary states are kept, not the per-step samples: the
+    kernel writes the integrals into the least squares' buffer, and delta_xx
+    is filled from the boundary states _ROW_BLOCK windows at a time.
     Raises StateBlowup when a state entry exceeds sim.DEFAULT_GUARD.
     """
     n, m = plant.n_states, plant.n_inputs
@@ -393,7 +421,7 @@ def collect(plant, k0, exc, horizon, dt, window, x0=None):
     if x0 is None:
         x0 = np.random.default_rng(exc.seed).standard_normal(n)
 
-    xb, i_xx, i_xv, _, _, status, done = plant.collect(
+    xb, ints, _, _, _, status, done = plant.collect(
         k0, exc, x0, dt, steps_per_window, n_windows,
     )
     if status == _kernels.BLOWUP:
@@ -402,8 +430,11 @@ def collect(plant, k0, exc, horizon, dt, window, x0=None):
             f"stabilizing or excitation too large"
         )
 
-    phis = phi(xb)
-    return Dataset(delta_xx=phis[1:] - phis[:-1], i_xx=i_xx, i_xu=i_xv)
+    delta_xx = np.empty((n_windows, n * (n + 1) // 2), order="F")
+    for w0 in range(0, n_windows, _ROW_BLOCK):
+        phis = phi(xb[w0:w0 + _ROW_BLOCK + 1])
+        delta_xx[w0:w0 + _ROW_BLOCK] = phis[1:] - phis[:-1]
+    return Dataset(delta_xx=delta_xx, ints=ints)
 
 
 @dataclass(frozen=True)
@@ -436,6 +467,8 @@ def policy_iteration(data, qhat, rhat, k0, tol_pi=LearnConfig.tol_pi,
     pass (at the behavior gain k0) whose condition estimate is not below
     COND_GUARD, or for an unidentifiable regressor in any pass, and
     NoConvergence when max_iter passes go by without meeting tol_pi.
+    The dataset is consumed: its buffers are factored in place and it keeps
+    neither (Dataset.consume), so it cannot be used again.
     """
     n, m = data.n, data.m
     n_unknowns = unknown_count(n, m)
@@ -447,7 +480,6 @@ def policy_iteration(data, qhat, rhat, k0, tol_pi=LearnConfig.tol_pi,
     rhat = np.asarray(rhat, dtype=float)
     k = np.asarray(k0, dtype=float)
     solve = _BlockLstsq(data)
-    del data  # so that a caller holding no other reference frees it here
     n_sym = n * (n + 1) // 2
     p_prev = None
     for it in range(1, max_iter + 1):
@@ -485,7 +517,6 @@ def learn_cluster(plant, qhat, rhat, cfg, k0=None, tag=0):
     k0 = np.zeros((m, n)) if k0 is None else np.asarray(k0, dtype=float)
     for attempt in range(4):
         try:
-            # the dataset is not named here, so that policy_iteration frees it
             result = policy_iteration(
                 collect(plant, k0, exc, horizon, cfg.dt, cfg.window), qhat, rhat,
                 k0, tol_pi=cfg.tol_pi, max_iter=cfg.max_iter)

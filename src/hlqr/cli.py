@@ -503,6 +503,40 @@ def bench_tables(which, out_dir="out", seed=0):
 # ---------------------------------------------------------------------------
 
 
+def _looks_negative(word):
+    """Whether word starts like a negative number: -1, -.5, -1,0,0, -inf."""
+    return word[:1] == "-" and (word[1:].lstrip(".")[:1].isdigit()
+                                or word[1:4].lower() in ("inf", "nan"))
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a word that looks like a negative
+    number (-1, -inf, -1,0,0) after a value-taking option is read as that
+    option's value, as --dt=-inf is, so that it reaches hlqr's own checks.
+    argparse alone takes -inf or -1,0,0 there for an unknown option and
+    exits with a usage message."""
+
+    def __init__(self, *args, **kwargs):
+        self._value_options = set()  # super().__init__ adds --help
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs is None:
+            self._value_options.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand's parser gets the words after the subcommand
+        words = []
+        for word in sys.argv[1:] if args is None else args:
+            if words and words[-1] in self._value_options and _looks_negative(word):
+                words[-1] += "=" + word
+            else:
+                words.append(word)
+        return super().parse_known_args(words, namespace)
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, help="master RNG seed")
     p.add_argument("--out", help="output directory")
@@ -535,7 +569,7 @@ def _add_learn_flags(p):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hlqr",
         description="Hierarchical LQR for multi-agent systems: decompose, "
                     "learn cluster controllers model-free, assemble, evaluate.",

@@ -51,16 +51,21 @@ entries, with bfs_connected as its connectivity test.
 The policy-iteration oracles build the full joint regressor of every pass
 and solve it from scratch, by one Householder QR (equilibrated_lstsq) or by
 SVD (lstsq_svd_oracle).  adp.policy_iteration factors the pass-invariant
-delta_xx block once per dataset instead, and must agree with both.
+delta_xx block once per dataset instead, and must agree with both.  They
+read a dataset as WindowArrays: delta_xx, the window integrals i_xx
+(M, n, n) and i_xu (M, n, m) as whole arrays, the layout adp.Dataset had
+before collection wrote the least squares' buffers.  WindowArrays maps
+between the two, both ways, and reads collect_kernel's integrals buffer.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from hlqr import _kernels
-from hlqr.adp import _TABLE_GROUP, TABLE_BLOCK, Excitation, LearnResult, unsvec
+from hlqr.adp import _TABLE_GROUP, TABLE_BLOCK, Dataset, Excitation, LearnResult, unsvec
 from hlqr.errors import (
     DimensionMismatch,
     NoConvergence,
@@ -79,8 +84,60 @@ from hlqr.sim import MasSystem, Trajectory, integrate
 
 
 
+class WindowArrays(NamedTuple):
+    """A dataset as whole arrays: delta_xx (M, n_sym), i_xx (M, n, n) and
+    i_xu (M, n, m); delta_xx is None when only integrals are read.
+
+    of(ints, n) reads collect_kernel's integrals buffer (column a n + b is
+    i_xu[:, b, a], then the upper triangle of i_xx in row-major order), the
+    lower triangle of i_xx mirrored from it; from_dataset reads an
+    adp.Dataset; dataset() writes a new one.  All three copy.
+    """
+
+    delta_xx: np.ndarray | None
+    i_xx: np.ndarray
+    i_xu: np.ndarray
+
+    @property
+    def M(self):
+        return self.i_xx.shape[0]
+
+    @property
+    def n(self):
+        return self.i_xx.shape[1]
+
+    @property
+    def m(self):
+        return self.i_xu.shape[2]
+
+    @classmethod
+    def of(cls, ints, n, delta_xx=None):
+        n_rows, m = ints.shape[0], ints.shape[1] // n - n
+        cols = ints.T
+        i_xu = cols[:m * n].reshape(m, n, n_rows).transpose(2, 1, 0).copy()
+        i_xx = np.empty((n_rows, n, n))
+        upper = np.triu_indices(n)
+        unique = cols[m * n:m * n + len(upper[0])].T
+        i_xx[:, upper[1], upper[0]] = unique
+        i_xx[:, upper[0], upper[1]] = unique
+        return cls(None if delta_xx is None else np.array(delta_xx), i_xx, i_xu)
+
+    @classmethod
+    def from_dataset(cls, data):
+        return cls.of(data.ints, data.n, data.delta_xx)
+
+    def dataset(self):
+        n, m = self.n, self.m
+        ints = np.zeros((self.M, m * n + n * n), order="F")
+        ints.T[:m * n] = self.i_xu.transpose(2, 1, 0).reshape(m * n, -1)
+        upper = np.triu_indices(n)
+        ints.T[m * n:m * n + len(upper[0])] = self.i_xx[:, upper[0], upper[1]].T
+        return Dataset(delta_xx=np.array(self.delta_xx, order="F"), ints=ints)
+
+
 def regressor(data, k, qk):
-    """(A, rhs) of the joint least-squares system at policy gain k."""
+    """(A, rhs) of the joint least-squares system at policy gain k, for
+    WindowArrays data."""
     m_windows = data.M
     ixv_t = data.i_xu.transpose(0, 2, 1)
     k_ixx = np.einsum("an,wnb->wab", k, data.i_xx)
@@ -137,7 +194,8 @@ def lstsq_svd_oracle(a_mat, rhs):
 
 def policy_iteration_oracle(data, qhat, rhat, k0, lstsq=equilibrated_lstsq,
                             tol_pi=1e-8, max_iter=30):
-    """adp.policy_iteration's loop on the full regressor of every pass.
+    """adp.policy_iteration's loop on the full regressor of every pass, for
+    WindowArrays data.
 
     The stopping rule and the policy update are the library's; only the
     least-squares solve differs, and the conditioning guard is left out.

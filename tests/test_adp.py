@@ -1,9 +1,7 @@
 """Model-free cluster learning: data collection, policy iteration, assembly."""
 
-import sys
 import tracemalloc
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +11,6 @@ from hypothesis import strategies as st
 
 from hlqr import _lapack, adp, graphcost, hierctrl, matops, sim
 from hlqr.adp import (
-    Dataset,
     Excitation,
     LearnConfig,
     collect,
@@ -26,6 +23,7 @@ from hlqr.adp import (
 from hlqr.errors import InvalidConfig, NoConvergence, RankDeficient, StateBlowup
 from hlqr.graphcost import CostGraph, CostSpec, Decomposition
 from oracles import (
+    WindowArrays,
     equilibrated_lstsq,
     excitation_table,
     is_psd,
@@ -95,7 +93,7 @@ def exact_dataset(a, b, k0, freqs, amps, x0, n_windows, window):
 
     xb = np.asarray(xs)
     phis = phi(xb)
-    return Dataset(delta_xx=phis[1:] - phis[:-1], i_xx=i_xx, i_xu=i_xu)
+    return WindowArrays(phis[1:] - phis[:-1], i_xx, i_xu).dataset()
 
 
 class TestFeatureMaps:
@@ -187,6 +185,16 @@ class TestCollect:
         assert data.M == 100
         assert data.M >= 1 * 2 // 2 + 1
         assert data.n == 1 and data.m == 1
+
+    def test_buffers_fortran_ordered(self):
+        # the least squares factor both buffers in place, which LAPACK can
+        # do only to a Fortran-ordered array; another would be copied
+        mas, spec, dec = scalar_system()
+        data = collect(sim.cluster_plants(mas, dec)[0], None,
+                       Excitation.make(5, 1), 1.0, 1e-3, 0.1)
+        assert data.delta_xx.flags.f_contiguous and data.ints.flags.f_contiguous
+        with pytest.raises(ValueError, match="Fortran"):
+            adp.Dataset(delta_xx=np.zeros((4, 3)), ints=data.ints)
 
     def test_zero_excitation_flagged(self):
         mas, spec, dec = scalar_system()
@@ -370,36 +378,36 @@ class TestConditioningGuard:
         assert horizons == [6.0, 9.0]
         assert held == [[], [False]]
 
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
-        "before Python 3.11 a caller's evaluation stack holds its call's "
-        "arguments until the call returns"))
     def test_dataset_freed_before_first_pass(self, monkeypatch):
-        # learn_cluster hands collect's dataset to policy_iteration unnamed,
-        # and policy_iteration lets go of it once _BlockLstsq has read it,
-        # so no pass, and none of the buffers only the passes use, runs
-        # beside it.  A wrapper that holds its call's arguments, such as
-        # perfbench/spans.py's traced policy_iteration, keeps it alive, so
-        # the saving shows in the untraced peak_rss_mb only
+        # collect's dataset is the least squares' two buffers, and
+        # _BlockLstsq takes them over without a copy: from the first pass
+        # on, the dataset holds neither, the integrals buffer is the
+        # solver's own and A1 is freed once R holds R11.  That holds while
+        # a caller's frame still holds the dataset (Python 3.10 keeps call
+        # arguments on its evaluation stack), so on every version
         plant, qhat, rhat = two_agent_clique_problem()
         inner = adp.collect
-        datasets, alive = [], []
+        datasets, passes = [], []
 
         def spy(*args, **kwargs):
             data = inner(*args, **kwargs)
-            datasets.append([weakref.ref(obj) for obj in (
-                data, data.delta_xx, data.i_xx, data.i_xu)])
+            datasets.append((data, weakref.ref(data.delta_xx),
+                             weakref.ref(data.ints)))
             return data
 
         class Recording(adp._BlockLstsq):
             def __call__(self, k, qk):
-                alive.append([ref() is not None for ref in datasets[-1]])
-                return super().__call__(k, qk)
+                out = super().__call__(k, qk)
+                data, a1, ints = datasets[-1]
+                passes.append((data.delta_xx is None, data.ints is None,
+                               a1() is None, ints() is self.cols))
+                return out
 
         monkeypatch.setattr(adp, "collect", spy)
         monkeypatch.setattr(adp, "_BlockLstsq", Recording)
         result = learn_cluster(plant, qhat, rhat, LearnConfig(seed=13))
         assert len(datasets) == 1
-        assert alive == [[False] * 4] * result.iterations
+        assert passes == [(True, True, True, True)] * result.iterations
 
     def test_tripped_guard_regrows_three_times(self, monkeypatch):
         plant, qhat, rhat = two_agent_clique_problem()
@@ -483,8 +491,8 @@ def check_block_solve(seed, n, m, extra_rows, log_cond, log_spread,
         a, b = rng.integers(m), rng.integers(n)
         i_xu[:, b, a] = 0.0
         gains[:, a] = 0.0
-    data = Dataset(delta_xx=delta_xx, i_xx=i_xx, i_xu=i_xu)
-    solve = adp._BlockLstsq(data)
+    data = WindowArrays(delta_xx, i_xx, i_xu)
+    solve = adp._BlockLstsq(data.dataset())
     for tail, k in enumerate(gains):
         qk = rng.standard_normal((n, n))
         qk += qk.T
@@ -515,9 +523,12 @@ class TestLeastSquaresSolve:
         # by Householder QR and by SVD
         data, qhat, rhat = make_data()
         k0 = np.zeros((data.m, data.n))
+        arrays = WindowArrays.from_dataset(data)
         result = policy_iteration(data, qhat, rhat, k0)
+        # which consumes the dataset: it keeps neither buffer
+        assert data.delta_xx is None and data.ints is None
         for lstsq in (equilibrated_lstsq, lstsq_svd_oracle):
-            oracle = policy_iteration_oracle(data, qhat, rhat, k0, lstsq)
+            oracle = policy_iteration_oracle(arrays, qhat, rhat, k0, lstsq)
             assert result.iterations == oracle.iterations
             for got, want in [(result.p_hat, oracle.p_hat),
                               (result.k_hat, oracle.k_hat)]:
@@ -569,17 +580,18 @@ class TestLeastSquaresSolve:
         check_block_solve(seed, n, m, extra_rows, 3.0, 4.0, None)
 
     def test_set_up_memory(self):
-        # _BlockLstsq(data) holds A1 (M x n_sym) and the one buffer
-        # (M x (m n + n^2)) together: the dataset's M x (n_sym + n^2 + m n)
-        # entries, 1x its bytes.  dgeqrt's block reflector (nb x n_sym,
-        # nb = min(QR_BLOCK, n_sym)) and dgemqrt's workspace
-        # (nb x (n_sym + m n)) add 0.32x on this dataset (M = 190,
-        # n_sym = nb = 78, m n = 72), so the set-up peaks at 1.33x; R and
-        # the pass buffers wait for the first pass.  A layout that holds R
-        # ((n_sym + m n)^2), the unique columns apart and the head and tail
-        # pass buffers at set-up peaks at 1.91x here
+        # _BlockLstsq(data) factors the dataset's two buffers in place: A1
+        # (M x n_sym) and the integrals buffer (M x (m n + n^2)), together
+        # the dataset's M x (n_sym + n^2 + m n) entries.  It allocates only
+        # _column_norms' squared rows ((M + 1) x n_sym, 0.27x on this
+        # dataset: M = 190, n_sym = 78, m n = 72) with numpy's 8192-element
+        # buffer for squaring Fortran rows into C ones (0.15x), then
+        # dgeqrt's block reflector (nb x n_sym, nb = min(QR_BLOCK, n_sym):
+        # 0.11x) and dgemqrt's workspace (nb x (n_sym + m n): 0.21x), so the
+        # set-up peaks at 0.42x of the dataset's bytes.  A set-up that
+        # copies the dataset into a layout of its own peaks above 1x
         data, _, _ = example1_clique_dataset()
-        data_bytes = sum(a.nbytes for a in (data.delta_xx, data.i_xx, data.i_xu))
+        data_bytes = data.delta_xx.nbytes + data.ints.nbytes
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -587,15 +599,50 @@ class TestLeastSquaresSolve:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 1.6 * data_bytes
+        assert peak <= 0.6 * data_bytes
+
+    def test_learn_cluster_memory(self):
+        # a 24-state, 12-input clique (M = 716 windows, n_sym = 300,
+        # m n = 288).  Its learning holds at most, in words: A1 (M n_sym),
+        # the integrals buffer (M (m n + n^2)), and, from the first pass,
+        # R ((n_sym + m n)^2), [A2 | rhs] (M (m n + 1)) and the tail
+        # ((M - n_sym)(m n + 1)); their sum is the unit, 12.05 MB here.
+        # Collection fills the two buffers (0.84x with the kernel's chunk
+        # temporaries) and the set-up factors them in place; the first
+        # pass lets A1 go once R holds R11, so the peak is the last four,
+        # 0.86x, plus dgeqrt's block reflector and workspace on the tail
+        # (2 nb (m n + 1) words, nb = 128: 0.05x), 0.91x in all.  A
+        # dataset kept beside the buffers, or copied into them, peaks at
+        # 1.18x here.  policy_iteration consumes the dataset, so a caller's
+        # frame that still holds it during the passes (Python 3.10 keeps
+        # call arguments on its evaluation stack) holds no buffer
+        mas, spec = sim.clique_path_scenario(1, 6)
+        dec = sim.clique_decomposition(1, 6)
+        plant = sim.cluster_plants(mas, dec)[0]
+        qhat, rhat = graphcost.cluster_costs(spec, dec)[0]
+        n, m = plant.n_states, plant.n_inputs
+        cfg = LearnConfig(seed=1)
+        n_rows = round(adp._auto_horizon(cfg, n, m) / cfg.window)
+        n_sym, n_a2 = n * (n + 1) // 2, m * n
+        unit = 8 * (n_rows * n_sym + n_rows * (n_a2 + n * n)
+                    + (n_sym + n_a2) ** 2 + n_rows * (n_a2 + 1)
+                    + (n_rows - n_sym) * (n_a2 + 1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            learn_cluster(plant, qhat, rhat, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * unit
 
     def test_zero_regressor_column_raises_in_loop(self):
         # input channel 1 never moves and k0 has a zero row for it, so the
         # B'P unknowns of that channel multiply an all-zero column
         data, qhat, rhat = two_agent_clique_dataset()
-        i_xu = data.i_xu.copy()
-        i_xu[:, :, 1] = 0.0
-        data = replace(data, i_xu=i_xu)
+        arrays = WindowArrays.from_dataset(data)
+        arrays.i_xu[:, :, 1] = 0.0
+        data = arrays.dataset()
         k0 = np.random.default_rng(3).standard_normal((data.m, data.n))
         k0[1] = 0.0
         with pytest.raises(RankDeficient):

@@ -709,8 +709,8 @@ FOUND_93 = (("learn", "five_node", "--assignment=0,0,1,2,2"),
 @st.composite
 def cli_cases(draw):
     """(argv, config text or None): a command on five_node with its first
-    flags and up to three more, and sometimes a config file of up to four
-    fields."""
+    flags and up to three more, each written as --flag=value or as two
+    words, and sometimes a config file of up to four fields."""
     command = draw(st.sampled_from(sorted(CLI_FLAGS)))
     flags = CLI_FLAGS[command]
     argv = [command, "five_node", *BASE_FLAGS.get(command, ()),
@@ -718,7 +718,12 @@ def cli_cases(draw):
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3,
                               unique=True)):
         values = flags[flag]
-        argv.append(flag if values is None else f"{flag}={draw(st.sampled_from(values))}")
+        if values is None:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={draw(st.sampled_from(values))}")
+        else:  # as two words, negative-looking values included
+            argv += [flag, draw(st.sampled_from(values))]
     config = None
     if draw(st.booleans()):
         keys = draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=4, unique=True))
@@ -754,6 +759,28 @@ class TestEveryInputEnds:
             assert lines == []
         else:
             assert rc == 1 and len(lines) == 1 and lines[0].startswith("error: ")
+
+
+class TestNegativeValues:
+    """A value that looks like a negative number, written as its own word
+    after a value-taking option, is read as --option=value is: it reaches
+    hlqr's own checks, not argparse's exit 2 with a usage block."""
+
+    @pytest.mark.parametrize("args, rc_want", [
+        (["simulate", "five_node", "--t-final", "1", "--assignment", "-1,0,0,0,0"], 0),
+        (["simulate", "five_node", "--assignment", "0,0,1,2,2", "--dt", "-inf"], 1),
+    ], ids=["assignment", "dt"])
+    def test_same_as_joined(self, args, rc_want, tmp_path, capsys):
+        joined = [*args[:-2], f"{args[-2]}={args[-1]}"]
+        results = []
+        for argv in (args, joined):
+            rc = main(argv + ["--out", str(tmp_path)])
+            results.append((rc, *capsys.readouterr()))
+        assert results[0] == results[1]
+        rc, _, err = results[0]
+        assert rc == rc_want
+        if rc:
+            assert err == "error: dt=-inf must be positive and finite\n"
 
 
 class TestDefaultObjective:

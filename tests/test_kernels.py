@@ -12,8 +12,8 @@ from hlqr import _kernels, sim
 from hlqr.adp import _TABLE_GROUP, TABLE_BLOCK, Excitation
 from hlqr.graphcost import assemble_q
 from hlqr.sim import BlackBoxPlant
-from oracles import (Pointwise, half_grid_table, integrate_callable, stage_quadrature,
-                     table_rows)
+from oracles import (Pointwise, WindowArrays, half_grid_table, integrate_callable,
+                     stage_quadrature, table_rows)
 
 
 def rollout_kernel(a, b, k, exo_dist, *rest):
@@ -22,9 +22,12 @@ def rollout_kernel(a, b, k, exo_dist, *rest):
 
 
 def collect_kernel(a, b, k0, exo_cmd, exo_dist, *rest):
-    """_kernels.collect_kernel with the signals given as tables."""
-    return _kernels.collect_kernel(a, b, k0, table_rows(exo_cmd),
-                                   table_rows(exo_dist), *rest)
+    """_kernels.collect_kernel with the signals given as tables, its
+    integrals buffer read back as (i_xx, i_xv) in slots 1 and 2."""
+    xb, ints, _, *tail = _kernels.collect_kernel(
+        a, b, k0, table_rows(exo_cmd), table_rows(exo_dist), *rest)
+    arrays = WindowArrays.of(ints, b.shape[0])
+    return (xb, arrays.i_xx, arrays.i_xu, *tail)
 
 
 def damped_rotation():
@@ -280,7 +283,6 @@ class TestCollectProperty:
         assume(np.all(np.abs(peaks - guard) > 1e-9 * guard))  # no near-tie
         out = collect_kernel(*args)
         assert_collect_matches(out, ref)
-        assert_rel(out[1], out[1].transpose(0, 2, 1), 1e-15)
 
 
 @st.composite
@@ -526,16 +528,18 @@ class TestKernelInterface:
         raw_x = collect_step_loop(a, b, k0, cmd, dist, x0, 1e-2, steps, windows,
                                   5.0)[3]
         for out in (
-            collect_kernel(a, b, k0, cmd, dist, x0, 1e-2, steps,
-                           windows, 5.0),
+            _kernels.collect_kernel(a, b, k0, table_rows(cmd), table_rows(dist),
+                                    x0, 1e-2, steps, windows, 5.0),
             BlackBoxPlant(a, b).collect(k0, None, x0, 1e-2, steps, windows,
                                         guard=5.0),
         ):
             assert len(out) == 7
-            xb, ixx, ixv, no_x, no_v, status, done = out
+            xb, ints, no_xv, no_x, no_v, status, done = out
             assert xb.shape == (windows + 1, 2)
-            assert ixx.shape == (windows, 2, 2) and ixv.shape == (windows, 2, 1)
-            assert no_x is None and no_v is None
+            # m n + n^2 columns, of which the last n (n - 1) / 2 are left zero
+            assert ints.shape == (windows, 1 * 2 + 2 * 2) and ints.flags.f_contiguous
+            assert not np.any(ints[:, 5:])
+            assert no_xv is None and no_x is None and no_v is None
             assert status == _kernels.BLOWUP
             assert isinstance(done, int) and 0 < done < windows
             assert_rel(xb[:done + 1], raw_x[:done * steps + 1:steps])
@@ -798,10 +802,10 @@ class TestChunkTables:
 
         windows = max(1, n_steps // spw)
         got = plant.collect(k, exc, x0, dt, spw, windows)
-        want = collect_kernel(
-            a, b, k, half_grid_table(exc, dt, spw * windows),
-            half_grid_table(dist, dt, spw * windows, channels), x0, dt, spw,
-            windows, sim.DEFAULT_GUARD)
+        want = _kernels.collect_kernel(
+            a, b, k, table_rows(half_grid_table(exc, dt, spw * windows)),
+            table_rows(half_grid_table(dist, dt, spw * windows, channels)), x0,
+            dt, spw, windows, sim.DEFAULT_GUARD)
         same_bits(got, want)
 
     def test_rollout_memory_is_per_chunk(self):

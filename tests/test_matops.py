@@ -347,7 +347,7 @@ class TestSolveCare:
                               np.eye(1), p0=np.eye(2))
 
 
-class TestStabilizingGain:
+class TestStabilizable:
     """matops.stabilizable's verdicts on (A, B)."""
 
     def test_hurwitz_is_stabilizable(self):
