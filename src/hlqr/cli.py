@@ -511,30 +511,29 @@ def _looks_negative(word):
 
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, except that a word that looks like a negative
-    number (-1, -inf, -1,0,0) after a value-taking option is read as that
-    option's value, as --dt=-inf is, so that it reaches hlqr's own checks.
-    argparse alone takes -inf or -1,0,0 there for an unknown option and
-    exits with a usage message."""
-
-    def __init__(self, *args, **kwargs):
-        self._value_options = set()  # super().__init__ adds --help
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.nargs is None:
-            self._value_options.update(action.option_strings)
-        return action
+    number (-1, -inf, -1,0,0) after a value-taking option, written in full or
+    abbreviated (--ass), is read as that option's value, as --dt=-inf is, so
+    that it reaches hlqr's own checks.  argparse alone takes -inf or -1,0,0
+    there for an unknown option and exits with a usage message."""
 
     def parse_known_args(self, args=None, namespace=None):
         # a subcommand's parser gets the words after the subcommand
         words = []
         for word in sys.argv[1:] if args is None else args:
-            if words and words[-1] in self._value_options and _looks_negative(word):
+            if words and _looks_negative(word) and self._takes_value(words[-1]):
                 words[-1] += "=" + word
             else:
                 words.append(word)
         return super().parse_known_args(words, namespace)
+
+    def _takes_value(self, word):
+        """Whether argparse reads word as an option that takes one value:
+        written in full, or a prefix of that long option and of no other."""
+        hits = [o for o in self._option_string_actions if o.startswith(word)]
+        if word[:2] == "--" and self.allow_abbrev and len(hits) == 1:
+            word = hits[0]
+        action = self._option_string_actions.get(word)
+        return action is not None and action.nargs is None
 
 
 def _add_common(p):

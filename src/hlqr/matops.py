@@ -12,14 +12,14 @@ doubling; a doubled solution that misses the residual contract is polished
 by Newton-Kleinman steps in correction form, each one Lyapunov solve.  A
 Lyapunov solve is squared Smith, the same loop without the input term,
 three GEMMs per doubling and one inverse in all, whose last power of the
-Cayley transform also certifies the matrix Hurwitz.  A Riccati solve
-raises when the doubling breaks down or does not stabilize, or a polish
-step's gain is not Hurwitz, as happens outside the standing assumptions of
-a stabilizable (A, B) and a detectable (Q^{1/2}, A).  stabilizable
-decides the first for graphcost.check_assumptions by the same Riccati
-solve with Q = I and R = I, so the doubling's certificate, with the margin
-CARE_MAX_ITER sets, is the library's one test of a Hurwitz matrix and of a
-stabilizing solution.
+Cayley transform also certifies the matrix Hurwitz (_hurwitz, which
+sim.initial_gains asks too).  A Riccati solve raises when the doubling
+breaks down or does not stabilize, or a polish step's gain is not Hurwitz,
+as happens outside the standing assumptions of a stabilizable (A, B) and a
+detectable (Q^{1/2}, A).  stabilizable decides the first for
+graphcost.check_assumptions by the same Riccati solve with Q = I and R = I,
+so the doubling's certificate, with the margin CARE_MAX_ITER sets, is the
+library's one test of a Hurwitz matrix and of a stabilizing solution.
 
 solve_care, solve_lyapunov, pinv and eigvalsh_max first split their input
 at the connected components of its exact nonzero pattern (_components) and
@@ -86,11 +86,6 @@ def _pd(w):
     """True when w, the ascending eigenvalues of a symmetric matrix, show it
     PD to rounding: w[0] > n eps w[-1]."""
     return bool(w[0] > w.size * np.finfo(float).eps * w[-1])
-
-
-def abscissa(m):
-    """Largest real part of the eigenvalues of a square matrix."""
-    return float(np.linalg.eigvals(np.asarray(m, dtype=float)).real.max())
 
 
 def block_diag(*blocks):
@@ -327,7 +322,7 @@ def _care_component(a, b, q, r, p0=None, floor=1.0):
     stabilizing, else the doubled P, polished when it is not."""
     if p0 is not None:
         ok, _, k = _accepted(a, b, q, r, p0, floor)
-        if ok and _doubling(a - b @ k, None, np.zeros(a.shape)) is not None:  # Hurwitz
+        if ok and _hurwitz(a - b @ k):
             return p0
     p = _doubling(a, symmetrize(b @ np.linalg.solve(r, b.T)), q)
     if p is None:
@@ -363,6 +358,11 @@ def _accepted(a, b, q, r, p, floor):
     res = p @ a + a.T @ p + q - (p @ b) @ k
     ok = np.linalg.norm(res, "fro") <= TOL_RESIDUAL * (floor + np.linalg.norm(p, "fro"))
     return ok, res, k
+
+
+def _hurwitz(a):
+    """Whether squared Smith (_doubling with Q = 0) certifies A Hurwitz."""
+    return _doubling(a, None, np.zeros(a.shape)) is not None
 
 
 def _doubling(a, g, q):

@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels
 from .errors import DimensionMismatch, HlqrError, InvalidConfig, StateBlowup
 from .graphcost import CostGraph, CostSpec, Decomposition, assemble_q
-from .matops import abscissa, block_diag, solve_care
+from .matops import _hurwitz, block_diag, solve_care
 from .partition import ConstraintSet
 
 __all__ = [
@@ -457,19 +457,18 @@ def build_formation(scn):
 
 
 def initial_gains(mas, dec):
-    """White-box stabilizing initial gains per cluster (zero when the cluster
-    is already open-loop stable).  Used to seed the model-free learner.
-
-    Unstable clusters get the unit-cost LQR gain, which is stabilizing with
-    moderate norm; aggressive pre-stabilizers flatten the state response and
-    degrade the learner's regressor conditioning.  A cluster's HlqrError is
-    raised again as the same type, its message prefixed with the cluster and
-    its agents.
+    """White-box stabilizing initial gains per cluster, to seed the model-free
+    learner: zero when the doubling certificate (matops._hurwitz) proves A_j
+    Hurwitz, to the margin matops.CARE_MAX_ITER sets, which refuses a
+    marginal mode; else the unit-cost LQR gain, which is stabilizing with
+    moderate norm, as aggressive pre-stabilizers flatten the state response
+    and degrade the learner's regressor conditioning.  A cluster's HlqrError
+    is raised again as the same type, prefixed with the cluster and its agents.
     """
     out = []
     for j in range(dec.s):
         a_j, b_j = mas.cluster(dec, j)
-        if abscissa(a_j) < -1e-9:
+        if _hurwitz(a_j):
             out.append(np.zeros((b_j.shape[1], b_j.shape[0])))
             continue
         try:

@@ -11,7 +11,9 @@ applies the inverse by GEMM.  care_residual is the Riccati residual of a
 candidate P, with its gain formed from R.  comm_links_loop tests
 graphcost.comm_links' agent pairs one at a time.  pbh_stabilizable is the
 Popov-Belevitch-Hautus rank test that graphcost.check_assumptions replaces
-by one Riccati doubling with Q = I (matops.stabilizable).  is_psd tests a
+by one Riccati doubling with Q = I (matops.stabilizable), and abscissa the
+eigenvalue (LAPACK dgeev) test of a Hurwitz matrix that the library's
+doubling certificate (matops._hurwitz) replaces.  is_psd tests a
 symmetric part PSD by its least eigenvalue, and svec lists a symmetric
 matrix's unique entries in the order adp.unsvec reads them; the library
 calls neither.
@@ -77,8 +79,8 @@ from hlqr.errors import (
 from hlqr.graphcost import Decomposition, assemble_q, split_graph
 from hlqr.hierctrl import GapReport, _cond
 from hlqr.matops import (CARE_MAX_ITER, PSD_TOL, _bipartite, _care_component,
-                         _components, _doubling, _lyapunov_component, abscissa,
-                         solve_care, solve_lyapunov, symmetrize)
+                         _components, _doubling, _lyapunov_component, solve_care,
+                         solve_lyapunov, symmetrize)
 from hlqr.partition import ConstraintSet
 from hlqr.sim import MasSystem, Trajectory, integrate
 
@@ -507,6 +509,11 @@ def stage_quadrature(a, b, k, exo_dist, states, dt, q, r):
     weights = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
     return tuple(np.concatenate([[0.0], np.cumsum(vals.reshape(steps, 4) @ weights)])
                  for vals in (cst, jst))
+
+
+def abscissa(m):
+    """Largest real part of the eigenvalues of a square matrix."""
+    return float(np.linalg.eigvals(np.asarray(m, dtype=float)).real.max())
 
 
 def evaluate_cost(sys, spec, k, x0):

@@ -769,7 +769,8 @@ class TestNegativeValues:
     @pytest.mark.parametrize("args, rc_want", [
         (["simulate", "five_node", "--t-final", "1", "--assignment", "-1,0,0,0,0"], 0),
         (["simulate", "five_node", "--assignment", "0,0,1,2,2", "--dt", "-inf"], 1),
-    ], ids=["assignment", "dt"])
+        (["simulate", "five_node", "--t-final", "1", "--ass", "-1,0,0,0,0"], 0),
+    ], ids=["assignment", "dt", "abbreviated"])
     def test_same_as_joined(self, args, rc_want, tmp_path, capsys):
         joined = [*args[:-2], f"{args[-2]}={args[-1]}"]
         results = []

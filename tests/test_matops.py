@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from hlqr import _lapack, graphcost, hierctrl, matops, sim
 from hlqr.errors import IterationDiverged, NonStabilizable, UnstableMatrix
-from oracles import (care_residual, is_psd, lu_doubling, pbh_stabilizable,
-                     split_care, split_lyapunov, split_pinv, svd_pinv)
+from oracles import (abscissa, care_residual, is_psd, lu_doubling,
+                     pbh_stabilizable, split_care, split_lyapunov, split_pinv,
+                     svd_pinv)
 
 SQRT2_M1 = 0.41421356237309515
 
@@ -51,7 +52,7 @@ def hidden_blocks(rng, n_blocks):
 def _block(rng, n, m):
     if m == 0:
         a = rng.standard_normal((n, n))
-        a -= (matops.abscissa(a) + 0.5) * np.eye(n) if n else 0.0
+        a -= (abscissa(a) + 0.5) * np.eye(n) if n else 0.0
         b = np.zeros((n, 0))
     elif n == 0:
         a, b = np.zeros((0, 0)), np.zeros((0, m))
@@ -149,7 +150,7 @@ class TestSolveCare:
             res = care_residual(a, b, q, r, p)
             assert res <= 1e-9 * (1.0 + np.linalg.norm(p, "fro"))
             k = np.linalg.solve(r, b.T @ p)
-            assert matops.abscissa(a - b @ k) < 0.0
+            assert abscissa(a - b @ k) < 0.0
 
     def test_matches_schur_solver(self):
         rng = np.random.default_rng(11)
@@ -255,7 +256,7 @@ class TestSolveCare:
                 continue
             assert care_residual(a, b, q, r, p) <= matops.TOL_RESIDUAL * (
                 1.0 + np.linalg.norm(p, "fro"))
-            assert matops.abscissa(a - b @ np.linalg.solve(r, b.T @ p)) < 0.0
+            assert abscissa(a - b @ np.linalg.solve(r, b.T @ p)) < 0.0
             p_ref = scipy.linalg.solve_continuous_are(a, b, q, r)
             assert np.linalg.norm(p - p_ref, "fro") <= 1e-7 * (
                 1.0 + np.linalg.norm(p_ref, "fro"))
@@ -271,7 +272,7 @@ class TestSolveCare:
             q, r = np.eye(n), np.eye(m)
             p_cold = matops.solve_care(a, b, q, r)
             k0 = np.linalg.solve(r, b.T @ p_cold) + 0.3 * rng.standard_normal((m, n))
-            assert matops.abscissa(a - b @ k0) < 0.0
+            assert abscissa(a - b @ k0) < 0.0
             p0 = matops.solve_lyapunov(a - b @ k0, q + k0.T @ r @ k0)
             with monkeypatch.context() as mp:
                 mp.setattr(matops, "stabilizable", None)
@@ -323,7 +324,7 @@ class TestSolveCare:
         p = matops.solve_care(a, b, q, r)
         assert care_residual(a, b, q, r, p) <= matops.TOL_RESIDUAL * (
             1.0 + np.linalg.norm(p, "fro"))
-        assert matops.abscissa(a - b @ np.linalg.solve(r, b.T @ p)) < 0.0
+        assert abscissa(a - b @ np.linalg.solve(r, b.T @ p)) < 0.0
         p_ref = scipy.linalg.solve_continuous_are(a, b, q, r)
         assert np.linalg.norm(p - p_ref, "fro") <= 1e-7 * (
             1.0 + np.linalg.norm(p_ref, "fro"))
@@ -562,7 +563,7 @@ class TestSolveLyapunov:
         for _ in range(10):
             n = 4
             a_s = rng.standard_normal((n, n))
-            a_s -= (matops.abscissa(a_s) + 1.0) * np.eye(n)
+            a_s -= (abscissa(a_s) + 1.0) * np.eye(n)
             w_half = rng.standard_normal((n, n))
             w = w_half @ w_half.T
             v = matops.solve_lyapunov(a_s, w)
@@ -608,10 +609,15 @@ def modal_pair(rng, n, re, dense=False, unstable=True):
     return s @ d @ np.linalg.inv(s), s @ b0
 
 
+ONE_CLUSTER = graphcost.Decomposition((0,))  # one agent in one cluster
+
+
 class TestCertificateMargin:
     """The margin that CARE_MAX_ITER sets on the doubling certificate:
     marginal matrices and uncontrollable marginal pairs are refused, and
-    normal matrices with abscissa at most -1e-6 |A|_2 are accepted."""
+    normal matrices with abscissa at most -1e-6 |A|_2 are accepted, by each
+    question it decides, down to the learner's behaviour gain
+    (sim.initial_gains)."""
 
     def test_marginal_families(self):
         # diag(0, -1, -2) in 200 dense bases, and diag(0, -1, 2) in 100
@@ -624,6 +630,7 @@ class TestCertificateMargin:
             a = s @ np.diag([0.0, -1.0, -2.0]) @ np.linalg.inv(s)
             with pytest.raises(UnstableMatrix):
                 matops.solve_lyapunov(a, np.eye(3))
+            assert not matops._hurwitz(a)
             assert not matops.stabilizable(a, s @ np.array([[0.0], [1.0], [1.0]]))
         rng = np.random.default_rng(71)
         for _ in range(100):
@@ -632,6 +639,7 @@ class TestCertificateMargin:
             b = u @ np.array([[0.0], [1.0], [1.0]])
             with pytest.raises((NonStabilizable, IterationDiverged)):
                 matops.solve_care(a, b, np.eye(3), np.eye(1))
+            assert not matops._hurwitz(a)
             assert not matops.stabilizable(a, b)
 
     @settings(max_examples=60, deadline=None)
@@ -640,11 +648,15 @@ class TestCertificateMargin:
     def test_marginal_refused(self, seed, n, exp, dense):
         # a zero or an imaginary pair, at any scale, in an orthogonal or
         # well-conditioned basis: no Hurwitz certificate, no stabilizing P,
-        # not stabilizable without an input that reaches it
+        # not stabilizable without an input that reaches it, and so no
+        # behaviour gain for the one-agent cluster
         a, b = modal_pair(np.random.default_rng(seed), n, 0.0, dense)
         a *= 10.0 ** exp
         with pytest.raises(UnstableMatrix):
             matops.solve_lyapunov(a, np.eye(n))
+        assert not matops._hurwitz(a)
+        with pytest.raises(NonStabilizable, match=r"^cluster 0 \(agent 1\): "):
+            sim.initial_gains(sim.MasSystem([(a, b)]), ONE_CLUSTER)
         with pytest.raises((NonStabilizable, IterationDiverged)):
             matops.solve_care(a, b, np.eye(n), np.eye(1))
         assert not matops.stabilizable(a, b)
@@ -656,12 +668,16 @@ class TestCertificateMargin:
     def test_margin_accepted(self, seed, n, margin, exp):
         # a normal Hurwitz A whose abscissa, -margin, is at most -1e-6 |A|_2
         # (|A|_2 <= 1.005), and B missing that mode: certified at any scale,
-        # and the Riccati solve at unit scale returns
+        # so its one-agent cluster's behaviour gain is zero, and the Riccati
+        # solve at unit scale returns
         a, b = modal_pair(np.random.default_rng(seed), n, -margin, unstable=False)
-        assert matops.abscissa(a) <= -1e-6 * np.linalg.norm(a, 2)
+        assert abscissa(a) <= -1e-6 * np.linalg.norm(a, 2)
         matops.solve_care(a, b, np.eye(n), np.eye(1))
         a *= 10.0 ** exp
         matops.solve_lyapunov(a, np.eye(n))
+        assert matops._hurwitz(a)
+        (k0,) = sim.initial_gains(sim.MasSystem([(a, b)]), ONE_CLUSTER)
+        assert np.array_equal(k0, np.zeros((1, n)))
         assert matops.stabilizable(a, b)
         assert matops.stabilizable(a, np.zeros((n, 1)))
 

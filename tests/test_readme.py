@@ -116,3 +116,19 @@ def test_every_bound_lapack_routine_is_used():
             elif isinstance(node, ast.ImportFrom) and node.module == "_lapack":
                 used.update(alias.name for alias in node.names if alias.name in read)
     assert bound_routines() <= used, sorted(bound_routines() - used)
+
+
+def test_no_nonsymmetric_eigensolver():
+    # README: hlqr has no Schur form, and the doubling certificate decides
+    # every Hurwitz question, so no module reads np.linalg.eig or eigvals
+    # (LAPACK dgeev, which reduces to a Schur form)
+    found = []
+    for path in Path(_lapack.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in ("eig", "eigvals")
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                found.extend(f"{path.name}:{node.lineno}" for alias in node.names
+                             if alias.name in ("eig", "eigvals"))
+    assert not found, found

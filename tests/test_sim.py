@@ -9,6 +9,7 @@ from hlqr.graphcost import CostGraph, Decomposition, check_assumptions
 from hlqr.sim import MasSystem, integrate
 from oracles import (
     Pointwise,
+    abscissa,
     bfs_connected,
     enumerate_partitions,
     evaluate_cost,
@@ -199,7 +200,7 @@ class TestFormationScenario:
 
     def test_baseline_stabilizes(self):
         mas, _, baseline_k, _ = sim.build_formation(sim.default_formation())
-        alpha = matops.abscissa(mas.a_full - mas.b_full @ baseline_k)
+        alpha = abscissa(mas.a_full - mas.b_full @ baseline_k)
         assert alpha == pytest.approx(-0.12708303743090554, rel=1e-9)
 
     def test_leaderless_rejected(self):
